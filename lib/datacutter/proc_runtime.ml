@@ -3,18 +3,23 @@
    Same scheduling skeleton as [Par_runtime] — one driver domain per
    copy over [Bqueue]s, protocol decisions from [Engine] — but the
    filter callbacks of source and inner copies execute in forked child
-   processes, one per copy, connected by Unix-domain socket pairs
-   speaking the [Wire] frame protocol.  Every buffer crossing a copy
-   boundary is genuinely serialized, so the compiler's packing layer is
-   exercised end-to-end, and an injected [crash@N] kills a real OS
-   process which the supervisor observes with [waitpid] and replaces
-   from a pool of pre-forked spares.
+   processes, one per copy, each reached over a [Shm] channel
+   (shared-memory ring pairs by default, Unix-domain socket pairs as
+   the fallback) speaking the [Wire] frame protocol.  Every buffer
+   crossing a copy boundary is genuinely serialized, so the compiler's
+   packing layer is exercised end-to-end, and an injected [crash@N]
+   kills a real OS process which the supervisor observes with
+   [waitpid] and replaces from a pool of pre-forked spares.
 
    Division of labour:
    - the parent keeps the whole protocol brain: queues, routing, the
      EOS drain barrier, fault ticking ([Fault.tick] runs parent-side so
      injection state survives child replacement), the retry/retire/
      re-route machine, accounting and the watchdog;
+   - one driver per remote copy talks to its worker through a credit
+     window: up to [inflight] data frames (or [Next] requests) in
+     flight, settled in FIFO order; control requests (init, finals,
+     finalize, replay) are round trips on an empty window;
    - a child is a dumb callback executor: read a request frame,
      run [init]/[process]/[on_eos]/[finalize]/[next], write the result
      back (or [Crashed] if the callback raised), repeat until [Exit] or
@@ -360,50 +365,44 @@ let shutdown_worker label (w : worker) =
   in
   reap ()
 
-(* One request/response round trip.  Unsolicited [Telemetry] frames
-   the worker shipped ahead of its response are absorbed (handed to
-   [absorb]) until the real response arrives.  Any transport-level
-   failure — the child died (EOF, EPIPE), sent a malformed frame, or
-   an out-of-protocol response — reaps the worker and surfaces as
-   [Remote_crash] for the supervisor. *)
-let rpc ?(absorb = fun (_ : Wire.telemetry) -> ()) label (h : handle)
-    (req : Wire.msg) : Wire.msg =
-  match h.active with
-  | None -> raise (Remote_crash "worker is dead")
-  | Some w -> (
-      let fail msg =
-        h.active <- None;
-        reap_worker label w;
-        raise (Remote_crash msg)
-      in
-      let rec read_resp () =
-        match Shm.recv w.conn with
-        | Some (Wire.Telemetry t) ->
-            absorb t;
-            read_resp ()
-        | Some (Wire.Crashed msg) -> raise (Remote_crash msg)
-        | Some ((Wire.Out _ | Wire.Outs _ | Wire.Done) as resp) -> resp
-        | Some _ -> fail "out-of-protocol response from worker"
-        | None -> fail "worker exited unexpectedly"
-      in
-      match
-        Shm.send w.conn req;
-        read_resp ()
-      with
-      | resp -> resp
-      | exception Remote_crash msg -> raise (Remote_crash msg)
-      | exception Unix.Unix_error (e, _, _) ->
-          fail ("worker i/o error: " ^ Unix.error_message e)
-      | exception Wire.Protocol_error msg ->
-          fail ("worker protocol error: " ^ msg))
+(* --- talking to a worker ------------------------------------------------ *)
+
+(* A transport failure on a worker channel — EPIPE or another i/o
+   error, a malformed frame — as the crash the supervisor sees. *)
+let transport_crash = function
+  | Unix.Unix_error (e, _, _) ->
+      Remote_crash ("worker i/o error: " ^ Unix.error_message e)
+  | Wire.Protocol_error m -> Remote_crash ("worker protocol error: " ^ m)
+  | e -> e
+
+let send_frame conn req =
+  try Shm.send conn req with e -> raise (transport_crash e)
+
+(* The worker's next frame, past any [Telemetry] it shipped ahead of it
+   (handed to [absorb]).  Every blocking receive from a worker goes
+   through here; EOF and transport failures raise [Remote_crash]. *)
+let recv_frame ~absorb conn =
+  let rec go () =
+    match Shm.recv conn with
+    | Some (Wire.Telemetry t) ->
+        absorb t;
+        go ()
+    | Some m -> m
+    | None -> raise (Remote_crash "worker exited unexpectedly")
+  in
+  try go () with e -> raise (transport_crash e)
+
+let round_trip ~absorb conn req =
+  send_frame conn req;
+  recv_frame ~absorb conn
 
 (* --- the credit window ------------------------------------------------ *)
 
 (* One in-flight pipelined frame of a copy's credit window: the items
    it carried (trimmed from the front as partial batch acks arrive —
    whatever remains is exactly the unacknowledged suffix a crash must
-   resubmit or re-route) and its send-time byte estimate for the
-   socket-path in-flight budget. *)
+   resubmit or re-route) and the bytes it is charged against the
+   in-flight budget. *)
 type win_frame = { mutable wf_items : Engine.item list; wf_bytes : int }
 
 let default_inflight = 4
@@ -421,10 +420,11 @@ let max_inflight = 16
    progress to collecting responses. *)
 let inflight_byte_budget = 64 * 1024
 
-(* A frame estimated bigger than this is sent strictly (window drained
-   first): one oversized frame can exceed what the socket buffers — or
-   the ring slot — can absorb without write-side blocking, which is
-   only safe when no responses are queued behind it. *)
+(* A frame estimated bigger than this is charged as the whole byte
+   budget, so it travels alone on an empty window: one oversized frame
+   can exceed what the socket buffers — or the ring slot — can absorb
+   without write-side blocking, which is only safe when no responses
+   are queued behind it. *)
 let big_frame_bytes = 32 * 1024
 
 let resolve_inflight inflight =
@@ -564,18 +564,10 @@ let pool_acquire p ~absorb ~role ~index ~tid ~lbl : worker =
     | None -> failwith ("worker pool exhausted binding " ^ lbl)
     | Some w ->
         let ok =
-          try
-            Shm.send w.pw_conn (Wire.Bind blob);
-            let rec wait () =
-              match Shm.recv w.pw_conn with
-              | Some (Wire.Telemetry t) ->
-                  absorb t;
-                  wait ()
-              | Some Wire.Done -> true
-              | _ -> false
-            in
-            wait ()
-          with _ -> false
+          match round_trip ~absorb w.pw_conn (Wire.Bind blob) with
+          | Wire.Done -> true
+          | _ -> false
+          | exception Remote_crash _ -> false
         in
         if ok then { pid = w.pw_pid; conn = w.pw_conn }
         else begin
@@ -610,8 +602,8 @@ let run_core ?(queue_capacity = 64) ?faults ?policy ?batch ?stage_batch
   let label s k = Topology.copy_label topo ~stage:s ~copy:k in
   (* Worker-shipped telemetry: spans merge into the process-wide trace
      under the worker's real pid; the latest cumulative counters per
-     pid feed the metrics "workers" section.  [rpc] calls absorb from
-     every driver domain, hence the lock around the counter table. *)
+     pid feed the metrics "workers" section.  Every driver domain
+     absorbs, hence the lock around the counter table. *)
   let telem_lock = Mutex.create () in
   let worker_counters : (int, (string * float) list) Hashtbl.t =
     Hashtbl.create 16
@@ -635,7 +627,6 @@ let run_core ?(queue_capacity = 64) ?faults ?policy ?batch ?stage_batch
     Hashtbl.replace worker_counters t.Wire.w_pid t.Wire.w_counters;
     Mutex.unlock telem_lock
   in
-  let rpc lbl h req = rpc ~absorb lbl h req in
   (* Pool runs inherit the pool's transport (its rings were sized and
      mapped at creation); plain runs resolve explicit choice / env /
      platform probe here. *)
@@ -645,15 +636,15 @@ let run_core ?(queue_capacity = 64) ?faults ?policy ?batch ?stage_batch
     | None -> Shm.resolve transport
   in
   (* Credit window size: explicit arg beats the CGPPC_INFLIGHT env var
-     beats the default.  1 = the strict one-round-trip-per-frame
-     driver. *)
+     beats the default.  At 1 every frame settles right after its
+     send. *)
   let inflight = resolve_inflight inflight in
   (* Planner-sized ring slots for the channels this run forks itself
      (a pool's rings were already mapped at pool creation). *)
   let slot_bytes =
     Option.map (fun fb -> Shm.plan_slot_bytes ~frame_bytes:fb) frame_bytes
   in
-  (* Per-copy window-drain hooks (registered by streaming drivers) and
+  (* Per-copy window-drain hooks (registered by filter copies) and
      credit-stall accounting, reported under metrics "transport".  One
      writer per cell: the copy's own driver domain. *)
   let drain_hooks : (unit -> unit) option array array =
@@ -665,7 +656,7 @@ let run_core ?(queue_capacity = 64) ?faults ?policy ?batch ?stage_batch
   let stall_s =
     Array.init n_stages (fun s -> Array.make (Engine.slots eng s) 0.0)
   in
-  (* A dead child turns writes into EPIPE errors (handled in [rpc])
+  (* A dead child turns writes into EPIPE errors (a [Remote_crash])
      rather than a fatal signal. *)
   let prev_sigpipe =
     try Some (Sys.signal Sys.sigpipe Sys.Signal_ignore)
@@ -747,18 +738,10 @@ let run_core ?(queue_capacity = 64) ?faults ?policy ?batch ?stage_batch
     | Some p ->
         fun lbl (w : worker) ->
           let ok =
-            try
-              Shm.send w.conn Wire.Unbind;
-              let rec wait () =
-                match Shm.recv w.conn with
-                | Some (Wire.Telemetry t) ->
-                    absorb t;
-                    wait ()
-                | Some Wire.Done -> true
-                | _ -> false
-              in
-              wait ()
-            with _ -> false
+            match round_trip ~absorb w.conn Wire.Unbind with
+            | Wire.Done -> true
+            | _ -> false
+            | exception Remote_crash _ -> false
           in
           if ok then begin
             Mutex.lock p.p_mu;
@@ -908,14 +891,21 @@ let run_core ?(queue_capacity = 64) ?faults ?policy ?batch ?stage_batch
     let lbl = label s k in
     let charge name f = Engine.timed_call eng cs ~name f in
     let send it = ok (Engine.send_downstream eng cs it) in
-    let with_slowdown f =
-      let t0 = Obs.Clock.elapsed_s () in
-      let r = f () in
+    (* Scripted faults tick parent-side, once per item attempt, and slow
+       each call down after it returns.  An inert copy's tick is pure
+       accounting, so inert copies skip both: no extra clock reads on
+       their hot path. *)
+    let inert = Fault.inert cs.Engine.fstate in
+    let slowdown t0 =
       let elapsed = Obs.Clock.elapsed_s () -. t0 in
       let extra = Fault.extra_delay cs.Engine.fstate ~elapsed in
-      if extra > 0.0 then Unix.sleepf extra;
-      r
+      if extra > 0.0 then Unix.sleepf extra
     in
+    (* Credit window depth.  A fault-injected copy runs at depth 1: each
+       frame settles right after its send and [Fault.tick] runs only on
+       an empty window, so scripted faults fire at exactly the protocol
+       points of a strict request/response loop. *)
+    let depth = if inert then inflight else 1 in
     (* Identical supervision skeleton to [Par_runtime], with [on_fail]
        run before the crash decision (the remote driver kills the
        worker there) and [restart] rebuilding state before a retry. *)
@@ -939,247 +929,152 @@ let run_core ?(queue_capacity = 64) ?faults ?policy ?batch ?stage_batch
       in
       go false
     in
+    (* The copy's worker channel (remote copies only).  A transport
+       failure means the worker is gone: it is reaped before the copy
+       sees the [Remote_crash]. *)
+    let worker () =
+      match handles.(s).(k) with
+      | Some { active = Some w; _ } -> w
+      | _ -> raise (Remote_crash "worker is dead")
+    in
+    let lost e =
+      (match (e, handles.(s).(k)) with
+      | Remote_crash _, Some h -> kill_active lbl h
+      | _ -> ());
+      raise e
+    in
+    let send_req req = try send_frame (worker ()).conn req with e -> lost e in
+    (* Blocking receive.  [stalled] marks a wait forced by an exhausted
+       credit/byte budget — that time is the transport's credit-stall
+       metric. *)
+    let recv_resp ~stalled () =
+      let w = worker () in
+      let t0 = if stalled then Obs.Clock.elapsed_s () else 0.0 in
+      let r = try recv_frame ~absorb w.conn with e -> lost e in
+      if stalled then
+        stall_s.(s).(k) <- stall_s.(s).(k) +. (Obs.Clock.elapsed_s () -. t0);
+      r
+    in
+    (* A control round trip, made on an empty window.  A [Crashed] reply
+       is the callback raising in the worker: a crash, but the worker
+       lives. *)
+    let control req =
+      send_req req;
+      match recv_resp ~stalled:false () with
+      | Wire.Out (Some (Engine.Data b | Engine.Final b)) -> Some b
+      | Wire.Out None | Wire.Done -> None
+      | Wire.Crashed msg -> raise (Remote_crash msg)
+      | _ -> raise (Remote_crash "out-of-protocol response from worker")
+    in
     match stages.(s).Topology.role with
     | Topology.Source _ ->
         (* Sources are never rebuilt: transient faults retry in place on
-           the same child; only an actual child death (EOF) makes every
-           retry fail and retires the source, truncating its stream. *)
-        let h = Option.get handles.(s).(k) in
-        (match rpc lbl h Wire.Init with
-        | Wire.Done -> ()
-        | _ -> raise (Remote_crash "bad init response"));
-        let next () =
-          match rpc lbl h Wire.Next with
-          | Wire.Out (Some (Engine.Data b)) -> Some b
-          | Wire.Done -> None
+           the same child; only an actual child death makes every retry
+           fail and retires the source, truncating its stream.  Up to
+           [depth] pipelined [Next] requests ride against the worker,
+           which answers in order — Data frames, then Done (its src_done
+           guard answers queued leftovers with Done without touching the
+           exhausted source) — so the parent forwards items downstream
+           while the child produces the next ones. *)
+        ignore (control Wire.Init);
+        let outstanding = ref 0 and finished = ref false in
+        let collect () =
+          let r =
+            charge "produce" (fun () ->
+                recv_resp ~stalled:(!outstanding >= depth) ())
+          in
+          decr outstanding;
+          r
+        in
+        let settle = function
+          | Wire.Out (Some (Engine.Data b)) ->
+              Engine.note_item_done eng cs;
+              send (Engine.Data b)
+          | Wire.Done -> finished := true
+          | Wire.Crashed msg -> raise (Remote_crash msg)
           | _ -> raise (Remote_crash "bad next response")
         in
-        let src_finalize () =
-          match rpc lbl h Wire.Src_finalize with
-          | Wire.Out out -> (
-              match out with
-              | Some (Engine.Final b) | Some (Engine.Data b) -> Some b
-              | _ -> None)
-          | Wire.Done -> None
-          | _ -> raise (Remote_crash "bad src_finalize response")
-        in
-        let finish () =
-          let out = supervised "src_finalize" src_finalize in
-          (match out with Some b -> send (Engine.Final b) | None -> ());
-          send Engine.Marker
-        in
-        let retire_src err =
-          match Engine.retire eng cs ~error:err with
-          | `Fatal e -> abort_raise e
-          | `Continue -> send Engine.Marker
-        in
-        if Fault.inert cs.Engine.fstate then begin
-          (* Streaming produce: a window of up to [inflight] pipelined
-             [Next] requests rides against the worker, which answers in
-             order — Data frames, then Done (the child's src_done guard
-             answers any queued leftovers with Done without touching the
-             exhausted source).  The parent forwards items downstream
-             while the child produces the next ones, so throughput is no
-             longer bound by the per-item round trip. *)
-          let outstanding = ref 0 in
-          let finished = ref false in
-          let fail_dead msg =
-            (match h.active with
-            | Some w ->
-                h.active <- None;
-                reap_worker lbl w
-            | None -> ());
-            raise (Remote_crash msg)
-          in
-          let prime () =
-            match h.active with
-            | None -> raise (Remote_crash "worker is dead")
-            | Some w -> (
-                match Shm.send w.conn Wire.Next with
-                | () -> incr outstanding
-                | exception Unix.Unix_error (e, _, _) ->
-                    fail_dead ("worker i/o error: " ^ Unix.error_message e))
-          in
-          let collect () =
-            charge "produce" (fun () ->
-                match h.active with
-                | None -> raise (Remote_crash "worker is dead")
-                | Some w -> (
-                    let rec rd () =
-                      match Shm.recv w.conn with
-                      | Some (Wire.Telemetry t) ->
-                          absorb t;
-                          rd ()
-                      | Some (Wire.Out (Some (Engine.Data b))) ->
-                          decr outstanding;
-                          `Data b
-                      | Some Wire.Done ->
-                          decr outstanding;
-                          `Done
-                      | Some (Wire.Crashed msg) ->
-                          decr outstanding;
-                          raise (Remote_crash msg)
-                      | Some _ -> fail_dead "bad next response"
-                      | None -> fail_dead "worker exited unexpectedly"
-                    in
-                    try rd () with
-                    | Unix.Unix_error (e, _, _) ->
-                        fail_dead ("worker i/o error: " ^ Unix.error_message e)
-                    | Wire.Protocol_error m ->
-                        fail_dead ("worker protocol error: " ^ m)))
-          in
-          (* Credit-stall accounting: time blocked waiting for a
-             response while every credit is spent. *)
-          let timed_collect () =
-            if !outstanding >= inflight then begin
-              let t0 = Obs.Clock.elapsed_s () in
-              let note () =
-                stall_s.(s).(k) <-
-                  stall_s.(s).(k) +. (Obs.Clock.elapsed_s () -. t0)
-              in
-              match collect () with
-              | r ->
-                  note ();
-                  r
-              | exception e ->
-                  note ();
-                  raise e
-            end
-            else collect ()
-          in
-          (* Best-effort settle of what the worker already produced, so
-             giving up truncates the stream after the last delivered
-             item just like the strict driver. *)
-          let drain_best_effort () =
-            try
-              while !outstanding > 0 do
-                match collect () with
-                | `Data b ->
-                    Engine.note_item_done eng cs;
-                    send (Engine.Data b)
-                | `Done -> finished := true
-              done
-            with
-            | Bqueue.Aborted -> raise Bqueue.Aborted
-            | _ -> ()
-          in
-          let rec stream () =
-            if Engine.aborting eng then raise Bqueue.Aborted;
-            match
-              while (not !finished) && !outstanding < inflight do
-                prime ()
-              done;
-              if !outstanding > 0 then Some (timed_collect ()) else None
-            with
-            | None -> ()
-            | Some (`Data b) ->
-                Engine.note_item_done eng cs;
-                send (Engine.Data b);
-                stream ()
-            | Some `Done ->
-                finished := true;
-                stream ()
-            | exception Bqueue.Aborted -> raise Bqueue.Aborted
-            | exception err -> (
-                match Engine.on_crash eng cs with
-                | `Retry delay ->
-                    if delay > 0.0 then Unix.sleepf delay;
-                    stream ()
-                | `Give_up ->
-                    drain_best_effort ();
-                    raise err)
-          in
-          match stream () with
-          | () -> finish ()
+        let rec stream () =
+          if Engine.aborting eng then raise Bqueue.Aborted;
+          match
+            let t0 = if inert then 0.0 else Obs.Clock.elapsed_s () in
+            while (not !finished) && !outstanding < depth do
+              if not inert then Fault.tick cs.Engine.fstate;
+              send_req Wire.Next;
+              incr outstanding
+            done;
+            !outstanding > 0
+            && begin
+                 let r = collect () in
+                 if not inert then slowdown t0;
+                 settle r;
+                 true
+               end
+          with
+          | true -> stream ()
+          | false -> ()
           | exception Bqueue.Aborted -> raise Bqueue.Aborted
-          | exception err -> retire_src err
-        end
-        else begin
-          (* Fault-injected sources keep the strict one-at-a-time
-             driver: parent-side fault ticks fire at exactly the same
-             protocol points as before pipelining existed, so scripted
-             crash timing is unchanged. *)
-          let rec loop () =
-            match
-              supervised "produce" (fun () ->
-                  with_slowdown (fun () ->
-                      Fault.tick cs.Engine.fstate;
-                      next ()))
-            with
-            | Some b ->
-                Engine.note_item_done eng cs;
-                send (Engine.Data b);
-                loop ()
-            | None -> finish ()
-            | exception Bqueue.Aborted -> raise Bqueue.Aborted
-            | exception err -> retire_src err
-          in
-          loop ()
-        end
+          | exception err -> (
+              match Engine.on_crash eng cs with
+              | `Retry delay ->
+                  if delay > 0.0 then Unix.sleepf delay;
+                  stream ()
+              | `Give_up ->
+                  (* Best-effort settle of what the worker already
+                     produced: the stream truncates after the last
+                     delivered item. *)
+                  (try
+                     while !outstanding > 0 do
+                       settle (collect ())
+                     done
+                   with
+                  | Bqueue.Aborted -> raise Bqueue.Aborted
+                  | _ -> ());
+                  raise err)
+        in
+        (match stream () with
+        | () ->
+            (match
+               supervised "src_finalize" (fun () -> control Wire.Src_finalize)
+             with
+            | Some b -> send (Engine.Final b)
+            | None -> ());
+            send Engine.Marker
+        | exception Bqueue.Aborted -> raise Bqueue.Aborted
+        | exception err -> (
+            match Engine.retire eng cs ~error:err with
+            | `Fatal e -> abort_raise e
+            | `Continue -> send Engine.Marker))
     | Topology.Inner _ | Topology.Sink _ ->
         let is_last = Engine.is_sink_stage eng s in
-        (* The callback set, local (sink, parent memory) or remote.
-           [call_batch] processes a whole item run and returns the
-           per-item emission slots plus the error if it failed partway
-           (the slots then cover exactly the successful prefix). *)
-        let fresh, call_init, call_process, call_eos, call_finalize,
-            call_batch, on_fail =
+        (* The callback surface.  A sink runs its filter here, in parent
+           memory; a remote copy makes control round trips.  [call_item]
+           runs one [Data] (process) or [Final] (on_eos) item: the sink's
+           data path, every copy's finals, and replay. *)
+        let fresh, call_init, call_item, call_finalize, on_fail =
           if is_last then begin
-            let f =
-              ref
-                (match Engine.instantiate eng cs with
-                | Engine.I_filter f -> f
-                | Engine.I_source _ -> assert false)
+            let instance () =
+              match Engine.instantiate eng cs with
+              | Engine.I_filter f -> f
+              | Engine.I_source _ -> assert false
             in
-            ( (fun () ->
-                f :=
-                  (match Engine.instantiate eng cs with
-                  | Engine.I_filter f -> f
-                  | Engine.I_source _ -> assert false)),
+            let f = ref (instance ()) in
+            ( (fun () -> f := instance ()),
               (fun () -> ignore ((!f).Filter.init ())),
-              (fun b -> fst ((!f).Filter.process b)),
-              (fun b -> fst ((!f).Filter.on_eos (Some b))),
+              (function
+              | Engine.Data b -> fst ((!f).Filter.process b)
+              | Engine.Final b -> fst ((!f).Filter.on_eos (Some b))
+              | Engine.Marker -> None),
               (fun () -> fst ((!f).Filter.finalize ())),
-              (fun items ->
-                ( List.map
-                    (fun it ->
-                      match it with
-                      | Engine.Data b ->
-                          Option.map
-                            (fun o -> Engine.Data o)
-                            (fst ((!f).Filter.process b))
-                      | Engine.Final b ->
-                          Option.map
-                            (fun o -> Engine.Final o)
-                            (fst ((!f).Filter.on_eos (Some b)))
-                      | Engine.Marker -> None)
-                    items,
-                  None )),
               fun () -> () )
           end
-          else begin
+          else
             let h = Option.get handles.(s).(k) in
-            let data_out = function
-              | Wire.Out (Some (Engine.Data b)) | Wire.Out (Some (Engine.Final b))
-                ->
-                  Some b
-              | Wire.Out None | Wire.Done -> None
-              | _ -> raise (Remote_crash "bad callback response")
-            in
             ( (fun () -> activate_spare lbl h),
-              (fun () ->
-                match rpc lbl h Wire.Init with
-                | Wire.Done -> ()
-                | _ -> raise (Remote_crash "bad init response")),
-              (fun b -> data_out (rpc lbl h (Wire.Item (Engine.Data b)))),
-              (fun b -> data_out (rpc lbl h (Wire.Item (Engine.Final b)))),
-              (fun () -> data_out (rpc lbl h Wire.Finalize)),
-              (fun items ->
-                match rpc lbl h (Wire.Batch items) with
-                | Wire.Outs (outs, err) -> (outs, err)
-                | _ -> raise (Remote_crash "bad batch response")),
+              (fun () -> ignore (control Wire.Init)),
+              (fun it -> control (Wire.Item it)),
+              (fun () -> control Wire.Finalize),
               fun () -> kill_active lbl h )
-          end
         in
         let q = queues.(s).(k) in
         let ring = Engine.Ring.create ~retention:policy.Supervisor.retention in
@@ -1195,11 +1090,10 @@ let run_core ?(queue_capacity = 64) ?faults ?policy ?batch ?stage_batch
             (fun it ->
               Engine.bump eng (fun r ->
                   r.Supervisor.replayed <- r.replayed + 1);
-              match it with
-              | Engine.Data b -> ignore (charge "replay" (fun () -> call_process b))
-              | Engine.Final b ->
-                  ignore (charge "replay_eos" (fun () -> call_eos b))
-              | Engine.Marker -> ())
+              let name =
+                match it with Engine.Final _ -> "replay_eos" | _ -> "replay"
+              in
+              ignore (charge name (fun () -> call_item it)))
             (Engine.Ring.items ring)
         in
         let supervised name op =
@@ -1240,158 +1134,24 @@ let run_core ?(queue_capacity = 64) ?faults ?policy ?batch ?stage_batch
                 ignore (Bqueue.push queues.(s).(j) Release)
               done
         in
-        (* Unacknowledged remainder of an in-flight wire batch, for the
-           retirement re-route (the acknowledged prefix was already
-           accounted and forwarded). *)
-        let current_batch = ref [] in
-        let retire err in_flight =
-          (match Engine.retire eng cs ~error:err with
-          | `Fatal e -> abort_raise e
-          | `Continue -> ());
-          (match in_flight with
-          | Some (It ((Engine.Data _ | Engine.Final _) as it)) ->
-              ok (Engine.reroute eng cs it)
-          | Some (It Engine.Marker) | Some Release | None -> ());
-          List.iter
-            (fun it ->
-              match it with
-              | (Engine.Data _ | Engine.Final _) as it ->
-                  ok (Engine.reroute eng cs it)
-              | Engine.Marker -> ())
-            !current_batch;
-          current_batch := [];
-          (* Items already popped into the local batch buffer are this
-             copy's obligations too: re-route them before going zombie. *)
-          Queue.iter
-            (fun m ->
-              match m with
-              | It ((Engine.Data _ | Engine.Final _) as it) ->
-                  ok (Engine.reroute eng cs it)
-              | It Engine.Marker -> Engine.note_marker eng cs
-              | Release -> ())
-            pend;
-          Queue.clear pend;
-          let rec zombie () =
-            if Engine.at_marker_quota eng cs then count_eos ();
-            if
-              Engine.at_marker_quota eng cs
-              && Engine.barrier_released eng s
-            then begin
-              let rec sweep () =
-                match Bqueue.try_pop q with
-                | Some (It ((Engine.Data _ | Engine.Final _) as it)) ->
-                    ok (Engine.reroute eng cs it);
-                    sweep ()
-                | Some (It Engine.Marker) | Some Release -> sweep ()
-                | None -> ()
-              in
-              sweep ();
-              if not is_last then send Engine.Marker
-            end
-            else
-              match recv () with
-              | It Engine.Marker -> Engine.note_marker eng cs; zombie ()
-              | It ((Engine.Data _ | Engine.Final _) as it) ->
-                  ok (Engine.reroute eng cs it);
-                  zombie ()
-              | Release -> zombie ()
-          in
-          zombie ()
-        in
-        let current = ref None in
+        (* Items taken off the queue that are neither in the credit
+           window nor acknowledged yet: a retirement re-routes them with
+           the window. *)
+        let current = ref [] in
         let forward it = if not is_last then send it in
-        let handle_data b =
-          let out =
-            supervised "process" (fun () ->
-                with_slowdown (fun () ->
-                    Fault.tick cs.Engine.fstate;
-                    call_process b))
-          in
-          Engine.note_item_done eng cs;
-          current := None;
-          (match out with Some b -> forward (Engine.Data b) | None -> ());
-          Engine.Ring.push ring (Engine.Data b)
-        in
-        (* Wire-frame batching: a run of consecutive [Data] items goes
-           to the worker as ONE [Batch] frame instead of N [Item] round
-           trips.  Gated on fault-inert copies — injected faults tick
-           parent-side per item, so batching there would change when a
-           scripted crash fires relative to B=1.  Partial success is
-           accounted INSIDE the supervised op: the worker's reply names
-           the acknowledged prefix, which is forwarded, ring-retained
-           and dropped from [remaining] before the crash protocol runs —
-           a retry replays the ring and resumes from the suffix, so no
-           item is processed twice or lost. *)
-        let wire_batch =
-          in_cap > 1 && (not is_last) && Fault.inert cs.Engine.fstate
-        in
-        let data_run () =
-          if not wire_batch then []
-          else begin
-            let rec grab acc =
-              match Queue.peek_opt pend with
-              | Some (It (Engine.Data b')) ->
-                  ignore (Queue.pop pend);
-                  grab (b' :: acc)
-              | _ -> List.rev acc
-            in
-            grab []
-          end
-        in
-        let handle_data_batch bs =
-          let items = List.map (fun b -> Engine.Data b) bs in
-          current_batch := items;
-          let remaining = ref items in
-          let step () =
-            supervised "process_batch" (fun () ->
-                with_slowdown (fun () ->
-                    let chunk = !remaining in
-                    List.iter
-                      (fun _ -> Fault.tick cs.Engine.fstate)
-                      chunk;
-                    let outs, err = call_batch chunk in
-                    List.iter
-                      (fun out ->
-                        match !remaining with
-                        | [] ->
-                            raise
-                              (Remote_crash
-                                 "worker acknowledged more items than sent")
-                        | it :: rest ->
-                            Engine.note_item_done eng cs;
-                            (match out with
-                            | Some o -> forward o
-                            | None -> ());
-                            Engine.Ring.push ring it;
-                            remaining := rest;
-                            current_batch := rest)
-                      outs;
-                    match err with
-                    | Some msg -> raise (Remote_crash msg)
-                    | None -> ()))
-          in
-          while !remaining <> [] do
-            step ()
-          done;
-          current_batch := []
-        in
         (* --- credit window -------------------------------------------
-           For fault-inert remote copies, up to [inflight] Data frames
-           ride to the worker before the first acknowledgement comes
-           back.  The worker answers in FIFO order, so settling the
-           window head against each response preserves exactly the
-           strict driver's accounting: ack → note_item_done, forward
-           the output, push the input onto the retention ring.  The
-           window is drained empty before any strict round trip (Final,
-           Finalize) and at the marker-quota barrier edge (the engine's
-           [exec_drain] hook), so barrier semantics are unchanged.
-           Crash recovery mirrors [supervised]: unacknowledged frames
-           stay queued here, a restart replays the ring (acked prefix)
-           and then re-sends the queued frames verbatim; on give-up the
-           flattened window joins [current_batch] for the retirement
-           re-route.  Injected-fault copies keep the strict path so
-           scripted crash timing is byte-for-byte reproducible. *)
-        let use_window = (not is_last) && Fault.inert cs.Engine.fstate in
+           Up to [depth] frames ride to the worker before the first
+           acknowledgement comes back (a sink's window stays empty).  The
+           worker answers in FIFO order, so settling the window head
+           against each response is the strict accounting: ack →
+           note_item_done, forward the output, push the input onto the
+           retention ring.  The window is drained empty before every
+           control round trip (Final, Finalize) and at the marker-quota
+           barrier edge (the engine's [exec_drain] hook).  Crash recovery
+           mirrors [supervised]: unacknowledged frames stay queued here,
+           a restart replays the ring (acked prefix) and then re-sends
+           the queued frames verbatim; on give-up the window joins the
+           retirement re-route. *)
         let win : win_frame Queue.t = Queue.create () in
         let win_bytes = ref 0 in
         let take_unacked () =
@@ -1404,38 +1164,24 @@ let run_core ?(queue_capacity = 64) ?faults ?policy ?batch ?stage_batch
           win_bytes := 0;
           items
         in
-        let raw_send msg =
-          let h = Option.get handles.(s).(k) in
-          match h.active with
-          | None -> raise (Remote_crash "worker is dead")
-          | Some w -> (
-              try Shm.send w.conn msg
-              with Unix.Unix_error (e, _, _) ->
-                raise
-                  (Remote_crash ("worker i/o error: " ^ Unix.error_message e)))
-        in
-        let frame_msg fr =
-          match fr.wf_items with
-          | [ it ] -> Wire.Item it
-          | items -> Wire.Batch items
-        in
-        let resubmit () =
-          Queue.iter
-            (fun fr -> if fr.wf_items <> [] then raw_send (frame_msg fr))
-            win
+        let send_win fr =
+          if not inert then
+            List.iter (fun _ -> Fault.tick cs.Engine.fstate) fr.wf_items;
+          send_req
+            (match fr.wf_items with
+            | [ it ] -> Wire.Item it
+            | items -> Wire.Batch items)
         in
         let rec recover err =
           if Engine.aborting eng then raise Bqueue.Aborted;
           on_fail ();
           match Engine.on_crash eng cs with
-          | `Give_up ->
-              current_batch := take_unacked () @ !current_batch;
-              raise err
+          | `Give_up -> raise err
           | `Retry delay -> (
               if delay > 0.0 then Unix.sleepf delay;
               match
                 restart_and_replay ();
-                resubmit ()
+                Queue.iter (fun fr -> if fr.wf_items <> [] then send_win fr) win
               with
               | () -> ()
               | exception Bqueue.Aborted -> raise Bqueue.Aborted
@@ -1478,73 +1224,32 @@ let run_core ?(queue_capacity = 64) ?faults ?policy ?batch ?stage_batch
           | Wire.Crashed msg -> recover (Remote_crash msg)
           | _ -> recover (Remote_crash "out-of-protocol response from worker")
         in
-        (* Blocking settle of the window head.  [stalled] marks waits
-           forced by an exhausted credit/byte budget — that time is the
-           transport's credit-stall metric. *)
+        (* Blocking settle of the window head. *)
         let collect_one ~stalled () =
           match Queue.peek_opt win with
           | None -> ()
-          | Some fr ->
-              let t0 = if stalled then Obs.Clock.elapsed_s () else 0.0 in
-              let r =
-                charge "process" (fun () ->
-                    match (Option.get handles.(s).(k)).active with
-                    | None -> Error (Remote_crash "worker is dead")
-                    | Some w -> (
-                        match
-                          let rec rd () =
-                            match Shm.recv w.conn with
-                            | Some (Wire.Telemetry t) ->
-                                absorb t;
-                                rd ()
-                            | Some m -> m
-                            | None ->
-                                raise
-                                  (Remote_crash "worker exited unexpectedly")
-                          in
-                          rd ()
-                        with
-                        | resp -> Ok resp
-                        | exception (Remote_crash _ as e) -> Error e
-                        | exception Unix.Unix_error (e, _, _) ->
-                            Error
-                              (Remote_crash
-                                 ("worker i/o error: " ^ Unix.error_message e))
-                        | exception Wire.Protocol_error m ->
-                            Error
-                              (Remote_crash ("worker protocol error: " ^ m))))
-              in
-              if stalled then
-                stall_s.(s).(k) <-
-                  stall_s.(s).(k) +. (Obs.Clock.elapsed_s () -. t0);
-              (match r with Ok resp -> settle fr resp | Error e -> recover e)
+          | Some fr -> (
+              match charge "process" (fun () -> recv_resp ~stalled ()) with
+              | resp -> settle fr resp
+              | exception (Remote_crash _ as e) -> recover e)
         in
         (* Opportunistic settle: consume whatever responses are already
            waiting, without blocking. *)
         let drain_ready () =
           let rec go () =
-            match Queue.peek_opt win with
-            | None -> ()
-            | Some fr -> (
-                match (Option.get handles.(s).(k)).active with
-                | None -> ()
-                | Some w -> (
-                    match Shm.try_recv w.conn with
-                    | `Empty -> ()
-                    | `Msg (Wire.Telemetry t) ->
-                        absorb t;
-                        go ()
-                    | `Msg m ->
-                        settle fr m;
-                        go ()
-                    | `Eof -> recover (Remote_crash "worker exited unexpectedly")
-                    | exception Unix.Unix_error (e, _, _) ->
-                        recover
-                          (Remote_crash
-                             ("worker i/o error: " ^ Unix.error_message e))
-                    | exception Wire.Protocol_error m ->
-                        recover (Remote_crash ("worker protocol error: " ^ m)))
-                )
+            match (Queue.peek_opt win, handles.(s).(k)) with
+            | Some fr, Some { active = Some w; _ } -> (
+                match Shm.try_recv w.conn with
+                | `Empty -> ()
+                | `Msg (Wire.Telemetry t) ->
+                    absorb t;
+                    go ()
+                | `Msg m ->
+                    settle fr m;
+                    go ()
+                | `Eof -> recover (Remote_crash "worker exited unexpectedly")
+                | exception e -> recover (transport_crash e))
+            | _ -> ()
           in
           go ()
         in
@@ -1554,46 +1259,56 @@ let run_core ?(queue_capacity = 64) ?faults ?policy ?batch ?stage_batch
             drain_window ()
           end
         in
+        drain_hooks.(s).(k) <- Some drain_window;
+        (* One frame through the window.  It goes out once a credit is
+           free and its bytes fit the in-flight budget (or the window is
+           empty); an oversized frame is charged as the whole budget, so
+           it travels alone.  At depth 1 it settles right after the send.
+           Until the frame is queued its items stay in [current], so a
+           give-up in an earlier frame's settle re-routes them too. *)
         let submit items =
           let est =
             List.fold_left (fun a it -> a + Engine.item_cost it) 32 items
           in
-          if est > big_frame_bytes then begin
-            (* An oversized frame would monopolise ring slots (or the
-               socket send buffer): settle everything in flight, then
-               take the strict one-round-trip path for this one. *)
+          let cost = if est > big_frame_bytes then inflight_byte_budget else est in
+          let t0 = if inert then 0.0 else Obs.Clock.elapsed_s () in
+          drain_ready ();
+          while
+            Queue.length win >= depth
+            || (!win_bytes > 0 && !win_bytes + cost > inflight_byte_budget)
+          do
+            collect_one ~stalled:true ()
+          done;
+          let fr = { wf_items = items; wf_bytes = cost } in
+          Queue.push fr win;
+          win_bytes := !win_bytes + cost;
+          current := [];
+          (match send_win fr with
+          | () -> ()
+          | exception Bqueue.Aborted -> raise Bqueue.Aborted
+          | exception e -> recover e);
+          if depth = 1 then begin
             drain_window ();
-            match items with
-            | [ Engine.Data b ] -> handle_data b
-            | _ ->
-                handle_data_batch
-                  (List.filter_map
-                     (function Engine.Data b -> Some b | _ -> None)
-                     items)
-          end
-          else begin
-            drain_ready ();
-            while
-              Queue.length win >= inflight || !win_bytes > inflight_byte_budget
-            do
-              collect_one ~stalled:true ()
-            done;
-            (* Queue before sending: if the send itself fails, the frame
-               is already part of the unacknowledged set and recovery
-               re-sends it. *)
-            let fr = { wf_items = items; wf_bytes = est } in
-            Queue.push fr win;
-            win_bytes := !win_bytes + est;
-            match raw_send (frame_msg fr) with
-            | () -> ()
-            | exception (Remote_crash _ as e) -> recover e
+            if not inert then slowdown t0
           end
         in
-        if use_window then drain_hooks.(s).(k) <- Some drain_window;
+        (* A sink's data path: one local call per item. *)
+        let handle_data b =
+          ignore
+            (supervised "process" (fun () ->
+                 let t0 = if inert then 0.0 else Obs.Clock.elapsed_s () in
+                 if not inert then Fault.tick cs.Engine.fstate;
+                 let out = call_item (Engine.Data b) in
+                 if not inert then slowdown t0;
+                 out));
+          Engine.note_item_done eng cs;
+          current := [];
+          Engine.Ring.push ring (Engine.Data b)
+        in
         let handle_final b =
           drain_window ();
-          let out = supervised "on_eos" (fun () -> call_eos b) in
-          current := None;
+          let out = supervised "on_eos" (fun () -> call_item (Engine.Final b)) in
+          current := [];
           (match out with Some b -> forward (Engine.Final b) | None -> ());
           Engine.Ring.push ring (Engine.Final b)
         in
@@ -1603,45 +1318,100 @@ let run_core ?(queue_capacity = 64) ?faults ?policy ?batch ?stage_batch
           (match out with Some b -> forward (Engine.Final b) | None -> ());
           if not is_last then send Engine.Marker
         in
-        let serve () =
-          supervised "init" call_init;
-          let serve_data m b =
-            if use_window then begin
-              current := None;
-              submit (Engine.Data b :: List.map (fun b' -> Engine.Data b') (data_run ()))
+        (* Wire-frame batching: the run of consecutive [Data] items
+           already popped goes to the worker as ONE [Batch] frame.  Gated
+           on fault-inert copies — injected faults tick per item, so
+           batching there would move a scripted crash relative to B=1. *)
+        let batched = in_cap > 1 && (not is_last) && inert in
+        let serve_data b =
+          let items =
+            if not batched then [ Engine.Data b ]
+            else
+              let rec grab acc =
+                match Queue.peek_opt pend with
+                | Some (It (Engine.Data b')) ->
+                    ignore (Queue.pop pend);
+                    grab (Engine.Data b' :: acc)
+                | _ -> List.rev acc
+              in
+              grab [ Engine.Data b ]
+          in
+          current := items;
+          if is_last then handle_data b else submit items
+        in
+        let serve_final b =
+          current := [ Engine.Final b ];
+          handle_final b
+        in
+        let retire err =
+          (match Engine.retire eng cs ~error:err with
+          | `Fatal e -> abort_raise e
+          | `Continue -> ());
+          (* Everything this copy still owes — the unacknowledged window,
+             the items in hand, the popped-but-unserved buffer — goes to
+             live siblings before it turns zombie. *)
+          let reroute = function
+            | (Engine.Data _ | Engine.Final _) as it ->
+                ok (Engine.reroute eng cs it)
+            | Engine.Marker -> ()
+          in
+          List.iter reroute (take_unacked ());
+          List.iter reroute !current;
+          current := [];
+          Queue.iter
+            (function
+              | It Engine.Marker -> Engine.note_marker eng cs
+              | It it -> reroute it
+              | Release -> ())
+            pend;
+          Queue.clear pend;
+          let rec zombie () =
+            if Engine.at_marker_quota eng cs then count_eos ();
+            if
+              Engine.at_marker_quota eng cs
+              && Engine.barrier_released eng s
+            then begin
+              let rec sweep () =
+                match Bqueue.try_pop q with
+                | Some (It it) ->
+                    reroute it;
+                    sweep ()
+                | Some Release -> sweep ()
+                | None -> ()
+              in
+              sweep ();
+              if not is_last then send Engine.Marker
             end
             else
-              match data_run () with
-              | [] ->
-                  current := Some m;
-                  handle_data b
-              | more ->
-                  current := None;
-                  handle_data_batch (b :: more)
+              match recv () with
+              | It Engine.Marker ->
+                  Engine.note_marker eng cs;
+                  zombie ()
+              | It it ->
+                  reroute it;
+                  zombie ()
+              | Release -> zombie ()
           in
+          zombie ()
+        in
+        let serve () =
+          supervised "init" call_init;
           let rec eos_wait () =
             match recv () with
             | Release ->
                 if Engine.barrier_released eng s then finalize_copy ()
                 else eos_wait ()
-            | It (Engine.Data b) as m -> serve_data m b; eos_wait ()
-            | It (Engine.Final b) as m -> current := Some m; handle_final b; eos_wait ()
+            | It (Engine.Data b) -> serve_data b; eos_wait ()
+            | It (Engine.Final b) -> serve_final b; eos_wait ()
             | It Engine.Marker -> Engine.note_marker eng cs; eos_wait ()
           in
           let rec loop () =
-            let m = recv () in
-            match m with
-            | It (Engine.Data b) -> serve_data m b; loop ()
-            | It (Engine.Final b) ->
-                current := Some m;
-                handle_final b;
-                loop ()
-            | Release ->
-                current := None;
-                loop ()
+            match recv () with
+            | It (Engine.Data b) -> serve_data b; loop ()
+            | It (Engine.Final b) -> serve_final b; loop ()
+            | Release -> loop ()
             | It Engine.Marker ->
                 Engine.note_marker eng cs;
-                current := None;
                 if Engine.at_marker_quota eng cs then begin
                   count_eos ();
                   eos_wait ()
@@ -1652,10 +1422,7 @@ let run_core ?(queue_capacity = 64) ?faults ?policy ?batch ?stage_batch
         in
         (try serve () with
         | Bqueue.Aborted -> raise Bqueue.Aborted
-        | err ->
-            (* whatever the window still held joins the re-route set *)
-            current_batch := take_unacked () @ !current_batch;
-            retire err !current)
+        | err -> retire err)
   in
 
   let wrapped_body s k () =

@@ -1,6 +1,7 @@
 (* Smoke test for the proc backend's credit-based frame pipelining,
-   wired into `dune runtest` via the @stream-smoke alias.  Three legs,
-   each a full proc run at a deep credit window (--inflight 16):
+   wired into `dune runtest` via the @stream-smoke alias.  Four legs of
+   full proc runs, the first three at a deep credit window
+   (--inflight 16):
 
    - FIFO: with every width 1, the sink must see packets in EXACT
      source order even though up to 16 frames ride to each worker
@@ -18,6 +19,13 @@
      activate the spare, replay the acknowledged ring prefix and
      re-send the unacknowledged window — delivery stays exactly-once
      (crashes = retries = 1, sink multiset complete, no duplicates).
+   - Give-up: a width-2 middle stage whose copy 0 raises on every
+     packet >= 50, with one retry allowed.  The copy crashes, restarts
+     on its spare, crashes again on the re-sent window and retires; the
+     frames in its window and the items it held but had not yet queued
+     must all reach the surviving sibling.  Run at --inflight 1, 4 and
+     16, and at batch 8 with --inflight 4: the sink sees every packet
+     exactly once and retired = 1.
 
    Each leg runs in its own forked child (OCaml 5 permanently refuses
    [Unix.fork] once a domain has been spawned, and every proc run
@@ -92,7 +100,7 @@ let recording_sink () =
   in
   (sink, fun () -> List.rev !events)
 
-let topo ~n ?final ~mid () =
+let topo ~n ?final ?(mid_width = 1) ~mid () =
   let sink, got = recording_sink () in
   ( Datacutter.Topology.create
       ~stages:
@@ -105,7 +113,7 @@ let topo ~n ?final ~mid () =
           };
           {
             Datacutter.Topology.stage_name = "mid";
-            width = 1;
+            width = mid_width;
             power = 100.0;
             role = Datacutter.Topology.Inner mid;
           };
@@ -150,12 +158,13 @@ let in_child ~label (f : unit -> leg) : leg =
           die "%s: subprocess killed by signal %d" label sg
       | _, (_, Unix.WSTOPPED _) -> die "%s: subprocess stopped" label)
 
-let run_leg ~label ?policy ~n ?final ~mid () : leg =
+let run_leg ~label ?policy ?(inflight = 16) ?batch ~n ?final ?mid_width ~mid
+    () : leg =
   in_child ~label (fun () ->
-      let t, got = topo ~n ?final ~mid () in
+      let t, got = topo ~n ?final ?mid_width ~mid () in
       match
         Datacutter.Runtime.run_result ~backend:Datacutter.Runtime.Proc
-          ?policy ~inflight:16 t
+          ?policy ~inflight ?batch t
       with
       | Ok m -> { events = got (); recovery = m.Datacutter.Engine.recovery }
       | Error e ->
@@ -256,10 +265,46 @@ let () =
     die "sigkill: expected 1 retry (spare activated), got %d"
       kill.recovery.Datacutter.Supervisor.retries;
 
+  (* --- leg 4: give-up re-routes everything the copy still owed ------ *)
+  let n = 200 in
+  let raising_mid copy =
+    {
+      (Datacutter.Filter.pass_through "mid") with
+      Datacutter.Filter.process =
+        (fun b ->
+          if copy = 0 && int_of_buffer b >= 50 then failwith "mid copy 0 down";
+          (Some b, 1.0));
+    }
+  in
+  let policy =
+    { Datacutter.Supervisor.default_policy with Datacutter.Supervisor.max_retries = 1 }
+  in
+  List.iter
+    (fun (inflight, batch) ->
+      let label = Printf.sprintf "give-up@inflight%d/B%d" inflight batch in
+      let leg =
+        run_leg ~label ~policy ~inflight ~batch ~n ~mid_width:2
+          ~mid:raising_mid ()
+      in
+      let got = List.sort compare (data_packets leg.events) in
+      if got <> List.init n Fun.id then
+        die "%s: delivery not exactly-once (%d packets, missing %s)" label
+          (List.length got)
+          (String.concat ","
+             (List.filter_map
+                (fun p ->
+                  if List.mem p got then None else Some (string_of_int p))
+                (List.init n Fun.id)));
+      if leg.recovery.Datacutter.Supervisor.retired <> 1 then
+        die "%s: expected 1 retirement, got %d" label
+          leg.recovery.Datacutter.Supervisor.retired)
+    [ (1, 1); (4, 1); (16, 1); (4, 8) ];
+
   Printf.printf
     "stream-smoke ok: FIFO at inflight=16 (300 packets), window drained at \
      EOS/finalize barriers, SIGKILL mid-window recovered exactly-once \
-     (crashes=%d retries=%d replayed=%d)\n"
+     (crashes=%d retries=%d replayed=%d), give-up re-routed exactly-once \
+     at inflight 1/4/16 and batch 8\n"
     kill.recovery.Datacutter.Supervisor.crashes
     kill.recovery.Datacutter.Supervisor.retries
     kill.recovery.Datacutter.Supervisor.replayed
