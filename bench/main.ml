@@ -14,7 +14,7 @@
      backends          one cell on every Engine backend (sim/par/proc),
                        rows tagged with a "backend" discriminator
      parallel          real-domain wall-clock speedups
-     transport         proc worker data path A/B (sockets vs shm rings)
+     transport         proc shm rings: credit window x batch sweep
      micro             Bechamel micro-benchmarks of the compiler itself
 
    Absolute times are simulated seconds on the substitute cluster and are
@@ -56,21 +56,34 @@ module Record = struct
   let title = ref ""
   let rows : Obs.Json.t list ref = ref []
 
+  (* set when a leg of the current target could not run *)
+  let failed = ref false
+
   let start t =
     title := t;
-    rows := []
+    rows := [];
+    failed := false
 
   (* one table row: the schema version, the config label, optional
-     string tags (e.g. the "backend" discriminator), then named numeric
-     cells *)
-  let row ?(tags = []) label cells =
+     string tags (e.g. the "backend" discriminator), named numeric
+     cells, then the error of a leg that could not run *)
+  let row ?(tags = []) ?error label cells =
     rows :=
       Obs.Json.Obj
         (("schema_version", Obs.Json.Int Obs.Metrics.schema_version)
          :: ("config", Obs.Json.Str label)
          :: List.map (fun (k, v) -> (k, Obs.Json.Str v)) tags
-        @ List.map (fun (k, v) -> (k, Obs.Json.Float v)) cells)
+        @ List.map (fun (k, v) -> (k, Obs.Json.Float v)) cells
+        @ match error with None -> [] | Some e -> [ ("error", Obs.Json.Str e) ])
       :: !rows
+
+  (* A proc leg that could not run — no fork on this platform, or a
+     domain already spawned in this process — is recorded, not dropped:
+     a row with an "error" field, and the target exits non-zero. *)
+  let proc_unavailable label msg =
+    failed := true;
+    Fmt.pr "%-8s proc leg failed: %s@." label msg;
+    row ~tags:[ ("backend", "proc") ] ~error:msg label []
 
   let path_of target =
     Filename.concat (out_dir ()) ("BENCH_" ^ target ^ ".json")
@@ -146,8 +159,9 @@ let cell = function
    ("drift") — per-backend baselines for every figure, not just the
    `backends` target.  OCaml 5 permanently refuses Unix.fork once a
    domain has been spawned, so each figure measures its whole proc
-   column BEFORE its first par leg; in a combined multi-target run,
-   targets after the first lose their proc cells and report the skip.
+   column BEFORE its first par leg; in a combined multi-target run, the
+   first target after a par leg records its proc cells as errors and
+   exits non-zero.
    Set BENCH_DRIFT=0 to skip the measured legs entirely (sim-only,
    fast). *)
 let drift_enabled () = Sys.getenv_opt "BENCH_DRIFT" <> Some "0"
@@ -164,7 +178,7 @@ let in_subprocess (f : unit -> 'a) : 'a option =
   else
     let rd, wr = Unix.pipe () in
     match Unix.fork () with
-    | exception Invalid_argument _ ->
+    | exception (Invalid_argument _ | Failure _) ->
         Unix.close rd;
         Unix.close wr;
         None
@@ -205,7 +219,9 @@ let measured ~backend ~strategy ~widths app =
       match in_subprocess run with
       | Some t -> Some t
       | None ->
-          Fmt.pr "  (proc leg skipped: fork unavailable)@.";
+          Record.proc_unavailable
+            (String.concat "-" (List.map string_of_int (Array.to_list widths)))
+            "fork unavailable";
           None)
   | _ -> Some (run ())
 
@@ -632,7 +648,7 @@ let ablation_packet () =
    The proc leg runs first: OCaml 5 permanently refuses Unix.fork once
    any domain has been spawned in the process, so proc must precede
    par (and this target must precede `parallel` in a combined run —
-   when fork is already poisoned the leg is reported and skipped). *)
+   when fork is already poisoned the leg is recorded as an error). *)
 let backends () =
   print_header "Backends: knn tiny, 2-2-1 (sim / par / proc)"
     [ "elapsed(s)"; "bytes" ];
@@ -648,7 +664,7 @@ let backends () =
             [ ("elapsed_s", t); ("bytes", bytes) ];
           print_row name [ Fmt.str "%.4f" t; Fmt.str "%.0f" bytes ]
       | Error (Datacutter.Supervisor.Unsupported msg) ->
-          Fmt.pr "%-8s skipped: %s@." name msg
+          Record.proc_unavailable name msg
       | Error e ->
           Fmt.failwith "backend %s failed: %a" name
             Datacutter.Supervisor.pp_run_error e)
@@ -759,7 +775,8 @@ let micro () =
    cost); par and proc rows are wall-clock, so items/s at B>1 vs B=1 is
    the measured amortization of locks, wakeups and wire frames.  The
    proc column runs first: fork is refused once the par legs have
-   spawned domains, and a proc leg attempted after them is skipped. *)
+   spawned domains, and a proc leg attempted after them is recorded as
+   an error. *)
 let throughput_sweep ~title ~cfg ~batches () =
   print_header title [ "batch"; "elapsed(s)"; "items/s" ];
   let widths = [| 1; 1; 1 |] in
@@ -791,7 +808,8 @@ let throughput_sweep ~title ~cfg ~batches () =
         match in_subprocess run with
         | Some r -> Some r
         | None ->
-            Fmt.pr "%-8s B=%-4d skipped: fork unavailable@." "proc" b;
+            Record.proc_unavailable (Printf.sprintf "B=%d" b)
+              "fork unavailable";
             None)
     | _ -> Some (run ())
   in
@@ -881,22 +899,20 @@ let throughput_smoke () =
   Fmt.pr "perf smoke: batched legs carry batch-size histograms@."
 
 (* ------------------------------------------------------------------ *)
-(* Transport A/B: the proc backend's two worker data paths             *)
+(* Transport: the proc backend's shared-memory rings                    *)
 (* ------------------------------------------------------------------ *)
 
-(* The same streambench cell on the proc backend across the transport ×
-   credit-window × batch grid: Unix-domain sockets at inflight {1, 16}
-   as the syscall-path control, shared-memory rings at inflight
-   {1, 4, 16}, each at batch 1, 64 and 512.  inflight=1 is the classic
-   strict request/response driver, so the per-batch vs_strict column
-   isolates exactly what credit-based pipelining buys; ring slots are
-   planner-sized from the batch plan ({!Datacutter.Engine.plan_frame_bytes})
-   so the overflow column stays at zero even for B=512 frames.  Each leg
-   runs in its own forked child (fork is refused once a domain has been
-   spawned); legs are best-of-3 wall clock. *)
+(* The same streambench cell on the proc backend across the
+   credit-window × batch grid: inflight {1, 4, 16}, each at batch 1, 64
+   and 512.  The vs_strict column is items/s against inflight=1 at the
+   same batch, so it isolates what credit-based pipelining buys; ring
+   slots are planner-sized from the batch plan
+   ({!Datacutter.Engine.plan_frame_bytes}) so the overflow column stays
+   at zero even for B=512 frames.  Each leg runs in its own forked child
+   (fork is refused once a domain has been spawned); legs are best-of-3
+   wall clock. *)
 let transport () =
-  print_header
-    "Transport: streambench proc 1-1-1 (socket vs shm x inflight x batch)"
+  print_header "Transport: streambench proc 1-1-1 (shm inflight x batch)"
     [
       "batch"; "inflight"; "elapsed(s)"; "items/s"; "overflow"; "stall(s)";
       "vs w=1";
@@ -917,7 +933,7 @@ let transport () =
           16.0;
         |]
   in
-  let leg tp ~inflight ~b =
+  let leg ~inflight ~b =
     let run () =
       let topo, results =
         Apps.Streambench.topology cfg ~widths ~powers ~bandwidths
@@ -925,13 +941,12 @@ let transport () =
       in
       match
         Datacutter.Runtime.run_result ~backend:Datacutter.Runtime.Proc
-          ~transport:tp ~inflight ~frame_bytes:(frame_bytes b) ~batch:b topo
+          ~inflight ~frame_bytes:(frame_bytes b) ~batch:b topo
       with
       | Ok m ->
           if results () <> expected then
-            Fmt.failwith "transport %s B=%d w=%d: sink multiset diverged"
-              (Datacutter.Runtime.transport_name tp)
-              b inflight;
+            Fmt.failwith "transport B=%d w=%d: sink multiset diverged" b
+              inflight;
           let overflow, stall =
             match List.assoc_opt "transport" m.Datacutter.Engine.extra with
             | Some (Obs.Json.Obj kv) ->
@@ -945,9 +960,8 @@ let transport () =
           in
           (m.Datacutter.Engine.elapsed_s, overflow, stall)
       | Error e ->
-          Fmt.failwith "transport %s B=%d w=%d failed: %a"
-            (Datacutter.Runtime.transport_name tp)
-            b inflight Datacutter.Supervisor.pp_run_error e
+          Fmt.failwith "transport B=%d w=%d failed: %a" b inflight
+            Datacutter.Supervisor.pp_run_error e
     in
     let best = ref None in
     for _ = 1 to 3 do
@@ -960,62 +974,46 @@ let transport () =
     done;
     !best
   in
-  if not (Datacutter.Shm.available ()) then
-    Fmt.pr "  skipped: shared-memory transport unavailable on this platform@."
-  else
-    List.iter
-      (fun b ->
-        List.iter
-          (fun (tp, windows) ->
-            let name = Datacutter.Runtime.transport_name tp in
-            let strict = ref None in
-            let deepest = ref None in
-            List.iter
-              (fun w ->
-                match leg tp ~inflight:w ~b with
-                | None ->
-                    Fmt.pr "  %s B=%d w=%d skipped: fork unavailable@." name
-                      b w
-                | Some (t, overflow, stall) ->
-                    if w = 1 then strict := Some t;
-                    deepest := Some (w, t);
-                    let rate = items /. t in
-                    let vs =
-                      match !strict with Some t1 -> t1 /. t | None -> 1.0
-                    in
-                    Record.row
-                      ~tags:[ ("backend", "proc"); ("transport", name) ]
-                      (Printf.sprintf "%s/B=%d/w=%d" name b w)
-                      [
-                        ("batch", float_of_int b);
-                        ("inflight", float_of_int w);
-                        ("elapsed_s", t);
-                        ("items_per_s", rate);
-                        ("overflow_frames", float_of_int overflow);
-                        ("credit_stall_s", stall);
-                        ("vs_strict", vs);
-                      ];
-                    print_row name
-                      [
-                        string_of_int b;
-                        string_of_int w;
-                        Fmt.str "%.4f" t;
-                        Fmt.str "%.0f" rate;
-                        string_of_int overflow;
-                        Fmt.str "%.3f" stall;
-                        Fmt.str "%.2f" vs;
-                      ])
-              windows;
-            match (!strict, !deepest) with
-            | Some t1, Some (w, t) when w > 1 ->
-                Fmt.pr "  %s B=%d: inflight=%d is %.2fx strict items/s@."
-                  name b w (t1 /. t)
-            | _ -> ())
-          [
-            (Datacutter.Runtime.Socket, [ 1; 16 ]);
-            (Datacutter.Runtime.Shm, [ 1; 4; 16 ]);
-          ])
-      [ 1; 64; 512 ]
+  List.iter
+    (fun b ->
+      let strict = ref None in
+      let deepest = ref None in
+      List.iter
+        (fun w ->
+          let label = Printf.sprintf "B=%d/w=%d" b w in
+          match leg ~inflight:w ~b with
+          | None -> Record.proc_unavailable label "fork unavailable"
+          | Some (t, overflow, stall) ->
+              if w = 1 then strict := Some t;
+              deepest := Some (w, t);
+              let rate = items /. t in
+              let vs = match !strict with Some t1 -> t1 /. t | None -> 1.0 in
+              Record.row ~tags:[ ("backend", "proc") ] label
+                [
+                  ("batch", float_of_int b);
+                  ("inflight", float_of_int w);
+                  ("elapsed_s", t);
+                  ("items_per_s", rate);
+                  ("overflow_frames", float_of_int overflow);
+                  ("credit_stall_s", stall);
+                  ("vs_strict", vs);
+                ];
+              print_row "shm"
+                [
+                  string_of_int b;
+                  string_of_int w;
+                  Fmt.str "%.4f" t;
+                  Fmt.str "%.0f" rate;
+                  string_of_int overflow;
+                  Fmt.str "%.3f" stall;
+                  Fmt.str "%.2f" vs;
+                ])
+        [ 1; 4; 16 ];
+      match (!strict, !deepest) with
+      | Some t1, Some (w, t) when w > 1 ->
+          Fmt.pr "  B=%d: inflight=%d is %.2fx strict items/s@." b w (t1 /. t)
+      | _ -> ())
+    [ 1; 64; 512 ]
 
 (* ------------------------------------------------------------------ *)
 (* Out-of-core: file-backed streambench, items/s vs dataset size vs
@@ -1034,7 +1032,7 @@ let outofcore () =
   let bandwidths = Array.make 2 cluster.H.bandwidth in
   let factors = [ 1; 10; 100 ] in
   let budgets = [ Some 16_384; Some 262_144; None ] in
-  let leg backend cfg ds expected budget =
+  let leg ~label backend cfg ds expected budget =
     let run () =
       let topo, results =
         Apps.Streambench.topology cfg ~dataset:ds ~widths ~powers ~bandwidths
@@ -1059,7 +1057,7 @@ let outofcore () =
         match in_subprocess run with
         | Some r -> Some r
         | None ->
-            Fmt.pr "%-8s skipped: fork unavailable@." "proc";
+            Record.proc_unavailable label "fork unavailable";
             None)
     | _ -> Some (run ())
   in
@@ -1078,19 +1076,16 @@ let outofcore () =
             let expected = Apps.Streambench.expected cfg in
             List.iter
               (fun budget ->
-                match leg backend cfg ds expected budget with
+                let blab =
+                  match budget with None -> "inf" | Some b -> string_of_int b
+                in
+                let label = Printf.sprintf "x%d/%s" factor blab in
+                match leg ~label backend cfg ds expected budget with
                 | None -> ()
                 | Some (t, spilled, high_water) ->
                     let items = cfg.Apps.Streambench.items in
                     let rate = float_of_int items /. t in
-                    let blab =
-                      match budget with
-                      | None -> "inf"
-                      | Some b -> string_of_int b
-                    in
-                    Record.row
-                      ~tags:[ ("backend", name) ]
-                      (Printf.sprintf "x%d/%s" factor blab)
+                    Record.row ~tags:[ ("backend", name) ] label
                       [
                         ("factor", float_of_int factor);
                         ("items", float_of_int items);
@@ -1389,7 +1384,12 @@ let () =
       | Some f ->
           Record.start name;
           f ();
-          Record.write name
+          Record.write name;
+          if !Record.failed then begin
+            Fmt.epr "%s: some legs could not run (see the \"error\" rows)@."
+              name;
+            exit 2
+          end
       | None ->
           Fmt.epr "unknown target %s; available: %s@." name
             (String.concat " " (List.map fst targets));

@@ -3,13 +3,13 @@
    Same scheduling skeleton as [Par_runtime] — one driver domain per
    copy over [Bqueue]s, protocol decisions from [Engine] — but the
    filter callbacks of source and inner copies execute in forked child
-   processes, one per copy, each reached over a [Shm] channel
-   (shared-memory ring pairs by default, Unix-domain socket pairs as
-   the fallback) speaking the [Wire] frame protocol.  Every buffer
-   crossing a copy boundary is genuinely serialized, so the compiler's
-   packing layer is exercised end-to-end, and an injected [crash@N]
-   kills a real OS process which the supervisor observes with
-   [waitpid] and replaces from a pool of pre-forked spares.
+   processes, one per copy, forked per run and each reached over a
+   [Shm] channel (a shared-memory ring pair) speaking the [Wire] frame
+   protocol.  Every buffer crossing a copy boundary is genuinely
+   serialized, so the compiler's packing layer is exercised
+   end-to-end, and an injected [crash@N] kills a real OS process which
+   the supervisor observes with [waitpid] and replaces with a
+   pre-forked spare.
 
    Division of labour:
    - the parent keeps the whole protocol brain: queues, routing, the
@@ -67,31 +67,18 @@ type worker = { pid : int; conn : Shm.conn }
    (and by teardown after the joins). *)
 type handle = { mutable active : worker option; mutable spares : worker list }
 
-(* What a pool [Wire.Bind] frame carries: the stage's role closure and
-   the copy coordinates, marshalled with [Marshal.Closures].  Legal
-   because pool workers are forked from the process that later binds
-   them, so code pointers agree on both sides; only the environment of
-   the closure travels. *)
-type ship_role =
-  | Ship_source of (int -> Filter.source)
-  | Ship_filter of (int -> Filter.t)
-
-type bind_info = {
-  bi_role : ship_role;
-  bi_index : int;  (* copy index the role closure is applied to *)
-  bi_tid : int;  (* trace thread id of the copy *)
-  bi_telem : bool;  (* ship telemetry frames this session *)
-}
-
 (* --- the child ------------------------------------------------------- *)
 
-(* One bound session inside a child: execute callback requests until
-   the channel closes or the parent sends [Exit] ([`Eof] — the child
-   should die) or [Unbind] ([`Unbind] — a pool worker parks for the
-   next plan).  Per-session state (the instance, telemetry counters)
-   lives here so a pooled worker starts every plan fresh. *)
-let serve_session conn ~telem ~tid
-    ~(instantiate : unit -> Engine.instance) : [ `Eof | `Unbind ] =
+(* Child main loop of a forked worker: execute callback requests until
+   the channel closes or the parent sends [Exit], then die.  Never
+   returns: [Unix._exit] (not [exit]) so the child cannot re-run the
+   parent's [at_exit] hooks or flush inherited channel buffers. *)
+let worker_main eng (cs : Engine.copy) conn : unit =
+  let telem = Obs.Trace.is_enabled () in
+  let tid =
+    Topology.copy_tid (Engine.topology eng) ~stage:cs.Engine.stage
+      ~copy:cs.Engine.index
+  in
   let inst = ref `None in
   (* With pipelined [Next] requests the parent may have several queued
      when the source runs dry; once [next] returned [None] the
@@ -159,7 +146,7 @@ let serve_session conn ~telem ~tid
   let handle req =
     match req with
     | Wire.Init -> (
-        match instantiate () with
+        match Engine.instantiate eng cs with
         | Engine.I_filter f ->
             inst := `Filter f;
             ignore (f.Filter.init ());
@@ -232,8 +219,8 @@ let serve_session conn ~telem ~tid
             let out, _ = s.Filter.src_finalize () in
             Wire.Out (Option.map (fun b -> Engine.Final b) out)
         | _ -> Wire.Crashed "worker has no source instance")
-    | Wire.Bind _ | Wire.Unbind | Wire.Exit | Wire.Out _ | Wire.Outs _
-    | Wire.Done | Wire.Crashed _ | Wire.Telemetry _ ->
+    | Wire.Exit | Wire.Out _ | Wire.Outs _ | Wire.Done | Wire.Crashed _
+    | Wire.Telemetry _ ->
         Wire.Crashed "unexpected frame in worker"
   in
   (* Wrap real callback requests in a recorded span; markers and
@@ -253,14 +240,7 @@ let serve_session conn ~telem ~tid
     | None | Some Wire.Exit ->
         (* The parent usually closed its end already; shipping the tail
            is best-effort. *)
-        flush_telemetry ~best_effort:true ~force:true ();
-        `Eof
-    | Some Wire.Unbind ->
-        (* Pool release: flush the session's telemetry tail so the
-           parent's per-copy rollup is complete, acknowledge, park. *)
-        flush_telemetry ~force:true ();
-        (try Shm.send conn Wire.Done with _ -> Unix._exit 1);
-        `Unbind
+        flush_telemetry ~best_effort:true ~force:true ()
     | Some req ->
         let resp =
           try
@@ -279,48 +259,8 @@ let serve_session conn ~telem ~tid
         (try Shm.send conn resp with _ -> Unix._exit 1);
         loop ()
   in
-  loop ()
-
-(* Child main loop of a per-run forked worker: never returns.
-   [Unix._exit] (not [exit]) so the child cannot re-run the parent's
-   [at_exit] hooks or flush inherited channel buffers. *)
-let worker_main eng (cs : Engine.copy) conn : unit =
-  let telem = Obs.Trace.is_enabled () in
-  let tid =
-    Topology.copy_tid (Engine.topology eng) ~stage:cs.Engine.stage
-      ~copy:cs.Engine.index
-  in
-  (match
-     serve_session conn ~telem ~tid ~instantiate:(fun () ->
-         Engine.instantiate eng cs)
-   with
-  | `Eof | `Unbind -> ());
+  loop ();
   Unix._exit 0
-
-(* Child main loop of a persistent pool worker: forked role-less, parks
-   until a [Bind] frame ships it a role closure, serves that plan's
-   session, and parks again on [Unbind] — the same OS process executes
-   any number of plans without re-forking. *)
-let pool_worker_main conn : unit =
-  let rec park () =
-    match (try Shm.recv conn with _ -> None) with
-    | None | Some Wire.Exit -> Unix._exit 0
-    | Some (Wire.Bind blob) -> (
-        let bi = (Marshal.from_bytes blob 0 : bind_info) in
-        let instantiate () =
-          match bi.bi_role with
-          | Ship_source mk -> Engine.I_source (mk bi.bi_index)
-          | Ship_filter mk -> Engine.I_filter (mk bi.bi_index)
-        in
-        (try Shm.send conn Wire.Done with _ -> Unix._exit 1);
-        match
-          serve_session conn ~telem:bi.bi_telem ~tid:bi.bi_tid ~instantiate
-        with
-        | `Unbind -> park ()
-        | `Eof -> Unix._exit 0)
-    | Some _ -> Unix._exit 1
-  in
-  park ()
 
 (* --- parent-side worker management ----------------------------------- *)
 
@@ -329,9 +269,9 @@ let string_of_status = function
   | Unix.WSIGNALED n -> Printf.sprintf "killed by signal %d" n
   | Unix.WSTOPPED n -> Printf.sprintf "stopped by signal %d" n
 
-(* Reap a dead-or-dying worker and observe its real exit status. *)
-let reap_worker ?(kill = false) label (w : worker) =
-  if kill then (try Unix.kill w.pid Sys.sigkill with Unix.Unix_error _ -> ());
+(* SIGKILL a worker and reap it, observing its real exit status. *)
+let kill_worker label (w : worker) =
+  (try Unix.kill w.pid Sys.sigkill with Unix.Unix_error _ -> ());
   (match Unix.waitpid [] w.pid with
   | _, status ->
       Logs.debug (fun m ->
@@ -392,10 +332,6 @@ let recv_frame ~absorb conn =
   in
   try go () with e -> raise (transport_crash e)
 
-let round_trip ~absorb conn req =
-  send_frame conn req;
-  recv_frame ~absorb conn
-
 (* --- the credit window ------------------------------------------------ *)
 
 (* One in-flight pipelined frame of a copy's credit window: the items
@@ -414,17 +350,19 @@ let default_inflight = 4
    fully hidden on any host this targets. *)
 let max_inflight = 16
 
-(* In-flight request bytes a socket-path window may hold.  Well under
-   the kernel's default socketpair send buffer, so the parent's
-   pipelined writes always complete without blocking and it can always
-   progress to collecting responses. *)
+(* In-flight request bytes one window may hold.  Frames too big for a
+   ring slot travel the control socket, so the budget stays well under
+   the kernel's default socketpair send buffer: however many overflow
+   frames are in flight at once, the parent's pipelined writes complete
+   without blocking and it can always progress to collecting
+   responses. *)
 let inflight_byte_budget = 64 * 1024
 
 (* A frame estimated bigger than this is charged as the whole byte
-   budget, so it travels alone on an empty window: one oversized frame
-   can exceed what the socket buffers — or the ring slot — can absorb
-   without write-side blocking, which is only safe when no responses
-   are queued behind it. *)
+   budget, so it travels alone on an empty window: it may overflow its
+   ring slot onto the control socket and exceed what the socket buffer
+   absorbs without write-side blocking, which is only safe when no
+   responses are queued behind it. *)
 let big_frame_bytes = 32 * 1024
 
 let resolve_inflight inflight =
@@ -441,153 +379,19 @@ let resolve_inflight inflight =
   in
   max 1 (min max_inflight v)
 
-(* --- the persistent worker pool -------------------------------------- *)
-
-(* A checked-in pool worker: forked role-less, currently parked. *)
-type pool_worker = { pw_pid : int; pw_conn : Shm.conn }
-
-type pool = {
-  p_mu : Mutex.t;
-  mutable p_free : pool_worker list;
-  mutable p_closed : bool;
-  p_transport : Shm.transport;
-  p_size : int;  (* workers forked at creation *)
-}
-
-let default_pool_workers = 8
-
-let pool_create ?(workers = default_pool_workers) ?transport ?frame_bytes () :
-    (pool, Supervisor.run_error) result =
-  if not available then
-    Error (Supervisor.Unsupported "the proc backend needs Unix.fork")
-  else begin
-    let transport = Shm.resolve transport in
-    (* Rings are mapped once, at fork time: a pool caller that knows
-       its plans' largest frame sizes the slots here.  Undersized slots
-       stay correct later via the overflow-to-socket fallback. *)
-    let slot_bytes =
-      Option.map (fun fb -> Shm.plan_slot_bytes ~frame_bytes:fb) frame_bytes
-    in
-    let spawned = ref [] in
-    let fork_one () =
-      let parent_conn, child_conn = Shm.pair ?slot_bytes transport in
-      match Unix.fork () with
-      | 0 ->
-          (* Keep only our own channel (see [fork_worker]). *)
-          Shm.close parent_conn;
-          List.iter (fun w -> Shm.close w.pw_conn) !spawned;
-          pool_worker_main child_conn;
-          Unix._exit 0
-      | pid ->
-          Shm.close child_conn;
-          let w = { pw_pid = pid; pw_conn = parent_conn } in
-          spawned := w :: !spawned;
-          w
-    in
-    match List.init (max 1 workers) (fun _ -> fork_one ()) with
-    | ws ->
-        Ok
-          {
-            p_mu = Mutex.create ();
-            p_free = ws;
-            p_closed = false;
-            p_transport = transport;
-            p_size = List.length ws;
-          }
-    | exception Failure msg ->
-        (* fork refused (a domain has already been spawned): reclaim
-           whatever we managed to fork and report like a platform
-           without fork. *)
-        List.iter
-          (fun w ->
-            Shm.close w.pw_conn;
-            (try Unix.kill w.pw_pid Sys.sigkill with Unix.Unix_error _ -> ());
-            try ignore (Unix.waitpid [] w.pw_pid)
-            with Unix.Unix_error _ -> ())
-          !spawned;
-        Error (Supervisor.Unsupported msg)
-  end
-
-let pool_size p = p.p_size
-
-let pool_free p =
-  Mutex.lock p.p_mu;
-  let n = List.length p.p_free in
-  Mutex.unlock p.p_mu;
-  n
-
-let pool_transport p = p.p_transport
-
-let pool_pids p =
-  Mutex.lock p.p_mu;
-  let pids = List.map (fun w -> w.pw_pid) p.p_free in
-  Mutex.unlock p.p_mu;
-  List.sort compare pids
-
-let pool_shutdown p =
-  Mutex.lock p.p_mu;
-  let ws = p.p_free in
-  p.p_free <- [];
-  p.p_closed <- true;
-  Mutex.unlock p.p_mu;
-  List.iter
-    (fun w -> shutdown_worker "pool" { pid = w.pw_pid; conn = w.pw_conn })
-    ws
-
-(* Check a worker out and bind it to a role: ship the marshalled
-   [bind_info], wait for the [Done] ack.  A worker that dies at bind
-   time is dropped from the pool and the next free one is tried — only
-   an empty pool fails the run. *)
-let pool_acquire p ~absorb ~role ~index ~tid ~lbl : worker =
-  let blob =
-    try
-      Marshal.to_bytes
-        { bi_role = role; bi_index = index; bi_tid = tid;
-          bi_telem = Obs.Trace.is_enabled () }
-        [ Marshal.Closures ]
-    with e ->
-      failwith
-        (lbl ^ ": filter closure not marshallable for pool dispatch: "
-       ^ Printexc.to_string e)
-  in
-  let rec try_next () =
-    Mutex.lock p.p_mu;
-    let picked =
-      match p.p_free with
-      | [] -> None
-      | w :: rest ->
-          p.p_free <- rest;
-          Some w
-    in
-    Mutex.unlock p.p_mu;
-    match picked with
-    | None -> failwith ("worker pool exhausted binding " ^ lbl)
-    | Some w ->
-        let ok =
-          match round_trip ~absorb w.pw_conn (Wire.Bind blob) with
-          | Wire.Done -> true
-          | _ -> false
-          | exception Remote_crash _ -> false
-        in
-        if ok then { pid = w.pw_pid; conn = w.pw_conn }
-        else begin
-          Logs.warn (fun m ->
-              m "pool worker pid %d failed to bind %s; dropping it" w.pw_pid
-                lbl);
-          reap_worker ~kill:true lbl { pid = w.pw_pid; conn = w.pw_conn };
-          try_next ()
-        end
-  in
-  try_next ()
-
 (* --- the run --------------------------------------------------------- *)
 
-let run_core ?(queue_capacity = 64) ?faults ?policy ?batch ?stage_batch
-    ?mem_budget ?queue_budgets ?metrics_interval_s ?autoscale ?transport
-    ?inflight ?frame_bytes ?pool (topo : Topology.t) :
+let run_result ?(queue_capacity = 64) ?faults ?policy ?batch ?stage_batch
+    ?mem_budget ?queue_budgets ?metrics_interval_s ?autoscale ?inflight
+    ?frame_bytes (topo : Topology.t) :
     (Engine.metrics, Supervisor.run_error) result =
   if not available then
     Error (Supervisor.Unsupported "the proc backend needs Unix.fork")
+  else if not (Shm.available ()) then
+    Error
+      (Supervisor.Unsupported
+         "the proc backend needs shared-memory rings (mmap of a temp file \
+          failed)")
   else
   match
     Engine.create ?faults ?policy ~queue_capacity ?batch ?stage_batch
@@ -627,20 +431,11 @@ let run_core ?(queue_capacity = 64) ?faults ?policy ?batch ?stage_batch
     Hashtbl.replace worker_counters t.Wire.w_pid t.Wire.w_counters;
     Mutex.unlock telem_lock
   in
-  (* Pool runs inherit the pool's transport (its rings were sized and
-     mapped at creation); plain runs resolve explicit choice / env /
-     platform probe here. *)
-  let transport =
-    match pool with
-    | Some p -> p.p_transport
-    | None -> Shm.resolve transport
-  in
   (* Credit window size: explicit arg beats the CGPPC_INFLIGHT env var
      beats the default.  At 1 every frame settles right after its
      send. *)
   let inflight = resolve_inflight inflight in
-  (* Planner-sized ring slots for the channels this run forks itself
-     (a pool's rings were already mapped at pool creation). *)
+  (* Planner-sized ring slots for every worker channel. *)
   let slot_bytes =
     Option.map (fun fb -> Shm.plan_slot_bytes ~frame_bytes:fb) frame_bytes
   in
@@ -728,76 +523,29 @@ let run_core ?(queue_capacity = 64) ?faults ?policy ?batch ?stage_batch
       exec_retire = (fun ~stage:_ ~copy:_ -> ());
       exec_drain = (fun ~stage ~copy -> drain_grid ~stage ~copy);
     };
-  (* Returning a worker when the run no longer needs it: plain runs
-     shut the forked child down; pool runs unbind it (flushing its
-     telemetry tail) and check it back in for the next plan.  A worker
-     that fails the unbind round trip is dropped from the pool. *)
-  let release =
-    match pool with
-    | None -> shutdown_worker
-    | Some p ->
-        fun lbl (w : worker) ->
-          let ok =
-            match round_trip ~absorb w.conn Wire.Unbind with
-            | Wire.Done -> true
-            | _ -> false
-            | exception Remote_crash _ -> false
-          in
-          if ok then begin
-            Mutex.lock p.p_mu;
-            if p.p_closed then begin
-              Mutex.unlock p.p_mu;
-              shutdown_worker lbl w
-            end
-            else begin
-              p.p_free <- { pw_pid = w.pid; pw_conn = w.conn } :: p.p_free;
-              Mutex.unlock p.p_mu
-            end
-          end
-          else begin
-            Logs.warn (fun m ->
-                m "proc worker %s pid %d failed to unbind; dropping it" lbl
-                  w.pid);
-            reap_worker ~kill:true lbl w
-          end
-  in
-  (* Obtain every worker while the runtime is still single-domain: one
+  (* Fork every worker while the runtime is still single-domain: one
      per source copy, 1 + max_retries per non-sink filter copy (the
      spares stand in for fork-on-restart), none for sink copies (their
      filters run in the parent).  Dormant elastic slots get their full
      worker complement up front too — forking after a domain exists is
      impossible in OCaml 5, so a mid-run spawn can only promote
-     pre-obtained processes.  Plain runs fork each worker over a fresh
-     [Shm.pair]; pool runs check parked workers out and bind them. *)
+     pre-forked processes.  Each worker gets a fresh [Shm.pair]. *)
   let all_workers : worker list ref = ref [] in
-  let fork_worker cs =
-    let parent_conn, child_conn = Shm.pair ?slot_bytes transport in
-    match Unix.fork () with
-    | 0 ->
-        (* Keep only our own channel: inherited parent-side fds of
-           earlier workers would defeat their EOF detection. *)
-        Shm.close parent_conn;
-        List.iter (fun w -> Shm.close w.conn) !all_workers;
-        worker_main eng cs child_conn;
-        Unix._exit 0
-    | pid ->
-        Shm.close child_conn;
-        { pid; conn = parent_conn }
-  in
   let obtain cs =
     let s = cs.Engine.stage and k = cs.Engine.index in
+    let parent_conn, child_conn = Shm.pair ?slot_bytes Shm.Shm in
     let w =
-      match pool with
-      | None -> fork_worker cs
-      | Some p ->
-          let role =
-            match stages.(s).Topology.role with
-            | Topology.Source mk -> Ship_source mk
-            | Topology.Inner mk | Topology.Sink mk -> Ship_filter mk
-          in
-          pool_acquire p ~absorb ~role ~index:k
-            ~tid:(Topology.copy_tid topo ~stage:s ~copy:k)
-            ~lbl:(label s k)
+      match Unix.fork () with
+      | 0 ->
+          (* Keep only our own channel: inherited parent-side fds of
+             earlier workers would defeat their EOF detection. *)
+          Shm.close parent_conn;
+          List.iter (fun w -> Shm.close w.conn) !all_workers;
+          worker_main eng cs child_conn;
+          Unix._exit 0
+      | pid ->
+          Shm.close child_conn;
+          { pid; conn = parent_conn }
     in
     all_workers := w :: !all_workers;
     Hashtbl.replace pid_copy w.pid (s, k);
@@ -808,30 +556,6 @@ let run_core ?(queue_capacity = 64) ?faults ?policy ?batch ?stage_batch
   in
   let handles_or_err =
     try
-      (* In pool mode, fail fast with a sized message instead of
-         binding a partial complement. *)
-      (match pool with
-      | Some p ->
-          let required = ref 0 in
-          for s = 0 to n_stages - 1 do
-            match stages.(s).Topology.role with
-            | Topology.Source _ -> required := !required + Engine.slots eng s
-            | Topology.Inner _ | Topology.Sink _ ->
-                if not (Engine.is_sink_stage eng s) then
-                  required :=
-                    !required
-                    + (Engine.slots eng s * (1 + policy.Supervisor.max_retries))
-          done;
-          Mutex.lock p.p_mu;
-          let free = List.length p.p_free and closed = p.p_closed in
-          Mutex.unlock p.p_mu;
-          if closed then failwith "worker pool is shut down";
-          if free < !required then
-            failwith
-              (Printf.sprintf
-                 "worker pool too small: plan needs %d workers, %d free"
-                 !required free)
-      | None -> ());
       Ok
         (Array.init n_stages (fun s ->
              Array.init (Engine.slots eng s) (fun k ->
@@ -852,9 +576,9 @@ let run_core ?(queue_capacity = 64) ?faults ?policy ?batch ?stage_batch
     with Failure msg ->
       (* OCaml 5 permanently refuses [Unix.fork] once any domain has
          ever been spawned in this process — report it like a platform
-         without fork instead of crashing, after reclaiming whatever we
-         managed to obtain (pool workers go back to the pool). *)
-      List.iter (fun w -> release "aborted-setup" w) !all_workers;
+         without fork instead of crashing, after reaping whatever we
+         managed to fork. *)
+      List.iter (shutdown_worker "aborted-setup") !all_workers;
       Error msg
   in
   match handles_or_err with
@@ -876,7 +600,7 @@ let run_core ?(queue_capacity = 64) ?faults ?policy ?batch ?stage_batch
     | None -> ()
     | Some w ->
         h.active <- None;
-        reap_worker ~kill:true lbl w
+        kill_worker lbl w
   in
   let activate_spare lbl (h : handle) =
     match h.spares with
@@ -1517,9 +1241,8 @@ let run_core ?(queue_capacity = 64) ?faults ?policy ?batch ?stage_batch
   (* Graceful queue close: leaked stuck copies (abort path) wake with
      [Closed] instead of blocking forever once their worker dies. *)
   Array.iter (Array.iter Bqueue.close) queues;
-  (* Return the surviving children — the still-active workers of
-     completed copies and every unused spare — to the pool (unbind), or
-     reap them (plain run). *)
+  (* Shut the surviving children down — the still-active workers of
+     completed copies and every unused spare. *)
   Array.iteri
     (fun s row ->
       Array.iteri
@@ -1529,10 +1252,10 @@ let run_core ?(queue_capacity = 64) ?faults ?policy ?batch ?stage_batch
           | Some h ->
               let lbl = label s k in
               (match h.active with
-              | Some w -> release lbl w
+              | Some w -> shutdown_worker lbl w
               | None -> ());
               h.active <- None;
-              List.iter (release lbl) h.spares;
+              List.iter (shutdown_worker lbl) h.spares;
               h.spares <- [])
         row)
     handles;
@@ -1592,18 +1315,16 @@ let run_core ?(queue_capacity = 64) ?faults ?policy ?batch ?stage_batch
   in
   (* Transport rollup: ring stats summed over every worker channel this
      run touched (the counters are plain fields on the channel record,
-     so they stay readable after release/close), plus the driver-side
-     credit-stall clock.  Socket transports report zero ring stats. *)
+     so they stay readable after close), plus the driver-side
+     credit-stall clock. *)
   let transport_section () =
     let overflow = ref 0 and occ_hw = ref 0 and slot_b = ref 0 in
     List.iter
       (fun w ->
-        match Shm.stats w.conn with
-        | None -> ()
-        | Some st ->
-            overflow := !overflow + st.Shm.overflow_frames;
-            occ_hw := max !occ_hw st.Shm.occupancy_hw;
-            slot_b := max !slot_b st.Shm.slot_bytes)
+        let st = Shm.stats w.conn in
+        overflow := !overflow + st.Shm.overflow_frames;
+        occ_hw := max !occ_hw st.Shm.occupancy_hw;
+        slot_b := max !slot_b st.Shm.slot_bytes)
       !all_workers;
     let stall_total = ref 0.0 in
     let stalls = ref [] in
@@ -1619,7 +1340,7 @@ let run_core ?(queue_capacity = 64) ?faults ?policy ?batch ?stage_batch
     ( "transport",
       Obs.Json.Obj
         ([
-           ("kind", Obs.Json.Str (Shm.transport_name transport));
+           ("kind", Obs.Json.Str (Shm.transport_name Shm.Shm));
            ("inflight", Obs.Json.Int inflight);
            ("slot_bytes", Obs.Json.Int !slot_b);
            ("overflow_frames", Obs.Json.Int !overflow);
@@ -1646,15 +1367,3 @@ let run_core ?(queue_capacity = 64) ?faults ?policy ?batch ?stage_batch
   in
   Option.iter Spill.remove_dir spill_dir;
   result
-
-let run_result ?queue_capacity ?faults ?policy ?batch ?stage_batch ?mem_budget
-    ?queue_budgets ?metrics_interval_s ?autoscale ?transport ?inflight
-    ?frame_bytes topo =
-  run_core ?queue_capacity ?faults ?policy ?batch ?stage_batch ?mem_budget
-    ?queue_budgets ?metrics_interval_s ?autoscale ?transport ?inflight
-    ?frame_bytes topo
-
-let pool_run_result pool ?queue_capacity ?faults ?policy ?batch ?stage_batch
-    ?mem_budget ?queue_budgets ?metrics_interval_s ?autoscale ?inflight topo =
-  run_core ?queue_capacity ?faults ?policy ?batch ?stage_batch ?mem_budget
-    ?queue_budgets ?metrics_interval_s ?autoscale ?inflight ~pool topo

@@ -1,7 +1,6 @@
 (** Process backend: one OS process per source/inner filter copy,
-    items serialized as {!Wire} frames over a per-worker channel — by
-    default shared-memory ring pairs ({!Shm}), falling back to
-    Unix-domain socket pairs.
+    forked per run, items serialized as {!Wire} frames over a
+    per-worker shared-memory ring pair ({!Shm}).
 
     The parent process keeps the whole {!Engine} protocol — queues,
     routing, the EOS drain barrier, fault ticking, the retry/retire/
@@ -32,26 +31,26 @@ val run_result :
   ?queue_budgets:int array ->
   ?metrics_interval_s:float ->
   ?autoscale:Engine.autoscale ->
-  ?transport:Shm.transport ->
   ?inflight:int ->
   ?frame_bytes:int ->
   Topology.t ->
   (Engine.metrics, Supervisor.run_error) result
 (** Run to completion; [Error (Unsupported _)] when {!available} is
-    [false].  [transport] picks the worker data path (default: resolved
-    by {!Shm.resolve} — shared-memory rings when available, the
-    [CGPPC_TRANSPORT] env var overriding); the chosen path is reported
-    in the metrics under the ["transport"] key as an object
+    [false], when shared-memory rings cannot be mapped
+    ({!Shm.available}), or when this process has already spawned a
+    domain (OCaml 5 then refuses to fork).  The worker channels are
+    reported in the metrics under the ["transport"] key as an object
     [{kind; inflight; slot_bytes; overflow_frames; ring_occupancy_hw;
-    credit_stall_s; stalls?}].
+    credit_stall_s; stalls?}], [kind] always ["shm"].
 
     [inflight] is the credit window: how many frames each driver keeps
     in flight to its worker before waiting for an acknowledgement
     (default 4, clamped to [1, 16]; the [CGPPC_INFLIGHT] env var
-    overrides the default when the argument is omitted).  At 1 the
-    driver is the classic strict request/response loop.  Copies with
-    injected faults always run strictly so scripted crash timing is
-    independent of the window.  [frame_bytes] sizes the shared-memory
+    overrides the default when the argument is omitted).  There is one
+    driver at every depth: at 1 each frame settles right after its
+    send.  Copies with injected faults run that same window at depth 1,
+    so scripted crash timing is independent of the window.
+    [frame_bytes] sizes the shared-memory
     ring slots from the expected largest frame (see
     {!Engine.plan_frame_bytes} and {!Shm.plan_slot_bytes}) so batched
     frames stay on the ring instead of overflowing to the control
@@ -70,72 +69,3 @@ val run_result :
     workers ship their callback spans and counters back over the wire
     ({!Wire.Telemetry}): the trace covers worker pids and the metrics
     carry a per-copy ["workers"] rollup. *)
-
-(** {1 Persistent worker pool}
-
-    A pool keeps a set of pre-forked, role-less worker processes alive
-    across runs.  {!pool_run_result} checks workers out and binds each
-    one to a filter role by shipping the role closure over the wire
-    ([Marshal] with closures — sound because the workers were forked
-    from this very process), runs the plan, then unbinds the survivors
-    back into the pool.  Many plans thus execute through one stable set
-    of worker pids with zero mid-sequence forks — which also sidesteps
-    the OCaml 5 fork-after-domain restriction: create the pool before
-    any domain has ever been spawned and proc plans keep working for
-    the life of the process.
-
-    Crash recovery is unchanged: a crash decision still SIGKILLs the
-    bound worker (the pool shrinks by one) and promotes a bound spare. *)
-
-type pool
-
-val pool_create :
-  ?workers:int ->
-  ?transport:Shm.transport ->
-  ?frame_bytes:int ->
-  unit ->
-  (pool, Supervisor.run_error) result
-(** Fork [workers] (default 8) parked worker processes.  Must be called
-    while the process is still single-domain.  [transport] sizes the
-    per-worker channels once, at fork time (default: {!Shm.resolve});
-    [frame_bytes] sizes the ring slots for the largest frame the pool's
-    runs are expected to ship ({!Shm.plan_slot_bytes}). *)
-
-val pool_size : pool -> int
-(** Workers forked at creation. *)
-
-val pool_free : pool -> int
-(** Workers currently parked (not checked out, not crashed). *)
-
-val pool_transport : pool -> Shm.transport
-
-val pool_pids : pool -> int list
-(** Pids of the currently parked workers, sorted — lets tests and
-    diagnostics assert that runs reuse this set instead of forking. *)
-
-val pool_run_result :
-  pool ->
-  ?queue_capacity:int ->
-  ?faults:Fault.plan ->
-  ?policy:Supervisor.policy ->
-  ?batch:int ->
-  ?stage_batch:int array ->
-  ?mem_budget:int ->
-  ?queue_budgets:int array ->
-  ?metrics_interval_s:float ->
-  ?autoscale:Engine.autoscale ->
-  ?inflight:int ->
-  Topology.t ->
-  (Engine.metrics, Supervisor.run_error) result
-(** Exactly {!run_result}, but workers come from the pool instead of
-    being forked: callable after domains have been spawned (ring slot
-    geometry is fixed at {!pool_create} time, so there is no
-    [frame_bytes] here).  Fails with
-    [Unsupported] when the pool has fewer free workers than the plan
-    needs (sources need 1 each, non-sink inner copies [1 + max_retries]
-    each, dormant elastic slots included) or has been shut down. *)
-
-val pool_shutdown : pool -> unit
-(** Orderly shutdown of every parked worker (EOF, grace period,
-    SIGKILL).  Checked-out workers are shut down when their run
-    releases them.  Idempotent. *)

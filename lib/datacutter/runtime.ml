@@ -2,23 +2,9 @@ type backend = Engine.backend = Sim | Par | Proc
 
 let backend_name = Engine.backend_name
 
-type transport = Shm.transport = Shm | Socket
-
-let transport_name = Shm.transport_name
-let transport_of_name = Shm.transport_of_name
-
-type pool = Proc_runtime.pool
-
-let pool_create = Proc_runtime.pool_create
-let pool_size = Proc_runtime.pool_size
-let pool_free = Proc_runtime.pool_free
-let pool_transport = Proc_runtime.pool_transport
-let pool_pids = Proc_runtime.pool_pids
-let pool_shutdown = Proc_runtime.pool_shutdown
-
 let run_result ?(backend = Sim) ?queue_capacity ?faults ?policy ?batch
     ?stage_batch ?mem_budget ?queue_budgets ?metrics_interval_s ?autoscale
-    ?transport ?inflight ?frame_bytes ?pool topo =
+    ?inflight ?frame_bytes topo =
   match backend with
   | Sim -> (
       (* The simulator has no bounded queues, but a nonsensical capacity
@@ -32,16 +18,10 @@ let run_result ?(backend = Sim) ?queue_capacity ?faults ?policy ?batch
       Par_runtime.run_result ?queue_capacity ?faults ?policy ?batch
         ?stage_batch ?mem_budget ?queue_budgets ?metrics_interval_s ?autoscale
         topo
-  | Proc -> (
-      match pool with
-      | Some p ->
-          Proc_runtime.pool_run_result p ?queue_capacity ?faults ?policy
-            ?batch ?stage_batch ?mem_budget ?queue_budgets ?metrics_interval_s
-            ?autoscale ?inflight topo
-      | None ->
-          Proc_runtime.run_result ?queue_capacity ?faults ?policy ?batch
-            ?stage_batch ?mem_budget ?queue_budgets ?metrics_interval_s
-            ?autoscale ?transport ?inflight ?frame_bytes topo)
+  | Proc ->
+      Proc_runtime.run_result ?queue_capacity ?faults ?policy ?batch
+        ?stage_batch ?mem_budget ?queue_budgets ?metrics_interval_s ?autoscale
+        ?inflight ?frame_bytes topo
 
 let total_bytes = Engine.total_bytes
 let pp_metrics = Engine.pp_metrics

@@ -13,39 +13,16 @@
       bounded blocking queues; [elapsed_s] is wall time,
       [queue_occupancy] is populated, [link_stats] is [None].
     - {!Proc} ({!Proc_runtime}): one OS process per source/inner filter
-      copy, every item serialized as {!Wire} frames over shared-memory
-      ring pairs ({!Shm}) or Unix-domain socket pairs; scheduling,
-      metrics shape and failover match {!Par}, but an injected crash
-      [SIGKILL]s a real child process.  Returns
-      [Error (Unsupported _)] on platforms without [Unix.fork]. *)
+      copy, forked per run, every item serialized as {!Wire} frames
+      over shared-memory ring pairs ({!Shm}); scheduling, metrics shape
+      and failover match {!Par}, but an injected crash [SIGKILL]s a
+      real child process.  Returns [Error (Unsupported _)] on platforms
+      without [Unix.fork] or without shared-memory rings. *)
 
 type backend = Engine.backend = Sim | Par | Proc
 
 val backend_name : backend -> string
 (** ["sim"], ["par"] or ["proc"]. *)
-
-type transport = Shm.transport = Shm | Socket
-(** Proc worker data path (see {!Shm}). *)
-
-val transport_name : transport -> string
-val transport_of_name : string -> transport option
-
-type pool = Proc_runtime.pool
-(** A persistent set of pre-forked proc workers, reusable across runs
-    (see {!Proc_runtime.pool_create}). *)
-
-val pool_create :
-  ?workers:int ->
-  ?transport:transport ->
-  ?frame_bytes:int ->
-  unit ->
-  (pool, Supervisor.run_error) result
-
-val pool_size : pool -> int
-val pool_free : pool -> int
-val pool_transport : pool -> transport
-val pool_pids : pool -> int list
-val pool_shutdown : pool -> unit
 
 val run_result :
   ?backend:backend ->
@@ -58,29 +35,20 @@ val run_result :
   ?queue_budgets:int array ->
   ?metrics_interval_s:float ->
   ?autoscale:Engine.autoscale ->
-  ?transport:transport ->
   ?inflight:int ->
   ?frame_bytes:int ->
-  ?pool:pool ->
   Topology.t ->
   (Engine.metrics, Supervisor.run_error) result
 (** Run the pipeline to completion on [backend] (default {!Sim}).
 
-    [transport] (Proc only) picks the worker data path — shared-memory
-    rings by default when the platform supports them, sockets otherwise
-    or on request; the metrics carry the chosen path under
-    ["transport"] (an object: kind, inflight, ring stats, credit-stall
-    seconds).  [inflight] (Proc only) is the credit window — how many
-    frames each driver keeps in flight to its worker before waiting for
-    an acknowledgement (default 4, clamp [1, 16], [CGPPC_INFLIGHT]
-    overrides the default; see {!Proc_runtime.run_result}).
-    [frame_bytes] (Proc only, per-run forks) sizes the shared-memory
-    ring slots for the largest expected wire frame
+    [inflight] (Proc only) is the credit window — how many frames each
+    driver keeps in flight to its worker before waiting for an
+    acknowledgement (default 4, clamp [1, 16], [CGPPC_INFLIGHT]
+    overrides the default; see {!Proc_runtime.run_result}); the metrics
+    carry it under ["transport"] (an object: kind, inflight, ring
+    stats, credit-stall seconds).  [frame_bytes] (Proc only) sizes the
+    shared-memory ring slots for the largest expected wire frame
     ({!Shm.plan_slot_bytes}) so batched frames stay on the ring.
-    [pool] (Proc only) runs the plan on a persistent
-    {!pool} instead of forking per run — the way to execute proc plans
-    after domains have been spawned; the pool's own transport then
-    applies and [transport] and [frame_bytes] are ignored.
 
     [autoscale] arms the mid-run elastic-copy controller on every
     backend (see {!Engine.autoscale_tick}): a sustained-saturated

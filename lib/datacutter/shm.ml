@@ -40,15 +40,12 @@
 
 module A1 = Bigarray.Array1
 
-type transport = Shm | Socket
+(* The rings are the only data path.  The one-constructor [transport]
+   (with [transport_name], [resolve] and [pair]'s argument) is kept so
+   the benchmark harness, which names it, compiles unchanged. *)
+type transport = Shm
 
-let transport_name = function Shm -> "shm" | Socket -> "socket"
-
-let transport_of_name s =
-  match String.lowercase_ascii s with
-  | "shm" -> Some Shm
-  | "socket" -> Some Socket
-  | _ -> None
+let transport_name Shm = "shm"
 
 (* --- rings ----------------------------------------------------------- *)
 
@@ -183,11 +180,13 @@ let spin_rounds = 512
 
 (* Spinning only pays when the peer can run on another core; on a
    single-core host it just burns the quantum the peer needs to
-   produce, so the budget is zero and a blocked side parks at once. *)
+   produce, so the budget is zero and a blocked side parks at once.
+   Computed at module initialisation, not lazily: the parent's driver
+   domains all reach their first wait at once, and forcing one lazy
+   value from two domains concurrently raises [Lazy.Undefined]. *)
 let spin_budget =
-  lazy
-    (try if Domain.recommended_domain_count () > 1 then spin_rounds else 0
-     with _ -> 0)
+  try if Domain.recommended_domain_count () > 1 then spin_rounds else 0
+  with _ -> 0
 
 (* Backstop for the flag-then-check parking race (x86 can reorder the
    parker's flag store after its ready load, and symmetrically on the
@@ -196,7 +195,7 @@ let park_timeout = 0.025
 
 (* --- connections ----------------------------------------------------- *)
 
-type chan = {
+type conn = {
   c_fd : Unix.file_descr;
   db : Unix.file_descr;  (* doorbell: park/wake socketpair, RCVTIMEO-bounded *)
   tx : ring;
@@ -267,19 +266,13 @@ let wait_until c r flag_word ready =
       raise Peer_dead
     end
   in
-  spin (Lazy.force spin_budget)
+  spin spin_budget
 
-type conn =
-  | Fd of { fd : Unix.file_descr; scratch : Bytes.t ref }
-  | Ring of chan
+let fd_of c = c.c_fd
 
-let fd_of = function Fd e -> e.fd | Ring c -> c.c_fd
-
-let close conn =
-  (try Unix.close (fd_of conn) with Unix.Unix_error _ -> ());
-  match conn with
-  | Fd _ -> ()
-  | Ring c -> ( try Unix.close c.db with Unix.Unix_error _ -> ())
+let close c =
+  (try Unix.close c.c_fd with Unix.Unix_error _ -> ());
+  try Unix.close c.db with Unix.Unix_error _ -> ()
 
 let epipe fn = raise (Unix.Unix_error (Unix.EPIPE, fn, ""))
 
@@ -307,13 +300,10 @@ let ring_send_msg c msg =
   (* a frame is now available: wake a reader parked on our tx ring *)
   doorbell c r w_rd_parked
 
-let send conn msg =
-  match conn with
-  | Fd e -> Wire.write_msg e.fd msg
-  | Ring c -> (
-      match wait_until c c.tx w_wr_parked (fun () -> ring_free c.tx) with
-      | () -> ring_send_msg c msg
-      | exception Peer_dead -> epipe "Shm.send")
+let send c msg =
+  match wait_until c c.tx w_wr_parked (fun () -> ring_free c.tx) with
+  | () -> ring_send_msg c msg
+  | exception Peer_dead -> epipe "Shm.send"
 
 (* Consume the published slot at the rx cursor (caller checked
    [ring_ready]): decode the frame in place from the char view, then
@@ -344,39 +334,21 @@ let ring_consume c =
     Some m
   end
 
-let recv conn =
-  match conn with
-  | Fd e -> Wire.read_msg ~scratch:e.scratch e.fd
-  | Ring c -> (
-      match wait_until c c.rx w_rd_parked (fun () -> ring_ready c.rx) with
-      | () -> ring_consume c
-      | exception Peer_dead -> None)
+let recv c =
+  match wait_until c c.rx w_rd_parked (fun () -> ring_ready c.rx) with
+  | () -> ring_consume c
+  | exception Peer_dead -> None
 
-let try_send conn msg =
-  match conn with
-  | Fd _ ->
-      send conn msg;
-      true
-  | Ring c ->
-      ring_free c.tx
-      && begin
-           ring_send_msg c msg;
-           true
-         end
+let try_send c msg =
+  ring_free c.tx
+  && begin
+       ring_send_msg c msg;
+       true
+     end
 
-let try_recv conn =
-  match conn with
-  | Fd e -> (
-      (* poll: only commit to the blocking read once at least the frame
-         header has started arriving, so a streaming driver can drain
-         ready responses between sends on either transport *)
-      match Unix.select [ e.fd ] [] [] 0.0 with
-      | [], _, _ -> `Empty
-      | _ -> ( match recv conn with Some m -> `Msg m | None -> `Eof)
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> `Empty)
-  | Ring c ->
-      if not (ring_ready c.rx) then `Empty
-      else ( match ring_consume c with Some m -> `Msg m | None -> `Eof)
+let try_recv c =
+  if not (ring_ready c.rx) then `Empty
+  else match ring_consume c with Some m -> `Msg m | None -> `Eof
 
 (* --- reserve / commit + peek / consume ------------------------------- *)
 
@@ -387,51 +359,37 @@ let try_recv conn =
    through it.  Symmetrically [peek] is a bounded reader over the
    published frame, [consume] frees the slot afterwards. *)
 
-let reserve conn =
-  match conn with
-  | Fd _ -> None
-  | Ring c ->
-      if not (ring_free c.tx) then None
-      else
-        let off = payload_off c.tx c.tx.cursor in
-        Some
-          (Wirefmt.Big.writer c.tx.cbuf ~pos:off
-             ~limit:(off + c.tx.payload_bytes))
+let reserve c =
+  if not (ring_free c.tx) then None
+  else
+    let off = payload_off c.tx c.tx.cursor in
+    Some (Wirefmt.Big.writer c.tx.cbuf ~pos:off ~limit:(off + c.tx.payload_bytes))
 
-let commit conn w =
-  match conn with
-  | Fd _ -> invalid_arg "Shm.commit: socket endpoint"
-  | Ring c ->
-      let r = c.tx in
-      let len = Wirefmt.Big.writer_pos w - payload_off r r.cursor in
-      if len < 0 || len > r.payload_bytes then
-        invalid_arg "Shm.commit: writer does not match the reserved slot";
-      ring_publish r len;
-      let occ = r.cursor - r.cached_tail in
-      if occ > c.st_occ_hw then c.st_occ_hw <- occ;
-      doorbell c r w_rd_parked
+let commit c w =
+  let r = c.tx in
+  let len = Wirefmt.Big.writer_pos w - payload_off r r.cursor in
+  if len < 0 || len > r.payload_bytes then
+    invalid_arg "Shm.commit: writer does not match the reserved slot";
+  ring_publish r len;
+  let occ = r.cursor - r.cached_tail in
+  if occ > c.st_occ_hw then c.st_occ_hw <- occ;
+  doorbell c r w_rd_parked
 
-let peek conn =
-  match conn with
-  | Fd _ -> None
-  | Ring c ->
-      if not (ring_ready c.rx) then None
-      else
-        let r = c.rx in
-        let base = slot_base r r.cursor in
-        let len = Int64.to_int (A1.unsafe_get r.buf (base + 1)) in
-        if len < 0 || len > r.payload_bytes then None
-          (* overflow marker: the frame is on the socket — use [recv] *)
-        else
-          let off = payload_off r r.cursor in
-          Some (Wirefmt.Big.reader r.cbuf ~pos:off ~limit:(off + len))
+let peek c =
+  if not (ring_ready c.rx) then None
+  else
+    let r = c.rx in
+    let base = slot_base r r.cursor in
+    let len = Int64.to_int (A1.unsafe_get r.buf (base + 1)) in
+    if len < 0 || len > r.payload_bytes then None
+      (* overflow marker: the frame is on the socket — use [recv] *)
+    else
+      let off = payload_off r r.cursor in
+      Some (Wirefmt.Big.reader r.cbuf ~pos:off ~limit:(off + len))
 
-let consume conn =
-  match conn with
-  | Fd _ -> invalid_arg "Shm.consume: socket endpoint"
-  | Ring c ->
-      ring_release c.rx;
-      doorbell c c.rx w_wr_parked
+let consume c =
+  ring_release c.rx;
+  doorbell c c.rx w_wr_parked
 
 (* --- stats ----------------------------------------------------------- *)
 
@@ -442,73 +400,62 @@ type stats = {
   slot_bytes : int;
 }
 
-let stats conn =
-  match conn with
-  | Fd _ -> None
-  | Ring c ->
-      Some
-        {
-          overflow_frames = c.st_overflow;
-          occupancy_hw = c.st_occ_hw;
-          slots = c.tx.slots;
-          slot_bytes = c.tx.payload_bytes;
-        }
+let stats c =
+  {
+    overflow_frames = c.st_overflow;
+    occupancy_hw = c.st_occ_hw;
+    slots = c.tx.slots;
+    slot_bytes = c.tx.payload_bytes;
+  }
 
 (* --- construction ---------------------------------------------------- *)
 
 let default_slots = 64
 let default_slot_bytes = 16 * 1024
 
-let pair ?(slots = default_slots) ?(slot_bytes = default_slot_bytes)
-    transport =
+let pair ?(slots = default_slots) ?(slot_bytes = default_slot_bytes) Shm =
   if slots <= 0 || slots land (slots - 1) <> 0 then
     invalid_arg "Shm.pair: slots must be a positive power of two";
   if slot_bytes <= 0 then invalid_arg "Shm.pair: slot_bytes must be positive";
   let fd_a, fd_b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  match transport with
-  | Socket ->
-      ( Fd { fd = fd_a; scratch = ref (Bytes.create 256) },
-        Fd { fd = fd_b; scratch = ref (Bytes.create 256) } )
-  | Shm -> (
-      match
-        let db_a, db_b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-        match
-          (* parked reads sleep in the kernel but still time out for the
-             liveness backstop; sends never wedge on a full pipe *)
-          List.iter
-            (fun fd ->
-              Unix.setsockopt_float fd Unix.SO_RCVTIMEO park_timeout;
-              Unix.setsockopt_float fd Unix.SO_SNDTIMEO park_timeout)
-            [ db_a; db_b ];
-          let ab = map_ring ~slots ~slot_bytes in
-          (* a -> b *)
-          let ba = map_ring ~slots ~slot_bytes in
-          (* b -> a *)
-          let mk fd db tx_buf rx_buf =
-            Ring
-              {
-                c_fd = fd;
-                db;
-                tx = ring_view tx_buf ~slots ~slot_bytes;
-                rx = ring_view rx_buf ~slots ~slot_bytes;
-                fd_scratch = ref (Bytes.create 256);
-                st_overflow = 0;
-                st_occ_hw = 0;
-              }
-          in
-          (mk fd_a db_a ab ba, mk fd_b db_b ba ab)
-        with
-        | pair -> pair
-        | exception e ->
-            (try Unix.close db_a with Unix.Unix_error _ -> ());
-            (try Unix.close db_b with Unix.Unix_error _ -> ());
-            raise e
-      with
-      | pair -> pair
-      | exception e ->
-          (try Unix.close fd_a with Unix.Unix_error _ -> ());
-          (try Unix.close fd_b with Unix.Unix_error _ -> ());
-          raise e)
+  match
+    let db_a, db_b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    match
+      (* parked reads sleep in the kernel but still time out for the
+         liveness backstop; sends never wedge on a full pipe *)
+      List.iter
+        (fun fd ->
+          Unix.setsockopt_float fd Unix.SO_RCVTIMEO park_timeout;
+          Unix.setsockopt_float fd Unix.SO_SNDTIMEO park_timeout)
+        [ db_a; db_b ];
+      let ab = map_ring ~slots ~slot_bytes in
+      (* a -> b *)
+      let ba = map_ring ~slots ~slot_bytes in
+      (* b -> a *)
+      let mk fd db tx_buf rx_buf =
+        {
+          c_fd = fd;
+          db;
+          tx = ring_view tx_buf ~slots ~slot_bytes;
+          rx = ring_view rx_buf ~slots ~slot_bytes;
+          fd_scratch = ref (Bytes.create 256);
+          st_overflow = 0;
+          st_occ_hw = 0;
+        }
+      in
+      (mk fd_a db_a ab ba, mk fd_b db_b ba ab)
+    with
+    | pair -> pair
+    | exception e ->
+        (try Unix.close db_a with Unix.Unix_error _ -> ());
+        (try Unix.close db_b with Unix.Unix_error _ -> ());
+        raise e
+  with
+  | pair -> pair
+  | exception e ->
+      (try Unix.close fd_a with Unix.Unix_error _ -> ());
+      (try Unix.close fd_b with Unix.Unix_error _ -> ());
+      raise e
 
 (* Ring slot geometry derived from the batch planner's frame-size
    estimate: the next power of two that fits the largest planned frame
@@ -533,19 +480,4 @@ let available_memo =
 
 let available () = Lazy.force available_memo
 
-let degrade () =
-  Logs.warn (fun m ->
-      m "shm transport unavailable on this platform; using sockets");
-  Socket
-
-let resolve choice =
-  match choice with
-  | Some Shm when not (available ()) -> degrade ()
-  | Some t -> t
-  | None -> (
-      match
-        Option.bind (Sys.getenv_opt "CGPPC_TRANSPORT") transport_of_name
-      with
-      | Some Shm when not (available ()) -> degrade ()
-      | Some t -> t
-      | None -> if available () then Shm else Socket)
+let resolve (_ : transport option) = Shm

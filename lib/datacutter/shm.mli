@@ -1,20 +1,16 @@
 (** Shared-memory transport for the process backend.
 
     A {!conn} is one endpoint of a parent↔worker channel carrying
-    {!Wire.msg} frames.  Two implementations sit behind the same
-    send/recv surface:
-
-    - [Socket]: the original blocking Unix-domain socket path
-      ({!Wire.write_msg} / {!Wire.read_msg}).
-    - [Shm]: a pair of fixed-capacity SPSC ring buffers in [mmap]'d
-      shared memory ([Bigarray] over [Unix.map_file]), one per
-      direction.  Slots carry whole encoded frames; each slot is
-      stamped with a sequence number so the reader polls a single
-      word — no futex, no syscall — and the writer flow-controls on a
-      reader-published tail cursor.  Frames larger than a slot fall
-      back to the socket: the ring carries an in-order overflow marker
-      and the frame itself travels the fd, so ordering is preserved
-      and [max_frame]-sized messages still work.
+    {!Wire.msg} frames over a pair of fixed-capacity SPSC ring buffers
+    in [mmap]'d shared memory ([Bigarray] over [Unix.map_file]), one per
+    direction.  Slots carry whole encoded frames; each slot is stamped
+    with a sequence number so the reader polls a single word — no
+    futex, no syscall — and the writer flow-controls on a
+    reader-published tail cursor.  Each endpoint also holds a
+    Unix-domain control socket, used only for frames larger than a slot
+    (the ring carries an in-order overflow marker and the frame itself
+    travels the socket, so ordering is preserved and [max_frame]-sized
+    messages still work), the doorbell and liveness probes.
 
     A blocked side spins briefly on its polled word (multicore only —
     on one core the spin starves the peer), then parks futex-style: it
@@ -22,40 +18,37 @@
     doorbell socketpair, which the peer pokes after publishing a frame
     or freeing a slot — wakeups happen at fd speed with no timer
     slack.  A dead peer closes the doorbell and is double-checked with
-    a [MSG_PEEK] probe on the main socket, so it surfaces as EOF
-    ([recv] → [None]) or [EPIPE] ([send]) exactly like the socket
-    path.  Ring memory is an unlinked temp file: the kernel reclaims
-    it with the last mapping, so a SIGKILLed process leaks nothing.
+    a [MSG_PEEK] probe on the control socket, so it surfaces as EOF
+    ([recv] → [None]) or [EPIPE] ([send]).  Ring memory is an unlinked
+    temp file: the kernel reclaims it with the last mapping, so a
+    SIGKILLed process leaks nothing.
 
     Endpoint discipline: build the pair {e before} forking, then use
     each endpoint from exactly one process (the rings are single
     producer / single consumer). *)
 
-(** Which data path a proc run uses. *)
-type transport = Shm | Socket
+(** The proc data path.  The rings are the only one; the type, with
+    {!transport_name} and {!resolve}, is kept so the benchmark harness,
+    which names it, compiles unchanged. *)
+type transport = Shm
 
 val transport_name : transport -> string
 
-val transport_of_name : string -> transport option
-(** ["shm"] / ["socket"] (case-insensitive). *)
-
 val available : unit -> bool
 (** Whether shared-memory rings work here (probed once: [Unix.map_file]
-    on an unlinked temp file).  [Socket] needs only [socketpair]. *)
+    on an unlinked temp file under the temp directory).  A proc run
+    fails with [Unsupported] when they do not. *)
 
 val resolve : transport option -> transport
-(** The transport a run should use: the explicit choice if given, else
-    the [CGPPC_TRANSPORT] env var ([shm] | [socket]), else [Shm] when
-    {!available}.  A [Shm] request degrades to [Socket] (with a
-    warning) when rings are unavailable. *)
+(** Always [Shm]. *)
 
 type conn
 
 val pair : ?slots:int -> ?slot_bytes:int -> transport -> conn * conn
 (** A connected (parent, child) endpoint pair — call before forking.
     [slots] (power of two, default 64) and [slot_bytes] (frame payload
-    capacity per slot, default 16 KiB) size each ring; both are
-    ignored for [Socket]. *)
+    capacity per slot, default 16 KiB) size each ring.  Raises
+    [Unix.Unix_error] / [Sys_error] when the rings cannot be mapped. *)
 
 val plan_slot_bytes : frame_bytes:int -> int
 (** Ring slot size for a run whose largest planned frame is
@@ -65,17 +58,18 @@ val plan_slot_bytes : frame_bytes:int -> int
     instead of overflowing to the control socket. *)
 
 val fd_of : conn -> Unix.file_descr
-(** The underlying socket (always present — [Shm] keeps it for
-    overflow frames and liveness probes).  Exposed so a forked child
-    can close the parent-side descriptors it inherited. *)
+(** The control socket (overflow frames and liveness probes).  Exposed
+    so a forked child can close the parent-side descriptors it
+    inherited. *)
 
 val close : conn -> unit
-(** Close the socket (the peer observes EOF / EPIPE).  Ring memory is
+(** Close the control socket and the doorbell (the peer observes EOF /
+    EPIPE).  Ring memory is
     reclaimed when the last process unmaps it.  Never raises. *)
 
 val send : conn -> Wire.msg -> unit
 (** Blocking send.  @raise Unix.Unix_error [EPIPE] if the peer is dead
-    (matching the socket path's write-to-dead-peer behaviour). *)
+    (like a write to a dead socket peer). *)
 
 val recv : conn -> Wire.msg option
 (** Blocking receive; [None] when the peer closed or died at a frame
@@ -86,13 +80,10 @@ val recv : conn -> Wire.msg option
     without threads. *)
 
 val try_send : conn -> Wire.msg -> bool
-(** [false] iff the ring has no free slot right now.  On a [Socket]
-    endpoint this blocks like {!send} and returns [true]. *)
+(** [false] iff the ring has no free slot right now. *)
 
 val try_recv : conn -> [ `Msg of Wire.msg | `Empty | `Eof ]
-(** [`Empty] iff no whole frame is currently available.  On a [Socket]
-    endpoint this polls the fd ([select] with a zero timeout) and only
-    commits to the blocking frame read once bytes are pending. *)
+(** [`Empty] iff no whole frame is currently available. *)
 
 (** {2 In-ring encode/decode}
 
@@ -107,22 +98,21 @@ val try_recv : conn -> [ `Msg of Wire.msg | `Empty | `Eof ]
     consumed from the same thread. *)
 
 val reserve : conn -> Wirefmt.Big.writer option
-(** [None] on a [Socket] endpoint or when the tx ring is full. *)
+(** [None] when the tx ring is full. *)
 
 val commit : conn -> Wirefmt.Big.writer -> unit
 (** Publish the frame staged through [reserve]'s writer and ring the
-    peer's doorbell.  @raise Invalid_argument on a [Socket] endpoint
-    or a writer that does not match the reserved slot. *)
+    peer's doorbell.  @raise Invalid_argument on a writer that does
+    not match the reserved slot. *)
 
 val peek : conn -> Wirefmt.Big.reader option
-(** A reader bounded to exactly the published frame; [None] on a
-    [Socket] endpoint, an empty ring, or an overflow marker (the frame
-    then lives on the socket — use {!recv}).  The window is only valid
+(** A reader bounded to exactly the published frame; [None] on an
+    empty ring or an overflow marker (the frame then lives on the
+    socket — use {!recv}).  The window is only valid
     until {!consume}. *)
 
 val consume : conn -> unit
-(** Free the slot {!peek} exposed and ring the peer's doorbell.
-    @raise Invalid_argument on a [Socket] endpoint. *)
+(** Free the slot {!peek} exposed and ring the peer's doorbell. *)
 
 (** {2 Stats} *)
 
@@ -137,5 +127,4 @@ type stats = {
   slot_bytes : int;  (** per-slot frame capacity, after word round-up *)
 }
 
-val stats : conn -> stats option
-(** [None] on a [Socket] endpoint. *)
+val stats : conn -> stats

@@ -1,8 +1,9 @@
 (* Length-prefixed wire protocol for the process backend.
 
    The parent (which runs the whole Engine protocol) and each worker
-   child exchange [msg] frames over a Unix-domain socket pair.  A frame
-   is:
+   child exchange [msg] frames over an [Shm] channel: encoded in place
+   into a ring slot ([encode_big]), or, for a frame too big for its
+   slot, framed on the channel's control socket.  A socket frame is:
 
        tag : 1 byte        message kind
        len : 4 bytes LE    payload length in bytes
@@ -46,14 +47,6 @@ type telemetry = {
 
 (* Requests (parent -> worker) and responses (worker -> parent). *)
 type msg =
-  | Bind of Bytes.t
-      (** attach a pooled worker to one filter copy; the payload is an
-          opaque role blob owned by [Proc_runtime] (a marshalled
-          closure — legal between a parent and its forked children,
-          which share the code segment) *)
-  | Unbind
-      (** detach a pooled worker from its copy: it flushes telemetry,
-          acknowledges with [Done] and parks awaiting the next [Bind] *)
   | Init  (** (re)instantiate the filter and run [init] *)
   | Item of Engine.item  (** process a [Data] or drain a [Final] payload *)
   | Batch of Engine.item list
@@ -80,8 +73,6 @@ let max_frame = 8 * 1024 * 1024
 let header_bytes = 5
 
 let tag_of_msg = function
-  | Bind _ -> 'b'
-  | Unbind -> 'U'
   | Init -> 'I'
   | Item (Engine.Data _) -> 'D'
   | Item (Engine.Final _) -> 'F'
@@ -252,8 +243,7 @@ let read_telemetry src r =
 
 let encode_payload sk k (m : msg) =
   match m with
-  | Init | Unbind | Finalize | Next | Src_finalize | Exit | Done -> ()
-  | Bind blob -> sk.s_bytes k blob
+  | Init | Finalize | Next | Src_finalize | Exit | Done -> ()
   | Item (Engine.Data b) | Item (Engine.Final b) -> add_buffer sk k b
   | Item Engine.Marker -> ()
   | Batch items -> add_items sk k items
@@ -271,8 +261,6 @@ let encode_payload sk k (m : msg) =
 
 let decode_payload src r tag : msg =
   match tag with
-  | 'b' -> Bind (src.g_bytes r)
-  | 'U' -> Unbind
   | 'I' -> Init
   | 'D' -> Item (Engine.Data (read_buffer src r))
   | 'F' -> Item (Engine.Final (read_buffer src r))

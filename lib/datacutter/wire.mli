@@ -32,13 +32,6 @@ type telemetry = {
 
 (** Requests (parent → worker) and responses (worker → parent). *)
 type msg =
-  | Bind of Bytes.t
-      (** attach a pooled worker to one filter copy; the payload is an
-          opaque role blob owned by [Proc_runtime] (a marshalled
-          closure — legal between a parent and its forked children) *)
-  | Unbind
-      (** detach a pooled worker from its copy: it flushes telemetry,
-          acknowledges with [Done] and parks awaiting the next [Bind] *)
   | Init  (** (re)instantiate the filter and run [init] *)
   | Item of Engine.item  (** process a [Data] or drain a [Final] payload *)
   | Batch of Engine.item list

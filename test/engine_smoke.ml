@@ -559,11 +559,9 @@ let () =
   Printf.printf
     "engine-smoke ok: %s agree on %d packets at batch 1 and 64 — healthy, \
      crash@5+retire (rerouted) and crash@3+retry (replayed=%d); mem-budget \
-     %dB agrees; elastic autoscale agrees on %d packets (%s); proc \
-     transport: %s\n"
+     %dB agrees; elastic autoscale agrees on %d packets (%s)\n"
     names n pr.Datacutter.Supervisor.replayed mem_budget n_elastic
     (String.concat ", "
        (List.map
           (fun (name, leg) -> Printf.sprintf "%s +%d" name leg.e_spawned)
           elastic_legs))
-    (Datacutter.Runtime.transport_name (Datacutter.Shm.resolve None))

@@ -16,7 +16,10 @@
      seconds each worker measured inside itself reconcile with the
      parent's rpc-side clock;
    - `cgppc analyze` exits cleanly and the report names a bottleneck,
-     agreeing with the cost model or carrying per-stage error numbers.
+     agreeing with the cost model or carrying per-stage error numbers;
+   - a proc run where shared-memory rings cannot be mapped exits with
+     the documented Unsupported code (7) and says so in the metrics
+     JSON.
 
    The cgppc binary path arrives as argv(1) from the dune rule. *)
 
@@ -216,6 +219,32 @@ let analyze_checks doc log =
      let rec find i = i + n <= m && (String.sub out i n = needle || find (i + 1)) in
      find 0)
 
+(* Proc without shared-memory rings: a TMPDIR that does not exist makes
+   the ring probe fail, and the run must refuse with exit code 7 and an
+   "unsupported" error in the metrics JSON rather than run on some other
+   data path. *)
+let no_shm_leg () =
+  let dir = Filename.concat base "no-shm" in
+  let mj = Filename.concat dir "f.json" in
+  let log = Filename.concat base "no-shm.log" in
+  let rc =
+    Sys.command
+      (Printf.sprintf
+         "TMPDIR=%s %s run -a streambench --backend proc --metrics-json %s \
+          > %s 2>&1"
+         (Filename.quote (Filename.concat dir "missing"))
+         (Filename.quote cgppc) (Filename.quote mj) (Filename.quote log))
+  in
+  if rc <> 7 then begin
+    (try prerr_endline (read_file log) with _ -> ());
+    die "no-shm proc run exited %d, expected 7 (Unsupported)" rc
+  end;
+  let doc = parse_json mj in
+  check "no-shm: run reported ok"
+    (match J.member "ok" doc with J.Bool b -> not b | _ -> false);
+  check "no-shm: error kind is not \"unsupported\""
+    (J.to_str (J.member "kind" (J.member "error" doc)) = "unsupported")
+
 let () =
   J.mkdir_p base;
   let legs = [ "sim"; "par" ] @ if Datacutter.Proc_runtime.available then [ "proc" ] else [] in
@@ -226,6 +255,7 @@ let () =
     legs;
   let doc, _, _, log = run_leg ~analyze:true ~trace:false "sim" in
   analyze_checks doc log;
+  if Datacutter.Proc_runtime.available then no_shm_leg ();
   ignore (Sys.command (Printf.sprintf "rm -rf %s" (Filename.quote base)));
   Printf.printf "obs-smoke ok: %s telemetry + openmetrics + attribution verified\n"
     (String.concat "/" legs)

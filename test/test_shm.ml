@@ -1,28 +1,22 @@
-(* Tests for the shared-memory proc transport (Shm) and the persistent
-   worker pool (satellites of the shm-transport PR): ring wrap-around
+(* Tests for the shared-memory proc transport (Shm): ring wrap-around
    and full/empty boundaries through the nonblocking endpoints,
-   overflow frames falling back to the socket in order, a SIGKILLed
-   peer surfacing as EOF/EPIPE instead of a wedge, the pool executing
-   several distinct plans on one stable set of worker pids, and a
+   overflow frames falling back to the control socket in order, a
+   SIGKILLed peer surfacing as EOF/EPIPE instead of a wedge, and a
    QCheck round-trip of arbitrary frames against the Wire codec's
    structural equality.
 
-   Ordering matters: the fork-based tests (peer death, pool) run
-   before anything could spawn a domain — OCaml 5 permanently refuses
-   [Unix.fork] afterwards — and the pool test itself forks its workers
-   before its runs spawn driver domains. *)
+   Ordering matters: the fork-based peer-death test runs before
+   anything could spawn a domain — OCaml 5 permanently refuses
+   [Unix.fork] afterwards. *)
 
 module Shm = Datacutter.Shm
 module Wire = Datacutter.Wire
 module Engine = Datacutter.Engine
 module Filter = Datacutter.Filter
-module Runtime = Datacutter.Runtime
-module Supervisor = Datacutter.Supervisor
 
 let shm_available = Shm.available ()
 
-(* Skip (trivially pass) ring-specific tests where mmap rings don't
-   work; the suite still exercises the socket fallback. *)
+(* Skip (trivially pass) the ring tests where mmap rings don't work. *)
 let ring_pair ?slots ?slot_bytes () =
   if shm_available then Some (Shm.pair ?slots ?slot_bytes Shm.Shm) else None
 
@@ -121,19 +115,6 @@ let test_overflow_in_order () =
       Shm.close a;
       Shm.close b
 
-let test_socket_transport_roundtrip () =
-  let a, b = Shm.pair Shm.Socket in
-  Shm.send a (crashed 42);
-  (match Shm.recv b with
-  | Some (Wire.Crashed s) -> Alcotest.(check string) "socket frame" "frame-42" s
-  | _ -> Alcotest.fail "socket transport: lost frame");
-  Shm.close a;
-  (* peer observes EOF *)
-  (match Shm.recv b with
-  | None -> ()
-  | Some _ -> Alcotest.fail "closed socket peer should see EOF");
-  Shm.close b
-
 (* --- peer death (forks: must precede any domain spawn) --------------- *)
 
 let test_sigkill_peer () =
@@ -174,159 +155,6 @@ let test_sigkill_peer () =
           Alcotest.(check bool) "EPIPE on dead peer" true !saw_epipe;
           ignore (Unix.waitpid [] pid);
           Shm.close a)
-
-(* --- the persistent pool (forks, then spawns domains) ----------------- *)
-
-let buffer_of_int packet =
-  let b = Bytes.create 8 in
-  Bytes.set_int64_le b 0 (Int64.of_int packet);
-  Filter.make_buffer ~packet b
-
-let int_of_buffer (b : Filter.buffer) =
-  Int64.to_int (Bytes.get_int64_le b.Filter.data 0)
-
-let source n _copy =
-  let i = ref 0 in
-  {
-    Filter.src_name = "src";
-    next =
-      (fun () ->
-        if !i >= n then None
-        else begin
-          let p = !i in
-          incr i;
-          Some (buffer_of_int p, 1.0)
-        end);
-    src_finalize = (fun () -> (None, 0.0));
-  }
-
-let recording_sink () =
-  let mutex = Mutex.create () in
-  let packets = ref [] in
-  let sink _ =
-    {
-      (Filter.pass_through "sink") with
-      Filter.process =
-        (fun b ->
-          Mutex.lock mutex;
-          packets := int_of_buffer b :: !packets;
-          Mutex.unlock mutex;
-          (None, 1.0));
-    }
-  in
-  (sink, fun () -> List.sort compare !packets)
-
-let make_topo ~n ~mid_width ~mid () =
-  let sink, got = recording_sink () in
-  let topo =
-    Datacutter.Topology.create
-      ~stages:
-        [
-          { Datacutter.Topology.stage_name = "src"; width = 1; power = 100.0;
-            role = Datacutter.Topology.Source (source n) };
-          { Datacutter.Topology.stage_name = "mid"; width = mid_width;
-            power = 100.0; role = Datacutter.Topology.Inner mid };
-          { Datacutter.Topology.stage_name = "sink"; width = 1; power = 100.0;
-            role = Datacutter.Topology.Sink sink };
-        ]
-      ~links:
-        [
-          { Datacutter.Topology.bandwidth = 1e6; latency = 0.0 };
-          { Datacutter.Topology.bandwidth = 1e6; latency = 0.0 };
-        ]
-  in
-  (topo, got)
-
-let passthrough_mid _ = Filter.pass_through "mid"
-
-let plus100_mid _ =
-  {
-    (Filter.pass_through "mid") with
-    Filter.process = (fun b -> (Some (buffer_of_int (int_of_buffer b + 100)), 1.0));
-  }
-
-(* Worker pids a run actually used, from the metrics ["workers"]
-   rollup (present because tracing is on). *)
-let pids_of_metrics m =
-  match Obs.Json.member "workers" (Runtime.metrics_to_json m) with
-  | Obs.Json.Obj entries ->
-      List.concat_map
-        (fun (_, entry) ->
-          match Obs.Json.member "pids" entry with
-          | Obs.Json.List pids ->
-              List.map (function
-                | Obs.Json.Int p -> p
-                | _ -> Alcotest.fail "non-int pid in workers section")
-                pids
-          | _ -> Alcotest.fail "workers entry without pids")
-        entries
-  | _ -> Alcotest.fail "no workers section in pool-run metrics"
-
-let test_pool_stable_pids () =
-  if not Datacutter.Proc_runtime.available then ()
-  else begin
-    Obs.Trace.enable ();
-    let policy =
-      { Supervisor.default_policy with Supervisor.max_retries = 1 }
-    in
-    match Runtime.pool_create ~workers:6 () with
-    | Error e ->
-        Alcotest.failf "pool_create: %a" Supervisor.pp_run_error e
-    | Ok pool ->
-        let initial_pids = Runtime.pool_pids pool in
-        Alcotest.(check int) "all workers parked" 6 (Runtime.pool_free pool);
-        let n = 24 in
-        let run_plan label ~mid_width ~mid expected =
-          let topo, got = make_topo ~n ~mid_width ~mid () in
-          match Runtime.run_result ~backend:Runtime.Proc ~policy ~pool topo with
-          | Error e ->
-              Alcotest.failf "%s: %a" label Supervisor.pp_run_error e
-          | Ok m ->
-              Alcotest.(check (list int)) (label ^ ": sink") expected (got ());
-              (match
-                 Obs.Json.member "kind"
-                   (Obs.Json.member "transport" (Runtime.metrics_to_json m))
-               with
-              | Obs.Json.Str t ->
-                  Alcotest.(check string)
-                    (label ^ ": transport")
-                    (Runtime.transport_name (Runtime.pool_transport pool))
-                    t
-              | _ -> Alcotest.failf "%s: no transport kind" label);
-              Alcotest.(check int)
-                (label ^ ": workers returned")
-                6 (Runtime.pool_free pool);
-              pids_of_metrics m
-        in
-        (* three distinct plans — different filters, different widths —
-           through the same pool *)
-        let all = List.init n Fun.id in
-        let p1 =
-          run_plan "plan1 passthrough" ~mid_width:1 ~mid:passthrough_mid all
-        in
-        let p2 =
-          run_plan "plan2 +100" ~mid_width:1 ~mid:plus100_mid
-            (List.map (fun i -> i + 100) all)
-        in
-        let p3 =
-          run_plan "plan3 wide" ~mid_width:2 ~mid:passthrough_mid all
-        in
-        (* pid stability: every worker any plan ran on was forked at
-           pool creation — zero mid-sequence forks *)
-        List.iter
-          (fun (label, pids) ->
-            Alcotest.(check bool)
-              (label ^ ": ran on pool pids only")
-              true
-              (List.for_all (fun p -> List.mem p initial_pids) pids);
-            Alcotest.(check bool) (label ^ ": used workers") true (pids <> []))
-          [ ("plan1", p1); ("plan2", p2); ("plan3", p3) ];
-        (* reuse actually happens across plans *)
-        Alcotest.(check bool) "plans share workers" true
-          (List.exists (fun p -> List.mem p p1) (p2 @ p3));
-        Runtime.pool_shutdown pool;
-        Alcotest.(check int) "shutdown empties pool" 0 (Runtime.pool_free pool)
-  end
 
 (* --- QCheck: arbitrary frames round-trip vs the Wire codec ------------ *)
 
@@ -440,16 +268,9 @@ let () =
             test_full_empty_boundary;
           Alcotest.test_case "overflow frames stay in order" `Quick
             test_overflow_in_order;
-          Alcotest.test_case "socket transport round-trip" `Quick
-            test_socket_transport_roundtrip;
         ] );
       ( "death",
         [ Alcotest.test_case "SIGKILLed peer" `Quick test_sigkill_peer ] );
-      ( "pool",
-        [
-          Alcotest.test_case "three plans on stable pids" `Quick
-            test_pool_stable_pids;
-        ] );
       ( "codec",
         [
           QCheck_alcotest.to_alcotest qcheck_roundtrip;

@@ -26,7 +26,6 @@ let item_opt_equal a b =
 let msg_equal a b =
   match (a, b) with
   | Wire.Init, Wire.Init
-  | Wire.Unbind, Wire.Unbind
   | Wire.Finalize, Wire.Finalize
   | Wire.Next, Wire.Next
   | Wire.Src_finalize, Wire.Src_finalize
@@ -34,7 +33,6 @@ let msg_equal a b =
   | Wire.Done, Wire.Done
   | Wire.Out None, Wire.Out None ->
       true
-  | Wire.Bind x, Wire.Bind y -> Bytes.equal x y
   | Wire.Item x, Wire.Item y -> item_equal x y
   | Wire.Batch xs, Wire.Batch ys ->
       List.length xs = List.length ys && List.for_all2 item_equal xs ys
@@ -63,8 +61,6 @@ let msg_equal a b =
 
 let msg_name = function
   | Wire.Init -> "Init"
-  | Wire.Bind blob -> Printf.sprintf "Bind[%d bytes]" (Bytes.length blob)
-  | Wire.Unbind -> "Unbind"
   | Wire.Item (Engine.Data _) -> "Item Data"
   | Wire.Item (Engine.Final _) -> "Item Final"
   | Wire.Item Engine.Marker -> "Item Marker"
@@ -91,9 +87,6 @@ let msg_name = function
 let samples =
   [
     Wire.Init;
-    Wire.Bind (Bytes.of_string "opaque role blob \x00\x01\xff");
-    Wire.Bind Bytes.empty;
-    Wire.Unbind;
     Wire.Item (Engine.Data (buffer "payload bytes"));
     Wire.Item (Engine.Data (buffer ~packet:0 ""));
     Wire.Item (Engine.Final (buffer ~packet:max_int "final"));
