@@ -904,7 +904,7 @@ let throughput_smoke () =
 
 (* The same streambench cell on the proc backend across the
    credit-window × batch grid: inflight {1, 4, 16}, each at batch 1, 64
-   and 512.  The vs_strict column is items/s against inflight=1 at the
+   and 512.  The vs_w1 column is items/s against inflight=1 at the
    same batch, so it isolates what credit-based pipelining buys; ring
    slots are planner-sized from the batch plan
    ({!Datacutter.Engine.plan_frame_bytes}) so the overflow column stays
@@ -976,7 +976,7 @@ let transport () =
   in
   List.iter
     (fun b ->
-      let strict = ref None in
+      let w1 = ref None in
       let deepest = ref None in
       List.iter
         (fun w ->
@@ -984,10 +984,10 @@ let transport () =
           match leg ~inflight:w ~b with
           | None -> Record.proc_unavailable label "fork unavailable"
           | Some (t, overflow, stall) ->
-              if w = 1 then strict := Some t;
+              if w = 1 then w1 := Some t;
               deepest := Some (w, t);
               let rate = items /. t in
-              let vs = match !strict with Some t1 -> t1 /. t | None -> 1.0 in
+              let vs = match !w1 with Some t1 -> t1 /. t | None -> 1.0 in
               Record.row ~tags:[ ("backend", "proc") ] label
                 [
                   ("batch", float_of_int b);
@@ -996,7 +996,7 @@ let transport () =
                   ("items_per_s", rate);
                   ("overflow_frames", float_of_int overflow);
                   ("credit_stall_s", stall);
-                  ("vs_strict", vs);
+                  ("vs_w1", vs);
                 ];
               print_row "shm"
                 [
@@ -1009,9 +1009,10 @@ let transport () =
                   Fmt.str "%.2f" vs;
                 ])
         [ 1; 4; 16 ];
-      match (!strict, !deepest) with
+      match (!w1, !deepest) with
       | Some t1, Some (w, t) when w > 1 ->
-          Fmt.pr "  B=%d: inflight=%d is %.2fx strict items/s@." b w (t1 /. t)
+          Fmt.pr "  B=%d: inflight=%d is %.2fx inflight=1 items/s@." b w
+            (t1 /. t)
       | _ -> ())
     [ 1; 64; 512 ]
 

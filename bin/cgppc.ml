@@ -124,6 +124,18 @@ let config_conv : int array Cmdliner.Arg.conv =
   in
   Cmdliner.Arg.conv (parse, print)
 
+(* --inflight N: the credit window, a usage error outside the range
+   the proc backend runs, so the metrics never report a window the run
+   did not use. *)
+let inflight_conv : int Cmdliner.Arg.conv =
+  let max = Datacutter.Proc_runtime.max_inflight in
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 && n <= max -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "bad inflight %S (want 1-%d)" s max))
+  in
+  Cmdliner.Arg.conv (parse, Fmt.int)
+
 let config_label widths =
   String.concat "-" (Array.to_list (Array.map string_of_int widths))
 
@@ -364,18 +376,14 @@ let run file target widths strategy backend parallel cluster_spec trace mjson
     m
   in
   (* Credit window and ring-slot geometry for the proc backend: an
-     explicit --inflight (or the CGPPC_INFLIGHT env var, which the
-     runtime reads itself) wins; otherwise the cost model picks the
+     explicit --inflight wins; otherwise the cost model picks the
      window, and the batch plan's largest frame sizes the ring slots so
      batched runs stay off the overflow path. *)
   let pick_inflight derived =
     match inflight with
     | Some _ -> inflight
     | None ->
-        if
-          backend <> Datacutter.Runtime.Proc
-          || Sys.getenv_opt "CGPPC_INFLIGHT" <> None
-        then None
+        if backend <> Datacutter.Runtime.Proc then None
         else Some (derived ())
   in
   (* A failed run still writes the metrics document — with the
@@ -725,18 +733,18 @@ let backend_arg =
 let inflight_arg =
   Arg.(
     value
-    & opt (some int) None
+    & opt (some inflight_conv) None
     & info [ "inflight" ] ~docv:"N"
         ~doc:
           "Credit window for $(b,--backend proc): keep up to $(docv) \
            frames in flight to each worker before waiting for an \
-           acknowledgement (clamped to 1-16; at $(docv)=1 each frame \
-           settles right after its send, which is also the depth copies \
-           with injected faults run at). Default: derived from the cost model's \
-           per-item service time against the assumed worker round trip, \
-           honouring the $(b,CGPPC_INFLIGHT) environment variable. The \
-           metrics JSON reports the window and the credit-stall seconds \
-           under $(b,transport).")
+           acknowledgement ($(docv) from 1 to 16, anything else is a \
+           usage error; at $(docv)=1 each frame settles right after its \
+           send, which is also the depth copies with injected faults run \
+           at). Default: derived from the cost model's per-item service \
+           time against the assumed worker round trip. The metrics JSON \
+           reports the window and the credit-stall seconds under \
+           $(b,transport).")
 
 let parallel_arg =
   Arg.(

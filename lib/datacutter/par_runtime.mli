@@ -1,11 +1,12 @@
 (** Domain backend of the filter-stream {!Engine}: real parallel
-    execution on OCaml 5 domains.
+    execution on OCaml 5 domains, and the copy driver {!Proc_runtime}
+    runs too.
 
     Each filter copy runs on its own domain; streams are bounded
     blocking queues ({!Bqueue}, backpressure like DataCutter's fixed
     buffer pool).  The protocol — routing, the EOS drain barrier,
     retry / retire / re-route, recovery and stall accounting — lives in
-    {!Engine}; this backend is the scheduler: one domain per copy, a
+    {!Engine}; this module is the scheduler: one domain per copy, a
     blocking push as the executor's [send], real sleeps for backoff,
     and retention-ring replay (outputs suppressed) to rebuild a crashed
     copy's state before re-attempting the failed call.  Whole-stage
@@ -17,7 +18,7 @@
     measure the seconds spent blocked (producers on a full queue,
     consumers on an empty one) into the engine's stall grids.
 
-    Prefer the {!Runtime} facade; this entry point is the backend
+    Prefer the {!Runtime} facade; [run_result] is the backend
     implementation behind [Runtime.run_result ~backend:Par]. *)
 
 val run_result :
@@ -47,3 +48,75 @@ val run_result :
     temp dir instead of blocking, poppers read them back in FIFO
     order, and the dir is removed on every exit path.  See
     {!Engine.plan_queue_budgets}. *)
+
+(** {2 The copy driver}
+
+    [run_result] is {!drive} with every copy local.  A backend that
+    runs some copies' callbacks elsewhere (another process) says so per
+    copy with a {!placement}; the driver keeps queues, supervision,
+    replay, retirement and the drain barrier for every copy either
+    way. *)
+
+(** A filter copy's callbacks as round trips. *)
+type calls = {
+  fresh : unit -> unit;  (** a fresh executor, before a restart's replay *)
+  init : unit -> unit;
+  call : Engine.item -> Filter.buffer option;
+      (** [Data] runs [process], [Final] runs [on_eos] *)
+  finalize : unit -> Filter.buffer option;
+  on_fail : unit -> unit;  (** runs before every crash decision *)
+}
+
+(** A remote source copy. *)
+type source = {
+  start : unit -> unit;  (** instantiate, before the stream *)
+  stream : (Engine.item -> unit) -> unit;
+      (** produce every item into the given downstream send, with its
+          own retry loop; raising retires the source *)
+  src_finalize : unit -> Filter.buffer option;
+}
+
+(** A remote filter copy's pipelined data path. *)
+type window = {
+  submit : Engine.item list -> unit;
+      (** [Data] items, sent as one frame; owned by the window from the
+          call on, even while it waits for credit *)
+  drain : unit -> unit;  (** settle everything in flight *)
+  take_unacked : unit -> Engine.item list;
+      (** empty the window on retirement, returning what it still owed *)
+}
+
+type placement =
+  | Local  (** callbacks run on the copy's driver domain *)
+  | Remote_source of source
+  | Remote_filter of
+      calls
+      * (ack:(Engine.item -> Filter.buffer option -> unit) ->
+        recover:(exn -> (unit -> unit) -> unit) ->
+        window)
+      (** The window is built with the driver's [ack it out] (count
+          [it] done, forward [out], retain [it] for replay) and
+          [recover err resend] (the crash protocol after [err]: on a
+          retry restart, replay the ring, then [resend]; raises [err]
+          on give-up). *)
+
+val slow_down : Engine.copy -> since:float -> unit
+(** Sleep the copy's scripted slowdown for a call that started at
+    [since]. *)
+
+val drive :
+  Engine.t ->
+  backend:Engine.backend ->
+  queue_capacity:int ->
+  ?metrics_interval_s:float ->
+  ?place:(Engine.copy -> placement) ->
+  ?teardown:(unit -> unit) ->
+  ?extra:(unit -> (string * Obs.Json.t) list) ->
+  unit ->
+  (Engine.metrics, Supervisor.run_error) result
+(** Run [eng] to completion: one driver domain per copy, the
+    autoscaler, watchdog and sampler monitor domains, then the joins.
+    [place] (default every copy {!Local}) is asked once per copy, on its
+    driver domain.  [teardown] runs after every domain has joined and
+    the queues are closed, before the wall clock stops; [extra] adds
+    metrics sections. *)

@@ -2,17 +2,19 @@
     forked per run, items serialized as {!Wire} frames over a
     per-worker shared-memory ring pair ({!Shm}).
 
-    The parent process keeps the whole {!Engine} protocol — queues,
-    routing, the EOS drain barrier, fault ticking, the retry/retire/
-    re-route supervisor, metrics — with one driver domain per copy
-    exactly like {!Par_runtime}; children only execute filter
-    callbacks.  Sink copies run in the parent so their closures (result
-    collectors) mutate caller-visible memory.  A crash decision kills
-    the copy's child with [SIGKILL], observes the real exit status with
-    [waitpid], and restarts onto a pre-forked spare (forking after
-    domains exist is unsafe in OCaml 5, so each inner copy pre-forks
-    [max_retries] spares); the retention ring is then replayed over the
-    wire like the domain backend replays it in memory.
+    This is the copy driver of {!Par_runtime} ({!Par_runtime.drive})
+    with source and inner copies placed remote: the parent keeps the
+    whole {!Engine} protocol — queues, routing, the EOS drain barrier,
+    fault ticking, the retry/retire/re-route supervisor, metrics — on
+    one driver domain per copy; children only execute filter
+    callbacks.  Sink copies stay local so their closures (result
+    collectors) mutate caller-visible memory.  What this module adds
+    is the worker plumbing: fork, the worker loop, the frame channel
+    and the credit window.  A crash decision kills the copy's child
+    with [SIGKILL], observes the real exit status with [waitpid], and
+    restarts onto a pre-forked spare (forking after domains exist is
+    unsafe in OCaml 5, so each inner copy pre-forks [max_retries]
+    spares); the driver then replays the retention ring over the wire.
 
     Must be called while the calling process is still single-domain
     (the facade's normal use); workers are forked before any driver
@@ -20,6 +22,9 @@
 
 val available : bool
 (** Whether this platform can run the backend ([Unix.fork]). *)
+
+val max_inflight : int
+(** The largest credit window, 16. *)
 
 val run_result :
   ?queue_capacity:int ->
@@ -45,8 +50,7 @@ val run_result :
 
     [inflight] is the credit window: how many frames each driver keeps
     in flight to its worker before waiting for an acknowledgement
-    (default 4, clamped to [1, 16]; the [CGPPC_INFLIGHT] env var
-    overrides the default when the argument is omitted).  There is one
+    (default 4, clamped to [1, {!max_inflight}]).  There is one
     driver at every depth: at 1 each frame settles right after its
     send.  Copies with injected faults run that same window at depth 1,
     so scripted crash timing is independent of the window.

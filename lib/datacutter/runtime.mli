@@ -43,8 +43,8 @@ val run_result :
 
     [inflight] (Proc only) is the credit window — how many frames each
     driver keeps in flight to its worker before waiting for an
-    acknowledgement (default 4, clamp [1, 16], [CGPPC_INFLIGHT]
-    overrides the default; see {!Proc_runtime.run_result}); the metrics
+    acknowledgement (default 4, clamp [1, 16]; see
+    {!Proc_runtime.run_result}); the metrics
     carry it under ["transport"] (an object: kind, inflight, ring
     stats, credit-stall seconds).  [frame_bytes] (Proc only) sizes the
     shared-memory ring slots for the largest expected wire frame

@@ -19,7 +19,9 @@
      agreeing with the cost model or carrying per-stage error numbers;
    - a proc run where shared-memory rings cannot be mapped exits with
      the documented Unsupported code (7) and says so in the metrics
-     JSON.
+     JSON;
+   - an --inflight outside 1-16 is a usage error (exit 124), not a run
+     whose metrics report a window it did not use.
 
    The cgppc binary path arrives as argv(1) from the dune rule. *)
 
@@ -245,6 +247,22 @@ let no_shm_leg () =
   check "no-shm: error kind is not \"unsupported\""
     (J.to_str (J.member "kind" (J.member "error" doc)) = "unsupported")
 
+let inflight_range_leg () =
+  List.iter
+    (fun n ->
+      let log = Filename.concat base (Printf.sprintf "inflight-%d.log" n) in
+      let rc =
+        Sys.command
+          (Printf.sprintf
+             "%s run -a streambench --backend proc --inflight %d > %s 2>&1"
+             (Filename.quote cgppc) n (Filename.quote log))
+      in
+      if rc <> 124 then begin
+        (try prerr_endline (read_file log) with _ -> ());
+        die "--inflight %d exited %d, expected 124 (usage error)" n rc
+      end)
+    [ 0; 17 ]
+
 let () =
   J.mkdir_p base;
   let legs = [ "sim"; "par" ] @ if Datacutter.Proc_runtime.available then [ "proc" ] else [] in
@@ -256,6 +274,7 @@ let () =
   let doc, _, _, log = run_leg ~analyze:true ~trace:false "sim" in
   analyze_checks doc log;
   if Datacutter.Proc_runtime.available then no_shm_leg ();
+  inflight_range_leg ();
   ignore (Sys.command (Printf.sprintf "rm -rf %s" (Filename.quote base)));
   Printf.printf "obs-smoke ok: %s telemetry + openmetrics + attribution verified\n"
     (String.concat "/" legs)
