@@ -229,11 +229,11 @@ let maybe_refill q =
           Mutex.unlock q.mutex;
           raise e)
 
-let push q x =
+let push_gen ~bounded q x =
   let t0 = Obs.Clock.elapsed_s () in
   Mutex.lock q.mutex;
   (match q.spill with
-  | None ->
+  | None when bounded ->
       while
         Queue.length q.items >= q.capacity
         && (not (Atomic.get q.stop))
@@ -241,7 +241,7 @@ let push q x =
       do
         Condition.wait q.not_full q.mutex
       done
-  | Some _ -> ());
+  | _ -> ());
   check_stop q;
   if q.closed then begin
     Mutex.unlock q.mutex;
@@ -261,6 +261,9 @@ let push q x =
   enqueued q 1;
   Mutex.unlock q.mutex;
   blocked
+
+let push q x = push_gen ~bounded:true q x
+let push_token q x = ignore (push_gen ~bounded:false q x)
 
 (* Enqueue the whole batch, in waves when it exceeds the free space (or
    even the capacity): each wave waits for room for at least one item,

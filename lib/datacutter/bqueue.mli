@@ -59,6 +59,13 @@ val create :
     @raise Closed once the queue is closed. *)
 val push : 'a t -> 'a -> float
 
+(** Non-blocking push past the capacity, for control tokens: a consumer
+    may push one into its own queue, where waiting for room would wait
+    on itself.  FIFO with every other push.
+    @raise Aborted once [stop] is set.
+    @raise Closed once the queue is closed. *)
+val push_token : 'a t -> 'a -> unit
+
 (** Push a whole batch under one lock acquisition, waking consumers
     once per wave.  Batches larger than the free space (or even the
     capacity) are enqueued in waves, each waiting for room for at least

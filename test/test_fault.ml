@@ -358,6 +358,97 @@ let test_par_crash_retire () =
       A.(check int) "one copy retired" 1 r.Supervisor.retired;
       A.(check bool) "its traffic re-routed" true (r.Supervisor.rerouted >= 1)
 
+(* The copy completing the stage drain barrier may find its own queue
+   full.  Copy 1.1's window drain at the barrier edge is slow, as a
+   remote copy's is: while it drains, retired copy 1.0's zombie
+   re-routes the packet it died on into 1.1's one-slot queue and counts
+   its quota first, so 1.1 completes the barrier with a full queue.
+   Its [Release] token must not wait for room it alone can make. *)
+let test_par_barrier_own_queue_full () =
+  let sink, got = recording_sink () in
+  let n = 20 in
+  (* round robin hands copy 0 the even packets; it dies on its last *)
+  let inner copy =
+    {
+      (Filter.pass_through "mid") with
+      Filter.process =
+        (fun b ->
+          if copy = 0 && b.Filter.packet = n - 2 then begin
+            Unix.sleepf 0.05;
+            failwith "mid copy 0 down"
+          end;
+          (Some b, 1.0));
+    }
+  in
+  let topo =
+    topo3 ~widths:(1, 2, 1) ~source:(counting_source n) ~inner ~sink ()
+  in
+  let policy =
+    {
+      Supervisor.default_policy with
+      Supervisor.max_retries = 0;
+      watchdog_ms = Some 2000;
+    }
+  in
+  let eng =
+    match Engine.create ~policy ~queue_capacity:1 topo with
+    | Ok eng -> eng
+    | Error e -> A.failf "engine rejected: %a" Supervisor.pp_run_error e
+  in
+  let slow_drain () =
+    let f = Filter.pass_through "mid" in
+    let call = function
+      | Engine.Data b -> fst (f.Filter.process b)
+      | Engine.Final b -> fst (f.Filter.on_eos (Some b))
+      | Engine.Marker -> None
+    in
+    Par_runtime.Remote_filter
+      ( {
+          Par_runtime.fresh = ignore;
+          init = ignore;
+          call;
+          finalize = (fun () -> fst (f.Filter.finalize ()));
+          on_fail = ignore;
+        },
+        fun ~ack ~recover:_ ->
+          {
+            Par_runtime.submit = List.iter (fun it -> ack it (call it));
+            drain = (fun () -> Unix.sleepf 0.2);
+            take_unacked = (fun () -> []);
+          } )
+  in
+  let place (cs : Engine.copy) =
+    if cs.Engine.stage = 1 && cs.Engine.index = 1 then slow_drain ()
+    else Par_runtime.Local
+  in
+  (* a deadlocked barrier blocks outside the watchdog's view: give the
+     run a time limit of its own *)
+  let outcome = Atomic.make None in
+  let runner =
+    Domain.spawn (fun () ->
+        Atomic.set outcome
+          (Some
+             (Par_runtime.drive eng ~backend:Engine.Par ~queue_capacity:1
+                ~place ())))
+  in
+  let deadline = Unix.gettimeofday () +. 10.0 in
+  let rec await () =
+    match Atomic.get outcome with
+    | Some r ->
+        Domain.join runner;
+        r
+    | None when Unix.gettimeofday () > deadline ->
+        A.fail "run still blocked after 10 s: the drain barrier deadlocked"
+    | None ->
+        Unix.sleepf 0.01;
+        await ()
+  in
+  match await () with
+  | Error e -> A.failf "run failed: %a" Supervisor.pp_run_error e
+  | Ok m ->
+      expect_packets n (got ());
+      A.(check int) "one copy retired" 1 m.Engine.recovery.Supervisor.retired
+
 (* --- the stall watchdog --- *)
 
 let test_watchdog_trips_on_deadlock () =
@@ -483,6 +574,7 @@ let suite =
     ("slowdown shifts bottleneck (sim+par)", `Quick, test_slowdown_shifts_bottleneck);
     ("par crash restart with replay", `Quick, test_par_crash_restart);
     ("par crash retire and re-route", `Quick, test_par_crash_retire);
+    ("par barrier with own queue full", `Quick, test_par_barrier_own_queue_full);
     ("watchdog trips on deadlock", `Quick, test_watchdog_trips_on_deadlock);
     ("watchdog quiet on healthy run", `Quick, test_watchdog_quiet_on_healthy_run);
     ("runtime topology validation", `Quick, test_validation);

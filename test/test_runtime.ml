@@ -468,6 +468,25 @@ let test_bqueue_close_while_batch_blocked () =
   | `Got -> A.fail "popper got items from an empty closed queue"
   | `Aborted -> A.fail "popper saw Aborted, expected Closed"
 
+(* A control token never waits for room: [push_token] into a full
+   queue returns at once and keeps FIFO order behind the backlog. *)
+let test_bqueue_token_past_capacity () =
+  let stop = Atomic.make false in
+  let q : int Bqueue.t = Bqueue.create ~stop 2 in
+  ignore (Bqueue.push q 0);
+  ignore (Bqueue.push q 1);
+  Bqueue.push_token q 2;
+  A.(check int) "token enqueued past capacity" 3 (Bqueue.length q);
+  List.iter
+    (fun want ->
+      let x, _ = Bqueue.pop q in
+      A.(check int) "FIFO behind the backlog" want x)
+    [ 0; 1; 2 ];
+  Bqueue.close q;
+  match Bqueue.push_token q 3 with
+  | () -> A.fail "push_token after close must raise Closed"
+  | exception Bqueue.Closed -> ()
+
 let suite =
   [
     ("all packets delivered", `Quick, test_all_packets_delivered);
@@ -488,6 +507,7 @@ let suite =
     ( "bqueue close while batch-blocked",
       `Quick,
       test_bqueue_close_while_batch_blocked );
+    ("bqueue token past capacity", `Quick, test_bqueue_token_past_capacity);
   ]
 
 let () = Alcotest.run "runtime" [ ("runtime", suite) ]
