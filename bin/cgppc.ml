@@ -390,7 +390,8 @@ let run file target widths strategy backend parallel cluster_spec trace mjson
      structured error in place of runtime counters — so harnesses can
      diagnose from the JSON alone; then the process exits with the
      error's documented code (watchdog 3, stage death 4, protocol 5,
-     invalid topology 6, unsupported backend 7). *)
+     invalid topology 6, unsupported backend 7, elastic copy budget 8,
+     worker setup 9). *)
   let write_failure fill err =
     (match mjson with
     | None -> ()
@@ -950,6 +951,11 @@ let run_exits =
        ~doc:"The elastic copy budget was refused: $(b,--autoscale) got \
              a non-positive budget, or the pipeline has no inner stage \
              to scale."
+  :: Cmd.Exit.info 9
+       ~doc:"The $(b,proc) backend could not create its workers: a fork \
+             or a shared-memory ring failed for lack of resources (file \
+             descriptors, memory or processes).  Every worker already \
+             started was shut down."
   :: Cmd.Exit.defaults
 
 let run_cmd =

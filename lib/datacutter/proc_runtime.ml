@@ -40,8 +40,13 @@ exception Remote_crash of string
 type worker = { pid : int; conn : Shm.conn }
 
 (* Per-copy worker state, touched only by the copy's own driver domain
-   (and by teardown after the joins). *)
-type handle = { mutable active : worker option; mutable spares : worker list }
+   (and by teardown after the joins).  [depth] is the copy's credit
+   window, fixed before its workers are forked: it sized their rings. *)
+type handle = {
+  depth : int;
+  mutable active : worker option;
+  mutable spares : worker list;
+}
 
 (* --- the child ------------------------------------------------------- *)
 
@@ -319,11 +324,12 @@ type win_frame = { mutable wf_items : Engine.item list; wf_bytes : int }
 
 let default_inflight = 4
 
-(* Hard cap on the per-worker window.  16 is a quarter of the default
-   ring (the window can never fill the ring, so a pipelined [send]
-   never blocks on a full ring while responses back up — the classic
-   bidirectional-pipe deadlock) and past it the round trip is already
-   fully hidden on any host this targets. *)
+(* Hard cap on the per-worker window: past 16 the round trip is already
+   fully hidden on any host this targets.  Each worker's rings get
+   [Shm.plan_slots ~depth] slots, at least four windows, so the window
+   can never fill a ring and a pipelined [send] never blocks on a full
+   ring while responses back up — the classic bidirectional-pipe
+   deadlock.  At the cap that is 64 slots. *)
 let max_inflight = 16
 
 (* In-flight request bytes one window may hold.  Frames too big for a
@@ -426,11 +432,12 @@ let run_result ?(queue_capacity = 64) ?faults ?policy ?batch ?stage_batch
      filters run in the parent).  Dormant elastic slots get their full
      worker complement up front too — forking after a domain exists is
      impossible in OCaml 5, so a mid-run spawn can only promote
-     pre-forked processes.  Each worker gets a fresh [Shm.pair]. *)
+     pre-forked processes.  Each worker gets a fresh [Shm.pair] sized
+     from its copy's window depth. *)
   let all_workers : worker list ref = ref [] in
-  let obtain cs =
+  let obtain ~slots cs =
     let s = cs.Engine.stage and k = cs.Engine.index in
-    let parent_conn, child_conn = Shm.pair ?slot_bytes Shm.Shm in
+    let parent_conn, child_conn = Shm.pair ~slots ?slot_bytes Shm.Shm in
     let w =
       match Unix.fork () with
       | 0 ->
@@ -443,6 +450,10 @@ let run_result ?(queue_capacity = 64) ?faults ?policy ?batch ?stage_batch
       | pid ->
           Shm.close child_conn;
           { pid; conn = parent_conn }
+      | exception e ->
+          Shm.close parent_conn;
+          Shm.close child_conn;
+          raise e
     in
     all_workers := w :: !all_workers;
     Hashtbl.replace pid_copy w.pid (s, k);
@@ -451,36 +462,45 @@ let run_result ?(queue_capacity = 64) ?faults ?policy ?batch ?stage_batch
         (Printf.sprintf "cgpp worker %s" (label s k));
     w
   in
-  let handles_or_err =
-    try
-      Ok
-        (Array.init n_stages (fun s ->
-             Array.init (Engine.slots eng s) (fun k ->
-                 let cs = Engine.copy_at eng ~stage:s ~copy:k in
-                 if Engine.is_sink_stage eng s then None
-                 else
-                   (* stage 0 is the source stage *)
-                   let n_spares =
-                     if s = 0 then 0 else policy.Supervisor.max_retries
-                   in
-                   Some
-                     {
-                       active = Some (obtain cs);
-                       spares = List.init n_spares (fun _ -> obtain cs);
-                     })))
-    with Failure msg ->
-      (* OCaml 5 permanently refuses [Unix.fork] once any domain has
-         ever been spawned in this process — report it like a platform
-         without fork instead of crashing, after reaping whatever we
-         managed to fork. *)
-      List.iter (shutdown_worker "aborted-setup") !all_workers;
-      Error msg
+  (* A copy's workers.  Its window depth is decided here, once: a
+     fault-injected copy runs at depth 1 — each frame settles right
+     after its send and [Fault.tick] runs only on an empty window, so
+     scripted faults fire at the same item as on a local copy. *)
+  let copy_workers (cs : Engine.copy) =
+    let depth = if Fault.inert cs.Engine.fstate then inflight else 1 in
+    let slots = Shm.plan_slots ~depth in
+    (* stage 0 is the source stage *)
+    let n_spares =
+      if cs.Engine.stage = 0 then 0 else policy.Supervisor.max_retries
+    in
+    let active = obtain ~slots cs in
+    let spares = List.init n_spares (fun _ -> obtain ~slots cs) in
+    { depth; active = Some active; spares }
   in
-  match handles_or_err with
-  | Error msg ->
+  match
+    Array.init n_stages (fun s ->
+        Array.init (Engine.slots eng s) (fun k ->
+            if Engine.is_sink_stage eng s then None
+            else Some (copy_workers (Engine.copy_at eng ~stage:s ~copy:k))))
+  with
+  | exception e -> (
+      (* Reap whatever was forked before the failure, so no worker
+         outlives the run and no channel fd stays open. *)
+      List.iter (shutdown_worker "aborted-setup") !all_workers;
       restore_sigpipe ();
-      Error (Supervisor.Unsupported msg)
-  | Ok handles ->
+      match e with
+      | Failure msg ->
+          (* OCaml 5 permanently refuses [Unix.fork] once any domain
+             has ever been spawned in this process — report it like a
+             platform without fork. *)
+          Error (Supervisor.Unsupported msg)
+      | Unix.Unix_error (err, fn, _) ->
+          Error
+            (Supervisor.Setup_failed
+               (Printf.sprintf "%s: %s" fn (Unix.error_message err)))
+      | Sys_error msg -> Error (Supervisor.Setup_failed msg)
+      | e -> raise e)
+  | handles ->
   (* Kill the current worker (real SIGKILL + waitpid) — the injected
      or real crash this copy just took becomes a dead OS process. *)
   let kill_active lbl (h : handle) =
@@ -503,13 +523,10 @@ let run_result ?(queue_capacity = 64) ?faults ?policy ?batch ?stage_batch
     let s = cs.Engine.stage and k = cs.Engine.index in
     let lbl = label s k in
     let charge name f = Engine.timed_call eng cs ~name f in
-    (* Credit window depth.  A fault-injected copy runs at depth 1: each
-       frame settles right after its send and [Fault.tick] runs only on
-       an empty window, so scripted faults fire at the same item as on
-       a local copy.  An inert copy's tick is pure accounting, so inert
-       copies skip it and its clock reads. *)
+    (* An inert copy's tick is pure accounting, so inert copies skip it
+       and its clock reads. *)
     let inert = Fault.inert cs.Engine.fstate in
-    let depth = if inert then inflight else 1 in
+    let depth = h.depth in
     (* A transport failure means the worker is gone: it is reaped
        before the copy sees the [Remote_crash]. *)
     let worker () =
@@ -853,12 +870,14 @@ let run_result ?(queue_capacity = 64) ?faults ?policy ?batch ?stage_batch
      so they stay readable after close), plus the driver-side
      credit-stall clock. *)
   let transport_section () =
-    let overflow = ref 0 and occ_hw = ref 0 and slot_b = ref 0 in
+    let overflow = ref 0 and occ_hw = ref 0 in
+    let slots = ref 0 and slot_b = ref 0 in
     List.iter
       (fun w ->
         let st = Shm.stats w.conn in
         overflow := !overflow + st.Shm.overflow_frames;
         occ_hw := max !occ_hw st.Shm.occupancy_hw;
+        slots := max !slots st.Shm.slots;
         slot_b := max !slot_b st.Shm.slot_bytes)
       !all_workers;
     let stall_total = ref 0.0 in
@@ -877,6 +896,7 @@ let run_result ?(queue_capacity = 64) ?faults ?policy ?batch ?stage_batch
         ([
            ("kind", Obs.Json.Str (Shm.transport_name Shm.Shm));
            ("inflight", Obs.Json.Int inflight);
+           ("slots", Obs.Json.Int !slots);
            ("slot_bytes", Obs.Json.Int !slot_b);
            ("overflow_frames", Obs.Json.Int !overflow);
            ("ring_occupancy_hw", Obs.Json.Int !occ_hw);

@@ -43,17 +43,21 @@ val run_result :
 (** Run to completion; [Error (Unsupported _)] when {!available} is
     [false], when shared-memory rings cannot be mapped
     ({!Shm.available}), or when this process has already spawned a
-    domain (OCaml 5 then refuses to fork).  The worker channels are
+    domain (OCaml 5 then refuses to fork); [Error (Setup_failed _)]
+    when a fork or a ring mapping fails for lack of resources, after
+    every worker already forked was reaped.  The worker channels are
     reported in the metrics under the ["transport"] key as an object
-    [{kind; inflight; slot_bytes; overflow_frames; ring_occupancy_hw;
-    credit_stall_s; stalls?}], [kind] always ["shm"].
+    [{kind; inflight; slots; slot_bytes; overflow_frames;
+    ring_occupancy_hw; credit_stall_s; stalls?}], [kind] always
+    ["shm"], [slots] the largest ring slot count over the workers.
 
     [inflight] is the credit window: how many frames each driver keeps
     in flight to its worker before waiting for an acknowledgement
     (default 4, clamped to [1, {!max_inflight}]).  There is one
     driver at every depth: at 1 each frame settles right after its
     send.  Copies with injected faults run that same window at depth 1,
-    so scripted crash timing is independent of the window.
+    so scripted crash timing is independent of the window.  Each
+    worker's rings get {!Shm.plan_slots} slots for its copy's depth.
     [frame_bytes] sizes the shared-memory
     ring slots from the expected largest frame (see
     {!Engine.plan_frame_bytes} and {!Shm.plan_slot_bytes}) so batched

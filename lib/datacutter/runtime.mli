@@ -46,8 +46,8 @@ val run_result :
     acknowledgement (default 4, clamp [1, 16]; see
     {!Proc_runtime.run_result}); the metrics
     carry it under ["transport"] (an object: kind, inflight, ring
-    stats, credit-stall seconds).  [frame_bytes] (Proc only) sizes the
-    shared-memory ring slots for the largest expected wire frame
+    slots and stats, credit-stall seconds).  [frame_bytes] (Proc only)
+    sizes the shared-memory ring slots for the largest expected wire frame
     ({!Shm.plan_slot_bytes}) so batched frames stay on the ring.
 
     [autoscale] arms the mid-run elastic-copy controller on every

@@ -73,31 +73,32 @@ let payload_words slot_bytes = (slot_bytes + 7) / 8
    [Int64] view for the control words and a char view of the same
    pages for the payload bytes — so [Wire]/[Wirefmt] can encode
    frames directly into the slot with byte granularity while the
-   seq/len/tail words keep their one-store word semantics. *)
+   seq/len/tail words keep their one-store word semantics.  Nothing is
+   written here: the freshly truncated file already reads as zeros
+   (free slots, tail 0, no parked side), so a page becomes resident
+   only when a slot on it is first written. *)
 let map_ring ~slots ~slot_bytes =
   let slot_words = 2 + payload_words slot_bytes in
   let words = hdr_words + (slots * slot_words) in
   let path = Filename.temp_file "cgppc-ring" ".shm" in
-  let fd = Unix.openfile path [ Unix.O_RDWR ] 0o600 in
-  let bufs =
+  let fd =
     Fun.protect
-      ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-      (fun () ->
-        Unix.unlink path;
-        Unix.ftruncate fd (words * 8);
-        let b64 =
-          Bigarray.array1_of_genarray
-            (Unix.map_file fd Bigarray.int64 Bigarray.c_layout true [| words |])
-        in
-        let bc =
-          Bigarray.array1_of_genarray
-            (Unix.map_file fd Bigarray.char Bigarray.c_layout true
-               [| words * 8 |])
-        in
-        (b64, bc))
+      ~finally:(fun () -> try Unix.unlink path with Unix.Unix_error _ -> ())
+      (fun () -> Unix.openfile path [ Unix.O_RDWR ] 0o600)
   in
-  A1.fill (fst bufs) 0L;
-  bufs
+  Fun.protect
+    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+    (fun () ->
+      Unix.ftruncate fd (words * 8);
+      let b64 =
+        Bigarray.array1_of_genarray
+          (Unix.map_file fd Bigarray.int64 Bigarray.c_layout true [| words |])
+      in
+      let bc =
+        Bigarray.array1_of_genarray
+          (Unix.map_file fd Bigarray.char Bigarray.c_layout true [| words * 8 |])
+      in
+      (b64, bc))
 
 let ring_view (buf, cbuf) ~slots ~slot_bytes =
   {
@@ -198,6 +199,7 @@ let park_timeout = 0.025
 type conn = {
   c_fd : Unix.file_descr;
   db : Unix.file_descr;  (* doorbell: park/wake socketpair, RCVTIMEO-bounded *)
+  db_buf : Bytes.t;  (* drains the doorbell; one domain drives each side *)
   tx : ring;
   rx : ring;
   fd_scratch : Bytes.t ref;  (* receive buffer for overflow frames *)
@@ -230,14 +232,13 @@ let doorbell c r flag_word =
 (* Block until [ready ()]: spin (multicore only), then park — set the
    flag the peer checks, re-check [ready], block reading the doorbell.
    The read is bounded by [SO_RCVTIMEO] (= [park_timeout]), so one
-   syscall both sleeps and drains queued wakeups (the 64-byte buffer
-   empties the pipe in one gulp).  Raise [Peer_dead] only after a
+   syscall both sleeps and drains queued wakeups (the conn's 64-byte
+   buffer empties the pipe in one gulp).  Raise [Peer_dead] only after a
    failed liveness probe (or doorbell EOF) AND one more [ready]
    check — the peer may have published its last frame just before
    dying. *)
 let wait_until c r flag_word ready =
   let set v = A1.unsafe_set r.buf flag_word (if v then 1L else 0L) in
-  let buf = Bytes.create 64 in
   let rec spin n =
     if ready () then ()
     else if n > 0 then begin
@@ -249,7 +250,7 @@ let wait_until c r flag_word ready =
     set true;
     if ready () then set false
     else
-      match Unix.read c.db buf 0 64 with
+      match Unix.read c.db c.db_buf 0 (Bytes.length c.db_buf) with
       | 0 -> dead ()  (* doorbell EOF: peer closed or died *)
       | _ -> park ()  (* woken; the loop re-checks [ready] *)
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> park ()
@@ -300,10 +301,14 @@ let ring_send_msg c msg =
   (* a frame is now available: wake a reader parked on our tx ring *)
   doorbell c r w_rd_parked
 
+(* [send] and [recv] test the ring before entering [wait_until], so a
+   slot that is ready at once costs no allocation. *)
 let send c msg =
-  match wait_until c c.tx w_wr_parked (fun () -> ring_free c.tx) with
-  | () -> ring_send_msg c msg
-  | exception Peer_dead -> epipe "Shm.send"
+  if ring_free c.tx then ring_send_msg c msg
+  else
+    match wait_until c c.tx w_wr_parked (fun () -> ring_free c.tx) with
+    | () -> ring_send_msg c msg
+    | exception Peer_dead -> epipe "Shm.send"
 
 (* Consume the published slot at the rx cursor (caller checked
    [ring_ready]): decode the frame in place from the char view, then
@@ -335,9 +340,11 @@ let ring_consume c =
   end
 
 let recv c =
-  match wait_until c c.rx w_rd_parked (fun () -> ring_ready c.rx) with
-  | () -> ring_consume c
-  | exception Peer_dead -> None
+  if ring_ready c.rx then ring_consume c
+  else
+    match wait_until c c.rx w_rd_parked (fun () -> ring_ready c.rx) with
+    | () -> ring_consume c
+    | exception Peer_dead -> None
 
 let try_send c msg =
   ring_free c.tx
@@ -436,6 +443,7 @@ let pair ?(slots = default_slots) ?(slot_bytes = default_slot_bytes) Shm =
         {
           c_fd = fd;
           db;
+          db_buf = Bytes.create 64;
           tx = ring_view tx_buf ~slots ~slot_bytes;
           rx = ring_view rx_buf ~slots ~slot_bytes;
           fd_scratch = ref (Bytes.create 256);
@@ -457,12 +465,23 @@ let pair ?(slots = default_slots) ?(slot_bytes = default_slot_bytes) Shm =
       (try Unix.close fd_b with Unix.Unix_error _ -> ());
       raise e
 
-(* Ring slot geometry derived from the batch planner's frame-size
+(* Ring slot count derived from the credit window: the smallest power
+   of two holding four windows, and at least 8.  A window then never
+   fills more than a quarter of the request ring, and the responses to
+   a full window, each possibly preceded by a telemetry frame, never
+   fill more than half of the response ring — so a pipelined [send]
+   cannot block while responses back up. *)
+let min_slots = 8
+
+let plan_slots ~depth =
+  let rec up n = if n >= 4 * depth then n else up (2 * n) in
+  up min_slots
+
+(* Ring slot size derived from the batch planner's frame-size
    estimate: the next power of two that fits the largest planned frame
    (plus a little framing slack), clamped to [default, 2 MiB] so a
-   wild estimate cannot map gigabytes per worker.  Slot count stays
-   fixed — capacity scales via slot size, keeping the header layout
-   and park protocol untouched. *)
+   wild estimate cannot map gigabytes per worker.  The slot count comes
+   from the window depth ([plan_slots]), never from the frame size. *)
 let max_slot_bytes = 2 * 1024 * 1024
 
 let plan_slot_bytes ~frame_bytes =

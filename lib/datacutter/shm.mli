@@ -21,7 +21,8 @@
     a [MSG_PEEK] probe on the control socket, so it surfaces as EOF
     ([recv] → [None]) or [EPIPE] ([send]).  Ring memory is an unlinked
     temp file: the kernel reclaims it with the last mapping, so a
-    SIGKILLed process leaks nothing.
+    SIGKILLed process leaks nothing.  Mapping a ring writes no page; a
+    page becomes resident when a slot on it is first written.
 
     Endpoint discipline: build the pair {e before} forking, then use
     each endpoint from exactly one process (the rings are single
@@ -49,6 +50,14 @@ val pair : ?slots:int -> ?slot_bytes:int -> transport -> conn * conn
     [slots] (power of two, default 64) and [slot_bytes] (frame payload
     capacity per slot, default 16 KiB) size each ring.  Raises
     [Unix.Unix_error] / [Sys_error] when the rings cannot be mapped. *)
+
+val plan_slots : depth:int -> int
+(** Ring slot count for a channel whose credit window holds [depth]
+    frames: the smallest power of two [>= 4 * depth], at least 8.  The
+    window then never fills more than a quarter of the request ring,
+    and [depth] responses, each preceded by a telemetry frame, fit the
+    response ring — so a pipelined send never blocks while responses
+    back up. *)
 
 val plan_slot_bytes : frame_bytes:int -> int
 (** Ring slot size for a run whose largest planned frame is

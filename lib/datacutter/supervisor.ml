@@ -108,6 +108,7 @@ type run_error =
   | Stalled of { after_s : float; report : copy_report list }
   | Unsupported of string
   | Copy_budget of string
+  | Setup_failed of string
 
 exception Run_failed of run_error
 
@@ -149,6 +150,9 @@ let run_error_to_json = function
   | Copy_budget msg ->
       Obs.Json.Obj
         [ ("kind", Obs.Json.Str "copy_budget"); ("error", Obs.Json.Str msg) ]
+  | Setup_failed msg ->
+      Obs.Json.Obj
+        [ ("kind", Obs.Json.Str "setup_failed"); ("error", Obs.Json.Str msg) ]
 
 let pp_copy_report ppf cr =
   Fmt.pf ppf "%-16s %-12s items=%d queue=%d bytes=%d" cr.cr_label cr.cr_state
@@ -167,12 +171,14 @@ let pp_run_error ppf = function
         report
   | Unsupported msg -> Fmt.pf ppf "backend unsupported: %s" msg
   | Copy_budget msg -> Fmt.pf ppf "copy budget: %s" msg
+  | Setup_failed msg -> Fmt.pf ppf "worker setup failed: %s" msg
 
 (* Distinct process exit codes so soak scripts can triage structured
    failures without parsing stderr.  3/4/5 are the triage classes the
-   robustness docs commit to; 6/7 cover the remaining constructors and
+   robustness docs commit to; 6/7 cover the remaining constructors,
    8 the elastic-copy budget (an autoscale plan the engine refused, a
-   different triage bucket than a malformed topology).  cmdliner
+   different triage bucket than a malformed topology) and 9 a worker
+   setup the host's resources refused.  cmdliner
    reserves 123-125, so small codes are safe. *)
 let exit_code_of = function
   | Stalled _ -> 3
@@ -190,6 +196,7 @@ let exit_code_of = function
   | Invalid_topology _ -> 6
   | Unsupported _ -> 7
   | Copy_budget _ -> 8
+  | Setup_failed _ -> 9
 
 (* --- topology validation ---
 

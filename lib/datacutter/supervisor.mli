@@ -87,6 +87,11 @@ type run_error =
       (** the elastic-copy budget was invalid or exhausted before the
           run could start: an autoscale request the engine refused
           outright (budget <= 0, or no inner stage to grow) *)
+  | Setup_failed of string
+      (** the process backend could not create its workers: a
+          [Unix.fork] or a ring mapping failed for lack of resources
+          (EMFILE, ENOMEM, EAGAIN).  Every worker already forked was
+          reaped before the run returned. *)
 
 (** Raised by the compatibility [run] wrappers; prefer [run_result]. *)
 exception Run_failed of run_error
@@ -101,7 +106,8 @@ val pp_run_error : Format.formatter -> run_error -> unit
     layer), 6 = invalid topology, 7 = unsupported backend, 8 = elastic
     copy budget exhausted / autoscale refused ({!Copy_budget} — kept
     distinct from the generic topology error so soak scripts can tell
-    a bad autoscale plan from a malformed pipeline).  Used by
+    a bad autoscale plan from a malformed pipeline), 9 = worker setup
+    refused by the host's resources ({!Setup_failed}).  Used by
     [cgppc run]; codes 123-125 are reserved by cmdliner. *)
 val exit_code_of : run_error -> int
 

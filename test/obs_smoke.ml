@@ -21,7 +21,10 @@
      the documented Unsupported code (7) and says so in the metrics
      JSON;
    - an --inflight outside 1-16 is a usage error (exit 124), not a run
-     whose metrics report a window it did not use.
+     whose metrics report a window it did not use;
+   - the proc rings are sized from the window: --inflight 1 reports 8
+     slots and --inflight 16 reports 64, with the occupancy high water
+     within the ring and no frame overflowing to the socket.
 
    The cgppc binary path arrives as argv(1) from the dune rule. *)
 
@@ -263,6 +266,32 @@ let inflight_range_leg () =
       end)
     [ 0; 17 ]
 
+(* Ring geometry follows the credit window ([Shm.plan_slots]): four
+   windows per ring, at least 8 slots. *)
+let ring_geometry_leg () =
+  List.iter
+    (fun (inflight, want) ->
+      let mj = Filename.concat base (Printf.sprintf "rings-%d.json" inflight) in
+      let log = Filename.concat base (Printf.sprintf "rings-%d.log" inflight) in
+      sh
+        (Printf.sprintf
+           "%s run -a streambench --backend proc --inflight %d --metrics-json %s"
+           (Filename.quote cgppc) inflight (Filename.quote mj))
+        log;
+      let tr = J.member "transport" (J.member "runtime" (parse_json mj)) in
+      let field k = J.to_int (J.member k tr) in
+      let slots = field "slots" in
+      if slots <> want then
+        die "--inflight %d: transport.slots = %d, expected %d" inflight slots
+          want;
+      check
+        (Printf.sprintf "--inflight %d: ring_occupancy_hw above slots" inflight)
+        (field "ring_occupancy_hw" <= slots);
+      check
+        (Printf.sprintf "--inflight %d: frames overflowed the ring" inflight)
+        (field "overflow_frames" = 0))
+    [ (1, 8); (16, 64) ]
+
 let () =
   J.mkdir_p base;
   let legs = [ "sim"; "par" ] @ if Datacutter.Proc_runtime.available then [ "proc" ] else [] in
@@ -273,7 +302,10 @@ let () =
     legs;
   let doc, _, _, log = run_leg ~analyze:true ~trace:false "sim" in
   analyze_checks doc log;
-  if Datacutter.Proc_runtime.available then no_shm_leg ();
+  if Datacutter.Proc_runtime.available then begin
+    no_shm_leg ();
+    ring_geometry_leg ()
+  end;
   inflight_range_leg ();
   ignore (Sys.command (Printf.sprintf "rm -rf %s" (Filename.quote base)));
   Printf.printf "obs-smoke ok: %s telemetry + openmetrics + attribution verified\n"

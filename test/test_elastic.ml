@@ -205,6 +205,7 @@ let test_exit_codes () =
         Supervisor.Invalid_topology "x";
         Supervisor.Unsupported "x";
         Supervisor.Copy_budget "x";
+        Supervisor.Setup_failed "x";
       ]
   in
   A.check A.int "copy budget has its own exit code" 8

@@ -1,9 +1,11 @@
 (* Tests for the shared-memory proc transport (Shm): ring wrap-around
    and full/empty boundaries through the nonblocking endpoints,
    overflow frames falling back to the control socket in order, a
-   SIGKILLed peer surfacing as EOF/EPIPE instead of a wedge, and a
-   QCheck round-trip of arbitrary frames against the Wire codec's
-   structural equality.
+   SIGKILLed peer surfacing as EOF/EPIPE instead of a wedge, lazy
+   faulting of freshly mapped rings, a QCheck property that rings sized
+   by [Shm.plan_slots] hold a full credit window, and a QCheck
+   round-trip of arbitrary frames against the Wire codec's structural
+   equality.
 
    Ordering matters: the fork-based peer-death test runs before
    anything could spawn a domain — OCaml 5 permanently refuses
@@ -114,6 +116,89 @@ let test_overflow_in_order () =
       done;
       Shm.close a;
       Shm.close b
+
+(* --- geometry ------------------------------------------------------- *)
+
+(* Resident set size of this process in KiB, from /proc/self/status;
+   [None] where /proc is absent. *)
+let vm_rss_kib () =
+  match open_in "/proc/self/status" with
+  | exception Sys_error _ -> None
+  | ic ->
+      let rec scan () =
+        match input_line ic with
+        | exception End_of_file -> None
+        | line -> (
+            match Scanf.sscanf line "VmRSS: %d kB" Fun.id with
+            | kib -> Some kib
+            | exception (Scanf.Scan_failure _ | End_of_file | Failure _) ->
+                scan ())
+      in
+      Fun.protect ~finally:(fun () -> close_in_noerr ic) scan
+
+(* Mapping a ring writes no page: an 8 MiB pair (64 slots x 64 KiB in
+   each direction) stays out of the resident set until slots are
+   written. *)
+let test_lazy_faulting () =
+  match vm_rss_kib () with
+  | None -> ()
+  | Some _ when not shm_available -> ()
+  | Some before ->
+      let a, b = Shm.pair ~slots:64 ~slot_bytes:(64 * 1024) Shm.Shm in
+      let after = Option.get (vm_rss_kib ()) in
+      Shm.close a;
+      Shm.close b;
+      if after - before >= 1024 then
+        Alcotest.failf "mapping an 8 MiB pair raised VmRSS by %d KiB" (after - before)
+
+(* A ring sized for a window of [depth] holds the worst case the proc
+   driver produces: [depth] requests plus one control frame on the
+   request ring, and [depth] responses each preceded by the worker's
+   telemetry frame on the response ring — all without a refused send,
+   so no pipelined send can block while responses back up. *)
+let qcheck_plan_slots =
+  QCheck.Test.make ~name:"plan_slots holds a full window" ~count:50
+    QCheck.(int_range 1 16)
+    (fun depth ->
+      QCheck.assume shm_available;
+      let slots = Shm.plan_slots ~depth in
+      let a, b = Shm.pair ~slots ~slot_bytes:512 Shm.Shm in
+      let telemetry =
+        Wire.Telemetry
+          {
+            Wire.w_pid = 1;
+            w_spans =
+              [
+                {
+                  Wire.s_name = "process";
+                  s_cat = "proc-worker";
+                  s_ts = 0.0;
+                  s_dur = 1e-6;
+                  s_tid = 0;
+                };
+              ];
+            w_counters = [ ("busy_s", 1e-6); ("calls", 1.0) ];
+          }
+      in
+      let all_accepted conn msgs = List.for_all (Shm.try_send conn) msgs in
+      let requests =
+        List.init depth (fun i ->
+            Wire.Item
+              (Engine.Data (Filter.make_buffer ~packet:i (Bytes.make 64 'x'))))
+        @ [ Wire.Finalize ]
+      in
+      let responses =
+        List.concat (List.init depth (fun _ -> [ telemetry; Wire.Out None ]))
+      in
+      let ok =
+        slots land (slots - 1) = 0
+        && slots >= max 8 (4 * depth)
+        && all_accepted a requests
+        && all_accepted b responses
+      in
+      Shm.close a;
+      Shm.close b;
+      ok)
 
 (* --- peer death (forks: must precede any domain spawn) --------------- *)
 
@@ -268,6 +353,12 @@ let () =
             test_full_empty_boundary;
           Alcotest.test_case "overflow frames stay in order" `Quick
             test_overflow_in_order;
+        ] );
+      ( "geometry",
+        [
+          Alcotest.test_case "mapping faults in no page" `Quick
+            test_lazy_faulting;
+          QCheck_alcotest.to_alcotest qcheck_plan_slots;
         ] );
       ( "death",
         [ Alcotest.test_case "SIGKILLed peer" `Quick test_sigkill_peer ] );

@@ -183,7 +183,8 @@ let test_exit_codes () =
        (Stage_dead
           { stage = 1; stage_name = "f"; error = "worker protocol error: eof" }));
   A.(check int) "invalid topology" 6 (exit_code_of (Invalid_topology "x"));
-  A.(check int) "unsupported" 7 (exit_code_of (Unsupported "x"))
+  A.(check int) "unsupported" 7 (exit_code_of (Unsupported "x"));
+  A.(check int) "setup failed" 9 (exit_code_of (Setup_failed "x"))
 
 let rm_rf dir =
   match Sys.readdir dir with
