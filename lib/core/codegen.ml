@@ -145,7 +145,7 @@ let finalize_payload plan u ctx genv =
       |> List.filter_map (fun name ->
              match global_decl plan name with
              | Some g ->
-                 Some (name, g.Ast.gd_ty, Interp.lookup genv name)
+                 Some (name, g.Ast.gd_ty, Interp.global_value genv name)
              | None -> None)
     in
     let data = Objpack.pack_globals plan.prog globals in
@@ -168,7 +168,7 @@ let absorb_payload plan ~absorb_all u ctx genv (b : Filter.buffer) =
     List.filter
       (fun (name, v) ->
         if mine name then begin
-          let mine_v = Interp.lookup genv name in
+          let mine_v = Interp.global_value genv name in
           (match (mine_v, v) with
           | V.Vobject _, V.Vobject _ ->
               ignore (Interp.call_method ctx mine_v "merge" [ v ])
@@ -191,6 +191,35 @@ let absorb_payload plan ~absorb_all u ctx genv (b : Filter.buffer) =
     Some (Filter.make_buffer ~packet:(-1) (Objpack.pack_globals plan.prog globals))
   end
 
+(* The unit's segments compiled once for this filter instance, the
+   packet frame's inputs bound from [in_layout], and the marshalling
+   lookup resolved for the layouts it reads. *)
+let compile_unit plan ctx genv u ~in_layout ~out_layout =
+  let inputs = Packing.bound_names in_layout in
+  let code =
+    Interp.compile_packet ctx genv ~inputs
+      (List.map (fun seg -> seg.Boundary.seg_stmts) (segments_of_unit plan u))
+  in
+  let setters = List.map (fun name -> (name, Interp.setter code name)) inputs in
+  let set_inputs fr bindings =
+    List.iter (fun (name, v) -> (List.assoc name setters) fr v) bindings
+  in
+  let lookup =
+    Interp.lookup code
+      (Packing.lookup_names in_layout @ Packing.lookup_names out_layout)
+  in
+  let lookup fr =
+    Packing.runtime_aware_lookup
+      ~runtime_def:(Hashtbl.find_opt ctx.Interp.runtime_defs)
+      ~lookup:(lookup fr)
+  in
+  let run fr =
+    for i = 0 to Interp.segment_count code - 1 do
+      Interp.run_segment code i fr
+    done
+  in
+  (code, set_inputs, lookup, run)
+
 (* Cost of passing a buffer through a unit that hosts no segments. *)
 let forward_cost bytes = float_of_int bytes *. 0.25
 
@@ -207,8 +236,10 @@ let make_source plan ~(width : int) (k : int) : Filter.source =
       plan.prog
   in
   let genv = Interp.init_globals ctx in
-  let my_segs = segments_of_unit plan 1 in
   let out_layout = if plan.m > 1 then plan.layouts.(1) else [] in
+  let code, _, lookup, run =
+    compile_unit plan ctx genv 1 ~in_layout:[] ~out_layout
+  in
   let next_packet = ref k in
   let next () =
     if !next_packet >= plan.num_packets then None
@@ -216,16 +247,9 @@ let make_source plan ~(width : int) (k : int) : Filter.source =
       let p = !next_packet in
       next_packet := !next_packet + width;
       let before = Opcount.copy ctx.Interp.counter in
-      let env = Interp.push_scope genv in
-      Interp.bind env plan.prog.Ast.pipeline.Ast.pd_var (V.Vint p);
-      List.iter
-        (fun seg -> Interp.exec_stmts ctx env seg.Boundary.seg_stmts)
-        my_segs;
-      let lookup =
-        Packing.runtime_aware_lookup
-          ~runtime_def:(Hashtbl.find_opt ctx.Interp.runtime_defs)
-          ~lookup:(Interp.lookup env)
-      in
+      let fr = Interp.new_frame code ~packet:p in
+      run fr;
+      let lookup = lookup fr in
       let data = Packing.pack plan.prog out_layout ~lookup in
       charge_marshal ctx out_layout ~lookup
         ~consumed_here:(fun c f -> consumed_by_unit plan 1 c f);
@@ -247,33 +271,28 @@ let make_filter plan ~(u : int)
       plan.prog
   in
   let genv = Interp.init_globals ctx in
-  let my_segs = segments_of_unit plan u in
+  let hosts_segments = segments_of_unit plan u <> [] in
   let is_sink = u = plan.m in
   let in_layout = plan.layouts.(u - 1) in
   let out_layout = if u < plan.m then plan.layouts.(u) else [] in
+  let code, set_inputs, lookup, run =
+    compile_unit plan ctx genv u ~in_layout ~out_layout
+  in
   let consumed_here c f = consumed_by_unit plan u c f in
   let name = Printf.sprintf "unit%d" u in
   let process (b : Filter.buffer) =
     let before = Opcount.copy ctx.Interp.counter in
-    if my_segs = [] then begin
+    if not hosts_segments then begin
       (* pass-through placement: unit hosts no computation *)
       let cost = forward_cost (Filter.buffer_size b) in
       if is_sink then (None, cost) else (Some b, cost)
     end
     else begin
-      let env = Interp.push_scope genv in
-      Interp.bind env plan.prog.Ast.pipeline.Ast.pd_var (V.Vint b.Filter.packet);
-      let bindings = Packing.unpack plan.prog in_layout b.Filter.data in
-      List.iter (fun (name, v) -> Interp.bind env name v) bindings;
-      let lookup =
-        Packing.runtime_aware_lookup
-          ~runtime_def:(Hashtbl.find_opt ctx.Interp.runtime_defs)
-          ~lookup:(Interp.lookup env)
-      in
+      let fr = Interp.new_frame code ~packet:b.Filter.packet in
+      set_inputs fr (Packing.unpack plan.prog in_layout b.Filter.data);
+      let lookup = lookup fr in
       charge_marshal ctx in_layout ~lookup ~consumed_here;
-      List.iter
-        (fun seg -> Interp.exec_stmts ctx env seg.Boundary.seg_stmts)
-        my_segs;
+      run fr;
       let out =
         if u < plan.m then begin
           let data = Packing.pack plan.prog out_layout ~lookup in
@@ -301,7 +320,7 @@ let make_filter plan ~(u : int)
           let reduc = Reqcomm.reduction_globals plan.prog in
           let results =
             Reqcomm.S.elements reduc
-            |> List.map (fun name -> (name, Interp.lookup genv name))
+            |> List.map (fun name -> (name, Interp.global_value genv name))
           in
           f results
       | None -> ()

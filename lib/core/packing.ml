@@ -401,6 +401,34 @@ let runtime_aware_lookup ~(runtime_def : string -> int option)
     | None -> V.runtime_errorf "runtime_define %s is not set" key
   else lookup name
 
+let entry_var = function
+  | Escalar (v, _)
+  | Eobj_field (v, _, _, _)
+  | Eobj_any (v, _, _, _)
+  | Earray (v, _, _)
+  | Ecoll (v, _, _) ->
+      v
+
+let dedup names =
+  List.rev
+    (List.fold_left
+       (fun acc v -> if List.mem v acc then acc else v :: acc)
+       [] names)
+
+let bound_names layout = dedup (List.map entry_var layout)
+
+let lookup_names layout =
+  let sym = function
+    | Section.Bconst _ -> []
+    | Section.Bsym v | Section.Bsym_off (v, _) -> [ v ]
+  in
+  dedup
+    (List.concat_map
+       (function
+         | Earray (a, Section.Range (lo, hi), _) -> (a :: sym lo) @ sym hi
+         | e -> [ entry_var e ])
+       layout)
+
 (* Resolve a section against the runtime environment (symbolic bounds are
    looked up as integer variables). *)
 let resolve_section lookup (arr : V.t array) (s : Section.t) =

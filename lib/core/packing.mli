@@ -100,6 +100,13 @@ val runtime_aware_lookup :
   string ->
   Value.t
 
+(** The variables {!unpack} binds, once each, in layout order. *)
+val bound_names : layout -> string list
+
+(** The variables {!pack}, {!packed_size} and {!marshal_ops} look up:
+    the bound names and the symbolic bounds of array sections. *)
+val lookup_names : layout -> string list
+
 (** {2 Packing and unpacking whole boundary layouts} *)
 
 (** Serialize the values reached through [lookup]. *)

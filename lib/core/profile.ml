@@ -11,7 +11,6 @@
    data-dependent selectivity such as the isosurface cube test.) *)
 
 open Lang
-module V = Value
 
 type t = {
   profile : Costmodel.profile;
@@ -30,8 +29,7 @@ let run (prog : Ast.program) (segments : Boundary.segment list)
     ~(runtime_defs : (string * int) list) ~(num_packets : int)
     ?(samples = [ 0 ]) ?(weights = Opcount.default_weights)
     ?(final_copies = 1) () : t =
-  let segs = Array.of_list segments in
-  let n1 = Array.length segs in
+  let n1 = List.length segments in
   if n1 = 0 then invalid_arg "Profile.run: no segments";
   let tyenv = Tyenv.of_segments prog segments in
   (* Volume is layout-independent; use the identity filter map. *)
@@ -42,6 +40,15 @@ let run (prog : Ast.program) (segments : Boundary.segment list)
   in
   let ctx = Interp.create_ctx ~externs ~runtime_defs prog in
   let genv = Interp.init_globals ctx in
+  let code =
+    Interp.compile_packet ctx genv ~inputs:[]
+      (List.map (fun seg -> seg.Boundary.seg_stmts) segments)
+  in
+  let lookups =
+    Array.map
+      (fun layout -> Interp.lookup code (Packing.lookup_names layout))
+      layouts
+  in
   let task = Array.make n1 0.0 in
   let vols = Array.make (n1 + 1) 0.0 in
   let n_samples = List.length samples in
@@ -51,25 +58,23 @@ let run (prog : Ast.program) (segments : Boundary.segment list)
         ~args:[ ("packet", Obs.Trace.Aint p) ]
         (Printf.sprintf "sample %d" p)
       @@ fun () ->
-      let env = Interp.push_scope genv in
-      Interp.bind env prog.Ast.pipeline.Ast.pd_var (V.Vint p);
-      Array.iteri
-        (fun i seg ->
-          let before = Opcount.copy ctx.Interp.counter in
-          Interp.exec_stmts ctx env seg.Boundary.seg_stmts;
-          let d = Opcount.diff ~after:ctx.Interp.counter ~before in
-          task.(i) <- task.(i) +. Opcount.weighted ~weights d;
-          if i < n1 - 1 then begin
-            let lookup =
-              Packing.runtime_aware_lookup
-                ~runtime_def:(Hashtbl.find_opt ctx.Interp.runtime_defs)
-                ~lookup:(Interp.lookup env)
-            in
-            vols.(i + 1) <-
-              vols.(i + 1)
-              +. float_of_int (Packing.packed_size prog layouts.(i + 1) ~lookup)
-          end)
-        segs)
+      let fr = Interp.new_frame code ~packet:p in
+      for i = 0 to n1 - 1 do
+        let before = Opcount.copy ctx.Interp.counter in
+        Interp.run_segment code i fr;
+        let d = Opcount.diff ~after:ctx.Interp.counter ~before in
+        task.(i) <- task.(i) +. Opcount.weighted ~weights d;
+        if i < n1 - 1 then begin
+          let lookup =
+            Packing.runtime_aware_lookup
+              ~runtime_def:(Hashtbl.find_opt ctx.Interp.runtime_defs)
+              ~lookup:(lookups.(i + 1) fr)
+          in
+          vols.(i + 1) <-
+            vols.(i + 1)
+            +. float_of_int (Packing.packed_size prog layouts.(i + 1) ~lookup)
+        end
+      done)
     samples;
   let avg = float_of_int (max 1 n_samples) in
   Array.iteri (fun i v -> task.(i) <- v /. avg) task;
