@@ -357,47 +357,6 @@ let try_recv c =
   if not (ring_ready c.rx) then `Empty
   else match ring_consume c with Some m -> `Msg m | None -> `Eof
 
-(* --- reserve / commit + peek / consume ------------------------------- *)
-
-(* The in-ring codec surface used by [send]/[recv] internally, exposed
-   so callers (and the property tests) can stage a frame directly in
-   slot memory: [reserve] hands out a bounded writer over the free
-   slot's payload window, [commit] publishes exactly the bytes written
-   through it.  Symmetrically [peek] is a bounded reader over the
-   published frame, [consume] frees the slot afterwards. *)
-
-let reserve c =
-  if not (ring_free c.tx) then None
-  else
-    let off = payload_off c.tx c.tx.cursor in
-    Some (Wirefmt.Big.writer c.tx.cbuf ~pos:off ~limit:(off + c.tx.payload_bytes))
-
-let commit c w =
-  let r = c.tx in
-  let len = Wirefmt.Big.writer_pos w - payload_off r r.cursor in
-  if len < 0 || len > r.payload_bytes then
-    invalid_arg "Shm.commit: writer does not match the reserved slot";
-  ring_publish r len;
-  let occ = r.cursor - r.cached_tail in
-  if occ > c.st_occ_hw then c.st_occ_hw <- occ;
-  doorbell c r w_rd_parked
-
-let peek c =
-  if not (ring_ready c.rx) then None
-  else
-    let r = c.rx in
-    let base = slot_base r r.cursor in
-    let len = Int64.to_int (A1.unsafe_get r.buf (base + 1)) in
-    if len < 0 || len > r.payload_bytes then None
-      (* overflow marker: the frame is on the socket — use [recv] *)
-    else
-      let off = payload_off r r.cursor in
-      Some (Wirefmt.Big.reader r.cbuf ~pos:off ~limit:(off + len))
-
-let consume c =
-  ring_release c.rx;
-  doorbell c c.rx w_wr_parked
-
 (* --- stats ----------------------------------------------------------- *)
 
 type stats = {

@@ -94,35 +94,6 @@ val try_send : conn -> Wire.msg -> bool
 val try_recv : conn -> [ `Msg of Wire.msg | `Empty | `Eof ]
 (** [`Empty] iff no whole frame is currently available. *)
 
-(** {2 In-ring encode/decode}
-
-    The zero-copy surface {!send}/{!recv} use internally, exposed so a
-    caller can serialize a frame directly in slot memory: {!reserve}
-    hands out a bounded {!Wirefmt.Big.writer} over the next free tx
-    slot's payload window, {!commit} publishes exactly the bytes
-    written through it.  Symmetrically {!peek} is a bounded reader
-    over the oldest published rx frame and {!consume} frees its slot.
-    Single-producer/single-consumer discipline applies: at most one
-    outstanding reservation (or peek) per direction, committed or
-    consumed from the same thread. *)
-
-val reserve : conn -> Wirefmt.Big.writer option
-(** [None] when the tx ring is full. *)
-
-val commit : conn -> Wirefmt.Big.writer -> unit
-(** Publish the frame staged through [reserve]'s writer and ring the
-    peer's doorbell.  @raise Invalid_argument on a writer that does
-    not match the reserved slot. *)
-
-val peek : conn -> Wirefmt.Big.reader option
-(** A reader bounded to exactly the published frame; [None] on an
-    empty ring or an overflow marker (the frame then lives on the
-    socket — use {!recv}).  The window is only valid
-    until {!consume}. *)
-
-val consume : conn -> unit
-(** Free the slot {!peek} exposed and ring the peer's doorbell. *)
-
 (** {2 Stats} *)
 
 (** Counters an endpoint accumulates over its lifetime, for the

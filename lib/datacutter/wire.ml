@@ -352,75 +352,6 @@ let decode (b : Bytes.t) ~(pos : int) : msg * int =
   in
   (decode_reader tag r, pos + header_bytes + len)
 
-(* Incremental decoder for byte streams that arrive in arbitrary
-   chunks (partial reads).  Feed bytes in; [next] yields a message as
-   soon as a whole frame has accumulated.  [pending] doubles as the
-   decode scratch: frames are parsed in place with a bounded reader
-   (buffer payloads are the only per-frame allocation), and growth is
-   geometric but informed by the pending frame's length header, so one
-   resize fits an oversized frame instead of log2 doublings. *)
-module Decoder = struct
-  type t = { mutable pending : Bytes.t; mutable len : int }
-
-  let initial_capacity = 256
-
-  (* A drained buffer bigger than this shrinks back to
-     [initial_capacity]: one oversized frame must not pin max_frame-ish
-     scratch for the connection's remaining lifetime.  Steady large-frame
-     streams rarely drain exactly to zero (the next frame's header is
-     usually already buffered), so the hot path keeps its capacity. *)
-  let shrink_threshold = 64 * 1024
-
-  let create () = { pending = Bytes.create initial_capacity; len = 0 }
-
-  let capacity t = Bytes.length t.pending
-
-  (* How many bytes the frame at the head of [pending] needs in total,
-     if its header has arrived (and parses) — the growth hint. *)
-  let frame_hint t =
-    if t.len < header_bytes then 0
-    else
-      let len = Int32.to_int (Bytes.get_int32_le t.pending 1) in
-      if len < 0 || len > max_frame then 0 else header_bytes + len
-
-  let feed t b ~off ~len =
-    if off < 0 || len < 0 || off + len > Bytes.length b then
-      invalid_arg "Wire.Decoder.feed";
-    let need = t.len + len in
-    if need > Bytes.length t.pending then begin
-      let cap =
-        max need (max (2 * Bytes.length t.pending) (frame_hint t))
-      in
-      let grown = Bytes.create cap in
-      Bytes.blit t.pending 0 grown 0 t.len;
-      t.pending <- grown
-    end;
-    Bytes.blit b off t.pending t.len len;
-    t.len <- t.len + len
-
-  let next t =
-    if t.len < header_bytes then None
-    else begin
-      let tag = Bytes.get t.pending 0 in
-      let len = Int32.to_int (Bytes.get_int32_le t.pending 1) in
-      check_len len;
-      if t.len < header_bytes + len then None
-      else begin
-        let r =
-          Wirefmt.reader_of t.pending ~pos:header_bytes
-            ~limit:(header_bytes + len)
-        in
-        let m = decode_reader tag r in
-        let consumed = header_bytes + len in
-        Bytes.blit t.pending consumed t.pending 0 (t.len - consumed);
-        t.len <- t.len - consumed;
-        if t.len = 0 && Bytes.length t.pending > shrink_threshold then
-          t.pending <- Bytes.create initial_capacity;
-        Some m
-      end
-    end
-end
-
 (* --- blocking fd transport ------------------------------------------- *)
 
 (* Distinguish "interrupted before writing anything" (EINTR: retry the
@@ -435,10 +366,9 @@ let rec write_all fd b off len =
     | 0 -> fail "write returned 0 bytes on a blocking fd"
     | n -> write_all fd b (off + n) (len - n)
 
-(* Write one already-encoded frame (header + payload) verbatim. *)
-let write_frame fd frame = write_all fd frame 0 (Bytes.length frame)
-
-let write_msg fd (m : msg) = write_frame fd (encode m)
+let write_msg fd (m : msg) =
+  let frame = encode m in
+  write_all fd frame 0 (Bytes.length frame)
 
 (* Read exactly [len] bytes; [`Eof] only if the stream ends on a frame
    boundary (0 bytes read so far). *)

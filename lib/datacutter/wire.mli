@@ -77,31 +77,9 @@ val decode_big : Wirefmt.Big.reader -> msg
     place from a bigstring window bounded to exactly the frame.
     Raises {!Protocol_error} on truncation or trailing bytes. *)
 
-(** Incremental decoder for streams arriving in arbitrary chunks. *)
-module Decoder : sig
-  type t
-
-  val create : unit -> t
-  val feed : t -> Bytes.t -> off:int -> len:int -> unit
-
-  val next : t -> msg option
-  (** [Some m] once a whole frame has accumulated, [None] to feed more.
-      Raises {!Protocol_error} on a malformed prefix. *)
-
-  val capacity : t -> int
-  (** Current retained buffer capacity in bytes.  One oversized frame
-      grows the buffer, but it shrinks back to its initial size once
-      drained, so capacity is not a high-water mark. *)
-end
-
 val write_msg : Unix.file_descr -> msg -> unit
 (** Blocking full write of one frame (retries [EINTR]); propagates
     [Unix.Unix_error] (e.g. [EPIPE]) for the caller's crash handling. *)
-
-val write_frame : Unix.file_descr -> Bytes.t -> unit
-(** Write one already-[encode]d frame verbatim (retries [EINTR]); lets
-    a caller that framed a message once forward it without
-    re-encoding. *)
 
 val read_msg : ?scratch:Bytes.t ref -> Unix.file_descr -> msg option
 (** Blocking read of one frame; [None] on EOF at a frame boundary,

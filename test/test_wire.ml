@@ -1,8 +1,7 @@
-(* Unit tests for the process backend's wire protocol (satellite of the
-   proc-backend PR): frame round-trips for every message kind, rejection
-   of truncated and oversized frames, and partial-read reassembly
-   through the incremental decoder — the paths a dying child process
-   exercises for real. *)
+(* Unit tests for the process backend's wire protocol: frame round-trips
+   for every message kind, rejection of truncated and oversized frames,
+   and blocking reads and writes over a pipe — the paths a dying child
+   process exercises for real. *)
 
 module Wire = Datacutter.Wire
 module Engine = Datacutter.Engine
@@ -151,7 +150,7 @@ let test_roundtrip () =
         (Bytes.length frame) pos)
     samples
 
-(* Frames decode at any offset (the stream decoder depends on it). *)
+(* Frames decode at any offset, so concatenated frames decode in turn. *)
 let test_decode_offset () =
   let a = Wire.encode (Wire.Item (Engine.Data (buffer "first")))
   and b = Wire.encode Wire.Done in
@@ -214,87 +213,6 @@ let test_trailing_bytes () =
   check_protocol_error "trailing payload bytes" (fun () ->
       Wire.decode padded ~pos:0)
 
-(* The incremental decoder must reassemble frames fed one byte at a
-   time, and hand back multiple frames from one big chunk. *)
-let test_decoder_reassembly () =
-  let d = Wire.Decoder.create () in
-  let stream = Bytes.concat Bytes.empty (List.map Wire.encode samples) in
-  let out = ref [] in
-  for i = 0 to Bytes.length stream - 1 do
-    Wire.Decoder.feed d stream ~off:i ~len:1;
-    let rec drain () =
-      match Wire.Decoder.next d with
-      | Some m ->
-          out := m :: !out;
-          drain ()
-      | None -> ()
-    in
-    drain ()
-  done;
-  let out = List.rev !out in
-  Alcotest.(check int) "every frame recovered" (List.length samples)
-    (List.length out);
-  List.iter2
-    (fun want got ->
-      Alcotest.(check bool)
-        (msg_name want ^ " survives byte-wise reassembly")
-        true (msg_equal want got))
-    samples out;
-  Alcotest.(check bool) "decoder drained" true (Wire.Decoder.next d = None)
-
-let test_decoder_bulk () =
-  let d = Wire.Decoder.create () in
-  let stream = Bytes.concat Bytes.empty (List.map Wire.encode samples) in
-  Wire.Decoder.feed d stream ~off:0 ~len:(Bytes.length stream);
-  let n = ref 0 in
-  let rec drain () =
-    match Wire.Decoder.next d with
-    | Some _ ->
-        incr n;
-        drain ()
-    | None -> ()
-  in
-  drain ();
-  Alcotest.(check int) "one chunk, all frames" (List.length samples) !n
-
-(* One oversized frame must not pin its buffer for the connection's
-   remaining lifetime: once drained, capacity falls back to a small
-   constant, and subsequent small frames keep it there. *)
-let test_decoder_shrink () =
-  let d = Wire.Decoder.create () in
-  let small_cap = Wire.Decoder.capacity d in
-  let big =
-    Wire.encode (Wire.Crashed (String.make (1024 * 1024) 'x'))
-  in
-  Wire.Decoder.feed d big ~off:0 ~len:(Bytes.length big);
-  Alcotest.(check bool)
-    "oversized frame grew the buffer" true
-    (Wire.Decoder.capacity d >= Bytes.length big);
-  (match Wire.Decoder.next d with
-  | Some (Wire.Crashed _) -> ()
-  | _ -> Alcotest.fail "big frame did not decode");
-  Alcotest.(check int) "drained decoder shrank back" small_cap
-    (Wire.Decoder.capacity d);
-  (* steady small traffic afterwards never re-inflates it *)
-  let frame = Wire.encode Wire.Done in
-  for _ = 1 to 100 do
-    Wire.Decoder.feed d frame ~off:0 ~len:(Bytes.length frame);
-    match Wire.Decoder.next d with
-    | Some Wire.Done -> ()
-    | _ -> Alcotest.fail "small frame did not decode"
-  done;
-  Alcotest.(check int) "peak retained capacity stays small" small_cap
-    (Wire.Decoder.capacity d)
-
-let test_decoder_malformed () =
-  let d = Wire.Decoder.create () in
-  let bad = Bytes.create (1 + 4) in
-  Bytes.set bad 0 'D';
-  Bytes.set_int32_le bad 1 (Int32.of_int (Wire.max_frame + 1));
-  Wire.Decoder.feed d bad ~off:0 ~len:(Bytes.length bad);
-  check_protocol_error "decoder rejects oversized prefix" (fun () ->
-      Wire.Decoder.next d)
-
 (* Frames written with write_msg arrive intact through an OS pipe,
    split across however many reads the kernel chooses; EOF at a frame
    boundary is a clean [None]. *)
@@ -314,10 +232,10 @@ let test_fd_roundtrip () =
   Alcotest.(check bool) "clean EOF" true (Wire.read_msg rd = None);
   Unix.close rd
 
-(* Property: any batched frame sequence survives encode → arbitrary
-   chunking → incremental decode.  Random [Batch]/[Outs] messages with
-   random payloads are concatenated and re-fed to a [Decoder] in random
-   split points; the recovered messages must equal the originals. *)
+(* Property: any batched frame sequence survives encode → concatenation
+   → decode at successive offsets, and the stream cut at any of the
+   generator's chunk boundaries decodes to exactly the frames it holds
+   whole, then rejects the cut frame instead of misreading it. *)
 let gen_item =
   QCheck.Gen.(
     frequency
@@ -356,38 +274,47 @@ let arb_stream =
 let prop_batch_roundtrip =
   QCheck.Test.make ~name:"batched frames survive chunked decode" ~count:200
     arb_stream (fun (msgs, cuts) ->
-      let stream = Bytes.concat Bytes.empty (List.map Wire.encode msgs) in
-      let d = Wire.Decoder.create () in
-      let out = ref [] in
-      let drain () =
-        let rec go () =
-          match Wire.Decoder.next d with
-          | Some m ->
-              out := m :: !out;
-              go ()
-          | None -> ()
-        in
-        go ()
-      in
+      let frames = List.map Wire.encode msgs in
+      let stream = Bytes.concat Bytes.empty frames in
       let total = Bytes.length stream in
-      let pos = ref 0 in
-      (* feed in the generator's chunk sizes, then whatever remains *)
-      List.iter
-        (fun sz ->
-          let len = min sz (total - !pos) in
-          if len > 0 then begin
-            Wire.Decoder.feed d stream ~off:!pos ~len;
-            pos := !pos + len;
-            drain ()
-          end)
-        cuts;
-      if total - !pos > 0 then begin
-        Wire.Decoder.feed d stream ~off:!pos ~len:(total - !pos);
-        drain ()
-      end;
-      let out = List.rev !out in
-      List.length out = List.length msgs
-      && List.for_all2 msg_equal msgs out)
+      (* the messages of [b]'s whole frames, and whether it ends mid-frame *)
+      let decode_all b =
+        let rec go pos acc =
+          if pos = Bytes.length b then (List.rev acc, false)
+          else
+            match Wire.decode b ~pos with
+            | m, next -> go next (m :: acc)
+            | exception Wire.Protocol_error _ -> (List.rev acc, true)
+        in
+        go 0 []
+      in
+      let same a b = List.length a = List.length b && List.for_all2 msg_equal a b in
+      let ends =
+        List.rev
+          (snd
+             (List.fold_left
+                (fun (e, acc) f ->
+                  let e = e + Bytes.length f in
+                  (e, e :: acc))
+                (0, []) frames))
+      in
+      let cut_points =
+        snd
+          (List.fold_left
+             (fun (p, acc) c ->
+               let p = min total (p + c) in
+               (p, p :: acc))
+             (0, []) cuts)
+      in
+      let whole, partial = decode_all stream in
+      same msgs whole && (not partial)
+      && List.for_all
+           (fun p ->
+             let got, partial = decode_all (Bytes.sub stream 0 p) in
+             let n = List.length (List.filter (fun e -> e <= p) ends) in
+             same (List.filteri (fun i _ -> i < n) msgs) got
+             && partial = (p > 0 && not (List.mem p ends)))
+           cut_points)
 
 (* A frame much larger than the pipe buffer forces [write_all] through
    many short writes, and a repeating interval timer delivers real
@@ -475,16 +402,7 @@ let () =
           Alcotest.test_case "trailing bytes rejected" `Quick
             test_trailing_bytes;
         ] );
-      ( "decoder",
-        [
-          Alcotest.test_case "byte-wise reassembly" `Quick
-            test_decoder_reassembly;
-          Alcotest.test_case "bulk feed" `Quick test_decoder_bulk;
-          Alcotest.test_case "shrink after oversized frame" `Quick
-            test_decoder_shrink;
-          Alcotest.test_case "malformed prefix" `Quick test_decoder_malformed;
-          QCheck_alcotest.to_alcotest prop_batch_roundtrip;
-        ] );
+      ("decoder", [ QCheck_alcotest.to_alcotest prop_batch_roundtrip ]);
       ( "fds",
         [
           Alcotest.test_case "write_msg/read_msg over a pipe" `Quick
