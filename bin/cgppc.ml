@@ -7,7 +7,8 @@
      plan      run the full compilation pipeline and print the chosen
                decomposition, per-segment placement and predictions;
      run       compile and execute on the simulated cluster (or on real
-               domains with --parallel), reporting metrics and results.
+               domains or forked processes with --backend par|proc),
+               reporting metrics and results.
 
    The bundled applications (--app) are the paper's four benchmarks:
    zbuffer, apix, knn, vmscope.  Arbitrary PipeLang files can be compiled
@@ -308,11 +309,10 @@ let emit file app widths strategy cluster_spec =
 
 (* --- run --- *)
 
-let run file target widths strategy backend parallel cluster_spec trace mjson
+let run file target widths strategy backend cluster_spec trace mjson
     faults watchdog_ms max_retries call_budget_ms batch mem_budget interval_ms
     openmetrics report autoscale_n replan_from inflight =
   let cluster = cluster_of_spec cluster_spec in
-  let backend = if parallel then Datacutter.Runtime.Par else backend in
   let faults = Option.value faults ~default:Datacutter.Fault.empty in
   let policy = policy_of ~watchdog_ms ~max_retries ~call_budget_ms in
   let metrics_interval_s = interval_s_of ~interval_ms ~openmetrics in
@@ -747,14 +747,6 @@ let inflight_arg =
            reports the window and the credit-stall seconds under \
            $(b,transport).")
 
-let parallel_arg =
-  Arg.(
-    value & flag
-    & info [ "parallel"; "p" ]
-        ~doc:
-          "Execute on real domains instead of the simulated cluster \
-           (alias for --backend par).")
-
 let faults_arg =
   Arg.(
     value
@@ -912,19 +904,19 @@ let run_term ~always_report =
     ret
       (with_logs
          (fun
-           ( f, a, c, s, b, p, cl, tr, mj,
+           ( f, a, c, s, b, cl, tr, mj,
              (fl, wd, mr, cb, bt, mb),
              (iv, om, rp, az, rf, infl) )
          ->
-           run f a c s b p cl tr mj fl wd mr cb bt mb iv om
+           run f a c s b cl tr mj fl wd mr cb bt mb iv om
              (rp || always_report) az rf infl)
       $ (const
-           (fun f a c s b p cl tr mj fl wd mr cb bt mb iv om rp az rf infl ->
-             ( f, a, c, s, b, p, cl, tr, mj,
+           (fun f a c s b cl tr mj fl wd mr cb bt mb iv om rp az rf infl ->
+             ( f, a, c, s, b, cl, tr, mj,
                (fl, wd, mr, cb, bt, mb),
                (iv, om, rp, az, rf, infl) ))
         $ file_arg $ target_arg $ config_arg $ strategy_arg $ backend_arg
-        $ parallel_arg $ cluster_arg $ trace_arg $ metrics_arg $ faults_arg
+        $ cluster_arg $ trace_arg $ metrics_arg $ faults_arg
         $ watchdog_arg $ max_retries_arg $ call_budget_arg $ batch_arg
         $ mem_budget_arg $ interval_arg $ openmetrics_arg $ report_arg
         $ autoscale_arg $ replan_from_arg $ inflight_arg)))
