@@ -3,7 +3,7 @@
    stage charging a small fixed cost per item, and a counting/
    checksumming sink.  Per-item overhead (locks, wakeups, wire frames)
    dominates here by construction, which is exactly what engine-level
-   batching amortizes — the `bench throughput` target sweeps the batch
+   batching amortizes — the `bench transport` target sweeps the batch
    cap over this topology on all three backends. *)
 
 open Datacutter

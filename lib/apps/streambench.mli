@@ -3,7 +3,7 @@
     a counting/checksumming sink.  Per-item overhead dominates by
     construction, so this is the workload where engine-level batching
     (`--batch`, {!Datacutter.Engine.plan_batches}) shows its win; the
-    `bench throughput` target sweeps the batch cap over it on all three
+    `bench transport` target sweeps the batch cap over it on all three
     backends. *)
 
 type config = {
