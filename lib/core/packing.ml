@@ -335,7 +335,7 @@ let rec unpack_value_generic (r : reader) prog (ty : Ast.ty) : V.t =
   | Ast.Tarray elt ->
       let n = read_int r in
       if n < 0 then V.Vnull
-      else V.Varray (Array.init n (fun _ -> unpack_value_generic r prog elt))
+      else V.Varray (V.init_array n (fun _ -> unpack_value_generic r prog elt))
   | Ast.Tlist elt ->
       let n = read_int r in
       let vec = V.Vec.create () in
@@ -558,7 +558,7 @@ let unpack (prog : Ast.program) (layout : layout) (data : Bytes.t) :
                     V.Vobject { V.ocls = cls; V.ofields = Hashtbl.create 4 })
             | None -> V.Vfloat 0.0
           in
-          let elems = Array.init n (fun _ -> make_elt ()) in
+          let elems = V.init_array n (fun _ -> make_elt ()) in
           let set_field i (fs : field_spec) value =
             if fs.fs_name = Gencons.prim_field then elems.(i) <- value
             else
@@ -583,9 +583,7 @@ let unpack (prog : Ast.program) (layout : layout) (data : Bytes.t) :
                       done)
                     g.g_fields)
             groups;
-          let vec = V.Vec.create () in
-          Array.iter (fun e -> V.Vec.push vec e) elems;
-          add c (V.Vlist vec))
+          add c (V.Vlist (V.Vec.of_array elems)))
     layout;
   List.rev !out
 

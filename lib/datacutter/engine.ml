@@ -774,7 +774,7 @@ let retire_idle t ~stage =
   end
 
 (* One controller decision.  Single caller by construction — the sim
-   event loop at exact virtual times, or the monitor domain on the
+   event loop at exact virtual times, or the monitor thread on the
    real clock — so [asc_hot]/[asc_cold] need no synchronisation.  At
    most one spawn or one retire per tick: per-copy backlog across the
    engaged copies of each inner stage decides saturation, a stage
@@ -1050,8 +1050,8 @@ let watchdog_loop t ~ms =
 (* Periodic snapshots of the accounting grids into an [Obs.Timeseries]
    ring.  One sampler per run; samples are taken either inline by the
    simulator's event loop at exact virtual times ([sampler_advance]) or
-   by a dedicated monitor domain on the real clock ([sampler_loop], the
-   watchdog pattern).  Reads of the grids from the monitor domain are
+   by a dedicated monitor thread on the real clock ([sampler_loop], the
+   watchdog pattern).  Reads of the grids from the monitor thread are
    racy-but-benign, exactly like the watchdog's [copy_report]: each
    cell has a single writer and a torn read only skews one sample. *)
 
@@ -1138,7 +1138,7 @@ let sampler_advance smp t ~upto =
     sampler_take smp t ~ts:smp.smp_next_at
   done
 
-(* Real-time backends: poll from a dedicated monitor domain. *)
+(* Real-time backends: poll from a dedicated monitor thread. *)
 let sampler_loop t smp =
   let exec = executor t in
   let tick = Float.max 0.001 (Float.min 0.05 (smp.smp_interval /. 4.0)) in
@@ -1153,7 +1153,7 @@ let sampler_loop t smp =
   in
   loop ()
 
-(* Real-time backends: the autoscale controller as a monitor-domain
+(* Real-time backends: the autoscale controller as a monitor-thread
    loop, the sampler_loop pattern.  The simulator instead calls
    {!autoscale_tick} from its event loop at exact virtual times. *)
 let autoscale_loop t =

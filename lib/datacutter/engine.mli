@@ -369,13 +369,13 @@ val retire_idle :
 
 (** One controller decision (at most one spawn or retire); call from
     exactly one place — the simulator's event loop at virtual decision
-    points, or the monitor domain via {!autoscale_loop}. *)
+    points, or the monitor thread via {!autoscale_loop}. *)
 val autoscale_tick :
   t -> [ `Idle | `Spawned of int * int | `Retired of int * int ]
 
 (** Real-time hook: tick the controller every [as_interval_s] on the
     executor clock until abort or {!all_exited}; run from a dedicated
-    monitor domain.  A no-op when the run has no autoscale config. *)
+    monitor thread.  A no-op when the run has no autoscale config. *)
 val autoscale_loop : t -> unit
 
 (** {2 The supervisor state machine} *)
@@ -451,7 +451,7 @@ val copy_report :
     with {!Supervisor.Stalled} — when the progress counter stands still
     for [ms] while every unfinished copy is blocked on a queue or stuck
     in a call past the budget.  Runs until trip, abort or
-    {!all_exited}; call from a dedicated monitor domain. *)
+    {!all_exited}; call from a dedicated monitor thread. *)
 val watchdog_loop : t -> ms:int -> unit
 
 (** {2 Time-series sampler}
@@ -460,7 +460,7 @@ val watchdog_loop : t -> ms:int -> unit
     seconds, live queue length and items/s since the previous sample —
     into an {!Obs.Timeseries} ring.  The simulator advances the sampler
     inline at exact virtual times (deterministic); real-time backends
-    poll it from a dedicated monitor domain (the watchdog pattern).
+    poll it from a dedicated monitor thread (the watchdog pattern).
     Cross-domain grid reads are racy-but-benign: one writer per cell, a
     torn read only skews one sample. *)
 
@@ -478,7 +478,7 @@ val sampler_series : sampler -> Obs.Timeseries.t
 val sampler_advance : sampler -> t -> upto:float -> unit
 
 (** Real-time hook: poll on the executor clock until abort or
-    {!all_exited}; run from a dedicated monitor domain. *)
+    {!all_exited}; run from a dedicated monitor thread. *)
 val sampler_loop : t -> sampler -> unit
 
 (** {2 Utilities for backends} *)

@@ -1,14 +1,14 @@
 (* Domain backend of the filter-stream engine, and the copy driver the
    process backend shares (see the .mli).  Protocol decisions come from
-   [Engine]; this file only schedules: one domain per copy over bounded
-   blocking queues ([Bqueue]), the executor's [send] a blocking push,
-   [`Retry of delay] a real sleep preceded by retention-ring replay
-   into a fresh executor.  The one message this driver adds to the item
+   [Engine]; this file only schedules: one domain or thread per copy
+   (see [start]) over bounded blocking queues ([Bqueue]), the
+   executor's [send] a blocking push, [`Retry of delay] a real sleep
+   preceded by retention-ring replay into a fresh executor.  The one message this driver adds to the item
    protocol is [Release], the intra-stage end-of-drain token: the copy
    completing the stage barrier pushes it into every sibling queue;
    queue FIFO order guarantees zombie re-routes pushed earlier are
    consumed first.  Which copies run their callbacks on the driver
-   domain and which run them elsewhere is the backend's [place]. *)
+   and which run them elsewhere is the backend's [place]. *)
 
 type msg = It of Engine.item | Release
 
@@ -66,6 +66,23 @@ let slow_down (cs : Engine.copy) ~since =
   let extra = Fault.extra_delay cs.Engine.fstate ~elapsed in
   if extra > 0.0 then Unix.sleepf extra
 
+(* Threads for waiting, domains for computing.  A [Local] copy runs
+   filter code and gets a domain.  A remote copy only drives its worker
+   over the rings, and the monitor loops only sleep and read counters:
+   they are threads on the calling domain.  Every minor collection
+   stops every domain, so a domain that merely waits would still be
+   stopped, and its minor heap would count against the process. *)
+type runner = On_domain of unit Domain.t | On_thread of Thread.t
+
+let start placement body =
+  match placement with
+  | Local -> On_domain (Domain.spawn body)
+  | Remote_source _ | Remote_filter _ -> On_thread (Thread.create body ())
+
+let join_runner = function
+  | On_domain d -> Domain.join d
+  | On_thread t -> Thread.join t
+
 let drive eng ~backend ~queue_capacity ?metrics_interval_s
     ?(place = fun _ -> Local) ?(teardown = ignore) ?(extra = fun () -> []) ()
     =
@@ -95,7 +112,7 @@ let drive eng ~backend ~queue_capacity ?metrics_interval_s
                 : msg Bqueue.t)))
   in
   (* Per-copy barrier-edge hooks: a copy with a window registers its
-     drain here.  One writer per cell: the copy's own driver domain. *)
+     drain here.  One writer per cell: the copy's own driver. *)
   let drain_hooks =
     Array.init n_stages (fun s -> Array.make (Engine.slots eng s) ignore)
   in
@@ -137,7 +154,7 @@ let drive eng ~backend ~queue_capacity ?metrics_interval_s
           else Engine.queue_stats_of_bqueue (Bqueue.stats queues.(stage).(copy)));
       exec_wake = (fun () -> Array.iter (Array.iter Bqueue.wake) queues);
       exec_spawn = (fun ~stage ~copy -> !spawn_hook ~stage ~copy);
-      (* a voluntarily retired copy keeps running its own domain and
+      (* a voluntarily retired copy keeps running its own driver and
          drains its queue naturally — nothing to do here *)
       exec_retire = (fun ~stage:_ ~copy:_ -> ());
       exec_drain = (fun ~stage ~copy -> drain_hooks.(stage).(copy) ());
@@ -145,7 +162,7 @@ let drive eng ~backend ~queue_capacity ?metrics_interval_s
   let abort_raise err = Engine.abort eng err; raise Bqueue.Aborted in
   let ok = function Ok () -> () | Error e -> abort_raise e in
 
-  let copy_body s k () =
+  let copy_body s k placement =
     let cs = Engine.copy_at eng ~stage:s ~copy:k in
     let charge name f = Engine.timed_call eng cs ~name f in
     let send it = ok (Engine.send_downstream eng cs it) in
@@ -412,7 +429,7 @@ let drive eng ~backend ~queue_capacity ?metrics_interval_s
       | Bqueue.Aborted -> raise Bqueue.Aborted
       | err -> retire err
     in
-    match place cs with
+    match placement with
     | Remote_source src -> run_source src
     | Remote_filter (calls, window) -> run_filter calls (Some window)
     | Local -> (
@@ -455,13 +472,13 @@ let drive eng ~backend ~queue_capacity ?metrics_interval_s
               None)
   in
 
-  let wrapped_body s k () =
+  let wrapped_body s k placement () =
     let cs = Engine.copy_at eng ~stage:s ~copy:k in
-    (try copy_body s k () with
+    (try copy_body s k placement with
     | Bqueue.Aborted | Bqueue.Closed -> ()
     | e ->
         (* A supervisor bug or an error on a path without retry support
-           must not hang the other domains. *)
+           must not hang the other copies. *)
         Engine.abort eng
           (Supervisor.Stage_dead
              {
@@ -473,51 +490,53 @@ let drive eng ~backend ~queue_capacity ?metrics_interval_s
     Engine.mark_exited cs
   in
 
-  (* Elastic spawns: one more domain running the ordinary copy body.
-     The engine made the copy a routable member before calling the
-     hook, so the domain may find items already queued.  Spawned
-     domains are tracked for the join below; the hook runs on the
-     autoscaler's monitor domain. *)
+  let spawn_copy s k =
+    let placement = place (Engine.copy_at eng ~stage:s ~copy:k) in
+    (s, k, start placement (wrapped_body s k placement))
+  in
+  (* Elastic spawns: one more runner over the ordinary copy body, by
+     the same rule as the planned copies.  The engine made the copy a
+     routable member before calling the hook, so it may find items
+     already queued.  Spawned runners are tracked for the join below;
+     the hook runs on the autoscaler's monitor thread. *)
   let elastic_mu = Mutex.create () in
   let elastic = ref [] in
   spawn_hook :=
     (fun ~stage ~copy ->
-      let d = Domain.spawn (wrapped_body stage copy) in
+      let r = spawn_copy stage copy in
       Mutex.lock elastic_mu;
-      elastic := (stage, copy, d) :: !elastic;
+      elastic := r :: !elastic;
       Mutex.unlock elastic_mu);
   let t0 = Obs.Clock.elapsed_s () in
-  let domains =
+  let runners =
     List.concat
-      (List.init n_stages (fun s ->
-           List.init (Engine.width eng s) (fun k ->
-               (s, k, Domain.spawn (wrapped_body s k)))))
+      (List.init n_stages (fun s -> List.init (Engine.width eng s) (spawn_copy s)))
   in
   let autoscaler =
     if Engine.autoscale_enabled eng then
-      Some (Domain.spawn (fun () -> Engine.autoscale_loop eng))
+      Some (Thread.create Engine.autoscale_loop eng)
     else None
   in
   let watchdog =
     match policy.Supervisor.watchdog_ms with
     | Some ms when ms > 0 ->
-        Some (Domain.spawn (fun () -> Engine.watchdog_loop eng ~ms))
+        Some (Thread.create (fun () -> Engine.watchdog_loop eng ~ms) ())
     | _ -> None
   in
   let sampler =
     match metrics_interval_s with
     | Some iv when iv > 0.0 ->
         let smp = Engine.sampler_create eng ~interval_s:iv in
-        Some (smp, Domain.spawn (fun () -> Engine.sampler_loop eng smp))
+        Some (smp, Thread.create (fun () -> Engine.sampler_loop eng smp) ())
     | _ -> None
   in
   (* Join copies.  Once the run is aborting, a copy stuck inside filter
      code cannot be interrupted: poll its exit flag for a grace period
-     and leak the domain rather than hang the caller forever. *)
-  let join_copy (s, k, d) =
+     and leak the runner rather than hang the caller forever. *)
+  let join_copy (s, k, r) =
     let cs = Engine.copy_at eng ~stage:s ~copy:k in
     let rec wait deadline =
-      if Atomic.get cs.Engine.exited then Domain.join d
+      if Atomic.get cs.Engine.exited then join_runner r
       else if Engine.aborting eng then begin
         let deadline =
           match deadline with
@@ -537,8 +556,8 @@ let drive eng ~backend ~queue_capacity ?metrics_interval_s
     in
     wait None
   in
-  List.iter join_copy domains;
-  (* Elastic domains may still be added while the planned ones are
+  List.iter join_copy runners;
+  (* Elastic runners may still be added while the planned ones are
      being joined; once the planned copies have all exited the whole
      pipeline has drained and spawns are refused, so the list drains
      in a bounded number of rounds. *)
@@ -553,9 +572,9 @@ let drive eng ~backend ~queue_capacity ?metrics_interval_s
     end
   in
   join_elastic ();
-  (match autoscaler with Some d -> Domain.join d | None -> ());
-  (match watchdog with Some d -> Domain.join d | None -> ());
-  (match sampler with Some (_, d) -> Domain.join d | None -> ());
+  Option.iter Thread.join autoscaler;
+  Option.iter Thread.join watchdog;
+  Option.iter (fun (_, t) -> Thread.join t) sampler;
   (* Graceful queue close: leaked stuck copies (abort path) wake with
      [Closed] instead of blocking forever. *)
   Array.iter (Array.iter Bqueue.close) queues;

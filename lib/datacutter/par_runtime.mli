@@ -11,7 +11,7 @@
     and retention-ring replay (outputs suppressed) to rebuild a crashed
     copy's state before re-attempting the failed call.  Whole-stage
     death aborts with {!Supervisor.Stage_dead}; the optional watchdog
-    domain ({!Engine.watchdog_loop}) aborts no-progress runs with
+    thread ({!Engine.watchdog_loop}) aborts no-progress runs with
     {!Supervisor.Stalled}.
 
     Every stream records its occupancy after each push, and both sides
@@ -33,12 +33,12 @@ val run_result :
   ?autoscale:Engine.autoscale ->
   Topology.t ->
   (Engine.metrics, Supervisor.run_error) result
-(** [autoscale] arms the elastic-copy controller on a monitor domain
+(** [autoscale] arms the elastic-copy controller on a monitor thread
     ({!Engine.autoscale_loop}): a sustained-saturated inner stage gains
     a copy — a fresh domain over a pre-allocated queue — and a
     long-idle elastic copy stands down and drains out.
 
-    [metrics_interval_s] runs an {!Engine.sampler_loop} monitor domain
+    [metrics_interval_s] runs an {!Engine.sampler_loop} monitor thread
     sampling the accounting grids on the real clock and fills
     [metrics.timeseries].
 
@@ -55,7 +55,13 @@ val run_result :
     runs some copies' callbacks elsewhere (another process) says so per
     copy with a {!placement}; the driver keeps queues, supervision,
     replay, retirement and the drain barrier for every copy either
-    way. *)
+    way.
+
+    Threads for waiting, domains for computing: a {!Local} copy runs
+    filter code and gets a domain; a remote copy only drives its worker,
+    so it gets a systhread on the calling domain, as do the monitor
+    loops.  Every minor collection stops every domain, so a domain that
+    only waits would still be stopped. *)
 
 (** A filter copy's callbacks as round trips. *)
 type calls = {
@@ -87,7 +93,7 @@ type window = {
 }
 
 type placement =
-  | Local  (** callbacks run on the copy's driver domain *)
+  | Local  (** callbacks run on the copy's driver, a domain *)
   | Remote_source of source
   | Remote_filter of
       calls
@@ -114,9 +120,11 @@ val drive :
   ?extra:(unit -> (string * Obs.Json.t) list) ->
   unit ->
   (Engine.metrics, Supervisor.run_error) result
-(** Run [eng] to completion: one driver domain per copy, the
-    autoscaler, watchdog and sampler monitor domains, then the joins.
-    [place] (default every copy {!Local}) is asked once per copy, on its
-    driver domain.  [teardown] runs after every domain has joined and
-    the queues are closed, before the wall clock stops; [extra] adds
-    metrics sections. *)
+(** Run [eng] to completion: one driver per copy (a domain for a
+    {!Local} copy, a thread on the calling domain for a remote one), the
+    autoscaler, watchdog and sampler monitor threads, then the joins.
+    [place] (default every copy {!Local}) is asked once per copy, before
+    its driver starts: on the calling domain for the planned copies, on
+    the autoscaler thread for an elastic one.  [teardown] runs after
+    every driver has joined and the queues are closed, before the wall
+    clock stops; [extra] adds metrics sections. *)

@@ -39,7 +39,7 @@ exception Remote_crash of string
 
 type worker = { pid : int; conn : Shm.conn }
 
-(* Per-copy worker state, touched only by the copy's own driver domain
+(* Per-copy worker state, touched only by the copy's own driver thread
    (and by teardown after the joins).  [depth] is the copy's credit
    window, fixed before its workers are forked: it sized their rings. *)
 type handle = {
@@ -376,7 +376,7 @@ let run_result ?(queue_capacity = 64) ?faults ?policy ?batch ?stage_batch
   let label s k = Topology.copy_label topo ~stage:s ~copy:k in
   (* Worker-shipped telemetry: spans merge into the process-wide trace
      under the worker's real pid; the latest cumulative counters per
-     pid feed the metrics "workers" section.  Every driver domain
+     pid feed the metrics "workers" section.  Every driver thread
      absorbs, hence the lock around the counter table. *)
   let telem_lock = Mutex.create () in
   let worker_counters : (int, (string * float) list) Hashtbl.t =
@@ -409,7 +409,7 @@ let run_result ?(queue_capacity = 64) ?faults ?policy ?batch ?stage_batch
     Option.map (fun fb -> Shm.plan_slot_bytes ~frame_bytes:fb) frame_bytes
   in
   (* Credit-stall seconds per copy, reported under metrics "transport".
-     One writer per cell: the copy's own driver domain. *)
+     One writer per cell: the copy's own driver thread. *)
   let stall_s =
     Array.init n_stages (fun s -> Array.make (Engine.slots eng s) 0.0)
   in

@@ -6,8 +6,9 @@
     with source and inner copies placed remote: the parent keeps the
     whole {!Engine} protocol — queues, routing, the EOS drain barrier,
     fault ticking, the retry/retire/re-route supervisor, metrics — on
-    one driver domain per copy; children only execute filter
-    callbacks.  Sink copies stay local so their closures (result
+    one driver per copy: a thread for a remote copy, which only waits
+    on its worker, and a domain for a local sink copy, which runs filter
+    code; children only execute filter callbacks.  Sink copies stay local so their closures (result
     collectors) mutate caller-visible memory.  What this module adds
     is the worker plumbing: fork, the worker loop, the frame channel
     and the credit window.  A crash decision kills the copy's child
@@ -18,7 +19,7 @@
 
     Must be called while the calling process is still single-domain
     (the facade's normal use); workers are forked before any driver
-    domain spawns. *)
+    starts. *)
 
 val available : bool
 (** Whether this platform can run the backend ([Unix.fork]). *)
@@ -64,15 +65,15 @@ val run_result :
     frames stay on the ring instead of overflowing to the control
     socket.  [autoscale] arms the
     elastic-copy controller
-    ({!Engine.autoscale_loop}) on a monitor domain; because forking
+    ({!Engine.autoscale_loop}) on a monitor thread; because forking
     after domains exist is impossible in OCaml 5, every dormant elastic
     slot pre-forks its full worker complement (active plus spares) up
-    front and a mid-run spawn merely starts a driver domain over the
+    front and a mid-run spawn merely starts a driver thread over the
     waiting processes.  [mem_budget]/[queue_budgets] bound the parent-side
     queues' memory exactly as in {!Par_runtime} — the queues (and so
     the spilling) live in the parent, so no wire change is involved.  Metrics match {!Par_runtime}'s shape ([queue_occupancy]
     populated, no [link_stats]); [elapsed_s] is wall time.
-    [metrics_interval_s] runs an {!Engine.sampler_loop} monitor domain
+    [metrics_interval_s] runs an {!Engine.sampler_loop} monitor thread
     and fills [metrics.timeseries].  When tracing is enabled the
     workers ship their callback spans and counters back over the wire
     ({!Wire.Telemetry}): the trace covers worker pids and the metrics

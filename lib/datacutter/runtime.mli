@@ -56,7 +56,7 @@ val run_result :
     budget, a long-idle elastic copy stands down, and the metrics gain
     an ["autoscale"] section.  The simulator ticks the controller at
     deterministic virtual times, so an autoscaled sim run is
-    bit-reproducible; Par and Proc tick it from a monitor domain.
+    bit-reproducible; Par and Proc tick it from a monitor thread.
     [Error (Copy_budget _)] (exit code 8 via [cgppc run]) when the
     budget is invalid or the pipeline has no inner stage.
 
@@ -65,7 +65,7 @@ val run_result :
     into [metrics.timeseries] (the metrics JSON ["timeseries"]
     section).  The simulator samples at fixed {e virtual} times —
     deterministic; Par and Proc sample on the real clock from a monitor
-    domain.
+    thread.
     [queue_capacity] bounds the per-copy stream queues and applies to
     {!Par} and {!Proc} (the simulator's queues are unbounded; passing
     it with {!Sim} is accepted and ignored, except that

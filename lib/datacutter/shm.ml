@@ -183,8 +183,8 @@ let spin_rounds = 512
    single-core host it just burns the quantum the peer needs to
    produce, so the budget is zero and a blocked side parks at once.
    Computed at module initialisation, not lazily: the parent's driver
-   domains all reach their first wait at once, and forcing one lazy
-   value from two domains concurrently raises [Lazy.Undefined]. *)
+   threads all reach their first wait at once, and forcing one lazy
+   value from two threads concurrently raises [Lazy.Undefined]. *)
 let spin_budget =
   try if Domain.recommended_domain_count () > 1 then spin_rounds else 0
   with _ -> 0
@@ -199,7 +199,7 @@ let park_timeout = 0.025
 type conn = {
   c_fd : Unix.file_descr;
   db : Unix.file_descr;  (* doorbell: park/wake socketpair, RCVTIMEO-bounded *)
-  db_buf : Bytes.t;  (* drains the doorbell; one domain drives each side *)
+  db_buf : Bytes.t;  (* drains the doorbell; one driver thread drives each side *)
   tx : ring;
   rx : ring;
   fd_scratch : Bytes.t ref;  (* receive buffer for overflow frames *)

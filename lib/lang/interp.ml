@@ -458,7 +458,7 @@ and compile_expr ctx sc (e : expr) : frame -> V.t =
         charge_alloc c;
         let n = V.as_int (n fr) in
         if n < 0 then V.runtime_errorf "negative array size %d" n;
-        V.Varray (Array.init n (fun _ -> V.zero_of_ty t))
+        V.Varray (V.init_array n (fun _ -> V.zero_of_ty t))
   | Enew_list _ ->
       fun _ ->
         charge_alloc c;

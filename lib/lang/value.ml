@@ -1,5 +1,13 @@
 (* Runtime values of the PipeLang interpreter. *)
 
+(* OCaml 5.1's [Array.make n x] (and so [Array.init], [Array.map],
+   [Array.of_list], which fill from their first element) forces a minor
+   collection when the array is above 256 words and [x] is young.  Under
+   domains every minor collection stops all of them, so nothing on the
+   per-item path builds a large array from a fresh value: it starts from
+   an immediate or grows with [Array.append], which copies into the
+   major heap without a collection. *)
+
 (* Growable vector used for List<T> collections (output collections that
    foreach bodies append to). *)
 module Vec = struct
@@ -10,6 +18,8 @@ module Vec = struct
   let of_list xs =
     let items = Array.of_list xs in
     { items; len = Array.length items }
+
+  let of_array items = { items; len = Array.length items }
 
   let length v = v.len
 
@@ -22,12 +32,11 @@ module Vec = struct
     v.items.(i) <- x
 
   let push v x =
-    if v.len = Array.length v.items then begin
-      let cap = max 8 (2 * Array.length v.items) in
-      let items = Array.make cap x in
-      Array.blit v.items 0 items 0 v.len;
-      v.items <- items
-    end;
+    if v.len = Array.length v.items then
+      (* doubling by self-append: a vector polymorphic in its element
+         has no immediate fill, and [x] is usually fresh *)
+      v.items <-
+        (if v.len = 0 then Array.make 8 x else Array.append v.items v.items);
     v.items.(v.len) <- x;
     v.len <- v.len + 1
 
@@ -61,6 +70,15 @@ type t =
   | Vrange of int * int (* [lo : hi), a 1-d rectdomain *)
 
 and obj = { ocls : string; ofields : (string, t) Hashtbl.t }
+
+(* [Array.init] that starts from the immediate [Vnull] (see the top of
+   this file); [f] runs in index order. *)
+let init_array n f =
+  let a = Array.make n Vnull in
+  for i = 0 to n - 1 do
+    a.(i) <- f i
+  done;
+  a
 
 let type_name = function
   | Vunit -> "void"
@@ -141,7 +159,7 @@ let rec deep_copy = function
   | (Vunit | Vnull | Vint _ | Vfloat _ | Vbool _ | Vstring _ | Vrange _) as v
     ->
       v
-  | Varray a -> Varray (Array.map deep_copy a)
+  | Varray a -> Varray (init_array (Array.length a) (fun i -> deep_copy a.(i)))
   | Vlist l -> Vlist (Vec.map deep_copy l)
   | Vobject o ->
       let ofields = Hashtbl.create (Hashtbl.length o.ofields) in

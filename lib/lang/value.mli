@@ -6,6 +6,10 @@ module Vec : sig
 
   val create : unit -> 'a t
   val of_list : 'a list -> 'a t
+
+  (** A vector over [a] itself, not a copy. *)
+  val of_array : 'a array -> 'a t
+
   val length : 'a t -> int
 
   (** @raise Invalid_argument on out-of-bounds access. *)
@@ -32,6 +36,11 @@ type t =
   | Vrange of int * int  (** [lo : hi), a 1-d rectdomain *)
 
 and obj = { ocls : string; ofields : (string, t) Hashtbl.t }
+
+(** [Array.init n f] for values, without the minor collection OCaml
+    5.1 forces when an array above 256 words starts from a young fill:
+    the array starts from [Vnull] and [f] fills it in index order. *)
+val init_array : int -> (int -> t) -> t array
 
 val type_name : t -> string
 

@@ -8,7 +8,7 @@
     stamp events with simulated seconds directly. *)
 
 (** Seconds since process start; monotone non-decreasing within a
-    domain. *)
+    domain, across the systhreads sharing it. *)
 val elapsed_s : unit -> float
 
 (** [elapsed_s] in microseconds — the unit of Chrome trace events. *)

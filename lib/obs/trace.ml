@@ -1,10 +1,12 @@
 (* Trace sink with per-domain buffers.
 
-   Each domain appends to a domain-local ref (no lock on the hot path);
+   Each domain appends to a domain-local list (no lock on the hot path);
    a registry of all buffers is kept under a mutex taken only when a new
-   domain records its first event.  [events] snapshots the registry and
-   concatenates the buffers — callers collect after joining workers, so
-   no append races a snapshot in practice. *)
+   domain records its first event.  The append is a compare-and-set, as
+   systhreads sharing a domain share its buffer and may switch on the
+   cons allocation.  [events] snapshots the registry and concatenates
+   the buffers — callers collect after joining workers, so no append
+   races a snapshot in practice. *)
 
 type arg = Aint of int | Afloat of float | Astr of string
 
@@ -38,7 +40,7 @@ let compiler_tid = 0
 let local_pid = 1
 
 let enabled = Atomic.make false
-let registry : event list ref list ref = ref []
+let registry : event list Atomic.t list ref = ref []
 let registry_lock = Mutex.create ()
 let flow_ids = Atomic.make 0
 
@@ -48,9 +50,9 @@ let flow_ids = Atomic.make 0
 let shipped : (int * event) list ref = ref []
 let proc_names : (int * string) list ref = ref []
 
-let buffer : event list ref Domain.DLS.key =
+let buffer : event list Atomic.t Domain.DLS.key =
   Domain.DLS.new_key (fun () ->
-      let b = ref [] in
+      let b = Atomic.make [] in
       Mutex.lock registry_lock;
       registry := b :: !registry;
       Mutex.unlock registry_lock;
@@ -62,7 +64,7 @@ let is_enabled () = Atomic.get enabled
 
 let clear () =
   Mutex.lock registry_lock;
-  List.iter (fun b -> b := []) !registry;
+  List.iter (fun b -> Atomic.set b []) !registry;
   shipped := [];
   proc_names := [];
   Mutex.unlock registry_lock
@@ -86,11 +88,11 @@ let process_names () =
   Mutex.unlock registry_lock;
   ns
 
-let emit ev =
-  if Atomic.get enabled then begin
-    let b = Domain.DLS.get buffer in
-    b := ev :: !b
-  end
+let rec push b ev =
+  let l = Atomic.get b in
+  if not (Atomic.compare_and_set b l (ev :: l)) then push b ev
+
+let emit ev = if Atomic.get enabled then push (Domain.DLS.get buffer) ev
 
 let with_span ?(cat = "") ?(tid = compiler_tid) ?(args = []) name f =
   if not (Atomic.get enabled) then f ()
@@ -121,7 +123,7 @@ let ts_of = function
 
 let events () =
   Mutex.lock registry_lock;
-  let all = List.concat_map (fun b -> !b) !registry in
+  let all = List.concat_map Atomic.get !registry in
   Mutex.unlock registry_lock;
   let meta, rest =
     List.partition (function Thread_name _ -> true | _ -> false) all
@@ -153,7 +155,7 @@ let events () =
 
 let events_with_pids () =
   Mutex.lock registry_lock;
-  let locals = List.concat_map (fun b -> !b) !registry in
+  let locals = List.concat_map Atomic.get !registry in
   let foreign = List.rev !shipped in
   Mutex.unlock registry_lock;
   let all = List.map (fun e -> (local_pid, e)) locals @ foreign in

@@ -1,6 +1,8 @@
 (** Process-wide trace sink: spans, counters, instants and flow events,
     recorded into per-domain buffers so the parallel runtime's worker
-    domains never contend on a shared lock while tracing.
+    domains never contend on a shared lock while tracing.  Systhreads
+    sharing a domain append to its buffer by compare-and-set, so none
+    of their events is lost.
 
     Timestamps are seconds on the trace's own axis: real-time recorders
     ({!with_span}) use {!Clock.elapsed_s} (seconds since process

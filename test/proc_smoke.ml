@@ -7,11 +7,13 @@
      (crashes = retries = 1, replayed = 2);
    - delivery is still exactly-once (the sink multiset is complete);
    - the emitted metrics JSON carries the ["backend" = "proc"]
-     discriminator so downstream tooling can tell the runs apart.
+     discriminator so downstream tooling can tell the runs apart;
+   - the parent spawned one domain, for the local sink: remote copies
+     are driven by threads.
 
    On platforms without [Unix.fork] the test skips gracefully (exit 0
    with a note), mirroring [Proc_runtime.available].  Note one proc run
-   per process: the backend forks before it spawns driver domains, and
+   per process: the backend forks before it spawns the sink's domain, and
    OCaml 5 permanently refuses [Unix.fork] afterwards — which is fine
    here because the whole test is that single run. *)
 
@@ -122,6 +124,12 @@ let () =
   if r.Datacutter.Supervisor.replayed <> 2 then
     die "expected 2 replayed inputs over the wire, got %d"
       r.Datacutter.Supervisor.replayed;
+  (* Domain ids count up from the main domain's 0, so a probe spawned
+     now gets 1 + the number of domains the run spawned. *)
+  let probe = Domain.join (Domain.spawn (fun () -> (Domain.self () :> int))) in
+  if probe <> 2 then
+    die "expected the run to spawn 1 domain (the local sink), it spawned %d"
+      (probe - 1);
   (match Datacutter.Runtime.metrics_to_json m with
   | Obs.Json.Obj kvs -> (
       match List.assoc_opt "backend" kvs with

@@ -193,6 +193,19 @@ let test_counter_aggregation () =
   A.(check (float feps)) "aggregate" 60.0
     (List.fold_left (fun a (_, v) -> a +. v) 0.0 counters)
 
+(* Systhreads share their domain's buffer: a thread switch landing on
+   an append must not drop an event. *)
+let test_threads_share_domain_buffer () =
+  with_tracing @@ fun () ->
+  let emit_spans () =
+    for _ = 1 to 10_000 do
+      Obs.Trace.with_span "threaded" ignore
+    done
+  in
+  List.iter Thread.join (List.init 4 (fun _ -> Thread.create emit_spans ()));
+  A.(check int) "every span recorded" 40_000
+    (List.length (spans_named "threaded" (Obs.Trace.events ())))
+
 let test_flow_ids_unique () =
   let a = Obs.Trace.next_flow_id () in
   let b = Obs.Trace.next_flow_id () in
@@ -770,6 +783,7 @@ let suite =
     ("span on exception", `Quick, test_span_records_on_exception);
     ("disabled records nothing", `Quick, test_disabled_records_nothing);
     ("counter aggregation", `Quick, test_counter_aggregation);
+    ("threads share a domain's buffer", `Quick, test_threads_share_domain_buffer);
     ("flow ids unique", `Quick, test_flow_ids_unique);
     ("chrome trace well-formed", `Quick, test_chrome_trace_wellformed);
     ("sim invariants", `Quick, test_sim_invariants);
