@@ -617,12 +617,15 @@ let transport_sweep ~title ~cfg ~batches ~inflights =
       Apps.Streambench.topology cfg ~widths ~powers ~bandwidths
         ~latency:cluster.H.latency ()
     in
+    let stage_batch = Array.make 3 b in
     let frame_bytes =
-      Datacutter.Engine.plan_frame_bytes ~stage_batch:(Array.make 3 b)
+      Datacutter.Engine.plan_frame_bytes ~stage_batch
         ~item_bytes:[| item_bytes; item_bytes; 16.0 |]
     in
     let m =
-      cell (Datacutter.Runtime.run_result ~backend ?inflight ~frame_bytes ~batch:b topo)
+      cell
+        (Datacutter.Runtime.run_result ~backend ?inflight ~frame_bytes
+           ~stage_batch topo)
     in
     if results () <> expected then
       Fmt.failwith "transport %s B=%d: sink multiset diverged"

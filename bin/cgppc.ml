@@ -375,17 +375,6 @@ let run file target widths strategy backend cluster_spec trace mjson
     | _ -> ());
     m
   in
-  (* Credit window and ring-slot geometry for the proc backend: an
-     explicit --inflight wins; otherwise the cost model picks the
-     window, and the batch plan's largest frame sizes the ring slots so
-     batched runs stay off the overflow path. *)
-  let pick_inflight derived =
-    match inflight with
-    | Some _ -> inflight
-    | None ->
-        if backend <> Datacutter.Runtime.Proc then None
-        else Some (derived ())
-  in
   (* A failed run still writes the metrics document — with the
      structured error in place of runtime counters — so harnesses can
      diagnose from the JSON alone; then the process exits with the
@@ -495,11 +484,17 @@ let run file target widths strategy backend cluster_spec trace mjson
         let fill doc =
           Obs.Metrics.set_int doc "num_packets" cfg.Apps.Streambench.items
         in
+        (* Credit window and ring-slot geometry for the proc backend:
+           an explicit --inflight wins, otherwise the cost model picks
+           the window; the largest batched frame sizes the ring slots. *)
         let inflight =
-          pick_inflight (fun () ->
-              Datacutter.Engine.plan_inflight
-                ~service_s:(cfg.Apps.Streambench.work /. cluster.H.node_power)
-                ())
+          match (inflight, backend) with
+          | None, Datacutter.Runtime.Proc ->
+              Some
+                (Datacutter.Engine.plan_inflight
+                   ~service_s:(cfg.Apps.Streambench.work /. cluster.H.node_power)
+                   ())
+          | _ -> inflight
         in
         let frame_bytes =
           Datacutter.Engine.plan_frame_bytes
@@ -512,9 +507,9 @@ let run file target widths strategy backend cluster_spec trace mjson
               |]
         in
         match
-          Datacutter.Runtime.run_result ~backend ~faults ~policy ~batch
-            ?mem_budget ?metrics_interval_s ?autoscale ?inflight ~frame_bytes
-            topo
+          Datacutter.Runtime.run_result ~backend ~faults ~policy
+            ~stage_batch:(Array.make 3 batch) ?mem_budget ?metrics_interval_s
+            ?autoscale ?inflight ~frame_bytes topo
         with
         | Error err -> write_failure fill err
         | Ok m ->
@@ -541,24 +536,13 @@ let run file target widths strategy backend cluster_spec trace mjson
   | TApp app ->
       let a = load ~file ~app in
       let c = H.compile ~cluster ~strategy ~widths a in
-      let topo, results =
-        Codegen.build_topology c.Compile.plan ~widths
-          ~powers:(H.node_powers cluster widths)
-          ~bandwidths:(Array.make (Array.length widths - 1) cluster.H.bandwidth)
-          ~latency:cluster.H.latency ()
-      in
-      let stage_batch = H.batch_plan c ~widths ~batch in
-      let queue_budgets = H.budget_plan c ~widths ~mem_budget in
       let fill doc = compile_metrics doc c in
-      let inflight = pick_inflight (fun () -> H.inflight_plan c ~cluster) in
-      let frame_bytes = H.frame_plan c ~widths ~batch in
       (match
-         Datacutter.Runtime.run_result ~backend ~faults ~policy ?stage_batch
-           ?mem_budget ?queue_budgets ?metrics_interval_s ?autoscale
-           ?inflight ~frame_bytes topo
+         H.run_compiled ~backend ~faults ~policy ~batch ?mem_budget
+           ?metrics_interval_s ?autoscale ?inflight c ~cluster ~widths
        with
       | Error err -> write_failure fill err
-      | Ok m ->
+      | Ok (m, results) ->
           finish ~fill
             ~attribution:(fun m ->
               Some
@@ -576,7 +560,7 @@ let run file target widths strategy backend cluster_spec trace mjson
                     else s
                   in
                   Fmt.pr "  %s = %s@." name s)
-                (results ()))
+                results)
             m)
 
 (* --- replan --- *)

@@ -172,32 +172,43 @@ let budget_plan (c : Compile.t) ~(widths : int array) ~mem_budget =
       let item_bytes = item_bytes_of c ~widths in
       Some (Datacutter.Engine.plan_queue_budgets ~total ~item_bytes ~widths)
 
-(* Run one cell: compile for the configuration, execute on the chosen
-   backend (default: the simulated cluster), return (elapsed seconds,
-   total bytes moved, results).  [faults]/[policy] forward to the
-   runtime's fault-injection layer, so table cells can also be produced
-   under scripted degradation.  [batch] turns on engine-level item
-   batching with a cost-model-derived per-stage plan. *)
-let run_cell ?(cluster = default_cluster) ?(strategy = Compile.Decomp)
-    ?(layout_mode = `Auto) ?(backend = Datacutter.Runtime.Sim) ?faults ?policy
-    ?(batch = 1) ?mem_budget ?autoscale ~(widths : int array) (app : app) =
-  let c = compile ~cluster ~strategy ~layout_mode ~widths app in
-  let powers = node_powers cluster widths in
-  let bandwidths = Array.make (Array.length widths - 1) cluster.bandwidth in
+(* The one planner for a compiled program: build its topology on the
+   cluster, derive every run input the cost model can size — batch
+   caps, per-queue budgets, ring-slot bytes and, on proc without an
+   explicit window, the credit window — and run it.  Returns the
+   metrics and the sink results. *)
+let run_compiled ?(backend = Datacutter.Runtime.Sim) ?faults ?policy
+    ?(batch = 1) ?mem_budget ?metrics_interval_s ?autoscale ?inflight
+    (c : Compile.t) ~(cluster : cluster) ~(widths : int array) =
   let topo, results =
-    Codegen.build_topology c.Compile.plan ~widths ~powers ~bandwidths
+    Codegen.build_topology c.Compile.plan ~widths
+      ~powers:(node_powers cluster widths)
+      ~bandwidths:(Array.make (Array.length widths - 1) cluster.bandwidth)
       ~latency:cluster.latency ()
   in
-  let stage_batch = batch_plan c ~widths ~batch in
-  let queue_budgets = budget_plan c ~widths ~mem_budget in
-  match
-    Datacutter.Runtime.run_result ~backend ?faults ?policy ?stage_batch
-      ?mem_budget ?queue_budgets ?autoscale topo
-  with
-  | Error _ as e -> e
-  | Ok metrics ->
-      Ok
-        ( metrics.Datacutter.Engine.elapsed_s,
-          Datacutter.Runtime.total_bytes metrics,
-          results (),
-          c )
+  let inflight =
+    match (inflight, backend) with
+    | None, Datacutter.Runtime.Proc -> Some (inflight_plan c ~cluster)
+    | _ -> inflight
+  in
+  Datacutter.Runtime.run_result ~backend ?faults ?policy
+    ?stage_batch:(batch_plan c ~widths ~batch)
+    ?mem_budget
+    ?queue_budgets:(budget_plan c ~widths ~mem_budget)
+    ?metrics_interval_s ?autoscale ?inflight
+    ~frame_bytes:(frame_plan c ~widths ~batch)
+    topo
+  |> Result.map (fun metrics -> (metrics, results ()))
+
+(* Run one cell: compile for the configuration, then run it on the
+   chosen backend (default: the simulated cluster) and return (elapsed
+   seconds, total bytes moved, results, the compilation). *)
+let run_cell ?(cluster = default_cluster) ?strategy ?layout_mode ?backend
+    ~(widths : int array) (app : app) =
+  let c = compile ~cluster ?strategy ?layout_mode ~widths app in
+  run_compiled ?backend c ~cluster ~widths
+  |> Result.map (fun (metrics, results) ->
+         ( metrics.Datacutter.Engine.elapsed_s,
+           Datacutter.Runtime.total_bytes metrics,
+           results,
+           c ))

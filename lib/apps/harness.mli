@@ -86,35 +86,42 @@ val frame_plan : Compile.t -> widths:int array -> batch:int -> int
     service time against the assumed worker round trip. *)
 val inflight_plan : Compile.t -> cluster:cluster -> int
 
-(** Per-queue byte budgets from the cost model's item sizes: splits
-    [mem_budget] (total bytes for the run) over the consumer queues in
-    proportion to the bytes crossing each stage boundary
-    ({!Datacutter.Engine.plan_queue_budgets}), so every queue spills at
-    about the same item depth.  [None] when [mem_budget] is [None]. *)
-val budget_plan :
-  Compile.t -> widths:int array -> mem_budget:int option -> int array option
-
-(** Compile for the configuration and execute on [backend] (default
-    [Sim], the simulated cluster; [Par] runs on domains, [Proc] on
-    forked worker processes): returns (elapsed seconds, total bytes
-    moved, sink results, the compilation), or the runtime's failure.
-    [faults] and [policy] forward to the runtime's fault-injection layer
-    ({!Datacutter.Fault}, {!Datacutter.Supervisor}), so cells can be
-    produced under scripted degradation.  [batch] (default 1, meaning
-    off) enables engine-level item batching, with per-stage caps derived
-    from the cost model via {!batch_plan}.  [mem_budget] (total bytes)
-    bounds queue memory with spill-to-disk back-pressure, split per
-    stage via {!budget_plan}. *)
-val run_cell :
-  ?cluster:cluster ->
-  ?strategy:Compile.strategy ->
-  ?layout_mode:Packing.mode ->
+(** The one planner for a compiled program: build [c]'s topology on
+    [cluster] at [widths], derive its run inputs from the cost model
+    and run it on [backend] (default [Sim]).  The derived inputs are
+    the batch caps under the [batch] ceiling ({!batch_plan}; default 1,
+    meaning off), per-queue budgets splitting [mem_budget] in
+    proportion to the bytes crossing each stage boundary, the ring-slot
+    size ({!frame_plan}) and, on [Proc] when [inflight] is not given,
+    the credit window ({!inflight_plan}).  [faults], [policy],
+    [metrics_interval_s] and [autoscale] pass through to
+    {!Datacutter.Runtime.run_result}.  Returns the metrics and the sink
+    results, or the runtime's failure. *)
+val run_compiled :
   ?backend:Datacutter.Runtime.backend ->
   ?faults:Datacutter.Fault.plan ->
   ?policy:Datacutter.Supervisor.policy ->
   ?batch:int ->
   ?mem_budget:int ->
+  ?metrics_interval_s:float ->
   ?autoscale:Datacutter.Engine.autoscale ->
+  ?inflight:int ->
+  Compile.t ->
+  cluster:cluster ->
+  widths:int array ->
+  ( Datacutter.Engine.metrics * (string * Value.t) list,
+    Datacutter.Supervisor.run_error )
+  result
+
+(** {!compile} for the configuration, then {!run_compiled} on [backend]
+    (default [Sim], the simulated cluster; [Par] runs on domains, [Proc]
+    on forked worker processes): returns (elapsed seconds, total bytes
+    moved, sink results, the compilation), or the runtime's failure. *)
+val run_cell :
+  ?cluster:cluster ->
+  ?strategy:Compile.strategy ->
+  ?layout_mode:Packing.mode ->
+  ?backend:Datacutter.Runtime.backend ->
   widths:int array ->
   app ->
   ( float * float * (string * Value.t) list * Compile.t,

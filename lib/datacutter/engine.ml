@@ -216,13 +216,16 @@ type t = {
   batch_hist : Obs.Hist.t array array;  (* flushed batch sizes *)
   mem_budget : int option;       (* total in-memory byte budget *)
   queue_budgets : int array option;  (* per-queue budget by stage *)
+  faults : Fault.plan;
+  queue_capacity : int;          (* items per bounded stream queue *)
+  metrics_interval_s : float option;  (* time-series sampling period *)
   mutable exec : executor option;
 }
 
-(* Per-stage outgoing batch caps: [stage_batch] wins over the uniform
-   [batch]; every entry is clamped to >= 1 and the sink's (which has no
-   downstream) is forced to 1 so the metrics stay honest. *)
-let resolve_batches ~n_stages ~batch ~stage_batch =
+(* Per-stage outgoing batch caps, 1 (unbatched) without a plan; every
+   entry is clamped to >= 1 and the sink's (which has no downstream) is
+   forced to 1 so the metrics stay honest. *)
+let resolve_batches ~n_stages ~stage_batch =
   match stage_batch with
   | Some a when Array.length a <> n_stages ->
       Error
@@ -233,10 +236,7 @@ let resolve_batches ~n_stages ~batch ~stage_batch =
       let sb = Array.map (fun b -> max 1 b) a in
       if n_stages > 0 then sb.(n_stages - 1) <- 1;
       Ok sb
-  | None ->
-      let sb = Array.make (max n_stages 1) (max 1 batch) in
-      if n_stages > 0 then sb.(n_stages - 1) <- 1;
-      Ok sb
+  | None -> Ok (Array.make (max n_stages 1) 1)
 
 (* Validate the budget knobs alongside the topology: a plan must have
    one entry per stage, and every budget must be non-negative. *)
@@ -279,9 +279,9 @@ let resolve_autoscale ~n_stages autoscale =
       else Ok (fun s -> if s = 0 || s = n_stages - 1 then 0 else a.as_budget)
 
 let create ?(faults = Fault.empty) ?(policy = Supervisor.default_policy)
-    ?queue_capacity ?(batch = 1) ?stage_batch ?mem_budget ?queue_budgets
-    ?autoscale (topo : Topology.t) =
-  match Supervisor.validate ?queue_capacity topo with
+    ?(queue_capacity = 64) ?stage_batch ?mem_budget ?queue_budgets
+    ?metrics_interval_s ?autoscale (topo : Topology.t) =
+  match Supervisor.validate ~queue_capacity topo with
   | Error e -> Error e
   | Ok () -> (
       let stages = Array.of_list topo.Topology.stages in
@@ -292,7 +292,7 @@ let create ?(faults = Fault.empty) ?(policy = Supervisor.default_policy)
             Result.bind (resolve_autoscale ~n_stages autoscale) (fun extra ->
                 Result.map
                   (fun sb -> (extra, sb))
-                  (resolve_batches ~n_stages ~batch ~stage_batch)))
+                  (resolve_batches ~n_stages ~stage_batch)))
       with
       | Error e -> Error e
       | Ok (extra, send_batch) ->
@@ -372,6 +372,9 @@ let create ?(faults = Fault.empty) ?(policy = Supervisor.default_policy)
                                ~capacity:send_batch.(s))));
               mem_budget;
               queue_budgets;
+              faults;
+              queue_capacity;
+              metrics_interval_s;
               exec = None;
             })
 
@@ -385,9 +388,9 @@ let executor t =
 let policy t = t.pol
 let topology t = t.topo
 let n_stages t = t.n_stages
-
-(* Outgoing batch cap of stage [s] (1 = unbatched hot path). *)
-let stage_batch t s = t.send_batch.(s)
+let faults t = t.faults
+let queue_capacity t = t.queue_capacity
+let metrics_interval_s t = t.metrics_interval_s
 
 (* Batch size a consumer at stage [s] should pop at once: its
    upstream's outgoing cap (stage 0 has no upstream). *)
@@ -894,8 +897,6 @@ let note_busy t (c : copy) s =
 
 let note_item_done t (c : copy) =
   t.items_grid.(c.stage).(c.index) <- t.items_grid.(c.stage).(c.index) + 1
-
-let items_done t (c : copy) = t.items_grid.(c.stage).(c.index)
 
 let note_queue_wait t (c : copy) s =
   t.queue_wait.(c.stage).(c.index) <- t.queue_wait.(c.stage).(c.index) +. s

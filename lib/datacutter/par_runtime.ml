@@ -83,9 +83,8 @@ let join_runner = function
   | On_domain d -> Domain.join d
   | On_thread t -> Thread.join t
 
-let drive eng ~backend ~queue_capacity ?metrics_interval_s
-    ?(place = fun _ -> Local) ?(teardown = ignore) ?(extra = fun () -> []) ()
-    =
+let drive eng ~backend ?(place = fun _ -> Local) ?(teardown = ignore)
+    ?(extra = fun () -> []) () =
   let policy = Engine.policy eng in
   let n_stages = Engine.n_stages eng in
   let stop = Engine.stop_flag eng in
@@ -108,7 +107,8 @@ let drive eng ~backend ~queue_capacity ?metrics_interval_s
             | _ -> None
           in
           Array.init (Engine.slots eng s) (fun _ ->
-              (Bqueue.create ~cost:msg_cost ?spill ~stop queue_capacity
+              (Bqueue.create ~cost:msg_cost ?spill ~stop
+                 (Engine.queue_capacity eng)
                 : msg Bqueue.t)))
   in
   (* Per-copy barrier-edge hooks: a copy with a window registers its
@@ -524,7 +524,7 @@ let drive eng ~backend ~queue_capacity ?metrics_interval_s
     | _ -> None
   in
   let sampler =
-    match metrics_interval_s with
+    match Engine.metrics_interval_s eng with
     | Some iv when iv > 0.0 ->
         let smp = Engine.sampler_create eng ~interval_s:iv in
         Some (smp, Thread.create (fun () -> Engine.sampler_loop eng smp) ())
@@ -599,14 +599,3 @@ let drive eng ~backend ~queue_capacity ?metrics_interval_s
   in
   Option.iter Spill.remove_dir spill_dir;
   result
-
-let run_result ?(queue_capacity = 64) ?faults ?policy ?batch ?stage_batch
-    ?mem_budget ?queue_budgets ?metrics_interval_s ?autoscale
-    (topo : Topology.t) : (Engine.metrics, Supervisor.run_error) result =
-  match
-    Engine.create ?faults ?policy ~queue_capacity ?batch ?stage_batch
-      ?mem_budget ?queue_budgets ?autoscale topo
-  with
-  | Error e -> Error e
-  | Ok eng ->
-      drive eng ~backend:Engine.Par ~queue_capacity ?metrics_interval_s ()

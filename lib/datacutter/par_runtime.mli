@@ -18,44 +18,21 @@
     measure the seconds spent blocked (producers on a full queue,
     consumers on an empty one) into the engine's stall grids.
 
-    Prefer the {!Runtime} facade; [run_result] is the backend
-    implementation behind [Runtime.run_result ~backend:Par]. *)
-
-val run_result :
-  ?queue_capacity:int ->
-  ?faults:Fault.plan ->
-  ?policy:Supervisor.policy ->
-  ?batch:int ->
-  ?stage_batch:int array ->
-  ?mem_budget:int ->
-  ?queue_budgets:int array ->
-  ?metrics_interval_s:float ->
-  ?autoscale:Engine.autoscale ->
-  Topology.t ->
-  (Engine.metrics, Supervisor.run_error) result
-(** [autoscale] arms the elastic-copy controller on a monitor thread
-    ({!Engine.autoscale_loop}): a sustained-saturated inner stage gains
-    a copy — a fresh domain over a pre-allocated queue — and a
-    long-idle elastic copy stands down and drains out.
-
-    [metrics_interval_s] runs an {!Engine.sampler_loop} monitor thread
-    sampling the accounting grids on the real clock and fills
-    [metrics.timeseries].
-
-    [mem_budget] (total bytes, optionally refined per stage with
-    [queue_budgets]) turns the bounded queues into spill-to-disk
-    queues: pushers over budget write encoded segments to a run-scoped
-    temp dir instead of blocking, poppers read them back in FIFO
-    order, and the dir is removed on every exit path.  See
-    {!Engine.plan_queue_budgets}. *)
+    The monitor threads — the watchdog, the autoscaler (an elastic
+    copy is a fresh driver over a pre-allocated queue) and the
+    time-series sampler — run on the real clock.  A memory budget turns
+    the bounded queues into spill-to-disk queues: a push over budget
+    writes an encoded segment into a run-scoped temp dir instead of
+    blocking, a pop reads it back in FIFO order, and the dir is removed
+    on every exit path. *)
 
 (** {2 The copy driver}
 
-    [run_result] is {!drive} with every copy local.  A backend that
-    runs some copies' callbacks elsewhere (another process) says so per
-    copy with a {!placement}; the driver keeps queues, supervision,
-    replay, retirement and the drain barrier for every copy either
-    way.
+    {!Runtime.run_result} with [~backend:Par] is {!drive} with every
+    copy local.  A backend that runs some copies' callbacks elsewhere
+    (another process) says so per copy with a {!placement}; the driver
+    keeps queues, supervision, replay, retirement and the drain barrier
+    for every copy either way.
 
     Threads for waiting, domains for computing: a {!Local} copy runs
     filter code and gets a domain; a remote copy only drives its worker,
@@ -113,8 +90,6 @@ val slow_down : Engine.copy -> since:float -> unit
 val drive :
   Engine.t ->
   backend:Engine.backend ->
-  queue_capacity:int ->
-  ?metrics_interval_s:float ->
   ?place:(Engine.copy -> placement) ->
   ?teardown:(unit -> unit) ->
   ?extra:(unit -> (string * Obs.Json.t) list) ->
@@ -123,6 +98,8 @@ val drive :
 (** Run [eng] to completion: one driver per copy (a domain for a
     {!Local} copy, a thread on the calling domain for a remote one), the
     autoscaler, watchdog and sampler monitor threads, then the joins.
+    Queue capacity, budgets, batch caps and the sampling period come
+    from [eng].
     [place] (default every copy {!Local}) is asked once per copy, before
     its driver starts: on the calling domain for the planned copies, on
     the autoscaler thread for an elastic one.  [teardown] runs after

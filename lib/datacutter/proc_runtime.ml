@@ -352,9 +352,7 @@ let resolve_inflight inflight =
 
 (* --- the run --------------------------------------------------------- *)
 
-let run_result ?(queue_capacity = 64) ?faults ?policy ?batch ?stage_batch
-    ?mem_budget ?queue_budgets ?metrics_interval_s ?autoscale ?inflight
-    ?frame_bytes (topo : Topology.t) :
+let run eng ?inflight ?frame_bytes () :
     (Engine.metrics, Supervisor.run_error) result =
   if not available then
     Error (Supervisor.Unsupported "the proc backend needs Unix.fork")
@@ -364,12 +362,7 @@ let run_result ?(queue_capacity = 64) ?faults ?policy ?batch ?stage_batch
          "the proc backend needs shared-memory rings (mmap of a temp file \
           failed)")
   else
-  match
-    Engine.create ?faults ?policy ~queue_capacity ?batch ?stage_batch
-      ?mem_budget ?queue_budgets ?autoscale topo
-  with
-  | Error e -> Error e
-  | Ok eng ->
+  let topo = Engine.topology eng in
   let policy = Engine.policy eng in
   let n_stages = Engine.n_stages eng in
   let stages = Array.of_list topo.Topology.stages in
@@ -904,7 +897,6 @@ let run_result ?(queue_capacity = 64) ?faults ?policy ?batch ?stage_batch
          ]
         @ if !stalls = [] then [] else [ ("stalls", Obs.Json.Obj !stalls) ]) )
   in
-  Par_runtime.drive eng ~backend:Engine.Proc ~queue_capacity
-    ?metrics_interval_s ~place ~teardown
+  Par_runtime.drive eng ~backend:Engine.Proc ~place ~teardown
     ~extra:(fun () -> transport_section () :: workers_section ())
     ()

@@ -29,7 +29,6 @@ val run_result :
   ?queue_capacity:int ->
   ?faults:Fault.plan ->
   ?policy:Supervisor.policy ->
-  ?batch:int ->
   ?stage_batch:int array ->
   ?mem_budget:int ->
   ?queue_budgets:int array ->
@@ -41,44 +40,27 @@ val run_result :
   (Engine.metrics, Supervisor.run_error) result
 (** Run the pipeline to completion on [backend] (default {!Sim}).
 
-    [inflight] (Proc only) is the credit window — how many frames each
-    driver keeps in flight to its worker before waiting for an
-    acknowledgement (default 4, clamp [1, 16]; see
-    {!Proc_runtime.run_result}); the metrics
-    carry it under ["transport"] (an object: kind, inflight, ring
-    slots and stats, credit-stall seconds).  [frame_bytes] (Proc only)
-    sizes the shared-memory ring slots for the largest expected wire frame
-    ({!Shm.plan_slot_bytes}) so batched frames stay on the ring.
+    This is the one place that accepts run options.  They become one
+    {!Engine.t} ({!Engine.create}, which also validates them), and the
+    backend takes that engine: {!Sim_runtime.run},
+    {!Par_runtime.drive}, {!Proc_runtime.run}.  An invalid option is
+    therefore the same [run_error] on every backend.
 
-    [autoscale] arms the mid-run elastic-copy controller on every
-    backend (see {!Engine.autoscale_tick}): a sustained-saturated
-    inner stage transparently gains a copy out of the run's elastic
-    budget, a long-idle elastic copy stands down, and the metrics gain
-    an ["autoscale"] section.  The simulator ticks the controller at
-    deterministic virtual times, so an autoscaled sim run is
-    bit-reproducible; Par and Proc tick it from a monitor thread.
-    [Error (Copy_budget _)] (exit code 8 via [cgppc run]) when the
-    budget is invalid or the pipeline has no inner stage.
+    [queue_capacity] (default 64, at least 1) bounds the per-copy
+    stream queues of {!Par} and {!Proc}; the simulator's queues are
+    unbounded.
 
-    [metrics_interval_s] turns on the engine's time-series sampler:
-    per-copy busy/stall/queue/items-per-second snapshots every interval
-    into [metrics.timeseries] (the metrics JSON ["timeseries"]
-    section).  The simulator samples at fixed {e virtual} times —
-    deterministic; Par and Proc sample on the real clock from a monitor
-    thread.
-    [queue_capacity] bounds the per-copy stream queues and applies to
-    {!Par} and {!Proc} (the simulator's queues are unbounded; passing
-    it with {!Sim} is accepted and ignored, except that
-    [queue_capacity <= 0] is rejected on every backend by
-    {!Supervisor.validate}).
+    [faults] is a scripted fault plan ({!Fault}); [policy] the
+    supervisor's retry budget, backoff, watchdog and call budget
+    ({!Supervisor.default_policy}).
 
-    [batch] sets a uniform outgoing batch cap for every non-sink stage
-    (default 1 — bit-for-bit the unbatched behaviour); [stage_batch]
-    overrides it per stage (see {!Engine.plan_batches} to derive one
-    from the cost model).  Batching is an engine-level concept, so all
-    three backends honour it: one queue round-trip (Par/Proc), one
-    modeled transfer (Sim) and one wire frame (Proc, fault-inert
-    copies) per batch.
+    [stage_batch] is the per-stage outgoing batch cap, one entry per
+    stage, the sink's forced to 1 (see {!Engine.plan_batches} to derive
+    one from the cost model).  Without it every stage is unbatched,
+    bit-for-bit the pre-batching behaviour.  Batching is an
+    engine-level concept, so all three backends honour it: one queue
+    round trip (Par/Proc), one modeled transfer (Sim) and one wire
+    frame (Proc) per batch.
 
     [mem_budget] (total run bytes) or [queue_budgets] (per-stage bytes,
     entry 0 ignored — sources have no input queue) cap the in-memory
@@ -89,7 +71,32 @@ val run_result :
     large dataset can neither deadlock a run nor trip the watchdog.
     Unset means classic blocking back-pressure.  See
     {!Engine.plan_queue_budgets} for deriving [queue_budgets] from the
-    cost model. *)
+    cost model.
+
+    [metrics_interval_s] turns on the engine's time-series sampler:
+    per-copy busy/stall/queue/items-per-second snapshots every interval
+    into [metrics.timeseries] (the metrics JSON ["timeseries"]
+    section).  The simulator samples at fixed {e virtual} times, so the
+    series is deterministic; Par and Proc sample on the real clock from
+    a monitor thread.
+
+    [autoscale] arms the mid-run elastic-copy controller on every
+    backend (see {!Engine.autoscale_tick}): a sustained-saturated inner
+    stage transparently gains a copy out of the run's elastic budget, a
+    long-idle elastic copy stands down, and the metrics gain an
+    ["autoscale"] section.  The simulator ticks the controller at
+    deterministic virtual times, so an autoscaled sim run is
+    bit-reproducible; Par and Proc tick it from a monitor thread.
+    [Error (Copy_budget _)] (exit code 8 via [cgppc run]) when the
+    budget is invalid or the pipeline has no inner stage.
+
+    [inflight] (Proc only) is the credit window: how many frames each
+    driver keeps in flight to its worker before waiting for an
+    acknowledgement (default 4, clamped to [1, 16]).  The metrics carry
+    it under ["transport"] (an object: kind, inflight, ring slots and
+    stats, credit-stall seconds).  [frame_bytes] (Proc only) sizes the
+    shared-memory ring slots for the largest expected wire frame
+    ({!Shm.plan_slot_bytes}) so batched frames stay on the ring. *)
 
 (** Re-exports so callers can report metrics without importing
     {!Engine}. *)

@@ -44,18 +44,12 @@ type event =
          autoscaled sim runs stay bit-deterministic *)
 
 (* Aborts the event loop with a structured error; never escapes
-   [run_result]. *)
+   [run]. *)
 exception Sim_abort of Supervisor.run_error
 
-let run_result ?(faults = Fault.empty) ?policy ?batch ?stage_batch
-    ?mem_budget ?queue_budgets ?metrics_interval_s ?autoscale
-    (topo : Topology.t) : (Engine.metrics, Supervisor.run_error) result =
-  match
-    Engine.create ~faults ?policy ?batch ?stage_batch ?mem_budget
-      ?queue_budgets ?autoscale topo
-  with
-  | Error e -> Error e
-  | Ok eng ->
+let run eng : (Engine.metrics, Supervisor.run_error) result =
+  let topo = Engine.topology eng in
+  let faults = Engine.faults eng in
   let stages = Array.of_list topo.Topology.stages in
   let links = Array.of_list topo.Topology.links in
   let n_stages = Array.length stages in
@@ -287,7 +281,7 @@ let run_result ?(faults = Fault.empty) ?policy ?batch ?stage_batch
      is handled, so every sample lands at its exact scheduled virtual
      time — sim timeseries are fully deterministic. *)
   let sampler =
-    match metrics_interval_s with
+    match Engine.metrics_interval_s eng with
     | Some iv when iv > 0.0 -> Some (Engine.sampler_create eng ~interval_s:iv)
     | _ -> None
   in

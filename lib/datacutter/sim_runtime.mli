@@ -16,33 +16,13 @@
     that leaves a copy's end-of-stream protocol incomplete yields
     {!Supervisor.Stalled} with a marker-deficit report.
 
-    Prefer the {!Runtime} facade; this entry point is the backend
-    implementation behind [Runtime.run_result ~backend:Sim]. *)
+    Simulated time makes every run option deterministic: autoscale
+    decisions and time-series samples land at exact virtual times, and a
+    memory budget is modeled — an arrival over its queue's budget is
+    flagged spilled and replaying it charges a startup-plus-per-byte
+    disk term into the service time.  Queue capacity does not apply;
+    the simulator's queues are unbounded. *)
 
-val run_result :
-  ?faults:Fault.plan ->
-  ?policy:Supervisor.policy ->
-  ?batch:int ->
-  ?stage_batch:int array ->
-  ?mem_budget:int ->
-  ?queue_budgets:int array ->
-  ?metrics_interval_s:float ->
-  ?autoscale:Engine.autoscale ->
-  Topology.t ->
-  (Engine.metrics, Supervisor.run_error) result
-(** [autoscale] ticks the elastic-copy controller
-    ({!Engine.autoscale_tick}) as a recurring event at exact virtual
-    times — spawn/retire decisions depend only on the modeled state,
-    so an autoscaled sim run is bit-deterministic across repeats.
-
-    [metrics_interval_s] samples the accounting grids at fixed
-    {e virtual} times — the resulting [metrics.timeseries] is
-    deterministic for a given topology and seed.
-
-    [mem_budget]/[queue_budgets] are {e modeled}: arrivals over a
-    queue's in-memory budget are flagged spilled (byte accounting and
-    spill counters mirror {!Bqueue.stats}) and replaying one charges a
-    deterministic startup-plus-per-byte disk-read term into the service
-    time — budgeted sim runs stay exactly reproducible while exposing
-    the out-of-core cost in the same metrics fields as the real
-    backends. *)
+val run : Engine.t -> (Engine.metrics, Supervisor.run_error) result
+(** Simulate [eng]'s run to completion; called by {!Runtime.run_result}
+    with [~backend:Sim]. *)

@@ -205,7 +205,7 @@ let exit_code_of = function
    return a clean [Invalid_topology] instead of looping or raising
    [Invalid_argument] mid-run. *)
 
-let validate ?queue_capacity (topo : Topology.t) =
+let validate ~queue_capacity (topo : Topology.t) =
   let err fmt = Printf.ksprintf (fun m -> Error (Invalid_topology m)) fmt in
   let stages = topo.Topology.stages in
   let n = List.length stages in
@@ -215,9 +215,9 @@ let validate ?queue_capacity (topo : Topology.t) =
     err "need exactly one link fewer than stages (%d stages, %d links)" n
       (List.length topo.Topology.links)
   else
-    match queue_capacity with
-    | Some c when c < 1 -> err "queue capacity must be >= 1 (got %d)" c
-    | _ -> (
+    if queue_capacity < 1 then
+      err "queue capacity must be >= 1 (got %d)" queue_capacity
+    else (
         let bad_stage =
           List.find_mapi
             (fun i (st : Topology.stage) ->

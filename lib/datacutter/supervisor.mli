@@ -111,7 +111,8 @@ val pp_run_error : Format.formatter -> run_error -> unit
     [cgppc run]; codes 123-125 are reserved by cmdliner. *)
 val exit_code_of : run_error -> int
 
-(** Validate a topology (and optional queue capacity) that may not have
-    gone through {!Topology.create}: stage/link counts, positive widths
-    and powers, role placement, link parameters. *)
-val validate : ?queue_capacity:int -> Topology.t -> (unit, run_error) result
+(** Validate a topology that may not have gone through
+    {!Topology.create}, and the run's queue capacity: stage/link counts,
+    positive widths and powers, role placement, link parameters,
+    [queue_capacity >= 1]. *)
+val validate : queue_capacity:int -> Topology.t -> (unit, run_error) result

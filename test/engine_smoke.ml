@@ -108,9 +108,14 @@ let make_topo ~n () =
    must not move anything the protocol promises. *)
 let run ~label backend ?faults ?policy ?batch ?mem_budget n =
   let topo, got = make_topo ~n () in
+  let stage_batch =
+    Option.map
+      (Array.make (List.length topo.Datacutter.Topology.stages))
+      batch
+  in
   match
-    Datacutter.Runtime.run_result ~backend ?faults ?policy ?batch ?mem_budget
-      ~metrics_interval_s:0.005 topo
+    Datacutter.Runtime.run_result ~backend ?faults ?policy ?stage_batch
+      ?mem_budget ~metrics_interval_s:0.005 topo
   with
   | Ok m -> (m, got ())
   | Error e ->

@@ -79,7 +79,7 @@ let in_process_leg () =
   (* room for about three workers: each needs four fds while it forks *)
   let hogs = exhaust_fds ~spare:10 in
   let before = open_fds () in
-  (match D.Proc_runtime.run_result (topology ()) with
+  (match D.Runtime.run_result ~backend:D.Runtime.Proc (topology ()) with
   | Error (D.Supervisor.Setup_failed _) -> ()
   | Error e ->
       die "expected Setup_failed, got: %s"

@@ -162,9 +162,14 @@ let run_leg ~label ?policy ?(inflight = 16) ?batch ~n ?final ?mid_width ~mid
     () : leg =
   in_child ~label (fun () ->
       let t, got = topo ~n ?final ?mid_width ~mid () in
+      let stage_batch =
+        Option.map
+          (Array.make (List.length t.Datacutter.Topology.stages))
+          batch
+      in
       match
         Datacutter.Runtime.run_result ~backend:Datacutter.Runtime.Proc
-          ?policy ~inflight ?batch t
+          ?policy ~inflight ?stage_batch t
       with
       | Ok m -> { events = got (); recovery = m.Datacutter.Engine.recovery }
       | Error e ->

@@ -428,8 +428,7 @@ let test_par_barrier_own_queue_full () =
     Domain.spawn (fun () ->
         Atomic.set outcome
           (Some
-             (Par_runtime.drive eng ~backend:Engine.Par ~queue_capacity:1
-                ~place ())))
+             (Par_runtime.drive eng ~backend:Engine.Par ~place ())))
   in
   let deadline = Unix.gettimeofday () +. 10.0 in
   let rec await () =
@@ -517,13 +516,10 @@ let test_watchdog_quiet_on_healthy_run () =
 
 (* --- topology validation --- *)
 
+(* Every invalid input is one table run on all three backends: the
+   engine validates the run options once, so sim, par and proc must
+   return the identical error. *)
 let test_validation () =
-  let expect_invalid what r =
-    match r with
-    | Error (Supervisor.Invalid_topology _) -> ()
-    | Error e -> A.failf "%s: wrong error: %a" what Supervisor.pp_run_error e
-    | Ok _ -> A.failf "%s: accepted" what
-  in
   let src = Topology.Source (counting_source 3) in
   let mid = Topology.Inner (fun _ -> Filter.pass_through "mid") in
   let snk = Topology.Sink (fun _ -> Filter.pass_through "sink") in
@@ -531,36 +527,87 @@ let test_validation () =
     { Topology.stage_name = "s"; width; power; role }
   in
   let link = { Topology.bandwidth = 1.0; latency = 0.0 } in
+  let three =
+    {
+      Topology.stages = [ stage src; stage mid; stage snk ];
+      links = [ link; link ];
+    }
+  in
+  let run ?queue_capacity ?stage_batch ?mem_budget ?queue_budgets ?autoscale
+      topo backend =
+    Runtime.run_result ~backend ?queue_capacity ?stage_batch ?mem_budget
+      ?queue_budgets ?autoscale topo
+  in
+  let invalid = function Supervisor.Invalid_topology _ -> true | _ -> false in
+  let budget = function Supervisor.Copy_budget _ -> true | _ -> false in
   (* hand-built records bypass Topology.create, so the runtimes must
      reject them on their own *)
-  expect_invalid "empty pipeline"
-    (Runtime.run_result ~backend:Runtime.Sim { Topology.stages = []; links = [] });
-  expect_invalid "single stage"
-    (Runtime.run_result ~backend:Runtime.Sim { Topology.stages = [ stage src ]; links = [] });
-  expect_invalid "zero-width stage"
-    (Sim_runtime.run_result
-       {
-         Topology.stages = [ stage src; stage ~width:0 mid; stage snk ];
-         links = [ link; link ];
-       });
-  expect_invalid "non-positive power"
-    (Sim_runtime.run_result
-       {
-         Topology.stages = [ stage src; stage ~power:0.0 mid; stage snk ];
-         links = [ link; link ];
-       });
-  expect_invalid "link count mismatch"
-    (Sim_runtime.run_result
-       { Topology.stages = [ stage src; stage snk ]; links = [ link; link ] });
-  expect_invalid "sink in the middle"
-    (Sim_runtime.run_result
-       {
-         Topology.stages = [ stage src; stage snk; stage snk ];
-         links = [ link; link ];
-       });
-  expect_invalid "zero queue capacity (par)"
-    (Runtime.run_result ~backend:Runtime.Par ~queue_capacity:0
-       { Topology.stages = [ stage src; stage snk ]; links = [ link ] })
+  let cases =
+    [
+      ("empty pipeline", invalid, run { Topology.stages = []; links = [] });
+      ("single stage", invalid, run { Topology.stages = [ stage src ]; links = [] });
+      ( "zero-width stage",
+        invalid,
+        run
+          {
+            Topology.stages = [ stage src; stage ~width:0 mid; stage snk ];
+            links = [ link; link ];
+          } );
+      ( "non-positive power",
+        invalid,
+        run
+          {
+            Topology.stages = [ stage src; stage ~power:0.0 mid; stage snk ];
+            links = [ link; link ];
+          } );
+      ( "link count mismatch",
+        invalid,
+        run { Topology.stages = [ stage src; stage snk ]; links = [ link; link ] } );
+      ( "sink in the middle",
+        invalid,
+        run
+          {
+            Topology.stages = [ stage src; stage snk; stage snk ];
+            links = [ link; link ];
+          } );
+      ("zero queue capacity", invalid, run ~queue_capacity:0 three);
+      ("stage_batch length", invalid, run ~stage_batch:[| 4; 4 |] three);
+      ("negative mem_budget", invalid, run ~mem_budget:(-1) three);
+      ("negative queue budget", invalid, run ~queue_budgets:[| 0; -1; 8 |] three);
+      ( "autoscale budget 0",
+        budget,
+        run
+          ~autoscale:{ Engine.default_autoscale with Engine.as_budget = 0 }
+          three );
+    ]
+  in
+  let backends =
+    [ Runtime.Sim; Runtime.Par ]
+    @ if Proc_runtime.available then [ Runtime.Proc ] else []
+  in
+  List.iter
+    (fun (what, expected, run) ->
+      let errs =
+        List.map
+          (fun backend ->
+            match run backend with
+            | Error e when expected e -> e
+            | Error e ->
+                A.failf "%s (%s): wrong error: %a" what
+                  (Runtime.backend_name backend) Supervisor.pp_run_error e
+            | Ok _ ->
+                A.failf "%s (%s): accepted" what (Runtime.backend_name backend))
+          backends
+      in
+      let first = List.hd errs in
+      List.iter2
+        (fun backend e ->
+          if e <> first then
+            A.failf "%s: %s answers %a, sim answers %a" what
+              (Runtime.backend_name backend) Supervisor.pp_run_error e
+              Supervisor.pp_run_error first)
+        backends errs)
+    cases
 
 let suite =
   [
