@@ -465,18 +465,20 @@ let passthrough_app : H.app =
     ( "read_ts",
       fun ctx args ->
         let p = V.as_int (List.hd args) in
+        let t = Lang.Interp.class_decl ctx "T" in
+        let slot = V.slot t in
+        let a1 = slot "a1" and a2 = slot "a2" in
+        let bs = Array.init 8 (fun b -> slot (Printf.sprintf "b%d" b)) in
         let vec = V.Vec.create () in
         for i = 0 to 1999 do
-          let fields = Hashtbl.create 10 in
+          let o = V.make_object t in
           let base = Apps.Prng.hash_float 11 ((p * 2000) + i) in
-          Hashtbl.replace fields "a1" (V.Vfloat base);
-          Hashtbl.replace fields "a2" (V.Vfloat (base *. 0.5));
-          for b = 0 to 7 do
-            Hashtbl.replace fields
-              (Printf.sprintf "b%d" b)
-              (V.Vfloat (base +. float_of_int b))
-          done;
-          V.Vec.push vec (V.Vobject { V.ocls = "T"; V.ofields = fields })
+          o.V.slots.(a1) <- V.Vfloat base;
+          o.V.slots.(a2) <- V.Vfloat (base *. 0.5);
+          Array.iteri
+            (fun b s -> o.V.slots.(s) <- V.Vfloat (base +. float_of_int b))
+            bs;
+          V.Vec.push vec (V.Vobject o)
         done;
         ctx.Lang.Interp.counter.Lang.Opcount.mem_ops <-
           ctx.Lang.Interp.counter.Lang.Opcount.mem_ops + (2000 * 18);

@@ -61,26 +61,32 @@ let cube_count cfg = cfg.grid_dim * cfg.grid_dim * cfg.grid_dim
 
 let per_packet cfg = (cube_count cfg + cfg.num_packets - 1) / cfg.num_packets
 
-(* Build the Cube object for global cube index [gi], corner values
-   supplied by [corner] (the analytic field, or the cached grid). *)
-let make_cube_with ~corner d gi =
-  let cx = gi mod d and cy = gi / d mod d and cz = gi / (d * d) in
-  let fields = Hashtbl.create 12 in
-  let setf name v = Hashtbl.replace fields name (V.Vfloat v) in
-  setf "x" (float_of_int cx);
-  setf "y" (float_of_int cy);
-  setf "z" (float_of_int cz);
-  setf "v000" (corner cx cy cz);
-  setf "v001" (corner cx cy (cz + 1));
-  setf "v010" (corner cx (cy + 1) cz);
-  setf "v011" (corner cx (cy + 1) (cz + 1));
-  setf "v100" (corner (cx + 1) cy cz);
-  setf "v101" (corner (cx + 1) cy (cz + 1));
-  setf "v110" (corner (cx + 1) (cy + 1) cz);
-  setf "v111" (corner (cx + 1) (cy + 1) (cz + 1));
-  V.Vobject { V.ocls = "Cube"; V.ofields = fields }
-
-let make_cube cfg gi = make_cube_with ~corner:(field cfg) cfg.grid_dim gi
+(* [cube_maker ctx ~corner d] builds the Cube object for global cube
+   index [gi] as the program declares the class, corner values supplied
+   by [corner] (the analytic field, or the cached grid).  The slots are
+   resolved once per maker. *)
+let cube_maker ctx ~corner d =
+  let cube = Interp.class_decl ctx "Cube" in
+  let slot =
+    Array.map (V.slot cube)
+      [| "x"; "y"; "z"; "v000"; "v001"; "v010"; "v011"; "v100"; "v101"; "v110"; "v111" |]
+  in
+  fun gi ->
+    let cx = gi mod d and cy = gi / d mod d and cz = gi / (d * d) in
+    let o = V.make_object cube in
+    let set k v = o.V.slots.(slot.(k)) <- V.Vfloat v in
+    set 0 (float_of_int cx);
+    set 1 (float_of_int cy);
+    set 2 (float_of_int cz);
+    set 3 (corner cx cy cz);
+    set 4 (corner cx cy (cz + 1));
+    set 5 (corner cx (cy + 1) cz);
+    set 6 (corner cx (cy + 1) (cz + 1));
+    set 7 (corner (cx + 1) cy cz);
+    set 8 (corner (cx + 1) cy (cz + 1));
+    set 9 (corner (cx + 1) (cy + 1) cz);
+    set 10 (corner (cx + 1) (cy + 1) (cz + 1));
+    V.Vobject o
 
 (* read_cubes(p): the cubes of packet p, charging a per-byte read cost to
    the hosting node (the data repository access of the paper). *)
@@ -90,9 +96,10 @@ let read_cubes_extern cfg : string * Interp.extern_fn =
       let p = V.as_int (List.hd args) in
       let per = per_packet cfg in
       let lo = p * per and hi = min (cube_count cfg) ((p + 1) * per) in
+      let make_cube = cube_maker ctx ~corner:(field cfg) cfg.grid_dim in
       let vec = V.Vec.create () in
       for gi = lo to hi - 1 do
-        V.Vec.push vec (make_cube cfg gi)
+        V.Vec.push vec (make_cube gi)
       done;
       (* repository read is byte-bound: 11 doubles per cube plus layout
          decoding, roughly one weighted operation per byte *)
@@ -141,8 +148,9 @@ let read_cubes_cached_extern cfg ds : string * Interp.extern_fn =
           let ci = x + (d1 * (y + (d1 * z))) in
           Int64.float_of_bits (Bytes.get_int64_le window ((ci - base) * 8))
         in
+        let make_cube = cube_maker ctx ~corner d in
         for gi = lo to hi - 1 do
-          V.Vec.push vec (make_cube_with ~corner d gi)
+          V.Vec.push vec (make_cube gi)
         done
       end;
       ctx.Interp.counter.Opcount.mem_ops <-

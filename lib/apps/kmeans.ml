@@ -58,13 +58,15 @@ let externs cfg (cents : centroids) : (string * Interp.extern_fn) list =
       fun ctx args ->
         let p = V.as_int (List.hd args) in
         let lo, hi = packet_range cfg p in
+        let pt = Interp.class_decl ctx "Pt" in
+        let sx = V.slot pt "x" and sy = V.slot pt "y" in
         let vec = V.Vec.create () in
         for i = lo to hi - 1 do
           let x, y = point cfg i in
-          let fields = Hashtbl.create 2 in
-          Hashtbl.replace fields "x" (V.Vfloat x);
-          Hashtbl.replace fields "y" (V.Vfloat y);
-          V.Vec.push vec (V.Vobject { V.ocls = "Pt"; V.ofields = fields })
+          let o = V.make_object pt in
+          o.V.slots.(sx) <- V.Vfloat x;
+          o.V.slots.(sy) <- V.Vfloat y;
+          V.Vec.push vec (V.Vobject o)
         done;
         ctx.Interp.counter.Opcount.mem_ops <-
           ctx.Interp.counter.Opcount.mem_ops + (16 * (hi - lo));

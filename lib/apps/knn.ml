@@ -54,14 +54,16 @@ let read_points_extern cfg : string * Interp.extern_fn =
     fun ctx args ->
       let p = V.as_int (List.hd args) in
       let lo, hi = packet_range cfg p in
+      let pt = Interp.class_decl ctx "Pt" in
+      let sx = V.slot pt "x" and sy = V.slot pt "y" and sz = V.slot pt "z" in
       let vec = V.Vec.create () in
       for i = lo to hi - 1 do
         let x, y, z = point cfg i in
-        let fields = Hashtbl.create 4 in
-        Hashtbl.replace fields "x" (V.Vfloat x);
-        Hashtbl.replace fields "y" (V.Vfloat y);
-        Hashtbl.replace fields "z" (V.Vfloat z);
-        V.Vec.push vec (V.Vobject { V.ocls = "Pt"; V.ofields = fields })
+        let o = V.make_object pt in
+        o.V.slots.(sx) <- V.Vfloat x;
+        o.V.slots.(sy) <- V.Vfloat y;
+        o.V.slots.(sz) <- V.Vfloat z;
+        V.Vec.push vec (V.Vobject o)
       done;
       (* byte-bound repository read: raw binary points, ~0.5 ops/byte *)
       ctx.Interp.counter.Opcount.mem_ops <-

@@ -99,17 +99,19 @@ let read_chunk_extern cfg : string * Interp.extern_fn =
     fun ctx args ->
       let p = V.as_int (List.hd args) in
       let ylo, yhi = query_rows cfg p in
+      let px = Interp.class_decl ctx "Px" in
+      let slot = Array.map (V.slot px) [| "ix"; "iy"; "r"; "g"; "b" |] in
       let vec = V.Vec.create () in
       for y = ylo to yhi - 1 do
         for x = 0 to cfg.image_w - 1 do
           let r, g, b = pixel cfg x y in
-          let fields = Hashtbl.create 6 in
-          Hashtbl.replace fields "ix" (V.Vint x);
-          Hashtbl.replace fields "iy" (V.Vint y);
-          Hashtbl.replace fields "r" (V.Vfloat r);
-          Hashtbl.replace fields "g" (V.Vfloat g);
-          Hashtbl.replace fields "b" (V.Vfloat b);
-          V.Vec.push vec (V.Vobject { V.ocls = "Px"; V.ofields = fields })
+          let o = V.make_object px in
+          o.V.slots.(slot.(0)) <- V.Vint x;
+          o.V.slots.(slot.(1)) <- V.Vint y;
+          o.V.slots.(slot.(2)) <- V.Vfloat r;
+          o.V.slots.(slot.(3)) <- V.Vfloat g;
+          o.V.slots.(slot.(4)) <- V.Vfloat b;
+          V.Vec.push vec (V.Vobject o)
         done
       done;
       (* reading a slide chunk decompresses it: roughly 2.5 weighted

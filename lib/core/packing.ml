@@ -310,16 +310,17 @@ let rec pack_value_generic buf prog (ty : Ast.ty) (v : V.t) =
   | Ast.Tclass cls -> (
       match v with
       | V.Vnull -> buf_add_bool buf false
-      | V.Vobject obj -> (
+      | V.Vobject obj ->
           buf_add_bool buf true;
-          match Ast.find_class prog cls with
-          | None -> V.runtime_errorf "pack: unknown class %s" cls
-          | Some cd ->
-              List.iter
-                (fun (fty, fname) ->
-                  pack_value_generic buf prog fty (V.field obj fname))
-                cd.Ast.cd_fields)
+          List.iteri
+            (fun i (fty, _) -> pack_value_generic buf prog fty obj.V.slots.(i))
+            obj.V.cls.Ast.cd_fields
       | _ -> V.runtime_errorf "pack: expected %s object" cls)
+
+let unpack_class prog cls =
+  match Ast.find_class prog cls with
+  | Some cd -> cd
+  | None -> V.runtime_errorf "unpack: unknown class %s" cls
 
 let rec unpack_value_generic (r : reader) prog (ty : Ast.ty) : V.t =
   match ty with
@@ -346,15 +347,11 @@ let rec unpack_value_generic (r : reader) prog (ty : Ast.ty) : V.t =
   | Ast.Tclass cls -> (
       if not (read_bool r) then V.Vnull
       else
-        match Ast.find_class prog cls with
-        | None -> V.runtime_errorf "unpack: unknown class %s" cls
-        | Some cd ->
-            let obj = V.make_object cd in
-            List.iter
-              (fun (fty, fname) ->
-                V.set_field obj fname (unpack_value_generic r prog fty))
-              cd.Ast.cd_fields;
-            V.Vobject obj)
+        let obj = V.make_object (unpack_class prog cls) in
+        List.iteri
+          (fun i (fty, _) -> obj.V.slots.(i) <- unpack_value_generic r prog fty)
+          obj.V.cls.Ast.cd_fields;
+        V.Vobject obj)
 
 let rec value_size_generic prog (ty : Ast.ty) (v : V.t) =
   match ty with
@@ -374,17 +371,14 @@ let rec value_size_generic prog (ty : Ast.ty) (v : V.t) =
       let s = ref 8 in
       V.Vec.iter (fun x -> s := !s + value_size_generic prog elt x) l;
       !s
-  | Ast.Tclass cls -> (
+  | Ast.Tclass _ -> (
       match v with
-      | V.Vobject obj -> (
-          match Ast.find_class prog cls with
-          | None -> 1
-          | Some cd ->
-              1
-              + List.fold_left
-                  (fun s (fty, fname) ->
-                    s + value_size_generic prog fty (V.field obj fname))
-                  0 cd.Ast.cd_fields)
+      | V.Vobject obj ->
+          let s = ref 1 in
+          List.iteri
+            (fun i (fty, _) -> s := !s + value_size_generic prog fty obj.V.slots.(i))
+            obj.V.cls.Ast.cd_fields;
+          !s
       | _ -> 1)
 
 (* Wrap an environment lookup so the "runtime:<name>" symbols produced
@@ -444,6 +438,17 @@ let resolve_section lookup (arr : V.t array) (s : Section.t) =
       let hi = min (Array.length arr) (resolve_bound hi) in
       (lo, max lo hi)
 
+let obj_field lookup v f = V.field (V.as_object (lookup v)) f
+
+(* One field of a collection's elements, resolved once for all of them. *)
+let elt_field (fs : field_spec) =
+  if fs.fs_name = Gencons.prim_field then Fun.id
+  else
+    let slot = V.site fs.fs_name in
+    fun elt ->
+      let o = V.as_object elt in
+      o.V.slots.(slot o)
+
 (* Pack the values described by [layout] from [lookup] into bytes. *)
 let pack (prog : Ast.program) (layout : layout) ~(lookup : string -> V.t) :
     Bytes.t =
@@ -452,12 +457,9 @@ let pack (prog : Ast.program) (layout : layout) ~(lookup : string -> V.t) :
     (fun entry ->
       match entry with
       | Escalar (v, st) -> add_scalar buf st (lookup v)
-      | Eobj_field (v, _, f, st) ->
-          let obj = V.as_object (lookup v) in
-          add_scalar buf st (V.field obj f)
+      | Eobj_field (v, _, f, st) -> add_scalar buf st (obj_field lookup v f)
       | Eobj_any (v, _, f, ty) ->
-          let obj = V.as_object (lookup v) in
-          pack_value_generic buf prog ty (V.field obj f)
+          pack_value_generic buf prog ty (obj_field lookup v f)
       | Earray (a, s, st) ->
           let arr = V.as_array (lookup a) in
           let lo, hi = resolve_section lookup arr s in
@@ -466,32 +468,28 @@ let pack (prog : Ast.program) (layout : layout) ~(lookup : string -> V.t) :
           for i = lo to hi - 1 do
             add_scalar buf st arr.(i)
           done
-      | Ecoll (c, elem_class, groups) ->
+      | Ecoll (c, _, groups) ->
           let l = V.as_list (lookup c) in
           let n = V.Vec.length l in
           buf_add_int buf n;
-          let field_of elt (fs : field_spec) =
-            if fs.fs_name = Gencons.prim_field then elt
-            else V.field (V.as_object elt) fs.fs_name
-          in
-          ignore elem_class;
           List.iter
             (fun g ->
+              let fields =
+                List.map (fun fs -> (fs.fs_ty, elt_field fs)) g.g_fields
+              in
               match g.g_layout with
               | `Instance ->
                   for i = 0 to n - 1 do
                     let elt = V.Vec.get l i in
-                    List.iter
-                      (fun fs -> add_scalar buf fs.fs_ty (field_of elt fs))
-                      g.g_fields
+                    List.iter (fun (st, get) -> add_scalar buf st (get elt)) fields
                   done
               | `Fieldwise ->
                   List.iter
-                    (fun fs ->
+                    (fun (st, get) ->
                       for i = 0 to n - 1 do
-                        add_scalar buf fs.fs_ty (field_of (V.Vec.get l i) fs)
+                        add_scalar buf st (get (V.Vec.get l i))
                       done)
-                    g.g_fields)
+                    fields)
             groups)
     layout;
   Buffer.to_bytes buf
@@ -503,11 +501,7 @@ let obj_slot out add v cls prog =
   match List.assoc_opt v !out with
   | Some (V.Vobject o) -> o
   | _ ->
-      let o =
-        match Ast.find_class prog cls with
-        | Some cd -> V.make_object cd
-        | None -> { V.ocls = cls; V.ofields = Hashtbl.create 4 }
-      in
+      let o = V.make_object (unpack_class prog cls) in
       add v (V.Vobject o);
       o
 
@@ -549,39 +543,37 @@ let unpack (prog : Ast.program) (layout : layout) (data : Bytes.t) :
           add a (V.Varray arr)
       | Ecoll (c, elem_class, groups) ->
           let n = read_int r in
-          let make_elt () =
-            match elem_class with
-            | Some cls -> (
-                match Ast.find_class prog cls with
+          let cd = Option.map (unpack_class prog) elem_class in
+          let elems =
+            V.init_array n (fun _ ->
+                match cd with
                 | Some cd -> V.Vobject (V.make_object cd)
-                | None ->
-                    V.Vobject { V.ocls = cls; V.ofields = Hashtbl.create 4 })
-            | None -> V.Vfloat 0.0
+                | None -> V.Vfloat 0.0)
           in
-          let elems = V.init_array n (fun _ -> make_elt ()) in
-          let set_field i (fs : field_spec) value =
-            if fs.fs_name = Gencons.prim_field then elems.(i) <- value
-            else
-              match elems.(i) with
-              | V.Vobject o -> V.set_field o fs.fs_name value
-              | _ -> elems.(i) <- value
+          let setter (fs : field_spec) =
+            match cd with
+            | Some cd when fs.fs_name <> Gencons.prim_field ->
+                let slot = V.slot cd fs.fs_name in
+                fun i value -> (V.as_object elems.(i)).V.slots.(slot) <- value
+            | _ -> fun i value -> elems.(i) <- value
           in
           List.iter
             (fun g ->
+              let fields =
+                List.map (fun fs -> (fs.fs_ty, setter fs)) g.g_fields
+              in
               match g.g_layout with
               | `Instance ->
                   for i = 0 to n - 1 do
-                    List.iter
-                      (fun fs -> set_field i fs (read_scalar r fs.fs_ty))
-                      g.g_fields
+                    List.iter (fun (st, set) -> set i (read_scalar r st)) fields
                   done
               | `Fieldwise ->
                   List.iter
-                    (fun fs ->
+                    (fun (st, set) ->
                       for i = 0 to n - 1 do
-                        set_field i fs (read_scalar r fs.fs_ty)
+                        set i (read_scalar r st)
                       done)
-                    g.g_fields)
+                    fields)
             groups;
           add c (V.Vlist (V.Vec.of_array elems)))
     layout;
@@ -602,11 +594,9 @@ let packed_size (prog : Ast.program) (layout : layout)
       match entry with
       | Escalar (v, st) -> total := !total + scalar_bytes st (lookup v)
       | Eobj_field (v, _, f, st) ->
-          let obj = V.as_object (lookup v) in
-          total := !total + scalar_bytes st (V.field obj f)
+          total := !total + scalar_bytes st (obj_field lookup v f)
       | Eobj_any (v, _, f, ty) ->
-          let obj = V.as_object (lookup v) in
-          total := !total + value_size_generic prog ty (V.field obj f)
+          total := !total + value_size_generic prog ty (obj_field lookup v f)
       | Earray (a, s, st) ->
           let arr = V.as_array (lookup a) in
           let lo, hi = resolve_section lookup arr s in
@@ -625,13 +615,9 @@ let packed_size (prog : Ast.program) (layout : layout)
               List.iter
                 (fun fs ->
                   if fs.fs_ty = Sstring then
+                    let get = elt_field fs in
                     for i = 0 to n - 1 do
-                      let elt = V.Vec.get l i in
-                      let v =
-                        if fs.fs_name = Gencons.prim_field then elt
-                        else V.field (V.as_object elt) fs.fs_name
-                      in
-                      total := !total + scalar_bytes Sstring v
+                      total := !total + scalar_bytes Sstring (get (V.Vec.get l i))
                     done
                   else total := !total + (n * scalar_size fs.fs_ty))
                 g.g_fields)
@@ -654,8 +640,7 @@ let marshal_ops (prog : Ast.program) (layout : layout)
       | Escalar _ -> ops := !ops + 2
       | Eobj_field _ -> ops := !ops + 2
       | Eobj_any (v, _, f, ty) ->
-          let obj = V.as_object (lookup v) in
-          ops := !ops + (value_size_generic prog ty (V.field obj f) / 4)
+          ops := !ops + (value_size_generic prog ty (obj_field lookup v f) / 4)
       | Earray (a, s, _) ->
           let arr = V.as_array (lookup a) in
           let lo, hi = resolve_section lookup arr s in

@@ -85,7 +85,9 @@ val read_string : reader -> string
 
 (** {2 Generic structured-value codec} — any PipeLang value by its
     declared type (used for object fields of structured type and for
-    reduction-state payloads) *)
+    reduction-state payloads).  An object is written in its own class's
+    field order and rebuilt from [prog]'s declaration of the class its
+    type names; an undeclared class raises [Value.Runtime_error]. *)
 
 val pack_value_generic : Buffer.t -> Ast.program -> Ast.ty -> Value.t -> unit
 val unpack_value_generic : reader -> Ast.program -> Ast.ty -> Value.t

@@ -6,6 +6,10 @@
      own slot), or to a global's cell;
    - every call resolves to the compiled function, the builtin or the
      extern; methods are compiled once per (class, method) and cached;
+   - every field access resolves to a slot of the object's record
+     through a per-site one-entry cache ([Value.site]) of the class last
+     seen and the slot there; typed sites see one class, an untyped site
+     resolves again when the class changes.  [new] fills slots in order;
    - a name that resolves to nothing compiles to code that raises the
      unbound-variable error when (and only if) it runs.
 
@@ -71,6 +75,11 @@ let create_ctx ?(externs = []) ?(runtime_defs = []) prog =
   }
 
 let set_runtime_define ctx name v = Hashtbl.replace ctx.runtime_defs name v
+
+let class_decl ctx name =
+  match find_class ctx.prog name with
+  | Some cd -> cd
+  | None -> V.runtime_errorf "unknown class %s" name
 
 let charge_int (c : Opcount.t) = c.int_ops <- c.int_ops + 1
 let charge_float (c : Opcount.t) = c.float_ops <- c.float_ops + 1
@@ -271,6 +280,15 @@ let seq = function
           a.(i) fr
         done
 
+let field_read c base f =
+  let slot = V.site f in
+  fun fr ->
+    charge_mem c;
+    match base fr with
+    | V.Vobject obj -> obj.V.slots.(slot obj)
+    | V.Varray a when f = "length" -> V.Vint (Array.length a)
+    | v -> V.runtime_errorf "field .%s of non-object %s" f (V.type_name v)
+
 (* --- calls --- *)
 
 let run_fn fn fr =
@@ -334,25 +352,22 @@ and function_code ctx fd =
       compile_fn ctx fd ~is_method:false
         ~register:(Hashtbl.replace ctx.code.funcs fd.fd_name)
 
-(* The compiled method [m] of class [cls], compiled on first use. *)
-and method_code ctx cls m =
-  match Hashtbl.find_opt ctx.code.methods (cls, m) with
+(* The compiled method [m] of class [cd], compiled on first use. *)
+and method_code ctx cd m =
+  match Hashtbl.find_opt ctx.code.methods (cd.cd_name, m) with
   | Some fn -> fn
   | None -> (
-      match find_class ctx.prog cls with
-      | None -> V.runtime_errorf "object of unknown class %s" cls
-      | Some cd -> (
-          match find_method cd m with
-          | None -> V.runtime_errorf "class %s has no method %s" cls m
-          | Some md ->
-              compile_fn ctx md ~is_method:true
-                ~register:(Hashtbl.replace ctx.code.methods (cls, m))))
+      match find_method cd m with
+      | None -> V.runtime_errorf "class %s has no method %s" cd.cd_name m
+      | Some md ->
+          compile_fn ctx md ~is_method:true
+            ~register:(Hashtbl.replace ctx.code.methods (cd.cd_name, m)))
 
 and call_method ctx recv m argv =
   charge_call ctx.counter;
   match recv with
   | V.Vlist l -> list_method ctx.counter l m argv
-  | V.Vobject obj -> invoke (method_code ctx obj.V.ocls m) recv argv
+  | V.Vobject obj -> invoke (method_code ctx obj.V.cls m) recv argv
   | v -> V.runtime_errorf "method call .%s on %s" m (V.type_name v)
 
 (* --- expressions --- *)
@@ -380,14 +395,7 @@ and compile_expr ctx sc (e : expr) : frame -> V.t =
         | Some v -> V.Vint v
         | None -> V.runtime_errorf "runtime_define %s is not set" name)
   | Evar v -> read_loc v (resolve sc v)
-  | Efield (o, f) -> (
-      let o = ce o in
-      fun fr ->
-        charge_mem c;
-        match o fr with
-        | V.Vobject obj -> V.field obj f
-        | V.Varray a when f = "length" -> V.Vint (Array.length a)
-        | v -> V.runtime_errorf "field .%s of non-object %s" f (V.type_name v))
+  | Efield (o, f) -> field_read c (ce o) f
   | Eindex (a, i) ->
       let a = ce a and i = ce i in
       fun fr ->
@@ -441,16 +449,17 @@ and compile_expr ctx sc (e : expr) : frame -> V.t =
             charge_alloc c;
             V.runtime_errorf "unknown class %s" cname
       | Some cls ->
-          let args = List.map ce args in
+          let args = Array.of_list (List.map ce args) in
+          let n = Array.length args in
           fun fr ->
             charge_alloc c;
             let obj = V.make_object cls in
-            (match eval_args args fr with
-            | [] -> ()
-            | argv ->
-                List.iter2
-                  (fun (_, fname) v -> V.set_field obj fname v)
-                  cls.cd_fields argv);
+            if n > 0 && n <> Array.length obj.V.slots then
+              V.runtime_errorf "new %s expects %d arguments, got %d" cname
+                (Array.length obj.V.slots) n;
+            for i = 0 to n - 1 do
+              obj.V.slots.(i) <- args.(i) fr
+            done;
             V.Vobject obj)
   | Enew_array (t, n) ->
       let n = ce n in
@@ -674,13 +683,7 @@ and compile_block ctx sc body =
 
 and compile_read ctx sc = function
   | Lvar v -> read_loc v (resolve sc v)
-  | Lfield (l, f) -> (
-      let c = ctx.counter and l = compile_read ctx sc l in
-      fun fr ->
-        charge_mem c;
-        match l fr with
-        | V.Vobject obj -> V.field obj f
-        | v -> V.runtime_errorf "field .%s of non-object %s" f (V.type_name v))
+  | Lfield (l, f) -> field_read ctx.counter (compile_read ctx sc l) f
   | Lindex (l, i) ->
       let c = ctx.counter and l = compile_read ctx sc l in
       let i = compile_expr ctx sc i in
@@ -702,11 +705,11 @@ and compile_assign ctx sc l : frame -> V.t -> unit =
         charge_mem c;
         write fr v
   | Lfield (l, f) -> (
-      let l = compile_read ctx sc l in
+      let l = compile_read ctx sc l and slot = V.site f in
       fun fr v ->
         charge_mem c;
         match l fr with
-        | V.Vobject obj -> V.set_field obj f v
+        | V.Vobject obj -> obj.V.slots.(slot obj) <- v
         | w -> V.runtime_errorf "field write .%s on %s" f (V.type_name w))
   | Lindex (l, i) ->
       let l = compile_read ctx sc l and i = compile_expr ctx sc i in

@@ -36,6 +36,11 @@ val create_ctx :
 
 val set_runtime_define : ctx -> string -> int -> unit
 
+(** The program's declaration of a class, for externs that build its
+    objects with {!Value.make_object}.
+    @raise Value.Runtime_error when the program declares no such class. *)
+val class_decl : ctx -> string -> Ast.class_decl
+
 (** Invoke a method on an object or list value.
     @raise Value.Runtime_error on dynamic errors. *)
 val call_method : ctx -> Value.t -> string -> Value.t list -> Value.t

@@ -69,7 +69,7 @@ type t =
   | Vobject of obj
   | Vrange of int * int (* [lo : hi), a 1-d rectdomain *)
 
-and obj = { ocls : string; ofields : (string, t) Hashtbl.t }
+and obj = { cls : Ast.class_decl; slots : t array }
 
 (* [Array.init] that starts from the immediate [Vnull] (see the top of
    this file); [f] runs in index order. *)
@@ -89,7 +89,7 @@ let type_name = function
   | Vstring _ -> "String"
   | Varray _ -> "array"
   | Vlist _ -> "List"
-  | Vobject o -> o.ocls
+  | Vobject o -> o.cls.Ast.cd_name
   | Vrange _ -> "Rectdomain"
 
 exception Runtime_error of string
@@ -125,15 +125,34 @@ let as_object = function
   | Vobject o -> o
   | v -> runtime_errorf "expected object, got %s" (type_name v)
 
-let field obj name =
-  match Hashtbl.find_opt obj.ofields name with
-  | Some v -> v
-  | None -> runtime_errorf "object %s has no field %s" obj.ocls name
+let slot (cd : Ast.class_decl) name =
+  let rec go i = function
+    | [] -> runtime_errorf "object %s has no field %s" cd.cd_name name
+    | (_, f) :: rest -> if String.equal f name then i else go (i + 1) rest
+  in
+  go 0 cd.cd_fields
 
-let set_field obj name v = Hashtbl.replace obj.ofields name v
+let field obj name = obj.slots.(slot obj.cls name)
+let set_field obj name v = obj.slots.(slot obj.cls name) <- v
+
+(* The pair is replaced whole on a miss, so a site shared between
+   domains never pairs one class with another class's slot. *)
+let site name =
+  let none =
+    { Ast.cd_name = ""; cd_reduc = false; cd_fields = []; cd_methods = [];
+      cd_loc = Srcloc.dummy }
+  in
+  let cache = ref (none, -1) in
+  fun obj ->
+    let cd, i = !cache in
+    if obj.cls == cd then i
+    else
+      let i = slot obj.cls name in
+      cache := (obj.cls, i);
+      i
 
 (* Default (zero) value for a declared type. *)
-let rec zero_of_ty (ty : Ast.ty) =
+let zero_of_ty (ty : Ast.ty) =
   match ty with
   | Ast.Tint -> Vint 0
   | Ast.Tfloat -> Vfloat 0.0
@@ -145,12 +164,16 @@ let rec zero_of_ty (ty : Ast.ty) =
   | Ast.Trectdomain -> Vrange (0, 0)
   | Ast.Tclass _ -> Vnull
 
-and make_object cls_decl =
-  let ofields = Hashtbl.create 8 in
-  List.iter
-    (fun (ty, name) -> Hashtbl.replace ofields name (zero_of_ty ty))
-    cls_decl.Ast.cd_fields;
-  { ocls = cls_decl.Ast.cd_name; ofields }
+let rec fill_zeros slots i = function
+  | [] -> ()
+  | (ty, _) :: rest ->
+      slots.(i) <- zero_of_ty ty;
+      fill_zeros slots (i + 1) rest
+
+let make_object (cls : Ast.class_decl) =
+  let slots = Array.make (List.length cls.cd_fields) Vnull in
+  fill_zeros slots 0 cls.cd_fields;
+  { cls; slots }
 
 (* Structural deep copy.  Used when a value crosses a filter boundary in
    value form (tests and the reference evaluator); the production path
@@ -162,9 +185,8 @@ let rec deep_copy = function
   | Varray a -> Varray (init_array (Array.length a) (fun i -> deep_copy a.(i)))
   | Vlist l -> Vlist (Vec.map deep_copy l)
   | Vobject o ->
-      let ofields = Hashtbl.create (Hashtbl.length o.ofields) in
-      Hashtbl.iter (fun k v -> Hashtbl.replace ofields k (deep_copy v)) o.ofields;
-      Vobject { ocls = o.ocls; ofields }
+      Vobject
+        { o with slots = init_array (Array.length o.slots) (fun i -> deep_copy o.slots.(i)) }
 
 (* Structural equality that treats lists as multisets is deliberately NOT
    provided here; [equal] is plain structural equality in order. *)
@@ -189,15 +211,12 @@ let rec equal a b =
           done;
           !ok)
   | Vobject x, Vobject y ->
-      String.equal x.ocls y.ocls
-      && Hashtbl.length x.ofields = Hashtbl.length y.ofields
-      && Hashtbl.fold
-           (fun k v acc ->
-             acc
-             && match Hashtbl.find_opt y.ofields k with
-                | Some w -> equal v w
-                | None -> false)
-           x.ofields true
+      (* by names: the objects may come from two parses of one program *)
+      String.equal x.cls.cd_name y.cls.cd_name
+      && List.equal
+           (fun (_, f) (_, g) -> String.equal f g)
+           x.cls.cd_fields y.cls.cd_fields
+      && equal (Varray x.slots) (Varray y.slots)
   | _ -> false
 
 let rec pp ppf = function
@@ -216,10 +235,10 @@ let rec pp ppf = function
         (Vec.to_list l)
   | Vobject o ->
       let fields =
-        Hashtbl.fold (fun k v acc -> (k, v) :: acc) o.ofields []
+        List.mapi (fun i (_, name) -> (name, o.slots.(i))) o.cls.cd_fields
         |> List.sort (fun (a, _) (b, _) -> String.compare a b)
       in
-      Fmt.pf ppf "%s{%a}" o.ocls
+      Fmt.pf ppf "%s{%a}" o.cls.cd_name
         Fmt.(list ~sep:(any ", ") (fun ppf (k, v) -> Fmt.pf ppf "%s=%a" k pp v))
         fields
 

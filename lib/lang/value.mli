@@ -1,4 +1,13 @@
-(** Runtime values of the PipeLang interpreter. *)
+(** Runtime values of the PipeLang interpreter.
+
+    An object is a fixed-layout record: a [Value.t array] with one slot
+    per field in declaration order, and the class declaration itself as
+    the layout descriptor, so there is no class registry to share
+    between domains.  Objects built by [new], by unpacking and by host
+    externs ({!make_object}) share the program's declaration, which
+    keeps every field access site on one layout.  Equality and printing
+    go by class and field name, never by declaration identity, so
+    objects from two parses of one program compare and print alike. *)
 
 (** Growable vector, used for [List<T>] collections. *)
 module Vec : sig
@@ -35,7 +44,10 @@ type t =
   | Vobject of obj
   | Vrange of int * int  (** [lo : hi), a 1-d rectdomain *)
 
-and obj = { ocls : string; ofields : (string, t) Hashtbl.t }
+(** The class declaration and one slot per declared field, in
+    declaration order.  Code that reads a field many times resolves the
+    name to a slot once ({!slot}, {!site}) and indexes [slots]. *)
+and obj = { cls : Ast.class_decl; slots : t array }
 
 (** [Array.init n f] for values, without the minor collection OCaml
     5.1 forces when an array above 256 words starts from a young fill:
@@ -60,10 +72,22 @@ val as_array : t -> t array
 val as_list : t -> t Vec.t
 val as_object : t -> obj
 
-(** @raise Runtime_error when the field does not exist. *)
+(** [slot cls name] is the index of field [name] in objects of [cls].
+    @raise Runtime_error when the class declares no such field. *)
+val slot : Ast.class_decl -> string -> int
+
+(** Access by name, resolved on every call.
+    @raise Runtime_error when the field does not exist. *)
 val field : obj -> string -> t
 
 val set_field : obj -> string -> t -> unit
+
+(** [site name] is the slot of field [name] for a field access site: it
+    remembers the last class it saw and its slot there, so a site that
+    sees one class resolves the name once.  The cache is safe to share
+    between domains.
+    @raise Runtime_error when the object's class declares no such field. *)
+val site : string -> obj -> int
 
 (** The default (zero) value of a declared type: numeric zeros, empty
     lists, [Vnull] for classes and arrays. *)

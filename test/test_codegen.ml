@@ -38,16 +38,16 @@ pipelined (p in [0 : runtime_define num_packets]) {
 
 let read_ps : string * Interp.extern_fn =
   ( "read_ps",
-    fun _ctx args ->
+    fun ctx args ->
       let p = V.as_int (List.hd args) in
       let vec = V.Vec.create () in
       for i = 0 to 19 do
-        let fields = Hashtbl.create 2 in
-        Hashtbl.replace fields "a"
+        let o = V.make_object (Interp.class_decl ctx "P") in
+        V.set_field o "a"
           (V.Vfloat (Apps.Prng.hash_float 3 ((p * 40) + (2 * i))));
-        Hashtbl.replace fields "b"
+        V.set_field o "b"
           (V.Vfloat (Apps.Prng.hash_float 3 ((p * 40) + (2 * i) + 1)));
-        V.Vec.push vec (V.Vobject { V.ocls = "P"; V.ofields = fields })
+        V.Vec.push vec (V.Vobject o)
       done;
       V.Vlist vec )
 

@@ -3,7 +3,12 @@
    words is created with a young fill value, and under domains every
    minor collection stops every domain.  Each case empties the minor
    heap, then runs one per-item operation that allocates far less than a
-   minor heap: the collection count must not move. *)
+   minor heap: the collection count must not move.
+
+   The object pins count the words compiled PipeLang allocates for a
+   field read and for [new]: objects are fixed-layout records, so a
+   read allocates nothing and an object is its record, its slot array
+   and its [Vobject] box. *)
 
 module A = Alcotest
 open Core
@@ -85,6 +90,76 @@ let test_collection_unpack () =
   | [ ("ts", v) ] -> A.(check bool) "round trip" true (V.equal ts v)
   | _ -> A.fail "expected exactly the collection ts"
 
+(* Segment 0 sets up [t], segment 1 is the statement under test; it
+   runs once so that its field sites have resolved. *)
+let object_code src =
+  let prog = Parser.parse src in
+  let ctx = Interp.create_ctx prog in
+  let body = List.rev prog.Ast.pipeline.Ast.pd_body in
+  let pk =
+    Interp.compile_packet ctx (Interp.init_globals ctx) ~inputs:[]
+      [ List.rev (List.tl body); [ List.hd body ] ]
+  in
+  let fr = Interp.new_frame pk ~packet:0 in
+  Interp.run_segment pk 0 fr;
+  Interp.run_segment pk 1 fr;
+  (pk, fr)
+
+let minor_words_of f =
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. before
+
+let test_field_read_allocates_nothing () =
+  let pk, fr =
+    object_code
+      {|
+class T { float a; float b; }
+pipelined (p in [0 : 1]) {
+  T t = new T();
+  float x = 1.0;
+  x = t.b;
+}
+|}
+  in
+  let words =
+    minor_words_of (fun () ->
+        for _ = 1 to 10_000 do
+          Interp.run_segment pk 1 fr
+        done)
+  in
+  A.(check (float 0.0)) "minor words of 10,000 field reads" 0.0 words
+
+let test_new_object_words () =
+  let pk, fr =
+    object_code
+      {|
+class Tri {
+  float x0; float y0; float z0;
+  float x1; float y1; float z1;
+  float x2; float y2; float z2;
+  float shade;
+}
+pipelined (p in [0 : 1]) {
+  Tri t = null;
+  t = new Tri();
+}
+|}
+  in
+  let n = 1000 in
+  let words =
+    minor_words_of (fun () ->
+        for _ = 1 to n do
+          Interp.run_segment pk 1 fr
+        done)
+  in
+  (* the record (header, class, slots), the 10 slots with their header,
+     and the two-word Vobject box *)
+  let bound = 3 + 11 + 2 in
+  if words > float_of_int (bound * n) then
+    A.failf "new Tri() allocates %.1f words, more than %d" (words /. float_of_int n)
+      bound
+
 let () =
   Alcotest.run "gc_alloc"
     [
@@ -93,5 +168,10 @@ let () =
           ("Vec.push of fresh values", `Quick, test_vec_push);
           ("generic float[] unpack", `Quick, test_generic_array_unpack);
           ("collection of objects unpack", `Quick, test_collection_unpack);
+        ] );
+      ( "object allocation",
+        [
+          ("field read allocates nothing", `Quick, test_field_read_allocates_nothing);
+          ("new object is its record and slots", `Quick, test_new_object_words);
         ] );
     ]

@@ -367,4 +367,66 @@ let suite =
     ("list get out of bounds", `Quick, test_list_get_out_of_bounds);
   ]
 
+(* Untyped: [bump] declares an [A] but is also passed [B] objects, which
+   declare the same fields in the other order, so the field sites in
+   [bump] alternate between two layouts and miss on every call. *)
+let test_field_site_two_layouts () =
+  let prog =
+    Parser.parse
+      {|
+class A { int x; int y; }
+class B { int y; int x; }
+A ga = new A();
+B gb = new B();
+A reads = new A();
+int bump(A o, int k) {
+  o.x = o.x + k;
+  return o.x;
+}
+pipelined (p in [0 : 1]) {
+  ga.y = 100;
+  gb.y = 200;
+  for (int i = 0; i < 3; i = i + 1) {
+    reads.x = reads.x + bump(ga, 1);
+    reads.y = reads.y + bump(gb, 10);
+  }
+}
+|}
+  in
+  let genv = Interp.run_reference (Interp.create_ctx prog) in
+  let get g f = V.as_int (V.field (V.as_object (Interp.global_value genv g)) f) in
+  A.(check int) "A.x written" 3 (get "ga" "x");
+  A.(check int) "A.y untouched" 100 (get "ga" "y");
+  A.(check int) "B.x written" 30 (get "gb" "x");
+  A.(check int) "B.y untouched" 200 (get "gb" "y");
+  A.(check int) "reads of A.x" 6 (get "reads" "x");
+  A.(check int) "reads of B.x" 60 (get "reads" "y")
+
+let test_set_field_undeclared () =
+  let prog = Parser.parse "class C { int x; } pipelined (p in [0 : 1]) { }" in
+  let o = V.make_object (Option.get (Ast.find_class prog "C")) in
+  match V.set_field o "nope" (V.Vint 1) with
+  | exception V.Runtime_error msg ->
+      A.(check string) "error" "object C has no field nope" msg
+  | () -> A.fail "set_field added an undeclared field"
+
+(* Untyped: a constructor call with a wrong argument count. *)
+let test_new_arity_mismatch () =
+  let prog =
+    Parser.parse
+      "class C { int x; int y; } pipelined (p in [0 : 1]) { C c = new C(1); }"
+  in
+  match Interp.run_reference (Interp.create_ctx prog) with
+  | exception V.Runtime_error msg ->
+      A.(check string) "error" "new C expects 2 arguments, got 1" msg
+  | _ -> A.fail "expected a runtime error"
+
+let suite =
+  suite
+  @ [
+      ("new with wrong argument count", `Quick, test_new_arity_mismatch);
+      ("field site sees two layouts", `Quick, test_field_site_two_layouts);
+      ("set_field undeclared field", `Quick, test_set_field_undeclared);
+    ]
+
 let () = Alcotest.run "interp-more" [ ("interp-more", suite) ]

@@ -53,16 +53,16 @@ pipelined (p in [0 : runtime_define num_packets]) {
 
 let read_points_extern n_per_packet : (string * Interp.extern_fn) =
   ( "read_points",
-    fun _ctx args ->
+    fun ctx args ->
       let p = Value.as_int (List.hd args) in
       let l = Value.Vec.create () in
       for i = 0 to n_per_packet - 1 do
-        let fields = Hashtbl.create 4 in
+        let o = Value.make_object (Interp.class_decl ctx "Point") in
         let x = float_of_int ((p * n_per_packet) + i) /. 100.0 in
-        Hashtbl.replace fields "x" (Value.Vfloat x);
-        Hashtbl.replace fields "y" (Value.Vfloat 0.0);
-        Hashtbl.replace fields "keep" (Value.Vbool false);
-        Value.Vec.push l (Value.Vobject { ocls = "Point"; ofields = fields })
+        Value.set_field o "x" (Value.Vfloat x);
+        Value.set_field o "y" (Value.Vfloat 0.0);
+        Value.set_field o "keep" (Value.Vbool false);
+        Value.Vec.push l (Value.Vobject o)
       done;
       Value.Vlist l )
 
@@ -490,9 +490,13 @@ let test_interp_array_bounds () =
   | _ -> A.fail "expected runtime error"
 
 let test_value_deep_copy_isolates () =
-  let fields = Hashtbl.create 4 in
-  Hashtbl.replace fields "x" (Value.Vint 1);
-  let obj = Value.Vobject { ocls = "C"; ofields = fields } in
+  let cd =
+    { Ast.cd_name = "C"; cd_reduc = false; cd_fields = [ (Ast.Tint, "x") ];
+      cd_methods = []; cd_loc = Srcloc.dummy }
+  in
+  let o = Value.make_object cd in
+  Value.set_field o "x" (Value.Vint 1);
+  let obj = Value.Vobject o in
   let copy = Value.deep_copy obj in
   (match obj with
   | Value.Vobject o -> Value.set_field o "x" (Value.Vint 99)

@@ -30,9 +30,9 @@ let rec render b = function
       V.Vec.iter (fun v -> render b v; Buffer.add_char b ';') l;
       Buffer.add_string b "]"
   | V.Vobject o ->
-      Buffer.add_string b o.V.ocls;
+      Buffer.add_string b o.V.cls.Ast.cd_name;
       Buffer.add_char b '{';
-      Hashtbl.fold (fun k v acc -> (k, v) :: acc) o.V.ofields []
+      List.mapi (fun i (_, k) -> (k, o.V.slots.(i))) o.V.cls.Ast.cd_fields
       |> List.sort (fun (x, _) (y, _) -> String.compare x y)
       |> List.iter (fun (k, v) ->
              Buffer.add_string b k;

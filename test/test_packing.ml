@@ -189,9 +189,9 @@ let test_symbolic_section_resolved () =
   A.(check int) "only 4 elements packed" (8 + 16 + 32) (Bytes.length bytes)
 
 let test_obj_any_array_field () =
-  let prog, _, _, _ = setup () in
+  let prog = Parser.parse "class Z { float[] depth; } pipelined (p in [0 : 1]) { }" in
   let layout = [ Packing.Eobj_any ("z", "Z", "depth", Ast.Tarray Ast.Tfloat) ] in
-  let o = { V.ocls = "Z"; V.ofields = Hashtbl.create 2 } in
+  let o = V.make_object (Option.get (Ast.find_class prog "Z")) in
   V.set_field o "depth" (V.Varray [| V.Vfloat 1.5; V.Vfloat 2.5 |]);
   let lookup = function
     | "z" -> V.Vobject o
@@ -297,6 +297,31 @@ let test_objpack_null_and_arrays () =
     (V.equal (List.assoc "a" out) (V.Varray [| V.Vint 1; V.Vint 2 |]));
   A.(check bool) "null" true (V.equal (List.assoc "n" out) V.Vnull)
 
+(* A layout naming a class the program does not declare is rejected when
+   unpacking, for a single object and for a collection's elements. *)
+let test_unpack_unknown_class () =
+  let prog, _, _, _ = setup () in
+  let t = mk_t prog 1.0 2.0 3 in
+  let lookup = function
+    | "t0" -> t
+    | "ts" -> V.Vlist (V.Vec.of_list [ t ])
+    | x -> V.runtime_errorf "unexpected %s" x
+  in
+  let group =
+    { Packing.g_layout = `Instance;
+      g_fields = [ { Packing.fs_name = "a"; fs_ty = Packing.Sfloat } ];
+      g_first_consumer = None }
+  in
+  List.iter
+    (fun entry ->
+      let data = Packing.pack prog [ entry ] ~lookup in
+      match Packing.unpack prog [ entry ] data with
+      | exception V.Runtime_error msg ->
+          A.(check string) "error" "unpack: unknown class Missing" msg
+      | _ -> A.fail "unpacked objects of an undeclared class")
+    [ Packing.Eobj_field ("t0", "Missing", "a", Packing.Sfloat);
+      Packing.Ecoll ("ts", Some "Missing", [ group ]) ]
+
 let suite =
   [
     ("groups by first consumer", `Quick, test_groups_by_first_consumer);
@@ -308,6 +333,7 @@ let suite =
     ("array section roundtrip", `Quick, test_array_section_roundtrip);
     ("symbolic section resolved", `Quick, test_symbolic_section_resolved);
     ("object array field", `Quick, test_obj_any_array_field);
+    ("unpack unknown class", `Quick, test_unpack_unknown_class);
     ("generic nested roundtrip", `Quick, test_generic_value_roundtrip_nested);
     ("forwarding discount", `Quick, test_marshal_ops_forwarding_discount);
     ("layouts same volume", `Quick, test_instance_vs_fieldwise_same_bytes);
