@@ -1,9 +1,10 @@
 (* Domain backend of the filter-stream engine, and the copy driver the
    process backend shares (see the .mli).  Protocol decisions come from
-   [Engine]; this file only schedules: one domain or thread per copy
-   (see [start]) over bounded blocking queues ([Bqueue]), the
-   executor's [send] a blocking push, [`Retry of delay] a real sleep
-   preceded by retention-ring replay into a fresh executor.  The one message this driver adds to the item
+   [Engine]; this file only schedules: one runner per copy, a domain
+   or a thread on the calling domain (see [start]), over bounded
+   blocking queues ([Bqueue]), the executor's [send] a blocking push,
+   [`Retry of delay] a real sleep preceded by retention-ring replay
+   into a fresh executor.  The one message this driver adds to the item
    protocol is [Release], the intra-stage end-of-drain token: the copy
    completing the stage barrier pushes it into every sibling queue;
    queue FIFO order guarantees zombie re-routes pushed earlier are
@@ -71,13 +72,17 @@ let slow_down (cs : Engine.copy) ~since =
    over the rings, and the monitor loops only sleep and read counters:
    they are threads on the calling domain.  Every minor collection
    stops every domain, so a domain that merely waits would still be
-   stopped, and its minor heap would count against the process. *)
+   stopped, and its minor heap would count against the process.  The
+   calling domain itself only waits in the join loop, so when it hosts
+   no remote driver one [Local] copy runs there as a thread
+   ([on_caller]): [drive] gives it the sink copy of an all-[Local] run. *)
 type runner = On_domain of unit Domain.t | On_thread of Thread.t
 
-let start placement body =
+let start ~on_caller placement body =
   match placement with
-  | Local -> On_domain (Domain.spawn body)
-  | Remote_source _ | Remote_filter _ -> On_thread (Thread.create body ())
+  | Local when not on_caller -> On_domain (Domain.spawn body)
+  | Local | Remote_source _ | Remote_filter _ ->
+      On_thread (Thread.create body ())
 
 let join_runner = function
   | On_domain d -> Domain.join d
@@ -490,9 +495,8 @@ let drive eng ~backend ?(place = fun _ -> Local) ?(teardown = ignore)
     Engine.mark_exited cs
   in
 
-  let spawn_copy s k =
-    let placement = place (Engine.copy_at eng ~stage:s ~copy:k) in
-    (s, k, start placement (wrapped_body s k placement))
+  let spawn_copy ~on_caller s k placement =
+    (s, k, start ~on_caller placement (wrapped_body s k placement))
   in
   (* Elastic spawns: one more runner over the ordinary copy body, by
      the same rule as the planned copies.  The engine made the copy a
@@ -503,14 +507,31 @@ let drive eng ~backend ?(place = fun _ -> Local) ?(teardown = ignore)
   let elastic = ref [] in
   spawn_hook :=
     (fun ~stage ~copy ->
-      let r = spawn_copy stage copy in
+      let placement = place (Engine.copy_at eng ~stage ~copy) in
+      let r = spawn_copy ~on_caller:false stage copy placement in
       Mutex.lock elastic_mu;
       elastic := r :: !elastic;
       Mutex.unlock elastic_mu);
+  (* Every planned placement is known before any copy starts: when all
+     of them are [Local], the calling domain hosts no remote driver and
+     the sink copy runs on it (the sink stage has width 1 in every plan;
+     a wider one would still give the caller just its first copy). *)
+  let planned =
+    List.concat
+      (List.init n_stages (fun s ->
+           List.init (Engine.width eng s) (fun k ->
+               (s, k, place (Engine.copy_at eng ~stage:s ~copy:k)))))
+  in
+  let all_local =
+    List.for_all (function _, _, Local -> true | _ -> false) planned
+  in
   let t0 = Obs.Clock.elapsed_s () in
   let runners =
-    List.concat
-      (List.init n_stages (fun s -> List.init (Engine.width eng s) (spawn_copy s)))
+    List.map
+      (fun (s, k, p) ->
+        let on_caller = all_local && Engine.is_sink_stage eng s && k = 0 in
+        spawn_copy ~on_caller s k p)
+      planned
   in
   let autoscaler =
     if Engine.autoscale_enabled eng then

@@ -2,11 +2,12 @@
     execution on OCaml 5 domains, and the copy driver {!Proc_runtime}
     runs too.
 
-    Each filter copy runs on its own domain; streams are bounded
-    blocking queues ({!Bqueue}, backpressure like DataCutter's fixed
-    buffer pool).  The protocol — routing, the EOS drain barrier,
-    retry / retire / re-route, recovery and stall accounting — lives in
-    {!Engine}; this module is the scheduler: one domain per copy, a
+    Each source and inner copy runs on its own domain and the sink copy
+    on the calling domain; streams are bounded blocking queues
+    ({!Bqueue}, backpressure like DataCutter's fixed buffer pool).  The
+    protocol — routing, the EOS drain barrier, retry / retire /
+    re-route, recovery and stall accounting — lives in {!Engine}; this
+    module is the scheduler: one runner per copy, a
     blocking push as the executor's [send], real sleeps for backoff,
     and retention-ring replay (outputs suppressed) to rebuild a crashed
     copy's state before re-attempting the failed call.  Whole-stage
@@ -38,7 +39,11 @@
     filter code and gets a domain; a remote copy only drives its worker,
     so it gets a systhread on the calling domain, as do the monitor
     loops.  Every minor collection stops every domain, so a domain that
-    only waits would still be stopped. *)
+    only waits would still be stopped.  The calling domain would only
+    wait in the joins, so when every planned copy is {!Local} the sink
+    copy runs there as a systhread; a run with a remote copy keeps the
+    calling domain for the remote drivers and gives its sink a
+    domain. *)
 
 (** A filter copy's callbacks as round trips. *)
 type calls = {
@@ -70,7 +75,9 @@ type window = {
 }
 
 type placement =
-  | Local  (** callbacks run on the copy's driver, a domain *)
+  | Local
+      (** callbacks run on the copy's driver: a domain, or a thread on
+          the calling domain for the sink of an all-[Local] run *)
   | Remote_source of source
   | Remote_filter of
       calls
@@ -96,12 +103,14 @@ val drive :
   unit ->
   (Engine.metrics, Supervisor.run_error) result
 (** Run [eng] to completion: one driver per copy (a domain for a
-    {!Local} copy, a thread on the calling domain for a remote one), the
+    {!Local} copy, a thread on the calling domain for a remote one and
+    for the sink of a run whose planned copies are all {!Local}), the
     autoscaler, watchdog and sampler monitor threads, then the joins.
     Queue capacity, budgets, batch caps and the sampling period come
     from [eng].
-    [place] (default every copy {!Local}) is asked once per copy, before
-    its driver starts: on the calling domain for the planned copies, on
-    the autoscaler thread for an elastic one.  [teardown] runs after
+    [place] (default every copy {!Local}) is asked once per copy: for
+    every planned copy on the calling domain before any driver starts,
+    for an elastic one on the autoscaler thread before its driver
+    starts.  [teardown] runs after
     every driver has joined and the queues are closed, before the wall
     clock stops; [extra] adds metrics sections. *)

@@ -72,7 +72,12 @@ let binop_to_string = function
   | And -> "&&"
   | Or -> "||"
 
-type expr = { e : expr_desc; eloc : Srcloc.t; mutable ety : ty option }
+type expr = {
+  e : expr_desc;
+  eloc : Srcloc.t;
+  mutable ety : ty option;
+  mutable ewiden : bool;
+}
 
 and expr_desc =
   | Eint of int
@@ -184,5 +189,5 @@ let rec lvalue_base = function
   | Lfield (l, _) -> lvalue_base l
   | Lindex (l, _) -> lvalue_base l
 
-let mk_expr ?(loc = Srcloc.dummy) e = { e; eloc = loc; ety = None }
+let mk_expr ?(loc = Srcloc.dummy) e = { e; eloc = loc; ety = None; ewiden = false }
 let mk_stmt ?(loc = Srcloc.dummy) s = { s; sloc = loc }

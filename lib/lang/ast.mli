@@ -44,6 +44,9 @@ type expr = {
   e : expr_desc;
   eloc : Srcloc.t;
   mutable ety : ty option;  (** filled in by the type checker *)
+  mutable ewiden : bool;
+      (** set by the type checker on an [int] accepted where a [float] is
+          expected; the interpreter converts its value *)
 }
 
 and expr_desc =

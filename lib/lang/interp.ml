@@ -372,7 +372,13 @@ and call_method ctx recv m argv =
 
 (* --- expressions --- *)
 
+(* A widened expression (an [int] the checker accepted where a [float]
+   is expected) stores a float; any other expression pays nothing. *)
 and compile_expr ctx sc (e : expr) : frame -> V.t =
+  let v = compile_expr_desc ctx sc e in
+  if e.ewiden then fun fr -> V.Vfloat (V.as_float (v fr)) else v
+
+and compile_expr_desc ctx sc (e : expr) : frame -> V.t =
   let c = ctx.counter in
   let ce = compile_expr ctx sc in
   match e.e with

@@ -113,7 +113,7 @@ and parse_or st =
     let loc = peek_loc st in
     advance st;
     let rhs = parse_or st in
-    { e = Ebinop (Or, lhs, rhs); eloc = loc; ety = None }
+    mk_expr ~loc (Ebinop (Or, lhs, rhs))
   end
   else lhs
 
@@ -123,7 +123,7 @@ and parse_and st =
     let loc = peek_loc st in
     advance st;
     let rhs = parse_and st in
-    { e = Ebinop (And, lhs, rhs); eloc = loc; ety = None }
+    mk_expr ~loc (Ebinop (And, lhs, rhs))
   end
   else lhs
 
@@ -134,12 +134,12 @@ and parse_equality st =
       let loc = peek_loc st in
       advance st;
       let rhs = parse_relational st in
-      { e = Ebinop (Eq, lhs, rhs); eloc = loc; ety = None }
+      mk_expr ~loc (Ebinop (Eq, lhs, rhs))
   | Token.NE ->
       let loc = peek_loc st in
       advance st;
       let rhs = parse_relational st in
-      { e = Ebinop (Ne, lhs, rhs); eloc = loc; ety = None }
+      mk_expr ~loc (Ebinop (Ne, lhs, rhs))
   | _ -> lhs
 
 and parse_relational st =
@@ -158,7 +158,7 @@ and parse_relational st =
       let loc = peek_loc st in
       advance st;
       let rhs = parse_additive st in
-      { e = Ebinop (op, lhs, rhs); eloc = loc; ety = None }
+      mk_expr ~loc (Ebinop (op, lhs, rhs))
 
 and parse_additive st =
   let rec go lhs =
@@ -167,12 +167,12 @@ and parse_additive st =
         let loc = peek_loc st in
         advance st;
         let rhs = parse_multiplicative st in
-        go { e = Ebinop (Add, lhs, rhs); eloc = loc; ety = None }
+        go (mk_expr ~loc (Ebinop (Add, lhs, rhs)))
     | Token.MINUS ->
         let loc = peek_loc st in
         advance st;
         let rhs = parse_multiplicative st in
-        go { e = Ebinop (Sub, lhs, rhs); eloc = loc; ety = None }
+        go (mk_expr ~loc (Ebinop (Sub, lhs, rhs)))
     | _ -> lhs
   in
   go (parse_multiplicative st)
@@ -192,7 +192,7 @@ and parse_multiplicative st =
         let loc = peek_loc st in
         advance st;
         let rhs = parse_unary st in
-        go { e = Ebinop (op, lhs, rhs); eloc = loc; ety = None }
+        go (mk_expr ~loc (Ebinop (op, lhs, rhs)))
   in
   go (parse_unary st)
 
@@ -202,12 +202,12 @@ and parse_unary st =
       let loc = peek_loc st in
       advance st;
       let e = parse_unary st in
-      { e = Eunop (Neg, e); eloc = loc; ety = None }
+      mk_expr ~loc (Eunop (Neg, e))
   | Token.NOT ->
       let loc = peek_loc st in
       advance st;
       let e = parse_unary st in
-      { e = Eunop (Not, e); eloc = loc; ety = None }
+      mk_expr ~loc (Eunop (Not, e))
   | _ -> parse_postfix st
 
 and parse_postfix st =
@@ -218,14 +218,14 @@ and parse_postfix st =
         let name = expect_ident st in
         if peek st = Token.LPAREN then begin
           let args = parse_arglist st in
-          go { e = Emethod (recv, name, args); eloc = recv.eloc; ety = None }
+          go (mk_expr ~loc:recv.eloc (Emethod (recv, name, args)))
         end
-        else go { e = Efield (recv, name); eloc = recv.eloc; ety = None })
+        else go (mk_expr ~loc:recv.eloc (Efield (recv, name))))
     | Token.LBRACKET ->
         advance st;
         let idx = parse_expr st in
         expect st Token.RBRACKET;
-        go { e = Eindex (recv, idx); eloc = recv.eloc; ety = None }
+        go (mk_expr ~loc:recv.eloc (Eindex (recv, idx)))
     | _ -> recv
   in
   go (parse_primary st)
@@ -256,26 +256,26 @@ and parse_primary st =
   match peek st with
   | Token.INT n ->
       advance st;
-      { e = Eint n; eloc = loc; ety = None }
+      mk_expr ~loc (Eint n)
   | Token.FLOAT f ->
       advance st;
-      { e = Efloat f; eloc = loc; ety = None }
+      mk_expr ~loc (Efloat f)
   | Token.STRING s ->
       advance st;
-      { e = Estring s; eloc = loc; ety = None }
+      mk_expr ~loc (Estring s)
   | Token.KW_TRUE ->
       advance st;
-      { e = Ebool true; eloc = loc; ety = None }
+      mk_expr ~loc (Ebool true)
   | Token.KW_FALSE ->
       advance st;
-      { e = Ebool false; eloc = loc; ety = None }
+      mk_expr ~loc (Ebool false)
   | Token.KW_NULL ->
       advance st;
-      { e = Enull; eloc = loc; ety = None }
+      mk_expr ~loc Enull
   | Token.KW_RUNTIME_DEFINE ->
       advance st;
       let name = expect_ident st in
-      { e = Eruntime_define name; eloc = loc; ety = None }
+      mk_expr ~loc (Eruntime_define name)
   | Token.KW_NEW -> (
       advance st;
       match peek st with
@@ -286,11 +286,11 @@ and parse_primary st =
           expect st Token.GT;
           expect st Token.LPAREN;
           expect st Token.RPAREN;
-          { e = Enew_list elt; eloc = loc; ety = None }
+          mk_expr ~loc (Enew_list elt)
       | Token.IDENT cname when peek_at st 1 = Token.LPAREN ->
           advance st;
           let args = parse_arglist st in
-          { e = Enew (cname, args); eloc = loc; ety = None }
+          mk_expr ~loc (Enew (cname, args))
       | _ ->
           (* new t[n] — array allocation of a base type or class *)
           let base =
@@ -312,13 +312,13 @@ and parse_primary st =
           expect st Token.LBRACKET;
           let n = parse_expr st in
           expect st Token.RBRACKET;
-          { e = Enew_array (base, n); eloc = loc; ety = None })
+          mk_expr ~loc (Enew_array (base, n)))
   | Token.IDENT name ->
       advance st;
       if peek st = Token.LPAREN then
         let args = parse_arglist st in
-        { e = Ecall (name, args); eloc = loc; ety = None }
-      else { e = Evar name; eloc = loc; ety = None }
+        mk_expr ~loc (Ecall (name, args))
+      else mk_expr ~loc (Evar name)
   | Token.LPAREN ->
       advance st;
       let e = parse_expr st in
@@ -331,7 +331,7 @@ and parse_primary st =
       expect st Token.COLON;
       let hi = parse_expr st in
       expect st Token.RBRACKET;
-      { e = Erange (lo, hi); eloc = loc; ety = None }
+      mk_expr ~loc (Erange (lo, hi))
   | t -> error st "expected expression, found %s" (Token.to_string t)
 
 (* --- statements --- *)
@@ -565,7 +565,7 @@ let parse_pipeline st =
   let count =
     match (parse_expr st).e with
     | Erange (_, hi) -> hi
-    | _ as e -> { e; eloc = loc; ety = None }
+    | _ as e -> mk_expr ~loc e
   in
   expect st Token.RPAREN;
   let body = parse_block st in

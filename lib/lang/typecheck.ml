@@ -62,8 +62,14 @@ let lookup env name =
   go env.scopes
 
 (* int is implicitly promotable to float, as in Java's widening. *)
-let assignable ~target ~src =
-  ty_equal target src || (ty_equal target Tfloat && ty_equal src Tint)
+let widens ~target ~src = ty_equal target Tfloat && ty_equal src Tint
+let assignable ~target ~src = ty_equal target src || widens ~target ~src
+
+(* Mark a checked expression that flows into a [target] slot, so the
+   interpreter stores a widened value as a float. *)
+let mark_widening ~target (e : expr) =
+  e.ewiden <-
+    (match e.ety with Some src -> widens ~target ~src | None -> false)
 
 let is_numeric = function Tint | Tfloat -> true | _ -> false
 
@@ -146,12 +152,12 @@ and check_expr_desc env (e : expr) : ty =
       let arg_tys = List.map (check_expr env) args in
       match find_func env.prog f with
       | Some fd ->
-          check_call loc f (List.map fst fd.fd_params) arg_tys;
+          check_call loc f (List.map fst fd.fd_params) args arg_tys;
           fd.fd_ret
       | None -> (
           match List.find_opt (fun ex -> ex.ex_name = f) env.externs with
           | Some ex ->
-              check_call loc f ex.ex_params arg_tys;
+              check_call loc f ex.ex_params args arg_tys;
               ex.ex_ret
           | None -> Srcloc.errorf loc "unknown function %s" f))
   | Emethod (o, m, args) -> (
@@ -164,6 +170,7 @@ and check_expr_desc env (e : expr) : ty =
               if not (assignable ~target:elt ~src:t) then
                 Srcloc.errorf loc "List<%s>.add with %s" (ty_to_string elt)
                   (ty_to_string t);
+              List.iter (mark_widening ~target:elt) args;
               Tvoid
           | "size", [] -> Tint
           | "get", [ Tint ] -> elt
@@ -176,7 +183,7 @@ and check_expr_desc env (e : expr) : ty =
               match find_method cls m with
               | None -> Srcloc.errorf loc "class %s has no method %s" c m
               | Some md ->
-                  check_call loc m (List.map fst md.fd_params) arg_tys;
+                  check_call loc m (List.map fst md.fd_params) args arg_tys;
                   md.fd_ret))
       | t -> Srcloc.errorf loc "method call on non-object type %s" (ty_to_string t))
   | Enew (c, args) -> (
@@ -188,7 +195,7 @@ and check_expr_desc env (e : expr) : ty =
           if arg_tys = [] then Tclass c
           else begin
             let field_tys = List.map fst cls.cd_fields in
-            check_call loc ("new " ^ c) field_tys arg_tys;
+            check_call loc ("new " ^ c) field_tys args arg_tys;
             Tclass c
           end)
   | Enew_array (t, n) ->
@@ -203,16 +210,17 @@ and check_expr_desc env (e : expr) : ty =
         Srcloc.errorf loc "rectdomain bounds must be int";
       Trectdomain
 
-and check_call loc name params args =
-  if List.length params <> List.length args then
+and check_call loc name params args arg_tys =
+  if List.length params <> List.length arg_tys then
     Srcloc.errorf loc "%s expects %d argument(s), got %d" name
-      (List.length params) (List.length args);
+      (List.length params) (List.length arg_tys);
   List.iter2
     (fun p a ->
       if not (assignable ~target:p ~src:a) then
         Srcloc.errorf loc "%s: argument type %s incompatible with %s" name
           (ty_to_string a) (ty_to_string p))
-    params args
+    params arg_tys;
+  List.iter2 (fun p e -> mark_widening ~target:p e) params args
 
 let rec check_lvalue env loc (l : lvalue) : ty =
   match l with
@@ -248,14 +256,16 @@ let rec check_stmt env (st : stmt) =
           let et = check_expr env e in
           if not (assignable ~target:ty ~src:et) then
             Srcloc.errorf loc "cannot initialize %s %s with %s"
-              (ty_to_string ty) name (ty_to_string et));
+              (ty_to_string ty) name (ty_to_string et);
+          mark_widening ~target:ty e);
       bind env loc name ty
   | Sassign (l, e) ->
       let lt = check_lvalue env loc l in
       let et = check_expr env e in
       if not (assignable ~target:lt ~src:et) then
         Srcloc.errorf loc "cannot assign %s to %s" (ty_to_string et)
-          (ty_to_string lt)
+          (ty_to_string lt);
+      mark_widening ~target:lt e
   | Supdate (l, op, e) -> (
       let lt = check_lvalue env loc l in
       let et = check_expr env e in
@@ -304,7 +314,8 @@ let rec check_stmt env (st : stmt) =
       if not (assignable ~target:env.current_ret ~src:et) then
         Srcloc.errorf loc "return type %s incompatible with %s"
           (ty_to_string et)
-          (ty_to_string env.current_ret)
+          (ty_to_string env.current_ret);
+      mark_widening ~target:env.current_ret e
   | Sbreak | Scontinue -> ()
   | Sblock body -> check_block env body
 
@@ -381,7 +392,8 @@ let check ?(externs = []) (prog : program) =
           let et = check_expr env e in
           if not (assignable ~target:g.gd_ty ~src:et) then
             Srcloc.errorf g.gd_loc "cannot initialize global %s %s with %s"
-              (ty_to_string g.gd_ty) g.gd_name (ty_to_string et));
+              (ty_to_string g.gd_ty) g.gd_name (ty_to_string et);
+          mark_widening ~target:g.gd_ty e);
       bind env g.gd_loc g.gd_name g.gd_ty)
     prog.globals;
   (* pipelined body: packet variable in scope *)

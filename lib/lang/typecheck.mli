@@ -2,7 +2,8 @@
 
     Checks a whole program against the usual Java-like rules (with
     implicit int-to-float widening) and annotates every expression with
-    its type.  Reduction classes must declare
+    its type, marking each widened one ([Ast.expr.ewiden]).  Reduction
+    classes must declare
     [void merge(C other)] — the runtime relies on it to combine
     per-packet and per-copy partial results. *)
 

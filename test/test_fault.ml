@@ -358,6 +358,77 @@ let test_par_crash_retire () =
       A.(check int) "one copy retired" 1 r.Supervisor.retired;
       A.(check bool) "its traffic re-routed" true (r.Supervisor.rerouted >= 1)
 
+(* The sink of an all-local par run is a thread on the calling domain,
+   and a crash restarts it there: a fresh instance rebuilt by replay.
+   Each sink instance records its packets and publishes them at
+   finalize, so a restart's replay must rebuild exactly the packets the
+   crashed instance had absorbed. *)
+let test_par_sink_restart_on_caller () =
+  let faults = plan_exn "2.0:crash@5" in
+  let policy = { Supervisor.default_policy with Supervisor.max_retries = 1 } in
+  let caller = Domain.self () in
+  let leg backend =
+    let cfg = Apps.Streambench.tiny in
+    let topo, results =
+      Apps.Streambench.topology cfg ~widths:[| 1; 1; 1 |]
+        ~powers:(Array.make 3 100.0) ~bandwidths:(Array.make 2 1e6) ()
+    in
+    let mu = Mutex.create () in
+    let got = ref [] and off_caller = Atomic.make false in
+    let record (mk : int -> Filter.t) k =
+      let f = mk k in
+      let mine = ref [] in
+      {
+        f with
+        Filter.process =
+          (fun b ->
+            if Domain.self () <> caller then Atomic.set off_caller true;
+            mine := b.Filter.packet :: !mine;
+            f.Filter.process b);
+        finalize =
+          (fun () ->
+            Mutex.lock mu;
+            got := !mine @ !got;
+            Mutex.unlock mu;
+            f.Filter.finalize ());
+      }
+    in
+    let stages =
+      List.map
+        (fun (st : Topology.stage) ->
+          match st.Topology.role with
+          | Topology.Sink mk -> { st with Topology.role = Topology.Sink (record mk) }
+          | _ -> st)
+        topo.Topology.stages
+    in
+    let topo = Topology.create ~stages ~links:topo.Topology.links in
+    let m = run_exn backend ~faults ~policy topo in
+    let name = Runtime.backend_name backend in
+    A.(check (list int))
+      (name ^ ": every packet reaches the sink exactly once")
+      (List.init cfg.Apps.Streambench.items Fun.id)
+      (List.sort compare !got);
+    A.(check (pair int int))
+      (name ^ ": sink result") (Apps.Streambench.expected cfg) (results ());
+    (m.Engine.recovery, Atomic.get off_caller)
+  in
+  let sim, _ = leg Runtime.Sim in
+  let par, off_caller = leg Runtime.Par in
+  A.(check bool) "par sink ran on the calling domain" false off_caller;
+  A.(check int) "one crash" 1 par.Supervisor.crashes;
+  List.iter
+    (fun (what, f) -> A.(check int) (what ^ " as on sim") (f sim) (f par))
+    [
+      ("crashes", fun r -> r.Supervisor.crashes);
+      ("retries", fun r -> r.Supervisor.retries);
+      ("retired", fun r -> r.Supervisor.retired);
+      ("rerouted", fun r -> r.Supervisor.rerouted);
+      ("replay_truncated", fun r -> r.Supervisor.replay_truncated);
+    ];
+  (* replay is a wall-clock mechanism: sim restarts lose no state *)
+  A.(check int) "par replayed the crashed sink's inputs" 5
+    par.Supervisor.replayed
+
 (* The copy completing the stage drain barrier may find its own queue
    full.  Copy 1.1's window drain at the barrier edge is slow, as a
    remote copy's is: while it drains, retired copy 1.0's zombie
@@ -622,6 +693,7 @@ let suite =
     ("par crash restart with replay", `Quick, test_par_crash_restart);
     ("par crash retire and re-route", `Quick, test_par_crash_retire);
     ("par barrier with own queue full", `Quick, test_par_barrier_own_queue_full);
+    ("par sink restarts on the calling domain", `Quick, test_par_sink_restart_on_caller);
     ("watchdog trips on deadlock", `Quick, test_watchdog_trips_on_deadlock);
     ("watchdog quiet on healthy run", `Quick, test_watchdog_quiet_on_healthy_run);
     ("runtime topology validation", `Quick, test_validation);

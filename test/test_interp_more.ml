@@ -421,9 +421,62 @@ let test_new_arity_mismatch () =
       A.(check string) "error" "new C expects 2 arguments, got 1" msg
   | _ -> A.fail "expected a runtime error"
 
+(* int -> float widening stores a float at every site the checker
+   accepts it: the float global [r] must read 1.5, not the int 1. *)
+let widened_r ?(check = true) ~decls body =
+  let prog =
+    Parser.parse
+      (Printf.sprintf
+         {|
+class Box { float v; }
+%s
+float r = 0.0;
+pipelined (p in [0 : 1]) {
+  %s
+}
+|}
+         decls body)
+  in
+  if check then Typecheck.check prog;
+  Interp.global_value (Interp.run_reference (Interp.create_ctx prog)) "r"
+
+let check_float_r what expected r =
+  match r with
+  | V.Vfloat f -> A.(check (float 0.0)) what expected f
+  | v -> A.failf "%s: r is a %s, expected a float" what (V.type_name v)
+
+let test_widening_sites () =
+  List.iter
+    (fun (what, decls, body) ->
+      check_float_r what 1.5 (widened_r ~decls body))
+    [
+      ("declaration", "", "float f = 3; r = f / 2;");
+      ("global initializer", "float g = 3;", "r = g / 2;");
+      ("assignment", "", "float f = 0.0; f = 3; r = f / 2;");
+      ("call argument", "float half(float x) { return x / 2; }", "r = half(3);");
+      ("constructor argument", "", "Box b = new Box(3); r = b.v / 2;");
+      ("return", "float three() { return 3; }", "r = three() / 2;");
+      ( "List.add",
+        "",
+        "List<float> xs = new List<float>(); xs.add(3); r = xs.get(0) / 2;" );
+    ]
+
+let test_widening_after_int_division () =
+  (* the int expression is evaluated as an int, then widened *)
+  check_float_r "3 / 2 widened" 1.0 (widened_r ~decls:"" "r = 3 / 2;")
+
+let test_widening_untyped () =
+  (* no checker, no marks: the value is stored as it is *)
+  match widened_r ~check:false ~decls:"" "float f = 3; r = f / 2;" with
+  | V.Vint 1 -> ()
+  | v -> A.failf "untyped run changed: r = %a" V.pp v
+
 let suite =
   suite
   @ [
+      ("int to float widening at every site", `Quick, test_widening_sites);
+      ("widening after int division", `Quick, test_widening_after_int_division);
+      ("untyped program is not widened", `Quick, test_widening_untyped);
       ("new with wrong argument count", `Quick, test_new_arity_mismatch);
       ("field site sees two layouts", `Quick, test_field_site_two_layouts);
       ("set_field undeclared field", `Quick, test_set_field_undeclared);

@@ -487,6 +487,32 @@ let test_bqueue_token_past_capacity () =
   | () -> A.fail "push_token after close must raise Closed"
   | exception Bqueue.Closed -> ()
 
+(* Domain ids only grow, so a probe domain spawned after a run gets an
+   id one past the last domain the run spawned. *)
+let probe_domain_id () =
+  Domain.join (Domain.spawn (fun () -> (Domain.self () :> int)))
+
+(* Par gives each filter copy a domain, except that the sink of an
+   all-local run runs on the calling domain. *)
+let test_par_domains_spawned () =
+  List.iter
+    (fun (widths, expected) ->
+      let cfg = Apps.Streambench.tiny in
+      let topo, results =
+        Apps.Streambench.topology cfg ~widths ~powers:(Array.make 3 100.0)
+          ~bandwidths:(Array.make 2 1e6) ()
+      in
+      let before = probe_domain_id () in
+      ignore (par_run topo);
+      let spawned = probe_domain_id () - before - 1 in
+      let what =
+        String.concat "-" (Array.to_list (Array.map string_of_int widths))
+      in
+      A.(check (pair int int))
+        (what ^ " result") (Apps.Streambench.expected cfg) (results ());
+      A.(check int) (what ^ " domains spawned") expected spawned)
+    [ ([| 1; 1; 1 |], 2); ([| 2; 2; 1 |], 4) ]
+
 let suite =
   [
     ("all packets delivered", `Quick, test_all_packets_delivered);
@@ -508,6 +534,7 @@ let suite =
       `Quick,
       test_bqueue_close_while_batch_blocked );
     ("bqueue token past capacity", `Quick, test_bqueue_token_past_capacity);
+    ("par domains spawned", `Quick, test_par_domains_spawned);
   ]
 
 let () = Alcotest.run "runtime" [ ("runtime", suite) ]
