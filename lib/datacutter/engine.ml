@@ -140,12 +140,6 @@ type executor = {
   exec_wake : unit -> unit;
   exec_spawn : stage:int -> copy:int -> unit;
   exec_retire : stage:int -> copy:int -> unit;
-  exec_drain : stage:int -> copy:int -> unit;
-      (* barrier edge: the copy reached its marker quota and is about
-         to count toward the EOS barrier.  A backend that pipelines
-         in-flight work for the copy must drain it here so every
-         response is settled before the barrier can release; no-op for
-         backends with synchronous sends. *)
 }
 
 (* Mid-run autoscaling: the elastic-copy budget and the controller's
@@ -675,12 +669,6 @@ let markers_seen (c : copy) = Atomic.get c.markers
 let at_marker_quota t (c : copy) = markers_seen c >= upstream_width t c
 
 let count_eos t (c : copy) =
-  (* settle any in-flight pipelined work before the copy can count:
-     once the stage's barrier releases, downstream believes it has seen
-     every item this copy will ever emit *)
-  (match t.exec with
-  | Some e -> e.exec_drain ~stage:c.stage ~copy:c.index
-  | None -> ());
   if Atomic.get c.at_quota then `Already
   else begin
     Atomic.set c.at_quota true;

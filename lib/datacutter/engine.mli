@@ -132,14 +132,6 @@ type executor = {
           passive backends (the simulator) re-route its remaining
           backlog; backends whose copies run their own loop (domains,
           processes) can ignore this — the copy drains naturally. *)
-  exec_drain : stage:int -> copy:int -> unit;
-      (** Barrier edge, called by {!count_eos} before the copy counts
-          toward its stage's EOS barrier: a backend that pipelines
-          in-flight work per copy (the process backend's credit
-          window) must settle every outstanding frame here, so that
-          once the barrier releases, downstream has really seen every
-          item the copy will emit.  Must be idempotent; no-op for
-          backends whose sends are synchronous. *)
 }
 
 (** {2 Mid-run autoscaling}
@@ -322,7 +314,9 @@ val at_marker_quota : t -> copy -> bool
 (** Count this copy into its stage's barrier (idempotent).
     [`Stage_drained] means this call completed the barrier — the
     backend must wake the whole stage (finalize events / release
-    tokens). *)
+    tokens).  Once it releases, downstream takes the copy's stream as
+    complete: settle any work still in flight (a remote copy's credit
+    window) first. *)
 val count_eos : t -> copy -> [ `Already | `Counted | `Stage_drained ]
 
 val barrier_released : t -> int -> bool

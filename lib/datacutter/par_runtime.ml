@@ -40,24 +40,18 @@ type calls = {
 
 type source = {
   start : unit -> unit;
-  stream : (Engine.item -> unit) -> unit;
+  next : unit -> Filter.buffer option;
   src_finalize : unit -> Filter.buffer option;
 }
 
-type window = {
-  submit : Engine.item list -> unit;
-  drain : unit -> unit;
-  take_unacked : unit -> Engine.item list;
+type link = {
+  depth : int;
+  send : Engine.item list -> unit;
+  recv : stalled:bool -> Proc_window.response;
+  poll : unit -> Proc_window.response option;
 }
 
-type placement =
-  | Local
-  | Remote_source of source
-  | Remote_filter of
-      calls
-      * (ack:(Engine.item -> Filter.buffer option -> unit) ->
-        recover:(exn -> (unit -> unit) -> unit) ->
-        window)
+type placement = Local | Remote_source of source | Remote_filter of calls * link
 
 (* Injected slowdown: the copy's scripted penalty for a call that
    started at [t0], slept inside the caller's charge (a slower node is
@@ -116,11 +110,6 @@ let drive eng ~backend ?(place = fun _ -> Local) ?(teardown = ignore)
                  (Engine.queue_capacity eng)
                 : msg Bqueue.t)))
   in
-  (* Per-copy barrier-edge hooks: a copy with a window registers its
-     drain here.  One writer per cell: the copy's own driver. *)
-  let drain_hooks =
-    Array.init n_stages (fun s -> Array.make (Engine.slots eng s) ignore)
-  in
   (* The executor: [send] is a blocking push, with the blocked seconds
      charged to the sender. *)
   let blocked_push (src : Engine.copy) push q m =
@@ -162,7 +151,6 @@ let drive eng ~backend ?(place = fun _ -> Local) ?(teardown = ignore)
       (* a voluntarily retired copy keeps running its own driver and
          drains its queue naturally — nothing to do here *)
       exec_retire = (fun ~stage:_ ~copy:_ -> ());
-      exec_drain = (fun ~stage ~copy -> drain_hooks.(stage).(copy) ());
     };
   let abort_raise err = Engine.abort eng err; raise Bqueue.Aborted in
   let ok = function Ok () -> () | Error e -> abort_raise e in
@@ -212,9 +200,18 @@ let drive eng ~backend ?(place = fun _ -> Local) ?(teardown = ignore)
     let run_source src =
       (* Sources are never rebuilt (their cursor state cannot be
          replayed without duplicating packets): transient faults retry
-         in place; exhaustion retires, still ending the stream. *)
+         in place; exhaustion retires, truncating the stream after its
+         last delivered item. *)
       src.start ();
-      match src.stream send with
+      let rec stream () =
+        match supervised "produce" src.next with
+        | Some b ->
+            Engine.note_item_done eng cs;
+            send (Engine.Data b);
+            stream ()
+        | None -> ()
+      in
+      match stream () with
       | () ->
           (match supervised "src_finalize" src.src_finalize with
           | Some b -> send (Engine.Final b)
@@ -226,14 +223,75 @@ let drive eng ~backend ?(place = fun _ -> Local) ?(teardown = ignore)
           | `Fatal e -> abort_raise e
           | `Continue -> send Engine.Marker)
     in
-    let run_filter calls window =
+    let run_filter calls link =
       let q = queues.(s).(k) in
       let is_last = Engine.is_sink_stage eng s in
       (* Retention ring: the last acknowledged inputs, replayed into a
          fresh executor after a restart (outputs suppressed — state is
          rebuilt without duplicating sends). *)
       let ring = Engine.Ring.create ~retention:policy.Supervisor.retention in
-      let restart_and_replay () =
+      (* Items taken off the queue and not yet acknowledged (nor handed
+         to a window): a retirement re-routes them. *)
+      let current = ref [] in
+      let forward it = if not is_last then send it in
+      let ack it out =
+        Engine.note_item_done eng cs;
+        current := [];
+        (match out with Some b -> forward (Engine.Data b) | None -> ());
+        Engine.Ring.push ring it
+      in
+      let reroute = function
+        | (Engine.Data _ | Engine.Final _) as it ->
+            ok (Engine.reroute eng cs it)
+        | Engine.Marker -> ()
+      in
+      (* A remote copy's credit window: this driver raises its events
+         and carries out its actions over the link.  Scripted faults
+         tick once per item sent. *)
+      let window =
+        Option.map (fun l -> (l, Proc_window.create ~depth:l.depth)) link
+      in
+      let rec step ev =
+        match window with
+        | None -> ()
+        | Some (_, w) -> List.iter perform (Proc_window.step w ev)
+      and perform = function
+        | Proc_window.Send items -> send_frame items
+        | Proc_window.Resend frames -> List.iter send_frame frames
+        | Proc_window.Ack (it, out) -> ack it out
+        | Proc_window.Reroute items -> List.iter reroute items
+        | Proc_window.Fail msg -> raise (Proc_window.Remote_crash msg)
+      and send_frame items =
+        match window with
+        | None -> ()
+        | Some (l, _) ->
+            if not inert then
+              List.iter (fun _ -> Fault.tick cs.Engine.fstate) items;
+            l.send items
+      in
+      (* Settle the answers already waiting, then block for those the
+         window waits on. *)
+      let rec settle () =
+        match window with
+        | None -> ()
+        | Some (l, w) -> (
+            match if Proc_window.in_flight w > 0 then l.poll () else None with
+            | Some r ->
+                step (Proc_window.Response r);
+                settle ()
+            | None -> (
+                match Proc_window.awaiting w with
+                | None -> ()
+                | Some wait ->
+                    let stalled = wait = Proc_window.Credit in
+                    step
+                      (Proc_window.Response
+                         (charge "process" (fun () -> l.recv ~stalled)));
+                    settle ()))
+      in
+      (* A restart replays the ring into the fresh executor, then
+         re-sends the window's unacknowledged frames. *)
+      let restart () =
         calls.fresh ();
         charge "init" calls.init;
         if Engine.Ring.truncated ring then
@@ -246,18 +304,33 @@ let drive eng ~backend ?(place = fun _ -> Local) ?(teardown = ignore)
               match it with Engine.Final _ -> "replay_eos" | _ -> "replay"
             in
             ignore (charge name (fun () -> calls.call it)))
-          (Engine.Ring.items ring)
+          (Engine.Ring.items ring);
+        step Proc_window.Crash
       in
-      let on_fail = calls.on_fail and restart = restart_and_replay in
+      let on_fail = calls.on_fail in
       let supervised name op = supervised ~on_fail ~restart name op in
+      (* One window event, under the same crash loop as a local call. *)
+      let window_event ev =
+        if Option.is_some window then
+          match step ev with
+          | () -> attempt ~on_fail ~restart false settle
+          | exception Bqueue.Aborted -> raise Bqueue.Aborted
+          | exception e -> crashed ~on_fail ~restart e settle
+      in
       (* Batched receive: drain up to the upstream's batch cap in one
          queue round-trip into a local pending buffer, then serve from
-         it.  At cap 1 this is exactly a single-item [pop]. *)
+         it.  At cap 1 this is exactly a single-item [pop].  A window
+         settles before its copy blocks on an empty queue. *)
       let in_cap = Engine.input_batch eng s in
       let pend : msg Queue.t = Queue.create () in
       let recv () =
         if not (Queue.is_empty pend) then Queue.pop pend
         else begin
+          (match window with
+          | Some (_, w) when Proc_window.in_flight w > 0 && Bqueue.length q = 0
+            ->
+              window_event Proc_window.Idle
+          | _ -> ());
           Engine.set_lifecycle cs Engine.st_blocked_pop;
           let ms, blocked =
             if in_cap <= 1 then
@@ -278,8 +351,11 @@ let drive eng ~backend ?(place = fun _ -> Local) ?(teardown = ignore)
       (* Completing the stage drain barrier wakes the whole stage with
          a [Release] token in every sibling queue.  The token never
          waits for room: one of the queues is this copy's own, possibly
-         filled by a zombie's re-routes while this copy was draining. *)
+         filled by a zombie's re-routes while this copy was draining.
+         A window settles first: once the barrier releases, downstream
+         believes it has seen every item this copy will emit. *)
       let count_eos () =
+        window_event Proc_window.Drain;
         match Engine.count_eos eng cs with
         | `Already | `Counted -> ()
         | `Stage_drained ->
@@ -289,56 +365,41 @@ let drive eng ~backend ?(place = fun _ -> Local) ?(teardown = ignore)
               Bqueue.push_token queues.(s).(j) Release
             done
       in
-      (* Items taken off the queue and not yet acknowledged (nor handed
-         to a window): a retirement re-routes them. *)
-      let current = ref [] in
-      let forward it = if not is_last then send it in
-      let ack it out =
-        Engine.note_item_done eng cs;
-        current := [];
-        (match out with Some b -> forward (Engine.Data b) | None -> ());
-        Engine.Ring.push ring it
-      in
-      let recover err resend =
-        if Engine.aborting eng then raise Bqueue.Aborted;
-        crashed ~on_fail ~restart err resend
-      in
-      let win = Option.map (fun mk -> mk ~ack ~recover) window in
-      Option.iter (fun w -> drain_hooks.(s).(k) <- w.drain) win;
-      let drain () = Option.iter (fun w -> w.drain ()) win in
       (* A window takes the run of consecutive [Data] items already
          popped as ONE frame.  Gated on fault-inert copies — injected
          faults tick per item, so batching there would move a scripted
          crash relative to B=1. *)
       let batched = in_cap > 1 && inert in
+      let rec grab acc =
+        match Queue.peek_opt pend with
+        | Some (It (Engine.Data _ as it)) ->
+            ignore (Queue.pop pend);
+            grab (it :: acc)
+        | _ -> List.rev acc
+      in
       let serve_data it =
-        match win with
+        match window with
         | None ->
             current := [ it ];
             ack it
               (supervised "process" (fun () ->
                    faulted (fun () -> calls.call it)))
-        | Some w when not batched -> w.submit [ it ]
-        | Some w ->
-            let rec grab acc =
-              match Queue.peek_opt pend with
-              | Some (It (Engine.Data _ as it')) ->
-                  ignore (Queue.pop pend);
-                  grab (it' :: acc)
-              | _ -> List.rev acc
-            in
-            w.submit (grab [ it ])
+        | Some _ ->
+            let t0 = if inert then 0.0 else Obs.Clock.elapsed_s () in
+            window_event
+              (Proc_window.Submit (if batched then grab [ it ] else [ it ]));
+            if not inert then slow_down cs ~since:t0
       in
       let serve_final b =
         current := [ Engine.Final b ];
-        drain ();
+        window_event Proc_window.Drain;
         let out = supervised "on_eos" (fun () -> calls.call (Engine.Final b)) in
         current := [];
         (match out with Some b -> forward (Engine.Final b) | None -> ());
         Engine.Ring.push ring (Engine.Final b)
       in
       let finalize_copy () =
-        drain ();
+        window_event Proc_window.Drain;
         (match supervised "finalize" calls.finalize with
         | Some b -> forward (Engine.Final b)
         | None -> ());
@@ -355,12 +416,7 @@ let drive eng ~backend ?(place = fun _ -> Local) ?(teardown = ignore)
         (* Everything this copy still owes — the unacknowledged window,
            the items in hand, the popped-but-unserved buffer — goes to
            live siblings before it turns zombie. *)
-        let reroute = function
-          | (Engine.Data _ | Engine.Final _) as it ->
-              ok (Engine.reroute eng cs it)
-          | Engine.Marker -> ()
-        in
-        Option.iter (fun w -> List.iter reroute (w.take_unacked ())) win;
+        step Proc_window.Give_up;
         List.iter reroute !current;
         current := [];
         Queue.iter
@@ -436,24 +492,14 @@ let drive eng ~backend ?(place = fun _ -> Local) ?(teardown = ignore)
     in
     match placement with
     | Remote_source src -> run_source src
-    | Remote_filter (calls, window) -> run_filter calls (Some window)
+    | Remote_filter (calls, link) -> run_filter calls (Some link)
     | Local -> (
         match Engine.instantiate eng cs with
         | Engine.I_source src ->
-            let rec stream send =
-              match
-                supervised "produce" (fun () -> faulted src.Filter.next)
-              with
-              | Some (b, _) ->
-                  Engine.note_item_done eng cs;
-                  send (Engine.Data b);
-                  stream send
-              | None -> ()
-            in
             run_source
               {
                 start = ignore;
-                stream;
+                next = (fun () -> Option.map fst (faulted src.Filter.next));
                 src_finalize = (fun () -> fst (src.Filter.src_finalize ()));
               }
         | Engine.I_filter f0 ->

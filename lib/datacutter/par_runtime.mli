@@ -58,20 +58,23 @@ type calls = {
 (** A remote source copy. *)
 type source = {
   start : unit -> unit;  (** instantiate, before the stream *)
-  stream : (Engine.item -> unit) -> unit;
-      (** produce every item into the given downstream send, with its
-          own retry loop; raising retires the source *)
+  next : unit -> Filter.buffer option;
+      (** the next buffer, [None] once the source is exhausted; the
+          driver's supervisor loop retries a raise in place, and a
+          give-up retires the source *)
   src_finalize : unit -> Filter.buffer option;
 }
 
-(** A remote filter copy's pipelined data path. *)
-type window = {
-  submit : Engine.item list -> unit;
-      (** [Data] items, sent as one frame; owned by the window from the
-          call on, even while it waits for credit *)
-  drain : unit -> unit;  (** settle everything in flight *)
-  take_unacked : unit -> Engine.item list;
-      (** empty the window on retirement, returning what it still owed *)
+(** A remote filter copy's frame link.  The driver runs the copy's
+    credit window ({!Proc_window}) of [depth] credits over it. *)
+type link = {
+  depth : int;
+  send : Engine.item list -> unit;  (** put one data frame on the wire *)
+  recv : stalled:bool -> Proc_window.response;
+      (** block for the answer to the oldest unanswered frame;
+          [stalled] when the wait is a credit stall *)
+  poll : unit -> Proc_window.response option;
+      (** that answer if it has already arrived *)
 }
 
 type placement =
@@ -79,16 +82,14 @@ type placement =
       (** callbacks run on the copy's driver: a domain, or a thread on
           the calling domain for the sink of an all-[Local] run *)
   | Remote_source of source
-  | Remote_filter of
-      calls
-      * (ack:(Engine.item -> Filter.buffer option -> unit) ->
-        recover:(exn -> (unit -> unit) -> unit) ->
-        window)
-      (** The window is built with the driver's [ack it out] (count
-          [it] done, forward [out], retain [it] for replay) and
-          [recover err resend] (the crash protocol after [err]: on a
-          retry restart, replay the ring, then [resend]; raises [err]
-          on give-up). *)
+  | Remote_filter of calls * link
+      (** Data items travel through the credit window over the link;
+          control calls are [calls] round trips on an empty window.
+          The window settles before each control call, before the copy
+          counts toward the drain barrier, and before it blocks on an
+          empty input queue.  A crash in the window takes the local
+          calls' supervisor loop: a retry replays the ring and re-sends
+          the unacknowledged frames, a give-up re-routes them. *)
 
 val slow_down : Engine.copy -> since:float -> unit
 (** Sleep the copy's scripted slowdown for a call that started at

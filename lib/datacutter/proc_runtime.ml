@@ -3,26 +3,22 @@
 
    The driver ([Par_runtime.drive]) keeps the whole protocol in the
    parent: queues, routing, the EOS drain barrier, supervision, replay,
-   retirement, accounting, the watchdog, and fault ticking ([Fault.tick]
-   runs driver-side so injection state survives child replacement).
-   This file places every source and inner copy in a child process,
-   forked per run and reached over a [Shm] channel (a shared-memory
-   ring pair) speaking the [Wire] frame protocol, so every buffer
-   crossing a copy boundary is genuinely serialized and an injected
-   [crash@N] kills a real OS process, observed with [waitpid] and
-   replaced by a pre-forked spare.
+   retirement, accounting, the watchdog, fault ticking, and each remote
+   copy's credit window ([Proc_window]: up to [inflight] data frames in
+   flight, settled in FIFO order).  This file places every source and
+   inner copy in a child process, forked per run and reached over a
+   [Shm] ring pair speaking the [Wire] frame protocol, and supplies the
+   driver with the frame I/O: send, blocking and non-blocking receive.
+   So every buffer crossing a copy boundary is genuinely serialized,
+   and an injected [crash@N] kills a real OS process, observed with
+   [waitpid] and replaced by a pre-forked spare.
 
-   - Each remote copy talks to its worker through a credit window: up
-     to [inflight] data frames (or [Next] requests) in flight, settled
-     in FIFO order; control requests (init, finals, finalize, replay)
-     are round trips on an empty window.
    - A child is a dumb callback executor: read a request frame, run
      [init]/[process]/[on_eos]/[finalize]/[next], write the result back
      (or [Crashed] if the callback raised), repeat until [Exit] or EOF.
    - Sink copies stay local: their closures carry the caller's result
-     collectors (e.g. [Filter.collecting_sink]), which must mutate
-     parent memory — the paper's "view node" sat on the host for the
-     same reason.
+     collectors, which must mutate parent memory (the paper's "view
+     node" sat on the host for the same reason).
 
    Fork safety: every child is forked *before* any domain is spawned
    (OCaml 5 forbids forking a multi-domain runtime), which is why each
@@ -32,10 +28,7 @@
 
 let available = not Sys.win32
 
-(* The remote peer failed: the callback raised in the child, the child
-   died (EOF/EPIPE), or it sent garbage.  Handled by the supervisor
-   exactly like a local filter exception. *)
-exception Remote_crash of string
+exception Remote_crash = Proc_window.Remote_crash
 
 type worker = { pid : int; conn : Shm.conn }
 
@@ -124,6 +117,24 @@ let worker_main eng (cs : Engine.copy) conn : unit =
           raise e
     end
   in
+  let filter () =
+    match !inst with
+    | `Filter f -> f
+    | _ -> failwith "worker has no filter instance"
+  in
+  let source () =
+    match !inst with
+    | `Source s -> s
+    | _ -> failwith "worker has no source instance"
+  in
+  let run_item f = function
+    | Engine.Data b ->
+        Option.map (fun o -> Engine.Data o) (fst (f.Filter.process b))
+    | Engine.Final b ->
+        Option.map (fun o -> Engine.Final o) (fst (f.Filter.on_eos (Some b)))
+    | Engine.Marker -> None
+  in
+  let final (out, _) = Option.map (fun b -> Engine.Final b) out in
   let handle req =
     match req with
     | Wire.Init -> (
@@ -136,70 +147,30 @@ let worker_main eng (cs : Engine.copy) conn : unit =
             inst := `Source s;
             src_done := false;
             Wire.Done)
-    | Wire.Item (Engine.Data b) -> (
-        match !inst with
-        | `Filter f ->
-            let out, _ = f.Filter.process b in
-            Wire.Out (Option.map (fun b -> Engine.Data b) out)
-        | _ -> Wire.Crashed "worker has no filter instance")
-    | Wire.Item (Engine.Final b) -> (
-        match !inst with
-        | `Filter f ->
-            let out, _ = f.Filter.on_eos (Some b) in
-            Wire.Out (Option.map (fun b -> Engine.Final b) out)
-        | _ -> Wire.Crashed "worker has no filter instance")
     | Wire.Item Engine.Marker -> Wire.Done
+    | Wire.Item it -> Wire.Out (run_item (filter ()) it)
     | Wire.Batch items -> (
-        match !inst with
-        | `Filter f ->
-            (* One emission slot per processed input.  If the callback
-               raises partway, reply with the successful prefix and the
-               error — the parent accounts exactly those items before
-               running its crash protocol. *)
-            let outs = ref [] in
-            let step it =
-              let out =
-                match it with
-                | Engine.Data b ->
-                    Option.map
-                      (fun o -> Engine.Data o)
-                      (fst (f.Filter.process b))
-                | Engine.Final b ->
-                    Option.map
-                      (fun o -> Engine.Final o)
-                      (fst (f.Filter.on_eos (Some b)))
-                | Engine.Marker -> None
-              in
-              outs := out :: !outs
-            in
-            (try
-               List.iter step items;
-               Wire.Outs (List.rev !outs, None)
-             with e -> Wire.Outs (List.rev !outs, Some (Printexc.to_string e)))
-        | _ -> Wire.Crashed "worker has no filter instance")
-    | Wire.Finalize -> (
-        match !inst with
-        | `Filter f ->
-            let out, _ = f.Filter.finalize () in
-            Wire.Out (Option.map (fun b -> Engine.Final b) out)
-        | _ -> Wire.Crashed "worker has no filter instance")
+        (* One emission slot per processed input.  If the callback
+           raises partway, reply with the successful prefix and the
+           error — the parent accounts exactly those items before
+           running its crash protocol. *)
+        let f = filter () in
+        let outs = ref [] in
+        try
+          List.iter (fun it -> outs := run_item f it :: !outs) items;
+          Wire.Outs (List.rev !outs, None)
+        with e -> Wire.Outs (List.rev !outs, Some (Printexc.to_string e)))
+    | Wire.Finalize -> Wire.Out (final ((filter ()).Filter.finalize ()))
     | Wire.Next -> (
-        match !inst with
-        | `Source s -> (
-            if !src_done then Wire.Done
-            else
-              match s.Filter.next () with
-              | Some (b, _) -> Wire.Out (Some (Engine.Data b))
-              | None ->
-                  src_done := true;
-                  Wire.Done)
-        | _ -> Wire.Crashed "worker has no source instance")
-    | Wire.Src_finalize -> (
-        match !inst with
-        | `Source s ->
-            let out, _ = s.Filter.src_finalize () in
-            Wire.Out (Option.map (fun b -> Engine.Final b) out)
-        | _ -> Wire.Crashed "worker has no source instance")
+        let s = source () in
+        if !src_done then Wire.Done
+        else
+          match s.Filter.next () with
+          | Some (b, _) -> Wire.Out (Some (Engine.Data b))
+          | None ->
+              src_done := true;
+              Wire.Done)
+    | Wire.Src_finalize -> Wire.Out (final ((source ()).Filter.src_finalize ()))
     | Wire.Exit | Wire.Out _ | Wire.Outs _ | Wire.Done | Wire.Crashed _
     | Wire.Telemetry _ ->
         Wire.Crashed "unexpected frame in worker"
@@ -286,41 +257,7 @@ let shutdown_worker label (w : worker) =
   in
   reap ()
 
-(* --- talking to a worker ------------------------------------------------ *)
-
-(* A transport failure on a worker channel — EPIPE or another i/o
-   error, a malformed frame — as the crash the supervisor sees. *)
-let transport_crash = function
-  | Unix.Unix_error (e, _, _) ->
-      Remote_crash ("worker i/o error: " ^ Unix.error_message e)
-  | Wire.Protocol_error m -> Remote_crash ("worker protocol error: " ^ m)
-  | e -> e
-
-let send_frame conn req =
-  try Shm.send conn req with e -> raise (transport_crash e)
-
-(* The worker's next frame, past any [Telemetry] it shipped ahead of it
-   (handed to [absorb]).  Every blocking receive from a worker goes
-   through here; EOF and transport failures raise [Remote_crash]. *)
-let recv_frame ~absorb conn =
-  let rec go () =
-    match Shm.recv conn with
-    | Some (Wire.Telemetry t) ->
-        absorb t;
-        go ()
-    | Some m -> m
-    | None -> raise (Remote_crash "worker exited unexpectedly")
-  in
-  try go () with e -> raise (transport_crash e)
-
 (* --- the credit window ------------------------------------------------ *)
-
-(* One in-flight pipelined frame of a copy's credit window: the items
-   it carried (trimmed from the front as partial batch acks arrive —
-   whatever remains is exactly the unacknowledged suffix a crash must
-   resubmit or re-route) and the bytes it is charged against the
-   in-flight budget. *)
-type win_frame = { mutable wf_items : Engine.item list; wf_bytes : int }
 
 let default_inflight = 4
 
@@ -331,24 +268,6 @@ let default_inflight = 4
    ring while responses back up — the classic bidirectional-pipe
    deadlock.  At the cap that is 64 slots. *)
 let max_inflight = 16
-
-(* In-flight request bytes one window may hold.  Frames too big for a
-   ring slot travel the control socket, so the budget stays well under
-   the kernel's default socketpair send buffer: however many overflow
-   frames are in flight at once, the parent's pipelined writes complete
-   without blocking and it can always progress to collecting
-   responses. *)
-let inflight_byte_budget = 64 * 1024
-
-(* A frame estimated bigger than this is charged as the whole byte
-   budget, so it travels alone on an empty window: it may overflow its
-   ring slot onto the control socket and exceed what the socket buffer
-   absorbs without write-side blocking, which is only safe when no
-   responses are queued behind it. *)
-let big_frame_bytes = 32 * 1024
-
-let resolve_inflight inflight =
-  max 1 (min max_inflight (Option.value inflight ~default:default_inflight))
 
 (* --- the run --------------------------------------------------------- *)
 
@@ -396,7 +315,9 @@ let run eng ?inflight ?frame_bytes () :
   in
   (* Credit window size: the explicit arg, else the default.  At 1
      every frame settles right after its send. *)
-  let inflight = resolve_inflight inflight in
+  let inflight =
+    max 1 (min max_inflight (Option.value inflight ~default:default_inflight))
+  in
   (* Planner-sized ring slots for every worker channel. *)
   let slot_bytes =
     Option.map (fun fb -> Shm.plan_slot_bytes ~frame_bytes:fb) frame_bytes
@@ -494,302 +415,153 @@ let run eng ?inflight ?frame_bytes () :
       | Sys_error msg -> Error (Supervisor.Setup_failed msg)
       | e -> raise e)
   | handles ->
-  (* Kill the current worker (real SIGKILL + waitpid) — the injected
-     or real crash this copy just took becomes a dead OS process. *)
-  let kill_active lbl (h : handle) =
-    match h.active with
-    | None -> ()
-    | Some w ->
-        h.active <- None;
-        kill_worker lbl w
-  in
-  let activate_spare lbl (h : handle) =
-    match h.spares with
-    | [] -> raise (Remote_crash (lbl ^ ": no spare worker left"))
-    | w :: rest ->
-        h.spares <- rest;
-        h.active <- Some w
-  in
-
-  (* The driver surface of one remote copy, over its worker handle. *)
+  (* The driver surface of one remote copy: frame I/O over its worker's
+     rings.  The supervision and the credit window's decisions are the
+     driver's ([Par_runtime], [Proc_window]). *)
   let remote (cs : Engine.copy) (h : handle) =
     let s = cs.Engine.stage and k = cs.Engine.index in
     let lbl = label s k in
-    let charge name f = Engine.timed_call eng cs ~name f in
-    (* An inert copy's tick is pure accounting, so inert copies skip it
-       and its clock reads. *)
-    let inert = Fault.inert cs.Engine.fstate in
-    let depth = h.depth in
-    (* A transport failure means the worker is gone: it is reaped
-       before the copy sees the [Remote_crash]. *)
+    (* Kill the current worker (real SIGKILL + waitpid): the crash this
+       copy just took becomes a dead OS process. *)
+    let kill_active () =
+      Option.iter (kill_worker lbl) h.active;
+      h.active <- None
+    in
     let worker () =
       match h.active with
       | Some w -> w
       | None -> raise (Remote_crash "worker is dead")
     in
+    (* A transport failure (EOF, EPIPE or another i/o error, a malformed
+       frame) means the worker is gone: it is reaped before the copy
+       sees the [Remote_crash]. *)
     let lost e =
-      (match e with Remote_crash _ -> kill_active lbl h | _ -> ());
+      let e =
+        match e with
+        | Unix.Unix_error (e, _, _) ->
+            Remote_crash ("worker i/o error: " ^ Unix.error_message e)
+        | Wire.Protocol_error m -> Remote_crash ("worker protocol error: " ^ m)
+        | e -> e
+      in
+      (match e with Remote_crash _ -> kill_active () | _ -> ());
       raise e
     in
-    let send_req req = try send_frame (worker ()).conn req with e -> lost e in
-    (* Blocking receive.  [stalled] marks a wait forced by an exhausted
-       credit/byte budget — that time is the transport's credit-stall
-       metric. *)
-    let recv_resp ~stalled () =
+    let send req =
+      let w = worker () in
+      try Shm.send w.conn req with e -> lost e
+    in
+    (* The worker's next frame, past any [Telemetry] shipped ahead of it;
+       without [block], [None] when nothing has arrived yet. *)
+    let rec take ~block w =
+      match
+        if block then
+          Option.fold ~none:`Eof ~some:(fun m -> `Msg m) (Shm.recv w.conn)
+        else Shm.try_recv w.conn
+      with
+      | `Msg (Wire.Telemetry t) ->
+          absorb t;
+          take ~block w
+      | `Msg m -> Some m
+      | `Empty -> None
+      | `Eof -> lost (Remote_crash "worker exited unexpectedly")
+      | exception e -> lost e
+    in
+    (* Blocking receive.  A [stalled] wait, forced by an exhausted
+       credit or byte budget, is the transport's credit-stall metric. *)
+    let recv ~stalled =
       let w = worker () in
       let t0 = if stalled then Obs.Clock.elapsed_s () else 0.0 in
-      let r = try recv_frame ~absorb w.conn with e -> lost e in
+      let r = Option.get (take ~block:true w) in
       if stalled then
         stall_s.(s).(k) <- stall_s.(s).(k) +. (Obs.Clock.elapsed_s () -. t0);
       r
+    in
+    let buffer = function
+      | Some (Engine.Data b | Engine.Final b) -> Some b
+      | _ -> None
     in
     (* A control round trip, made on an empty window.  A [Crashed] reply
        is the callback raising in the worker: a crash, but the worker
        lives. *)
     let control req =
-      send_req req;
-      match recv_resp ~stalled:false () with
-      | Wire.Out (Some (Engine.Data b | Engine.Final b)) -> Some b
-      | Wire.Out None | Wire.Done -> None
+      send req;
+      match recv ~stalled:false with
+      | Wire.Out out -> buffer out
+      | Wire.Done -> None
       | Wire.Crashed msg -> raise (Remote_crash msg)
       | _ -> raise (Remote_crash "out-of-protocol response from worker")
     in
     match stages.(s).Topology.role with
     | Topology.Source _ ->
-        (* Transient faults retry in place on the same child; only an
-           actual child death makes every retry fail and retires the
-           source, truncating its stream.  Up to [depth] pipelined
-           [Next] requests ride against the worker, which answers in
-           order — Data frames, then Done (its src_done guard answers
-           queued leftovers with Done without touching the exhausted
-           source) — so the parent forwards items downstream while the
-           child produces the next ones. *)
-        let stream send =
-          let outstanding = ref 0 and finished = ref false in
-          let collect () =
-            let r =
-              charge "produce" (fun () ->
-                  recv_resp ~stalled:(!outstanding >= depth) ())
-            in
+        (* Up to [h.depth] pipelined [Next] requests ride against the
+           worker, which answers in order: Data frames, then Done for
+           every request past the end.  So the parent forwards items
+           downstream while the child produces the next ones.  Each
+           refill ticks the copy's scripted faults. *)
+        let inert = Fault.inert cs.Engine.fstate in
+        let outstanding = ref 0 and finished = ref false in
+        let rec next () =
+          let t0 = if inert then 0.0 else Obs.Clock.elapsed_s () in
+          while (not !finished) && !outstanding < h.depth do
+            if not inert then Fault.tick cs.Engine.fstate;
+            send Wire.Next;
+            incr outstanding
+          done;
+          if !outstanding = 0 then None
+          else begin
+            let r = recv ~stalled:(!outstanding >= h.depth) in
             decr outstanding;
-            r
-          in
-          let settle = function
-            | Wire.Out (Some (Engine.Data _ as it)) ->
-                Engine.note_item_done eng cs;
-                send it
-            | Wire.Done -> finished := true
+            if not inert then Par_runtime.slow_down cs ~since:t0;
+            match r with
+            | Wire.Out (Some (Engine.Data b)) -> Some b
+            | Wire.Done ->
+                finished := true;
+                next ()
             | Wire.Crashed msg -> raise (Remote_crash msg)
             | _ -> raise (Remote_crash "bad next response")
-          in
-          let rec go () =
-            if Engine.aborting eng then raise Bqueue.Aborted;
-            match
-              let t0 = if inert then 0.0 else Obs.Clock.elapsed_s () in
-              while (not !finished) && !outstanding < depth do
-                if not inert then Fault.tick cs.Engine.fstate;
-                send_req Wire.Next;
-                incr outstanding
-              done;
-              !outstanding > 0
-              && begin
-                   let r = collect () in
-                   if not inert then Par_runtime.slow_down cs ~since:t0;
-                   settle r;
-                   true
-                 end
-            with
-            | true -> go ()
-            | false -> ()
-            | exception Bqueue.Aborted -> raise Bqueue.Aborted
-            | exception err -> (
-                match Engine.on_crash eng cs with
-                | `Retry delay ->
-                    if delay > 0.0 then Unix.sleepf delay;
-                    go ()
-                | `Give_up ->
-                    (* Best-effort settle of what the worker already
-                       produced: the stream truncates after the last
-                       delivered item. *)
-                    (try
-                       while !outstanding > 0 do
-                         settle (collect ())
-                       done
-                     with
-                    | Bqueue.Aborted -> raise Bqueue.Aborted
-                    | _ -> ());
-                    raise err)
-          in
-          go ()
+          end
         in
         Par_runtime.Remote_source
           {
             start = (fun () -> ignore (control Wire.Init));
-            stream;
+            next;
             src_finalize = (fun () -> control Wire.Src_finalize);
           }
     | Topology.Inner _ | Topology.Sink _ ->
-        (* --- credit window -------------------------------------------
-           Up to [depth] frames ride to the worker before the first
-           acknowledgement comes back.  The worker answers in FIFO
-           order, so settling the window head against each response
-           acknowledges its items in submission order.  The driver
-           drains the window empty before every control round trip
-           (Final, Finalize) and at the marker-quota barrier edge (the
-           engine's [exec_drain] hook).  On a crash, unacknowledged
-           frames stay queued here; the driver's restart replays the
-           ring (acked prefix) and then [resend] re-sends the queued
-           frames verbatim; on give-up the window joins the retirement
-           re-route. *)
-        let window ~ack ~recover =
-          let win : win_frame Queue.t = Queue.create () in
-          let win_bytes = ref 0 in
-          (* The items of a [submit] still waiting for credit. *)
-          let staged = ref [] in
-          let take_unacked () =
-            let items =
-              List.concat_map
-                (fun fr -> fr.wf_items)
-                (List.of_seq (Queue.to_seq win))
-              @ !staged
-            in
-            Queue.clear win;
-            win_bytes := 0;
-            staged := [];
-            items
-          in
-          let send_win fr =
-            if not inert then
-              List.iter (fun _ -> Fault.tick cs.Engine.fstate) fr.wf_items;
-            send_req
-              (match fr.wf_items with
-              | [ it ] -> Wire.Item it
-              | items -> Wire.Batch items)
-          in
-          let recover err =
-            recover err (fun () ->
-                Queue.iter
-                  (fun fr -> if fr.wf_items <> [] then send_win fr)
-                  win)
-          in
-          let settle fr (resp : Wire.msg) =
-            let acked_all () =
-              ignore (Queue.pop win);
-              win_bytes := !win_bytes - fr.wf_bytes
-            in
-            let ack out =
-              match fr.wf_items with
-              | [] ->
-                  raise
-                    (Remote_crash "worker acknowledged more items than sent")
-              | it :: rest ->
-                  ack it
-                    (match out with
-                    | Some (Engine.Data b | Engine.Final b) -> Some b
-                    | _ -> None);
-                  fr.wf_items <- rest
-            in
-            match resp with
-            | Wire.Out out -> (
-                match fr.wf_items with
-                | [ _ ] ->
-                    ack out;
-                    acked_all ()
-                | _ -> recover (Remote_crash "single ack for a batch frame"))
-            | Wire.Outs (outs, err) -> (
-                match
-                  List.iter ack outs;
-                  (match err with
-                  | Some msg -> raise (Remote_crash msg)
-                  | None -> ());
-                  if fr.wf_items <> [] then
-                    raise
-                      (Remote_crash "worker acknowledged fewer items than sent")
-                with
-                | () -> acked_all ()
-                | exception (Remote_crash _ as e) -> recover e)
-            | Wire.Crashed msg -> recover (Remote_crash msg)
-            | _ -> recover (Remote_crash "out-of-protocol response from worker")
-          in
-          (* Blocking settle of the window head. *)
-          let collect_one ~stalled () =
-            match Queue.peek_opt win with
-            | None -> ()
-            | Some fr -> (
-                match charge "process" (fun () -> recv_resp ~stalled ()) with
-                | resp -> settle fr resp
-                | exception (Remote_crash _ as e) -> recover e)
-          in
-          (* Opportunistic settle: consume whatever responses are
-             already waiting, without blocking. *)
-          let rec drain_ready () =
-            match (Queue.peek_opt win, h.active) with
-            | Some fr, Some w -> (
-                match Shm.try_recv w.conn with
-                | `Empty -> ()
-                | `Msg (Wire.Telemetry t) ->
-                    absorb t;
-                    drain_ready ()
-                | `Msg m ->
-                    settle fr m;
-                    drain_ready ()
-                | `Eof -> recover (Remote_crash "worker exited unexpectedly")
-                | exception e -> recover (transport_crash e))
-            | _ -> ()
-          in
-          let rec drain () =
-            if not (Queue.is_empty win) then begin
-              collect_one ~stalled:false ();
-              drain ()
-            end
-          in
-          (* One frame through the window.  It goes out once a credit is
-             free and its bytes fit the in-flight budget (or the window
-             is empty); an oversized frame is charged as the whole
-             budget, so it travels alone.  At depth 1 it settles right
-             after the send.  Until the frame is queued its items stay
-             [staged], so a give-up in an earlier frame's settle
-             re-routes them too. *)
-          let submit items =
-            staged := items;
-            let est =
-              List.fold_left (fun a it -> a + Engine.item_cost it) 32 items
-            in
-            let cost =
-              if est > big_frame_bytes then inflight_byte_budget else est
-            in
-            let t0 = if inert then 0.0 else Obs.Clock.elapsed_s () in
-            drain_ready ();
-            while
-              Queue.length win >= depth
-              || (!win_bytes > 0 && !win_bytes + cost > inflight_byte_budget)
-            do
-              collect_one ~stalled:true ()
-            done;
-            let fr = { wf_items = items; wf_bytes = cost } in
-            Queue.push fr win;
-            win_bytes := !win_bytes + cost;
-            staged := [];
-            (match send_win fr with
-            | () -> ()
-            | exception Bqueue.Aborted -> raise Bqueue.Aborted
-            | exception e -> recover e);
-            if depth = 1 then begin
-              drain ();
-              if not inert then Par_runtime.slow_down cs ~since:t0
-            end
-          in
-          { Par_runtime.submit; drain; take_unacked }
+        let response = function
+          | Wire.Out out -> { Proc_window.outs = [ buffer out ]; error = None }
+          | Wire.Outs (outs, error) ->
+              { Proc_window.outs = List.map buffer outs; error }
+          | Wire.Crashed msg -> { Proc_window.outs = []; error = Some msg }
+          | _ ->
+              {
+                Proc_window.outs = [];
+                error = Some "out-of-protocol response from worker";
+              }
         in
         Par_runtime.Remote_filter
           ( {
-              fresh = (fun () -> activate_spare lbl h);
+              fresh =
+                (fun () ->
+                  match h.spares with
+                  | [] -> raise (Remote_crash (lbl ^ ": no spare worker left"))
+                  | w :: rest ->
+                      h.spares <- rest;
+                      h.active <- Some w);
               init = (fun () -> ignore (control Wire.Init));
               call = (fun it -> control (Wire.Item it));
               finalize = (fun () -> control Wire.Finalize);
-              on_fail = (fun () -> kill_active lbl h);
+              on_fail = kill_active;
             },
-            window )
+            {
+              depth = h.depth;
+              send =
+                (function
+                | [ it ] -> send (Wire.Item it) | its -> send (Wire.Batch its));
+              recv = (fun ~stalled -> response (recv ~stalled));
+              poll =
+                (fun () -> Option.map response (take ~block:false (worker ())));
+            } )
   in
   let place (cs : Engine.copy) =
     match handles.(cs.Engine.stage).(cs.Engine.index) with

@@ -10,8 +10,10 @@
     on its worker, and a domain for a local sink copy, which runs filter
     code; children only execute filter callbacks.  Sink copies stay
     local so their closures (result collectors) mutate caller-visible
-    memory.  What this module adds is the worker plumbing: fork, the worker loop, the frame channel
-    and the credit window.  A crash decision kills the copy's child
+    memory.  What this module adds is the worker plumbing: fork, the
+    worker loop and the frame I/O over each worker's channel; the
+    driver runs each remote copy's credit window ({!Proc_window}) over
+    that I/O.  A crash decision kills the copy's child
     with [SIGKILL], observes the real exit status with [waitpid], and
     restarts onto a pre-forked spare (forking after domains exist is
     unsafe in OCaml 5, so each inner copy pre-forks [max_retries]

@@ -273,9 +273,7 @@ let run eng : (Engine.metrics, Supervisor.run_error) result =
               qs_mem_high_water = c.q_high_water });
       exec_wake = (fun () -> ());
       exec_spawn = (fun ~stage ~copy -> !spawn_hook ~stage ~copy);
-      exec_retire = (fun ~stage ~copy -> !retire_hook ~stage ~copy);
-      (* modeled transfers land synchronously — nothing in flight *)
-      exec_drain = (fun ~stage:_ ~copy:_ -> ()) };
+      exec_retire = (fun ~stage ~copy -> !retire_hook ~stage ~copy) };
 
   (* Virtual-time sampler: advanced by the event loop before each event
      is handled, so every sample lands at its exact scheduled virtual

@@ -1,5 +1,5 @@
 (* Smoke test for the proc backend's credit-based frame pipelining,
-   wired into `dune runtest` via the @stream-smoke alias.  Four legs of
+   wired into `dune runtest` via the @stream-smoke alias.  Five legs of
    full proc runs, the first three at a deep credit window
    (--inflight 16):
 
@@ -26,6 +26,12 @@
      must all reach the surviving sibling.  Run at --inflight 1, 4 and
      16, and at batch 8 with --inflight 4: the sink sees every packet
      exactly once and retired = 1.
+   - Idle edge: widths 1-1-1 at --inflight 4.  The source's second
+     [next] waits on a pipe that the sink writes when the first packet
+     arrives.  The middle copy must settle its window when its input
+     queue runs empty; a window that kept the first answer parked until
+     the next input would wait forever, so the leg fails when no result
+     arrives within 5 s.
 
    Each leg runs in its own forked child (OCaml 5 permanently refuses
    [Unix.fork] once a domain has been spawned, and every proc run
@@ -73,7 +79,7 @@ type leg = {
   recovery : Datacutter.Supervisor.recovery;
 }
 
-let recording_sink () =
+let recording_sink ?(on_data = ignore) () =
   let mutex = Mutex.create () in
   let events = ref [] in
   let sink _ =
@@ -82,6 +88,7 @@ let recording_sink () =
       init = (fun () -> 0.0);
       process =
         (fun b ->
+          on_data (int_of_buffer b);
           Mutex.lock mutex;
           events := Data (int_of_buffer b) :: !events;
           Mutex.unlock mutex;
@@ -100,8 +107,9 @@ let recording_sink () =
   in
   (sink, fun () -> List.rev !events)
 
-let topo ~n ?final ?(mid_width = 1) ~mid () =
-  let sink, got = recording_sink () in
+let topo ~n ?final ?(mid_width = 1) ?(source = counting_source ?final n)
+    ?on_data ~mid () =
+  let sink, got = recording_sink ?on_data () in
   ( Datacutter.Topology.create
       ~stages:
         [
@@ -109,7 +117,7 @@ let topo ~n ?final ?(mid_width = 1) ~mid () =
             Datacutter.Topology.stage_name = "src";
             width = 1;
             power = 100.0;
-            role = Datacutter.Topology.Source (counting_source ?final n);
+            role = Datacutter.Topology.Source source;
           };
           {
             Datacutter.Topology.stage_name = "mid";
@@ -131,12 +139,16 @@ let topo ~n ?final ?(mid_width = 1) ~mid () =
         ],
     got )
 
-(* One proc run in a forked child, its observations marshalled back. *)
-let in_child ~label (f : unit -> leg) : leg =
+(* One proc run in a forked child, its observations marshalled back.
+   With [timeout_s] the child runs in its own process group, and the
+   whole group (the run and its workers) is killed when no result
+   arrives in time. *)
+let in_child ?timeout_s ~label (f : unit -> leg) : leg =
   let rd, wr = Unix.pipe () in
   match Unix.fork () with
   | 0 ->
       Unix.close rd;
+      if timeout_s <> None then ignore (Unix.setsid ());
       let leg = f () in
       let oc = Unix.out_channel_of_descr wr in
       Marshal.to_channel oc leg [];
@@ -144,6 +156,15 @@ let in_child ~label (f : unit -> leg) : leg =
       Unix._exit 0
   | pid -> (
       Unix.close wr;
+      Option.iter
+        (fun t ->
+          match Unix.select [ rd ] [] [] t with
+          | [], _, _ ->
+              (try Unix.kill (-pid) Sys.sigkill with Unix.Unix_error _ -> ());
+              ignore (Unix.waitpid [] pid);
+              die "%s: no result within %.0f s" label t
+          | _ -> ())
+        timeout_s;
       let ic = Unix.in_channel_of_descr rd in
       let leg =
         try Some (Marshal.from_channel ic : leg)
@@ -158,10 +179,10 @@ let in_child ~label (f : unit -> leg) : leg =
           die "%s: subprocess killed by signal %d" label sg
       | _, (_, Unix.WSTOPPED _) -> die "%s: subprocess stopped" label)
 
-let run_leg ~label ?policy ?(inflight = 16) ?batch ~n ?final ?mid_width ~mid
-    () : leg =
-  in_child ~label (fun () ->
-      let t, got = topo ~n ?final ?mid_width ~mid () in
+let run_leg ~label ?timeout_s ?policy ?(inflight = 16) ?batch ~n ?final
+    ?mid_width ?source ?on_data ~mid () : leg =
+  in_child ?timeout_s ~label (fun () ->
+      let t, got = topo ~n ?final ?mid_width ?source ?on_data ~mid () in
       let stage_batch =
         Option.map
           (Array.make (List.length t.Datacutter.Topology.stages))
@@ -305,11 +326,40 @@ let () =
           leg.recovery.Datacutter.Supervisor.retired)
     [ (1, 1); (4, 1); (16, 1); (4, 8) ];
 
+  (* --- leg 5: the window settles when its copy goes idle ------------ *)
+  let n = 8 in
+  (* made before the run forks its workers, so the source's worker and
+     the local sink share it *)
+  let gate_rd, gate_wr = Unix.pipe () in
+  let gated_source copy =
+    let src = counting_source n copy in
+    let calls = ref 0 in
+    {
+      src with
+      Datacutter.Filter.next =
+        (fun () ->
+          incr calls;
+          if !calls = 2 then ignore (Unix.read gate_rd (Bytes.create 1) 0 1);
+          src.Datacutter.Filter.next ());
+    }
+  in
+  let open_gate p =
+    if p = 0 then ignore (Unix.write_substring gate_wr "x" 0 1)
+  in
+  let idle =
+    run_leg ~label:"idle" ~timeout_s:5.0 ~inflight:4 ~n ~source:gated_source
+      ~on_data:open_gate
+      ~mid:(fun _ -> Datacutter.Filter.pass_through "mid")
+      ()
+  in
+  if data_packets idle.events <> List.init n Fun.id then
+    die "idle: sink data stream wrong or out of order";
+
   Printf.printf
     "stream-smoke ok: FIFO at inflight=16 (300 packets), window drained at \
      EOS/finalize barriers, SIGKILL mid-window recovered exactly-once \
      (crashes=%d retries=%d replayed=%d), give-up re-routed exactly-once \
-     at inflight 1/4/16 and batch 8\n"
+     at inflight 1/4/16 and batch 8, idle window settled at inflight 4\n"
     kill.recovery.Datacutter.Supervisor.crashes
     kill.recovery.Datacutter.Supervisor.retries
     kill.recovery.Datacutter.Supervisor.replayed

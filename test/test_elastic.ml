@@ -101,7 +101,6 @@ let mock_engine ?(mid_width = 1) ~budget () =
       exec_wake = (fun () -> ());
       exec_spawn = (fun ~stage:_ ~copy:_ -> ());
       exec_retire = (fun ~stage:_ ~copy:_ -> ());
-      exec_drain = (fun ~stage:_ ~copy:_ -> ());
     };
   (eng, delivered, violations)
 

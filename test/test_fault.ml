@@ -473,6 +473,15 @@ let test_par_barrier_own_queue_full () =
       | Engine.Final b -> fst (f.Filter.on_eos (Some b))
       | Engine.Marker -> None
     in
+    (* Answers wait in [answers] until the window blocks for them; the
+       first one taken after the copy saw its marker, at the barrier
+       edge, is slow.  Each send takes 5 ms, so the marker is queued
+       behind the copy's last packet before it looks for more input. *)
+    let answers = Queue.create () in
+    let slow = ref true in
+    let at_barrier () =
+      Engine.markers_seen (Engine.copy_at eng ~stage:1 ~copy:1) > 0
+    in
     Par_runtime.Remote_filter
       ( {
           Par_runtime.fresh = ignore;
@@ -481,12 +490,23 @@ let test_par_barrier_own_queue_full () =
           finalize = (fun () -> fst (f.Filter.finalize ()));
           on_fail = ignore;
         },
-        fun ~ack ~recover:_ ->
-          {
-            Par_runtime.submit = List.iter (fun it -> ack it (call it));
-            drain = (fun () -> Unix.sleepf 0.2);
-            take_unacked = (fun () -> []);
-          } )
+        {
+          Par_runtime.depth = Proc_runtime.max_inflight;
+          send =
+            (fun items ->
+              Unix.sleepf 0.005;
+              Queue.push
+                { Proc_window.outs = List.map call items; error = None }
+                answers);
+          recv =
+            (fun ~stalled:_ ->
+              if !slow && at_barrier () then begin
+                slow := false;
+                Unix.sleepf 0.2
+              end;
+              Queue.pop answers);
+          poll = (fun () -> None);
+        } )
   in
   let place (cs : Engine.copy) =
     if cs.Engine.stage = 1 && cs.Engine.index = 1 then slow_drain ()
