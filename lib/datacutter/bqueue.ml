@@ -76,6 +76,17 @@ type stats = {
   st_mem_high_water : int;
 }
 
+let no_stats =
+  {
+    st_items = 0;
+    st_mem_bytes = 0;
+    st_disk_items = 0;
+    st_disk_bytes = 0;
+    st_spilled_bytes = 0;
+    st_spill_segments = 0;
+    st_mem_high_water = 0;
+  }
+
 type 'a t = {
   items : 'a Queue.t; (* front: the poppable in-memory window *)
   back : 'a Queue.t; (* in-memory buffer behind the disk segments *)

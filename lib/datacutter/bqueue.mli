@@ -126,6 +126,9 @@ type stats = {
 
 val stats : 'a t -> stats
 
+(** All zeros: the stats of a copy without an input queue (a source). *)
+val no_stats : stats
+
 (** Length observed after every push and pop (all variants — the
     single-item and batched paths share one accounting helper). *)
 val occupancy : 'a t -> Obs.Hist.t

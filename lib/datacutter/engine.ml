@@ -5,9 +5,11 @@
    mask, the per-stage EOS drain barrier, the retry/retire/re-route
    state machine, recovery accounting and the unified metrics record —
    and exposes it as pure decisions over shared state.  Backends plug
-   in through the [executor] record (clock, sleep, send, queue length,
-   wake) and keep only their scheduling mechanism: a time-ordered event
-   heap or one domain per copy.
+   in through the [executor] record (clock, send, queue stats, wake)
+   and keep only their scheduling mechanism: a time-ordered event heap
+   or one runner per copy.  Nothing here sleeps, spawns or starts a
+   thread: periodic checks run one tick per call, and spawn/retire
+   decisions are returned for the backend to act on.
 
    Shared state is atomic where more than one domain can touch it
    (alive masks, marker counts, the barrier, lifecycle states, the
@@ -93,53 +95,12 @@ let state_name = function
   | 5 -> "done"
   | _ -> "unknown"
 
-(* Byte/spill occupancy of one copy's input queue, as sampled by the
-   watchdog, the timeseries sampler and the final metrics.  Backends
-   without a real queue for a copy (sources) return {!no_queue_stats}. *)
-type queue_stats = {
-  qs_items : int;  (* logical backlog, spilled items included *)
-  qs_mem_bytes : int;
-  qs_disk_items : int;
-  qs_disk_bytes : int;
-  qs_spilled_bytes : int;  (* cumulative *)
-  qs_spill_segments : int;  (* cumulative *)
-  qs_mem_high_water : int;
-}
-
-let no_queue_stats =
-  {
-    qs_items = 0;
-    qs_mem_bytes = 0;
-    qs_disk_items = 0;
-    qs_disk_bytes = 0;
-    qs_spilled_bytes = 0;
-    qs_spill_segments = 0;
-    qs_mem_high_water = 0;
-  }
-
-let queue_stats_of_bqueue (s : Bqueue.stats) =
-  {
-    qs_items = s.Bqueue.st_items;
-    qs_mem_bytes = s.Bqueue.st_mem_bytes;
-    qs_disk_items = s.Bqueue.st_disk_items;
-    qs_disk_bytes = s.Bqueue.st_disk_bytes;
-    qs_spilled_bytes = s.Bqueue.st_spilled_bytes;
-    qs_spill_segments = s.Bqueue.st_spill_segments;
-    qs_mem_high_water = s.Bqueue.st_mem_high_water;
-  }
-
 type executor = {
   exec_backend : backend;
   exec_now : unit -> float;
-  exec_sleep : float -> unit;
-  exec_send : src:copy -> dst_stage:int -> dst_copy:int -> item -> unit;
-  exec_send_batch :
-    src:copy -> dst_stage:int -> dst_copy:int -> item list -> unit;
-  exec_queue_len : stage:int -> copy:int -> int;
-  exec_queue_stats : stage:int -> copy:int -> queue_stats;
+  exec_send : src:copy -> dst_stage:int -> dst_copy:int -> item list -> unit;
+  exec_queue_stats : stage:int -> copy:int -> Bqueue.stats;
   exec_wake : unit -> unit;
-  exec_spawn : stage:int -> copy:int -> unit;
-  exec_retire : stage:int -> copy:int -> unit;
 }
 
 (* Mid-run autoscaling: the elastic-copy budget and the controller's
@@ -535,16 +496,17 @@ let stage_dead_error t ~stage ~error =
 let stage_has_survivor t s =
   Array.exists (fun c -> Atomic.get c.alive) t.copies.(s)
 
-let note_out t (c : copy) it =
-  match it with
-  | Data b ->
-      t.items_out.(c.stage).(c.index) <- t.items_out.(c.stage).(c.index) + 1;
-      t.bytes_out.(c.stage).(c.index) <-
-        t.bytes_out.(c.stage).(c.index) +. float_of_int (Filter.buffer_size b)
-  | Final b ->
-      t.bytes_out.(c.stage).(c.index) <-
-        t.bytes_out.(c.stage).(c.index) +. float_of_int (Filter.buffer_size b)
-  | Marker -> ()
+let rec note_out t (c : copy) = function
+  | [] -> ()
+  | Marker :: rest -> note_out t c rest
+  | ((Data b | Final b) as it) :: rest ->
+      let s = c.stage and k = c.index in
+      (match it with
+      | Data _ -> t.items_out.(s).(k) <- t.items_out.(s).(k) + 1
+      | _ -> ());
+      t.bytes_out.(s).(k) <-
+        t.bytes_out.(s).(k) +. float_of_int (Filter.buffer_size b);
+      note_out t c rest
 
 (* Round-robin pick of a live downstream copy; advances [rr] once per
    pick, so at batch cap B the mask rotates per batch, not per item —
@@ -576,10 +538,10 @@ let flush t (c : copy) =
       c.out_len <- 0;
       Result.map
         (fun j ->
-          List.iter (fun it -> note_out t c it) items;
+          note_out t c items;
           Obs.Hist.observe t.batch_hist.(c.stage).(c.index) (float_of_int n);
-          (executor t).exec_send_batch ~src:c ~dst_stage:(c.stage + 1)
-            ~dst_copy:j items)
+          (executor t).exec_send ~src:c ~dst_stage:(c.stage + 1) ~dst_copy:j
+            items)
         (pick_dst t c)
 
 let send_downstream t (c : copy) (it : item) =
@@ -605,40 +567,29 @@ let send_downstream t (c : copy) (it : item) =
             Mutex.unlock t.elastic_mu;
             (* broadcast: dead copies still count markers *)
             for j = 0 to n - 1 do
-              exec.exec_send ~src:c ~dst_stage:s' ~dst_copy:j it
+              exec.exec_send ~src:c ~dst_stage:s' ~dst_copy:j [ it ]
             done;
             Ok ())
     | Final _ ->
+        let items = [ it ] in
         Result.bind (flush t c) (fun () ->
             Result.map
               (fun j ->
-                note_out t c it;
+                note_out t c items;
                 (executor t).exec_send ~src:c ~dst_stage:(c.stage + 1)
-                  ~dst_copy:j it)
+                  ~dst_copy:j items)
               (pick_dst t c))
     | Data _ ->
-        let cap = t.send_batch.(c.stage) in
-        if cap <= 1 then
-          (* unbatched hot path: routing, accounting and send ordering
-             are bit-for-bit the pre-batching behaviour *)
-          Result.map
-            (fun j ->
-              note_out t c it;
-              Obs.Hist.observe t.batch_hist.(c.stage).(c.index) 1.0;
-              (executor t).exec_send ~src:c ~dst_stage:(c.stage + 1)
-                ~dst_copy:j it)
-            (pick_dst t c)
-        else begin
-          c.out_buf <- it :: c.out_buf;
-          c.out_len <- c.out_len + 1;
-          (* Once this copy has counted every upstream marker its own
-             marker relay (and the flush ahead of it) may already be
-             behind us, so an output produced now — a retried or
-             replayed input served late — has no later flush point:
-             deliver it straight away. *)
-          if c.out_len >= cap || Atomic.get c.at_quota then flush t c
-          else Ok ()
-        end
+        c.out_buf <- it :: c.out_buf;
+        c.out_len <- c.out_len + 1;
+        (* At cap 1 every item flushes at once.  Once this copy has
+           counted every upstream marker its own marker relay (and the
+           flush ahead of it) may already be behind us, so an output
+           produced now — a retried or replayed input served late — has
+           no later flush point: deliver it straight away. *)
+        if c.out_len >= t.send_batch.(c.stage) || Atomic.get c.at_quota then
+          flush t c
+        else Ok ()
 
 let reroute t (c : copy) (it : item) =
   let w = Atomic.get t.engaged.(c.stage) in
@@ -653,7 +604,7 @@ let reroute t (c : copy) (it : item) =
   Result.map
     (fun j ->
       bump t (fun r -> r.Supervisor.rerouted <- r.rerouted + 1);
-      (executor t).exec_send ~src:c ~dst_stage:c.stage ~dst_copy:j it)
+      (executor t).exec_send ~src:c ~dst_stage:c.stage ~dst_copy:j [ it ])
     (pick 0 ((c.index + 1) mod w))
 
 (* --- the end-of-stream drain barrier --- *)
@@ -684,9 +635,9 @@ let barrier_released t s = Atomic.get t.at_eos.(s) >= Atomic.get t.engaged.(s)
    member: routable, counted by the EOS barrier, a marker target.  The
    one ordering rule is membership-before-visibility: the copy is made
    alive (and un-exited) *before* [engaged] is bumped, so a router that
-   observes the new width always finds a routable copy, and the
-   executor hook runs last, once the copy is a member.  Spawning is
-   refused once a marker has been broadcast into the stage
+   observes the new width always finds a routable copy; the backend
+   starts the copy after the decision returns, once it is a member.
+   Spawning is refused once a marker has been broadcast into the stage
    ([markers_started]) — a later joiner would have missed that marker
    and could never reach its quota.
 
@@ -698,7 +649,6 @@ let barrier_released t s = Atomic.get t.at_eos.(s) >= Atomic.get t.engaged.(s)
    retirement (the supervisor path) is untouched and uses separate
    counters. *)
 
-let autoscale_enabled t = t.autoscale <> None
 let autoscale_config t = t.autoscale
 
 let spawn_copy t ~stage =
@@ -722,11 +672,7 @@ let spawn_copy t ~stage =
         end
     in
     Mutex.unlock t.elastic_mu;
-    match r with
-    | `Spawned k ->
-        (executor t).exec_spawn ~stage ~copy:k;
-        `Spawned k
-    | other -> other
+    r
   end
 
 let retire_idle t ~stage =
@@ -757,11 +703,7 @@ let retire_idle t ~stage =
               `Retired k
     in
     Mutex.unlock t.elastic_mu;
-    match r with
-    | `Retired k ->
-        (executor t).exec_retire ~stage ~copy:k;
-        `Retired k
-    | other -> other
+    r
   end
 
 (* One controller decision.  Single caller by construction — the sim
@@ -771,7 +713,8 @@ let retire_idle t ~stage =
    engaged copies of each inner stage decides saturation, a stage
    sustained-saturated for [as_sustain] ticks gains a copy (budget
    permitting), a stage empty for [as_idle_ticks] ticks sheds its
-   highest elastic copy. *)
+   highest elastic copy.  The caller starts a spawned copy and stands a
+   retired one down. *)
 let autoscale_tick t =
   match t.autoscale with
   | None -> `Idle
@@ -783,7 +726,8 @@ let autoscale_tick t =
         let n = Atomic.get t.engaged.(s) in
         let backlog = ref 0 in
         for k = 0 to n - 1 do
-          backlog := !backlog + exec.exec_queue_len ~stage:s ~copy:k
+          let qs = exec.exec_queue_stats ~stage:s ~copy:k in
+          backlog := !backlog + qs.Bqueue.st_items
         done;
         let per_copy = float_of_int !backlog /. float_of_int (max 1 n) in
         if per_copy >= float_of_int a.as_hi_items then begin
@@ -958,89 +902,92 @@ let copy_report ?state_of t =
                cr_label = Topology.copy_label t.topo ~stage:s ~copy:k;
                cr_state = state_of ~stage:s ~copy:k;
                cr_items = t.items_grid.(s).(k);
-               cr_queue_len = exec.exec_queue_len ~stage:s ~copy:k;
-               cr_queue_bytes = qs.qs_mem_bytes;
-               cr_spilled_items = qs.qs_disk_items;
+               cr_queue_len = qs.Bqueue.st_items;
+               cr_queue_bytes = qs.st_mem_bytes;
+               cr_spilled_items = qs.st_disk_items;
              })))
 
 (* Trip when the progress counter stands still for the threshold while
    every unfinished copy is blocked on a queue, or stuck inside a call
    for longer than the budget (the threshold itself if no budget is
-   set) — a long legitimate computation holds the watchdog off. *)
-let watchdog_loop t ~ms =
-  let exec = executor t in
+   set) — a long legitimate computation holds the watchdog off.  One
+   [watchdog_check] is one tick; the backend decides when ticks run. *)
+type watchdog = {
+  wd_threshold : float;
+  wd_overdue : float;
+  mutable wd_last_progress : int;
+  mutable wd_last_change : float;
+}
+
+let watchdog t ~ms =
   let threshold = float_of_int ms /. 1000.0 in
-  let tick = Float.max 0.002 (Float.min 0.05 (threshold /. 4.0)) in
-  let overdue_budget =
-    match t.pol.Supervisor.call_budget_s with
-    | Some b -> b
-    | None -> threshold
-  in
-  let last_progress = ref (Atomic.get t.progress) in
-  let last_change = ref (exec.exec_now ()) in
-  let rec loop () =
-    if aborting t || all_exited t then ()
-    else begin
-      exec.exec_sleep tick;
-      let p = Atomic.get t.progress in
-      let now = exec.exec_now () in
-      if p <> !last_progress then begin
-        last_progress := p;
-        last_change := now
-      end;
-      if now -. !last_change >= threshold then begin
-        let all_blocked = ref true in
-        let any_live = ref false in
-        Array.iter
-          (Array.iter (fun (c : copy) ->
-               let st = Atomic.get c.lifecycle in
-               if st <> st_done then begin
-                 any_live := true;
-                 if st = st_blocked_push || st = st_blocked_pop then ()
-                 else if
-                   st = st_computing
-                   && now -. Atomic.get c.call_start > overdue_budget
-                 then ()
-                 else all_blocked := false
-               end))
-          t.copies;
-        if !any_live && !all_blocked then begin
-          bump t (fun r ->
-              r.Supervisor.watchdog_trips <- r.watchdog_trips + 1);
-          let report = copy_report t in
-          if t.tracing then
-            Obs.Trace.emit
-              (Obs.Trace.Instant
-                 {
-                   name = "watchdog_trip";
-                   cat = backend_name exec.exec_backend;
-                   ts = now;
-                   tid = 0;
-                   args =
-                     List.map
-                       (fun cr ->
-                         (cr.Supervisor.cr_label, Obs.Trace.Astr cr.cr_state))
-                       report;
-                 });
-          Logs.err (fun m ->
-              m "watchdog: no progress for %.3fs; %d copies blocked"
-                (now -. !last_change) (List.length report));
-          abort t (Supervisor.Stalled { after_s = now -. !last_change; report })
-        end
-        else loop ()
-      end
-      else loop ()
+  {
+    wd_threshold = threshold;
+    wd_overdue =
+      Option.value t.pol.Supervisor.call_budget_s ~default:threshold;
+    wd_last_progress = Atomic.get t.progress;
+    wd_last_change = (executor t).exec_now ();
+  }
+
+let watchdog_period_s wd =
+  Float.max 0.002 (Float.min 0.05 (wd.wd_threshold /. 4.0))
+
+let watchdog_check t wd =
+  let exec = executor t in
+  let p = Atomic.get t.progress in
+  let now = exec.exec_now () in
+  if p <> wd.wd_last_progress then begin
+    wd.wd_last_progress <- p;
+    wd.wd_last_change <- now
+  end;
+  if now -. wd.wd_last_change >= wd.wd_threshold then begin
+    let all_blocked = ref true in
+    let any_live = ref false in
+    Array.iter
+      (Array.iter (fun (c : copy) ->
+           let st = Atomic.get c.lifecycle in
+           if st <> st_done then begin
+             any_live := true;
+             if st = st_blocked_push || st = st_blocked_pop then ()
+             else if
+               st = st_computing
+               && now -. Atomic.get c.call_start > wd.wd_overdue
+             then ()
+             else all_blocked := false
+           end))
+      t.copies;
+    if !any_live && !all_blocked then begin
+      let after_s = now -. wd.wd_last_change in
+      bump t (fun r -> r.Supervisor.watchdog_trips <- r.watchdog_trips + 1);
+      let report = copy_report t in
+      if t.tracing then
+        Obs.Trace.emit
+          (Obs.Trace.Instant
+             {
+               name = "watchdog_trip";
+               cat = backend_name exec.exec_backend;
+               ts = now;
+               tid = 0;
+               args =
+                 List.map
+                   (fun cr ->
+                     (cr.Supervisor.cr_label, Obs.Trace.Astr cr.cr_state))
+                   report;
+             });
+      Logs.err (fun m ->
+          m "watchdog: no progress for %.3fs; %d copies blocked" after_s
+            (List.length report));
+      abort t (Supervisor.Stalled { after_s; report })
     end
-  in
-  loop ()
+  end
 
 (* --- time-series sampler --- *)
 
 (* Periodic snapshots of the accounting grids into an [Obs.Timeseries]
    ring.  One sampler per run; samples are taken either inline by the
    simulator's event loop at exact virtual times ([sampler_advance]) or
-   by a dedicated monitor thread on the real clock ([sampler_loop], the
-   watchdog pattern).  Reads of the grids from the monitor thread are
+   by the real backends' monitor thread on the real clock
+   ([sampler_poll]).  Reads of the grids from the monitor thread are
    racy-but-benign, exactly like the watchdog's [copy_report]: each
    cell has a single writer and a torn read only skews one sample. *)
 
@@ -1097,17 +1044,17 @@ let sampler_take smp t ~ts =
   for s = 0 to t.n_stages - 1 do
     for k = 0 to slots t s - 1 do
       let items = t.items_grid.(s).(k) in
+      let qs = exec.exec_queue_stats ~stage:s ~copy:k in
       vals.(!j) <- t.busy.(s).(k);
       vals.(!j + 1) <- t.stall_pop.(s).(k);
       vals.(!j + 2) <- t.stall_push.(s).(k);
-      vals.(!j + 3) <- float_of_int (exec.exec_queue_len ~stage:s ~copy:k);
+      vals.(!j + 3) <- float_of_int qs.Bqueue.st_items;
       vals.(!j + 4) <-
         (if dt > 0.0 then
            float_of_int (items - smp.smp_prev_items.(s).(k)) /. dt
          else 0.0);
-      let qs = exec.exec_queue_stats ~stage:s ~copy:k in
-      vals.(!j + 5) <- float_of_int qs.qs_mem_bytes;
-      vals.(!j + 6) <- float_of_int qs.qs_disk_items;
+      vals.(!j + 5) <- float_of_int qs.st_mem_bytes;
+      vals.(!j + 6) <- float_of_int qs.st_disk_items;
       smp.smp_prev_items.(s).(k) <- items;
       j := !j + List.length sample_metrics
     done
@@ -1127,38 +1074,14 @@ let sampler_advance smp t ~upto =
     sampler_take smp t ~ts:smp.smp_next_at
   done
 
-(* Real-time backends: poll from a dedicated monitor thread. *)
-let sampler_loop t smp =
-  let exec = executor t in
-  let tick = Float.max 0.001 (Float.min 0.05 (smp.smp_interval /. 4.0)) in
-  let rec loop () =
-    if aborting t || all_exited t then ()
-    else begin
-      exec.exec_sleep tick;
-      let now = exec.exec_now () in
-      if now >= smp.smp_next_at then sampler_take smp t ~ts:now;
-      loop ()
-    end
-  in
-  loop ()
+(* Real-time backends: poll every quarter interval (clamped to
+   [1 ms, 50 ms]) and sample when one is due on the executor clock. *)
+let sampler_period_s smp =
+  Float.max 0.001 (Float.min 0.05 (smp.smp_interval /. 4.0))
 
-(* Real-time backends: the autoscale controller as a monitor-thread
-   loop, the sampler_loop pattern.  The simulator instead calls
-   {!autoscale_tick} from its event loop at exact virtual times. *)
-let autoscale_loop t =
-  match t.autoscale with
-  | None -> ()
-  | Some a ->
-      let exec = executor t in
-      let rec loop () =
-        if aborting t || all_exited t then ()
-        else begin
-          exec.exec_sleep a.as_interval_s;
-          ignore (autoscale_tick t);
-          loop ()
-        end
-      in
-      loop ()
+let sampler_poll smp t =
+  let now = (executor t).exec_now () in
+  if now >= smp.smp_next_at then sampler_take smp t ~ts:now
 
 (* --- backend utilities --- *)
 
@@ -1313,9 +1236,9 @@ let metrics t ~elapsed_s ?queue_occupancy ?link_stats ?timeseries
   for s = 0 to t.n_stages - 1 do
     for k = 0 to engaged_width t s - 1 do
       let qs = exec.exec_queue_stats ~stage:s ~copy:k in
-      spilled_bytes := !spilled_bytes + qs.qs_spilled_bytes;
-      spill_segments := !spill_segments + qs.qs_spill_segments;
-      mem_high_water := !mem_high_water + qs.qs_mem_high_water
+      spilled_bytes := !spilled_bytes + qs.Bqueue.st_spilled_bytes;
+      spill_segments := !spill_segments + qs.st_spill_segments;
+      mem_high_water := !mem_high_water + qs.st_mem_high_water
     done
   done;
   (* Grids are allocated over all physical slots; report only the

@@ -1,41 +1,43 @@
 (** The backend-agnostic core of the filter-stream execution model.
 
-    Both executors — the discrete-event simulator ({!Sim_runtime}) and
-    the OCaml 5 domain scheduler ({!Par_runtime}) — run the *same*
+    All three executors — the discrete-event simulator
+    ({!Sim_runtime}), the OCaml 5 domain scheduler ({!Par_runtime}) and
+    the process backend that shares its copy driver — run the *same*
     protocol: stage copies exchange data buffers, end-of-stream payloads
     and markers; data round-robins over the live copies of the next
     stage; a per-stage drain barrier gates finalization; a supervisor
     retries, retires and re-routes failing copies.  This module owns all
     of that protocol — topology instantiation, the routing mask, the EOS
-    barrier, the retry/retire/re-route state machine, recovery counters,
-    and the unified metrics record — leaving each backend a pure
-    scheduler of a couple hundred lines.
+    barrier, the retry/retire/re-route state machine, the elastic copy
+    lifecycle, the watchdog and sampler checks, recovery counters and
+    the unified metrics record — leaving each backend only its
+    scheduling mechanism.
 
     {2 The executor signature}
 
     A backend plugs in by {!attach}ing an {!executor}:
 
     - [exec_now] — the backend's clock (simulated seconds or wall-clock);
-    - [exec_sleep] — how to spend time: the domain backend really
-      sleeps; the discrete-event backend advances its virtual clock
-      instead (it applies [`Retry of delay] decisions by scheduling an
-      event, so its [exec_sleep] is a no-op);
-    - [exec_send] — how to move one item from [src] into the input
-      channel of copy [dst_copy] of [dst_stage]: a bounded blocking
-      queue push, or a heap-scheduled arrival event with modeled link
-      time.  The implementation must charge any blocking to the sender
-      ({!note_stall_push});
-    - [exec_queue_len] — input-channel length, for stall reports;
+    - [exec_send] — move a flushed batch (one item or more, in order)
+      from [src] into the input channel of copy [dst_copy] of
+      [dst_stage]: one bounded blocking [push_all] (domains, processes)
+      or one heap-scheduled transfer paying the modeled link latency
+      once (simulator).  The implementation must charge any blocking to
+      the sender ({!note_stall_push});
+    - [exec_queue_stats] — the copy's input-queue occupancy, for the
+      autoscaler, stall reports, the sampler and the final metrics
+      ({!Bqueue.no_stats} for a source, which has no input queue);
     - [exec_wake] — wake every blocked copy so it can observe
       {!aborting} (a no-op for single-threaded backends).
 
-    Spawning and stepping copies stays with the backend (domains vs. an
-    event loop); everything the copies *decide* comes from here.
-
-    Decision/mechanism split: functions here never block and never
-    schedule — they update shared protocol state and return a decision
-    ([`Retry of delay], [`Stage_drained], [`Fatal err], a route, ...)
-    that the backend applies with its own mechanism.  Shared state uses
+    Decision/mechanism split: functions here never block, never sleep
+    and never schedule — they update shared protocol state and return a
+    decision ([`Retry of delay], [`Stage_drained], [`Fatal err],
+    [`Spawned (s, k)], a route, ...) that the backend applies with its
+    own mechanism: sleeping a backoff or scheduling an event, starting a
+    copy's runner or waking a simulated copy.  Periodic checks
+    ({!watchdog_check}, {!sampler_poll}, {!autoscale_tick}) do one tick
+    per call; the backend decides when ticks run.  Shared state uses
     atomics, which the domain backend needs and the single-threaded
     simulator tolerates for free. *)
 
@@ -84,54 +86,18 @@ type copy = {
 
 type t
 
-(** Byte/spill occupancy of one copy's input queue, as sampled by the
-    watchdog report, the timeseries sampler and the final metrics.
-    Cumulative counters ([qs_spilled_bytes], [qs_spill_segments]) only
-    ever grow; the rest are live occupancy. *)
-type queue_stats = {
-  qs_items : int;  (** logical backlog, spilled items included *)
-  qs_mem_bytes : int;
-  qs_disk_items : int;
-  qs_disk_bytes : int;
-  qs_spilled_bytes : int;
-  qs_spill_segments : int;
-  qs_mem_high_water : int;
-}
-
-(** All zeros — for copies without a real input queue (sources). *)
-val no_queue_stats : queue_stats
-
-(** Adapt a {!Bqueue.stats} snapshot (domain and process backends). *)
-val queue_stats_of_bqueue : Bqueue.stats -> queue_stats
-
 type executor = {
   exec_backend : backend;
   exec_now : unit -> float;
-  exec_sleep : float -> unit;
-  exec_send : src:copy -> dst_stage:int -> dst_copy:int -> item -> unit;
-  exec_send_batch :
-    src:copy -> dst_stage:int -> dst_copy:int -> item list -> unit;
-      (** Move a whole flushed batch into ONE destination's input
-          channel, preserving order — one lock/wakeup (domains), one
-          modeled transfer paying latency once (simulator), one wire
-          frame (processes).  Only ever called with a non-empty list. *)
-  exec_queue_len : stage:int -> copy:int -> int;
-  exec_queue_stats : stage:int -> copy:int -> queue_stats;
-      (** byte/spill occupancy of the copy's input queue;
-          {!no_queue_stats} where no queue exists *)
+  exec_send : src:copy -> dst_stage:int -> dst_copy:int -> item list -> unit;
+      (** Move a non-empty batch into ONE destination's input channel,
+          preserving order — one lock/wakeup (domains), one modeled
+          transfer paying latency once (simulator), one wire frame
+          (processes). *)
+  exec_queue_stats : stage:int -> copy:int -> Bqueue.stats;
+      (** occupancy of the copy's input queue; {!Bqueue.no_stats}
+          where no queue exists *)
   exec_wake : unit -> unit;
-  exec_spawn : stage:int -> copy:int -> unit;
-      (** Start executing an elastic copy that {!spawn_copy} just
-          engaged: the domain backend spawns a domain, the process
-          backend promotes a pre-forked spare worker, the simulator
-          schedules the copy's first event.  Called after the copy is
-          already a routable member of its stage, so the hook must be
-          prepared to find items in the copy's queue. *)
-  exec_retire : stage:int -> copy:int -> unit;
-      (** An elastic copy was voluntarily stood down by {!retire_idle}:
-          passive backends (the simulator) re-route its remaining
-          backlog; backends whose copies run their own loop (domains,
-          processes) can ignore this — the copy drains naturally. *)
 }
 
 (** {2 Mid-run autoscaling}
@@ -184,7 +150,7 @@ val create :
 
 (** Plug the backend in.  Must be called before any function that needs
     the executor ({!send_downstream}, {!timed_call}, {!copy_report},
-    {!watchdog_loop}). *)
+    {!watchdog}). *)
 val attach : t -> executor -> unit
 
 val policy : t -> Supervisor.policy
@@ -217,14 +183,13 @@ val is_sink_stage : t -> int -> bool
 
 (** {2 Batching}
 
-    A stage with an outgoing batch cap B > 1 accumulates its [Data]
-    outputs and flushes them as one unit: one routing decision (the
-    round-robin cursor advances per batch), one [exec_send_batch].
-    The accumulator is flushed before any [Final] or [Marker] send —
-    FIFO channels then deliver the batch ahead of the marker it
-    precedes in stream order — and on retirement, so acknowledged
-    outputs are never lost.  At B = 1 the send path is bit-for-bit the
-    pre-batching behaviour. *)
+    A stage with an outgoing batch cap B accumulates its [Data] outputs
+    and flushes them as one unit: one routing decision (the round-robin
+    cursor advances per batch), one [exec_send].  At B = 1 every item
+    flushes at once.  The accumulator is flushed before any [Final] or
+    [Marker] send — FIFO channels then deliver the batch ahead of the
+    marker it precedes in stream order — and on retirement, so
+    acknowledged outputs are never lost. *)
 
 (** Batch size a consumer at stage [s] should pop at once: its
     upstream's outgoing cap (1 for the source stage). *)
@@ -332,35 +297,35 @@ val barrier_released : t -> int -> bool
     [`Late].  A voluntary retire only clears the copy's [alive] flag:
     the router stops handing it Data, it drains what it has and
     finalizes at EOS like everyone else; [engaged_width] never
-    shrinks, so barrier and marker arithmetic are unaffected. *)
+    shrinks, so barrier and marker arithmetic are unaffected.
 
-val autoscale_enabled : t -> bool
+    Both operations only change membership and return the decision;
+    the backend acts on it — it starts a runner for a spawned copy, and
+    the simulator stands a retired copy down (hands off its backlog). *)
+
 val autoscale_config : t -> autoscale option
 
-(** Engage the next dormant slot of inner stage [stage] and run the
-    backend's [exec_spawn] hook.  [`Invalid] for endpoint stages,
-    [`Late] once the stage's membership is frozen, [`No_slot] when the
-    stage's dormant headroom is spent. *)
+(** Engage the next dormant slot of inner stage [stage]: the copy is a
+    routable member when this returns, and may already find items in
+    its queue once the backend starts it.  [`Invalid] for endpoint
+    stages, [`Late] once the stage's membership is frozen, [`No_slot]
+    when the stage's dormant headroom is spent. *)
 val spawn_copy :
   t -> stage:int -> [ `Spawned of int | `Late | `No_slot | `Invalid ]
 
 (** Stand down the highest live elastic copy of [stage] (never a
-    planned copy, never the last live copy) and run the backend's
-    [exec_retire] hook. *)
+    planned copy, never the last live copy).  A copy that runs its own
+    loop (domains, processes) drains its queue by itself. *)
 val retire_idle :
   t -> stage:int -> [ `Retired of int | `Late | `No_copy | `Invalid ]
 
-(** One controller decision (at most one spawn or retire); call from
-    exactly one place — the simulator's event loop at virtual decision
-    points, or the monitor thread via {!autoscale_loop}. *)
+(** One controller decision (at most one spawn or retire), returned as
+    [(stage, copy)] for the caller to act on.  Call from exactly one
+    place — the simulator's event loop at virtual decision points, or
+    the real backends' monitor thread every [as_interval_s].  [`Idle]
+    when the run has no autoscale config. *)
 val autoscale_tick :
   t -> [ `Idle | `Spawned of int * int | `Retired of int * int ]
-
-(** Real-time hook: tick the controller every [as_interval_s] on the
-    executor clock until abort or every copy has exited; run from a
-    dedicated monitor thread.  A no-op when the run has no autoscale
-    config. *)
-val autoscale_loop : t -> unit
 
 (** {2 The supervisor state machine} *)
 
@@ -403,6 +368,9 @@ val st_done : int
 val set_lifecycle : copy -> int -> unit
 val mark_exited : copy -> unit
 
+(** Every copy slot's body has returned (dormant slots count). *)
+val all_exited : t -> bool
+
 (** Global progress counter (watchdog heartbeat); bump after every
     completed call, push and pop. *)
 val note_progress : t -> unit
@@ -426,12 +394,21 @@ val timed_call : t -> copy -> name:string -> (unit -> 'a) -> 'a
 val copy_report :
   ?state_of:(stage:int -> copy:int -> string) -> t -> Supervisor.copy_report list
 
-(** The stall watchdog (real-time backends): trips — aborting the run
-    with {!Supervisor.Stalled} — when the progress counter stands still
-    for [ms] while every unfinished copy is blocked on a queue or stuck
-    in a call past the budget.  Runs until trip, abort or
-    every copy has exited; call from a dedicated monitor thread. *)
-val watchdog_loop : t -> ms:int -> unit
+(** The stall watchdog (real-time backends): its last-progress state,
+    armed with a [ms] threshold from now. *)
+type watchdog
+
+val watchdog : t -> ms:int -> watchdog
+
+(** How often to run {!watchdog_check}: a quarter of the threshold,
+    clamped to [2 ms, 50 ms]. *)
+val watchdog_period_s : watchdog -> float
+
+(** One watchdog tick: trips — aborting the run with
+    {!Supervisor.Stalled} and a per-copy report — when the progress
+    counter has stood still for the threshold while every unfinished
+    copy is blocked on a queue or stuck in a call past the budget. *)
+val watchdog_check : t -> watchdog -> unit
 
 (** {2 Time-series sampler}
 
@@ -439,7 +416,7 @@ val watchdog_loop : t -> ms:int -> unit
     seconds, live queue length and items/s since the previous sample —
     into an {!Obs.Timeseries} ring.  The simulator advances the sampler
     inline at exact virtual times (deterministic); real-time backends
-    poll it from a dedicated monitor thread (the watchdog pattern).
+    poll it from their monitor thread.
     Cross-domain grid reads are racy-but-benign: one writer per cell, a
     torn read only skews one sample. *)
 
@@ -456,9 +433,13 @@ val sampler_series : sampler -> Obs.Timeseries.t
     time [upto], each stamped at its exact scheduled time. *)
 val sampler_advance : sampler -> t -> upto:float -> unit
 
-(** Real-time hook: poll on the executor clock until abort or
-    every copy has exited; run from a dedicated monitor thread. *)
-val sampler_loop : t -> sampler -> unit
+(** How often to run {!sampler_poll}: a quarter of the interval,
+    clamped to [1 ms, 50 ms]. *)
+val sampler_period_s : sampler -> float
+
+(** Real-time hook: take a sample now if one is due on the executor
+    clock. *)
+val sampler_poll : sampler -> t -> unit
 
 (** {2 Utilities for backends} *)
 

@@ -63,10 +63,11 @@ let slow_down (cs : Engine.copy) ~since =
 
 (* Threads for waiting, domains for computing.  A [Local] copy runs
    filter code and gets a domain.  A remote copy only drives its worker
-   over the rings, and the monitor loops only sleep and read counters:
-   they are threads on the calling domain.  Every minor collection
-   stops every domain, so a domain that merely waits would still be
-   stopped, and its minor heap would count against the process.  The
+   over the rings, and the monitor only sleeps, reads counters and
+   starts elastic runners: they are threads on the calling domain.
+   Every minor collection stops every domain, so a domain that merely
+   waits would still be stopped, and its minor heap would count
+   against the process.  The
    calling domain itself only waits in the join loop, so when it hosts
    no remote driver one [Local] copy runs there as a thread
    ([on_caller]): [drive] gives it the sink copy of an all-[Local] run. *)
@@ -110,47 +111,28 @@ let drive eng ~backend ?(place = fun _ -> Local) ?(teardown = ignore)
                  (Engine.queue_capacity eng)
                 : msg Bqueue.t)))
   in
-  (* The executor: [send] is a blocking push, with the blocked seconds
-     charged to the sender. *)
-  let blocked_push (src : Engine.copy) push q m =
-    Engine.set_lifecycle src Engine.st_blocked_push;
-    let blocked = push q m in
-    Engine.set_lifecycle src Engine.st_idle;
-    Engine.note_progress eng;
-    Engine.note_stall_push eng src blocked
-  in
-  (* exec_spawn needs the copy body, defined below — wired through a
-     forward ref; no spawn can occur before the autoscaler starts. *)
-  let spawn_hook : (stage:int -> copy:int -> unit) ref =
-    ref (fun ~stage:_ ~copy:_ -> ())
-  in
+  (* The executor: [send] is one blocking [push_all] — one lock
+     acquisition, one consumer wakeup — with the blocked seconds charged
+     to the sender. *)
   Engine.attach eng
     {
       exec_backend = backend;
       exec_now = Obs.Clock.elapsed_s;
-      exec_sleep = Unix.sleepf;
       exec_send =
-        (fun ~src ~dst_stage ~dst_copy it ->
-          blocked_push src Bqueue.push queues.(dst_stage).(dst_copy) (It it));
-      (* A flushed batch is one [push_all]: one lock acquisition, one
-         consumer wakeup, one blocked-seconds charge. *)
-      exec_send_batch =
         (fun ~src ~dst_stage ~dst_copy items ->
-          blocked_push src Bqueue.push_all
-            queues.(dst_stage).(dst_copy)
-            (List.map (fun it -> It it) items));
-      exec_queue_len =
-        (fun ~stage ~copy ->
-          if stage = 0 then 0 else Bqueue.length queues.(stage).(copy));
+          Engine.set_lifecycle src Engine.st_blocked_push;
+          let blocked =
+            Bqueue.push_all queues.(dst_stage).(dst_copy)
+              (List.map (fun it -> It it) items)
+          in
+          Engine.set_lifecycle src Engine.st_idle;
+          Engine.note_progress eng;
+          Engine.note_stall_push eng src blocked);
       exec_queue_stats =
         (fun ~stage ~copy ->
-          if stage = 0 then Engine.no_queue_stats
-          else Engine.queue_stats_of_bqueue (Bqueue.stats queues.(stage).(copy)));
+          if stage = 0 then Bqueue.no_stats
+          else Bqueue.stats queues.(stage).(copy));
       exec_wake = (fun () -> Array.iter (Array.iter Bqueue.wake) queues);
-      exec_spawn = (fun ~stage ~copy -> !spawn_hook ~stage ~copy);
-      (* a voluntarily retired copy keeps running its own driver and
-         drains its queue naturally — nothing to do here *)
-      exec_retire = (fun ~stage:_ ~copy:_ -> ());
     };
   let abort_raise err = Engine.abort eng err; raise Bqueue.Aborted in
   let ok = function Ok () -> () | Error e -> abort_raise e in
@@ -319,7 +301,7 @@ let drive eng ~backend ?(place = fun _ -> Local) ?(teardown = ignore)
       in
       (* Batched receive: drain up to the upstream's batch cap in one
          queue round-trip into a local pending buffer, then serve from
-         it.  At cap 1 this is exactly a single-item [pop].  A window
+         it ([pop_all ~max:1] is a single-item [pop]).  A window
          settles before its copy blocks on an empty queue. *)
       let in_cap = Engine.input_batch eng s in
       let pend : msg Queue.t = Queue.create () in
@@ -332,12 +314,7 @@ let drive eng ~backend ?(place = fun _ -> Local) ?(teardown = ignore)
               window_event Proc_window.Idle
           | _ -> ());
           Engine.set_lifecycle cs Engine.st_blocked_pop;
-          let ms, blocked =
-            if in_cap <= 1 then
-              let m, blocked = Bqueue.pop q in
-              ([ m ], blocked)
-            else Bqueue.pop_all q ~max:in_cap
-          in
+          let ms, blocked = Bqueue.pop_all q ~max:in_cap in
           Engine.set_lifecycle cs Engine.st_idle;
           Engine.note_progress eng;
           Engine.note_stall_pop eng cs blocked;
@@ -546,18 +523,19 @@ let drive eng ~backend ?(place = fun _ -> Local) ?(teardown = ignore)
   in
   (* Elastic spawns: one more runner over the ordinary copy body, by
      the same rule as the planned copies.  The engine made the copy a
-     routable member before calling the hook, so it may find items
+     routable member before returning [`Spawned], so it may find items
      already queued.  Spawned runners are tracked for the join below;
-     the hook runs on the autoscaler's monitor thread. *)
+     they start on the monitor thread.  A retired copy keeps running
+     its own driver and drains its queue by itself. *)
   let elastic_mu = Mutex.create () in
   let elastic = ref [] in
-  spawn_hook :=
-    (fun ~stage ~copy ->
-      let placement = place (Engine.copy_at eng ~stage ~copy) in
-      let r = spawn_copy ~on_caller:false stage copy placement in
-      Mutex.lock elastic_mu;
-      elastic := r :: !elastic;
-      Mutex.unlock elastic_mu);
+  let spawn_elastic stage copy =
+    let placement = place (Engine.copy_at eng ~stage ~copy) in
+    let r = spawn_copy ~on_caller:false stage copy placement in
+    Mutex.lock elastic_mu;
+    elastic := r :: !elastic;
+    Mutex.unlock elastic_mu
+  in
   (* Every planned placement is known before any copy starts: when all
      of them are [Local], the calling domain hosts no remote driver and
      the sink copy runs on it (the sink stage has width 1 in every plan;
@@ -579,23 +557,60 @@ let drive eng ~backend ?(place = fun _ -> Local) ?(teardown = ignore)
         spawn_copy ~on_caller s k p)
       planned
   in
-  let autoscaler =
-    if Engine.autoscale_enabled eng then
-      Some (Thread.create Engine.autoscale_loop eng)
-    else None
-  in
-  let watchdog =
-    match policy.Supervisor.watchdog_ms with
-    | Some ms when ms > 0 ->
-        Some (Thread.create (fun () -> Engine.watchdog_loop eng ~ms) ())
-    | _ -> None
-  in
+  (* One monitor thread runs every armed periodic check — watchdog,
+     sampler, autoscaler — each once its own period has passed: it
+     sleeps the smallest armed period between rounds.  Nothing armed,
+     no thread. *)
   let sampler =
     match Engine.metrics_interval_s eng with
-    | Some iv when iv > 0.0 ->
-        let smp = Engine.sampler_create eng ~interval_s:iv in
-        Some (smp, Thread.create (fun () -> Engine.sampler_loop eng smp) ())
+    | Some iv when iv > 0.0 -> Some (Engine.sampler_create eng ~interval_s:iv)
     | _ -> None
+  in
+  let check period run =
+    (period, ref (Obs.Clock.elapsed_s () +. period), run)
+  in
+  let checks =
+    List.filter_map Fun.id
+      [
+        (match policy.Supervisor.watchdog_ms with
+        | Some ms when ms > 0 ->
+            let wd = Engine.watchdog eng ~ms in
+            Some
+              (check (Engine.watchdog_period_s wd) (fun () ->
+                   Engine.watchdog_check eng wd))
+        | _ -> None);
+        Option.map
+          (fun smp ->
+            check (Engine.sampler_period_s smp) (fun () ->
+                Engine.sampler_poll smp eng))
+          sampler;
+        Option.map
+          (fun a ->
+            check a.Engine.as_interval_s (fun () ->
+                match Engine.autoscale_tick eng with
+                | `Spawned (s, k) -> spawn_elastic s k
+                | `Retired _ | `Idle -> ()))
+          (Engine.autoscale_config eng);
+      ]
+  in
+  let monitor () =
+    let tick =
+      List.fold_left (fun m (p, _, _) -> Float.min m p) infinity checks
+    in
+    while not (Engine.aborting eng || Engine.all_exited eng) do
+      Unix.sleepf tick;
+      let now = Obs.Clock.elapsed_s () in
+      List.iter
+        (fun (period, next, run) ->
+          if now >= !next then begin
+            run ();
+            while !next <= now do next := !next +. period done
+          end)
+        checks
+    done
+  in
+  let monitor =
+    match checks with [] -> None | _ -> Some (Thread.create monitor ())
   in
   (* Join copies.  Once the run is aborting, a copy stuck inside filter
      code cannot be interrupted: poll its exit flag for a grace period
@@ -639,9 +654,7 @@ let drive eng ~backend ?(place = fun _ -> Local) ?(teardown = ignore)
     end
   in
   join_elastic ();
-  Option.iter Thread.join autoscaler;
-  Option.iter Thread.join watchdog;
-  Option.iter (fun (_, t) -> Thread.join t) sampler;
+  Option.iter Thread.join monitor;
   (* Graceful queue close: leaked stuck copies (abort path) wake with
      [Closed] instead of blocking forever. *)
   Array.iter (Array.iter Bqueue.close) queues;
@@ -660,8 +673,7 @@ let drive eng ~backend ?(place = fun _ -> Local) ?(teardown = ignore)
     | None ->
         Ok
           (Engine.metrics eng ~elapsed_s:wall_time ~queue_occupancy:occupancy
-             ?timeseries:
-               (Option.map (fun (smp, _) -> Engine.sampler_series smp) sampler)
+             ?timeseries:(Option.map Engine.sampler_series sampler)
              ~extra:(extra ()) ())
   in
   Option.iter Spill.remove_dir spill_dir;

@@ -12,16 +12,17 @@
     and retention-ring replay (outputs suppressed) to rebuild a crashed
     copy's state before re-attempting the failed call.  Whole-stage
     death aborts with {!Supervisor.Stage_dead}; the optional watchdog
-    thread ({!Engine.watchdog_loop}) aborts no-progress runs with
+    ({!Engine.watchdog_check}) aborts no-progress runs with
     {!Supervisor.Stalled}.
 
     Every stream records its occupancy after each push, and both sides
     measure the seconds spent blocked (producers on a full queue,
     consumers on an empty one) into the engine's stall grids.
 
-    The monitor threads — the watchdog, the autoscaler (an elastic
-    copy is a fresh driver over a pre-allocated queue) and the
-    time-series sampler — run on the real clock.  A memory budget turns
+    One monitor thread runs the armed periodic checks on the real
+    clock — the watchdog, the time-series sampler and the autoscaler
+    (it starts a fresh driver over a pre-allocated queue for each copy
+    the controller spawns).  A memory budget turns
     the bounded queues into spill-to-disk queues: a push over budget
     writes an encoded segment into a run-scoped temp dir instead of
     blocking, a pop reads it back in FIFO order, and the dir is removed
@@ -37,8 +38,8 @@
 
     Threads for waiting, domains for computing: a {!Local} copy runs
     filter code and gets a domain; a remote copy only drives its worker,
-    so it gets a systhread on the calling domain, as do the monitor
-    loops.  Every minor collection stops every domain, so a domain that
+    so it gets a systhread on the calling domain, as does the
+    monitor.  Every minor collection stops every domain, so a domain that
     only waits would still be stopped.  The calling domain would only
     wait in the joins, so when every planned copy is {!Local} the sink
     copy runs there as a systhread; a run with a remote copy keeps the
@@ -105,13 +106,15 @@ val drive :
   (Engine.metrics, Supervisor.run_error) result
 (** Run [eng] to completion: one driver per copy (a domain for a
     {!Local} copy, a thread on the calling domain for a remote one and
-    for the sink of a run whose planned copies are all {!Local}), the
-    autoscaler, watchdog and sampler monitor threads, then the joins.
+    for the sink of a run whose planned copies are all {!Local}), one
+    monitor thread when a watchdog, sampler or autoscaler is armed —
+    it sleeps the smallest armed period and runs each check once its
+    own period has passed — then the joins.
     Queue capacity, budgets, batch caps and the sampling period come
     from [eng].
     [place] (default every copy {!Local}) is asked once per copy: for
     every planned copy on the calling domain before any driver starts,
-    for an elastic one on the autoscaler thread before its driver
+    for an elastic one on the monitor thread before its driver
     starts.  [teardown] runs after
     every driver has joined and the queues are closed, before the wall
     clock stops; [extra] adds metrics sections. *)

@@ -78,7 +78,7 @@ val run_result :
     into [metrics.timeseries] (the metrics JSON ["timeseries"]
     section).  The simulator samples at fixed {e virtual} times, so the
     series is deterministic; Par and Proc sample on the real clock from
-    a monitor thread.
+    their one monitor thread.
 
     [autoscale] arms the mid-run elastic-copy controller on every
     backend (see {!Engine.autoscale_tick}): a sustained-saturated inner
@@ -86,7 +86,8 @@ val run_result :
     long-idle elastic copy stands down, and the metrics gain an
     ["autoscale"] section.  The simulator ticks the controller at
     deterministic virtual times, so an autoscaled sim run is
-    bit-reproducible; Par and Proc tick it from a monitor thread.
+    bit-reproducible; Par and Proc tick it from their one monitor
+    thread.
     [Error (Copy_budget _)] (exit code 8 via [cgppc run]) when the
     budget is invalid or the pipeline has no inner stage.
 

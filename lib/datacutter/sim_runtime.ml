@@ -153,55 +153,14 @@ let run eng : (Engine.metrics, Supervisor.run_error) result =
              values = [ ("len", float_of_int (Queue.length c.queue)) ] })
   in
 
-  (* The executor: [send] is a heap push.  Cross-stage sends pay the
-     modeled link time; same-stage sends (re-routes off a dead copy)
+  (* The executor: [send] is a heap push.  A flushed batch (one item or
+     more) is ONE modeled transfer: the link latency (the per-transfer
+     startup cost) is paid once, the bandwidth term covers the summed
+     payload, and all items arrive together when it lands — exactly the
+     amortization the real backends realize with one lock/wakeup or one
+     wire frame.  Same-stage sends (re-routes off a dead copy)
      re-arrive immediately — the buffer is already on the node. *)
-  let exec_send ~src ~dst_stage ~dst_copy it =
-    let t = !now in
-    let dst = copies.(dst_stage).(dst_copy) in
-    if dst_stage = src.Engine.stage then Timeline.push heap t (Ev_arrival (dst, it))
-    else begin
-      let li = src.Engine.stage in
-      let link = links.(li) in
-      let size =
-        match it with
-        | Data b | Final b -> float_of_int (Filter.buffer_size b)
-        | Marker -> 1.0 in
-      let start = max t dst.link_free_at in
-      let dur =
-        link.Topology.latency +. (size /. link.Topology.bandwidth)
-        +. Fault.link_extra faults ~link:li ~transfer:(link_transfers.(li) + 1)
-      in
-      dst.link_free_at <- start +. dur;
-      link_busy.(li) <- link_busy.(li) +. dur;
-      link_wait.(li) <- link_wait.(li) +. (start -. t);
-      link_bytes.(li) <- link_bytes.(li) +. size;
-      link_transfers.(li) <- link_transfers.(li) + 1;
-      if tracing then begin
-        let tid = Topology.link_tid topo li in
-        let args = [ ("bytes", Obs.Trace.Afloat size) ] in
-        Obs.Trace.emit
-          (Obs.Trace.Span { name = "xfer"; cat = "link"; ts = start; dur; tid; args });
-        let id = Obs.Trace.next_flow_id () in
-        let src_tid =
-          Topology.copy_tid topo ~stage:src.Engine.stage ~copy:src.Engine.index
-        in
-        Obs.Trace.emit
-          (Obs.Trace.Flow_start { name = "buffer"; id; ts = t; tid = src_tid });
-        Obs.Trace.emit
-          (Obs.Trace.Flow_end
-             { name = "buffer"; id; ts = start +. dur; tid = ctid dst })
-      end;
-      Timeline.push heap (start +. dur) (Ev_arrival (dst, it));
-      note_time (start +. dur)
-    end
-  in
-  (* A flushed batch is ONE modeled transfer: the link latency (the
-     per-transfer startup cost) is paid once for the whole batch, the
-     bandwidth term covers the summed payload, and all items arrive
-     together when it lands — exactly the amortization the real
-     backends realize with one lock/wakeup or one wire frame. *)
-  let exec_send_batch ~src ~dst_stage ~dst_copy items =
+  let exec_send ~src ~dst_stage ~dst_copy items =
     let t = !now in
     let dst = copies.(dst_stage).(dst_copy) in
     if dst_stage = src.Engine.stage then
@@ -222,7 +181,8 @@ let run eng : (Engine.metrics, Supervisor.run_error) result =
         link.Topology.latency +. (size /. link.Topology.bandwidth)
         +. Fault.link_extra faults ~link:li ~transfer:(link_transfers.(li) + 1)
       in
-      dst.link_free_at <- start +. dur;
+      let arrive = start +. dur in
+      dst.link_free_at <- arrive;
       link_busy.(li) <- link_busy.(li) +. dur;
       link_wait.(li) <- link_wait.(li) +. (start -. t);
       link_bytes.(li) <- link_bytes.(li) +. size;
@@ -234,46 +194,40 @@ let run eng : (Engine.metrics, Supervisor.run_error) result =
             ("items", Obs.Trace.Aint (List.length items)) ]
         in
         Obs.Trace.emit
-          (Obs.Trace.Span
-             { name = "xfer_batch"; cat = "link"; ts = start; dur; tid; args })
+          (Obs.Trace.Span { name = "xfer"; cat = "link"; ts = start; dur; tid; args });
+        let id = Obs.Trace.next_flow_id () in
+        let src_tid =
+          Topology.copy_tid topo ~stage:src.Engine.stage ~copy:src.Engine.index
+        in
+        Obs.Trace.emit
+          (Obs.Trace.Flow_start { name = "buffer"; id; ts = t; tid = src_tid });
+        Obs.Trace.emit
+          (Obs.Trace.Flow_end
+             { name = "buffer"; id; ts = arrive; tid = ctid dst })
       end;
       List.iter
-        (fun it -> Timeline.push heap (start +. dur) (Ev_arrival (dst, it)))
+        (fun it -> Timeline.push heap arrive (Ev_arrival (dst, it)))
         items;
-      note_time (start +. dur)
+      note_time arrive
     end
-  in
-  (* Spawn/retire hooks need helpers defined below; the controller
-     only runs from Ev_autoscale events, long after these are set. *)
-  let spawn_hook : (stage:int -> copy:int -> unit) ref =
-    ref (fun ~stage:_ ~copy:_ -> ())
-  in
-  let retire_hook : (stage:int -> copy:int -> unit) ref =
-    ref (fun ~stage:_ ~copy:_ -> ())
   in
   Engine.attach eng
     { exec_backend = Engine.Sim;
       exec_now = (fun () -> !now);
-      exec_sleep = (fun _ -> ());  (* retries are scheduled, not slept *)
       exec_send;
-      exec_send_batch;
-      exec_queue_len =
-        (fun ~stage ~copy -> Queue.length copies.(stage).(copy).queue);
       exec_queue_stats =
         (fun ~stage ~copy ->
-          if stage = 0 then Engine.no_queue_stats
+          if stage = 0 then Bqueue.no_stats
           else
             let c = copies.(stage).(copy) in
-            { Engine.qs_items = Queue.length c.queue;
-              qs_mem_bytes = c.q_mem_bytes;
-              qs_disk_items = c.q_disk_items;
-              qs_disk_bytes = c.q_disk_bytes;
-              qs_spilled_bytes = c.q_spilled_bytes;
-              qs_spill_segments = c.q_spill_segments;
-              qs_mem_high_water = c.q_high_water });
-      exec_wake = (fun () -> ());
-      exec_spawn = (fun ~stage ~copy -> !spawn_hook ~stage ~copy);
-      exec_retire = (fun ~stage ~copy -> !retire_hook ~stage ~copy) };
+            { Bqueue.st_items = Queue.length c.queue;
+              st_mem_bytes = c.q_mem_bytes;
+              st_disk_items = c.q_disk_items;
+              st_disk_bytes = c.q_disk_bytes;
+              st_spilled_bytes = c.q_spilled_bytes;
+              st_spill_segments = c.q_spill_segments;
+              st_mem_high_water = c.q_high_water });
+      exec_wake = (fun () -> ()) };
 
   (* Virtual-time sampler: advanced by the event loop before each event
      is handled, so every sample lands at its exact scheduled virtual
@@ -308,12 +262,10 @@ let run eng : (Engine.metrics, Supervisor.run_error) result =
     end
   in
 
-  (* Retire [c]: drop it from routing (engine decision), re-route what
-     it was holding and had queued, keep its marker obligation. *)
-  let retire t (c : copy) err in_flight =
-    (match Engine.retire eng c.cs ~error:err with
-    | `Fatal e -> raise (Sim_abort e)
-    | `Continue -> ());
+  (* Stand [c] down once it is off the routing mask (crash or voluntary
+     retire): hand what it held and had queued to live siblings, and
+     keep its marker obligation alive through the zombie path. *)
+  let stand_down t (c : copy) in_flight =
     c.busy <- false;
     now := t;
     let relay = function
@@ -331,38 +283,6 @@ let run eng : (Engine.metrics, Supervisor.run_error) result =
     dead_maybe_relay t c
   in
 
-  (* Elastic hooks.  A spawn just wakes the dormant sim-copy — the
-     engine made it a member before calling the hook, and no arrival
-     can have been scheduled for it yet (the controller runs inside
-     the single-threaded event loop).  A voluntary retire mirrors the
-     crash-retire mechanics minus the recovery accounting: the copy is
-     already off the routing mask, so hand its backlog (normally empty
-     — the controller only retires long-idle copies) to live siblings
-     and keep its marker obligation alive through the zombie path. *)
-  spawn_hook :=
-    (fun ~stage ~copy ->
-      let c = copies.(stage).(copy) in
-      c.finished <- false;
-      c.idle_since <- !now);
-  retire_hook :=
-    (fun ~stage ~copy ->
-      let c = copies.(stage).(copy) in
-      let t = !now in
-      c.busy <- false;
-      Queue.iter
-        (fun (_, it, _) ->
-          match it with
-          | (Data _ | Final _) as it -> ok (Engine.reroute eng c.cs it)
-          | Marker -> Engine.note_marker eng c.cs)
-        c.queue;
-      Queue.clear c.queue;
-      c.q_mem_bytes <- 0;
-      c.q_disk_items <- 0;
-      c.q_disk_bytes <- 0;
-      c.q_seg_acc <- 0;
-      trace_qlen c ~ts:t;
-      dead_maybe_relay t c);
-
   (* One supervised attempt: retries re-schedule [retry_ev] after the
      backoff in simulated time; exhaustion retires + re-routes. *)
   let supervised t (c : copy) in_flight retry_ev (f : unit -> unit) =
@@ -373,7 +293,10 @@ let run eng : (Engine.metrics, Supervisor.run_error) result =
         match Engine.on_crash eng c.cs with
         | `Retry delay ->
             Timeline.push heap (t +. delay) retry_ev; note_time (t +. delay)
-        | `Give_up -> retire t c err in_flight)
+        | `Give_up -> (
+            match Engine.retire eng c.cs ~error:err with
+            | `Fatal e -> raise (Sim_abort e)
+            | `Continue -> stand_down t c in_flight))
   in
 
   let power_of (c : copy) = stages.(c.cs.stage).Topology.power in
@@ -467,7 +390,15 @@ let run eng : (Engine.metrics, Supervisor.run_error) result =
         maybe_start t c
     | Ev_finalize c -> if not (dead c) then maybe_start t c
     | Ev_autoscale -> (
-        ignore (Engine.autoscale_tick eng);
+        (* A spawned copy is already a member, its queue still empty
+           (the controller runs inside this loop): wake it. *)
+        (match Engine.autoscale_tick eng with
+        | `Spawned (s, k) ->
+            let c = copies.(s).(k) in
+            c.finished <- false;
+            c.idle_since <- t
+        | `Retired (s, k) -> stand_down t copies.(s).(k) None
+        | `Idle -> ());
         (* keep ticking while any engaged copy is still working; once
            everything finished the heap is allowed to drain *)
         match Engine.autoscale_config eng with

@@ -91,16 +91,11 @@ let mock_engine ?(mid_width = 1) ~budget () =
     {
       Engine.exec_backend = Engine.Par;
       exec_now = Unix.gettimeofday;
-      exec_sleep = (fun _ -> ());
-      exec_send = (fun ~src:_ ~dst_stage ~dst_copy it -> deliver ~dst_stage ~dst_copy it);
-      exec_send_batch =
+      exec_send =
         (fun ~src:_ ~dst_stage ~dst_copy items ->
           List.iter (deliver ~dst_stage ~dst_copy) items);
-      exec_queue_len = (fun ~stage:_ ~copy:_ -> 0);
-      exec_queue_stats = (fun ~stage:_ ~copy:_ -> Engine.no_queue_stats);
+      exec_queue_stats = (fun ~stage:_ ~copy:_ -> Bqueue.no_stats);
       exec_wake = (fun () -> ());
-      exec_spawn = (fun ~stage:_ ~copy:_ -> ());
-      exec_retire = (fun ~stage:_ ~copy:_ -> ());
     };
   (eng, delivered, violations)
 
@@ -262,7 +257,7 @@ let test_report_zero_items () =
    detector retire what the spawn phase added, and the second half of
    the stream must then route around the retired copies.  The sink
    multiset is the exactly-once verdict. *)
-let test_par_concurrent () =
+let throttled_par_run ?policy ?metrics_interval_s () =
   let n = 300 in
   let source _ =
     let i = ref 0 in
@@ -310,7 +305,10 @@ let test_par_concurrent () =
     }
   in
   let topo = topo3 ~source ~inner ~sink () in
-  match Runtime.run_result ~backend:Runtime.Par ~autoscale:az topo with
+  match
+    Runtime.run_result ~backend:Runtime.Par ?policy ?metrics_interval_s
+      ~autoscale:az topo
+  with
   | Error e -> A.failf "par run failed: %a" Supervisor.pp_run_error e
   | Ok m ->
       A.check (A.list A.int) "exactly-once delivery"
@@ -321,7 +319,26 @@ let test_par_concurrent () =
         | Some j -> Obs.Json.to_int (Obs.Json.member "spawned" j)
         | None -> 0
       in
-      A.check A.bool "the autoscaler grew the slow stage" true (spawned >= 1)
+      A.check A.bool "the autoscaler grew the slow stage" true (spawned >= 1);
+      m
+
+let test_par_concurrent () = ignore (throttled_par_run ())
+
+(* Watchdog, sampler and autoscaler armed together share one monitor
+   thread: each still runs, and the healthy run never trips. *)
+let test_par_shared_monitor () =
+  let policy =
+    { Supervisor.default_policy with Supervisor.watchdog_ms = Some 1000 }
+  in
+  let m = throttled_par_run ~policy ~metrics_interval_s:0.002 () in
+  let rows =
+    match m.Engine.timeseries with
+    | Some ts -> Obs.Timeseries.length ts
+    | None -> 0
+  in
+  A.check A.bool "the sampler took samples" true (rows > 0);
+  A.check A.int "no watchdog trips" 0
+    m.Engine.recovery.Supervisor.watchdog_trips
 
 let () =
   A.run "elastic"
@@ -341,5 +358,8 @@ let () =
       ( "report",
         [ A.test_case "zero items -> null" `Quick test_report_zero_items ] );
       ( "concurrent",
-        [ A.test_case "par spawn/retire under load" `Quick test_par_concurrent ] );
+        [
+          A.test_case "par spawn/retire under load" `Quick test_par_concurrent;
+          A.test_case "par shared monitor" `Quick test_par_shared_monitor;
+        ] );
     ]

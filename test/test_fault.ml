@@ -541,10 +541,12 @@ let test_par_barrier_own_queue_full () =
 
 (* --- the stall watchdog --- *)
 
-let test_watchdog_trips_on_deadlock () =
-  (* A sink that wedges forever on its second packet: with a small
-     queue the whole pipeline backs up behind it, and only the
-     watchdog can diagnose the run. *)
+(* A sink that wedges forever on its second packet: with a small queue
+   the whole pipeline backs up behind it, and only the watchdog can
+   diagnose the run.  [metrics_interval_s] arms the sampler on the same
+   monitor thread, polling far more often than the watchdog: a busy
+   shared monitor must not hide the stall. *)
+let watchdog_trips_on_deadlock ?metrics_interval_s () =
   let wedge_mutex = Mutex.create () in
   let wedge_cond = Condition.create () in
   let seen = ref 0 in
@@ -575,7 +577,10 @@ let test_watchdog_trips_on_deadlock () =
       call_budget_s = Some 0.05;
     }
   in
-  match Runtime.run_result ~backend:Runtime.Par ~queue_capacity:2 ~policy topo with
+  match
+    Runtime.run_result ~backend:Runtime.Par ~queue_capacity:2 ~policy
+      ?metrics_interval_s topo
+  with
   | Error (Supervisor.Stalled { after_s; report }) ->
       A.(check bool) "stall interval reported" true (after_s >= 0.05);
       A.(check bool) "per-copy report present" true (List.length report = 3);
@@ -587,6 +592,11 @@ let test_watchdog_trips_on_deadlock () =
            report)
   | Error e -> A.failf "wrong error: %a" Supervisor.pp_run_error e
   | Ok _ -> A.fail "deadlocked pipeline must trip the watchdog"
+
+let test_watchdog_trips_on_deadlock () = watchdog_trips_on_deadlock ()
+
+let test_watchdog_trips_with_sampler () =
+  watchdog_trips_on_deadlock ~metrics_interval_s:0.001 ()
 
 let test_watchdog_quiet_on_healthy_run () =
   let sink, got = recording_sink () in
@@ -715,6 +725,9 @@ let suite =
     ("par barrier with own queue full", `Quick, test_par_barrier_own_queue_full);
     ("par sink restarts on the calling domain", `Quick, test_par_sink_restart_on_caller);
     ("watchdog trips on deadlock", `Quick, test_watchdog_trips_on_deadlock);
+    ( "watchdog trips on deadlock with sampler armed",
+      `Quick,
+      test_watchdog_trips_with_sampler );
     ("watchdog quiet on healthy run", `Quick, test_watchdog_quiet_on_healthy_run);
     ("runtime topology validation", `Quick, test_validation);
   ]

@@ -502,7 +502,31 @@ let test_runtimes_emit_spans () =
   let ends =
     ids (function Obs.Trace.Flow_end { id; _ } -> Some id | _ -> None)
   in
-  A.(check (list int)) "flow starts match ends" starts ends
+  A.(check (list int)) "flow starts match ends" starts ends;
+  (* Batched or not, every sim transfer is one [xfer] span with one flow
+     arrow. *)
+  Obs.Trace.clear ();
+  (match
+     Runtime.run_result ~backend:Runtime.Sim ~stage_batch:[| 8; 8; 1 |]
+       (topo3 ~n ~widths:(1, 1, 1) ())
+   with
+  | Ok _ -> ()
+  | Error e -> raise (Supervisor.Run_failed e));
+  let evs = Obs.Trace.events () in
+  let links =
+    List.filter_map
+      (function
+        | Obs.Trace.Span { cat = "link"; name; _ } -> Some name | _ -> None)
+      evs
+  in
+  A.(check bool) "batched sim run moved data" true (links <> []);
+  A.(check (list string))
+    "every link span is an xfer"
+    (List.map (fun _ -> "xfer") links)
+    links;
+  A.(check int) "one flow arrow per transfer" (List.length links)
+    (List.length
+       (List.filter (function Obs.Trace.Flow_start _ -> true | _ -> false) evs))
 
 (* --- Hist percentiles --- *)
 
