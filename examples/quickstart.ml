@@ -129,6 +129,11 @@ let () =
 
   (* 6. The same filters also run on real domains. *)
   let par, par_results = Compile.run_parallel compiled ~widths:[| 2; 2; 1 |] () in
-  Fmt.pr "--- parallel run on %d domains: %.3fs wall, matches: %b ---@." 5
-    par.Datacutter.Engine.elapsed_s
+  let domains =
+    match List.assoc_opt "runners" par.Datacutter.Engine.extra with
+    | Some r -> Obs.Json.to_int (Obs.Json.member "domains" r)
+    | None -> 0
+  in
+  Fmt.pr "--- parallel run, 5 copies on %d domains: %.3fs wall, matches: %b ---@."
+    domains par.Datacutter.Engine.elapsed_s
     (counts (List.assoc "histogram" par_results) = ref_)

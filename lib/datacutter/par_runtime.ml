@@ -1,7 +1,7 @@
 (* Domain backend of the filter-stream engine, and the copy driver the
    process backend shares (see the .mli).  Protocol decisions come from
-   [Engine]; this file only schedules: one runner per copy, a domain
-   or a thread on the calling domain (see [start]), over bounded
+   [Engine]; this file only schedules: every copy a thread, on the
+   calling domain or on a spawned one (see [runner]), over bounded
    blocking queues ([Bqueue]), the executor's [send] a blocking push,
    [`Retry of delay] a real sleep preceded by retention-ring replay
    into a fresh executor.  The one message this driver adds to the item
@@ -61,27 +61,26 @@ let slow_down (cs : Engine.copy) ~since =
   let extra = Fault.extra_delay cs.Engine.fstate ~elapsed in
   if extra > 0.0 then Unix.sleepf extra
 
-(* Threads for waiting, domains for computing.  A [Local] copy runs
-   filter code and gets a domain.  A remote copy only drives its worker
-   over the rings, and the monitor only sleeps, reads counters and
-   starts elastic runners: they are threads on the calling domain.
-   Every minor collection stops every domain, so a domain that merely
-   waits would still be stopped, and its minor heap would count
-   against the process.  The
-   calling domain itself only waits in the join loop, so when it hosts
-   no remote driver one [Local] copy runs there as a thread
-   ([on_caller]): [drive] gives it the sink copy of an all-[Local] run. *)
-type runner = On_domain of unit Domain.t | On_thread of Thread.t
+(* Threads for waiting, domains for computing, and no more domains than
+   cores.  Every minor collection stops every domain, so a domain that
+   merely waits would still be stopped, and its minor heap would count
+   against the process.  Remote copies and the monitor only wait: they
+   are threads on the calling domain, and each [Local] copy of a run
+   with remote copies, like each elastic copy, gets a domain.  An
+   all-[Local] run packs its copies onto [hosts].  A runner's [join]
+   returns once every copy it [hosted] has exited. *)
+type runner = { hosted : (int * int) list; join : unit -> unit }
 
-let start ~on_caller placement body =
-  match placement with
-  | Local when not on_caller -> On_domain (Domain.spawn body)
-  | Local | Remote_source _ | Remote_filter _ ->
-      On_thread (Thread.create body ())
-
-let join_runner = function
-  | On_domain d -> Domain.join d
-  | On_thread t -> Thread.join t
+(* The host of each planned copy of an all-[Local] run: the copy at
+   position [i] of [n], in pipeline order, goes to host
+   [(n - 1 - i) mod d] of [d = min nproc n].  Host 0 is the calling
+   domain, so the sink stays there; at [d >= 2] neighbouring copies
+   land on different domains, and at [d = n] every copy but the sink
+   has a domain of its own. *)
+let hosts planned =
+  let n = List.length planned in
+  let d = min (Domain.recommended_domain_count ()) n in
+  List.init d (fun h -> List.filteri (fun i _ -> (n - 1 - i) mod d = h) planned)
 
 let drive eng ~backend ?(place = fun _ -> Local) ?(teardown = ignore)
     ?(extra = fun () -> []) () =
@@ -518,44 +517,64 @@ let drive eng ~backend ?(place = fun _ -> Local) ?(teardown = ignore)
     Engine.mark_exited cs
   in
 
-  let spawn_copy ~on_caller s k placement =
-    (s, k, start ~on_caller placement (wrapped_body s k placement))
+  (* A runner's copies are threads on the calling domain (host 0), or
+     on a domain it spawns (host h > 0), which runs a lone copy on its
+     own thread: a domain that starts no thread pays nothing for
+     systhreads (a lone copy served iso-par 7% faster).  [mu] guards
+     the hosts, for the "runners" section, and the elastic runners. *)
+  let mu = Mutex.create () in
+  let ran_on = ref [] and n_domains = ref 1 and elastic = ref [] in
+  let start spawn copies =
+    Mutex.protect mu (fun () ->
+        let h = if spawn then (incr n_domains; !n_domains - 1) else 0 in
+        List.iter (fun (s, k, _) -> ran_on := (s, k, h) :: !ran_on) copies);
+    let threads =
+      List.map (fun (s, k, p) -> Thread.create (wrapped_body s k p) ())
+    in
+    let join =
+      if spawn then
+        let d =
+          Domain.spawn (fun () ->
+              match copies with
+              | [ (s, k, p) ] -> wrapped_body s k p ()
+              | _ -> List.iter Thread.join (threads copies))
+        in
+        fun () -> Domain.join d
+      else
+        let ts = threads copies in
+        fun () -> List.iter Thread.join ts
+    in
+    { hosted = List.map (fun (s, k, _) -> (s, k)) copies; join }
   in
-  (* Elastic spawns: one more runner over the ordinary copy body, by
-     the same rule as the planned copies.  The engine made the copy a
-     routable member before returning [`Spawned], so it may find items
-     already queued.  Spawned runners are tracked for the join below;
-     they start on the monitor thread.  A retired copy keeps running
-     its own driver and drains its queue by itself. *)
-  let elastic_mu = Mutex.create () in
-  let elastic = ref [] in
+  let local = function _, _, Local -> true | _ -> false in
+  let own c = start (local c) [ c ] in
+  (* Elastic spawns: one more runner over the ordinary copy body, a
+     domain for a [Local] copy.  The engine made the copy a routable
+     member before returning [`Spawned], so it may find items already
+     queued.  A retired copy keeps running its own driver and drains
+     its queue by itself. *)
   let spawn_elastic stage copy =
-    let placement = place (Engine.copy_at eng ~stage ~copy) in
-    let r = spawn_copy ~on_caller:false stage copy placement in
-    Mutex.lock elastic_mu;
-    elastic := r :: !elastic;
-    Mutex.unlock elastic_mu
+    let r = own (stage, copy, place (Engine.copy_at eng ~stage ~copy)) in
+    Mutex.protect mu (fun () -> elastic := r :: !elastic)
   in
-  (* Every planned placement is known before any copy starts: when all
-     of them are [Local], the calling domain hosts no remote driver and
-     the sink copy runs on it (the sink stage has width 1 in every plan;
-     a wider one would still give the caller just its first copy). *)
+  (* Every planned placement is known before any copy starts: a run
+     with a remote copy gives every copy its own runner, in pipeline
+     order, and an all-[Local] run packs its copies onto [hosts]. *)
   let planned =
     List.concat
       (List.init n_stages (fun s ->
            List.init (Engine.width eng s) (fun k ->
                (s, k, place (Engine.copy_at eng ~stage:s ~copy:k)))))
   in
-  let all_local =
-    List.for_all (function _, _, Local -> true | _ -> false) planned
-  in
   let t0 = Obs.Clock.elapsed_s () in
   let runners =
-    List.map
-      (fun (s, k, p) ->
-        let on_caller = all_local && Engine.is_sink_stage eng s && k = 0 in
-        spawn_copy ~on_caller s k p)
-      planned
+    if not (List.for_all local planned) then List.map own planned
+    else
+      match hosts planned with
+      | caller :: spawned ->
+          let domains = List.map (start true) spawned in
+          start false caller :: domains
+      | [] -> []
   in
   (* One monitor thread runs every armed periodic check — watchdog,
      sampler, autoscaler — each once its own period has passed: it
@@ -612,13 +631,19 @@ let drive eng ~backend ?(place = fun _ -> Local) ?(teardown = ignore)
   let monitor =
     match checks with [] -> None | _ -> Some (Thread.create monitor ())
   in
-  (* Join copies.  Once the run is aborting, a copy stuck inside filter
-     code cannot be interrupted: poll its exit flag for a grace period
-     and leak the runner rather than hang the caller forever. *)
-  let join_copy (s, k, r) =
-    let cs = Engine.copy_at eng ~stage:s ~copy:k in
+  (* Join runners, each once every copy it hosts has exited.  Once the
+     run is aborting, a copy stuck inside filter code cannot be
+     interrupted: poll the exit flags for a grace period and leak the
+     runner rather than hang the caller forever. *)
+  let join_runner r =
+    let stuck () =
+      List.filter
+        (fun (s, k) ->
+          not (Atomic.get (Engine.copy_at eng ~stage:s ~copy:k).Engine.exited))
+        r.hosted
+    in
     let rec wait deadline =
-      if Atomic.get cs.Engine.exited then join_runner r
+      if stuck () = [] then r.join ()
       else if Engine.aborting eng then begin
         let deadline =
           match deadline with
@@ -626,9 +651,12 @@ let drive eng ~backend ?(place = fun _ -> Local) ?(teardown = ignore)
           | None -> Obs.Clock.elapsed_s () +. 1.0
         in
         if Obs.Clock.elapsed_s () > deadline then
-          Logs.warn (fun m ->
-              m "leaking stuck filter copy %s"
-                (Topology.copy_label (Engine.topology eng) ~stage:s ~copy:k))
+          List.iter
+            (fun (s, k) ->
+              Logs.warn (fun m ->
+                  m "leaking stuck filter copy %s"
+                    (Topology.copy_label (Engine.topology eng) ~stage:s ~copy:k)))
+            (stuck ())
         else begin
           Unix.sleepf 0.002;
           wait (Some deadline)
@@ -638,18 +666,20 @@ let drive eng ~backend ?(place = fun _ -> Local) ?(teardown = ignore)
     in
     wait None
   in
-  List.iter join_copy runners;
+  List.iter join_runner runners;
   (* Elastic runners may still be added while the planned ones are
      being joined; once the planned copies have all exited the whole
      pipeline has drained and spawns are refused, so the list drains
      in a bounded number of rounds. *)
   let rec join_elastic () =
-    Mutex.lock elastic_mu;
-    let ds = !elastic in
-    elastic := [];
-    Mutex.unlock elastic_mu;
+    let ds =
+      Mutex.protect mu (fun () ->
+          let ds = !elastic in
+          elastic := [];
+          ds)
+    in
     if ds <> [] then begin
-      List.iter join_copy ds;
+      List.iter join_runner ds;
       join_elastic ()
     end
   in
@@ -667,6 +697,21 @@ let drive eng ~backend ?(place = fun _ -> Local) ?(teardown = ignore)
         let n = min (Array.length queues.(s)) (Engine.engaged_width eng s) in
         Array.init n (fun k -> Bqueue.occupancy queues.(s).(k)))
   in
+  let runners_section () =
+    let host h = if h = 0 then Obs.Json.Str "caller" else Obs.Json.Int h in
+    ( "runners",
+      Obs.Json.Obj
+        [
+          ("domains", Obs.Json.Int !n_domains);
+          ( "copies",
+            Obs.Json.Obj
+              (List.map
+                 (fun (s, k, h) ->
+                   ( Topology.copy_label (Engine.topology eng) ~stage:s ~copy:k,
+                     host h ))
+                 (List.sort compare !ran_on)) );
+        ] )
+  in
   let result =
     match Engine.abort_error eng with
     | Some e -> Error e
@@ -674,7 +719,7 @@ let drive eng ~backend ?(place = fun _ -> Local) ?(teardown = ignore)
         Ok
           (Engine.metrics eng ~elapsed_s:wall_time ~queue_occupancy:occupancy
              ?timeseries:(Option.map Engine.sampler_series sampler)
-             ~extra:(extra ()) ())
+             ~extra:(runners_section () :: extra ()) ())
   in
   Option.iter Spill.remove_dir spill_dir;
   result

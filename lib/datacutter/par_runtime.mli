@@ -2,15 +2,16 @@
     execution on OCaml 5 domains, and the copy driver {!Proc_runtime}
     runs too.
 
-    Each source and inner copy runs on its own domain and the sink copy
-    on the calling domain; streams are bounded blocking queues
+    Each copy runs as a systhread, and no more domains than cores
+    take part: the calling domain, which runs the sink, plus at most
+    nproc - 1 spawned ones; streams are bounded blocking queues
     ({!Bqueue}, backpressure like DataCutter's fixed buffer pool).  The
     protocol — routing, the EOS drain barrier, retry / retire /
     re-route, recovery and stall accounting — lives in {!Engine}; this
-    module is the scheduler: one runner per copy, a
-    blocking push as the executor's [send], real sleeps for backoff,
-    and retention-ring replay (outputs suppressed) to rebuild a crashed
-    copy's state before re-attempting the failed call.  Whole-stage
+    module is the scheduler: a thread per copy on a fixed set of
+    domains, a blocking push as the executor's [send], real sleeps for
+    backoff, and retention-ring replay (outputs suppressed) to rebuild
+    a crashed copy's state before re-attempting the failed call.  Whole-stage
     death aborts with {!Supervisor.Stage_dead}; the optional watchdog
     ({!Engine.watchdog_check}) aborts no-progress runs with
     {!Supervisor.Stalled}.
@@ -36,15 +37,21 @@
     keeps queues, supervision, replay, retirement and the drain barrier
     for every copy either way.
 
-    Threads for waiting, domains for computing: a {!Local} copy runs
-    filter code and gets a domain; a remote copy only drives its worker,
-    so it gets a systhread on the calling domain, as does the
-    monitor.  Every minor collection stops every domain, so a domain that
-    only waits would still be stopped.  The calling domain would only
-    wait in the joins, so when every planned copy is {!Local} the sink
-    copy runs there as a systhread; a run with a remote copy keeps the
-    calling domain for the remote drivers and gives its sink a
-    domain. *)
+    Threads for waiting, domains for computing, no more domains than
+    cores.  Every minor collection stops every domain, so a domain that
+    only waits would still be stopped.  When every planned copy is
+    {!Local}, the copies run as systhreads on
+    D = min ([Domain.recommended_domain_count ()], planned copies)
+    hosts: host 0 is the calling domain, hosts 1 … D−1 are spawned (a
+    spawned host with one copy runs it on the domain's own thread).
+    Listed in pipeline order (stage, copy), the copy at position i of
+    n goes to host (n − 1 − i) mod D.  So the sink stays on the calling
+    domain, neighbouring copies land on different domains when D ≥ 2,
+    and at D = n every copy but the sink has a domain of its own.  A
+    run with a remote copy drives its remote copies as systhreads on
+    the calling domain, as it does the monitor, and gives each
+    {!Local} copy a domain; so does an elastic copy.  The metrics'
+    ["runners"] section says where each copy ran. *)
 
 (** A filter copy's callbacks as round trips. *)
 type calls = {
@@ -80,8 +87,8 @@ type link = {
 
 type placement =
   | Local
-      (** callbacks run on the copy's driver: a domain, or a thread on
-          the calling domain for the sink of an all-[Local] run *)
+      (** callbacks run on the copy's driver, a systhread on one of
+          the run's domains (see above) *)
   | Remote_source of source
   | Remote_filter of calls * link
       (** Data items travel through the credit window over the link;
@@ -104,9 +111,9 @@ val drive :
   ?extra:(unit -> (string * Obs.Json.t) list) ->
   unit ->
   (Engine.metrics, Supervisor.run_error) result
-(** Run [eng] to completion: one driver per copy (a domain for a
-    {!Local} copy, a thread on the calling domain for a remote one and
-    for the sink of a run whose planned copies are all {!Local}), one
+(** Run [eng] to completion: one driver thread per copy, placed as
+    above (an all-{!Local} run packs its copies onto at most nproc
+    domains, the calling one included), one
     monitor thread when a watchdog, sampler or autoscaler is armed —
     it sleeps the smallest armed period and runs each check once its
     own period has passed — then the joins.
@@ -117,4 +124,9 @@ val drive :
     for an elastic one on the monitor thread before its driver
     starts.  [teardown] runs after
     every driver has joined and the queues are closed, before the wall
-    clock stops; [extra] adds metrics sections. *)
+    clock stops; [extra] adds metrics sections after ["runners"]:
+    [domains], the calling domain plus every domain spawned, and
+    [copies], each copy's host by label, ["caller"] for a thread on the
+    calling domain or the index (from 1) of its spawned domain.
+    Once the run aborts, a runner whose copy is stuck in filter code
+    is waited for one second and then leaked. *)

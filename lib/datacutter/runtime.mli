@@ -9,8 +9,9 @@
     - {!Sim} ({!Sim_runtime}): discrete-event simulation on one thread;
       [elapsed_s] is the simulated makespan, [link_stats] is populated,
       [queue_occupancy] is [None].
-    - {!Par} ({!Par_runtime}): one OCaml 5 domain per filter copy with
-      bounded blocking queues; [elapsed_s] is wall time,
+    - {!Par} ({!Par_runtime}): one thread per filter copy on at most
+      nproc OCaml 5 domains, with bounded blocking queues; [elapsed_s]
+      is wall time,
       [queue_occupancy] is populated, [link_stats] is [None].
     - {!Proc} ({!Proc_runtime}): one OS process per source/inner filter
       copy, forked per run, every item serialized as {!Wire} frames

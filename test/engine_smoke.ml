@@ -134,13 +134,15 @@ type leg = {
   recovery : Datacutter.Supervisor.recovery;
   keys : string list;
       (** top-level metrics-JSON keys, minus the documented optional
-          sections (links on sim, the worker-telemetry rollup and
-          transport discriminator on proc) *)
+          sections (links on sim, the runner placement on par and proc,
+          the worker-telemetry rollup and transport discriminator on
+          proc) *)
 }
 
 let strip keys =
   List.filter
-    (fun k -> k <> "links" && k <> "workers" && k <> "transport")
+    (fun k ->
+      k <> "links" && k <> "runners" && k <> "workers" && k <> "transport")
     keys
 
 let run_leg ~label backend ?faults ?policy ?batch ?mem_budget n : leg =

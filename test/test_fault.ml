@@ -598,6 +598,43 @@ let test_watchdog_trips_on_deadlock () = watchdog_trips_on_deadlock ()
 let test_watchdog_trips_with_sampler () =
   watchdog_trips_on_deadlock ~metrics_interval_s:0.001 ()
 
+(* A copy stuck inside filter code cannot be interrupted.  Once another
+   stage dies, the join gives the stuck copy a grace period and then
+   leaks its runner, so the caller gets the error long before the
+   sleeper wakes.  The sink dies only once mid is asleep. *)
+let test_par_abort_leaks_stuck_copy () =
+  let asleep = Atomic.make false in
+  let inner _ =
+    {
+      (Filter.pass_through "mid") with
+      Filter.process =
+        (fun b ->
+          Atomic.set asleep true;
+          Unix.sleepf 5.0;
+          (Some b, 1.0));
+    }
+  in
+  let sink _ =
+    {
+      (Filter.pass_through "sink") with
+      Filter.init =
+        (fun () ->
+          while not (Atomic.get asleep) do Unix.sleepf 0.001 done;
+          failwith "sink down");
+    }
+  in
+  let topo = topo3 ~source:(counting_source 10) ~inner ~sink () in
+  let policy = { Supervisor.default_policy with Supervisor.max_retries = 0 } in
+  let t0 = Unix.gettimeofday () in
+  (match Runtime.run_result ~backend:Runtime.Par ~policy topo with
+  | Error (Supervisor.Stage_dead { stage = 2; _ }) -> ()
+  | Error e -> A.failf "wrong error: %a" Supervisor.pp_run_error e
+  | Ok _ -> A.fail "a dead sink must abort the run");
+  let dt = Unix.gettimeofday () -. t0 in
+  A.(check bool)
+    (Printf.sprintf "returned after %.2f s, not after the 5 s sleep" dt)
+    true (dt < 2.5)
+
 let test_watchdog_quiet_on_healthy_run () =
   let sink, got = recording_sink () in
   let topo =
@@ -729,6 +766,7 @@ let suite =
       `Quick,
       test_watchdog_trips_with_sampler );
     ("watchdog quiet on healthy run", `Quick, test_watchdog_quiet_on_healthy_run);
+    ("par abort leaks a stuck copy", `Quick, test_par_abort_leaks_stuck_copy);
     ("runtime topology validation", `Quick, test_validation);
   ]
 

@@ -492,11 +492,12 @@ let test_bqueue_token_past_capacity () =
 let probe_domain_id () =
   Domain.join (Domain.spawn (fun () -> (Domain.self () :> int)))
 
-(* Par gives each filter copy a domain, except that the sink of an
-   all-local run runs on the calling domain. *)
+(* An all-local par run packs its copies onto min(nproc, copies)
+   domains: the calling one and the rest spawned. *)
 let test_par_domains_spawned () =
+  let nproc = Domain.recommended_domain_count () in
   List.iter
-    (fun (widths, expected) ->
+    (fun widths ->
       let cfg = Apps.Streambench.tiny in
       let topo, results =
         Apps.Streambench.topology cfg ~widths ~powers:(Array.make 3 100.0)
@@ -508,10 +509,93 @@ let test_par_domains_spawned () =
       let what =
         String.concat "-" (Array.to_list (Array.map string_of_int widths))
       in
+      let copies = Array.fold_left ( + ) 0 widths in
       A.(check (pair int int))
         (what ^ " result") (Apps.Streambench.expected cfg) (results ());
-      A.(check int) (what ^ " domains spawned") expected spawned)
-    [ ([| 1; 1; 1 |], 2); ([| 2; 2; 1 |], 4) ]
+      A.(check int) (what ^ " domains spawned") (min nproc copies - 1) spawned)
+    [ [| 1; 1; 1 |]; [| 2; 2; 1 |]; [| 4; 4; 1 |] ]
+
+(* Black-box placement: every filter records the domain it runs on, and
+   the "runners" metrics section must say the same. *)
+let test_par_placement () =
+  let nproc = Domain.recommended_domain_count () in
+  let caller = (Domain.self () :> int) in
+  List.iter
+    (fun (w1, w2) ->
+      let what = Printf.sprintf "%d-%d-1" w1 w2 in
+      let mu = Mutex.create () in
+      let ran = Hashtbl.create 16 in
+      let record label =
+        let d = (Domain.self () :> int) in
+        Mutex.lock mu;
+        Hashtbl.replace ran label d;
+        Mutex.unlock mu
+      in
+      let source copy =
+        let s = sharded_source 40 w1 copy in
+        let label = Printf.sprintf "src/%d" copy in
+        { s with Filter.next = (fun () -> record label; s.Filter.next ()) }
+      in
+      let filter name copy =
+        let f = Filter.pass_through name in
+        let label = Printf.sprintf "%s/%d" name copy in
+        { f with Filter.process = (fun b -> record label; f.Filter.process b) }
+      in
+      let topo =
+        topo3 ~widths:(w1, w2, 1) ~source ~inner:(filter "mid")
+          ~sink:(filter "sink") ()
+      in
+      let m = par_run topo in
+      let on label =
+        match Hashtbl.find_opt ran label with
+        | Some d -> d
+        | None -> A.failf "%s: %s never ran" what label
+      in
+      let domains =
+        List.sort_uniq compare (Hashtbl.fold (fun _ d acc -> d :: acc) ran [])
+      in
+      A.(check bool)
+        (what ^ ": at most nproc domains")
+        true
+        (List.length domains <= nproc);
+      A.(check int) (what ^ ": sink on the calling domain") caller (on "sink/0");
+      if w1 = 1 && w2 = 1 && nproc >= 2 then begin
+        A.(check bool) "src and mid apart" true (on "src/0" <> on "mid/0");
+        A.(check bool) "mid and sink apart" true (on "mid/0" <> on "sink/0")
+      end;
+      (* the section names the same hosts: "caller" or a domain index,
+         one index per domain that ran copies *)
+      let section =
+        match List.assoc_opt "runners" m.Engine.extra with
+        | Some s -> s
+        | None -> A.failf "%s: no runners section" what
+      in
+      A.(check int)
+        (what ^ ": runners.domains")
+        (min nproc (w1 + w2 + 1))
+        (match Obs.Json.member "domains" section with
+        | Obs.Json.Int n -> n
+        | _ -> A.failf "%s: runners.domains is not an int" what);
+      let hosts =
+        match Obs.Json.member "copies" section with
+        | Obs.Json.Obj kvs -> kvs
+        | _ -> A.failf "%s: runners.copies is not an object" what
+      in
+      A.(check int) (what ^ ": a host per copy") (w1 + w2 + 1)
+        (List.length hosts);
+      List.iter
+        (fun (l, h) ->
+          List.iter
+            (fun (l', h') ->
+              A.(check bool)
+                (Printf.sprintf "%s: %s and %s share a host iff a domain" what
+                   l l')
+                (h = h') (on l = on l'))
+            hosts;
+          if h = Obs.Json.Str "caller" then
+            A.(check int) (what ^ ": " ^ l ^ " on the caller") caller (on l))
+        hosts)
+    [ (1, 1); (2, 2); (4, 4) ]
 
 let suite =
   [
@@ -535,6 +619,7 @@ let suite =
       test_bqueue_close_while_batch_blocked );
     ("bqueue token past capacity", `Quick, test_bqueue_token_past_capacity);
     ("par domains spawned", `Quick, test_par_domains_spawned);
+    ("par placement", `Quick, test_par_placement);
   ]
 
 let () = Alcotest.run "runtime" [ ("runtime", suite) ]
