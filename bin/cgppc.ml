@@ -27,15 +27,7 @@ let app_of_choice = function
   | Vmscope -> H.vmscope_app Apps.Vmscope.large_query
   | Kmeans ->
       let cfg = Apps.Kmeans.base in
-      {
-        H.name = "kmeans";
-        source = Apps.Kmeans.source;
-        externs_sig = Apps.Kmeans.externs_sig;
-        externs = Apps.Kmeans.externs cfg (Apps.Kmeans.initial_centroids cfg);
-        runtime_defs = Apps.Kmeans.runtime_defs cfg;
-        num_packets = cfg.Apps.Kmeans.num_packets;
-        source_externs = Apps.Kmeans.source_externs;
-      }
+      H.kmeans_app cfg (Apps.Kmeans.initial_centroids cfg)
 
 let app_conv =
   Cmdliner.Arg.enum

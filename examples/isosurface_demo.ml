@@ -60,4 +60,5 @@ let () =
       pixels
   in
   Fmt.pr "@.active-pixels algorithm rendered %d pixels; agrees with z-buffer: %b@."
-    (List.length pixels) agree
+    (List.length pixels) agree;
+  if not agree then exit 1

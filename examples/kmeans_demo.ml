@@ -9,30 +9,23 @@
      dune exec examples/kmeans_demo.exe                                  *)
 
 open Core
+module H = Apps.Harness
 
 let () =
   let cfg = Apps.Kmeans.base in
   let cents = Apps.Kmeans.initial_centroids cfg in
-  let pipeline =
-    Costmodel.make_pipeline
-      ~powers:[| 2e6; 2e6; 1e6 |]
-      ~bandwidths:[| 5e5; 5e5 |]
-      ~latency:0.0002 ()
-  in
-  let compiled =
-    Compile.compile ~source:Apps.Kmeans.source
-      ~externs_sig:Apps.Kmeans.externs_sig
-      ~externs:(Apps.Kmeans.externs cfg cents)
-      ~runtime_defs:(Apps.Kmeans.runtime_defs cfg) ~pipeline
-      ~num_packets:cfg.Apps.Kmeans.num_packets
-      ~source_externs:Apps.Kmeans.source_externs ()
-  in
+  let widths = [| 2; 2; 1 |] in
+  let compiled = H.compile ~widths (H.kmeans_app cfg cents) in
   Fmt.pr "compiled one k-means iteration (%d points, k = %d):@.%a@."
     cfg.Apps.Kmeans.n_points cfg.Apps.Kmeans.k Compile.pp_summary compiled;
   let round = ref 0 in
   let run_round () =
     incr round;
-    let metrics, results = Compile.run_simulated compiled ~widths:[| 2; 2; 1 |] () in
+    let metrics, results =
+      match H.run_compiled compiled ~cluster:H.default_cluster ~widths with
+      | Ok r -> r
+      | Error e -> raise (Datacutter.Supervisor.Run_failed e)
+    in
     Fmt.pr "round %d: %.4fs simulated;" !round
       metrics.Datacutter.Engine.elapsed_s;
     let v = List.assoc "sums" results in
@@ -44,9 +37,6 @@ let () =
   Fmt.pr "@.final centroids (max movement in last round %.5f):@." movement;
   Array.iteri
     (fun i x ->
-      let tx, ty = Apps.Kmeans.true_center cfg (i mod cfg.Apps.Kmeans.k) in
-      ignore tx;
-      ignore ty;
       Fmt.pr "  c%d = (%.4f, %.4f)@." i x cents.Apps.Kmeans.cy.(i))
     cents.Apps.Kmeans.cx;
   Fmt.pr "true centers:@.";
@@ -68,4 +58,5 @@ let () =
            done;
            !best < 0.05))
   in
-  Fmt.pr "@.all centroids within 0.05 of a true center: %b@." ok
+  Fmt.pr "@.all centroids within 0.05 of a true center: %b@." ok;
+  if not ok then exit 1

@@ -56,6 +56,10 @@ let () =
     (Apps.Knn.knn_result (List.assoc "result" results));
   let oracle = Apps.Knn.oracle cfg in
   let sim = Apps.Knn.knn_result (List.assoc "result" results) in
-  Fmt.pr "matches exact scan: %b@."
-    (List.for_all2 (fun (d1, _, _, _) (d2, _, _, _) -> abs_float (d1 -. d2) < 1e-12)
-       sim oracle)
+  let ok =
+    List.for_all2
+      (fun (d1, _, _, _) (d2, _, _, _) -> abs_float (d1 -. d2) < 1e-12)
+      sim oracle
+  in
+  Fmt.pr "matches exact scan: %b@." ok;
+  if not ok then exit 1

@@ -10,6 +10,7 @@
      dune exec examples/quickstart.exe                                   *)
 
 open Core
+module H = Apps.Harness
 module V = Lang.Value
 
 (* 1. The program, in the paper's dialect: a reduction class (associative
@@ -88,24 +89,32 @@ let externs_sig =
       };
   ]
 
+let app =
+  {
+    H.name = "quickstart";
+    source;
+    externs_sig;
+    externs = [ read_samples ];
+    runtime_defs = [];
+    num_packets = 16;
+    source_externs = [ "read_samples" ];
+  }
+
+let run ?backend compiled ~widths =
+  match H.run_compiled ?backend compiled ~cluster:H.default_cluster ~widths with
+  | Ok r -> r
+  | Error e -> raise (Datacutter.Supervisor.Run_failed e)
+
 let () =
-  (* 3. Describe the pipeline of computing units (data host, compute
-     node, desktop) and compile. *)
-  let pipeline =
-    Costmodel.make_pipeline
-      ~powers:[| 2e6; 2e6; 1e6 |]
-      ~bandwidths:[| 5e5; 5e5 |]
-      ~latency:0.0002 ()
-  in
-  let compiled =
-    Compile.compile ~source ~externs_sig ~externs:[ read_samples ]
-      ~pipeline ~num_packets:16 ~source_externs:[ "read_samples" ] ()
-  in
+  (* 3. Compile for the calibrated cluster (data host, compute node,
+     desktop) at 2 data + 2 compute nodes. *)
+  let widths = [| 2; 2; 1 |] in
+  let compiled = H.compile ~widths app in
   Fmt.pr "--- decomposition chosen by the compiler ---@.%a@."
     Compile.pp_summary compiled;
 
-  (* 4. Run on the simulated cluster, 2 data + 2 compute nodes. *)
-  let metrics, results = Compile.run_simulated compiled ~widths:[| 2; 2; 1 |] () in
+  (* 4. Run it on the simulated cluster, as [cgppc run] would. *)
+  let metrics, results = run compiled ~widths in
   Fmt.pr "--- simulated 2-2-1 run ---@.%a@."
     Datacutter.Runtime.pp_metrics metrics;
 
@@ -128,12 +137,13 @@ let () =
   Fmt.pr "matches sequential reference: %b@." (sim = ref_);
 
   (* 6. The same filters also run on real domains. *)
-  let par, par_results = Compile.run_parallel compiled ~widths:[| 2; 2; 1 |] () in
+  let par, par_results = run ~backend:Datacutter.Runtime.Par compiled ~widths in
   let domains =
     match List.assoc_opt "runners" par.Datacutter.Engine.extra with
     | Some r -> Obs.Json.to_int (Obs.Json.member "domains" r)
     | None -> 0
   in
+  let par_ok = counts (List.assoc "histogram" par_results) = ref_ in
   Fmt.pr "--- parallel run, 5 copies on %d domains: %.3fs wall, matches: %b ---@."
-    domains par.Datacutter.Engine.elapsed_s
-    (counts (List.assoc "histogram" par_results) = ref_)
+    domains par.Datacutter.Engine.elapsed_s par_ok;
+  if not (sim = ref_ && par_ok) then exit 1

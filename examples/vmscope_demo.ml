@@ -41,8 +41,13 @@ let run_query label cfg =
     Costmodel.pp_assignment c.Compile.assignment t (bytes /. 1024.);
   let r, g, b = Apps.Vmscope.image_arrays (List.assoc "view" results) in
   let orr, _, _ = Apps.Vmscope.oracle cfg in
-  Fmt.pr "matches direct computation: %b@." (r = orr || Array.for_all2 (fun a b -> abs_float (a -. b) < 1e-9) r orr);
-  show_image r g b ow oh
+  let ok =
+    Array.length r = Array.length orr
+    && Array.for_all2 (fun a b -> abs_float (a -. b) < 1e-9) r orr
+  in
+  Fmt.pr "matches direct computation: %b@." ok;
+  show_image r g b ow oh;
+  ok
 
 let () =
   (* a moderate zoomed-out query so the ASCII image stays small *)
@@ -66,5 +71,6 @@ let () =
       subsample = 2;
     }
   in
-  run_query "overview query" overview;
-  run_query "detail query" detail
+  let ok_overview = run_query "overview query" overview in
+  let ok_detail = run_query "detail query" detail in
+  if not (ok_overview && ok_detail) then exit 1

@@ -38,6 +38,17 @@ let vmscope_app ?(name = "vmscope") (cfg : Vmscope.config) =
     source_externs = Vmscope.source_externs;
   }
 
+let kmeans_app ?(name = "kmeans") (cfg : Kmeans.config) cents =
+  {
+    name;
+    source = Kmeans.source;
+    externs_sig = Kmeans.externs_sig;
+    externs = Kmeans.externs cfg cents;
+    runtime_defs = Kmeans.runtime_defs cfg;
+    num_packets = cfg.Kmeans.num_packets;
+    source_externs = Kmeans.source_externs;
+  }
+
 let iso_app ?(name = "isosurface") ?grid ~variant (cfg : Isosurface.config) =
   {
     name;

@@ -20,6 +20,11 @@ type app = {
 val knn_app : ?name:string -> Knn.config -> app
 val vmscope_app : ?name:string -> Vmscope.config -> app
 
+(** The filters read the centroids from [cents] when they run, so a
+    program compiled once serves every round of an iteration that
+    updates [cents] in place. *)
+val kmeans_app : ?name:string -> Kmeans.config -> Kmeans.centroids -> app
+
 (** [grid] switches the data source to the cached corner grid
     ({!Isosurface.cached_grid}) — bit-identical results with bounded
     memory, for out-of-core dataset sizes. *)

@@ -27,8 +27,6 @@ let float_of_bits bits =
   let mantissa = Int64.to_float (Int64.shift_right_logical bits 11) in
   mantissa /. 9007199254740992.0 (* 2^53 *)
 
-let next_float t = float_of_bits (next t)
-
 let hash_float seed i = float_of_bits (hash2 seed i)
 
 (* Uniform int in [0, bound). *)

@@ -7,7 +7,6 @@ type t
 
 val create : int -> t
 val next : t -> int64
-val next_float : t -> float
 
 (** Stateless hash of (seed, index). *)
 val hash2 : int -> int -> int64

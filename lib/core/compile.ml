@@ -9,7 +9,6 @@
    explicit assignment (used for manual comparisons and ablations). *)
 
 open Lang
-open Datacutter
 module SS = Set.Make (String)
 
 let src = Logs.Src.create "cgpp.compile" ~doc:"compilation driver"
@@ -32,6 +31,7 @@ type t = {
   assignment : Costmodel.assignment;
   predicted_latency : float;
   predicted_total : float;
+  layout_mode : Packing.mode;
   plan : Codegen.plan;
 }
 
@@ -51,14 +51,51 @@ let segment ~prog =
       Boundary.segments_of_body prog.Ast.pipeline.Ast.pd_body)
 
 (* Pinning constraints from the extern classification. *)
-let constraints_of ~rc ~m ~source_externs ~sink_externs =
-  ignore m;
+let constraints_of ~rc ~source_externs ~sink_externs =
   let pin_first = Reqcomm.segments_calling rc (SS.of_list source_externs) in
   let pin_last = Reqcomm.segments_calling rc (SS.of_list sink_externs) in
   (* segment 0 contains the data read by construction; keep it pinned even
      when the program names no explicit source extern *)
   let pin_first = if pin_first = [] then [ 0 ] else pin_first in
   { Decompose.pin_first; pin_last }
+
+(* The decision step [compile] and [replan] share: decompose the
+   profiled program onto [pipeline] under [strategy], then generate the
+   filter plan with the program's layout mode.  [who] names the caller
+   in errors. *)
+let decide ~who ~strategy ~layout_mode ~pipeline ~constraints ~num_packets
+    ~externs ~runtime_defs prog segments rc profile =
+  let m = Costmodel.width_of pipeline in
+  let n1 = List.length segments in
+  let assignment, predicted_latency =
+    phase "decompose" @@ fun () ->
+    match strategy with
+    | Decomp ->
+        (* the Fig. 3 DP minimizes single-packet latency; the bottleneck
+           search minimizes the §4.3 steady-state total — keep whichever
+           predicts the lower total time *)
+        let r1 = Decompose.dp ~cons:constraints pipeline profile in
+        let r2 = Decompose.bottleneck ~cons:constraints pipeline profile in
+        let r = if r1.Decompose.total <= r2.Decompose.total then r1 else r2 in
+        (r.Decompose.assignment, r.Decompose.latency)
+    | Default ->
+        let a = Decompose.default_assignment ~m ~segments:n1 in
+        (a, Costmodel.latency_time pipeline profile a)
+    | Fixed a ->
+        if Array.length a <> n1 then
+          invalid_arg (who ^ ": fixed assignment length mismatch");
+        (a, Costmodel.latency_time pipeline profile a)
+  in
+  let predicted_total = Costmodel.total_time pipeline profile assignment in
+  Log.info (fun m ->
+      m "decomposition %a: predicted latency %.6fs, total %.6fs"
+        Costmodel.pp_assignment assignment predicted_latency predicted_total);
+  let plan =
+    phase "codegen" (fun () ->
+        Codegen.make_plan ~layout_mode prog segments rc ~assignment ~m
+          ~num_packets ~externs ~runtime_defs)
+  in
+  (assignment, predicted_latency, predicted_total, plan)
 
 let compile ?(file = "<input>") ~(source : string)
     ~(externs_sig : Typecheck.extern_sig list)
@@ -116,7 +153,6 @@ let compile ?(file = "<input>") ~(source : string)
         bases
     done
   in
-  let m = Costmodel.width_of pipeline in
   let runtime_defs = ("num_packets", num_packets) :: runtime_defs in
   let profile =
     phase "profile" (fun () ->
@@ -132,39 +168,11 @@ let compile ?(file = "<input>") ~(source : string)
            (Array.to_list
               (Array.map (Printf.sprintf "%.0f")
                  profile.Profile.profile.Costmodel.vol_out))));
-  let constraints = constraints_of ~rc ~m ~source_externs ~sink_externs in
-  let n1 = List.length segments in
-  let assignment, predicted_latency =
-    phase "decompose" @@ fun () ->
-    match strategy with
-    | Decomp ->
-        (* the Fig. 3 DP minimizes single-packet latency; the bottleneck
-           search minimizes the §4.3 steady-state total — keep whichever
-           predicts the lower total time *)
-        let r1 = Decompose.dp ~cons:constraints pipeline profile.Profile.profile in
-        let r2 =
-          Decompose.bottleneck ~cons:constraints pipeline profile.Profile.profile
-        in
-        let r = if r1.Decompose.total <= r2.Decompose.total then r1 else r2 in
-        (r.Decompose.assignment, r.Decompose.latency)
-    | Default ->
-        let a = Decompose.default_assignment ~m ~segments:n1 in
-        (a, Costmodel.latency_time pipeline profile.Profile.profile a)
-    | Fixed a ->
-        if Array.length a <> n1 then
-          invalid_arg "compile: fixed assignment length mismatch";
-        (a, Costmodel.latency_time pipeline profile.Profile.profile a)
-  in
-  let predicted_total =
-    Costmodel.total_time pipeline profile.Profile.profile assignment
-  in
-  Log.info (fun m ->
-      m "decomposition %a: predicted latency %.6fs, total %.6fs"
-        Costmodel.pp_assignment assignment predicted_latency predicted_total);
-  let plan =
-    phase "codegen" (fun () ->
-        Codegen.make_plan ~layout_mode prog segments rc ~assignment ~m
-          ~num_packets ~externs ~runtime_defs)
+  let constraints = constraints_of ~rc ~source_externs ~sink_externs in
+  let assignment, predicted_latency, predicted_total, plan =
+    decide ~who:"compile" ~strategy ~layout_mode ~pipeline ~constraints
+      ~num_packets ~externs ~runtime_defs prog segments rc
+      profile.Profile.profile
   in
   {
     prog;
@@ -177,33 +185,9 @@ let compile ?(file = "<input>") ~(source : string)
     assignment;
     predicted_latency;
     predicted_total;
+    layout_mode;
     plan;
   }
-
-(* Run the compiled pipeline on the chosen backend and return the
-   metrics together with the sink's merged reduction globals. *)
-let execute (c : t) ?(backend = Runtime.Sim) ?(latency = 0.0) ?faults ?policy
-    ~(widths : int array) () =
-  let powers = Array.map (fun u -> u.Costmodel.power) c.pipeline.Costmodel.units in
-  let bandwidths =
-    Array.map (fun l -> l.Costmodel.bandwidth) c.pipeline.Costmodel.links
-  in
-  let topo, results =
-    Codegen.build_topology c.plan ~widths ~powers ~bandwidths ~latency ()
-  in
-  match Runtime.run_result ~backend ?faults ?policy topo with
-  | Error _ as e -> e
-  | Ok metrics -> Ok (metrics, results ())
-
-let unwrap = function
-  | Ok v -> v
-  | Error e -> raise (Supervisor.Run_failed e)
-
-let run_simulated (c : t) ~(widths : int array) ?(latency = 0.0) () =
-  unwrap (execute c ~backend:Runtime.Sim ~latency ~widths ())
-
-let run_parallel (c : t) ~(widths : int array) () =
-  unwrap (execute c ~backend:Runtime.Par ~widths ())
 
 (* Reference (sequential) execution of the same program and inputs,
    returning the reduction globals for correctness comparison. *)
@@ -235,46 +219,16 @@ let pp_summary ppf (c : t) =
    environment (the paper's "available compute and communication
    resources can change at runtime").  Front-end analysis and profiling
    are reused; only the decomposition and the codegen plan are redone. *)
-let replan (c : t) ~(pipeline : Costmodel.pipeline) ?strategy () : t =
-  let strategy =
-    match strategy with
-    | Some s -> s
-    | None -> Decomp
+let replan (c : t) ~(pipeline : Costmodel.pipeline) ?(strategy = Decomp) () :
+    t =
+  let p = c.plan in
+  let assignment, predicted_latency, predicted_total, plan =
+    decide ~who:"replan" ~strategy ~layout_mode:c.layout_mode ~pipeline
+      ~constraints:c.constraints ~num_packets:p.Codegen.num_packets
+      ~externs:p.Codegen.externs ~runtime_defs:p.Codegen.runtime_defs c.prog
+      c.segments c.rc c.profile.Profile.profile
   in
-  let m = Costmodel.width_of pipeline in
-  let n1 = List.length c.segments in
-  let profile = c.profile.Profile.profile in
-  let assignment, predicted_latency =
-    phase "decompose" @@ fun () ->
-    match strategy with
-    | Decomp ->
-        let r1 = Decompose.dp ~cons:c.constraints pipeline profile in
-        let r2 = Decompose.bottleneck ~cons:c.constraints pipeline profile in
-        let r = if r1.Decompose.total <= r2.Decompose.total then r1 else r2 in
-        (r.Decompose.assignment, r.Decompose.latency)
-    | Default ->
-        let a = Decompose.default_assignment ~m ~segments:n1 in
-        (a, Costmodel.latency_time pipeline profile a)
-    | Fixed a ->
-        if Array.length a <> n1 then
-          invalid_arg "replan: fixed assignment length mismatch";
-        (a, Costmodel.latency_time pipeline profile a)
-  in
-  let plan =
-    phase "codegen" (fun () ->
-        Codegen.make_plan c.prog c.segments c.rc ~assignment ~m
-          ~num_packets:c.plan.Codegen.num_packets
-          ~externs:c.plan.Codegen.externs
-          ~runtime_defs:c.plan.Codegen.runtime_defs)
-  in
-  {
-    c with
-    pipeline;
-    assignment;
-    predicted_latency;
-    predicted_total = Costmodel.total_time pipeline profile assignment;
-    plan;
-  }
+  { c with pipeline; assignment; predicted_latency; predicted_total; plan }
 
 (* Predicted-best packet count for the compiled program (§8
    "automatically choosing the packet size").  The measured profile is

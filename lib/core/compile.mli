@@ -2,10 +2,14 @@
 
     parse -> type check -> loop fission and boundary selection ->
     Gen/Cons and ReqComm analysis -> profiling -> decomposition ->
-    filter code generation. *)
+    filter code generation.
+
+    The result is a plan, not a run: [Apps.Harness.run_compiled] builds
+    its topology on a cluster, sizes the run from the cost model and
+    runs it on a backend, as [cgppc run] does.  {!run_reference} is the
+    sequential oracle that runs are compared against. *)
 
 open Lang
-open Datacutter
 
 type strategy =
   | Decomp
@@ -27,6 +31,7 @@ type t = {
   assignment : Costmodel.assignment;
   predicted_latency : float;
   predicted_total : float;
+  layout_mode : Packing.mode;  (** the mode [plan]'s layouts follow *)
   plan : Codegen.plan;
 }
 
@@ -59,33 +64,6 @@ val compile :
   unit ->
   t
 
-(** Execute the compiled pipeline on a {!Datacutter.Runtime} backend
-    (default [Sim]: unit powers and link bandwidths from the
-    compile-time pipeline); returns the unified metrics and the sink's
-    merged reduction globals.  [latency] only affects the simulated
-    links. *)
-val execute :
-  t ->
-  ?backend:Runtime.backend ->
-  ?latency:float ->
-  ?faults:Fault.plan ->
-  ?policy:Supervisor.policy ->
-  widths:int array ->
-  unit ->
-  (Engine.metrics * (string * Value.t) list, Supervisor.run_error) result
-
-(** Legacy conveniences over {!execute}: run on the simulator / on real
-    domains, raising {!Supervisor.Run_failed} on failure. *)
-val run_simulated :
-  t ->
-  widths:int array ->
-  ?latency:float ->
-  unit ->
-  Engine.metrics * (string * Value.t) list
-
-val run_parallel :
-  t -> widths:int array -> unit -> Engine.metrics * (string * Value.t) list
-
 (** Sequential reference execution of the same program and inputs,
     returning the reduction globals for correctness comparison. *)
 val run_reference : t -> (string * Value.t) list
@@ -94,7 +72,8 @@ val pp_summary : Format.formatter -> t -> unit
 
 (** Recompute the decomposition of an already-analyzed program for a new
     environment (§8: resources can change at run time); analysis and
-    profiling are reused. *)
+    profiling are reused, and the plan keeps the program's
+    [layout_mode].  [strategy] defaults to [Decomp]. *)
 val replan : t -> pipeline:Costmodel.pipeline -> ?strategy:strategy -> unit -> t
 
 (** Predicted-best packet count for the program (§8: automatic packet

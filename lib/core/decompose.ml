@@ -305,7 +305,3 @@ let bottleneck ?(cons = no_constraints) (p : Costmodel.pipeline)
 let default_assignment ~m ~segments : Costmodel.assignment =
   let middle = min 2 m in
   Array.init segments (fun i -> if i = 0 then 1 else middle)
-
-let pp_result ppf r =
-  Fmt.pf ppf "assignment=%a latency=%.6f total=%.6f" Costmodel.pp_assignment
-    r.assignment r.latency r.total

@@ -56,5 +56,3 @@ val bottleneck :
     everything else on the compute unit, results viewed on the last
     unit. *)
 val default_assignment : m:int -> segments:int -> Costmodel.assignment
-
-val pp_result : Format.formatter -> result -> unit

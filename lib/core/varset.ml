@@ -20,8 +20,6 @@ let item_to_string = function
   | ElemField (c, f) -> c ^ "." ^ f
   | Arr (a, s) -> a ^ Section.to_string s
 
-let pp_item ppf i = Fmt.string ppf (item_to_string i)
-
 (* A set of items.  Array items are keyed by array name and their sections
    merged; everything else is keyed structurally. *)
 module Key = struct
@@ -59,8 +57,6 @@ let add item (t : t) =
   match (item, M.find_opt key t) with
   | Arr (a, s), Some (Arr (_, s0)) -> M.add key (Arr (a, Section.union s0 s)) t
   | _ -> M.add key item t
-
-let remove_exact item (t : t) = M.remove (key_of item) t
 
 (* Remove [item] as must-information: for arrays, only the provably
    covered part disappears. *)

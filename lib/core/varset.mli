@@ -14,7 +14,6 @@ type item =
   | Arr of string * Section.t     (** rectilinear section of an array *)
 
 val item_to_string : item -> string
-val pp_item : Format.formatter -> item -> unit
 
 type t
 
@@ -35,7 +34,6 @@ val add : item -> t -> t
     sections. *)
 val remove : item -> t -> t
 
-val remove_exact : item -> t -> t
 val union : t -> t -> t
 
 (** [diff a b] removes [b] from [a] with must-semantics. *)

@@ -55,7 +55,6 @@ let create ~stages ~links =
   | _ -> ());
   { stages; links }
 
-let stage_count t = List.length t.stages
 let widths t = List.map (fun s -> s.width) t.stages
 
 (* --- observability identities ---

@@ -30,7 +30,6 @@ type t = { stages : stage list; links : link list }
     the last a [Sink]. *)
 val create : stages:stage list -> links:link list -> t
 
-val stage_count : t -> int
 val widths : t -> int list
 
 (** {2 Observability identities}

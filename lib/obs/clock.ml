@@ -17,5 +17,3 @@ let rec raise_mark hw t =
   else raise_mark hw t
 
 let elapsed_s () = raise_mark (Domain.DLS.get last) (Unix.gettimeofday () -. t0)
-
-let elapsed_us () = elapsed_s () *. 1e6

@@ -10,6 +10,3 @@
 (** Seconds since process start; monotone non-decreasing within a
     domain, across the systhreads sharing it. *)
 val elapsed_s : unit -> float
-
-(** [elapsed_s] in microseconds — the unit of Chrome trace events. *)
-val elapsed_us : unit -> float

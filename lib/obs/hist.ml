@@ -38,10 +38,6 @@ let occupancy_bounds ~capacity =
     Array.of_list
       (List.init 17 float_of_int @ List.tl (pow2s [] 32))
 
-let duration_bounds =
-  (* 1us, 10us, ... 100s *)
-  Array.init 9 (fun i -> 1e-6 *. (10.0 ** float_of_int i))
-
 (* first bucket whose bound >= v, by binary search *)
 let bucket_of h v =
   let n = Array.length h.bounds in

@@ -18,9 +18,6 @@ val create : bounds:float array -> t
     per occupancy value up to 16, then powers of two. *)
 val occupancy_bounds : capacity:int -> float array
 
-(** Exponential bounds for durations in seconds: 1us .. ~100s. *)
-val duration_bounds : float array
-
 val observe : t -> float -> unit
 val count : t -> int
 val sum : t -> float

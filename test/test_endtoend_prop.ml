@@ -1,7 +1,8 @@
 (* End-to-end property test: random PipeLang pipeline programs are
-   compiled, decomposed, executed on the simulated cluster at random
-   widths, and the sink's reduction result must equal the sequential
-   reference semantics.
+   compiled, decomposed, and run the way [cgppc run] runs them (planned
+   by [Harness.run_compiled] on the calibrated cluster) at random widths
+   and batch ceilings; the sink's reduction result must equal the
+   sequential reference semantics.
 
    Programs are drawn from a schema exercising the analysis paths that
    matter: a collection of two-field elements read from a source, a
@@ -61,6 +62,7 @@ type spec = {
   compact : bool;                   (* insert a where-compaction *)
   fold_expr : rexpr;
   widths : int array;
+  batch : int;                      (* batch ceiling of the run *)
   strategy_default : bool;
 }
 
@@ -73,8 +75,9 @@ let gen_spec =
   let* compact = bool in
   let* fold_expr = gen_rexpr in
   let* w = oneofl [ [| 1; 1; 1 |]; [| 2; 2; 1 |]; [| 3; 2; 1 |]; [| 4; 4; 1 |] ] in
+  let* batch = oneofl [ 1; 4; 16 ] in
   let* strategy_default = bool in
-  return { transforms; compact; fold_expr; widths = w; strategy_default }
+  return { transforms; compact; fold_expr; widths = w; batch; strategy_default }
 
 let print_spec spec =
   let b = Buffer.create 128 in
@@ -83,10 +86,11 @@ let print_spec spec =
       Buffer.add_string b
         (Printf.sprintf "t.%s = %s; " (if to_a then "a" else "b") (rexpr_to_src e)))
     spec.transforms;
-  Printf.sprintf "transforms=[%s] compact=%b fold=%s widths=%s default=%b"
+  Printf.sprintf
+    "transforms=[%s] compact=%b fold=%s widths=%s batch=%d default=%b"
     (Buffer.contents b) spec.compact (rexpr_to_src spec.fold_expr)
     (String.concat "-" (Array.to_list (Array.map string_of_int spec.widths)))
-    spec.strategy_default
+    spec.batch spec.strategy_default
 
 (* --- program construction --- *)
 
@@ -165,13 +169,10 @@ let externs_sig =
       };
   ]
 
-let pipeline =
-  Costmodel.make_pipeline
-    ~powers:[| 2e6; 2e6; 1e6 |]
-    ~bandwidths:[| 5e5; 5e5 |]
-    ~latency:0.0002 ()
+(* the calibrated cluster of the benchmark harness, width 1-1-1 *)
+let pipeline = Apps.Harness.(pipeline_for default_cluster [| 1; 1; 1 |])
 
-let run_spec spec =
+let run_spec ?backend spec =
   let source = source_of_spec spec in
   let compiled =
     Compile.compile ~source ~externs_sig ~externs:[ read_ps ] ~pipeline
@@ -179,7 +180,14 @@ let run_spec spec =
       ~strategy:(if spec.strategy_default then Compile.Default else Compile.Decomp)
       ()
   in
-  let _, results = Compile.run_simulated compiled ~widths:spec.widths () in
+  let results =
+    match
+      Apps.Harness.run_compiled ?backend ~batch:spec.batch compiled
+        ~cluster:Apps.Harness.default_cluster ~widths:spec.widths
+    with
+    | Ok (_, results) -> results
+    | Error e -> raise (Datacutter.Supervisor.Run_failed e)
+  in
   let reference = Compile.run_reference compiled in
   let extract l =
     match List.assoc "acc" l with
@@ -198,28 +206,11 @@ let prop_random_pipelines =
     run_spec
 
 (* also run the decomposed pipelines on real domains, fewer cases *)
-let run_spec_parallel spec =
-  let source = source_of_spec spec in
-  let compiled =
-    Compile.compile ~source ~externs_sig ~externs:[ read_ps ] ~pipeline
-      ~num_packets:6 ~source_externs:[ "read_ps" ] ()
-  in
-  let _, results = Compile.run_parallel compiled ~widths:spec.widths () in
-  let reference = Compile.run_reference compiled in
-  let extract l =
-    match List.assoc "acc" l with
-    | V.Vobject o -> (V.as_float (V.field o "x"), V.as_int (V.field o "n"))
-    | _ -> A.fail "expected object"
-  in
-  let sx, sn = extract results in
-  let rx, rn = extract reference in
-  sn = rn && abs_float (sx -. rx) < 1e-6 *. (1.0 +. abs_float rx)
-
 let prop_random_pipelines_parallel =
   QCheck.Test.make ~name:"random pipelines on domains: parallel == reference"
     ~count:10
     (QCheck.make gen_spec ~print:print_spec)
-    run_spec_parallel
+    (run_spec ~backend:Datacutter.Runtime.Par)
 
 let suite =
   List.map QCheck_alcotest.to_alcotest

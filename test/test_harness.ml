@@ -104,7 +104,9 @@ let test_replan_moves_work_with_bandwidth () =
   A.(check bool) "fast net: insert offloaded" true
     (c'.Compile.assignment.(foreach_idx) > 1);
   (* the replanned pipeline still computes the right answer *)
-  let _, results = Compile.run_simulated c' ~widths:[| 1; 1; 1 |] () in
+  let _, results =
+    cell (H.run_compiled c' ~cluster:H.default_cluster ~widths:[| 1; 1; 1 |])
+  in
   let dists v = List.map (fun (d, _, _, _) -> d) (Apps.Knn.knn_result v) in
   A.(check (list (float 1e-12))) "replanned result correct"
     (List.map (fun (d, _, _, _) -> d) (Apps.Knn.oracle Apps.Knn.base_config))
@@ -115,6 +117,22 @@ let test_replan_preserves_analysis () =
   let c' = Compile.replan c ~pipeline:c.Compile.pipeline () in
   A.(check bool) "same segments" true (c.Compile.segments == c'.Compile.segments);
   A.(check bool) "same profile" true (c.Compile.profile == c'.Compile.profile)
+
+let test_replan_keeps_layout_mode () =
+  (* a program compiled under a forced layout mode keeps it when
+     replanned, even onto the pipeline it was compiled for *)
+  let app = H.iso_app ~variant:`Zbuffer Apps.Isosurface.tiny in
+  let compile mode = H.compile ~layout_mode:mode ~widths:[| 1; 1; 1 |] app in
+  let auto = (compile `Auto).Compile.plan.Codegen.layouts in
+  List.iter
+    (fun mode ->
+      let c = compile mode in
+      A.(check bool) "forced mode differs from auto" false
+        (c.Compile.plan.Codegen.layouts = auto);
+      let c' = Compile.replan c ~pipeline:c.Compile.pipeline () in
+      A.(check bool) "replan keeps the layouts" true
+        (c'.Compile.plan.Codegen.layouts = c.Compile.plan.Codegen.layouts))
+    [ `All_instance; `All_fieldwise ]
 
 let test_replan_fixed_validates () =
   let c = H.compile ~widths:[| 1; 1; 1 |] tiny_knn in
@@ -226,6 +244,7 @@ let suite =
     ("layout modes same results", `Quick, test_layout_modes_same_results);
     ("replan moves work", `Quick, test_replan_moves_work_with_bandwidth);
     ("replan preserves analysis", `Quick, test_replan_preserves_analysis);
+    ("replan keeps layout mode", `Quick, test_replan_keeps_layout_mode);
     ("replan fixed validates", `Quick, test_replan_fixed_validates);
     ("rescale profile inverse", `Quick, test_rescale_profile_inverse);
     ("rescale rejects nonpositive", `Quick, test_rescale_rejects_nonpositive);

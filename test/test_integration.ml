@@ -1,7 +1,8 @@
 (* End-to-end integration tests: compile each of the paper's four
-   applications, execute the decomposed pipelines on the simulated
-   cluster (and one on real domains), and check the results against the
-   sequential reference semantics and native oracles. *)
+   applications, run the decomposed pipelines as [cgppc run] runs them
+   (on the simulated cluster, and some on real domains), and check the
+   results against the sequential reference semantics and native
+   oracles. *)
 
 module A = Alcotest
 open Core
@@ -13,33 +14,25 @@ let sim_run topo =
   | Ok m -> m
   | Error e -> raise (Datacutter.Supervisor.Run_failed e)
 
-(* the calibrated cluster of the benchmark harness, width 1-1-1 *)
-let pipeline = Apps.Harness.(pipeline_for default_cluster [| 1; 1; 1 |])
+module H = Apps.Harness
 
-let compile_knn ?(strategy = Compile.Decomp) cfg =
-  Compile.compile ~source:Apps.Knn.source ~externs_sig:Apps.Knn.externs_sig
-    ~externs:(Apps.Knn.externs cfg) ~runtime_defs:(Apps.Knn.runtime_defs cfg)
-    ~pipeline ~num_packets:cfg.Apps.Knn.num_packets
-    ~source_externs:Apps.Knn.source_externs ~strategy ()
+(* compiled for the calibrated cluster of the benchmark harness at
+   width 1-1-1 *)
+let compile ?strategy app = H.compile ?strategy ~widths:[| 1; 1; 1 |] app
 
-let compile_vmscope ?(strategy = Compile.Decomp) cfg =
-  Compile.compile ~source:Apps.Vmscope.source
-    ~externs_sig:Apps.Vmscope.externs_sig ~externs:(Apps.Vmscope.externs cfg)
-    ~runtime_defs:(Apps.Vmscope.runtime_defs cfg) ~pipeline
-    ~num_packets:cfg.Apps.Vmscope.num_packets
-    ~source_externs:Apps.Vmscope.source_externs ~strategy ()
+let compile_knn ?strategy cfg = compile ?strategy (H.knn_app cfg)
+let compile_vmscope ?strategy cfg = compile ?strategy (H.vmscope_app cfg)
 
-let compile_iso ?(strategy = Compile.Decomp) ~variant cfg =
-  let source =
-    match variant with
-    | `Zbuffer -> Apps.Isosurface.zbuffer_source
-    | `Apix -> Apps.Isosurface.apix_source
-  in
-  Compile.compile ~source ~externs_sig:Apps.Isosurface.externs_sig
-    ~externs:(Apps.Isosurface.externs cfg)
-    ~runtime_defs:(Apps.Isosurface.runtime_defs cfg) ~pipeline
-    ~num_packets:cfg.Apps.Isosurface.num_packets
-    ~source_externs:Apps.Isosurface.source_externs ~strategy ()
+let compile_iso ?strategy ~variant cfg =
+  compile ?strategy (H.iso_app ~variant cfg)
+
+(* Run a compiled program the way [cgppc run] does: planned by
+   [Harness.run_compiled] on the calibrated cluster, raising on
+   failure. *)
+let run ?backend c ~widths =
+  match H.run_compiled ?backend c ~cluster:H.default_cluster ~widths with
+  | Ok r -> r
+  | Error e -> raise (Datacutter.Supervisor.Run_failed e)
 
 let float_list = A.(list (float 1e-9))
 
@@ -52,7 +45,7 @@ let test_knn_sim_matches_reference () =
   let reference = knn_dists (List.assoc "result" (Compile.run_reference c)) in
   List.iter
     (fun widths ->
-      let _, results = Compile.run_simulated c ~widths () in
+      let _, results = run c ~widths in
       A.check float_list "distances equal" reference
         (knn_dists (List.assoc "result" results)))
     [ [| 1; 1; 1 |]; [| 2; 2; 1 |]; [| 4; 4; 1 |] ]
@@ -60,14 +53,14 @@ let test_knn_sim_matches_reference () =
 let test_knn_matches_oracle () =
   let cfg = Apps.Knn.tiny in
   let c = compile_knn cfg in
-  let _, results = Compile.run_simulated c ~widths:[| 2; 2; 1 |] () in
+  let _, results = run c ~widths:[| 2; 2; 1 |] in
   let dists = knn_dists (List.assoc "result" results) in
   let oracle = List.map (fun (d, _, _, _) -> d) (Apps.Knn.oracle cfg) in
   A.check float_list "matches exact knn" oracle dists
 
 let test_knn_default_strategy_same_result () =
   let c = compile_knn ~strategy:Compile.Default Apps.Knn.tiny in
-  let _, results = Compile.run_simulated c ~widths:[| 2; 2; 1 |] () in
+  let _, results = run c ~widths:[| 2; 2; 1 |] in
   let oracle = List.map (fun (d, _, _, _) -> d) (Apps.Knn.oracle Apps.Knn.tiny) in
   A.check float_list "default strategy correct" oracle
     (knn_dists (List.assoc "result" results))
@@ -75,8 +68,8 @@ let test_knn_default_strategy_same_result () =
 let test_knn_decomp_beats_default () =
   let cd = compile_knn ~strategy:Compile.Decomp Apps.Knn.tiny in
   let cf = compile_knn ~strategy:Compile.Default Apps.Knn.tiny in
-  let md, _ = Compile.run_simulated cd ~widths:[| 1; 1; 1 |] () in
-  let mf, _ = Compile.run_simulated cf ~widths:[| 1; 1; 1 |] () in
+  let md, _ = run cd ~widths:[| 1; 1; 1 |] in
+  let mf, _ = run cf ~widths:[| 1; 1; 1 |] in
   A.(check bool) "decomp not slower" true
     (md.Datacutter.Engine.elapsed_s
     <= mf.Datacutter.Engine.elapsed_s *. 1.02)
@@ -99,7 +92,7 @@ let test_knn_decomposition_shape () =
 
 let test_knn_parallel_runtime () =
   let c = compile_knn Apps.Knn.tiny in
-  let _, results = Compile.run_parallel c ~widths:[| 2; 2; 1 |] () in
+  let _, results = run ~backend:Datacutter.Runtime.Par c ~widths:[| 2; 2; 1 |] in
   let oracle = List.map (fun (d, _, _, _) -> d) (Apps.Knn.oracle Apps.Knn.tiny) in
   A.check float_list "parallel runtime correct" oracle
     (knn_dists (List.assoc "result" results))
@@ -121,7 +114,7 @@ let test_vmscope_sim_matches_oracle () =
   let cfg = Apps.Vmscope.tiny in
   let c = compile_vmscope cfg in
   let check_widths widths =
-    let _, results = Compile.run_simulated c ~widths () in
+    let _, results = run c ~widths in
     let r, g, b = Apps.Vmscope.image_arrays (List.assoc "view" results) in
     let orr, org, orb = Apps.Vmscope.oracle cfg in
     A.(check (array (float 1e-9))) "red" orr r;
@@ -148,8 +141,8 @@ let test_vmscope_decomp_not_slower () =
   let cfg = Apps.Vmscope.tiny in
   let cd = compile_vmscope ~strategy:Compile.Decomp cfg in
   let cf = compile_vmscope ~strategy:Compile.Default cfg in
-  let md, _ = Compile.run_simulated cd ~widths:[| 1; 1; 1 |] () in
-  let mf, _ = Compile.run_simulated cf ~widths:[| 1; 1; 1 |] () in
+  let md, _ = run cd ~widths:[| 1; 1; 1 |] in
+  let mf, _ = run cf ~widths:[| 1; 1; 1 |] in
   A.(check bool) "decomp not slower" true
     (md.Datacutter.Engine.elapsed_s
     <= mf.Datacutter.Engine.elapsed_s *. 1.05)
@@ -162,7 +155,7 @@ let test_zbuffer_sim_matches_reference () =
   let rd, rc_ = Apps.Isosurface.zbuffer_arrays (List.assoc "zfinal" (Compile.run_reference c)) in
   List.iter
     (fun widths ->
-      let _, results = Compile.run_simulated c ~widths () in
+      let _, results = run c ~widths in
       let sd, sc = Apps.Isosurface.zbuffer_arrays (List.assoc "zfinal" results) in
       A.(check (array (float 1e-9))) "depth" rd sd;
       A.(check (array (float 1e-9))) "color" rc_ sc)
@@ -171,7 +164,7 @@ let test_zbuffer_sim_matches_reference () =
 let test_zbuffer_nonempty_image () =
   let cfg = Apps.Isosurface.tiny in
   let c = compile_iso ~variant:`Zbuffer cfg in
-  let _, results = Compile.run_simulated c ~widths:[| 1; 1; 1 |] () in
+  let _, results = run c ~widths:[| 1; 1; 1 |] in
   let depth, _ = Apps.Isosurface.zbuffer_arrays (List.assoc "zfinal" results) in
   let touched = Array.to_list depth |> List.filter (fun d -> d < 1e8) in
   A.(check bool) "some pixels rendered" true (List.length touched > 0)
@@ -182,7 +175,7 @@ let test_apix_sim_matches_reference () =
   let reference = Apps.Isosurface.apix_pixels (List.assoc "afinal" (Compile.run_reference c)) in
   List.iter
     (fun widths ->
-      let _, results = Compile.run_simulated c ~widths () in
+      let _, results = run c ~widths in
       let pixels = Apps.Isosurface.apix_pixels (List.assoc "afinal" results) in
       A.(check int) "pixel count" (List.length reference) (List.length pixels);
       List.iter2
@@ -199,8 +192,8 @@ let test_apix_agrees_with_zbuffer () =
   let cfg = Apps.Isosurface.tiny in
   let cz = compile_iso ~variant:`Zbuffer cfg in
   let ca = compile_iso ~variant:`Apix cfg in
-  let _, rz = Compile.run_simulated cz ~widths:[| 1; 1; 1 |] () in
-  let _, ra = Compile.run_simulated ca ~widths:[| 1; 1; 1 |] () in
+  let _, rz = run cz ~widths:[| 1; 1; 1 |] in
+  let _, ra = run ca ~widths:[| 1; 1; 1 |] in
   let depth, color = Apps.Isosurface.zbuffer_arrays (List.assoc "zfinal" rz) in
   let pixels = Apps.Isosurface.apix_pixels (List.assoc "afinal" ra) in
   let dense_touched =
@@ -219,8 +212,8 @@ let test_iso_decomp_not_slower () =
   let cfg = Apps.Isosurface.tiny in
   let cd = compile_iso ~variant:`Zbuffer ~strategy:Compile.Decomp cfg in
   let cf = compile_iso ~variant:`Zbuffer ~strategy:Compile.Default cfg in
-  let md, _ = Compile.run_simulated cd ~widths:[| 1; 1; 1 |] () in
-  let mf, _ = Compile.run_simulated cf ~widths:[| 1; 1; 1 |] () in
+  let md, _ = run cd ~widths:[| 1; 1; 1 |] in
+  let mf, _ = run cf ~widths:[| 1; 1; 1 |] in
   A.(check bool) "decomp not slower" true
     (md.Datacutter.Engine.elapsed_s
     <= mf.Datacutter.Engine.elapsed_s *. 1.05)
@@ -231,7 +224,7 @@ let test_predicted_total_tracks_measured () =
   (* the cost model's prediction should correlate with simulated time:
      same order of magnitude for width-1 runs *)
   let c = compile_knn Apps.Knn.tiny in
-  let m, _ = Compile.run_simulated c ~widths:[| 1; 1; 1 |] () in
+  let m, _ = run c ~widths:[| 1; 1; 1 |] in
   let ratio = c.Compile.predicted_total /. m.Datacutter.Engine.elapsed_s in
   A.(check bool)
     (Printf.sprintf "prediction within 3x (ratio %.3f)" ratio)
@@ -241,15 +234,9 @@ let test_predicted_total_tracks_measured () =
 let test_fixed_strategy_roundtrip () =
   let cfg = Apps.Knn.tiny in
   let c = compile_knn cfg in
-  let c2 =
-    Compile.compile ~source:Apps.Knn.source ~externs_sig:Apps.Knn.externs_sig
-      ~externs:(Apps.Knn.externs cfg) ~runtime_defs:(Apps.Knn.runtime_defs cfg)
-      ~pipeline ~num_packets:cfg.Apps.Knn.num_packets
-      ~source_externs:Apps.Knn.source_externs
-      ~strategy:(Compile.Fixed c.Compile.assignment) ()
-  in
+  let c2 = compile_knn ~strategy:(Compile.Fixed c.Compile.assignment) cfg in
   A.(check bool) "same assignment" true (c.Compile.assignment = c2.Compile.assignment);
-  let _, results = Compile.run_simulated c2 ~widths:[| 1; 1; 1 |] () in
+  let _, results = run c2 ~widths:[| 1; 1; 1 |] in
   let oracle = List.map (fun (d, _, _, _) -> d) (Apps.Knn.oracle cfg) in
   A.check float_list "fixed strategy correct" oracle
     (knn_dists (List.assoc "result" results))
@@ -281,15 +268,8 @@ let suite =
 let test_kmeans_round_matches_oracle () =
   let cfg = Apps.Kmeans.tiny in
   let cents = Apps.Kmeans.initial_centroids cfg in
-  let c =
-    Compile.compile ~source:Apps.Kmeans.source
-      ~externs_sig:Apps.Kmeans.externs_sig
-      ~externs:(Apps.Kmeans.externs cfg cents)
-      ~runtime_defs:(Apps.Kmeans.runtime_defs cfg) ~pipeline
-      ~num_packets:cfg.Apps.Kmeans.num_packets
-      ~source_externs:Apps.Kmeans.source_externs ()
-  in
-  let _, results = Compile.run_simulated c ~widths:[| 2; 2; 1 |] () in
+  let c = compile (H.kmeans_app cfg cents) in
+  let _, results = run c ~widths:[| 2; 2; 1 |] in
   let sx, sy, count = Apps.Kmeans.sums_arrays (List.assoc "sums" results) in
   let ox, oy, ocount = Apps.Kmeans.oracle cfg cents in
   A.(check (array int)) "counts" ocount count;
@@ -299,16 +279,9 @@ let test_kmeans_round_matches_oracle () =
 let test_kmeans_converges () =
   let cfg = Apps.Kmeans.tiny in
   let cents = Apps.Kmeans.initial_centroids cfg in
-  let c =
-    Compile.compile ~source:Apps.Kmeans.source
-      ~externs_sig:Apps.Kmeans.externs_sig
-      ~externs:(Apps.Kmeans.externs cfg cents)
-      ~runtime_defs:(Apps.Kmeans.runtime_defs cfg) ~pipeline
-      ~num_packets:cfg.Apps.Kmeans.num_packets
-      ~source_externs:Apps.Kmeans.source_externs ()
-  in
+  let c = compile (H.kmeans_app cfg cents) in
   let run_round () =
-    let _, results = Compile.run_simulated c ~widths:[| 1; 1; 1 |] () in
+    let _, results = run c ~widths:[| 1; 1; 1 |] in
     List.assoc "sums" results
   in
   let movement = Apps.Kmeans.iterate cfg cents ~rounds:10 ~run_round in
@@ -332,7 +305,7 @@ let test_kmeans_converges () =
 let test_vmscope_parallel_matches_oracle () =
   let cfg = Apps.Vmscope.tiny in
   let c = compile_vmscope cfg in
-  let _, results = Compile.run_parallel c ~widths:[| 2; 2; 1 |] () in
+  let _, results = run ~backend:Datacutter.Runtime.Par c ~widths:[| 2; 2; 1 |] in
   let r, g, b = Apps.Vmscope.image_arrays (List.assoc "view" results) in
   let orr, org, orb = Apps.Vmscope.oracle cfg in
   A.(check (array (float 1e-9))) "red" orr r;
@@ -345,7 +318,7 @@ let test_zbuffer_parallel_matches_reference () =
   let rd, rc_ =
     Apps.Isosurface.zbuffer_arrays (List.assoc "zfinal" (Compile.run_reference c))
   in
-  let _, results = Compile.run_parallel c ~widths:[| 2; 2; 1 |] () in
+  let _, results = run ~backend:Datacutter.Runtime.Par c ~widths:[| 2; 2; 1 |] in
   let sd, sc = Apps.Isosurface.zbuffer_arrays (List.assoc "zfinal" results) in
   A.(check (array (float 1e-9))) "depth" rd sd;
   A.(check (array (float 1e-9))) "color" rc_ sc
@@ -356,7 +329,7 @@ let test_apix_parallel_matches_reference () =
   let reference =
     Apps.Isosurface.apix_pixels (List.assoc "afinal" (Compile.run_reference c))
   in
-  let _, results = Compile.run_parallel c ~widths:[| 2; 2; 1 |] () in
+  let _, results = run ~backend:Datacutter.Runtime.Par c ~widths:[| 2; 2; 1 |] in
   let pixels = Apps.Isosurface.apix_pixels (List.assoc "afinal" results) in
   A.(check int) "pixel count" (List.length reference) (List.length pixels);
   List.iter2
