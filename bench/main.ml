@@ -602,7 +602,7 @@ let stream_row ~backend ~items ~widths label cells runs =
    amortization of locks, wakeups and wire frames, and vs_w1 (items/s
    against inflight=1 at the same batch) isolates what credit-based
    pipelining buys.  Ring slots are planner-sized from the batch plan
-   ({!Datacutter.Engine.plan_frame_bytes}) so the overflow column stays
+   ({!Datacutter.Plan}) so the overflow column stays
    at zero even for B=512 frames.  Returns every leg's backend, batch
    and the metrics JSON of its first run. *)
 let transport_sweep ~title ~cfg ~batches ~inflights =
@@ -613,21 +613,18 @@ let transport_sweep ~title ~cfg ~batches ~inflights =
   let bandwidths = Array.make 2 cluster.H.bandwidth in
   let expected = Apps.Streambench.expected cfg in
   let items = float_of_int cfg.Apps.Streambench.items in
-  let item_bytes = float_of_int cfg.Apps.Streambench.item_bytes in
   let run backend ~b ?inflight () =
     let topo, results =
       Apps.Streambench.topology cfg ~widths ~powers ~bandwidths
         ~latency:cluster.H.latency ()
     in
-    let stage_batch = Array.make 3 b in
-    let frame_bytes =
-      Datacutter.Engine.plan_frame_bytes ~stage_batch
-        ~item_bytes:[| item_bytes; item_bytes; 16.0 |]
-    in
     let m =
       cell
-        (Datacutter.Runtime.run_result ~backend ?inflight ~frame_bytes
-           ~stage_batch topo)
+        (H.run_plan ~backend
+           (H.plan_of_profile ~batch:b ?inflight
+              (Apps.Streambench.profile cfg) ~assignment:[| 1; 2; 3 |] ~cluster
+              ~widths)
+           topo)
     in
     if results () <> expected then
       Fmt.failwith "transport %s B=%d: sink multiset diverged"
@@ -932,12 +929,11 @@ let adaptive () =
           (List.sort (fun (a, _) (b, _) -> Float.compare a b) static_runs)
           (List.length static_runs / 2)
       in
-      let rp =
+      let widths =
         match Replan.of_json static_json with
-        | Ok t -> Replan.plan ~budget t
+        | Ok t -> (Replan.plan ~budget t).Replan.pl_plan.widths
         | Error msg -> Fmt.failwith "adaptive: replan rejected the metrics: %s" msg
       in
-      let widths = rp.Replan.pl_widths in
       let replan_rate =
         par "replan" widths
         |> Option.map (fun runs ->

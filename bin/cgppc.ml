@@ -121,7 +121,7 @@ let config_conv : int array Cmdliner.Arg.conv =
    the proc backend runs, so the metrics never report a window the run
    did not use. *)
 let inflight_conv : int Cmdliner.Arg.conv =
-  let max = Datacutter.Proc_runtime.max_inflight in
+  let max = Datacutter.Plan.max_inflight in
   let parse s =
     match int_of_string_opt s with
     | Some n when n >= 1 && n <= max -> Ok n
@@ -331,11 +331,10 @@ let run file target widths strategy backend cluster_spec trace mjson
                   Datacutter.Engine.default_autoscale
                     .Datacutter.Engine.as_budget
             in
-            let p = Replan.plan ~budget t in
+            let widths' = (Replan.plan ~budget t).Replan.pl_plan.widths in
             Fmt.pr "replanned widths from %s: %s -> %s@." path
-              (config_label widths)
-              (config_label p.Replan.pl_widths);
-            p.Replan.pl_widths)
+              (config_label widths) (config_label widths');
+            widths')
   in
   let app_name =
     match target with
@@ -460,48 +459,16 @@ let run file target widths strategy backend cluster_spec trace mjson
             ~bandwidths:(Array.make 2 cluster.H.bandwidth)
             ~latency:cluster.H.latency ()
         in
-        let profile =
-          {
-            Costmodel.task = [| cfg.Apps.Streambench.work; cfg.work; cfg.work |];
-            vol_out =
-              [|
-                float_of_int cfg.Apps.Streambench.item_bytes;
-                float_of_int cfg.item_bytes;
-                (* the sink's (count, checksum) result amortized *)
-                16.0 /. float_of_int cfg.items;
-              |];
-            packets = cfg.Apps.Streambench.items;
-          }
-        in
+        let profile = Apps.Streambench.profile cfg in
+        let assignment = [| 1; 2; 3 |] in
         let fill doc =
           Obs.Metrics.set_int doc "num_packets" cfg.Apps.Streambench.items
         in
-        (* Credit window and ring-slot geometry for the proc backend:
-           an explicit --inflight wins, otherwise the cost model picks
-           the window; the largest batched frame sizes the ring slots. *)
-        let inflight =
-          match (inflight, backend) with
-          | None, Datacutter.Runtime.Proc ->
-              Some
-                (Datacutter.Engine.plan_inflight
-                   ~service_s:(cfg.Apps.Streambench.work /. cluster.H.node_power)
-                   ())
-          | _ -> inflight
-        in
-        let frame_bytes =
-          Datacutter.Engine.plan_frame_bytes
-            ~stage_batch:(Array.make 3 batch)
-            ~item_bytes:
-              [|
-                float_of_int cfg.Apps.Streambench.item_bytes;
-                float_of_int cfg.Apps.Streambench.item_bytes;
-                16.0;
-              |]
-        in
         match
-          Datacutter.Runtime.run_result ~backend ~faults ~policy
-            ~stage_batch:(Array.make 3 batch) ?mem_budget ?metrics_interval_s
-            ?autoscale ?inflight ~frame_bytes topo
+          H.run_plan ~backend ~faults ~policy ?metrics_interval_s ?autoscale
+            (H.plan_of_profile ~batch ?mem_budget ?inflight profile ~assignment
+               ~cluster ~widths)
+            topo
         with
         | Error err -> write_failure fill err
         | Ok m ->
@@ -520,7 +487,7 @@ let run file target widths strategy backend cluster_spec trace mjson
                   Some
                     (Report.make
                        ~pipeline:(H.pipeline_for cluster widths)
-                       ~profile ~assignment:[| 1; 2; 3 |] ~metrics:m))
+                       ~profile ~assignment ~metrics:m))
                 ~print_results:(fun () ->
                   Fmt.pr "  sink: %d items, checksum %d@." n sum)
                 m
@@ -573,14 +540,13 @@ let replan path budget batch mem_budget mjson =
           Obs.Metrics.set_int m "schema_version" Obs.Metrics.schema_version;
           Obs.Metrics.set_str m "command" "replan";
           Obs.Metrics.set_str m "replan_from" path;
-          Obs.Metrics.set_ints m "widths" p.Replan.pl_widths;
+          let plan = p.Replan.pl_plan in
+          Obs.Metrics.set_ints m "widths" plan.widths;
           Obs.Metrics.set_int m "bottleneck" p.Replan.pl_bottleneck;
-          (match p.Replan.pl_stage_batch with
-          | Some b -> Obs.Metrics.set_ints m "stage_batch" b
-          | None -> ());
-          (match p.Replan.pl_queue_budgets with
-          | Some b -> Obs.Metrics.set_ints m "queue_budgets" b
-          | None -> ());
+          Option.iter (Obs.Metrics.set_ints m "stage_batch") plan.stage_batch;
+          Option.iter
+            (Obs.Metrics.set_ints m "queue_budgets")
+            plan.queue_budgets;
           Obs.Metrics.set_ints m "assignment"
             p.Replan.pl_decompose.Decompose.assignment;
           write_metrics out m);

@@ -22,9 +22,8 @@ let () =
   let run_round () =
     incr round;
     let metrics, results =
-      match H.run_compiled compiled ~cluster:H.default_cluster ~widths with
-      | Ok r -> r
-      | Error e -> raise (Datacutter.Supervisor.Run_failed e)
+      Datacutter.Supervisor.ok_exn
+        (H.run_compiled compiled ~cluster:H.default_cluster ~widths)
     in
     Fmt.pr "round %d: %.4fs simulated;" !round
       metrics.Datacutter.Engine.elapsed_s;

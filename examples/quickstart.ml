@@ -101,9 +101,8 @@ let app =
   }
 
 let run ?backend compiled ~widths =
-  match H.run_compiled ?backend compiled ~cluster:H.default_cluster ~widths with
-  | Ok r -> r
-  | Error e -> raise (Datacutter.Supervisor.Run_failed e)
+  Datacutter.Supervisor.ok_exn
+    (H.run_compiled ?backend compiled ~cluster:H.default_cluster ~widths)
 
 let () =
   (* 3. Compile for the calibrated cluster (data host, compute node,

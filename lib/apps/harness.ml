@@ -127,87 +127,64 @@ let compile ?(cluster = default_cluster) ?(strategy = Compile.Decomp)
     ~samples:(profile_samples app)
     ~final_copies:(Array.fold_left max 1 widths) ()
 
-(* Per-stage batch plan derived from the cost model: the bytes one item
-   leaving stage s carries are the profiled [vol_out] of the LAST
-   program segment assigned to pipeline unit s+1 (that segment's
-   emission is what crosses the stage boundary).  Small items earn big
-   batches up to the [batch] ceiling; [None] when batching is off, so
-   callers fall through to the unbatched default. *)
-let item_bytes_of (c : Compile.t) ~(widths : int array) =
+(* Run sizing from a cost-model profile and its assignment (segment i
+   on pipeline unit assignment.(i), 1-based).  The bytes one item
+   leaving stage s carries are the [vol_out] of the LAST segment on
+   unit s+1 (that segment's emission crosses the stage boundary); one
+   copy's service time at stage s is the work of all its segments at
+   the copy's power. *)
+let plan_of_profile ?(batch = 1) ?mem_budget ?inflight
+    (profile : Costmodel.profile) ~assignment ~(cluster : cluster)
+    ~(widths : int array) =
   let m = Array.length widths in
-  let asg = c.Compile.assignment in
-  let vol = c.Compile.profile.Profile.profile.Costmodel.vol_out in
-  Array.init m (fun s ->
-      let last = ref (-1) in
-      Array.iteri (fun i u -> if u = s + 1 then last := i) asg;
-      if !last < 0 then 1.0 else Float.max 1.0 vol.(!last))
+  let powers = node_powers cluster widths in
+  let item_bytes = Array.make m 1.0 in
+  let service_s = Array.make m 0.0 in
+  Array.iteri
+    (fun i u ->
+      let s = u - 1 in
+      item_bytes.(s) <- Float.max 1.0 profile.Costmodel.vol_out.(i);
+      service_s.(s) <-
+        service_s.(s) +. (profile.Costmodel.task.(i) /. powers.(s)))
+    assignment;
+  Datacutter.Plan.make ~batch ?mem_budget ?inflight ~item_bytes ~service_s
+    widths
 
-let batch_plan (c : Compile.t) ~(widths : int array) ~batch =
-  if batch <= 1 then None
-  else
-    let item_bytes = item_bytes_of c ~widths in
-    Some (Datacutter.Engine.plan_batches ~cap:batch ~item_bytes ())
+let plan ?batch ?mem_budget ?inflight (c : Compile.t) ~cluster ~widths =
+  plan_of_profile ?batch ?mem_budget ?inflight
+    c.Compile.profile.Profile.profile ~assignment:c.Compile.assignment
+    ~cluster ~widths
 
-(* Ring-slot planning input for the proc backend: the largest wire
-   frame this plan can emit, from the batch plan and the same cost-model
-   item sizes. *)
-let frame_plan (c : Compile.t) ~(widths : int array) ~batch =
-  let item_bytes = item_bytes_of c ~widths in
-  let stage_batch =
-    match batch_plan c ~widths ~batch with
-    | Some sb -> sb
-    | None -> Array.make (Array.length widths) 1
-  in
-  Datacutter.Engine.plan_frame_bytes ~stage_batch ~item_bytes
+(* The batch caps and the frame size read no service time, so any
+   cluster serves; the window reads no width. *)
+let batch_plan c ~widths ~batch =
+  (plan ~batch c ~cluster:default_cluster ~widths).Datacutter.Plan.stage_batch
 
-(* Credit-window depth from the cost model: the fastest stage's
-   per-item service time against the assumed worker round trip.  Cheap
-   items earn a deep window; expensive ones stay near strict. *)
-let inflight_plan (c : Compile.t) ~(cluster : cluster) =
-  let task = c.Compile.profile.Profile.profile.Costmodel.task in
-  let service_s =
-    Array.fold_left
-      (fun a t -> Float.min a (t /. cluster.node_power))
-      Float.infinity task
-  in
-  if not (Float.is_finite service_s) then 1
-  else Datacutter.Engine.plan_inflight ~service_s ()
+let frame_plan c ~widths ~batch =
+  (plan ~batch c ~cluster:default_cluster ~widths).Datacutter.Plan.frame_bytes
 
-(* Per-queue byte budgets from the same cost-model item sizes: heavier
-   streams get proportionally more of the run's memory budget, so every
-   queue spills at about the same item depth. *)
-let budget_plan (c : Compile.t) ~(widths : int array) ~mem_budget =
-  match mem_budget with
-  | None -> None
-  | Some total ->
-      let item_bytes = item_bytes_of c ~widths in
-      Some (Datacutter.Engine.plan_queue_budgets ~total ~item_bytes ~widths)
+let inflight_plan (c : Compile.t) ~cluster =
+  let widths = Array.make (Costmodel.width_of c.Compile.pipeline) 1 in
+  (plan c ~cluster ~widths).Datacutter.Plan.inflight
 
-(* The one planner for a compiled program: build its topology on the
-   cluster, derive every run input the cost model can size — batch
-   caps, per-queue budgets, ring-slot bytes and, on proc without an
-   explicit window, the credit window — and run it.  Returns the
-   metrics and the sink results. *)
-let run_compiled ?(backend = Datacutter.Runtime.Sim) ?faults ?policy
-    ?(batch = 1) ?mem_budget ?metrics_interval_s ?autoscale ?inflight
-    (c : Compile.t) ~(cluster : cluster) ~(widths : int array) =
+let run_plan ?backend ?faults ?policy ?metrics_interval_s ?autoscale
+    (p : Datacutter.Plan.t) topo =
+  Datacutter.Runtime.run_result ?backend ?faults ?policy
+    ?stage_batch:p.stage_batch ?mem_budget:p.mem_budget
+    ?queue_budgets:p.queue_budgets ?metrics_interval_s ?autoscale
+    ~inflight:p.inflight ~frame_bytes:p.frame_bytes topo
+
+let run_compiled ?backend ?faults ?policy ?batch ?mem_budget
+    ?metrics_interval_s ?autoscale ?inflight (c : Compile.t)
+    ~(cluster : cluster) ~(widths : int array) =
   let topo, results =
     Codegen.build_topology c.Compile.plan ~widths
       ~powers:(node_powers cluster widths)
       ~bandwidths:(Array.make (Array.length widths - 1) cluster.bandwidth)
       ~latency:cluster.latency ()
   in
-  let inflight =
-    match (inflight, backend) with
-    | None, Datacutter.Runtime.Proc -> Some (inflight_plan c ~cluster)
-    | _ -> inflight
-  in
-  Datacutter.Runtime.run_result ~backend ?faults ?policy
-    ?stage_batch:(batch_plan c ~widths ~batch)
-    ?mem_budget
-    ?queue_budgets:(budget_plan c ~widths ~mem_budget)
-    ?metrics_interval_s ?autoscale ?inflight
-    ~frame_bytes:(frame_plan c ~widths ~batch)
+  run_plan ?backend ?faults ?policy ?metrics_interval_s ?autoscale
+    (plan ?batch ?mem_budget ?inflight c ~cluster ~widths)
     topo
   |> Result.map (fun metrics -> (metrics, results ()))
 

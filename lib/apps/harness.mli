@@ -72,35 +72,43 @@ val compile :
   app ->
   Compile.t
 
-(** Per-stage batch caps derived from the compilation's cost model: the
-    bytes per item leaving stage [s] are the profiled [vol_out] of the
-    last segment assigned to unit [s+1], and small items earn batches up
-    to the [batch] ceiling ({!Datacutter.Engine.plan_batches}).  [None]
-    when [batch <= 1]. *)
+(** {!Datacutter.Plan.make} for a cost-model [profile] and its
+    [assignment] on [cluster]: the bytes per item leaving stage [s] are
+    the [vol_out] of the last segment on unit [s+1], one copy's service
+    time is the work of all the unit's segments at the copy's power.
+    [batch] defaults to 1 (off). *)
+val plan_of_profile :
+  ?batch:int ->
+  ?mem_budget:int ->
+  ?inflight:int ->
+  Costmodel.profile ->
+  assignment:Costmodel.assignment ->
+  cluster:cluster ->
+  widths:int array ->
+  Datacutter.Plan.t
+
+(** The batch caps, largest frame and credit window of [c]'s plan
+    ({!plan_of_profile}). *)
 val batch_plan :
   Compile.t -> widths:int array -> batch:int -> int array option
 
-(** Largest wire frame the plan can emit under its batch caps
-    ({!Datacutter.Engine.plan_frame_bytes}) — the proc backend sizes
-    its shared-memory ring slots from this so batched frames stay on
-    the ring instead of overflowing to the control socket. *)
 val frame_plan : Compile.t -> widths:int array -> batch:int -> int
-
-(** Cost-model-derived credit-window depth for the proc backend
-    ({!Datacutter.Engine.plan_inflight}): the fastest stage's per-item
-    service time against the assumed worker round trip. *)
 val inflight_plan : Compile.t -> cluster:cluster -> int
 
+(** {!Datacutter.Runtime.run_result} with a plan's run inputs. *)
+val run_plan :
+  ?backend:Datacutter.Runtime.backend ->
+  ?faults:Datacutter.Fault.plan ->
+  ?policy:Datacutter.Supervisor.policy ->
+  ?metrics_interval_s:float ->
+  ?autoscale:Datacutter.Engine.autoscale ->
+  Datacutter.Plan.t ->
+  Datacutter.Topology.t ->
+  (Datacutter.Engine.metrics, Datacutter.Supervisor.run_error) result
+
 (** The one planner for a compiled program: build [c]'s topology on
-    [cluster] at [widths], derive its run inputs from the cost model
-    and run it on [backend] (default [Sim]).  The derived inputs are
-    the batch caps under the [batch] ceiling ({!batch_plan}; default 1,
-    meaning off), per-queue budgets splitting [mem_budget] in
-    proportion to the bytes crossing each stage boundary, the ring-slot
-    size ({!frame_plan}) and, on [Proc] when [inflight] is not given,
-    the credit window ({!inflight_plan}).  [faults], [policy],
-    [metrics_interval_s] and [autoscale] pass through to
-    {!Datacutter.Runtime.run_result}.  Returns the metrics and the sink
+    [cluster] at [widths] and {!run_plan} its {!plan_of_profile} on
+    [backend] (default [Sim]).  Returns the metrics and the sink
     results, or the runtime's failure. *)
 val run_compiled :
   ?backend:Datacutter.Runtime.backend ->

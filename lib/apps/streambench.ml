@@ -196,3 +196,16 @@ let expected cfg =
     done
   done;
   (cfg.items, !total)
+
+let profile cfg =
+  {
+    Core.Costmodel.task = [| cfg.work; cfg.work; cfg.work |];
+    vol_out =
+      [|
+        float_of_int cfg.item_bytes;
+        float_of_int cfg.item_bytes;
+        (* the sink's (count, checksum) result amortized *)
+        16.0 /. float_of_int cfg.items;
+      |];
+    packets = cfg.items;
+  }

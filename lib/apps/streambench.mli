@@ -2,7 +2,7 @@
     flooding many small buffers through a pass-through middle stage into
     a counting/checksumming sink.  Per-item overhead dominates by
     construction, so this is the workload where engine-level batching
-    (`--batch`, {!Datacutter.Engine.plan_batches}) shows its win; the
+    (`--batch`, {!Datacutter.Plan}) shows its win; the
     `bench transport` target sweeps the batch cap over it on all three
     backends. *)
 
@@ -59,3 +59,9 @@ val topology :
 
 (** The (count, checksum) every correct run must report. *)
 val expected : config -> int * int
+
+(** The cost model of the pipeline, one segment per stage (assignment
+    [[|1; 2; 3|]]): each stage's fixed per-item [work] and the bytes it
+    emits per item.  Streambench has no PipeLang source to profile, so
+    {!Harness.plan_of_profile} and the attribution report read this. *)
+val profile : config -> Core.Costmodel.profile

@@ -55,10 +55,6 @@ val cost_comm : link_spec -> float -> float
 (** A decomposition: the 1-based unit of each segment, nondecreasing. *)
 type assignment = int array
 
-(** @raise Invalid_argument on wrong length, out-of-range or decreasing
-    assignments. *)
-val validate_assignment : pipeline -> profile -> assignment -> unit
-
 type stage_times = {
   unit_time : float array;  (** per-packet busy time of each unit *)
   link_time : float array;  (** per-packet busy time of each link *)

@@ -17,8 +17,6 @@ type constraints = {
   pin_last : int list;   (** segment indices pinned to unit m *)
 }
 
-val no_constraints : constraints
-
 val allowed : constraints -> m:int -> seg:int -> unit:int -> bool
 
 type result = {

@@ -125,22 +125,16 @@ let decompose ?(bandwidth = 1e12) ?(latency = 0.0) t =
   let cons = { Decompose.pin_first = [ 0 ]; pin_last = [ m - 1 ] } in
   Decompose.bottleneck ~cons pipeline (profile t)
 
-let plan_batches ~cap t =
-  Datacutter.Engine.plan_batches ~cap ~item_bytes:(item_bytes t) ()
-
-let plan_queue_budgets ~total ~widths t =
-  Datacutter.Engine.plan_queue_budgets ~total ~item_bytes:(item_bytes t)
-    ~widths
-
 type plan = {
-  pl_widths : int array;
-  pl_stage_batch : int array option;
-  pl_queue_budgets : int array option;
+  pl_plan : Datacutter.Plan.t;
   pl_bottleneck : int;
   pl_decompose : Decompose.result;
 }
 
-let plan ?batch_cap ?mem_budget ~budget t =
+let plan ?(batch_cap = 1) ?mem_budget ~budget t =
+  Option.iter
+    (fun b -> if b < 0 then invalid_arg "Replan.plan: negative memory budget")
+    mem_budget;
   let widths = plan_widths ~budget t in
   let bottleneck = ref 0 in
   Array.iteri
@@ -148,15 +142,14 @@ let plan ?batch_cap ?mem_budget ~budget t =
       if service_s r > service_s t.rp_rows.(!bottleneck) then bottleneck := s)
     t.rp_rows;
   {
-    pl_widths = widths;
-    pl_stage_batch =
-      (match batch_cap with
-      | Some cap when cap > 1 -> Some (plan_batches ~cap t)
-      | _ -> None);
-    pl_queue_budgets =
-      Option.map
-        (fun total -> plan_queue_budgets ~total ~widths t)
-        mem_budget;
+    pl_plan =
+      Datacutter.Plan.make ~batch:batch_cap ?mem_budget
+        ~item_bytes:(item_bytes t)
+        ~service_s:
+          (Array.mapi
+             (fun s r -> work_s r /. float_of_int widths.(s))
+             t.rp_rows)
+        widths;
     pl_bottleneck = !bottleneck;
     pl_decompose = decompose t;
   }
@@ -172,7 +165,7 @@ let pp_plan ppf (t, p) =
       Fmt.pf ppf "  %-5d %-12s %6d %8d %14.3e %14.3e %6d%s@\n" s r.rs_name
         r.rs_width
         (max r.rs_items r.rs_items_out)
-        (work_s r) (service_s r) p.pl_widths.(s)
+        (work_s r) (service_s r) p.pl_plan.widths.(s)
         (if s = p.pl_bottleneck then "  <- bottleneck" else ""))
     t.rp_rows;
   Fmt.pf ppf "  widths: %s -> %s@\n"
@@ -180,14 +173,14 @@ let pp_plan ppf (t, p) =
        (Array.to_list
           (Array.map (fun r -> string_of_int r.rs_width) t.rp_rows)))
     (String.concat "-"
-       (Array.to_list (Array.map string_of_int p.pl_widths)));
-  (match p.pl_stage_batch with
+       (Array.to_list (Array.map string_of_int p.pl_plan.widths)));
+  (match p.pl_plan.stage_batch with
   | Some b ->
       Fmt.pf ppf "  batch plan: %s@\n"
         (String.concat " "
            (Array.to_list (Array.map string_of_int b)))
   | None -> ());
-  (match p.pl_queue_budgets with
+  (match p.pl_plan.queue_budgets with
   | Some b ->
       Fmt.pf ppf "  queue budgets: %s@\n"
         (String.concat " "

@@ -195,49 +195,16 @@ val is_sink_stage : t -> int -> bool
     upstream's outgoing cap (1 for the source stage). *)
 val input_batch : t -> int -> int
 
-(** Derive a per-stage batch plan from the cost model: stage [s] gets
-    [clamp 1 cap (budget_bytes / item_bytes.(s))] — small items batch
-    up to the [cap] ceiling, large items keep small batches so one
-    flush never buffers more than roughly [budget_bytes] (default
-    256 KiB).  All ones when [cap <= 1]. *)
-val plan_batches :
-  cap:int -> ?budget_bytes:int -> item_bytes:float array -> unit -> int array
-
-(** Credit window for a streaming request/response transport —
-    bandwidth-delay sizing, [clamp 1 cap (ceil (rtt_s / service_s) + 1)]:
-    enough frames in flight to cover the round trip, no more.
-    [service_s] is the cost model's per-item work estimate; a
-    non-positive value (unknown / latency-dominated) takes the whole
-    [cap] (default 16).  [rtt_s] defaults to 30 us, a Unix-domain
-    context-switch round trip. *)
-val plan_inflight : ?rtt_s:float -> ?cap:int -> service_s:float -> unit -> int
-
-(** Largest wire frame the plan can produce: the fattest per-stage
-    batch ([stage_batch], the {!plan_batches} output) of items of
-    [item_bytes] each paying per-item framing overhead, plus envelope
-    slack.  Feed this to [Shm.plan_slot_bytes] so planned batches ride
-    the shm ring instead of overflowing to the control socket. *)
-val plan_frame_bytes : stage_batch:int array -> item_bytes:float array -> int
-
 (** {2 Memory budgets}
 
     A budgeted run bounds the bytes its queues may hold in memory;
     overflow spills to encoded on-disk segments (see {!Bqueue} and
     {!Spill}) and is transparently read back, preserving FIFO order. *)
 
-(** Split a [total] run budget into per-queue budgets, one entry per
-    stage (entry 0, the source stage, gets 0 — it has no input queue).
-    Consumer queues are weighted by the size of the items that flow
-    into them: [item_bytes].(s) is the bytes of one item {e leaving}
-    stage [s] (the {!plan_batches} convention), so stage [s+1]'s
-    queues are weighted by [item_bytes].(s).  Every consumer entry is
-    at least 1. *)
-val plan_queue_budgets :
-  total:int -> item_bytes:float array -> widths:int array -> int array
-
 (** The in-memory byte budget of one consumer queue at [stage] (>= 1):
-    the planned entry when a plan was given, else an even split of the
-    run total; [None] on unbudgeted runs. *)
+    the planned entry when a plan was given, else the run total split
+    evenly ({!Plan.queue_budgets} with equal item sizes); [None] on
+    unbudgeted runs. *)
 val queue_budget : t -> stage:int -> int option
 
 (** The run's total budget as given to {!create}. *)

@@ -65,7 +65,6 @@ type site_faults = {
   flaky : (int * int) option;
 }
 
-val no_faults : site_faults
 val resolve : plan -> stage:int -> copy:int -> site_faults
 
 (** Per-copy injection state.  Created once per copy per run; persists

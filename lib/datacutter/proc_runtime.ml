@@ -257,18 +257,6 @@ let shutdown_worker label (w : worker) =
   in
   reap ()
 
-(* --- the credit window ------------------------------------------------ *)
-
-let default_inflight = 4
-
-(* Hard cap on the per-worker window: past 16 the round trip is already
-   fully hidden on any host this targets.  Each worker's rings get
-   [Shm.plan_slots ~depth] slots, at least four windows, so the window
-   can never fill a ring and a pipelined [send] never blocks on a full
-   ring while responses back up — the classic bidirectional-pipe
-   deadlock.  At the cap that is 64 slots. *)
-let max_inflight = 16
-
 (* --- the run --------------------------------------------------------- *)
 
 let run eng ?inflight ?frame_bytes () :
@@ -313,11 +301,8 @@ let run eng ?inflight ?frame_bytes () :
     Hashtbl.replace worker_counters t.Wire.w_pid t.Wire.w_counters;
     Mutex.unlock telem_lock
   in
-  (* Credit window size: the explicit arg, else the default.  At 1
-     every frame settles right after its send. *)
-  let inflight =
-    max 1 (min max_inflight (Option.value inflight ~default:default_inflight))
-  in
+  (* At a window of 1 every frame settles right after its send. *)
+  let inflight = Plan.clamp_inflight inflight in
   (* Planner-sized ring slots for every worker channel. *)
   let slot_bytes =
     Option.map (fun fb -> Shm.plan_slot_bytes ~frame_bytes:fb) frame_bytes

@@ -26,9 +26,6 @@
 val available : bool
 (** Whether this platform can run the backend ([Unix.fork]). *)
 
-val max_inflight : int
-(** The largest credit window, 16. *)
-
 val run :
   Engine.t ->
   ?inflight:int ->
@@ -50,7 +47,7 @@ val run :
 
     [inflight] is the credit window: how many frames each driver keeps
     in flight to its worker before waiting for an acknowledgement
-    (default 4, clamped to [1, {!max_inflight}]).  There is one driver
+    (default 4, clamped to [1, {!Plan.max_inflight}]).  There is one driver
     at every depth: at 1 each frame settles right after its send.
     Copies with injected faults run that same window at depth 1, so
     scripted crash timing is independent of the window.  Each worker's

@@ -56,8 +56,8 @@ val run_result :
     ({!Supervisor.default_policy}).
 
     [stage_batch] is the per-stage outgoing batch cap, one entry per
-    stage, the sink's forced to 1 (see {!Engine.plan_batches} to derive
-    one from the cost model).  Without it every stage is unbatched,
+    stage, the sink's forced to 1 (see {!Plan} to derive one from the
+    cost model).  Without it every stage is unbatched,
     bit-for-bit the pre-batching behaviour.  Batching is an
     engine-level concept, so all three backends honour it: one queue
     round trip (Par/Proc), one modeled transfer (Sim) and one wire
@@ -70,9 +70,9 @@ val run_result :
     run-scoped temp dir (Par/Proc — the Proc queues live in the parent)
     or are charged a deterministic modeled disk cost (Sim), so a merely
     large dataset can neither deadlock a run nor trip the watchdog.
-    Unset means classic blocking back-pressure.  See
-    {!Engine.plan_queue_budgets} for deriving [queue_budgets] from the
-    cost model.
+    Unset means classic blocking back-pressure; a total without
+    [queue_budgets] is split evenly.  See {!Plan} for deriving
+    [queue_budgets] from the cost model.
 
     [metrics_interval_s] turns on the engine's time-series sampler:
     per-copy busy/stall/queue/items-per-second snapshots every interval

@@ -112,6 +112,8 @@ type run_error =
 
 exception Run_failed of run_error
 
+let ok_exn = function Ok v -> v | Error e -> raise (Run_failed e)
+
 let copy_report_to_json cr =
   Obs.Json.Obj
     [

@@ -93,8 +93,10 @@ type run_error =
           (EMFILE, ENOMEM, EAGAIN).  Every worker already forked was
           reaped before the run returned. *)
 
-(** Raised by the compatibility [run] wrappers; prefer [run_result]. *)
 exception Run_failed of run_error
+
+(** The value of a run's result.  @raise Run_failed on [Error]. *)
+val ok_exn : ('a, run_error) result -> 'a
 
 val run_error_to_json : run_error -> Obs.Json.t
 val pp_run_error : Format.formatter -> run_error -> unit

@@ -41,13 +41,9 @@ val widths : t -> int list
 
 val copy_tid : t -> stage:int -> copy:int -> int
 val link_tid : t -> int -> int
-val total_copies : t -> int
 
 (** ["<stage_name>/<copy>"]. *)
 val copy_label : t -> stage:int -> copy:int -> string
-
-(** ["link <from>-><to>"]. *)
-val link_label : t -> int -> string
 
 (** Emit thread-name metadata for the compiler, every copy and every
     link; no-op when tracing is disabled. *)

@@ -8,9 +8,8 @@
 
 type t
 
-val default_capacity : int
-
-(** @raise Invalid_argument when [capacity <= 0], [columns] is empty or
+(** [capacity] (default 4096) bounds the rows retained.
+    @raise Invalid_argument when [capacity <= 0], [columns] is empty or
     [interval_s <= 0]. *)
 val create :
   ?capacity:int -> interval_s:float -> columns:string array -> unit -> t

@@ -92,6 +92,3 @@ val events : unit -> event list
     id (local events carry {!local_pid}); thread names deduped per
     (pid, tid). *)
 val events_with_pids : unit -> (int * event) list
-
-(** Timestamp of an event; 0 for thread-name metadata. *)
-val ts_of : event -> float

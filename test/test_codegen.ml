@@ -10,9 +10,7 @@ module SS = Set.Make (String)
 
 (* Run on the simulator via the unified API, raising on failure. *)
 let sim_run topo =
-  match Datacutter.Runtime.run_result topo with
-  | Ok m -> m
-  | Error e -> raise (Datacutter.Supervisor.Run_failed e)
+  Datacutter.Supervisor.ok_exn (Datacutter.Runtime.run_result topo)
 
 let src =
   {|

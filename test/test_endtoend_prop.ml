@@ -180,13 +180,10 @@ let run_spec ?backend spec =
       ~strategy:(if spec.strategy_default then Compile.Default else Compile.Decomp)
       ()
   in
-  let results =
-    match
-      Apps.Harness.run_compiled ?backend ~batch:spec.batch compiled
-        ~cluster:Apps.Harness.default_cluster ~widths:spec.widths
-    with
-    | Ok (_, results) -> results
-    | Error e -> raise (Datacutter.Supervisor.Run_failed e)
+  let _, results =
+    Datacutter.Supervisor.ok_exn
+      (Apps.Harness.run_compiled ?backend ~batch:spec.batch compiled
+         ~cluster:Apps.Harness.default_cluster ~widths:spec.widths)
   in
   let reference = Compile.run_reference compiled in
   let extract l =

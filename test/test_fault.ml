@@ -8,9 +8,7 @@ open Datacutter
 
 (* Run on a backend via the unified API, raising on failure. *)
 let run_exn backend ?faults ?policy topo =
-  match Runtime.run_result ~backend ?faults ?policy topo with
-  | Ok m -> m
-  | Error e -> raise (Supervisor.Run_failed e)
+  Supervisor.ok_exn (Runtime.run_result ~backend ?faults ?policy topo)
 
 let buffer_of_string packet s =
   Filter.make_buffer ~packet (Bytes.of_string s)
@@ -491,7 +489,7 @@ let test_par_barrier_own_queue_full () =
           on_fail = ignore;
         },
         {
-          Par_runtime.depth = Proc_runtime.max_inflight;
+          Par_runtime.depth = Plan.max_inflight;
           send =
             (fun items ->
               Unix.sleepf 0.005;

@@ -5,16 +5,6 @@ module A = Alcotest
 open Core
 module H = Apps.Harness
 
-(* Run on the simulator via the unified API, raising on failure. *)
-let sim_run topo =
-  match Datacutter.Runtime.run_result topo with
-  | Ok m -> m
-  | Error e -> raise (Datacutter.Supervisor.Run_failed e)
-
-let cell = function
-  | Ok v -> v
-  | Error e -> raise (Datacutter.Supervisor.Run_failed e)
-
 let tiny_knn = H.knn_app Apps.Knn.tiny
 
 let test_pipeline_for_scales_power () =
@@ -58,7 +48,9 @@ let test_configurations () =
     H.configurations
 
 let test_run_cell_returns_results () =
-  let t, bytes, results, c = cell (H.run_cell ~widths:[| 1; 1; 1 |] tiny_knn) in
+  let t, bytes, results, c =
+    Datacutter.Supervisor.ok_exn (H.run_cell ~widths:[| 1; 1; 1 |] tiny_knn)
+  in
   A.(check bool) "positive makespan" true (t > 0.0);
   A.(check bool) "bytes moved" true (bytes > 0.0);
   A.(check bool) "result present" true (List.mem_assoc "result" results);
@@ -73,7 +65,8 @@ let test_layout_modes_same_results () =
   in
   let run mode =
     let _, _, results, _ =
-      cell (H.run_cell ~layout_mode:mode ~widths:[| 2; 2; 1 |] tiny_knn)
+      Datacutter.Supervisor.ok_exn
+        (H.run_cell ~layout_mode:mode ~widths:[| 2; 2; 1 |] tiny_knn)
     in
     dists results
   in
@@ -105,7 +98,8 @@ let test_replan_moves_work_with_bandwidth () =
     (c'.Compile.assignment.(foreach_idx) > 1);
   (* the replanned pipeline still computes the right answer *)
   let _, results =
-    cell (H.run_compiled c' ~cluster:H.default_cluster ~widths:[| 1; 1; 1 |])
+    Datacutter.Supervisor.ok_exn
+      (H.run_compiled c' ~cluster:H.default_cluster ~widths:[| 1; 1; 1 |])
   in
   let dists v = List.map (fun (d, _, _, _) -> d) (Apps.Knn.knn_result v) in
   A.(check (list (float 1e-12))) "replanned result correct"
@@ -189,43 +183,37 @@ let test_four_stage_pipeline_end_to_end () =
   let cfg = Apps.Knn.tiny in
   let app = H.knn_app cfg in
   let c = H.compile ~widths:[| 2; 2; 2; 1 |] app in
-  let cluster = H.default_cluster in
-  let topo, results =
-    Core.Codegen.build_topology c.Compile.plan ~widths:[| 2; 2; 2; 1 |]
-      ~powers:(H.node_powers cluster [| 2; 2; 2; 1 |])
-      ~bandwidths:(Array.make 3 cluster.H.bandwidth)
-      ~latency:cluster.H.latency ()
+  let _, results =
+    Datacutter.Supervisor.ok_exn
+      (H.run_compiled c ~cluster:H.default_cluster ~widths:[| 2; 2; 2; 1 |])
   in
-  ignore (sim_run topo);
   let dists v = List.map (fun (d, _, _, _) -> d) (Apps.Knn.knn_result v) in
   A.(check (list (float 1e-12))) "4-stage correct"
     (List.map (fun (d, _, _, _) -> d) (Apps.Knn.oracle cfg))
-    (dists (List.assoc "result" (results ())))
+    (dists (List.assoc "result" results))
 
 let test_two_stage_pipeline_end_to_end () =
   (* and a minimal one (2 units: data host + viewing desktop) *)
   let cfg = Apps.Knn.tiny in
   let app = H.knn_app cfg in
   let c = H.compile ~widths:[| 2; 1 |] app in
-  let cluster = H.default_cluster in
-  let topo, results =
-    Core.Codegen.build_topology c.Compile.plan ~widths:[| 2; 1 |]
-      ~powers:(H.node_powers cluster [| 2; 1 |])
-      ~bandwidths:(Array.make 1 cluster.H.bandwidth)
-      ~latency:cluster.H.latency ()
+  let _, results =
+    Datacutter.Supervisor.ok_exn
+      (H.run_compiled c ~cluster:H.default_cluster ~widths:[| 2; 1 |])
   in
-  ignore (sim_run topo);
   let dists v = List.map (fun (d, _, _, _) -> d) (Apps.Knn.knn_result v) in
   A.(check (list (float 1e-12))) "2-stage correct"
     (List.map (fun (d, _, _, _) -> d) (Apps.Knn.oracle cfg))
-    (dists (List.assoc "result" (results ())))
+    (dists (List.assoc "result" results))
 
 let test_ragged_packet_distribution () =
   (* 5 packets over 2 source copies: one copy takes 3, results must not
      depend on the uneven split *)
   let cfg = { Apps.Knn.tiny with Apps.Knn.num_packets = 5 } in
   let app = H.knn_app cfg in
-  let _, _, results, _ = cell (H.run_cell ~widths:[| 2; 2; 1 |] app) in
+  let _, _, results, _ =
+    Datacutter.Supervisor.ok_exn (H.run_cell ~widths:[| 2; 2; 1 |] app)
+  in
   let dists v = List.map (fun (d, _, _, _) -> d) (Apps.Knn.knn_result v) in
   A.(check (list (float 1e-12))) "ragged split correct"
     (List.map (fun (d, _, _, _) -> d) (Apps.Knn.oracle cfg))

@@ -10,9 +10,7 @@ module V = Lang.Value
 
 (* Run on the simulator via the unified API, raising on failure. *)
 let sim_run topo =
-  match Datacutter.Runtime.run_result topo with
-  | Ok m -> m
-  | Error e -> raise (Datacutter.Supervisor.Run_failed e)
+  Datacutter.Supervisor.ok_exn (Datacutter.Runtime.run_result topo)
 
 module H = Apps.Harness
 
@@ -30,9 +28,8 @@ let compile_iso ?strategy ~variant cfg =
    [Harness.run_compiled] on the calibrated cluster, raising on
    failure. *)
 let run ?backend c ~widths =
-  match H.run_compiled ?backend c ~cluster:H.default_cluster ~widths with
-  | Ok r -> r
-  | Error e -> raise (Datacutter.Supervisor.Run_failed e)
+  Datacutter.Supervisor.ok_exn
+    (H.run_compiled ?backend c ~cluster:H.default_cluster ~widths)
 
 let float_list = A.(list (float 1e-9))
 

@@ -260,9 +260,7 @@ let buffer_of packet n = Filter.make_buffer ~packet (Bytes.make n 'x')
 
 (* Run on a backend via the unified API, raising on failure. *)
 let run_exn backend ?queue_capacity topo =
-  match Runtime.run_result ~backend ?queue_capacity topo with
-  | Ok m -> m
-  | Error e -> raise (Supervisor.Run_failed e)
+  Supervisor.ok_exn (Runtime.run_result ~backend ?queue_capacity topo)
 
 let counting_source ?(cost = 10.0) ?(size = 8) n _copy =
   let i = ref 0 in
@@ -506,12 +504,10 @@ let test_runtimes_emit_spans () =
   (* Batched or not, every sim transfer is one [xfer] span with one flow
      arrow. *)
   Obs.Trace.clear ();
-  (match
-     Runtime.run_result ~backend:Runtime.Sim ~stage_batch:[| 8; 8; 1 |]
-       (topo3 ~n ~widths:(1, 1, 1) ())
-   with
-  | Ok _ -> ()
-  | Error e -> raise (Supervisor.Run_failed e));
+  ignore
+    (Supervisor.ok_exn
+       (Runtime.run_result ~backend:Runtime.Sim ~stage_batch:[| 8; 8; 1 |]
+          (topo3 ~n ~widths:(1, 1, 1) ())));
   let evs = Obs.Trace.events () in
   let links =
     List.filter_map
@@ -712,15 +708,14 @@ let test_sim_sampler_determinism () =
      topology produce bit-identical series: same row count, timestamps
      at exact interval multiples, same values *)
   let run () =
-    match
-      Runtime.run_result ~backend:Runtime.Sim ~metrics_interval_s:0.01
-        (topo3 ~n:40 ())
-    with
-    | Ok m -> (
-        match m.Engine.timeseries with
-        | Some ts -> ts
-        | None -> A.fail "sim run with an interval must carry a timeseries")
-    | Error e -> raise (Supervisor.Run_failed e)
+    let m =
+      Supervisor.ok_exn
+        (Runtime.run_result ~backend:Runtime.Sim ~metrics_interval_s:0.01
+           (topo3 ~n:40 ()))
+    in
+    match m.Engine.timeseries with
+    | Some ts -> ts
+    | None -> A.fail "sim run with an interval must carry a timeseries"
   in
   let a = run () in
   let b = run () in

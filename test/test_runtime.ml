@@ -5,10 +5,7 @@ module A = Alcotest
 open Datacutter
 
 (* Unified-runtime helpers: run on a backend, raising on failure. *)
-let run_exn backend topo =
-  match Runtime.run_result ~backend topo with
-  | Ok m -> m
-  | Error e -> raise (Supervisor.Run_failed e)
+let run_exn backend topo = Supervisor.ok_exn (Runtime.run_result ~backend topo)
 
 let sim_run topo = run_exn Runtime.Sim topo
 let par_run topo = run_exn Runtime.Par topo

@@ -158,19 +158,8 @@ let test_close_while_spilled_domains () =
   Spill.remove_dir dir
 
 (* ------------------------------------------------------------------ *)
-(* Budget planning and exit codes.                                    *)
+(* Exit codes.                                                        *)
 (* ------------------------------------------------------------------ *)
-
-let test_plan_queue_budgets () =
-  let b =
-    Engine.plan_queue_budgets ~total:9000
-      ~item_bytes:[| 800.0; 100.0; 1.0 |]
-      ~widths:[| 1; 1; 1 |]
-  in
-  A.(check int) "source has no input queue" 0 b.(0);
-  A.(check bool) "heavier stream gets more" true (b.(1) > b.(2));
-  A.(check bool) "positive budgets" true (b.(1) > 0 && b.(2) > 0);
-  A.(check bool) "within total" true (b.(1) + b.(2) <= 9000)
 
 let test_exit_codes () =
   let open Supervisor in
@@ -359,12 +348,12 @@ let test_iso_cached_run_matches_analytic () =
   let module H = Apps.Harness in
   let cfg = Apps.Isosurface.tiny in
   let run app =
-    match H.run_cell ~widths:[| 1; 1; 1 |] app with
-    | Ok (_, _, results, _) ->
-        List.map
-          (fun (n, v) -> (n, Apps.Isosurface.zbuffer_arrays v))
-          (List.filter (fun (n, _) -> n = "zfinal") results)
-    | Error e -> raise (Supervisor.Run_failed e)
+    let _, _, results, _ =
+      Supervisor.ok_exn (H.run_cell ~widths:[| 1; 1; 1 |] app)
+    in
+    List.map
+      (fun (n, v) -> (n, Apps.Isosurface.zbuffer_arrays v))
+      (List.filter (fun (n, _) -> n = "zfinal") results)
   in
   let analytic = run (H.iso_app ~variant:`Zbuffer cfg) in
   let cached =
@@ -401,7 +390,6 @@ let () =
             ] );
           ( "budgets and exit codes",
             [
-              A.test_case "plan_queue_budgets" `Quick test_plan_queue_budgets;
               A.test_case "exit codes" `Quick test_exit_codes;
             ] );
           ( "dataset",
