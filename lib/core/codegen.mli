@@ -50,6 +50,10 @@ val segments_of_unit : plan -> int -> Boundary.segment list
 (** Reduction globals held as partial state by unit [u]'s segments. *)
 val reduc_updated : plan -> int -> Set.Make(String).t
 
+(** Operations charged for passing a buffer of that many bytes through
+    a unit that hosts no segment. *)
+val forward_cost : int -> float
+
 (** The data-source filter for unit 1; copy [k] of [width] handles the
     packets congruent to k modulo width (declustered data nodes). *)
 val make_source : plan -> width:int -> int -> Filter.source

@@ -186,6 +186,7 @@ let pp_plan ppf (t, p) =
         (String.concat " "
            (Array.to_list (Array.map string_of_int b)))
   | None -> ());
+  Fmt.pf ppf "  credit window: %d@\n" p.pl_plan.inflight;
   let asg = p.pl_decompose.Decompose.assignment in
   Fmt.pf ppf "  measured-profile decomposition (%d segments on %d units): %a@\n"
     (Array.length asg) m Costmodel.pp_assignment asg

@@ -98,4 +98,4 @@ val plan : ?batch_cap:int -> ?mem_budget:int -> budget:int -> t -> plan
 
 val pp_plan : Format.formatter -> t * plan -> unit
 (** Human-readable summary: measured service table, re-planned widths,
-    batch caps and budgets. *)
+    batch caps, budgets and credit window. *)

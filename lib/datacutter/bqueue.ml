@@ -1,6 +1,7 @@
-(* Bounded blocking queue (mutex + condition variables).  Producers
-   block on a full queue, consumers on an empty one; both report the
-   seconds they spent blocked so the runtime can account stalls.
+(* Bounded blocking queue (a mutex and two [Sched] condition variables,
+   so a waiter is a thread or a fiber).  Producers block on a full
+   queue, consumers on an empty one; both report the seconds they spent
+   blocked so the runtime can account stalls.
 
    Batch-aware: [push_all]/[pop_all] move a whole batch under one lock
    acquisition and one wakeup, so a batched hot path pays the
@@ -92,8 +93,8 @@ type 'a t = {
   back : 'a Queue.t; (* in-memory buffer behind the disk segments *)
   segs : (string * int * int) Queue.t; (* (path, items, bytes), FIFO *)
   mutex : Mutex.t;
-  not_empty : Condition.t;
-  not_full : Condition.t;
+  not_empty : Sched.cond;
+  not_full : Sched.cond;
   capacity : int;
   stop : bool Atomic.t;
   cost : 'a -> int;
@@ -119,8 +120,8 @@ let create ?(cost = fun _ -> 0) ?spill ~stop capacity =
     back = Queue.create ();
     segs = Queue.create ();
     mutex = Mutex.create ();
-    not_empty = Condition.create ();
-    not_full = Condition.create ();
+    not_empty = Sched.cond ();
+    not_full = Sched.cond ();
     capacity;
     stop;
     cost;
@@ -142,8 +143,8 @@ let create ?(cost = fun _ -> 0) ?spill ~stop capacity =
 let enqueued q n =
   if n > 0 then begin
     Obs.Hist.observe q.occupancy (float_of_int (Queue.length q.items));
-    if n = 1 then Condition.signal q.not_empty
-    else Condition.broadcast q.not_empty
+    if n = 1 then Sched.signal q.not_empty
+    else Sched.broadcast q.not_empty
   end
 
 let dequeued q n =
@@ -153,8 +154,8 @@ let dequeued q n =
     (* After close no pusher can ever enter a wait again — they fail
        fast — so a [not_full] wakeup would only be noise. *)
     if not q.closed then
-      if n = 1 then Condition.signal q.not_full
-      else Condition.broadcast q.not_full
+      if n = 1 then Sched.signal q.not_full
+      else Sched.broadcast q.not_full
   end
 
 let charge q c =
@@ -250,7 +251,7 @@ let push_gen ~bounded q x =
         && (not (Atomic.get q.stop))
         && not q.closed
       do
-        Condition.wait q.not_full q.mutex
+        Sched.wait q.not_full q.mutex
       done
   | _ -> ());
   check_stop q;
@@ -318,7 +319,7 @@ let push_all q xs =
                   && (not (Atomic.get q.stop))
                   && not q.closed
                 do
-                  Condition.wait q.not_full q.mutex
+                  Sched.wait q.not_full q.mutex
                 done;
                 check_stop q;
                 if q.closed then begin
@@ -346,7 +347,7 @@ let pop q =
   let t0 = Obs.Clock.elapsed_s () in
   Mutex.lock q.mutex;
   while logically_empty q && (not (Atomic.get q.stop)) && not q.closed do
-    Condition.wait q.not_empty q.mutex
+    Sched.wait q.not_empty q.mutex
   done;
   check_stop q;
   (* Closed but non-empty: keep draining — close never drops an
@@ -374,7 +375,7 @@ let pop_all q ~max:cap =
     let t0 = Obs.Clock.elapsed_s () in
     Mutex.lock q.mutex;
     while logically_empty q && (not (Atomic.get q.stop)) && not q.closed do
-      Condition.wait q.not_empty q.mutex
+      Sched.wait q.not_empty q.mutex
     done;
     check_stop q;
     if logically_empty q then begin
@@ -399,8 +400,8 @@ let close q =
   Mutex.lock q.mutex;
   if not q.closed then begin
     q.closed <- true;
-    Condition.broadcast q.not_empty;
-    Condition.broadcast q.not_full
+    Sched.broadcast q.not_empty;
+    Sched.broadcast q.not_full
   end;
   Mutex.unlock q.mutex
 
@@ -427,8 +428,8 @@ let try_pop q =
 
 let wake q =
   Mutex.lock q.mutex;
-  Condition.broadcast q.not_empty;
-  Condition.broadcast q.not_full;
+  Sched.broadcast q.not_empty;
+  Sched.broadcast q.not_full;
   Mutex.unlock q.mutex
 
 let stats q =

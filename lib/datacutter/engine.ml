@@ -765,9 +765,13 @@ let timed_call t (c : copy) ~name f =
   set_lifecycle c st_computing;
   let t0 = exec.exec_now () in
   Atomic.set c.call_start t0;
+  (* a fiber's time yielded to its host's siblings is not its service *)
+  let y0 = Sched.yielded_s () in
   let finish () =
     let t1 = exec.exec_now () in
-    note_busy t c (t1 -. t0);
+    let dy = Sched.yielded_s () -. y0 in
+    let busy = if dy > 0.0 then t1 -. t0 -. dy else t1 -. t0 in
+    note_busy t c busy;
     if t.tracing then
       Obs.Trace.emit
         (Obs.Trace.Span
@@ -782,7 +786,7 @@ let timed_call t (c : copy) ~name f =
     set_lifecycle c st_idle;
     note_progress t;
     match t.pol.Supervisor.call_budget_s with
-    | Some b when t1 -. t0 > b ->
+    | Some b when busy > b ->
         bump t (fun r -> r.Supervisor.budget_exceeded <- r.budget_exceeded + 1)
     | _ -> ()
   in

@@ -1,9 +1,9 @@
 (* Domain backend of the filter-stream engine, and the copy driver the
    process backend shares (see the .mli).  Protocol decisions come from
-   [Engine]; this file only schedules: every copy a thread, on the
-   calling domain or on a spawned one (see [runner]), over bounded
-   blocking queues ([Bqueue]), the executor's [send] a blocking push,
-   [`Retry of delay] a real sleep preceded by retention-ring replay
+   [Engine]; this file only schedules: every copy a fiber on a host or
+   a runner of its own (see the runners below), over bounded blocking
+   queues ([Bqueue]), the executor's [send] a blocking push,
+   [`Retry of delay] a [Sched.sleep] preceded by retention-ring replay
    into a fresh executor.  The one message this driver adds to the item
    protocol is [Release], the intra-stage end-of-drain token: the copy
    completing the stage barrier pushes it into every sibling queue;
@@ -59,17 +59,7 @@ type placement = Local | Remote_source of source | Remote_filter of calls * link
 let slow_down (cs : Engine.copy) ~since =
   let elapsed = Obs.Clock.elapsed_s () -. since in
   let extra = Fault.extra_delay cs.Engine.fstate ~elapsed in
-  if extra > 0.0 then Unix.sleepf extra
-
-(* Threads for waiting, domains for computing, and no more domains than
-   cores.  Every minor collection stops every domain, so a domain that
-   merely waits would still be stopped, and its minor heap would count
-   against the process.  Remote copies and the monitor only wait: they
-   are threads on the calling domain, and each [Local] copy of a run
-   with remote copies, like each elastic copy, gets a domain.  An
-   all-[Local] run packs its copies onto [hosts].  A runner's [join]
-   returns once every copy it [hosted] has exited. *)
-type runner = { hosted : (int * int) list; join : unit -> unit }
+  if extra > 0.0 then Sched.sleep extra
 
 (* The host of each planned copy of an all-[Local] run: the copy at
    position [i] of [n], in pipeline order, goes to host
@@ -87,6 +77,7 @@ let drive eng ~backend ?(place = fun _ -> Local) ?(teardown = ignore)
   let policy = Engine.policy eng in
   let n_stages = Engine.n_stages eng in
   let stop = Engine.stop_flag eng in
+  let exits = Sched.event () in
   (* One run-scoped spill dir when the run is budgeted; removed on
      every exit path (success and structured failure). *)
   let budgeted = n_stages > 1 && Engine.queue_budget eng ~stage:1 <> None in
@@ -126,12 +117,16 @@ let drive eng ~backend ?(place = fun _ -> Local) ?(teardown = ignore)
           in
           Engine.set_lifecycle src Engine.st_idle;
           Engine.note_progress eng;
-          Engine.note_stall_push eng src blocked);
+          Engine.note_stall_push eng src blocked;
+          Sched.tick ());
       exec_queue_stats =
         (fun ~stage ~copy ->
           if stage = 0 then Bqueue.no_stats
           else Bqueue.stats queues.(stage).(copy));
-      exec_wake = (fun () -> Array.iter (Array.iter Bqueue.wake) queues);
+      exec_wake =
+        (fun () ->
+          Array.iter (Array.iter Bqueue.wake) queues;
+          Sched.notify exits);
     };
   let abort_raise err = Engine.abort eng err; raise Bqueue.Aborted in
   let ok = function Ok () -> () | Error e -> abort_raise e in
@@ -172,7 +167,7 @@ let drive eng ~backend ?(place = fun _ -> Local) ?(teardown = ignore)
       match Engine.on_crash eng cs with
       | `Give_up -> raise e
       | `Retry delay ->
-          if delay > 0.0 then Unix.sleepf delay;
+          Sched.sleep delay;
           attempt ~on_fail ~restart true op
     in
     let supervised ?(on_fail = ignore) ?(restart = ignore) name op =
@@ -499,7 +494,7 @@ let drive eng ~backend ?(place = fun _ -> Local) ?(teardown = ignore)
               None)
   in
 
-  let wrapped_body s k placement () =
+  let body (s, k, placement) () =
     let cs = Engine.copy_at eng ~stage:s ~copy:k in
     (try copy_body s k placement with
     | Bqueue.Aborted | Bqueue.Closed -> ()
@@ -514,52 +509,35 @@ let drive eng ~backend ?(place = fun _ -> Local) ?(teardown = ignore)
                error = "unexpected runtime error: " ^ Printexc.to_string e;
              }));
     Engine.set_lifecycle cs Engine.st_done;
-    Engine.mark_exited cs
+    Engine.mark_exited cs;
+    Sched.notify exits
   in
 
-  (* A runner's copies are threads on the calling domain (host 0), or
-     on a domain it spawns (host h > 0), which runs a lone copy on its
-     own thread: a domain that starts no thread pays nothing for
-     systhreads (a lone copy served iso-par 7% faster).  [mu] guards
-     the hosts, for the "runners" section, and the elastic runners. *)
+  (* Threads for waiting, domains for computing, and no more domains
+     than cores: every minor collection stops every domain, so a domain
+     that merely waits would still be stopped.  An all-[Local] run packs
+     its copies as fibers onto [hosts] (host 0 a thread of the calling
+     domain), and an elastic copy becomes a fiber on the least-loaded
+     host.  A run with a remote copy gives each copy a runner of its
+     own: a thread on the calling domain for a remote copy, which only
+     waits, and a domain for a [Local] one.  A runner pairs the copies
+     it hosts with its join; [mu] guards the hosts, for the "runners"
+     section, and the elastic runners. *)
   let mu = Mutex.create () in
   let ran_on = ref [] and n_domains = ref 1 and elastic = ref [] in
-  let start spawn copies =
-    Mutex.protect mu (fun () ->
-        let h = if spawn then (incr n_domains; !n_domains - 1) else 0 in
-        List.iter (fun (s, k, _) -> ran_on := (s, k, h) :: !ran_on) copies);
-    let threads =
-      List.map (fun (s, k, p) -> Thread.create (wrapped_body s k p) ())
-    in
-    let join =
-      if spawn then
-        let d =
-          Domain.spawn (fun () ->
-              match copies with
-              | [ (s, k, p) ] -> wrapped_body s k p ()
-              | _ -> List.iter Thread.join (threads copies))
-        in
-        fun () -> Domain.join d
-      else
-        let ts = threads copies in
-        fun () -> List.iter Thread.join ts
-    in
-    { hosted = List.map (fun (s, k, _) -> (s, k)) copies; join }
+  let record h (s, k, _) =
+    Mutex.protect mu (fun () -> ran_on := (s, k, h) :: !ran_on)
   in
   let local = function _, _, Local -> true | _ -> false in
-  let own c = start (local c) [ c ] in
-  (* Elastic spawns: one more runner over the ordinary copy body, a
-     domain for a [Local] copy.  The engine made the copy a routable
-     member before returning [`Spawned], so it may find items already
-     queued.  A retired copy keeps running its own driver and drains
-     its queue by itself. *)
-  let spawn_elastic stage copy =
-    let r = own (stage, copy, place (Engine.copy_at eng ~stage ~copy)) in
-    Mutex.protect mu (fun () -> elastic := r :: !elastic)
+  let own ((s, k, _) as c) =
+    let h =
+      if local c then Mutex.protect mu (fun () -> incr n_domains; !n_domains - 1)
+      else 0
+    in
+    record h c;
+    ( (fun () -> [ (s, k) ]),
+      (if h > 0 then Sched.domain else Sched.thread) (body c) )
   in
-  (* Every planned placement is known before any copy starts: a run
-     with a remote copy gives every copy its own runner, in pipeline
-     order, and an all-[Local] run packs its copies onto [hosts]. *)
   let planned =
     List.concat
       (List.init n_stages (fun s ->
@@ -567,14 +545,32 @@ let drive eng ~backend ?(place = fun _ -> Local) ?(teardown = ignore)
                (s, k, place (Engine.copy_at eng ~stage:s ~copy:k)))))
   in
   let t0 = Obs.Clock.elapsed_s () in
-  let runners =
-    if not (List.for_all local planned) then List.map own planned
-    else
-      match hosts planned with
-      | caller :: spawned ->
-          let domains = List.map (start true) spawned in
-          start false caller :: domains
-      | [] -> []
+  let pool, runners =
+    if not (List.for_all local planned) then (None, List.map own planned)
+    else begin
+      let hs = hosts planned in
+      n_domains := List.length hs;
+      List.iteri (fun h cs -> List.iter (record h) cs) hs;
+      let pool, rs = Sched.hosts (List.map (List.map body) hs) in
+      let on h () =
+        Mutex.protect mu (fun () ->
+            List.filter_map
+              (fun (s, k, h') -> if h' = h then Some (s, k) else None)
+              !ran_on)
+      in
+      (Some pool, List.mapi (fun h r -> (on h, r)) rs)
+    end
+  in
+  (* The engine made an elastic copy a routable member before returning
+     [`Spawned], so it may find items already queued.  A retired copy
+     keeps running its own driver and drains its queue by itself. *)
+  let spawn_elastic stage copy =
+    let c = (stage, copy, place (Engine.copy_at eng ~stage ~copy)) in
+    match pool with
+    | Some pool -> record (Sched.spawn pool (body c)) c
+    | None ->
+        let r = own c in
+        Mutex.protect mu (fun () -> elastic := r :: !elastic)
   in
   (* One monitor thread runs every armed periodic check — watchdog,
      sampler, autoscaler — each once its own period has passed: it
@@ -631,60 +627,36 @@ let drive eng ~backend ?(place = fun _ -> Local) ?(teardown = ignore)
   let monitor =
     match checks with [] -> None | _ -> Some (Thread.create monitor ())
   in
-  (* Join runners, each once every copy it hosts has exited.  Once the
-     run is aborting, a copy stuck inside filter code cannot be
-     interrupted: poll the exit flags for a grace period and leak the
-     runner rather than hang the caller forever. *)
-  let join_runner r =
-    let stuck () =
-      List.filter
-        (fun (s, k) ->
-          not (Atomic.get (Engine.copy_at eng ~stage:s ~copy:k).Engine.exited))
-        r.hosted
-    in
-    let rec wait deadline =
-      if stuck () = [] then r.join ()
-      else if Engine.aborting eng then begin
-        let deadline =
-          match deadline with
-          | Some t -> t
-          | None -> Obs.Clock.elapsed_s () +. 1.0
-        in
-        if Obs.Clock.elapsed_s () > deadline then
+  (* Wait until every copy has exited.  Once the run is aborting, a
+     copy stuck inside filter code cannot be interrupted: give it a
+     grace second, then leak its runner (with a fiber host, the whole
+     host) rather than hang the caller forever.  No copy is spawned
+     once every copy has exited, nor after the monitor is joined. *)
+  let exited () = Engine.all_exited eng in
+  Sched.await exits (fun () -> exited () || Engine.aborting eng);
+  let deadline = Obs.Clock.elapsed_s () +. 1.0 in
+  while (not (exited ())) && Obs.Clock.elapsed_s () < deadline do
+    Unix.sleepf 0.002
+  done;
+  Option.iter Thread.join monitor;
+  Option.iter Sched.close pool;
+  List.iter
+    (fun (hosted, r) ->
+      match
+        List.filter
+          (fun (s, k) ->
+            not (Atomic.get (Engine.copy_at eng ~stage:s ~copy:k).Engine.exited))
+          (hosted ())
+      with
+      | [] -> Sched.join r
+      | stuck ->
           List.iter
             (fun (s, k) ->
               Logs.warn (fun m ->
                   m "leaking stuck filter copy %s"
                     (Topology.copy_label (Engine.topology eng) ~stage:s ~copy:k)))
-            (stuck ())
-        else begin
-          Unix.sleepf 0.002;
-          wait (Some deadline)
-        end
-      end
-      else begin Unix.sleepf 0.001; wait deadline end
-    in
-    wait None
-  in
-  List.iter join_runner runners;
-  (* Elastic runners may still be added while the planned ones are
-     being joined; once the planned copies have all exited the whole
-     pipeline has drained and spawns are refused, so the list drains
-     in a bounded number of rounds. *)
-  let rec join_elastic () =
-    let ds =
-      Mutex.protect mu (fun () ->
-          let ds = !elastic in
-          elastic := [];
-          ds)
-    in
-    if ds <> [] then begin
-      List.iter join_runner ds;
-      join_elastic ()
-    end
-  in
-  join_elastic ();
-  Option.iter Thread.join monitor;
+            stuck)
+    (runners @ !elastic);
   (* Graceful queue close: leaked stuck copies (abort path) wake with
      [Closed] instead of blocking forever. *)
   Array.iter (Array.iter Bqueue.close) queues;

@@ -2,23 +2,24 @@
     execution on OCaml 5 domains, and the copy driver {!Proc_runtime}
     runs too.
 
-    Each copy runs as a systhread, and no more domains than cores
-    take part: the calling domain, which runs the sink, plus at most
-    nproc - 1 spawned ones; streams are bounded blocking queues
-    ({!Bqueue}, backpressure like DataCutter's fixed buffer pool).  The
-    protocol — routing, the EOS drain barrier, retry / retire /
-    re-route, recovery and stall accounting — lives in {!Engine}; this
-    module is the scheduler: a thread per copy on a fixed set of
-    domains, a blocking push as the executor's [send], real sleeps for
+    No more domains than cores take part: the calling domain, which
+    runs the sink, plus at most nproc - 1 spawned ones.  On each, the
+    copies run as effect fibers ({!Sched}); streams are bounded
+    blocking queues ({!Bqueue}, backpressure like DataCutter's fixed
+    buffer pool).  The protocol — routing, the EOS drain barrier, retry
+    / retire / re-route, recovery and stall accounting — lives in
+    {!Engine}; this module is the scheduler: copies on a fixed set of
+    hosts, a blocking push as the executor's [send], {!Sched.sleep} for
     backoff, and retention-ring replay (outputs suppressed) to rebuild
-    a crashed copy's state before re-attempting the failed call.  Whole-stage
-    death aborts with {!Supervisor.Stage_dead}; the optional watchdog
-    ({!Engine.watchdog_check}) aborts no-progress runs with
-    {!Supervisor.Stalled}.
+    a crashed copy's state before re-attempting the failed call.
+    Whole-stage death aborts with {!Supervisor.Stage_dead}; the
+    optional watchdog ({!Engine.watchdog_check}) aborts no-progress runs
+    with {!Supervisor.Stalled}.
 
     Every stream records its occupancy after each push, and both sides
     measure the seconds spent blocked (producers on a full queue,
-    consumers on an empty one) into the engine's stall grids.
+    consumers on an empty one) into the engine's stall grids.  A copy's
+    busy time excludes the time it spent yielded to a sibling fiber.
 
     One monitor thread runs the armed periodic checks on the real
     clock — the watchdog, the time-series sampler and the autoscaler
@@ -37,21 +38,25 @@
     keeps queues, supervision, replay, retirement and the drain barrier
     for every copy either way.
 
-    Threads for waiting, domains for computing, no more domains than
+    Fibers for waiting, domains for computing, no more domains than
     cores.  Every minor collection stops every domain, so a domain that
     only waits would still be stopped.  When every planned copy is
-    {!Local}, the copies run as systhreads on
+    {!Local}, the copies run as fibers on
     D = min ([Domain.recommended_domain_count ()], planned copies)
-    hosts: host 0 is the calling domain, hosts 1 … D−1 are spawned (a
-    spawned host with one copy runs it on the domain's own thread).
-    Listed in pipeline order (stage, copy), the copy at position i of
-    n goes to host (n − 1 − i) mod D.  So the sink stays on the calling
-    domain, neighbouring copies land on different domains when D ≥ 2,
-    and at D = n every copy but the sink has a domain of its own.  A
-    run with a remote copy drives its remote copies as systhreads on
-    the calling domain, as it does the monitor, and gives each
-    {!Local} copy a domain; so does an elastic copy.  The metrics'
-    ["runners"] section says where each copy ran. *)
+    hosts ({!Sched.hosts}): host 0 is a thread of the calling domain,
+    hosts 1 … D−1 are spawned domains, and no host starts a thread, so
+    joining a domain never waits for a systhread tick.  Listed in
+    pipeline order (stage, copy), the copy at position i of n goes to
+    host (n − 1 − i) mod D.  So the sink stays on the calling domain,
+    neighbouring copies land on different domains when D ≥ 2, and at
+    D = n every copy but the sink has a domain of its own.  An elastic
+    copy becomes a fiber on the host with the fewest unfinished
+    fibers.  The interpreter yields at loop back-edges and the driver
+    after each send, each at most once per millisecond of a fiber's
+    run ({!Sched.tick}).  A run with a remote copy keeps systhreads: it
+    drives each remote copy as a thread on the calling domain, as it
+    does the monitor, and gives each {!Local} copy a domain.  The
+    metrics' ["runners"] section says where each copy ran. *)
 
 (** A filter copy's callbacks as round trips. *)
 type calls = {
@@ -87,8 +92,9 @@ type link = {
 
 type placement =
   | Local
-      (** callbacks run on the copy's driver, a systhread on one of
-          the run's domains (see above) *)
+      (** callbacks run on the copy's driver, a fiber on one of the
+          run's hosts, or a domain of its own in a run with a remote
+          copy (see above) *)
   | Remote_source of source
   | Remote_filter of calls * link
       (** Data items travel through the credit window over the link;
@@ -111,12 +117,12 @@ val drive :
   ?extra:(unit -> (string * Obs.Json.t) list) ->
   unit ->
   (Engine.metrics, Supervisor.run_error) result
-(** Run [eng] to completion: one driver thread per copy, placed as
-    above (an all-{!Local} run packs its copies onto at most nproc
-    domains, the calling one included), one
-    monitor thread when a watchdog, sampler or autoscaler is armed —
-    it sleeps the smallest armed period and runs each check once its
-    own period has passed — then the joins.
+(** Run [eng] to completion: one driver per copy, placed as above (an
+    all-{!Local} run packs its copies as fibers onto at most nproc
+    domains, the calling one included), one monitor thread when a
+    watchdog, sampler or autoscaler is armed — it sleeps the smallest
+    armed period and runs each check once its own period has passed —
+    then a blocking wait until every copy has exited, and the joins.
     Queue capacity, budgets, batch caps and the sampling period come
     from [eng].
     [place] (default every copy {!Local}) is asked once per copy: for
@@ -126,7 +132,9 @@ val drive :
     every driver has joined and the queues are closed, before the wall
     clock stops; [extra] adds metrics sections after ["runners"]:
     [domains], the calling domain plus every domain spawned, and
-    [copies], each copy's host by label, ["caller"] for a thread on the
-    calling domain or the index (from 1) of its spawned domain.
-    Once the run aborts, a runner whose copy is stuck in filter code
-    is waited for one second and then leaked. *)
+    [copies], each copy's host by label, ["caller"] for host 0 or a
+    thread on the calling domain, or the index (from 1) of its spawned
+    domain.
+    Once the run aborts, a copy stuck in filter code is waited for one
+    second and then its runner is leaked: with fibers, its whole host
+    and every copy on it. *)

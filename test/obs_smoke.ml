@@ -24,7 +24,9 @@
      whose metrics report a window it did not use;
    - the proc rings are sized from the window: --inflight 1 reports 8
      slots and --inflight 16 reports 64, with the occupancy high water
-     within the ring and no frame overflowing to the socket.
+     within the ring and no frame overflowing to the socket;
+   - `cgppc run --replan-from` runs the batch caps and the credit window
+     that `cgppc replan` prints for the same metrics file.
 
    The cgppc binary path arrives as argv(1) from the dune rule. *)
 
@@ -292,6 +294,54 @@ let ring_geometry_leg () =
         (field "overflow_frames" = 0))
     [ (1, 8); (16, 64) ]
 
+(* `cgppc run --replan-from` runs the whole re-planned plan: a proc run
+   fed a measured sim run must report the batch caps and the credit
+   window that `cgppc replan` prints for the same file and options. *)
+let replan_from_leg () =
+  let measured = Filename.concat base "replan-measured.json" in
+  let mj = Filename.concat base "replan-run.json" in
+  let opts = "--batch 8 --mem-budget 4096" in
+  sh
+    (Printf.sprintf "%s run -a streambench --backend sim %s --metrics-json %s"
+       (Filename.quote cgppc) opts (Filename.quote measured))
+    (Filename.concat base "replan-measured.log");
+  let printed = Filename.concat base "replan.log" in
+  sh
+    (Printf.sprintf "%s replan %s %s" (Filename.quote cgppc)
+       (Filename.quote measured) opts)
+    printed;
+  let line prefix =
+    match
+      List.find_opt
+        (fun l -> String.starts_with ~prefix l)
+        (List.map String.trim
+           (String.split_on_char '\n' (read_file printed)))
+    with
+    | Some l ->
+        List.map int_of_string
+          (String.split_on_char ' '
+             (String.trim
+                (String.sub l (String.length prefix)
+                   (String.length l - String.length prefix))))
+    | None -> die "cgppc replan printed no %S line" prefix
+  in
+  let caps = line "batch plan:" and window = line "credit window:" in
+  sh
+    (Printf.sprintf
+       "%s run -a streambench --backend proc %s --replan-from %s \
+        --metrics-json %s"
+       (Filename.quote cgppc) opts (Filename.quote measured)
+       (Filename.quote mj))
+    (Filename.concat base "replan-run.log");
+  let runtime = J.member "runtime" (parse_json mj) in
+  let ran = List.map J.to_int (J.to_list (J.member "batch" runtime)) in
+  (* the sink sends nothing, so the run reports no cap of its own there *)
+  let senders l = List.filteri (fun i _ -> i < List.length l - 1) l in
+  check "--replan-from runs the re-planned batch caps"
+    (senders ran = senders caps);
+  check "--replan-from runs the re-planned credit window"
+    ([ J.to_int (J.member "inflight" (J.member "transport" runtime)) ] = window)
+
 let () =
   J.mkdir_p base;
   let legs = [ "sim"; "par" ] @ if Datacutter.Proc_runtime.available then [ "proc" ] else [] in
@@ -304,7 +354,8 @@ let () =
   analyze_checks doc log;
   if Datacutter.Proc_runtime.available then begin
     no_shm_leg ();
-    ring_geometry_leg ()
+    ring_geometry_leg ();
+    replan_from_leg ()
   end;
   inflight_range_leg ();
   ignore (Sys.command (Printf.sprintf "rm -rf %s" (Filename.quote base)));

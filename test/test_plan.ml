@@ -105,6 +105,24 @@ let test_window_uses_stages () =
   A.(check int) "window of the fastest stage" 2
     (H.inflight_plan c ~cluster:H.default_cluster)
 
+(* vmscope's large query at 2-2-1 puts no segment on the middle stage
+   (decomposition [1; 1; 3]).  That stage forwards the source's items
+   at [Codegen.forward_cost] of their bytes; planned at zero service it
+   took the window's cap, and every proc worker 64 ring slots. *)
+let test_pass_through_window () =
+  let widths = [| 2; 2; 1 |] in
+  let c = H.compile ~widths (H.vmscope_app Apps.Vmscope.large_query) in
+  A.(check bool) "the middle stage hosts no segment" false
+    (Array.exists (fun u -> u = 2) c.Core.Compile.assignment);
+  let p =
+    H.plan_of_profile c.Core.Compile.profile.Core.Profile.profile
+      ~assignment:c.Core.Compile.assignment ~cluster:H.default_cluster ~widths
+  in
+  A.(check bool)
+    (Printf.sprintf "window %d below the cap" p.Plan.inflight)
+    true
+    (p.Plan.inflight < Plan.max_inflight)
+
 (* --- metrics-fed replanning --- *)
 
 let golden = "golden/cli_run_streambench_sim.json"
@@ -204,6 +222,8 @@ let () =
             test_negative_budget_left_to_engine;
           A.test_case "harness window uses stages" `Quick
             test_window_uses_stages;
+          A.test_case "pass-through stage plans its forwarding" `Quick
+            test_pass_through_window;
         ] );
       ( "replan",
         [
