@@ -28,7 +28,8 @@ let tiny =
    stage for real time (a stand-in for a latency-bound remote read), so
    with one planned copy the middle stage is the measured bottleneck —
    and because the cost is waiting, not computing, elastic copies
-   overlap it even on a single-core host. *)
+   overlap it even on a single-core host: the wait is a [Sched.sleep],
+   so a copy running as a fiber lets its host's other copies run. *)
 let misplanned =
   { items = 1_200; item_bytes = 32; work = 8.0; mid_spin = 0;
     mid_block_s = 0.0005 }
@@ -124,7 +125,7 @@ let topology cfg ?dataset ~(widths : int array) ~(powers : float array)
       process =
         (fun b ->
           if cfg.mid_spin > 0 then spin cfg.mid_spin b.Filter.packet;
-          if cfg.mid_block_s > 0.0 then Unix.sleepf cfg.mid_block_s;
+          if cfg.mid_block_s > 0.0 then Sched.sleep cfg.mid_block_s;
           (Some b, cfg.work));
       on_eos = (fun payload -> (payload, 0.0));
       finalize = (fun () -> (None, 0.0));

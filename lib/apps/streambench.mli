@@ -16,8 +16,9 @@ type config = {
           bottleneck on multicore parallel backends *)
   mid_block_s : float;
       (** real seconds the middle stage blocks per item (0 = none), a
-          stand-in for a latency-bound remote read; extra copies overlap
-          the waits even on a single core.  Filters execute for real on
+          stand-in for a latency-bound remote read, slept with
+          {!Datacutter.Sched.sleep}; extra copies overlap the waits even
+          on a single core.  Filters execute for real on
           every backend, including sim — only use with wall-clock
           backends. *)
 }
