@@ -407,7 +407,8 @@ let run file target widths strategy backend cluster_spec trace mjson
     (match backend with
     | Runtime.Par ->
         Fmt.pr "parallel run (%d domains): wall time %.4fs@."
-          (Array.fold_left ( + ) 0 widths)
+          (Obs.Json.to_int
+             (Obs.Json.member "domains" (List.assoc "runners" m.Engine.extra)))
           m.Engine.elapsed_s
     | Runtime.Proc ->
         Fmt.pr "process run (%d filter copies): wall time %.4fs, %.0f \

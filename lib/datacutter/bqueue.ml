@@ -5,12 +5,14 @@
 
    Batch-aware: [push_all]/[pop_all] move a whole batch under one lock
    acquisition and one wakeup, so a batched hot path pays the
-   mutex/condvar round-trip per batch instead of per item.  All
-   enqueue/dequeue paths go through the same two helpers, so occupancy
-   accounting (observed after every mutation) and signalling (never
-   [not_full] after close — pushers can only fail fast then, so the
-   wakeup would be wasted) cannot diverge between the single-item and
-   batched variants.
+   mutex/condvar round-trip per batch instead of per item.  A single
+   item is a batch of one: every push and token goes through [enqueue]
+   and every blocking pop through [pop_all], and these and [try_pop]
+   account through the same two helpers, so occupancy accounting
+   (observed after every mutation) and signalling (never [not_full]
+   after close — pushers can only fail fast then, so the wakeup would
+   be wasted) cannot diverge between the single-item and batched
+   calls.
 
    Byte accounting and spill: every item is charged through a [cost]
    function.  Without a spill config the queue behaves exactly as the
@@ -241,10 +243,11 @@ let maybe_refill q =
           Mutex.unlock q.mutex;
           raise e)
 
-let push_gen ~bounded q x =
-  let t0 = Obs.Clock.elapsed_s () in
-  Mutex.lock q.mutex;
-  (match q.spill with
+(* Wait for room for one more item and return the room, or [max_int]
+   for a push that never waits: one under a spill config, or a token.
+   (Mutex held.) *)
+let room ~bounded q =
+  match q.spill with
   | None when bounded ->
       while
         Queue.length q.items >= q.capacity
@@ -252,149 +255,89 @@ let push_gen ~bounded q x =
         && not q.closed
       do
         Sched.wait q.not_full q.mutex
-      done
-  | _ -> ());
+      done;
+      q.capacity - Queue.length q.items
+  | _ -> max_int
+
+(* Put up to [room] items of a batch, wake consumers once, and return
+   the rest.  (Mutex held.) *)
+let rec put_upto q room n = function
+  | x :: rest when n < room ->
+      (match q.spill with
+      | None ->
+          Queue.push x q.items;
+          charge q (q.cost x)
+      | Some sp -> spill_enqueue q sp x);
+      put_upto q room (n + 1) rest
+  | rest ->
+      enqueued q n;
+      rest
+
+(* The one enqueue path, in waves when a bounded batch exceeds the free
+   space (or even the capacity): each wave waits for room for at least
+   one item, fills the queue, and wakes consumers once.  All-or-nothing
+   is not required — items of one batch are independent stream
+   elements.  A push that never waits takes the whole batch in one
+   wave (under a spill config, overflow goes to the back buffer /
+   disk). *)
+let rec waves ~bounded q xs =
+  let room = room ~bounded q in
   check_stop q;
   if q.closed then begin
     Mutex.unlock q.mutex;
     raise Closed
   end;
+  match put_upto q room 0 xs with
+  | [] -> ()
+  | rest -> waves ~bounded q rest
+  | exception e ->
+      Mutex.unlock q.mutex;
+      raise e
+
+let enqueue ~bounded q xs =
+  let t0 = Obs.Clock.elapsed_s () in
+  Mutex.lock q.mutex;
+  waves ~bounded q xs;
   let blocked = Obs.Clock.elapsed_s () -. t0 in
-  (match q.spill with
-  | None ->
-      Queue.push x q.items;
-      charge q (q.cost x)
-  | Some sp -> (
-      match spill_enqueue q sp x with
-      | () -> ()
-      | exception e ->
-          Mutex.unlock q.mutex;
-          raise e));
-  enqueued q 1;
   Mutex.unlock q.mutex;
   blocked
 
-let push q x = push_gen ~bounded:true q x
-let push_token q x = ignore (push_gen ~bounded:false q x)
+let push q x = enqueue ~bounded:true q [ x ]
+let push_all q = function [] -> 0.0 | xs -> enqueue ~bounded:true q xs
+let push_token q x = ignore (enqueue ~bounded:false q [ x ])
 
-(* Enqueue the whole batch, in waves when it exceeds the free space (or
-   even the capacity): each wave waits for room for at least one item,
-   fills the queue, and wakes consumers once.  All-or-nothing is not
-   required — items of one batch are independent stream elements.
-   Under a spill config there are no waves: the whole batch is
-   accepted immediately (overflow goes to the back buffer / disk). *)
-let push_all q xs =
-  match xs with
-  | [] -> 0.0
-  | [ x ] -> push q x
-  | xs -> (
-      match q.spill with
-      | Some sp ->
-          let t0 = Obs.Clock.elapsed_s () in
-          Mutex.lock q.mutex;
-          check_stop q;
-          if q.closed then begin
-            Mutex.unlock q.mutex;
-            raise Closed
-          end;
-          let n = List.length xs in
-          (match List.iter (spill_enqueue q sp) xs with
-          | () -> ()
-          | exception e ->
-              Mutex.unlock q.mutex;
-              raise e);
-          enqueued q n;
-          let blocked = Obs.Clock.elapsed_s () -. t0 in
-          Mutex.unlock q.mutex;
-          blocked
-      | None ->
-          let t0 = Obs.Clock.elapsed_s () in
-          Mutex.lock q.mutex;
-          let rec waves xs =
-            match xs with
-            | [] -> ()
-            | xs ->
-                while
-                  Queue.length q.items >= q.capacity
-                  && (not (Atomic.get q.stop))
-                  && not q.closed
-                do
-                  Sched.wait q.not_full q.mutex
-                done;
-                check_stop q;
-                if q.closed then begin
-                  Mutex.unlock q.mutex;
-                  raise Closed
-                end;
-                let room = q.capacity - Queue.length q.items in
-                let rec take n = function
-                  | x :: rest when n > 0 ->
-                      Queue.push x q.items;
-                      charge q (q.cost x);
-                      take (n - 1) rest
-                  | rest -> rest
-                in
-                let rest = take room xs in
-                enqueued q (min room (List.length xs));
-                waves rest
-          in
-          waves xs;
-          let blocked = Obs.Clock.elapsed_s () -. t0 in
-          Mutex.unlock q.mutex;
-          blocked)
-
-let pop q =
+(* The one dequeue path: block until at least one item is available,
+   then take up to [max] (FIFO) under the same lock acquisition.
+   Closed but non-empty: keep draining — close never drops an
+   already-enqueued item, spilled or not. *)
+let pop_all q ~max:cap =
   let t0 = Obs.Clock.elapsed_s () in
   Mutex.lock q.mutex;
   while logically_empty q && (not (Atomic.get q.stop)) && not q.closed do
     Sched.wait q.not_empty q.mutex
   done;
   check_stop q;
-  (* Closed but non-empty: keep draining — close never drops an
-     already-enqueued item, spilled or not. *)
   if logically_empty q then begin
     Mutex.unlock q.mutex;
     raise Closed
   end;
   let blocked = Obs.Clock.elapsed_s () -. t0 in
   maybe_refill q;
-  let x = Queue.pop q.items in
-  q.mem_bytes <- q.mem_bytes - q.cost x;
-  dequeued q 1;
+  let n = max 1 (min cap (Queue.length q.items)) in
+  let xs =
+    List.init n (fun _ ->
+        let x = Queue.pop q.items in
+        q.mem_bytes <- q.mem_bytes - q.cost x;
+        x)
+  in
+  dequeued q n;
   Mutex.unlock q.mutex;
-  (x, blocked)
+  (xs, blocked)
 
-(* Block until at least one item is available, then take up to [max]
-   (FIFO) under the same lock acquisition.  Close semantics match
-   {!pop}: drain first, [Closed] only once empty. *)
-let pop_all q ~max:cap =
-  if cap <= 1 then
-    let x, blocked = pop q in
-    ([ x ], blocked)
-  else begin
-    let t0 = Obs.Clock.elapsed_s () in
-    Mutex.lock q.mutex;
-    while logically_empty q && (not (Atomic.get q.stop)) && not q.closed do
-      Sched.wait q.not_empty q.mutex
-    done;
-    check_stop q;
-    if logically_empty q then begin
-      Mutex.unlock q.mutex;
-      raise Closed
-    end;
-    let blocked = Obs.Clock.elapsed_s () -. t0 in
-    maybe_refill q;
-    let n = min cap (Queue.length q.items) in
-    let xs =
-      List.init n (fun _ ->
-          let x = Queue.pop q.items in
-          q.mem_bytes <- q.mem_bytes - q.cost x;
-          x)
-    in
-    dequeued q n;
-    Mutex.unlock q.mutex;
-    (xs, blocked)
-  end
+let pop q =
+  match pop_all q ~max:1 with
+  | [ x ], blocked -> (x, blocked)
+  | _ -> assert false
 
 let close q =
   Mutex.lock q.mutex;

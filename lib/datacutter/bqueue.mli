@@ -52,8 +52,8 @@ val spill_config :
 val create :
   ?cost:('a -> int) -> ?spill:'a spill -> stop:bool Atomic.t -> int -> 'a t
 
-(** Blocking push; returns the seconds spent blocked (lock acquisition
-    plus condition waits).  Never blocks on a full queue when spill is
+(** Blocking push: {!push_all} of one item.  Returns the seconds spent
+    blocked (lock acquisition plus condition waits).  Never blocks on a full queue when spill is
     enabled — the item goes to the back buffer / disk instead.
     @raise Aborted once [stop] is set.
     @raise Closed once the queue is closed. *)
@@ -83,7 +83,8 @@ val push_token : 'a t -> 'a -> unit
     accepted item). *)
 val push_all : 'a t -> 'a list -> float
 
-(** Blocking pop; returns the item and the seconds spent blocked.
+(** Blocking pop: {!pop_all} of one item.  Returns the item and the
+    seconds spent blocked.
     Transparently refills the in-memory window from the oldest disk
     segment when spill is enabled.
     @raise Aborted once [stop] is set.  @raise Closed once the queue is

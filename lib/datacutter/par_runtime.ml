@@ -61,16 +61,32 @@ let slow_down (cs : Engine.copy) ~since =
   let extra = Fault.extra_delay cs.Engine.fstate ~elapsed in
   if extra > 0.0 then Sched.sleep extra
 
-(* The host of each planned copy of an all-[Local] run: the copy at
-   position [i] of [n], in pipeline order, goes to host
-   [(n - 1 - i) mod d] of [d = min nproc n].  Host 0 is the calling
-   domain, so the sink stays there; at [d >= 2] neighbouring copies
-   land on different domains, and at [d = n] every copy but the sink
-   has a domain of its own. *)
-let hosts planned =
-  let n = List.length planned in
-  let d = min (Domain.recommended_domain_count ()) n in
-  List.init d (fun h -> List.filteri (fun i _ -> (n - 1 - i) mod d = h) planned)
+type slot = { stage : int; copy : int; local : bool; planned : bool }
+type host = { kind : Sched.kind; slots : (int * int) list }
+
+(* Where every copy slot runs (see the .mli): in an all-[Local] run
+   the planned copies dealt round the hosts from the sink backwards,
+   otherwise a host per slot. *)
+let layout ~cores slots =
+  if List.for_all (fun c -> c.local) slots then
+    let planned = List.filter (fun c -> c.planned) slots in
+    let n = List.length planned in
+    let d = max 1 (min cores n) in
+    List.init d (fun h ->
+        {
+          kind = (if h = 0 then Sched.Thread else Sched.Domain);
+          slots =
+            List.filteri (fun i _ -> (n - 1 - i) mod d = h) planned
+            |> List.map (fun c -> (c.stage, c.copy));
+        })
+  else
+    List.map
+      (fun c ->
+        {
+          kind = (if c.local then Sched.Domain else Sched.Thread);
+          slots = [ (c.stage, c.copy) ];
+        })
+      slots
 
 let drive eng ~backend ?(place = fun _ -> Local) ?(teardown = ignore)
     ?(extra = fun () -> []) () =
@@ -128,6 +144,13 @@ let drive eng ~backend ?(place = fun _ -> Local) ?(teardown = ignore)
           Array.iter (Array.iter Bqueue.wake) queues;
           Sched.notify exits);
     };
+  (* Each copy slot's placement, planned or dormant, asked before any
+     driver starts. *)
+  let places =
+    Array.init n_stages (fun s ->
+        Array.init (Engine.slots eng s) (fun k ->
+            place (Engine.copy_at eng ~stage:s ~copy:k)))
+  in
   let abort_raise err = Engine.abort eng err; raise Bqueue.Aborted in
   let ok = function Ok () -> () | Error e -> abort_raise e in
 
@@ -494,9 +517,9 @@ let drive eng ~backend ?(place = fun _ -> Local) ?(teardown = ignore)
               None)
   in
 
-  let body (s, k, placement) () =
+  let body (s, k) () =
     let cs = Engine.copy_at eng ~stage:s ~copy:k in
-    (try copy_body s k placement with
+    (try copy_body s k places.(s).(k) with
     | Bqueue.Aborted | Bqueue.Closed -> ()
     | e ->
         (* A supervisor bug or an error on a path without retry support
@@ -513,64 +536,51 @@ let drive eng ~backend ?(place = fun _ -> Local) ?(teardown = ignore)
     Sched.notify exits
   in
 
-  (* Threads for waiting, domains for computing, and no more domains
-     than cores: every minor collection stops every domain, so a domain
-     that merely waits would still be stopped.  An all-[Local] run packs
-     its copies as fibers onto [hosts] (host 0 a thread of the calling
-     domain), and an elastic copy becomes a fiber on the least-loaded
-     host.  A run with a remote copy gives each copy a runner of its
-     own: a thread on the calling domain for a remote copy, which only
-     waits, and a domain for a [Local] one.  A runner pairs the copies
-     it hosts with its join; [mu] guards the hosts, for the "runners"
-     section, and the elastic runners. *)
-  let mu = Mutex.create () in
-  let ran_on = ref [] and n_domains = ref 1 and elastic = ref [] in
-  let record h (s, k, _) =
-    Mutex.protect mu (fun () -> ran_on := (s, k, h) :: !ran_on)
-  in
-  let local = function _, _, Local -> true | _ -> false in
-  let own ((s, k, _) as c) =
-    let h =
-      if local c then Mutex.protect mu (fun () -> incr n_domains; !n_domains - 1)
-      else 0
-    in
-    record h c;
-    ( (fun () -> [ (s, k) ]),
-      (if h > 0 then Sched.domain else Sched.thread) (body c) )
-  in
-  let planned =
+  (* Every copy is a fiber on one of the [layout]'s hosts.  [host_of]
+     is each slot's host, -1 until its copy starts; the monitor writes
+     an elastic copy's before it is joined, so the joins and the
+     "runners" section read it without a lock. *)
+  let slots =
     List.concat
       (List.init n_stages (fun s ->
-           List.init (Engine.width eng s) (fun k ->
-               (s, k, place (Engine.copy_at eng ~stage:s ~copy:k)))))
+           List.init (Engine.slots eng s) (fun k -> (s, k))))
   in
+  let planned (s, k) = k < Engine.width eng s in
+  let copy_label (s, k) =
+    Topology.copy_label (Engine.topology eng) ~stage:s ~copy:k
+  in
+  let plan =
+    Array.of_list
+      (layout ~cores:(Domain.recommended_domain_count ())
+         (List.map
+            (fun (s, k) ->
+              {
+                stage = s;
+                copy = k;
+                local = places.(s).(k) = Local;
+                planned = planned (s, k);
+              })
+            slots))
+  in
+  let host_of = Array.map (Array.map (fun _ -> -1)) places in
   let t0 = Obs.Clock.elapsed_s () in
-  let pool, runners =
-    if not (List.for_all local planned) then (None, List.map own planned)
-    else begin
-      let hs = hosts planned in
-      n_domains := List.length hs;
-      List.iteri (fun h cs -> List.iter (record h) cs) hs;
-      let pool, rs = Sched.hosts (List.map (List.map body) hs) in
-      let on h () =
-        Mutex.protect mu (fun () ->
-            List.filter_map
-              (fun (s, k, h') -> if h' = h then Some (s, k) else None)
-              !ran_on)
-      in
-      (Some pool, List.mapi (fun h r -> (on h, r)) rs)
-    end
+  let pool =
+    Sched.hosts
+      (Array.to_list
+         (Array.mapi
+            (fun h { kind; slots } ->
+              let copies = List.filter planned slots in
+              List.iter (fun (s, k) -> host_of.(s).(k) <- h) copies;
+              (kind, List.map body copies))
+            plan))
   in
   (* The engine made an elastic copy a routable member before returning
      [`Spawned], so it may find items already queued.  A retired copy
      keeps running its own driver and drains its queue by itself. *)
   let spawn_elastic stage copy =
-    let c = (stage, copy, place (Engine.copy_at eng ~stage ~copy)) in
-    match pool with
-    | Some pool -> record (Sched.spawn pool (body c)) c
-    | None ->
-        let r = own c in
-        Mutex.protect mu (fun () -> elastic := r :: !elastic)
+    let c = (stage, copy) in
+    let on = Array.find_index (fun { slots; _ } -> List.mem c slots) plan in
+    host_of.(stage).(copy) <- Sched.spawn pool ?on (body c)
   in
   (* One monitor thread runs every armed periodic check — watchdog,
      sampler, autoscaler — each once its own period has passed: it
@@ -629,9 +639,9 @@ let drive eng ~backend ?(place = fun _ -> Local) ?(teardown = ignore)
   in
   (* Wait until every copy has exited.  Once the run is aborting, a
      copy stuck inside filter code cannot be interrupted: give it a
-     grace second, then leak its runner (with a fiber host, the whole
-     host) rather than hang the caller forever.  No copy is spawned
-     once every copy has exited, nor after the monitor is joined. *)
+     grace second, then leak its host, and every copy on it, rather
+     than hang the caller forever.  No copy is spawned once every copy
+     has exited, nor after the monitor is joined. *)
   let exited () = Engine.all_exited eng in
   Sched.await exits (fun () -> exited () || Engine.aborting eng);
   let deadline = Obs.Clock.elapsed_s () +. 1.0 in
@@ -639,24 +649,24 @@ let drive eng ~backend ?(place = fun _ -> Local) ?(teardown = ignore)
     Unix.sleepf 0.002
   done;
   Option.iter Thread.join monitor;
-  Option.iter Sched.close pool;
-  List.iter
-    (fun (hosted, r) ->
-      match
+  Sched.close pool;
+  Array.iteri
+    (fun h _ ->
+      let stuck =
         List.filter
           (fun (s, k) ->
-            not (Atomic.get (Engine.copy_at eng ~stage:s ~copy:k).Engine.exited))
-          (hosted ())
-      with
-      | [] -> Sched.join r
-      | stuck ->
-          List.iter
-            (fun (s, k) ->
-              Logs.warn (fun m ->
-                  m "leaking stuck filter copy %s"
-                    (Topology.copy_label (Engine.topology eng) ~stage:s ~copy:k)))
-            stuck)
-    (runners @ !elastic);
+            let cs = Engine.copy_at eng ~stage:s ~copy:k in
+            host_of.(s).(k) = h && not (Atomic.get cs.Engine.exited))
+          slots
+      in
+      if stuck = [] then Sched.join pool h
+      else
+        List.iter
+          (fun c ->
+            Logs.warn (fun m ->
+                m "leaking stuck filter copy %s" (copy_label c)))
+          stuck)
+    plan;
   (* Graceful queue close: leaked stuck copies (abort path) wake with
      [Closed] instead of blocking forever. *)
   Array.iter (Array.iter Bqueue.close) queues;
@@ -669,19 +679,32 @@ let drive eng ~backend ?(place = fun _ -> Local) ?(teardown = ignore)
         let n = min (Array.length queues.(s)) (Engine.engaged_width eng s) in
         Array.init n (fun k -> Bqueue.occupancy queues.(s).(k)))
   in
+  (* A thread host reads "caller", a domain host its number among the
+     spawned domains, from 1. *)
+  let domains = ref 1 in
+  let host_label =
+    Array.map
+      (fun { kind; _ } ->
+        match kind with
+        | Sched.Thread -> Obs.Json.Str "caller"
+        | Sched.Domain ->
+            incr domains;
+            Obs.Json.Int (!domains - 1))
+      plan
+  in
   let runners_section () =
-    let host h = if h = 0 then Obs.Json.Str "caller" else Obs.Json.Int h in
     ( "runners",
       Obs.Json.Obj
         [
-          ("domains", Obs.Json.Int !n_domains);
+          ("domains", Obs.Json.Int !domains);
           ( "copies",
             Obs.Json.Obj
-              (List.map
-                 (fun (s, k, h) ->
-                   ( Topology.copy_label (Engine.topology eng) ~stage:s ~copy:k,
-                     host h ))
-                 (List.sort compare !ran_on)) );
+              (List.filter_map
+                 (fun (s, k) ->
+                   let h = host_of.(s).(k) in
+                   if h < 0 then None
+                   else Some (copy_label (s, k), host_label.(h)))
+                 slots) );
         ] )
   in
   let result =

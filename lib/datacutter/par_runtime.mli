@@ -38,25 +38,43 @@
     keeps queues, supervision, replay, retirement and the drain barrier
     for every copy either way.
 
-    Fibers for waiting, domains for computing, no more domains than
-    cores.  Every minor collection stops every domain, so a domain that
-    only waits would still be stopped.  When every planned copy is
-    {!Local}, the copies run as fibers on
-    D = min ([Domain.recommended_domain_count ()], planned copies)
-    hosts ({!Sched.hosts}): host 0 is a thread of the calling domain,
-    hosts 1 … D−1 are spawned domains, and no host starts a thread, so
-    joining a domain never waits for a systhread tick.  Listed in
-    pipeline order (stage, copy), the copy at position i of n goes to
-    host (n − 1 − i) mod D.  So the sink stays on the calling domain,
-    neighbouring copies land on different domains when D ≥ 2, and at
-    D = n every copy but the sink has a domain of its own.  An elastic
-    copy becomes a fiber on the host with the fewest unfinished
-    fibers.  The interpreter yields at loop back-edges and the driver
-    after each send, each at most once per millisecond of a fiber's
-    run ({!Sched.tick}).  A run with a remote copy keeps systhreads: it
-    drives each remote copy as a thread on the calling domain, as it
-    does the monitor, and gives each {!Local} copy a domain.  The
-    metrics' ["runners"] section says where each copy ran. *)
+    Every copy of every run is an effect fiber on one of the run's
+    hosts ({!Sched.hosts}), which {!layout} plans.  Fibers for waiting,
+    domains for computing, no more domains than cores where every copy
+    is {!Local}: every minor collection stops every domain, so a domain
+    that only waits would still be stopped.  The interpreter yields at
+    loop back-edges and the driver after each send, each at most once
+    per millisecond of a fiber's run ({!Sched.tick}).  The metrics'
+    ["runners"] section says where each copy ran. *)
+
+(** {2 Placement} *)
+
+(** A copy slot as {!layout} sees it: [local] when its callbacks run on
+    its driver ({!Local}), [planned] unless it is a dormant elastic
+    slot. *)
+type slot = { stage : int; copy : int; local : bool; planned : bool }
+
+(** A host to start: what runs it, and the slots whose copies are its
+    fibers. *)
+type host = { kind : Sched.kind; slots : (int * int) list }
+
+val layout : cores:int -> slot list -> host list
+(** The hosts of a run whose copy slots, in pipeline order, are the
+    given ones.
+    - {b Every slot local} (par): D = min ([cores], planned copies)
+      hosts.  Host 0 is a thread of the calling domain and hosts
+      1 … D−1 are spawned domains.  The planned copy at position i of
+      n goes to host (n − 1 − i) mod D, so the sink stays on the
+      calling domain, neighbouring copies land on different domains
+      when D ≥ 2, and at D = n every copy but the sink has a domain of
+      its own.  No host holds a dormant slot: an elastic copy becomes
+      a fiber on the host with the fewest unfinished fibers.
+    - {b Some slot remote} (proc): every slot, dormant ones included,
+      alone on a host of its own: a thread of the calling domain for a
+      remote slot, whose frame waits are native and would hold a shared
+      host, and a spawned domain for a local one (the proc sink).  A
+      dormant slot's host starts empty, and its elastic copy runs there
+      alone. *)
 
 (** A filter copy's callbacks as round trips. *)
 type calls = {
@@ -91,10 +109,7 @@ type link = {
 }
 
 type placement =
-  | Local
-      (** callbacks run on the copy's driver, a fiber on one of the
-          run's hosts, or a domain of its own in a run with a remote
-          copy (see above) *)
+  | Local  (** callbacks run on the copy's driver *)
   | Remote_source of source
   | Remote_filter of calls * link
       (** Data items travel through the credit window over the link;
@@ -117,24 +132,20 @@ val drive :
   ?extra:(unit -> (string * Obs.Json.t) list) ->
   unit ->
   (Engine.metrics, Supervisor.run_error) result
-(** Run [eng] to completion: one driver per copy, placed as above (an
-    all-{!Local} run packs its copies as fibers onto at most nproc
-    domains, the calling one included), one monitor thread when a
+(** Run [eng] to completion: one driver per copy, a fiber on the
+    {!layout}'s hosts, one monitor thread when a
     watchdog, sampler or autoscaler is armed — it sleeps the smallest
     armed period and runs each check once its own period has passed —
     then a blocking wait until every copy has exited, and the joins.
     Queue capacity, budgets, batch caps and the sampling period come
     from [eng].
-    [place] (default every copy {!Local}) is asked once per copy: for
-    every planned copy on the calling domain before any driver starts,
-    for an elastic one on the monitor thread before its driver
+    [place] (default every copy {!Local}) is asked once per copy slot,
+    planned or dormant, on the calling domain before any driver
     starts.  [teardown] runs after
     every driver has joined and the queues are closed, before the wall
     clock stops; [extra] adds metrics sections after ["runners"]:
     [domains], the calling domain plus every domain spawned, and
-    [copies], each copy's host by label, ["caller"] for host 0 or a
-    thread on the calling domain, or the index (from 1) of its spawned
-    domain.
+    [copies], each copy's host by label: ["caller"] for a thread of the
+    calling domain, or the index (from 1) of its spawned domain.
     Once the run aborts, a copy stuck in filter code is waited for one
-    second and then its runner is leaked: with fibers, its whole host
-    and every copy on it. *)
+    second and then its host is leaked, with every copy on it. *)

@@ -32,7 +32,7 @@ exception Remote_crash = Proc_window.Remote_crash
 
 type worker = { pid : int; conn : Shm.conn }
 
-(* Per-copy worker state, touched only by the copy's own driver thread
+(* Per-copy worker state, touched only by the copy's own driver fiber
    (and by teardown after the joins).  [depth] is the copy's credit
    window, fixed before its workers are forked: it sized their rings. *)
 type handle = {
@@ -276,7 +276,7 @@ let run eng ?inflight ?frame_bytes () :
   let label s k = Topology.copy_label topo ~stage:s ~copy:k in
   (* Worker-shipped telemetry: spans merge into the process-wide trace
      under the worker's real pid; the latest cumulative counters per
-     pid feed the metrics "workers" section.  Every driver thread
+     pid feed the metrics "workers" section.  Every driver fiber
      absorbs, hence the lock around the counter table. *)
   let telem_lock = Mutex.create () in
   let worker_counters : (int, (string * float) list) Hashtbl.t =
@@ -308,7 +308,7 @@ let run eng ?inflight ?frame_bytes () :
     Option.map (fun fb -> Shm.plan_slot_bytes ~frame_bytes:fb) frame_bytes
   in
   (* Credit-stall seconds per copy, reported under metrics "transport".
-     One writer per cell: the copy's own driver thread. *)
+     One writer per cell: the copy's own driver fiber. *)
   let stall_s =
     Array.init n_stages (fun s -> Array.make (Engine.slots eng s) 0.0)
   in

@@ -6,9 +6,10 @@
     with source and inner copies placed remote: the parent keeps the
     whole {!Engine} protocol — queues, routing, the EOS drain barrier,
     fault ticking, the retry/retire/re-route supervisor, metrics — on
-    one driver per copy: a thread for a remote copy, which only waits
-    on its worker, and a domain for a local sink copy, which runs filter
-    code; children only execute filter callbacks.  Sink copies stay
+    one driver fiber per copy, alone on its host ({!Par_runtime.layout}):
+    a thread of the calling domain for a remote copy, which only waits
+    on its worker, and a spawned domain for a local sink copy, which
+    runs filter code; children only execute filter callbacks.  Sink copies stay
     local so their closures (result collectors) mutate caller-visible
     memory.  What this module adds is the worker plumbing: fork, the
     worker loop and the frame I/O over each worker's channel; the
@@ -59,7 +60,8 @@ val run :
     An autoscaled run pre-forks every dormant elastic slot's full
     worker complement (active plus spares) up front, because forking
     after domains exist is impossible in OCaml 5; a mid-run spawn
-    merely starts a driver thread over the waiting processes.  The
+    merely starts a driver fiber over the waiting processes, on the
+    empty thread host planned for that slot.  The
     queues, and so any spilling under a memory budget, live in the
     parent.  When tracing is enabled the workers ship their callback
     spans and counters back over the wire ({!Wire.Telemetry}): the

@@ -236,56 +236,59 @@ let host_main h () =
     ~finally:(fun () -> update running (List.filter (fun h' -> h' != h)))
     (fun () -> serve h)
 
-type runner = { join_ : unit -> unit }
+type kind = Thread | Domain
 
-let thread f =
-  let t = Thread.create f () in
-  { join_ = (fun () -> Thread.join t) }
+type hosts = { hs : host array; joins : (unit -> unit) array }
 
-let domain f =
-  let d = Domain.spawn f in
-  { join_ = (fun () -> Domain.join d) }
-
-let join r = r.join_ ()
-
-type hosts = host array
-
-let hosts bodies =
-  let hs =
-    Array.of_list
-      (List.map
-         (fun bs ->
-           let h =
-             {
-               runq = Queue.create ();
-               mu = Mutex.create ();
-               cv = Condition.create ();
-               inbox = Queue.create ();
-               idle = false;
-               closed = false;
-               timers = [];
-               current = { yielded = 0.0; mark = 0.0 };
-               tid = -1;
-               live = Atomic.make (List.length bs);
-             }
-           in
-           List.iter (fun b -> Queue.push (start h b) h.runq) bs;
-           h)
-         bodies)
+let hosts plan =
+  let start_host (kind, bs) =
+    let h =
+      {
+        runq = Queue.create ();
+        mu = Mutex.create ();
+        cv = Condition.create ();
+        inbox = Queue.create ();
+        idle = false;
+        closed = false;
+        timers = [];
+        current = { yielded = 0.0; mark = 0.0 };
+        tid = -1;
+        live = Atomic.make (List.length bs);
+      }
+    in
+    List.iter (fun b -> Queue.push (start h b) h.runq) bs;
+    let join =
+      match kind with
+      | Thread ->
+          let t = Thread.create (host_main h) () in
+          fun () -> Thread.join t
+      | Domain ->
+          let d = Domain.spawn (host_main h) in
+          fun () -> Domain.join d
+    in
+    (h, join)
   in
-  (hs, List.mapi (fun i h -> (if i = 0 then thread else domain) (host_main h)) (Array.to_list hs))
+  let started = Array.of_list (List.map start_host plan) in
+  { hs = Array.map fst started; joins = Array.map snd started }
 
-let spawn hs body =
-  let best = ref 0 in
-  Array.iteri
-    (fun i h -> if Atomic.get h.live < Atomic.get hs.(!best).live then best := i)
-    hs;
-  let h = hs.(!best) in
+let spawn { hs; _ } ?on body =
+  let i =
+    match on with
+    | Some i -> i
+    | None ->
+        let best = ref 0 in
+        Array.iteri
+          (fun i h ->
+            if Atomic.get h.live < Atomic.get hs.(!best).live then best := i)
+          hs;
+        !best
+  in
+  let h = hs.(i) in
   Atomic.incr h.live;
   schedule h (start h body);
-  !best
+  i
 
-let close hs =
+let close { hs; _ } =
   Array.iter
     (fun h ->
       Mutex.lock h.mu;
@@ -293,6 +296,8 @@ let close hs =
       Condition.signal h.cv;
       Mutex.unlock h.mu)
     hs
+
+let join { joins; _ } i = joins.(i) ()
 
 (* --- events --- *)
 

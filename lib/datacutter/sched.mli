@@ -3,24 +3,25 @@
 
     Two implementations sit behind the same calls, and each call picks
     one from the calling thread:
-    - {b Systhreads.}  A thread that is not a fiber host blocks on a
-      condition variable, sleeps with [Unix.sleepf], and does not
-      yield.  Threads and domains are started by {!thread} and
-      {!domain}.  Every run with a remote copy runs this way.
-    - {b Effect fibers.}  {!hosts} starts one scheduler per host: host
-      0 on a thread of the calling domain, the others on spawned
-      domains, each running its bodies as fibers from its own run
-      queue.  A fiber that waits, yields or sleeps suspends, and its
-      host runs the next runnable fiber.  A wake from another thread
-      goes through the host's locked inbox, and signals the host only
-      when it is idle.  A host starts no thread of its own, so joining
-      its domain never waits for a systhread tick.
+    - {b Effect fibers.}  {!hosts} starts one scheduler per host, each
+      on a new thread of the calling domain or on a spawned domain, as
+      the caller says, and each running its bodies as fibers from its
+      own run queue.  Every copy of a par or proc run is such a fiber.
+      A fiber that waits, yields or sleeps suspends, and its host runs
+      the next runnable fiber.  A wake from another thread goes through
+      the host's locked inbox, and signals the host only when it is
+      idle.  A domain host starts no systhread, so joining it never
+      waits for a systhread tick.
+    - {b Systhreads.}  A thread that is not a fiber host, such as the
+      caller waiting for a run, blocks on a condition variable, sleeps
+      with [Unix.sleepf], and does not yield.
 
     No fiber may suspend while it holds a [Mutex]: OCaml mutexes are
     owned by the thread, so a second fiber on the same host that locked
     it would fail with [EDEADLK].  {!wait} releases its mutex before it
     suspends.  A fiber that blocks in native code ([Unix.sleepf], a
-    [Condition.wait] of its own) holds its host until it returns. *)
+    [Condition.wait] of its own, a read from another process) holds its
+    host until it returns. *)
 
 (** {2 Blocking} *)
 
@@ -58,39 +59,33 @@ val yielded_s : unit -> float
     calls [Unix.sleepf]. *)
 val sleep : float -> unit
 
-(** {2 Runners} *)
+(** {2 Hosts} *)
 
-(** Something started that can be joined. *)
-type runner
-
-(** A systhread on the calling domain. *)
-val thread : (unit -> unit) -> runner
-
-(** A spawned domain that runs the body on its own thread. *)
-val domain : (unit -> unit) -> runner
-
-(** Wait for the runner to end.  A host's runner ends only after
-    {!close}. *)
-val join : runner -> unit
+(** What runs a host: a new systhread of the calling domain, or a
+    spawned domain. *)
+type kind = Thread | Domain
 
 (** A run's fiber hosts. *)
 type hosts
 
-(** [hosts bodies] starts one host per list, each running its bodies as
-    fibers: host 0 on a new thread of the calling domain, the others on
-    spawned domains.  Loading this module installs {!tick} as the
+(** [hosts plan] starts one host per entry, of its kind, running its
+    bodies as fibers.  Loading this module installs {!tick} as the
     interpreter's yield hook ({!Lang.Interp.set_yield_hook}), so a
-    fiber interpreting a loop yields to its siblings.  Returns the
-    runners in host order. *)
-val hosts : (unit -> unit) list list -> hosts * runner list
+    fiber interpreting a loop yields to its siblings.  Hosts are
+    numbered from 0 in plan order. *)
+val hosts : (kind * (unit -> unit) list) list -> hosts
 
-(** [spawn hs body] runs [body] as a fiber on the host with the fewest
-    unfinished fibers and returns that host's index.  Call it before
-    {!close}. *)
-val spawn : hosts -> (unit -> unit) -> int
+(** [spawn hs ?on body] runs [body] as a fiber on host [on], by default
+    on the host with the fewest unfinished fibers, and returns that
+    host's number.  Call it before {!close}. *)
+val spawn : hosts -> ?on:int -> (unit -> unit) -> int
 
 (** Let every host end once it has nothing left to run.  Idempotent. *)
 val close : hosts -> unit
+
+(** [join hs i] waits for host [i] to end, which it does only after
+    {!close}. *)
+val join : hosts -> int -> unit
 
 (** {2 Events} *)
 

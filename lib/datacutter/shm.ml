@@ -199,7 +199,7 @@ let park_timeout = 0.025
 type conn = {
   c_fd : Unix.file_descr;
   db : Unix.file_descr;  (* doorbell: park/wake socketpair, RCVTIMEO-bounded *)
-  db_buf : Bytes.t;  (* drains the doorbell; one driver thread drives each side *)
+  db_buf : Bytes.t;  (* drains the doorbell; one driver drives each side *)
   tx : ring;
   rx : ring;
   fd_scratch : Bytes.t ref;  (* receive buffer for overflow frames *)

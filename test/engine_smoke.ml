@@ -298,7 +298,13 @@ let elastic_autoscale =
     as_idle_ticks = 100_000;
   }
 
-type eleg = { e_got : int list; e_spawned : int; e_keys : string list }
+type eleg = {
+  e_got : int list;
+  e_spawned : int;
+  e_keys : string list;
+  e_domains : int;  (** runners.domains, 0 without the section *)
+  e_hosts : (string * string) list;  (** runners.copies, as text *)
+}
 
 let run_elastic_leg ~label backend n : eleg =
   let topo, got = make_elastic_topo ~n () in
@@ -315,7 +321,23 @@ let run_elastic_leg ~label backend n : eleg =
         | Some a -> Obs.Json.to_int (Obs.Json.member "spawned" a)
         | None -> die "%s: autoscaled run has no autoscale section" label
       in
-      { e_got = got (); e_spawned = spawned; e_keys = strip (json_keys j) }
+      let e_domains, e_hosts =
+        match List.assoc_opt "runners" m.Datacutter.Engine.extra with
+        | None -> (0, [])
+        | Some r ->
+            ( Obs.Json.to_int (Obs.Json.member "domains" r),
+              match Obs.Json.member "copies" r with
+              | Obs.Json.Obj kvs ->
+                  List.map (fun (l, h) -> (l, Obs.Json.to_string h)) kvs
+              | _ -> die "%s: runners.copies is not an object" label )
+      in
+      {
+        e_got = got ();
+        e_spawned = spawned;
+        e_keys = strip (json_keys j);
+        e_domains;
+        e_hosts;
+      }
 
 let run_elastic_proc_leg ~label n : eleg =
   let rd, wr = Unix.pipe () in
@@ -562,6 +584,29 @@ let () =
     @ match elastic_proc with Some l -> [ ("proc", l) ] | None -> []
   in
   check_elastic n_elastic elastic_legs;
+  (* Proc gives every remote copy, a spawned one too, a thread host of
+     its own on the calling domain ("caller"), and the sink the one
+     spawned domain: a spawned copy that joined the sink's domain or
+     started a domain would show here. *)
+  Option.iter
+    (fun leg ->
+      if leg.e_domains <> 2 then
+        die "elastic/proc: %d domains, expected the caller and the sink's"
+          leg.e_domains;
+      let spawned =
+        List.filter (fun (l, _) -> l <> "mid/0" && String.starts_with ~prefix:"mid/" l)
+          leg.e_hosts
+      in
+      if List.length spawned <> leg.e_spawned then
+        die "elastic/proc: runners lists %d spawned copies, autoscale %d"
+          (List.length spawned) leg.e_spawned;
+      List.iter
+        (fun (l, h) ->
+          let want = if l = "sink/0" then "1" else {|"caller"|} in
+          if h <> want then
+            die "elastic/proc: %s ran on %s, expected %s alone" l h want)
+        leg.e_hosts)
+    elastic_proc;
   let names = if with_proc then "sim/par/proc" else "sim/par" in
   Printf.printf
     "engine-smoke ok: %s agree on %d packets at batch 1 and 64 — healthy, \

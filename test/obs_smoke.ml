@@ -26,7 +26,9 @@
      slots and --inflight 16 reports 64, with the occupancy high water
      within the ring and no frame overflowing to the socket;
    - `cgppc run --replan-from` runs the batch caps and the credit window
-     that `cgppc replan` prints for the same metrics file.
+     that `cgppc replan` prints for the same metrics file;
+   - a par run prints the number of domains its metrics JSON records
+     under runtime.runners.domains.
 
    The cgppc binary path arrives as argv(1) from the dune rule. *)
 
@@ -268,6 +270,35 @@ let inflight_range_leg () =
       end)
     [ 0; 17 ]
 
+(* A par run prints the domains its metrics record, not its copy
+   count: 4-4-1 is nine copies, so on a host with fewer than nine cores
+   the two counts differ. *)
+let par_domains_leg () =
+  let mj = Filename.concat base "domains.json" in
+  let log = Filename.concat base "domains.log" in
+  sh
+    (Printf.sprintf "%s run -a streambench -c 4-4-1 --backend par --metrics-json %s"
+       (Filename.quote cgppc) (Filename.quote mj))
+    log;
+  let printed =
+    match
+      List.find_map
+        (fun l ->
+          try Scanf.sscanf l "parallel run (%d domains)" Option.some
+          with Scanf.Scan_failure _ | End_of_file -> None)
+        (String.split_on_char '\n' (read_file log))
+    with
+    | Some d -> d
+    | None -> die "par: no 'parallel run (N domains)' line in %s" log
+  in
+  let recorded =
+    J.to_int
+      (J.member "domains" (J.member "runners" (J.member "runtime" (parse_json mj))))
+  in
+  if printed <> recorded then
+    die "par: printed %d domains, runtime.runners.domains is %d" printed
+      recorded
+
 (* Ring geometry follows the credit window ([Shm.plan_slots]): four
    windows per ring, at least 8 slots. *)
 let ring_geometry_leg () =
@@ -358,6 +389,7 @@ let () =
     replan_from_leg ()
   end;
   inflight_range_leg ();
+  par_domains_leg ();
   ignore (Sys.command (Printf.sprintf "rm -rf %s" (Filename.quote base)));
   Printf.printf "obs-smoke ok: %s telemetry + openmetrics + attribution verified\n"
     (String.concat "/" legs)

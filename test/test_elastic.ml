@@ -340,6 +340,122 @@ let test_par_shared_monitor () =
   A.check A.int "no watchdog trips" 0
     m.Engine.recovery.Supervisor.watchdog_trips
 
+(* A run with remote copies, as proc runs: every copy, an elastic one
+   too, runs alone on its host.  The middle stage is remote over an
+   in-process link that blocks natively, as a worker's ring does, and
+   every callback records the thread it ran on. *)
+let test_remote_spawn_alone () =
+  let n = 200 in
+  let mu = Mutex.create () in
+  let ran = Hashtbl.create 8 in
+  let record label =
+    Mutex.lock mu;
+    Hashtbl.replace ran (label, Thread.id (Thread.self ())) ();
+    Mutex.unlock mu
+  in
+  let packets = ref [] in
+  let source _ =
+    let i = ref 0 in
+    {
+      Filter.src_name = "src";
+      next =
+        (fun () ->
+          record "src/0";
+          if !i >= n then None
+          else begin
+            incr i;
+            Unix.sleepf 0.0001;
+            Some (buffer_of_int (!i - 1), 1.0)
+          end);
+      src_finalize = (fun () -> (None, 0.0));
+    }
+  in
+  let sink _ =
+    {
+      (Filter.pass_through "sink") with
+      Filter.process =
+        (fun b ->
+          record "sink/0";
+          Mutex.lock mu;
+          packets := Int64.to_int (Bytes.get_int64_le b.Filter.data 0) :: !packets;
+          Mutex.unlock mu;
+          (None, 1.0));
+    }
+  in
+  let az =
+    {
+      Engine.as_interval_s = 0.0005;
+      as_budget = 2;
+      as_hi_items = 2;
+      as_sustain = 1;
+      as_idle_ticks = 100_000;
+    }
+  in
+  let topo =
+    topo3 ~source ~inner:(fun _ -> Filter.pass_through "mid") ~sink ()
+  in
+  let eng =
+    match Engine.create ~autoscale:az topo with
+    | Ok eng -> eng
+    | Error e -> A.failf "engine rejected: %a" Supervisor.pp_run_error e
+  in
+  let remote (cs : Engine.copy) =
+    let label = Printf.sprintf "mid/%d" cs.Engine.index in
+    let call = function
+      | Engine.Data b -> Some b
+      | Engine.Final _ | Engine.Marker -> None
+    in
+    let answers = Queue.create () in
+    Par_runtime.Remote_filter
+      ( {
+          Par_runtime.fresh = ignore;
+          init = (fun () -> record label);
+          call = (fun it -> record label; call it);
+          finalize = (fun () -> None);
+          on_fail = ignore;
+        },
+        {
+          Par_runtime.depth = 1;
+          send =
+            (fun items ->
+              record label;
+              Unix.sleepf 0.0005;
+              Queue.push
+                { Proc_window.outs = List.map call items; error = None }
+                answers);
+          recv = (fun ~stalled:_ -> Queue.pop answers);
+          poll = (fun () -> Queue.take_opt answers);
+        } )
+  in
+  let place (cs : Engine.copy) =
+    if cs.Engine.stage = 1 then remote cs else Par_runtime.Local
+  in
+  match Par_runtime.drive eng ~backend:Engine.Par ~place () with
+  | Error e -> A.failf "run failed: %a" Supervisor.pp_run_error e
+  | Ok m ->
+      A.check (A.list A.int) "exactly-once delivery" (List.init n Fun.id)
+        (List.sort compare !packets);
+      let spawned =
+        match m.Engine.autoscale_section with
+        | Some j -> Obs.Json.to_int (Obs.Json.member "spawned" j)
+        | None -> 0
+      in
+      A.check A.bool "the autoscaler grew the remote stage" true (spawned >= 1);
+      let runs = Hashtbl.fold (fun k () acc -> k :: acc) ran [] in
+      let labels = List.sort_uniq compare (List.map fst runs) in
+      A.check A.int "every spawned copy ran" (3 + spawned) (List.length labels);
+      List.iter
+        (fun l ->
+          match List.filter (fun (l', _) -> l' = l) runs with
+          | [ (_, t) ] ->
+              List.iter
+                (fun (l', t') ->
+                  if l' <> l && t' = t then
+                    A.failf "%s and %s shared a host thread" l l')
+                runs
+          | ts -> A.failf "%s ran on %d threads" l (List.length ts))
+        labels
+
 let () =
   A.run "elastic"
     [
@@ -361,5 +477,6 @@ let () =
         [
           A.test_case "par spawn/retire under load" `Quick test_par_concurrent;
           A.test_case "par shared monitor" `Quick test_par_shared_monitor;
+          A.test_case "remote spawn runs alone" `Quick test_remote_spawn_alone;
         ] );
     ]

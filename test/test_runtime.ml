@@ -594,6 +594,109 @@ let test_par_placement () =
         hosts)
     [ (1, 1); (2, 2); (4, 4) ]
 
+(* --- placement, planned without starting a run --- *)
+
+(* The slots of a three-stage pipeline in pipeline order: [widths]
+   planned copies per stage plus [dormant] elastic slots on the middle
+   stage, every slot local unless [remote] says otherwise. *)
+let slots_of ?(dormant = 0) ?(remote = fun _ -> false) (w0, w1, w2) =
+  List.concat
+    (List.mapi
+       (fun s n ->
+         List.init n (fun k ->
+             {
+               Par_runtime.stage = s;
+               copy = k;
+               local = not (remote s);
+               planned = not (s = 1 && k >= w1);
+             }))
+       [ w0; w1 + dormant; w2 ])
+
+let kind_name = function Sched.Thread -> "thread" | Sched.Domain -> "domain"
+let pairs = A.(list (pair int int))
+
+let test_layout_par () =
+  List.iter
+    (fun ((w0, w1, w2) as widths) ->
+      let slots = slots_of ~dormant:2 widths in
+      let planned =
+        List.filter_map
+          (fun c ->
+            if c.Par_runtime.planned then Some (c.Par_runtime.stage, c.copy)
+            else None)
+          slots
+      in
+      let n = w0 + w1 + w2 in
+      List.iter
+        (fun cores ->
+          let what = Printf.sprintf "%d-%d-%d on %d cores" w0 w1 w2 cores in
+          let hosts = Par_runtime.layout ~cores slots in
+          let d = min cores n in
+          A.(check (list string))
+            (what ^ ": the caller's thread, then domains")
+            ("thread" :: List.init (d - 1) (fun _ -> "domain"))
+            (List.map (fun h -> kind_name h.Par_runtime.kind) hosts);
+          A.check pairs
+            (what ^ ": every planned copy once, no dormant slot")
+            planned
+            (List.sort compare
+               (List.concat_map (fun h -> h.Par_runtime.slots) hosts));
+          let host_of c =
+            List.find_index (fun h -> List.mem c h.Par_runtime.slots) hosts
+          in
+          A.(check (option int)) (what ^ ": sink on the caller") (Some 0)
+            (host_of (2, 0));
+          if d >= 2 then
+            List.iter2
+              (fun a b ->
+                A.(check bool) (what ^ ": neighbours apart") true
+                  (host_of a <> host_of b))
+              (List.filteri (fun i _ -> i < n - 1) planned)
+              (List.tl planned))
+        [ 1; 2; 4 ])
+    [ (1, 1, 1); (2, 2, 1); (4, 4, 1) ];
+  A.(check (list pairs))
+    "4-4-1 on 4 cores"
+    [
+      [ (0, 0); (1, 0); (2, 0) ];
+      [ (0, 3); (1, 3) ];
+      [ (0, 2); (1, 2) ];
+      [ (0, 1); (1, 1) ];
+    ]
+    (List.map
+       (fun h -> h.Par_runtime.slots)
+       (Par_runtime.layout ~cores:4 (slots_of (4, 4, 1))))
+
+(* Proc: the source and inner slots are remote, the sink local. *)
+let test_layout_proc () =
+  let slots = slots_of ~dormant:2 ~remote:(fun s -> s < 2) (2, 2, 1) in
+  let hosts = Par_runtime.layout ~cores:2 slots in
+  A.check pairs "a host per slot, in slot order"
+    (List.map (fun c -> (c.Par_runtime.stage, c.copy)) slots)
+    (List.concat_map
+       (fun h ->
+         A.(check int) "alone on its host" 1 (List.length h.Par_runtime.slots);
+         h.Par_runtime.slots)
+       hosts);
+  List.iter2
+    (fun c h ->
+      let what = Printf.sprintf "(%d, %d)" c.Par_runtime.stage c.copy in
+      A.(check string)
+        (what ^ ": remote on a caller thread, the sink on a domain")
+        (if c.Par_runtime.local then "domain" else "thread")
+        (kind_name h.Par_runtime.kind);
+      if not c.Par_runtime.planned then
+        A.(check bool) (what ^ ": dormant slot's host starts empty") false
+          (List.exists
+             (fun c' ->
+               c'.Par_runtime.planned
+               && List.mem (c'.Par_runtime.stage, c'.copy) h.Par_runtime.slots)
+             slots))
+    slots hosts;
+  A.(check int) "one domain, for the sink" 1
+    (List.length
+       (List.filter (fun h -> h.Par_runtime.kind = Sched.Domain) hosts))
+
 let suite =
   [
     ("all packets delivered", `Quick, test_all_packets_delivered);
@@ -617,6 +720,8 @@ let suite =
     ("bqueue token past capacity", `Quick, test_bqueue_token_past_capacity);
     ("par domains spawned", `Quick, test_par_domains_spawned);
     ("par placement", `Quick, test_par_placement);
+    ("par layout", `Quick, test_layout_par);
+    ("proc layout", `Quick, test_layout_proc);
   ]
 
 let () = Alcotest.run "runtime" [ ("runtime", suite) ]

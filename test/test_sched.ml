@@ -13,7 +13,12 @@ module V = Lang.Value
    have signalled [done_]; [false] after 10 s.  A hung case's hosts are
    leaked, as a stuck run leaks them. *)
 let within_limit bodies ~done_ ~finished =
-  let hs, runners = Sched.hosts bodies in
+  let hs =
+    Sched.hosts
+      (List.mapi
+         (fun i bs -> ((if i = 0 then Sched.Thread else Sched.Domain), bs))
+         bodies)
+  in
   let deadline = Unix.gettimeofday () +. 10.0 in
   let rec await () =
     if Atomic.get done_ >= finished then true
@@ -26,7 +31,7 @@ let within_limit bodies ~done_ ~finished =
   let ok = await () in
   if ok then begin
     Sched.close hs;
-    List.iter Sched.join runners
+    List.iteri (fun i _ -> Sched.join hs i) bodies
   end;
   ok
 
