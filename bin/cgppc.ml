@@ -766,7 +766,7 @@ let autoscale_arg =
            long-idle elastic copy stands down, and the metrics JSON \
            gains an $(b,autoscale) section. The simulator ticks the \
            controller at deterministic virtual times (bit-reproducible \
-           runs); par and proc tick it from a monitor thread. A \
+           runs); par and proc tick it from the calling thread. A \
            non-positive budget or a pipeline with no inner stage fails \
            with exit code 8.")
 

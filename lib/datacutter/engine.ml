@@ -628,7 +628,7 @@ let retire_idle t ~stage =
   end
 
 (* One controller decision.  Single caller by construction — the sim
-   event loop at exact virtual times, or the monitor thread on the
+   event loop at exact virtual times, or the calling thread on the
    real clock — so [asc_hot]/[asc_cold] need no synchronisation.  At
    most one spawn or one retire per tick: per-copy backlog across the
    engaged copies of each inner stage decides saturation, a stage
@@ -909,10 +909,7 @@ let watchdog_check t wd =
 (* --- time-series sampler --- *)
 
 (* Periodic snapshots of the accounting grids into an [Obs.Timeseries]
-   ring.  One sampler per run; samples are taken either inline by the
-   simulator's event loop at exact virtual times ([sampler_advance]) or
-   by the real backends' monitor thread on the real clock
-   ([sampler_poll]).  Reads of the grids from the monitor thread are
+   ring, one sampler per run (see the .mli).  Reads of the grids are
    racy-but-benign, exactly like the watchdog's [copy_report]: each
    cell has a single writer and a torn read only skews one sample. *)
 

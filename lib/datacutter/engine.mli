@@ -289,7 +289,7 @@ val retire_idle :
 (** One controller decision (at most one spawn or retire), returned as
     [(stage, copy)] for the caller to act on.  Call from exactly one
     place — the simulator's event loop at virtual decision points, or
-    the real backends' monitor thread every [as_interval_s].  [`Idle]
+    the real backends' calling thread every [as_interval_s].  [`Idle]
     when the run has no autoscale config. *)
 val autoscale_tick :
   t -> [ `Idle | `Spawned of int * int | `Retired of int * int ]
@@ -318,6 +318,8 @@ val recovery : t -> Supervisor.recovery
 
 (** First error wins; sets the stop flag and wakes all copies. *)
 val abort : t -> Supervisor.run_error -> unit
+
+val stage_dead_error : t -> stage:int -> error:string -> Supervisor.run_error
 
 val aborting : t -> bool
 val abort_error : t -> Supervisor.run_error option
@@ -383,7 +385,7 @@ val watchdog_check : t -> watchdog -> unit
     seconds, live queue length and items/s since the previous sample —
     into an {!Obs.Timeseries} ring.  The simulator advances the sampler
     inline at exact virtual times (deterministic); real-time backends
-    poll it from their monitor thread.
+    poll it from their calling thread.
     Cross-domain grid reads are racy-but-benign: one writer per cell, a
     torn read only skews one sample. *)
 

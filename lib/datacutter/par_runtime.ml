@@ -1,15 +1,10 @@
-(* Domain backend of the filter-stream engine, and the copy driver the
-   process backend shares (see the .mli).  Protocol decisions come from
-   [Engine]; this file only schedules: every copy a fiber on a host or
-   a runner of its own (see the runners below), over bounded blocking
-   queues ([Bqueue]), the executor's [send] a blocking push,
-   [`Retry of delay] a [Sched.sleep] preceded by retention-ring replay
-   into a fresh executor.  The one message this driver adds to the item
-   protocol is [Release], the intra-stage end-of-drain token: the copy
-   completing the stage barrier pushes it into every sibling queue;
-   queue FIFO order guarantees zombie re-routes pushed earlier are
-   consumed first.  Which copies run their callbacks on the driver
-   and which run them elsewhere is the backend's [place]. *)
+(* The copy driver of the domain and process backends (see the .mli).
+   The one message it adds to the item protocol is [Release], the
+   intra-stage end-of-drain token: the copy completing the stage
+   barrier pushes it into every sibling queue; queue FIFO order
+   guarantees zombie re-routes pushed earlier are consumed first.  Each
+   copy's placement is resolved once, into the [path] its filter driver
+   serves data through. *)
 
 type msg = It of Engine.item | Release
 
@@ -54,12 +49,406 @@ type link = {
 type placement = Local | Remote_source of source | Remote_filter of calls * link
 
 (* Injected slowdown: the copy's scripted penalty for a call that
-   started at [t0], slept inside the caller's charge (a slower node is
-   just... busier). *)
+   started at [since], slept inside the caller's charge. *)
 let slow_down (cs : Engine.copy) ~since =
   let elapsed = Obs.Clock.elapsed_s () -. since in
   let extra = Fault.extra_delay cs.Engine.fstate ~elapsed in
   if extra > 0.0 then Sched.sleep extra
+
+(* Scripted faults tick once per local call and slow it down after it
+   returns.  An inert copy's tick is pure accounting, so inert copies
+   skip both: no clock reads on their hot path. *)
+let faulted (cs : Engine.copy) ~inert f =
+  if inert then f ()
+  else begin
+    let t0 = Obs.Clock.elapsed_s () in
+    Fault.tick cs.Engine.fstate;
+    let r = f () in
+    slow_down cs ~since:t0;
+    r
+  end
+
+let abort_raise eng err = Engine.abort eng err; raise Bqueue.Aborted
+let ok eng = function Ok () -> () | Error e -> abort_raise eng e
+let send eng cs it = ok eng (Engine.send_downstream eng cs it)
+
+type supervisor =
+  { eng : Engine.t; cs : Engine.copy; on_fail : unit -> unit; restart : unit -> unit }
+
+(* [on_fail] runs before each crash decision (a remote copy kills its
+   worker there); a retry sleeps the backoff for real and runs
+   [restart] before the next attempt; give-up raises the last error. *)
+let rec attempt sv ~restarting op =
+  if Engine.aborting sv.eng then raise Bqueue.Aborted;
+  match
+    if restarting then sv.restart ();
+    op ()
+  with
+  | r -> r
+  | exception Bqueue.Aborted -> raise Bqueue.Aborted
+  | exception e -> crashed sv e op
+
+and crashed sv e op =
+  sv.on_fail ();
+  match Engine.on_crash sv.eng sv.cs with
+  | `Give_up -> raise e
+  | `Retry delay ->
+      Sched.sleep delay;
+      attempt sv ~restarting:true op
+
+let supervise sv op = attempt sv ~restarting:false op
+
+(* A supervised call charged to the copy's service time as [name]. *)
+let charged sv name op =
+  supervise sv (fun () -> Engine.timed_call sv.eng sv.cs ~name op)
+
+(* Sources are never rebuilt (their cursor state cannot be replayed
+   without duplicating packets): transient faults retry in place;
+   exhaustion retires, truncating the stream after its last delivered
+   item. *)
+let run_source eng cs src =
+  let sv = { eng; cs; on_fail = ignore; restart = ignore } in
+  src.start ();
+  let rec stream () =
+    match charged sv "produce" src.next with
+    | Some b ->
+        Engine.note_item_done eng cs;
+        send eng cs (Engine.Data b);
+        stream ()
+    | None -> ()
+  in
+  match stream () with
+  | () ->
+      (match charged sv "src_finalize" src.src_finalize with
+      | Some b -> send eng cs (Engine.Final b)
+      | None -> ());
+      send eng cs Engine.Marker
+  | exception Bqueue.Aborted -> raise Bqueue.Aborted
+  | exception err -> (
+      match Engine.retire eng cs ~error:err with
+      | `Fatal e -> abort_raise eng e
+      | `Continue -> send eng cs Engine.Marker)
+
+(* A filter copy's driver state.  [ring] holds the last acknowledged
+   inputs, replayed into a fresh executor after a restart (outputs
+   suppressed); [current] the items taken off the queue and not yet
+   acknowledged nor handed to a window, which a retirement re-routes. *)
+type filter = {
+  eng : Engine.t;
+  cs : Engine.copy;
+  queues : msg Bqueue.t array array;
+  q : msg Bqueue.t;
+  calls : calls;
+  path : path;
+  sv : supervisor;  (* [calls.on_fail], and [restart] *)
+  is_last : bool;
+  inert : bool;
+  in_cap : int;  (* the upstream's batch cap *)
+  ring : Engine.Ring.t;
+  mutable current : Engine.item list;
+  pend : msg Queue.t;  (* popped, not yet served *)
+}
+
+(* How a copy serves its data items, chosen once from its placement:
+   directly, or through a remote copy's credit window.  [event] raises
+   a window event and settles under the crash loop, [step] only raises
+   it; neither does anything for a local copy. *)
+and path = {
+  data : filter -> Engine.item -> unit;
+  event : filter -> Proc_window.event -> unit;
+  step : filter -> Proc_window.event -> unit;
+  busy : unit -> bool;  (* frames in flight *)
+}
+
+let charge f name op = Engine.timed_call f.eng f.cs ~name op
+let forward f it = if not f.is_last then send f.eng f.cs it
+
+let ack f it out =
+  Engine.note_item_done f.eng f.cs;
+  f.current <- [];
+  (match out with Some b -> forward f (Engine.Data b) | None -> ());
+  Engine.Ring.push f.ring it
+
+let reroute f = function
+  | (Engine.Data _ | Engine.Final _) as it ->
+      ok f.eng (Engine.reroute f.eng f.cs it)
+  | Engine.Marker -> ()
+
+(* A restart replays the ring into the fresh executor, then re-sends
+   the window's unacknowledged frames. *)
+let restart f =
+  f.calls.fresh ();
+  charge f "init" f.calls.init;
+  if Engine.Ring.truncated f.ring then
+    Engine.bump f.eng (fun r ->
+        r.Supervisor.replay_truncated <- r.replay_truncated + 1);
+  List.iter
+    (fun it ->
+      Engine.bump f.eng (fun r -> r.Supervisor.replayed <- r.replayed + 1);
+      let name = match it with Engine.Final _ -> "replay_eos" | _ -> "replay" in
+      ignore (charge f name (fun () -> f.calls.call it)))
+    (Engine.Ring.items f.ring);
+  f.path.step f Proc_window.Crash
+
+let filter eng queues (cs : Engine.copy) calls path =
+  let s = cs.Engine.stage and pend = Queue.create () in
+  let ring = Engine.Ring.create ~retention:(Engine.policy eng).retention in
+  let rec f =
+    { eng; cs; queues; q = queues.(s).(cs.Engine.index); calls; path;
+      sv = { eng; cs; on_fail = calls.on_fail; restart = (fun () -> restart f) };
+      is_last = Engine.is_sink_stage eng s; inert = Fault.inert cs.fstate;
+      in_cap = Engine.input_batch eng s; ring; current = []; pend }
+  in
+  f
+
+(* A local copy: each data item one supervised call. *)
+let local_path =
+  let data f it =
+    f.current <- [ it ];
+    ack f it
+      (charged f.sv "process" (fun () ->
+           faulted f.cs ~inert:f.inert (fun () -> f.calls.call it)))
+  in
+  { data; event = (fun _ _ -> ()); step = (fun _ _ -> ()); busy = (fun () -> false) }
+
+(* A remote copy's credit window [w] over [l]: the driver raises its
+   events and carries out its actions over the link.  Scripted faults
+   tick once per item sent. *)
+let send_frame l f items =
+  if not f.inert then List.iter (fun _ -> Fault.tick f.cs.Engine.fstate) items;
+  l.send items
+
+let perform l f = function
+  | Proc_window.Send items -> send_frame l f items
+  | Proc_window.Resend frames -> List.iter (send_frame l f) frames
+  | Proc_window.Ack (it, out) -> ack f it out
+  | Proc_window.Reroute items -> List.iter (reroute f) items
+  | Proc_window.Fail msg -> raise (Proc_window.Remote_crash msg)
+
+let step_window l w f ev = List.iter (perform l f) (Proc_window.step w ev)
+
+(* Settle the answers already waiting, then block for those the window
+   waits on. *)
+let rec settle l w f () =
+  match if Proc_window.in_flight w > 0 then l.poll () else None with
+  | Some r -> step_window l w f (Proc_window.Response r); settle l w f ()
+  | None -> (
+      match Proc_window.awaiting w with
+      | None -> ()
+      | Some wait ->
+          let stalled = wait = Proc_window.Credit in
+          step_window l w f
+            (Proc_window.Response (charge f "process" (fun () -> l.recv ~stalled)));
+          settle l w f ())
+
+(* One window event, under the same crash loop as a local call. *)
+let window_event l w f ev =
+  match step_window l w f ev with
+  | () -> supervise f.sv (settle l w f)
+  | exception Bqueue.Aborted -> raise Bqueue.Aborted
+  | exception e -> crashed f.sv e (settle l w f)
+
+(* A window takes the run of consecutive [Data] items already popped as
+   ONE frame.  Gated on fault-inert copies — injected faults tick per
+   item, so batching there would move a scripted crash relative to
+   B=1. *)
+let rec grab f acc =
+  match Queue.peek_opt f.pend with
+  | Some (It (Engine.Data _ as it)) ->
+      ignore (Queue.pop f.pend);
+      grab f (it :: acc)
+  | _ -> List.rev acc
+
+let remote_path l =
+  let w = Proc_window.create ~depth:l.depth in
+  {
+    data =
+      (fun f it ->
+        let t0 = if f.inert then 0.0 else Obs.Clock.elapsed_s () in
+        window_event l w f
+          (Proc_window.Submit
+             (if f.in_cap > 1 && f.inert then grab f [ it ] else [ it ]));
+        if not f.inert then slow_down f.cs ~since:t0);
+    event = window_event l w;
+    step = step_window l w;
+    busy = (fun () -> Proc_window.in_flight w > 0);
+  }
+
+(* Batched receive: drain up to the upstream's batch cap in one queue
+   round-trip into the pending buffer, then serve from it ([pop_all
+   ~max:1] is a single-item [pop]).  A window settles before its copy
+   blocks on an empty queue. *)
+let recv f =
+  if not (Queue.is_empty f.pend) then Queue.pop f.pend
+  else begin
+    if f.path.busy () && Bqueue.length f.q = 0 then
+      f.path.event f Proc_window.Idle;
+    Engine.set_lifecycle f.cs Engine.st_blocked_pop;
+    let ms, blocked = Bqueue.pop_all f.q ~max:f.in_cap in
+    Engine.set_lifecycle f.cs Engine.st_idle;
+    Engine.note_progress f.eng;
+    Engine.note_stall_pop f.eng f.cs blocked;
+    match ms with
+    | [] -> assert false
+    | m :: rest -> List.iter (fun m' -> Queue.push m' f.pend) rest; m
+  end
+
+(* Completing the stage drain barrier wakes the whole stage with a
+   [Release] token in every sibling queue.  The token never waits for
+   room: one of the queues is this copy's own, possibly filled by a
+   zombie's re-routes while this copy was draining.  A window settles
+   first: once the barrier releases, downstream believes it has seen
+   every item this copy will emit. *)
+let count_eos f =
+  f.path.event f Proc_window.Drain;
+  match Engine.count_eos f.eng f.cs with
+  | `Already | `Counted -> ()
+  | `Stage_drained ->
+      (* wake the engaged members only — a dormant slot's queue has no
+         consumer to take the token *)
+      let s = f.cs.Engine.stage in
+      for j = 0 to Engine.engaged_width f.eng s - 1 do
+        Bqueue.push_token f.queues.(s).(j) Release
+      done
+
+let serve_final f b =
+  f.current <- [ Engine.Final b ];
+  f.path.event f Proc_window.Drain;
+  let out = charged f.sv "on_eos" (fun () -> f.calls.call (Engine.Final b)) in
+  f.current <- [];
+  (match out with Some b -> forward f (Engine.Final b) | None -> ());
+  Engine.Ring.push f.ring (Engine.Final b)
+
+let finalize_copy f =
+  f.path.event f Proc_window.Drain;
+  (match charged f.sv "finalize" f.calls.finalize with
+  | Some b -> forward f (Engine.Final b)
+  | None -> ());
+  forward f Engine.Marker
+
+(* Zombie router: a retired copy keeps draining its queue, re-routing
+   buffers and counting markers, until its stream has ended AND the
+   barrier has released — until then a sibling zombie may still aim
+   re-routes at this queue. *)
+let retire f err =
+  (match Engine.retire f.eng f.cs ~error:err with
+  | `Fatal e -> abort_raise f.eng e
+  | `Continue -> ());
+  (* Everything this copy still owes — the unacknowledged window, the
+     items in hand, the popped-but-unserved buffer — goes to live
+     siblings before it turns zombie. *)
+  f.path.step f Proc_window.Give_up;
+  List.iter (reroute f) f.current;
+  f.current <- [];
+  Queue.iter
+    (function
+      | It Engine.Marker -> Engine.note_marker f.eng f.cs
+      | It it -> reroute f it
+      | Release -> ())
+    f.pend;
+  Queue.clear f.pend;
+  (* Best-effort sweep of anything still queued (possible only if
+     several copies died during the drain). *)
+  let rec sweep () =
+    match Bqueue.try_pop f.q with
+    | Some (It it) -> reroute f it; sweep ()
+    | Some Release -> sweep ()
+    | None -> ()
+  in
+  let rec zombie () =
+    if Engine.at_marker_quota f.eng f.cs then count_eos f;
+    if
+      Engine.at_marker_quota f.eng f.cs
+      && Engine.barrier_released f.eng f.cs.Engine.stage
+    then begin
+      sweep ();
+      forward f Engine.Marker
+    end
+    else
+      match recv f with
+      | It Engine.Marker -> Engine.note_marker f.eng f.cs; zombie ()
+      | It it -> reroute f it; zombie ()
+      | Release -> zombie ()
+  in
+  zombie ()
+
+(* After the last upstream marker ([drained]) this copy's own stream is
+   done, but retired siblings may still re-route buffers here: keep
+   serving until the stage drain barrier releases, then finalize.  A
+   [Release] cannot arrive before this copy reaches its quota. *)
+let serve f =
+  charged f.sv "init" f.calls.init;
+  let rec loop drained =
+    match recv f with
+    | It (Engine.Data _ as it) -> f.path.data f it; loop drained
+    | It (Engine.Final b) -> serve_final f b; loop drained
+    | Release ->
+        if drained && Engine.barrier_released f.eng f.cs.Engine.stage then
+          finalize_copy f
+        else loop drained
+    | It Engine.Marker ->
+        Engine.note_marker f.eng f.cs;
+        let quota = (not drained) && Engine.at_marker_quota f.eng f.cs in
+        if quota then count_eos f;
+        loop (drained || quota)
+  in
+  loop false
+
+let run_filter f =
+  try serve f with Bqueue.Aborted -> raise Bqueue.Aborted | err -> retire f err
+
+(* A local filter instance as round trips; a restart instantiates a
+   fresh one. *)
+let local_calls eng cs f0 =
+  let f = ref f0 in
+  {
+    fresh =
+      (fun () ->
+        match Engine.instantiate eng cs with
+        | Engine.I_filter f' -> f := f'
+        | Engine.I_source _ -> assert false);
+    init = (fun () -> ignore ((!f).Filter.init ()));
+    call =
+      (function
+      | Engine.Data b -> fst ((!f).Filter.process b)
+      | Engine.Final b -> fst ((!f).Filter.on_eos (Some b))
+      | Engine.Marker -> None);
+    finalize = (fun () -> fst ((!f).Filter.finalize ()));
+    on_fail = ignore;
+  }
+
+(* A copy's fiber: its driver, its placement resolved once, then its
+   exit. *)
+let copy_fiber eng queues exits placement (cs : Engine.copy) () =
+  (try
+     match placement with
+     | Remote_source src -> run_source eng cs src
+     | Remote_filter (calls, link) ->
+         run_filter (filter eng queues cs calls (remote_path link))
+     | Local -> (
+         match Engine.instantiate eng cs with
+         | Engine.I_source src ->
+             let inert = Fault.inert cs.fstate in
+             run_source eng cs
+               {
+                 start = ignore;
+                 next =
+                   (fun () -> Option.map fst (faulted cs ~inert src.Filter.next));
+                 src_finalize = (fun () -> fst (src.Filter.src_finalize ()));
+               }
+         | Engine.I_filter f0 ->
+             run_filter (filter eng queues cs (local_calls eng cs f0) local_path))
+   with
+  | Bqueue.Aborted | Bqueue.Closed -> ()
+  | e ->
+      (* A supervisor bug or an error on a path without retry support
+         must not hang the other copies. *)
+      Engine.abort eng
+        (Engine.stage_dead_error eng ~stage:cs.stage
+           ~error:("unexpected runtime error: " ^ Printexc.to_string e)));
+  Engine.set_lifecycle cs Engine.st_done;
+  Engine.mark_exited cs;
+  Sched.notify exits
 
 type slot = { stage : int; copy : int; local : bool; planned : bool }
 type host = { kind : Sched.kind; slots : (int * int) list }
@@ -88,567 +477,73 @@ let layout ~cores slots =
         })
       slots
 
-let drive eng ~backend ?(place = fun _ -> Local) ?(teardown = ignore)
-    ?(extra = fun () -> []) () =
-  let policy = Engine.policy eng in
-  let n_stages = Engine.n_stages eng in
-  let stop = Engine.stop_flag eng in
-  let exits = Sched.event () in
-  (* One run-scoped spill dir when the run is budgeted; removed on
-     every exit path (success and structured failure). *)
-  let budgeted = n_stages > 1 && Engine.queue_budget eng ~stage:1 <> None in
-  let spill_dir = if budgeted then Some (Spill.create_dir ()) else None in
-  (* input queue per copy SLOT of stages 1.. — dormant elastic slots
-     get their queue up front, so a spawn never allocates *)
-  let queues =
-    Array.init n_stages (fun s ->
-        if s = 0 then [||]
-        else
-          let spill =
-            match (spill_dir, Engine.queue_budget eng ~stage:s) with
-            | Some dir, Some budget ->
-                Some
-                  (Bqueue.spill_config ~budget ~dir ~encode:encode_msg
-                     ~decode:decode_msg)
-            | _ -> None
-          in
-          Array.init (Engine.slots eng s) (fun _ ->
-              (Bqueue.create ~cost:msg_cost ?spill ~stop
-                 (Engine.queue_capacity eng)
-                : msg Bqueue.t)))
-  in
-  (* The executor: [send] is one blocking [push_all] — one lock
-     acquisition, one consumer wakeup — with the blocked seconds charged
-     to the sender. *)
-  Engine.attach eng
-    {
-      exec_backend = backend;
-      exec_now = Obs.Clock.elapsed_s;
-      exec_send =
-        (fun ~src ~dst_stage ~dst_copy items ->
-          Engine.set_lifecycle src Engine.st_blocked_push;
-          let blocked =
-            Bqueue.push_all queues.(dst_stage).(dst_copy)
-              (List.map (fun it -> It it) items)
-          in
-          Engine.set_lifecycle src Engine.st_idle;
-          Engine.note_progress eng;
-          Engine.note_stall_push eng src blocked;
-          Sched.tick ());
-      exec_queue_stats =
-        (fun ~stage ~copy ->
-          if stage = 0 then Bqueue.no_stats
-          else Bqueue.stats queues.(stage).(copy));
-      exec_wake =
-        (fun () ->
-          Array.iter (Array.iter Bqueue.wake) queues;
-          Sched.notify exits);
-    };
-  (* Each copy slot's placement, planned or dormant, asked before any
-     driver starts. *)
-  let places =
-    Array.init n_stages (fun s ->
-        Array.init (Engine.slots eng s) (fun k ->
-            place (Engine.copy_at eng ~stage:s ~copy:k)))
-  in
-  let abort_raise err = Engine.abort eng err; raise Bqueue.Aborted in
-  let ok = function Ok () -> () | Error e -> abort_raise e in
+type schedule = { period : float; next : float }
 
-  let copy_body s k placement =
-    let cs = Engine.copy_at eng ~stage:s ~copy:k in
-    let charge name f = Engine.timed_call eng cs ~name f in
-    let send it = ok (Engine.send_downstream eng cs it) in
-    (* Scripted faults tick once per local call and slow it down after
-       it returns.  An inert copy's tick is pure accounting, so inert
-       copies skip both: no clock reads on their hot path. *)
-    let inert = Fault.inert cs.Engine.fstate in
-    let faulted f =
-      if inert then f ()
-      else begin
-        let t0 = Obs.Clock.elapsed_s () in
-        Fault.tick cs.Engine.fstate;
-        let r = f () in
-        slow_down cs ~since:t0;
-        r
-      end
-    in
-    (* The supervisor loop: [on_fail] runs before each crash decision
-       (a remote copy kills its worker there); a retry sleeps the
-       backoff for real and runs [restart] before the next attempt;
-       give-up raises the last error. *)
-    let rec attempt ~on_fail ~restart restarting op =
-      if Engine.aborting eng then raise Bqueue.Aborted;
-      match
-        if restarting then restart ();
-        op ()
-      with
-      | r -> r
-      | exception Bqueue.Aborted -> raise Bqueue.Aborted
-      | exception e -> crashed ~on_fail ~restart e op
-    and crashed ~on_fail ~restart e op =
-      on_fail ();
-      match Engine.on_crash eng cs with
-      | `Give_up -> raise e
-      | `Retry delay ->
-          Sched.sleep delay;
-          attempt ~on_fail ~restart true op
-    in
-    let supervised ?(on_fail = ignore) ?(restart = ignore) name op =
-      attempt ~on_fail ~restart false (fun () -> charge name op)
-    in
-    let run_source src =
-      (* Sources are never rebuilt (their cursor state cannot be
-         replayed without duplicating packets): transient faults retry
-         in place; exhaustion retires, truncating the stream after its
-         last delivered item. *)
-      src.start ();
-      let rec stream () =
-        match supervised "produce" src.next with
-        | Some b ->
-            Engine.note_item_done eng cs;
-            send (Engine.Data b);
-            stream ()
-        | None -> ()
-      in
-      match stream () with
-      | () ->
-          (match supervised "src_finalize" src.src_finalize with
-          | Some b -> send (Engine.Final b)
-          | None -> ());
-          send Engine.Marker
-      | exception Bqueue.Aborted -> raise Bqueue.Aborted
-      | exception err -> (
-          match Engine.retire eng cs ~error:err with
-          | `Fatal e -> abort_raise e
-          | `Continue -> send Engine.Marker)
-    in
-    let run_filter calls link =
-      let q = queues.(s).(k) in
-      let is_last = Engine.is_sink_stage eng s in
-      (* Retention ring: the last acknowledged inputs, replayed into a
-         fresh executor after a restart (outputs suppressed — state is
-         rebuilt without duplicating sends). *)
-      let ring = Engine.Ring.create ~retention:policy.Supervisor.retention in
-      (* Items taken off the queue and not yet acknowledged (nor handed
-         to a window): a retirement re-routes them. *)
-      let current = ref [] in
-      let forward it = if not is_last then send it in
-      let ack it out =
-        Engine.note_item_done eng cs;
-        current := [];
-        (match out with Some b -> forward (Engine.Data b) | None -> ());
-        Engine.Ring.push ring it
-      in
-      let reroute = function
-        | (Engine.Data _ | Engine.Final _) as it ->
-            ok (Engine.reroute eng cs it)
-        | Engine.Marker -> ()
-      in
-      (* A remote copy's credit window: this driver raises its events
-         and carries out its actions over the link.  Scripted faults
-         tick once per item sent. *)
-      let window =
-        Option.map (fun l -> (l, Proc_window.create ~depth:l.depth)) link
-      in
-      let rec step ev =
-        match window with
-        | None -> ()
-        | Some (_, w) -> List.iter perform (Proc_window.step w ev)
-      and perform = function
-        | Proc_window.Send items -> send_frame items
-        | Proc_window.Resend frames -> List.iter send_frame frames
-        | Proc_window.Ack (it, out) -> ack it out
-        | Proc_window.Reroute items -> List.iter reroute items
-        | Proc_window.Fail msg -> raise (Proc_window.Remote_crash msg)
-      and send_frame items =
-        match window with
-        | None -> ()
-        | Some (l, _) ->
-            if not inert then
-              List.iter (fun _ -> Fault.tick cs.Engine.fstate) items;
-            l.send items
-      in
-      (* Settle the answers already waiting, then block for those the
-         window waits on. *)
-      let rec settle () =
-        match window with
-        | None -> ()
-        | Some (l, w) -> (
-            match if Proc_window.in_flight w > 0 then l.poll () else None with
-            | Some r ->
-                step (Proc_window.Response r);
-                settle ()
-            | None -> (
-                match Proc_window.awaiting w with
-                | None -> ()
-                | Some wait ->
-                    let stalled = wait = Proc_window.Credit in
-                    step
-                      (Proc_window.Response
-                         (charge "process" (fun () -> l.recv ~stalled)));
-                    settle ()))
-      in
-      (* A restart replays the ring into the fresh executor, then
-         re-sends the window's unacknowledged frames. *)
-      let restart () =
-        calls.fresh ();
-        charge "init" calls.init;
-        if Engine.Ring.truncated ring then
-          Engine.bump eng (fun r ->
-              r.Supervisor.replay_truncated <- r.replay_truncated + 1);
-        List.iter
-          (fun it ->
-            Engine.bump eng (fun r -> r.Supervisor.replayed <- r.replayed + 1);
-            let name =
-              match it with Engine.Final _ -> "replay_eos" | _ -> "replay"
-            in
-            ignore (charge name (fun () -> calls.call it)))
-          (Engine.Ring.items ring);
-        step Proc_window.Crash
-      in
-      let on_fail = calls.on_fail in
-      let supervised name op = supervised ~on_fail ~restart name op in
-      (* One window event, under the same crash loop as a local call. *)
-      let window_event ev =
-        if Option.is_some window then
-          match step ev with
-          | () -> attempt ~on_fail ~restart false settle
-          | exception Bqueue.Aborted -> raise Bqueue.Aborted
-          | exception e -> crashed ~on_fail ~restart e settle
-      in
-      (* Batched receive: drain up to the upstream's batch cap in one
-         queue round-trip into a local pending buffer, then serve from
-         it ([pop_all ~max:1] is a single-item [pop]).  A window
-         settles before its copy blocks on an empty queue. *)
-      let in_cap = Engine.input_batch eng s in
-      let pend : msg Queue.t = Queue.create () in
-      let recv () =
-        if not (Queue.is_empty pend) then Queue.pop pend
-        else begin
-          (match window with
-          | Some (_, w) when Proc_window.in_flight w > 0 && Bqueue.length q = 0
-            ->
-              window_event Proc_window.Idle
-          | _ -> ());
-          Engine.set_lifecycle cs Engine.st_blocked_pop;
-          let ms, blocked = Bqueue.pop_all q ~max:in_cap in
-          Engine.set_lifecycle cs Engine.st_idle;
-          Engine.note_progress eng;
-          Engine.note_stall_pop eng cs blocked;
-          match ms with
-          | [] -> assert false
-          | m :: rest ->
-              List.iter (fun m' -> Queue.push m' pend) rest;
-              m
-        end
-      in
-      (* Completing the stage drain barrier wakes the whole stage with
-         a [Release] token in every sibling queue.  The token never
-         waits for room: one of the queues is this copy's own, possibly
-         filled by a zombie's re-routes while this copy was draining.
-         A window settles first: once the barrier releases, downstream
-         believes it has seen every item this copy will emit. *)
-      let count_eos () =
-        window_event Proc_window.Drain;
-        match Engine.count_eos eng cs with
-        | `Already | `Counted -> ()
-        | `Stage_drained ->
-            (* wake the engaged members only — a dormant slot's queue
-               has no consumer to take the token *)
-            for j = 0 to Engine.engaged_width eng s - 1 do
-              Bqueue.push_token queues.(s).(j) Release
-            done
-      in
-      (* A window takes the run of consecutive [Data] items already
-         popped as ONE frame.  Gated on fault-inert copies — injected
-         faults tick per item, so batching there would move a scripted
-         crash relative to B=1. *)
-      let batched = in_cap > 1 && inert in
-      let rec grab acc =
-        match Queue.peek_opt pend with
-        | Some (It (Engine.Data _ as it)) ->
-            ignore (Queue.pop pend);
-            grab (it :: acc)
-        | _ -> List.rev acc
-      in
-      let serve_data it =
-        match window with
-        | None ->
-            current := [ it ];
-            ack it
-              (supervised "process" (fun () ->
-                   faulted (fun () -> calls.call it)))
-        | Some _ ->
-            let t0 = if inert then 0.0 else Obs.Clock.elapsed_s () in
-            window_event
-              (Proc_window.Submit (if batched then grab [ it ] else [ it ]));
-            if not inert then slow_down cs ~since:t0
-      in
-      let serve_final b =
-        current := [ Engine.Final b ];
-        window_event Proc_window.Drain;
-        let out = supervised "on_eos" (fun () -> calls.call (Engine.Final b)) in
-        current := [];
-        (match out with Some b -> forward (Engine.Final b) | None -> ());
-        Engine.Ring.push ring (Engine.Final b)
-      in
-      let finalize_copy () =
-        window_event Proc_window.Drain;
-        (match supervised "finalize" calls.finalize with
-        | Some b -> forward (Engine.Final b)
-        | None -> ());
-        if not is_last then send Engine.Marker
-      in
-      (* Zombie router: a retired copy keeps draining its queue,
-         re-routing buffers and counting markers, until its stream has
-         ended AND the barrier has released — until then a sibling
-         zombie may still aim re-routes at this queue. *)
-      let retire err =
-        (match Engine.retire eng cs ~error:err with
-        | `Fatal e -> abort_raise e
-        | `Continue -> ());
-        (* Everything this copy still owes — the unacknowledged window,
-           the items in hand, the popped-but-unserved buffer — goes to
-           live siblings before it turns zombie. *)
-        step Proc_window.Give_up;
-        List.iter reroute !current;
-        current := [];
-        Queue.iter
-          (function
-            | It Engine.Marker -> Engine.note_marker eng cs
-            | It it -> reroute it
-            | Release -> ())
-          pend;
-        Queue.clear pend;
-        let rec zombie () =
-          if Engine.at_marker_quota eng cs then count_eos ();
-          if Engine.at_marker_quota eng cs && Engine.barrier_released eng s
-          then begin
-            (* Best-effort sweep of anything still queued (possible
-               only if several copies died during the drain). *)
-            let rec sweep () =
-              match Bqueue.try_pop q with
-              | Some (It it) ->
-                  reroute it;
-                  sweep ()
-              | Some Release -> sweep ()
-              | None -> ()
-            in
-            sweep ();
-            if not is_last then send Engine.Marker
-          end
-          else
-            match recv () with
-            | It Engine.Marker ->
-                Engine.note_marker eng cs;
-                zombie ()
-            | It it ->
-                reroute it;
-                zombie ()
-            | Release -> zombie ()
-        in
-        zombie ()
-      in
-      let serve () =
-        supervised "init" calls.init;
-        (* After the last upstream marker this copy's own stream is
-           done, but retired siblings may still re-route buffers here:
-           keep serving until the stage drain barrier releases, then
-           finalize. *)
-        let rec eos_wait () =
-          match recv () with
-          | Release ->
-              if Engine.barrier_released eng s then finalize_copy ()
-              else eos_wait ()
-          | It (Engine.Data _ as it) -> serve_data it; eos_wait ()
-          | It (Engine.Final b) -> serve_final b; eos_wait ()
-          | It Engine.Marker -> Engine.note_marker eng cs; eos_wait ()
-        in
-        let rec loop () =
-          match recv () with
-          | It (Engine.Data _ as it) -> serve_data it; loop ()
-          | It (Engine.Final b) -> serve_final b; loop ()
-          (* cannot arrive before this copy reaches its quota *)
-          | Release -> loop ()
-          | It Engine.Marker ->
-              Engine.note_marker eng cs;
-              if Engine.at_marker_quota eng cs then begin
-                count_eos ();
-                eos_wait ()
-              end
-              else loop ()
-        in
-        loop ()
-      in
-      try serve () with
-      | Bqueue.Aborted -> raise Bqueue.Aborted
-      | err -> retire err
-    in
-    match placement with
-    | Remote_source src -> run_source src
-    | Remote_filter (calls, link) -> run_filter calls (Some link)
-    | Local -> (
-        match Engine.instantiate eng cs with
-        | Engine.I_source src ->
-            run_source
-              {
-                start = ignore;
-                next = (fun () -> Option.map fst (faulted src.Filter.next));
-                src_finalize = (fun () -> fst (src.Filter.src_finalize ()));
-              }
-        | Engine.I_filter f0 ->
-            let f = ref f0 in
-            run_filter
-              {
-                fresh =
-                  (fun () ->
-                    match Engine.instantiate eng cs with
-                    | Engine.I_filter f' -> f := f'
-                    | Engine.I_source _ -> assert false);
-                init = (fun () -> ignore ((!f).Filter.init ()));
-                call =
-                  (function
-                  | Engine.Data b -> fst ((!f).Filter.process b)
-                  | Engine.Final b -> fst ((!f).Filter.on_eos (Some b))
-                  | Engine.Marker -> None);
-                finalize = (fun () -> fst ((!f).Filter.finalize ()));
-                on_fail = ignore;
-              }
-              None)
-  in
+(* Due at [now]: run once, next due at the first period boundary after
+   [now], missed periods skipped. *)
+let due ~now s =
+  if now < s.next then None
+  else
+    let rec skip next = if next <= now then skip (next +. s.period) else next in
+    Some { s with next = skip s.next }
 
-  let body (s, k) () =
-    let cs = Engine.copy_at eng ~stage:s ~copy:k in
-    (try copy_body s k places.(s).(k) with
-    | Bqueue.Aborted | Bqueue.Closed -> ()
-    | e ->
-        (* A supervisor bug or an error on a path without retry support
-           must not hang the other copies. *)
-        Engine.abort eng
-          (Supervisor.Stage_dead
-             {
-               stage = s;
-               stage_name = Engine.stage_name eng s;
-               error = "unexpected runtime error: " ^ Printexc.to_string e;
-             }));
-    Engine.set_lifecycle cs Engine.st_done;
-    Engine.mark_exited cs;
-    Sched.notify exits
-  in
+let poll_period = function
+  | [] -> None
+  | l -> Some (List.fold_left (fun m s -> Float.min m s.period) infinity l)
 
-  (* Every copy is a fiber on one of the [layout]'s hosts.  [host_of]
-     is each slot's host, -1 until its copy starts; the monitor writes
-     an elastic copy's before it is joined, so the joins and the
-     "runners" section read it without a lock. *)
-  let slots =
-    List.concat
-      (List.init n_stages (fun s ->
-           List.init (Engine.slots eng s) (fun k -> (s, k))))
-  in
-  let planned (s, k) = k < Engine.width eng s in
-  let copy_label (s, k) =
-    Topology.copy_label (Engine.topology eng) ~stage:s ~copy:k
-  in
-  let plan =
-    Array.of_list
-      (layout ~cores:(Domain.recommended_domain_count ())
-         (List.map
-            (fun (s, k) ->
-              {
-                stage = s;
-                copy = k;
-                local = places.(s).(k) = Local;
-                planned = planned (s, k);
-              })
-            slots))
-  in
-  let host_of = Array.map (Array.map (fun _ -> -1)) places in
-  let t0 = Obs.Clock.elapsed_s () in
-  let pool =
-    Sched.hosts
-      (Array.to_list
-         (Array.mapi
-            (fun h { kind; slots } ->
-              let copies = List.filter planned slots in
-              List.iter (fun (s, k) -> host_of.(s).(k) <- h) copies;
-              (kind, List.map body copies))
-            plan))
-  in
-  (* The engine made an elastic copy a routable member before returning
-     [`Spawned], so it may find items already queued.  A retired copy
-     keeps running its own driver and drains its queue by itself. *)
-  let spawn_elastic stage copy =
-    let c = (stage, copy) in
-    let on = Array.find_index (fun { slots; _ } -> List.mem c slots) plan in
-    host_of.(stage).(copy) <- Sched.spawn pool ?on (body c)
-  in
-  (* One monitor thread runs every armed periodic check — watchdog,
-     sampler, autoscaler — each once its own period has passed: it
-     sleeps the smallest armed period between rounds.  Nothing armed,
-     no thread. *)
-  let sampler =
-    match Engine.metrics_interval_s eng with
-    | Some iv when iv > 0.0 -> Some (Engine.sampler_create eng ~interval_s:iv)
-    | _ -> None
-  in
+type check = { mutable at : schedule; run : unit -> unit }
+
+(* The armed checks — watchdog, sampler, autoscaler — each with its own
+   period; [spawn] starts a copy the autoscaler engaged. *)
+let periodic_checks eng ~sampler ~spawn =
   let check period run =
-    (period, ref (Obs.Clock.elapsed_s () +. period), run)
+    Some { at = { period; next = Obs.Clock.elapsed_s () +. period }; run }
   in
-  let checks =
-    List.filter_map Fun.id
-      [
-        (match policy.Supervisor.watchdog_ms with
-        | Some ms when ms > 0 ->
-            let wd = Engine.watchdog eng ~ms in
-            Some
-              (check (Engine.watchdog_period_s wd) (fun () ->
-                   Engine.watchdog_check eng wd))
-        | _ -> None);
-        Option.map
-          (fun smp ->
-            check (Engine.sampler_period_s smp) (fun () ->
-                Engine.sampler_poll smp eng))
-          sampler;
-        Option.map
-          (fun a ->
-            check a.Engine.as_interval_s (fun () ->
-                match Engine.autoscale_tick eng with
-                | `Spawned (s, k) -> spawn_elastic s k
-                | `Retired _ | `Idle -> ()))
-          (Engine.autoscale_config eng);
-      ]
-  in
-  let monitor () =
-    let tick =
-      List.fold_left (fun m (p, _, _) -> Float.min m p) infinity checks
-    in
-    while not (Engine.aborting eng || Engine.all_exited eng) do
-      Unix.sleepf tick;
-      let now = Obs.Clock.elapsed_s () in
-      List.iter
-        (fun (period, next, run) ->
-          if now >= !next then begin
-            run ();
-            while !next <= now do next := !next +. period done
-          end)
-        checks
-    done
-  in
-  let monitor =
-    match checks with [] -> None | _ -> Some (Thread.create monitor ())
-  in
-  (* Wait until every copy has exited.  Once the run is aborting, a
-     copy stuck inside filter code cannot be interrupted: give it a
-     grace second, then leak its host, and every copy on it, rather
-     than hang the caller forever.  No copy is spawned once every copy
-     has exited, nor after the monitor is joined. *)
+  List.filter_map Fun.id
+    [
+      (match (Engine.policy eng).Supervisor.watchdog_ms with
+      | Some ms when ms > 0 ->
+          let wd = Engine.watchdog eng ~ms in
+          check (Engine.watchdog_period_s wd) (fun () ->
+              Engine.watchdog_check eng wd)
+      | _ -> None);
+      Option.bind sampler (fun smp ->
+          check (Engine.sampler_period_s smp) (fun () ->
+              Engine.sampler_poll smp eng));
+      Option.bind (Engine.autoscale_config eng) (fun a ->
+          check a.Engine.as_interval_s (fun () ->
+              match Engine.autoscale_tick eng with
+              | `Spawned (s, k) -> spawn s k
+              | `Retired _ | `Idle -> ()));
+    ]
+
+(* The calling thread waits until every copy has exited or the run
+   aborts, running the armed checks as it goes: it sleeps the smallest
+   armed period between rounds.  Nothing armed, it blocks on [exits].
+   Once the run is aborting, a copy stuck inside filter code cannot be
+   interrupted: it gets a grace second. *)
+let await_copies eng exits checks =
   let exited () = Engine.all_exited eng in
-  Sched.await exits (fun () -> exited () || Engine.aborting eng);
+  let finished () = exited () || Engine.aborting eng in
+  (match poll_period (List.map (fun c -> c.at) checks) with
+  | None -> Sched.await exits finished
+  | Some tick ->
+      while not (finished ()) do
+        Unix.sleepf tick;
+        let now = Obs.Clock.elapsed_s () in
+        List.iter
+          (fun c -> Option.iter (fun at -> c.run (); c.at <- at) (due ~now c.at))
+          checks
+      done);
   let deadline = Obs.Clock.elapsed_s () +. 1.0 in
   while (not (exited ())) && Obs.Clock.elapsed_s () < deadline do
     Unix.sleepf 0.002
-  done;
-  Option.iter Thread.join monitor;
+  done
+
+(* Close the hosts and join each, but leak one that still runs a copy
+   stuck in filter code, with every copy on it, rather than hang the
+   caller forever. *)
+let join_hosts eng pool plan host_of slots =
   Sched.close pool;
   Array.iteri
     (fun h _ ->
@@ -662,11 +557,148 @@ let drive eng ~backend ?(place = fun _ -> Local) ?(teardown = ignore)
       if stuck = [] then Sched.join pool h
       else
         List.iter
-          (fun c ->
-            Logs.warn (fun m ->
-                m "leaking stuck filter copy %s" (copy_label c)))
+          (fun (s, k) ->
+            let label = Topology.copy_label (Engine.topology eng) ~stage:s ~copy:k in
+            Logs.warn (fun m -> m "leaking stuck filter copy %s" label))
           stuck)
-    plan;
+    plan
+
+(* Where each copy ran: a thread host reads "thread h" by its layout
+   index h, a domain host its number among the spawned domains, from
+   1. *)
+let runners_section eng plan host_of slots =
+  let domains = ref 1 in
+  let label =
+    Array.mapi
+      (fun h { kind; _ } ->
+        match kind with
+        | Sched.Thread -> Obs.Json.Str (Printf.sprintf "thread %d" h)
+        | Sched.Domain -> incr domains; Obs.Json.Int (!domains - 1))
+      plan
+  in
+  let copy (s, k) =
+    let h = host_of.(s).(k) in
+    if h < 0 then None
+    else Some (Topology.copy_label (Engine.topology eng) ~stage:s ~copy:k, label.(h))
+  in
+  ( "runners",
+    Obs.Json.Obj
+      [
+        ("domains", Obs.Json.Int !domains);
+        ("copies", Obs.Json.Obj (List.filter_map copy slots));
+      ] )
+
+(* An input queue per copy slot of stages 1.. — dormant elastic slots
+   get theirs up front, so a spawn never allocates. *)
+let make_queues eng spill_dir =
+  Array.init (Engine.n_stages eng) (fun s ->
+      if s = 0 then [||]
+      else
+        let spill =
+          match (spill_dir, Engine.queue_budget eng ~stage:s) with
+          | Some dir, Some budget ->
+              Some
+                (Bqueue.spill_config ~budget ~dir ~encode:encode_msg
+                   ~decode:decode_msg)
+          | _ -> None
+        in
+        Array.init (Engine.slots eng s) (fun _ ->
+            (Bqueue.create ~cost:msg_cost ?spill ~stop:(Engine.stop_flag eng)
+               (Engine.queue_capacity eng)
+              : msg Bqueue.t)))
+
+(* The executor: [send] is one blocking [push_all] — one lock
+   acquisition, one consumer wakeup — with the blocked seconds charged
+   to the sender. *)
+let executor eng ~backend queues exits =
+  {
+    Engine.exec_backend = backend;
+    exec_now = Obs.Clock.elapsed_s;
+    exec_send =
+      (fun ~src ~dst_stage ~dst_copy items ->
+        Engine.set_lifecycle src Engine.st_blocked_push;
+        let blocked =
+          Bqueue.push_all queues.(dst_stage).(dst_copy)
+            (List.map (fun it -> It it) items)
+        in
+        Engine.set_lifecycle src Engine.st_idle;
+        Engine.note_progress eng;
+        Engine.note_stall_push eng src blocked;
+        Sched.tick ());
+    exec_queue_stats =
+      (fun ~stage ~copy ->
+        if stage = 0 then Bqueue.no_stats else Bqueue.stats queues.(stage).(copy));
+    exec_wake =
+      (fun () ->
+        Array.iter (Array.iter Bqueue.wake) queues;
+        Sched.notify exits);
+  }
+
+let drive eng ~backend ?(place = fun _ -> Local) ?(teardown = ignore)
+    ?(extra = fun () -> []) () =
+  let n_stages = Engine.n_stages eng in
+  let exits = Sched.event () in
+  (* One run-scoped spill dir when the run is budgeted; removed on
+     every exit path (success and structured failure). *)
+  let budgeted = n_stages > 1 && Engine.queue_budget eng ~stage:1 <> None in
+  let spill_dir = if budgeted then Some (Spill.create_dir ()) else None in
+  let queues = make_queues eng spill_dir in
+  Engine.attach eng (executor eng ~backend queues exits);
+  (* Each copy slot's placement, planned or dormant, asked before any
+     driver starts. *)
+  let places =
+    Array.init n_stages (fun s ->
+        Array.init (Engine.slots eng s) (fun k ->
+            place (Engine.copy_at eng ~stage:s ~copy:k)))
+  in
+  let fiber (s, k) =
+    copy_fiber eng queues exits places.(s).(k) (Engine.copy_at eng ~stage:s ~copy:k)
+  in
+  (* Every copy is a fiber on one of the [layout]'s hosts.  [host_of]
+     is each slot's host, -1 until its copy starts; only the calling
+     thread writes it. *)
+  let slots =
+    List.concat
+      (List.init n_stages (fun s ->
+           List.init (Engine.slots eng s) (fun k -> (s, k))))
+  in
+  let planned (s, k) = k < Engine.width eng s in
+  let plan =
+    Array.of_list
+      (layout ~cores:(Domain.recommended_domain_count ())
+         (List.map
+            (fun (s, k) ->
+              let local = match places.(s).(k) with Local -> true | _ -> false in
+              { stage = s; copy = k; local; planned = planned (s, k) })
+            slots))
+  in
+  let host_of = Array.map (Array.map (fun _ -> -1)) places in
+  let t0 = Obs.Clock.elapsed_s () in
+  let pool =
+    Sched.hosts
+      (Array.to_list
+         (Array.mapi
+            (fun h { kind; slots } ->
+              let copies = List.filter planned slots in
+              List.iter (fun (s, k) -> host_of.(s).(k) <- h) copies;
+              (kind, List.map fiber copies))
+            plan))
+  in
+  (* The engine made an elastic copy a routable member before returning
+     [`Spawned], so it may find items already queued.  A retired copy
+     keeps running its own driver and drains its queue by itself. *)
+  let spawn stage copy =
+    let c = (stage, copy) in
+    let on = Array.find_index (fun { slots; _ } -> List.mem c slots) plan in
+    host_of.(stage).(copy) <- Sched.spawn pool ?on (fiber c)
+  in
+  let sampler =
+    match Engine.metrics_interval_s eng with
+    | Some iv when iv > 0.0 -> Some (Engine.sampler_create eng ~interval_s:iv)
+    | _ -> None
+  in
+  await_copies eng exits (periodic_checks eng ~sampler ~spawn);
+  join_hosts eng pool plan host_of slots;
   (* Graceful queue close: leaked stuck copies (abort path) wake with
      [Closed] instead of blocking forever. *)
   Array.iter (Array.iter Bqueue.close) queues;
@@ -679,34 +711,6 @@ let drive eng ~backend ?(place = fun _ -> Local) ?(teardown = ignore)
         let n = min (Array.length queues.(s)) (Engine.engaged_width eng s) in
         Array.init n (fun k -> Bqueue.occupancy queues.(s).(k)))
   in
-  (* A thread host reads "caller", a domain host its number among the
-     spawned domains, from 1. *)
-  let domains = ref 1 in
-  let host_label =
-    Array.map
-      (fun { kind; _ } ->
-        match kind with
-        | Sched.Thread -> Obs.Json.Str "caller"
-        | Sched.Domain ->
-            incr domains;
-            Obs.Json.Int (!domains - 1))
-      plan
-  in
-  let runners_section () =
-    ( "runners",
-      Obs.Json.Obj
-        [
-          ("domains", Obs.Json.Int !domains);
-          ( "copies",
-            Obs.Json.Obj
-              (List.filter_map
-                 (fun (s, k) ->
-                   let h = host_of.(s).(k) in
-                   if h < 0 then None
-                   else Some (copy_label (s, k), host_label.(h)))
-                 slots) );
-        ] )
-  in
   let result =
     match Engine.abort_error eng with
     | Some e -> Error e
@@ -714,7 +718,8 @@ let drive eng ~backend ?(place = fun _ -> Local) ?(teardown = ignore)
         Ok
           (Engine.metrics eng ~elapsed_s:wall_time ~queue_occupancy:occupancy
              ?timeseries:(Option.map Engine.sampler_series sampler)
-             ~extra:(runners_section () :: extra ()) ())
+             ~extra:(runners_section eng plan host_of slots :: extra ())
+             ())
   in
   Option.iter Spill.remove_dir spill_dir;
   result

@@ -1,51 +1,27 @@
-(** Domain backend of the filter-stream {!Engine}: real parallel
-    execution on OCaml 5 domains, and the copy driver {!Proc_runtime}
-    runs too.
+(** Domain backend of the filter-stream {!Engine}, and the copy driver
+    {!Proc_runtime} runs too: {!Runtime.run_result} with [~backend:Par]
+    is {!drive} with every copy {!Local}, and a backend that runs some
+    copies' callbacks elsewhere (another process) says so per copy with
+    a {!placement}.
 
-    No more domains than cores take part: the calling domain, which
-    runs the sink, plus at most nproc - 1 spawned ones.  On each, the
-    copies run as effect fibers ({!Sched}); streams are bounded
-    blocking queues ({!Bqueue}, backpressure like DataCutter's fixed
-    buffer pool).  The protocol — routing, the EOS drain barrier, retry
-    / retire / re-route, recovery and stall accounting — lives in
-    {!Engine}; this module is the scheduler: copies on a fixed set of
-    hosts, a blocking push as the executor's [send], {!Sched.sleep} for
-    backoff, and retention-ring replay (outputs suppressed) to rebuild
-    a crashed copy's state before re-attempting the failed call.
-    Whole-stage death aborts with {!Supervisor.Stage_dead}; the
-    optional watchdog ({!Engine.watchdog_check}) aborts no-progress runs
-    with {!Supervisor.Stalled}.
+    The protocol — routing, the EOS drain barrier, retry / retire /
+    re-route, recovery and stall accounting — lives in {!Engine}; this
+    module is the scheduler: every copy an effect fiber on one of the
+    hosts {!layout} plans, bounded blocking queues ({!Bqueue}, spilling
+    to a run-scoped temp dir under a memory budget) with a blocking
+    push as the executor's [send], {!Sched.sleep} for backoff, and
+    retention-ring replay (outputs suppressed) to rebuild a crashed
+    copy's state before re-attempting the failed call.  The interpreter
+    yields at loop back-edges and the driver after each send, each at
+    most once per millisecond of a fiber's run ({!Sched.tick}); a
+    copy's busy time excludes the time it spent yielded.  Whole-stage
+    death aborts with {!Supervisor.Stage_dead}, a no-progress run with
+    {!Supervisor.Stalled} when the watchdog is armed.
 
-    Every stream records its occupancy after each push, and both sides
-    measure the seconds spent blocked (producers on a full queue,
-    consumers on an empty one) into the engine's stall grids.  A copy's
-    busy time excludes the time it spent yielded to a sibling fiber.
-
-    One monitor thread runs the armed periodic checks on the real
-    clock — the watchdog, the time-series sampler and the autoscaler
-    (it starts a fresh driver over a pre-allocated queue for each copy
-    the controller spawns).  A memory budget turns
-    the bounded queues into spill-to-disk queues: a push over budget
-    writes an encoded segment into a run-scoped temp dir instead of
-    blocking, a pop reads it back in FIFO order, and the dir is removed
-    on every exit path. *)
-
-(** {2 The copy driver}
-
-    {!Runtime.run_result} with [~backend:Par] is {!drive} with every
-    copy local.  A backend that runs some copies' callbacks elsewhere
-    (another process) says so per copy with a {!placement}; the driver
-    keeps queues, supervision, replay, retirement and the drain barrier
-    for every copy either way.
-
-    Every copy of every run is an effect fiber on one of the run's
-    hosts ({!Sched.hosts}), which {!layout} plans.  Fibers for waiting,
-    domains for computing, no more domains than cores where every copy
-    is {!Local}: every minor collection stops every domain, so a domain
-    that only waits would still be stopped.  The interpreter yields at
-    loop back-edges and the driver after each send, each at most once
-    per millisecond of a fiber's run ({!Sched.tick}).  The metrics'
-    ["runners"] section says where each copy ran. *)
+    The calling thread, while it waits for the copies, runs the armed
+    periodic checks — the watchdog, the time-series sampler and the
+    autoscaler.  It is no fiber host, so a filter that blocks natively
+    cannot hide a stall from the watchdog. *)
 
 (** {2 Placement} *)
 
@@ -62,19 +38,17 @@ val layout : cores:int -> slot list -> host list
 (** The hosts of a run whose copy slots, in pipeline order, are the
     given ones.
     - {b Every slot local} (par): D = min ([cores], planned copies)
-      hosts.  Host 0 is a thread of the calling domain and hosts
-      1 … D−1 are spawned domains.  The planned copy at position i of
-      n goes to host (n − 1 − i) mod D, so the sink stays on the
-      calling domain, neighbouring copies land on different domains
-      when D ≥ 2, and at D = n every copy but the sink has a domain of
-      its own.  No host holds a dormant slot: an elastic copy becomes
-      a fiber on the host with the fewest unfinished fibers.
+      hosts, host 0 a thread of the calling domain, the rest spawned
+      domains.  The planned copy at position i of n goes to host
+      (n − 1 − i) mod D: the sink stays on the calling domain and
+      neighbouring copies land on different domains when D ≥ 2.  An
+      elastic copy becomes a fiber on the host with the fewest
+      unfinished fibers.
     - {b Some slot remote} (proc): every slot, dormant ones included,
-      alone on a host of its own: a thread of the calling domain for a
-      remote slot, whose frame waits are native and would hold a shared
-      host, and a spawned domain for a local one (the proc sink).  A
-      dormant slot's host starts empty, and its elastic copy runs there
-      alone. *)
+      alone on a host: a thread of the calling domain for a remote slot
+      (its frame waits are native), a spawned domain for a local one
+      (the proc sink).  A dormant slot's elastic copy runs on its
+      host. *)
 
 (** A filter copy's callbacks as round trips. *)
 type calls = {
@@ -124,6 +98,32 @@ val slow_down : Engine.copy -> since:float -> unit
 (** Sleep the copy's scripted slowdown for a call that started at
     [since]. *)
 
+(** A copy's crash loop: [on_fail] runs before every crash decision (a
+    remote copy kills its worker there), [restart] before every retry. *)
+type supervisor = {
+  eng : Engine.t;
+  cs : Engine.copy;
+  on_fail : unit -> unit;
+  restart : unit -> unit;
+}
+
+val supervise : supervisor -> (unit -> 'a) -> 'a
+(** Run the op until it returns.  A raise runs [on_fail], then asks
+    {!Engine.on_crash}: a retry sleeps the backoff and runs [restart]
+    before the next attempt, a give-up re-raises.  {!Bqueue.Aborted}
+    passes through; an aborting engine raises it before an attempt. *)
+
+(** A periodic check's period and next due time, on the run clock. *)
+type schedule = { period : float; next : float }
+
+val due : now:float -> schedule -> schedule option
+(** [Some s'] when the check is due at [now]: run it once, next due
+    ([s']) at the first period boundary after [now], the missed ones
+    skipped. *)
+
+val poll_period : schedule list -> float option
+(** The smallest armed period; [None], no polling, when none is. *)
+
 val drive :
   Engine.t ->
   backend:Engine.backend ->
@@ -133,19 +133,16 @@ val drive :
   unit ->
   (Engine.metrics, Supervisor.run_error) result
 (** Run [eng] to completion: one driver per copy, a fiber on the
-    {!layout}'s hosts, one monitor thread when a
-    watchdog, sampler or autoscaler is armed — it sleeps the smallest
-    armed period and runs each check once its own period has passed —
-    then a blocking wait until every copy has exited, and the joins.
-    Queue capacity, budgets, batch caps and the sampling period come
-    from [eng].
-    [place] (default every copy {!Local}) is asked once per copy slot,
-    planned or dormant, on the calling domain before any driver
-    starts.  [teardown] runs after
-    every driver has joined and the queues are closed, before the wall
-    clock stops; [extra] adds metrics sections after ["runners"]:
-    [domains], the calling domain plus every domain spawned, and
-    [copies], each copy's host by label: ["caller"] for a thread of the
-    calling domain, or the index (from 1) of its spawned domain.
-    Once the run aborts, a copy stuck in filter code is waited for one
-    second and then its host is leaked, with every copy on it. *)
+    {!layout}'s hosts, then a wait on the calling thread until every
+    copy has exited, and the joins.  While checks are armed the wait
+    sleeps their {!poll_period} and runs those {!due}; with none it
+    blocks until the last copy exits.  [place] (default every copy
+    {!Local}) is asked once per copy slot, planned or dormant, before
+    any driver starts.  [teardown] runs after every driver has joined
+    and the queues are closed, before the wall clock stops; [extra]
+    adds metrics sections after ["runners"]: [domains], the calling
+    domain plus every domain spawned, and [copies], each copy's host by
+    label: ["thread h"] for the {!layout}'s thread host h, or the
+    index (from 1) of its spawned domain.  Once the run aborts, a copy
+    stuck in filter code is waited for one second and then its host is
+    leaked, with every copy on it. *)

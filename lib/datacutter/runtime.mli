@@ -79,7 +79,7 @@ val run_result :
     into [metrics.timeseries] (the metrics JSON ["timeseries"]
     section).  The simulator samples at fixed {e virtual} times, so the
     series is deterministic; Par and Proc sample on the real clock from
-    their one monitor thread.
+    the calling thread.
 
     [autoscale] arms the mid-run elastic-copy controller on every
     backend (see {!Engine.autoscale_tick}): a sustained-saturated inner
@@ -87,8 +87,7 @@ val run_result :
     long-idle elastic copy stands down, and the metrics gain an
     ["autoscale"] section.  The simulator ticks the controller at
     deterministic virtual times, so an autoscaled sim run is
-    bit-reproducible; Par and Proc tick it from their one monitor
-    thread.
+    bit-reproducible; Par and Proc tick it from the calling thread.
     [Error (Copy_budget _)] (exit code 8 via [cgppc run]) when the
     budget is invalid or the pipeline has no inner stage.
 

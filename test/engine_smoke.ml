@@ -585,8 +585,8 @@ let () =
   in
   check_elastic n_elastic elastic_legs;
   (* Proc gives every remote copy, a spawned one too, a thread host of
-     its own on the calling domain ("caller"), and the sink the one
-     spawned domain: a spawned copy that joined the sink's domain or
+     its own on the calling domain ("thread h"), and the sink the one
+     spawned domain: a spawned copy that joined another copy's host or
      started a domain would show here. *)
   Option.iter
     (fun leg ->
@@ -602,10 +602,22 @@ let () =
           (List.length spawned) leg.e_spawned;
       List.iter
         (fun (l, h) ->
-          let want = if l = "sink/0" then "1" else {|"caller"|} in
-          if h <> want then
-            die "elastic/proc: %s ran on %s, expected %s alone" l h want)
-        leg.e_hosts)
+          let sink = l = "sink/0" in
+          if
+            not
+              (if sink then h = "1"
+               else String.starts_with ~prefix:{|"thread |} h)
+          then
+            die "elastic/proc: %s ran on %s, expected %s" l h
+              (if sink then "1" else "a thread host"))
+        leg.e_hosts;
+      List.iter
+        (fun (l, h) ->
+          match List.filter (fun (l', h') -> h' = h && l' <> l) leg.e_hosts with
+          | [] -> ()
+          | (l', _) :: _ ->
+              die "elastic/proc: spawned copy %s shares host %s with %s" l h l')
+        spawned)
     elastic_proc;
   let names = if with_proc then "sim/par/proc" else "sim/par" in
   Printf.printf

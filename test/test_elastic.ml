@@ -324,8 +324,8 @@ let throttled_par_run ?policy ?metrics_interval_s () =
 
 let test_par_concurrent () = ignore (throttled_par_run ())
 
-(* Watchdog, sampler and autoscaler armed together share one monitor
-   thread: each still runs, and the healthy run never trips. *)
+(* Watchdog, sampler and autoscaler armed together share the calling
+   thread's wait: each still runs, and the healthy run never trips. *)
 let test_par_shared_monitor () =
   let policy =
     { Supervisor.default_policy with Supervisor.watchdog_ms = Some 1000 }

@@ -542,8 +542,8 @@ let test_par_barrier_own_queue_full () =
 (* A sink that wedges forever on its second packet: with a small queue
    the whole pipeline backs up behind it, and only the watchdog can
    diagnose the run.  [metrics_interval_s] arms the sampler on the same
-   monitor thread, polling far more often than the watchdog: a busy
-   shared monitor must not hide the stall. *)
+   calling thread, polling far more often than the watchdog: busy
+   shared checks must not hide the stall. *)
 let watchdog_trips_on_deadlock ?metrics_interval_s () =
   let wedge_mutex = Mutex.create () in
   let wedge_cond = Condition.create () in

@@ -560,8 +560,9 @@ let test_par_placement () =
         A.(check bool) "src and mid apart" true (on "src/0" <> on "mid/0");
         A.(check bool) "mid and sink apart" true (on "mid/0" <> on "sink/0")
       end;
-      (* the section names the same hosts: "caller" or a domain index,
-         one index per domain that ran copies *)
+      (* the section names the same hosts: "thread 0", the layout's
+         host 0 on the calling domain, or a domain index, one index per
+         domain that ran copies *)
       let section =
         match List.assoc_opt "runners" m.Engine.extra with
         | Some s -> s
@@ -589,8 +590,11 @@ let test_par_placement () =
                    l l')
                 (h = h') (on l = on l'))
             hosts;
-          if h = Obs.Json.Str "caller" then
-            A.(check int) (what ^ ": " ^ l ^ " on the caller") caller (on l))
+          match h with
+          | Obs.Json.Str t ->
+              A.(check string) (what ^ ": " ^ l ^ "'s thread host") "thread 0" t;
+              A.(check int) (what ^ ": " ^ l ^ " on the caller") caller (on l)
+          | _ -> ())
         hosts)
     [ (1, 1); (2, 2); (4, 4) ]
 
@@ -697,6 +701,109 @@ let test_layout_proc () =
     (List.length
        (List.filter (fun h -> h.Par_runtime.kind = Sched.Domain) hosts))
 
+(* --- the supervisor loop, without a run --- *)
+
+(* An engine on a tiny pipeline with an executor that drops everything,
+   and its mid copy: all [Par_runtime.supervise] asks of a run. *)
+let supervised ?(max_retries = 3) () =
+  let topo =
+    topo3 ~source:(counting_source 1)
+      ~inner:(fun _ -> Filter.pass_through "mid")
+      ~sink:(fun _ -> Filter.pass_through "sink")
+      ()
+  in
+  let policy = { Supervisor.default_policy with max_retries; backoff_s = 0.0 } in
+  let eng = Supervisor.ok_exn (Engine.create ~policy topo) in
+  Engine.attach eng
+    {
+      Engine.exec_backend = Engine.Par;
+      exec_now = Obs.Clock.elapsed_s;
+      exec_send = (fun ~src:_ ~dst_stage:_ ~dst_copy:_ _ -> ());
+      exec_queue_stats = (fun ~stage:_ ~copy:_ -> Bqueue.no_stats);
+      exec_wake = ignore;
+    };
+  let fails = ref 0 and restarts = ref 0 and runs = ref 0 in
+  let sv =
+    {
+      Par_runtime.eng;
+      cs = Engine.copy_at eng ~stage:1 ~copy:0;
+      on_fail = (fun () -> incr fails);
+      restart = (fun () -> incr restarts);
+    }
+  in
+  (eng, sv, fails, restarts, runs)
+
+let test_supervise () =
+  let eng, sv, fails, restarts, runs = supervised () in
+  let r =
+    Par_runtime.supervise sv (fun () ->
+        incr runs;
+        if !runs <= 2 then failwith "flaky";
+        42)
+  in
+  A.(check int) "the value of the third attempt" 42 r;
+  A.(check int) "two retries" 2 (Engine.recovery eng).Supervisor.retries;
+  A.(check int) "on_fail twice" 2 !fails;
+  A.(check int) "restart twice" 2 !restarts;
+  (* past max_retries the last exception is re-raised *)
+  let _, sv, fails, restarts, runs = supervised ~max_retries:1 () in
+  A.check_raises "the last exception" (Failure "attempt 2") (fun () ->
+      Par_runtime.supervise sv (fun () ->
+          incr runs;
+          failwith (Printf.sprintf "attempt %d" !runs)));
+  A.(check (list int)) "on_fail, restart, attempts" [ 2; 1; 2 ]
+    [ !fails; !restarts; !runs ];
+  (* an abort passes through without a retry *)
+  let eng, sv, fails, _, runs = supervised () in
+  A.check_raises "Aborted passes through" Bqueue.Aborted (fun () ->
+      Par_runtime.supervise sv (fun () ->
+          incr runs;
+          raise Bqueue.Aborted));
+  A.(check (list int)) "no crash, no on_fail, one attempt" [ 0; 0; 1 ]
+    [ (Engine.recovery eng).Supervisor.crashes; !fails; !runs ];
+  (* an aborting engine raises before the op runs *)
+  let eng, sv, _, _, runs = supervised () in
+  Engine.abort eng
+    (Supervisor.Stage_dead { stage = 1; stage_name = "mid"; error = "test" });
+  A.check_raises "aborting" Bqueue.Aborted (fun () ->
+      Par_runtime.supervise sv (fun () -> incr runs));
+  A.(check int) "the op never ran" 0 !runs
+
+(* --- the periodic-check schedule, without threads --- *)
+
+let test_check_schedule () =
+  let module P = Par_runtime in
+  let next = Option.map (fun s -> s.P.next) in
+  let floats = A.(list (float 0.0)) in
+  (* Two checks, of periods 10 and 25, polled every 10: each runs once
+     its own period has passed. *)
+  let a = ref { P.period = 10.0; next = 10.0 }
+  and b = ref { P.period = 25.0; next = 25.0 } in
+  A.(check (option (float 0.0))) "poll the smallest period" (Some 10.0)
+    (P.poll_period [ !a; !b ]);
+  let poll s runs ~now =
+    Option.iter (fun s' -> runs := now :: !runs; s := s') (P.due ~now !s)
+  in
+  let runs_a = ref [] and runs_b = ref [] in
+  for i = 1 to 10 do
+    let now = 10.0 *. float_of_int i in
+    poll a runs_a ~now;
+    poll b runs_b ~now
+  done;
+  A.check floats "period 10"
+    [ 10.; 20.; 30.; 40.; 50.; 60.; 70.; 80.; 90.; 100. ]
+    (List.rev !runs_a);
+  A.check floats "period 25" [ 30.; 50.; 80.; 100. ] (List.rev !runs_b);
+  (* A late wake-up runs a check once and skips its missed periods. *)
+  let s = { P.period = 10.0; next = 10.0 } in
+  A.(check (option (float 0.0))) "not due early" None (next (P.due ~now:9.0 s));
+  A.(check (option (float 0.0))) "late: once, next at the following boundary"
+    (Some 60.0) (next (P.due ~now:55.0 s));
+  A.(check (option (float 0.0))) "no burst after the late run" None
+    (next (Option.bind (P.due ~now:55.0 s) (P.due ~now:58.0)));
+  (* Nothing armed: no polling loop. *)
+  A.(check (option (float 0.0))) "nothing armed" None (P.poll_period [])
+
 let suite =
   [
     ("all packets delivered", `Quick, test_all_packets_delivered);
@@ -722,6 +829,8 @@ let suite =
     ("par placement", `Quick, test_par_placement);
     ("par layout", `Quick, test_layout_par);
     ("proc layout", `Quick, test_layout_proc);
+    ("supervisor loop", `Quick, test_supervise);
+    ("periodic check schedule", `Quick, test_check_schedule);
   ]
 
 let () = Alcotest.run "runtime" [ ("runtime", suite) ]
