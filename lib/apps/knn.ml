@@ -344,23 +344,23 @@ module Native_knn = struct
   (* wire format: filled, then filled * (dist, x, y, z) *)
   let pack t =
     let buf = Buffer.create 64 in
-    Core.Packing.buf_add_int buf t.filled;
+    Wirefmt.buf_add_int buf t.filled;
     for i = 0 to t.filled - 1 do
-      Core.Packing.buf_add_float buf t.dist.(i);
-      Core.Packing.buf_add_float buf t.px.(i);
-      Core.Packing.buf_add_float buf t.py.(i);
-      Core.Packing.buf_add_float buf t.pz.(i)
+      Wirefmt.buf_add_float buf t.dist.(i);
+      Wirefmt.buf_add_float buf t.px.(i);
+      Wirefmt.buf_add_float buf t.py.(i);
+      Wirefmt.buf_add_float buf t.pz.(i)
     done;
     Buffer.to_bytes buf
 
   let merge_packed t data =
-    let r = Core.Packing.reader_of data in
-    let n = Core.Packing.read_int r in
+    let r = Wirefmt.reader_of data in
+    let n = Wirefmt.read_int r in
     for _ = 1 to n do
-      let d = Core.Packing.read_float r in
-      let x = Core.Packing.read_float r in
-      let y = Core.Packing.read_float r in
-      let z = Core.Packing.read_float r in
+      let d = Wirefmt.read_float r in
+      let x = Wirefmt.read_float r in
+      let y = Wirefmt.read_float r in
+      let z = Wirefmt.read_float r in
       insert t d x y z
     done
 

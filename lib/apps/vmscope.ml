@@ -294,10 +294,10 @@ let manual_topology cfg ~(widths : int array) ~(powers : float array)
             let r, g, b = pixel cfg !x !y in
             let ox = (!x - cfg.qx0) / cfg.subsample
             and oy = (!y - cfg.qy0) / cfg.subsample in
-            Core.Packing.buf_add_int buf ((oy * ow) + ox);
-            Core.Packing.buf_add_float buf r;
-            Core.Packing.buf_add_float buf g;
-            Core.Packing.buf_add_float buf b;
+            Wirefmt.buf_add_int buf ((oy * ow) + ox);
+            Wirefmt.buf_add_float buf r;
+            Wirefmt.buf_add_float buf g;
+            Wirefmt.buf_add_float buf b;
             incr count;
             ops := !ops +. 8.0;
             x := !x + cfg.subsample
@@ -305,7 +305,7 @@ let manual_topology cfg ~(widths : int array) ~(powers : float array)
           y := !y + cfg.subsample
         done;
         let hdr = Buffer.create 8 in
-        Core.Packing.buf_add_int hdr !count;
+        Wirefmt.buf_add_int hdr !count;
         Buffer.add_buffer hdr buf;
         Some
           ( Filter.make_buffer ~packet:p (Buffer.to_bytes hdr),
@@ -339,13 +339,13 @@ let manual_topology cfg ~(widths : int array) ~(powers : float array)
       init = (fun () -> 0.0);
       process =
         (fun buf ->
-          let rd = Core.Packing.reader_of buf.Filter.data in
-          let n = Core.Packing.read_int rd in
+          let rd = Wirefmt.reader_of buf.Filter.data in
+          let n = Wirefmt.read_int rd in
           for _ = 1 to n do
-            let idx = Core.Packing.read_int rd in
-            let pr = Core.Packing.read_float rd in
-            let pg = Core.Packing.read_float rd in
-            let pb = Core.Packing.read_float rd in
+            let idx = Wirefmt.read_int rd in
+            let pr = Wirefmt.read_float rd in
+            let pg = Wirefmt.read_float rd in
+            let pb = Wirefmt.read_float rd in
             if idx >= 0 && idx < ow * oh then begin
               r.(idx) <- pr;
               g.(idx) <- pg;

@@ -9,15 +9,7 @@
 
 open Lang
 
-let scalar_ty_name = function
-  | Packing.Sint -> "int"
-  | Packing.Sfloat -> "float"
-  | Packing.Sbool -> "bool"
-  | Packing.Sstring -> "String"
-  | Packing.Srange -> "Rectdomain<1>"
-
-let emit_group buf ~dir c (g : Packing.group) =
-  let verb = match dir with `In -> "read" | `Out -> "write" in
+let emit_group buf ~verb c (g : Packing.group) =
   match g.Packing.g_layout with
   | `Instance ->
       Buffer.add_string buf
@@ -26,7 +18,7 @@ let emit_group buf ~dir c (g : Packing.group) =
         (fun fs ->
           Buffer.add_string buf
             (Printf.sprintf "      %s %s[i].%s : %s\n" verb c fs.Packing.fs_name
-               (scalar_ty_name fs.Packing.fs_ty)))
+               (Ast.ty_to_string fs.Packing.fs_ty)))
         g.Packing.g_fields
   | `Fieldwise ->
       List.iter
@@ -36,42 +28,31 @@ let emit_group buf ~dir c (g : Packing.group) =
                "    for i in 0 .. count(%s) - 1:   // field-wise column\n\
                \      %s %s[i].%s : %s\n"
                c verb c fs.Packing.fs_name
-               (scalar_ty_name fs.Packing.fs_ty)))
+               (Ast.ty_to_string fs.Packing.fs_ty)))
         g.Packing.g_fields
 
 let emit_layout buf ~dir (layout : Packing.layout) =
+  let verb = match dir with `In -> "read" | `Out -> "write" in
   if layout = [] then
     Buffer.add_string buf "    (nothing: end of per-packet stream)\n"
   else
     List.iter
       (fun entry ->
         match entry with
-        | Packing.Escalar (v, st) ->
+        | Packing.Escalar (v, ty) ->
             Buffer.add_string buf
-              (Printf.sprintf "    %s %s : %s\n"
-                 (match dir with `In -> "read" | `Out -> "write")
-                 v (scalar_ty_name st))
-        | Packing.Eobj_field (v, _, f, st) ->
+              (Printf.sprintf "    %s %s : %s\n" verb v (Ast.ty_to_string ty))
+        | Packing.Eobj_field (v, _, f, ty) ->
             Buffer.add_string buf
-              (Printf.sprintf "    %s %s.%s : %s\n"
-                 (match dir with `In -> "read" | `Out -> "write")
-                 v f (scalar_ty_name st))
-        | Packing.Eobj_any (v, _, f, ty) ->
+              (Printf.sprintf "    %s %s.%s : %s%s\n" verb v f (Ast.ty_to_string ty)
+                 (if Packing.is_scalar ty then "" else " (generic codec)"))
+        | Packing.Earray (a, s, ty) ->
             Buffer.add_string buf
-              (Printf.sprintf "    %s %s.%s : %s (generic codec)\n"
-                 (match dir with `In -> "read" | `Out -> "write")
-                 v f (Ast.ty_to_string ty))
-        | Packing.Earray (a, s, st) ->
-            Buffer.add_string buf
-              (Printf.sprintf "    %s %s%s : %s[]\n"
-                 (match dir with `In -> "read" | `Out -> "write")
-                 a (Section.to_string s) (scalar_ty_name st))
+              (Printf.sprintf "    %s %s%s : %s[]\n" verb a (Section.to_string s)
+                 (Ast.ty_to_string ty))
         | Packing.Ecoll (c, _, groups) ->
-            Buffer.add_string buf
-              (Printf.sprintf "    %s count(%s)\n"
-                 (match dir with `In -> "read" | `Out -> "write")
-                 c);
-            List.iter (emit_group buf ~dir c) groups)
+            Buffer.add_string buf (Printf.sprintf "    %s count(%s)\n" verb c);
+            List.iter (emit_group buf ~verb c) groups)
       layout
 
 let emit_filter buf (plan : Codegen.plan) u =

@@ -13,30 +13,27 @@
    packed field-wise (one contiguous column per group), sorted by the
    order in which they are first read.  A contiguous column that the
    receiving filter only forwards can be copied to the output buffer
-   wholesale, which is where the field-wise layout wins. *)
+   wholesale, which is where the field-wise layout wins.
+
+   A layout only arranges values; each value's bytes are those of the
+   one typed codec below ([pack_value_generic]). *)
 
 open Lang
 module V = Value
 
-type scalar_ty = Sint | Sfloat | Sbool | Sstring | Srange
-
-let scalar_ty_of_ast (ty : Ast.ty) =
-  match ty with
-  | Ast.Tint -> Some Sint
-  | Ast.Tfloat -> Some Sfloat
-  | Ast.Tbool -> Some Sbool
-  | Ast.Tstring -> Some Sstring
-  | Ast.Trectdomain -> Some Srange
+(* Wire size of a fixed-size type; [None] for a string (length-prefixed)
+   and every structured type. *)
+let fixed_size : Ast.ty -> int option = function
+  | Ast.Tint | Ast.Tfloat -> Some 8
+  | Ast.Tbool -> Some 1
+  | Ast.Trectdomain -> Some 16
   | _ -> None
 
-let scalar_size = function
-  | Sint -> 8
-  | Sfloat -> 8
-  | Sbool -> 1
-  | Srange -> 16
-  | Sstring -> -1 (* variable *)
+(* The types a layout packs element by element: collection fields,
+   array elements and top-level variables. *)
+let is_scalar ty = ty = Ast.Tstring || fixed_size ty <> None
 
-type field_spec = { fs_name : string; fs_ty : scalar_ty }
+type field_spec = { fs_name : string; fs_ty : Ast.ty }
 
 (* A group of element fields packed together.  [Instance] interleaves the
    group's fields per element; [Fieldwise] stores one contiguous column
@@ -48,13 +45,11 @@ type group = {
 }
 
 type entry =
-  | Escalar of string * scalar_ty             (* top-level variable *)
-  | Eobj_field of string * string * string * scalar_ty
-      (* object var, its class, field name, field type *)
-  | Eobj_any of string * string * string * Ast.ty
-      (* object var, its class, structured field (array/list/object
-         typed), serialized generically *)
-  | Earray of string * Section.t * scalar_ty  (* array (or section) *)
+  | Escalar of string * Ast.ty             (* top-level variable *)
+  | Eobj_field of string * string * string * Ast.ty
+      (* object var, its class, field name, field type (scalar or
+         structured) *)
+  | Earray of string * Section.t * Ast.ty  (* array (or section), element type *)
   | Ecoll of string * string option * group list
       (* collection var, element class (None = primitive elements),
          ordered field groups *)
@@ -88,11 +83,9 @@ let layout_for_cut ?(mode : mode = `Auto) (prog : Ast.program)
       match item with
       | Varset.Var v -> (
           match Tyenv.find tyenv v with
-          | Some ty -> (
-              match scalar_ty_of_ast ty with
-              | Some st -> scalars := (v, st) :: !scalars
-              | None -> () (* object/coll vars appear as field items *))
-          | None -> scalars := (v, Sint) :: !scalars)
+          | Some ty when is_scalar ty -> scalars := (v, ty) :: !scalars
+          | Some _ -> () (* object/coll vars appear as field items *)
+          | None -> scalars := (v, Ast.Tint) :: !scalars)
       | Varset.Coll c -> if not (Hashtbl.mem colls c) then Hashtbl.replace colls c []
       | Varset.ElemField (c, f) -> (
           match Tyenv.find tyenv c with
@@ -105,32 +98,30 @@ let layout_for_cut ?(mode : mode = `Auto) (prog : Ast.program)
           | _ -> ())
       | Varset.Arr (a, s) -> (
           match Tyenv.find tyenv a with
-          | Some (Ast.Tarray elt) -> (
-              match scalar_ty_of_ast elt with
-              | Some st -> arrays := (a, s, st) :: !arrays
-              | None -> ())
+          | Some (Ast.Tarray elt) when is_scalar elt ->
+              arrays := (a, s, elt) :: !arrays
           | _ -> ()))
     items;
   let scalar_entries =
-    List.sort compare !scalars |> List.map (fun (v, st) -> Escalar (v, st))
+    List.sort compare !scalars |> List.map (fun (v, ty) -> Escalar (v, ty))
   in
+  (* Scalar fields first, then structured ones, each by (var, class,
+     field). *)
   let obj_entries =
     Hashtbl.fold
       (fun (v, cls) fields acc ->
         List.fold_left
           (fun acc f ->
             match Tyenv.field_ty prog cls f with
-            | Some fty -> (
-                match scalar_ty_of_ast fty with
-                | Some st -> Eobj_field (v, cls, f, st) :: acc
-                | None -> Eobj_any (v, cls, f, fty) :: acc)
+            | Some fty -> (not (is_scalar fty), v, cls, f, fty) :: acc
             | None -> acc)
           acc (List.sort_uniq compare fields))
       obj_fields []
     |> List.sort compare
+    |> List.map (fun (_, v, cls, f, fty) -> Eobj_field (v, cls, f, fty))
   in
   let array_entries =
-    List.sort compare !arrays |> List.map (fun (a, s, st) -> Earray (a, s, st))
+    List.sort compare !arrays |> List.map (fun (a, s, ty) -> Earray (a, s, ty))
   in
   let coll_entries =
     Hashtbl.fold
@@ -151,13 +142,11 @@ let layout_for_cut ?(mode : mode = `Auto) (prog : Ast.program)
           List.filter_map
             (fun f ->
               match field_ty_of f with
-              | Some ty -> (
-                  match scalar_ty_of_ast ty with
-                  | Some st -> Some ({ fs_name = f; fs_ty = st }, f)
-                  | None -> None)
+              | Some ty when is_scalar ty -> Some ({ fs_name = f; fs_ty = ty }, f)
+              | Some _ -> None
               | None ->
                   if f = Gencons.prim_field then
-                    Some ({ fs_name = f; fs_ty = Sfloat }, f)
+                    Some ({ fs_name = f; fs_ty = Ast.Tfloat }, f)
                   else None)
             fields
         in
@@ -232,86 +221,40 @@ let layout_for_cut ?(mode : mode = `Auto) (prog : Ast.program)
 (* Serialization                                                        *)
 (* ------------------------------------------------------------------ *)
 
-(* The byte codec itself lives in the leaf [Wirefmt] library so the
-   runtime's wire protocol (Datacutter.Wire) can frame payloads with the
-   exact same encoding without a core↔datacutter dependency cycle. *)
-let buf_add_int = Wirefmt.buf_add_int
-let buf_add_float = Wirefmt.buf_add_float
-let buf_add_bool = Wirefmt.buf_add_bool
-let buf_add_string = Wirefmt.buf_add_string
-
-let add_scalar buf st (v : V.t) =
-  match st with
-  | Sint -> buf_add_int buf (V.as_int v)
-  | Sfloat -> buf_add_float buf (V.as_float v)
-  | Sbool -> buf_add_bool buf (V.as_bool v)
-  | Sstring -> buf_add_string buf (V.as_string v)
-  | Srange -> (
-      match v with
-      | V.Vrange (lo, hi) ->
-          buf_add_int buf lo;
-          buf_add_int buf hi
-      | _ -> V.runtime_errorf "expected Rectdomain, got %s" (V.type_name v))
-
-type reader = Wirefmt.reader = {
-  data : Bytes.t;
-  mutable pos : int;
-  limit : int;
-}
-
-let reader_of = Wirefmt.reader_of
-
-let read_int = Wirefmt.read_int
-let read_float = Wirefmt.read_float
-let read_bool = Wirefmt.read_bool
-let read_string = Wirefmt.read_string
-
-let read_scalar r st =
-  match st with
-  | Sint -> V.Vint (read_int r)
-  | Sfloat -> V.Vfloat (read_float r)
-  | Sbool -> V.Vbool (read_bool r)
-  | Sstring -> V.Vstring (read_string r)
-  | Srange ->
-      let lo = read_int r in
-      let hi = read_int r in
-      V.Vrange (lo, hi)
-
-(* --- generic structured-value serialization --------------------------- *)
-
-(* Serialize any PipeLang value by its declared type: scalars directly,
-   arrays and lists length-prefixed, objects field-by-field in declaration
-   order with a presence byte (null support).  Used for object fields of
-   structured type and for reduction-state payloads ([Objpack]). *)
+(* The one value codec, by declared type, over the [Wirefmt] byte codec:
+   scalars directly, arrays and lists length-prefixed, objects
+   field-by-field in declaration order with a presence byte (null
+   support).  Every layout entry and every reduction-state payload
+   ([Objpack]) writes its values with it. *)
 let rec pack_value_generic buf prog (ty : Ast.ty) (v : V.t) =
   match ty with
-  | Ast.Tint -> buf_add_int buf (V.as_int v)
-  | Ast.Tfloat -> buf_add_float buf (V.as_float v)
-  | Ast.Tbool -> buf_add_bool buf (V.as_bool v)
-  | Ast.Tstring -> buf_add_string buf (V.as_string v)
+  | Ast.Tint -> Wirefmt.buf_add_int buf (V.as_int v)
+  | Ast.Tfloat -> Wirefmt.buf_add_float buf (V.as_float v)
+  | Ast.Tbool -> Wirefmt.buf_add_bool buf (V.as_bool v)
+  | Ast.Tstring -> Wirefmt.buf_add_string buf (V.as_string v)
   | Ast.Tvoid -> ()
   | Ast.Trectdomain -> (
       match v with
       | V.Vrange (lo, hi) ->
-          buf_add_int buf lo;
-          buf_add_int buf hi
-      | _ -> V.runtime_errorf "pack: expected Rectdomain")
+          Wirefmt.buf_add_int buf lo;
+          Wirefmt.buf_add_int buf hi
+      | _ -> V.runtime_errorf "pack: expected Rectdomain, got %s" (V.type_name v))
   | Ast.Tarray elt -> (
       match v with
-      | V.Vnull -> buf_add_int buf (-1)
+      | V.Vnull -> Wirefmt.buf_add_int buf (-1)
       | V.Varray a ->
-          buf_add_int buf (Array.length a);
+          Wirefmt.buf_add_int buf (Array.length a);
           Array.iter (fun x -> pack_value_generic buf prog elt x) a
       | _ -> V.runtime_errorf "pack: expected array, got %s" (V.type_name v))
   | Ast.Tlist elt ->
       let l = V.as_list v in
-      buf_add_int buf (V.Vec.length l);
+      Wirefmt.buf_add_int buf (V.Vec.length l);
       V.Vec.iter (fun x -> pack_value_generic buf prog elt x) l
   | Ast.Tclass cls -> (
       match v with
-      | V.Vnull -> buf_add_bool buf false
+      | V.Vnull -> Wirefmt.buf_add_bool buf false
       | V.Vobject obj ->
-          buf_add_bool buf true;
+          Wirefmt.buf_add_bool buf true;
           List.iteri
             (fun i (fty, _) -> pack_value_generic buf prog fty obj.V.slots.(i))
             obj.V.cls.Ast.cd_fields
@@ -322,30 +265,30 @@ let unpack_class prog cls =
   | Some cd -> cd
   | None -> V.runtime_errorf "unpack: unknown class %s" cls
 
-let rec unpack_value_generic (r : reader) prog (ty : Ast.ty) : V.t =
+let rec unpack_value_generic (r : Wirefmt.reader) prog (ty : Ast.ty) : V.t =
   match ty with
-  | Ast.Tint -> V.Vint (read_int r)
-  | Ast.Tfloat -> V.Vfloat (read_float r)
-  | Ast.Tbool -> V.Vbool (read_bool r)
-  | Ast.Tstring -> V.Vstring (read_string r)
+  | Ast.Tint -> V.Vint (Wirefmt.read_int r)
+  | Ast.Tfloat -> V.Vfloat (Wirefmt.read_float r)
+  | Ast.Tbool -> V.Vbool (Wirefmt.read_bool r)
+  | Ast.Tstring -> V.Vstring (Wirefmt.read_string r)
   | Ast.Tvoid -> V.Vunit
   | Ast.Trectdomain ->
-      let lo = read_int r in
-      let hi = read_int r in
+      let lo = Wirefmt.read_int r in
+      let hi = Wirefmt.read_int r in
       V.Vrange (lo, hi)
   | Ast.Tarray elt ->
-      let n = read_int r in
+      let n = Wirefmt.read_int r in
       if n < 0 then V.Vnull
       else V.Varray (V.init_array n (fun _ -> unpack_value_generic r prog elt))
   | Ast.Tlist elt ->
-      let n = read_int r in
+      let n = Wirefmt.read_int r in
       let vec = V.Vec.create () in
       for _ = 1 to n do
         V.Vec.push vec (unpack_value_generic r prog elt)
       done;
       V.Vlist vec
   | Ast.Tclass cls -> (
-      if not (read_bool r) then V.Vnull
+      if not (Wirefmt.read_bool r) then V.Vnull
       else
         let obj = V.make_object (unpack_class prog cls) in
         List.iteri
@@ -398,7 +341,6 @@ let runtime_aware_lookup ~(runtime_def : string -> int option)
 let entry_var = function
   | Escalar (v, _)
   | Eobj_field (v, _, _, _)
-  | Eobj_any (v, _, _, _)
   | Earray (v, _, _)
   | Ecoll (v, _, _) ->
       v
@@ -456,22 +398,21 @@ let pack (prog : Ast.program) (layout : layout) ~(lookup : string -> V.t) :
   List.iter
     (fun entry ->
       match entry with
-      | Escalar (v, st) -> add_scalar buf st (lookup v)
-      | Eobj_field (v, _, f, st) -> add_scalar buf st (obj_field lookup v f)
-      | Eobj_any (v, _, f, ty) ->
+      | Escalar (v, ty) -> pack_value_generic buf prog ty (lookup v)
+      | Eobj_field (v, _, f, ty) ->
           pack_value_generic buf prog ty (obj_field lookup v f)
-      | Earray (a, s, st) ->
+      | Earray (a, s, ty) ->
           let arr = V.as_array (lookup a) in
           let lo, hi = resolve_section lookup arr s in
-          buf_add_int buf lo;
-          buf_add_int buf (hi - lo);
+          Wirefmt.buf_add_int buf lo;
+          Wirefmt.buf_add_int buf (hi - lo);
           for i = lo to hi - 1 do
-            add_scalar buf st arr.(i)
+            pack_value_generic buf prog ty arr.(i)
           done
       | Ecoll (c, _, groups) ->
           let l = V.as_list (lookup c) in
           let n = V.Vec.length l in
-          buf_add_int buf n;
+          Wirefmt.buf_add_int buf n;
           List.iter
             (fun g ->
               let fields =
@@ -481,13 +422,15 @@ let pack (prog : Ast.program) (layout : layout) ~(lookup : string -> V.t) :
               | `Instance ->
                   for i = 0 to n - 1 do
                     let elt = V.Vec.get l i in
-                    List.iter (fun (st, get) -> add_scalar buf st (get elt)) fields
+                    List.iter
+                      (fun (ty, get) -> pack_value_generic buf prog ty (get elt))
+                      fields
                   done
               | `Fieldwise ->
                   List.iter
-                    (fun (st, get) ->
+                    (fun (ty, get) ->
                       for i = 0 to n - 1 do
-                        add_scalar buf st (get (V.Vec.get l i))
+                        pack_value_generic buf prog ty (get (V.Vec.get l i))
                       done)
                     fields)
             groups)
@@ -511,38 +454,26 @@ let obj_slot out add v cls prog =
    rebuilt at [lo + length] size. *)
 let unpack (prog : Ast.program) (layout : layout) (data : Bytes.t) :
     (string * V.t) list =
-  let r = reader_of data in
+  let r = Wirefmt.reader_of data in
   let out = ref [] in
   let add name v = out := (name, v) :: !out in
   List.iter
     (fun entry ->
       match entry with
-      | Escalar (v, st) -> add v (read_scalar r st)
-      | Eobj_field (v, cls, f, st) ->
-          let value = read_scalar r st in
-          V.set_field (obj_slot out add v cls prog) f value
-      | Eobj_any (v, cls, f, ty) ->
+      | Escalar (v, ty) -> add v (unpack_value_generic r prog ty)
+      | Eobj_field (v, cls, f, ty) ->
           let value = unpack_value_generic r prog ty in
           V.set_field (obj_slot out add v cls prog) f value
-      | Earray (a, s, st) ->
-          ignore s;
-          let lo = read_int r in
-          let len = read_int r in
-          let arr =
-            Array.make (lo + len)
-              (match st with
-              | Sint -> V.Vint 0
-              | Sfloat -> V.Vfloat 0.0
-              | Sbool -> V.Vbool false
-              | Sstring -> V.Vstring ""
-              | Srange -> V.Vrange (0, 0))
-          in
-          for i = lo to lo + len - 1 do
-            arr.(i) <- read_scalar r st
-          done;
-          add a (V.Varray arr)
+      | Earray (a, _, ty) ->
+          let lo = Wirefmt.read_int r in
+          let len = Wirefmt.read_int r in
+          let zero = V.zero_of_ty ty in
+          add a
+            (V.Varray
+               (V.init_array (lo + len) (fun i ->
+                    if i < lo then zero else unpack_value_generic r prog ty)))
       | Ecoll (c, elem_class, groups) ->
-          let n = read_int r in
+          let n = Wirefmt.read_int r in
           let cd = Option.map (unpack_class prog) elem_class in
           let elems =
             V.init_array n (fun _ ->
@@ -565,13 +496,15 @@ let unpack (prog : Ast.program) (layout : layout) (data : Bytes.t) :
               match g.g_layout with
               | `Instance ->
                   for i = 0 to n - 1 do
-                    List.iter (fun (st, set) -> set i (read_scalar r st)) fields
+                    List.iter
+                      (fun (ty, set) -> set i (unpack_value_generic r prog ty))
+                      fields
                   done
               | `Fieldwise ->
                   List.iter
-                    (fun (st, set) ->
+                    (fun (ty, set) ->
                       for i = 0 to n - 1 do
-                        set i (read_scalar r st)
+                        set i (unpack_value_generic r prog ty)
                       done)
                     fields)
             groups;
@@ -583,47 +516,41 @@ let unpack (prog : Ast.program) (layout : layout) (data : Bytes.t) :
    Used by the profiler to measure per-boundary volumes. *)
 let packed_size (prog : Ast.program) (layout : layout)
     ~(lookup : string -> V.t) : int =
-  let total = ref 0 in
-  let scalar_bytes st v =
-    match st with
-    | Sstring -> 8 + String.length (V.as_string v)
-    | st -> scalar_size st
+  (* [n] values of type [ty], the i-th read by [get i]: O(1) for a
+     fixed-size type. *)
+  let values_size ty n get =
+    match fixed_size ty with
+    | Some w -> n * w
+    | None ->
+        let s = ref 0 in
+        for i = 0 to n - 1 do
+          s := !s + value_size_generic prog ty (get i)
+        done;
+        !s
   in
-  List.iter
-    (fun entry ->
+  List.fold_left
+    (fun total entry ->
+      total
+      +
       match entry with
-      | Escalar (v, st) -> total := !total + scalar_bytes st (lookup v)
-      | Eobj_field (v, _, f, st) ->
-          total := !total + scalar_bytes st (obj_field lookup v f)
-      | Eobj_any (v, _, f, ty) ->
-          total := !total + value_size_generic prog ty (obj_field lookup v f)
-      | Earray (a, s, st) ->
+      | Escalar (v, ty) -> value_size_generic prog ty (lookup v)
+      | Eobj_field (v, _, f, ty) -> value_size_generic prog ty (obj_field lookup v f)
+      | Earray (a, s, ty) ->
           let arr = V.as_array (lookup a) in
           let lo, hi = resolve_section lookup arr s in
-          total := !total + 16;
-          if st = Sstring then
-            for i = lo to hi - 1 do
-              total := !total + scalar_bytes st arr.(i)
-            done
-          else total := !total + ((hi - lo) * scalar_size st)
+          16 + values_size ty (hi - lo) (fun i -> arr.(lo + i))
       | Ecoll (c, _, groups) ->
           let l = V.as_list (lookup c) in
           let n = V.Vec.length l in
-          total := !total + 8;
-          List.iter
-            (fun g ->
-              List.iter
-                (fun fs ->
-                  if fs.fs_ty = Sstring then
-                    let get = elt_field fs in
-                    for i = 0 to n - 1 do
-                      total := !total + scalar_bytes Sstring (get (V.Vec.get l i))
-                    done
-                  else total := !total + (n * scalar_size fs.fs_ty))
-                g.g_fields)
-            groups)
-    layout;
-  !total
+          List.fold_left
+            (fun total g ->
+              List.fold_left
+                (fun total fs ->
+                  let get = elt_field fs in
+                  total + values_size fs.fs_ty n (fun i -> get (V.Vec.get l i)))
+                total g.g_fields)
+            8 groups)
+    0 layout
 
 (* Operation cost charged for packing/unpacking a buffer with this
    layout: roughly two memory operations per packed value, with
@@ -638,8 +565,8 @@ let marshal_ops (prog : Ast.program) (layout : layout)
     (fun entry ->
       match entry with
       | Escalar _ -> ops := !ops + 2
-      | Eobj_field _ -> ops := !ops + 2
-      | Eobj_any (v, _, f, ty) ->
+      | Eobj_field (_, _, _, ty) when is_scalar ty -> ops := !ops + 2
+      | Eobj_field (v, _, f, ty) ->
           ops := !ops + (value_size_generic prog ty (obj_field lookup v f) / 4)
       | Earray (a, s, _) ->
           let arr = V.as_array (lookup a) in
@@ -671,8 +598,8 @@ let pp_group ppf g =
 
 let pp_entry ppf = function
   | Escalar (v, _) -> Fmt.pf ppf "scalar %s" v
-  | Eobj_field (v, _, f, _) -> Fmt.pf ppf "obj %s.%s" v f
-  | Eobj_any (v, _, f, ty) -> Fmt.pf ppf "obj %s.%s:%s" v f (Ast.ty_to_string ty)
+  | Eobj_field (v, _, f, ty) when is_scalar ty -> Fmt.pf ppf "obj %s.%s" v f
+  | Eobj_field (v, _, f, ty) -> Fmt.pf ppf "obj %s.%s:%s" v f (Ast.ty_to_string ty)
   | Earray (a, s, _) -> Fmt.pf ppf "array %s%s" a (Section.to_string s)
   | Ecoll (c, _, groups) ->
       Fmt.pf ppf "coll %s<%a>" c Fmt.(list ~sep:(any "; ") pp_group) groups

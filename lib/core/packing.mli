@@ -10,18 +10,21 @@
     Fields first consumed by the receiving filter are grouped together
     instance-wise; fields first consumed later form field-wise groups
     sorted by first reader.  A contiguous column the receiving filter
-    only forwards can be bulk-copied, which is where field-wise wins. *)
+    only forwards can be bulk-copied, which is where field-wise wins.
+
+    A layout chooses only the arrangement: every value it places is
+    written by the one typed codec ({!pack_value_generic}) over
+    {!Wirefmt}'s bytes. *)
 
 open Lang
 
-type scalar_ty = Sint | Sfloat | Sbool | Sstring | Srange
+(** [int], [float], [bool], [String] and [Rectdomain<1>]: the types a
+    collection field, an array element or a top-level variable must
+    have to enter a layout.  An object field of any other type is
+    packed whole. *)
+val is_scalar : Ast.ty -> bool
 
-val scalar_ty_of_ast : Ast.ty -> scalar_ty option
-
-(** Fixed wire size in bytes; -1 for strings (variable). *)
-val scalar_size : scalar_ty -> int
-
-type field_spec = { fs_name : string; fs_ty : scalar_ty }
+type field_spec = { fs_name : string; fs_ty : Ast.ty  (** scalar *) }
 
 (** A group of element fields packed together: [`Instance] interleaves
     them per element, [`Fieldwise] stores one contiguous column per
@@ -33,13 +36,12 @@ type group = {
 }
 
 type entry =
-  | Escalar of string * scalar_ty
-  | Eobj_field of string * string * string * scalar_ty
-      (** object var, its class, field name, field type *)
-  | Eobj_any of string * string * string * Ast.ty
-      (** object var, its class, structured field (array/list/object
-          typed), serialized generically *)
-  | Earray of string * Section.t * scalar_ty
+  | Escalar of string * Ast.ty  (** top-level variable, scalar *)
+  | Eobj_field of string * string * string * Ast.ty
+      (** object var, its class, field name, field type: scalar
+          fields come before structured (array/list/object) ones *)
+  | Earray of string * Section.t * Ast.ty
+      (** array (or section), scalar element type *)
   | Ecoll of string * string option * group list
       (** collection var, element class ([None] = primitives), ordered
           field groups *)
@@ -61,36 +63,16 @@ val layout_for_cut :
   filter_of_seg:(int -> int) ->
   layout
 
-(** {2 Low-level wire helpers} (shared with {!Objpack} and the manual
-    application pipelines) *)
-
-val buf_add_int : Buffer.t -> int -> unit
-val buf_add_float : Buffer.t -> float -> unit
-val buf_add_bool : Buffer.t -> bool -> unit
-val buf_add_string : Buffer.t -> string -> unit
-
-(** A bounded cursor over packed bytes ({!Wirefmt.reader}): [limit]
-    caps every read so a reader can decode one window of a larger
-    buffer in place. *)
-type reader = { data : Bytes.t; mutable pos : int; limit : int }
-
-(** [reader_of ?pos ?limit data] — [limit] defaults to the whole
-    buffer. *)
-val reader_of : ?pos:int -> ?limit:int -> Bytes.t -> reader
-
-val read_int : reader -> int
-val read_float : reader -> float
-val read_bool : reader -> bool
-val read_string : reader -> string
-
-(** {2 Generic structured-value codec} — any PipeLang value by its
-    declared type (used for object fields of structured type and for
-    reduction-state payloads).  An object is written in its own class's
-    field order and rebuilt from [prog]'s declaration of the class its
-    type names; an undeclared class raises [Value.Runtime_error]. *)
+(** {2 The value codec} — any PipeLang value by its declared type, over
+    {!Wirefmt}'s bytes: every value of every layout entry, and every
+    reduction-state payload ({!Objpack}).  Arrays and lists are
+    length-prefixed; an object is written in its own class's field
+    order behind a presence byte and rebuilt from [prog]'s declaration
+    of the class its type names; an undeclared class raises
+    [Value.Runtime_error]. *)
 
 val pack_value_generic : Buffer.t -> Ast.program -> Ast.ty -> Value.t -> unit
-val unpack_value_generic : reader -> Ast.program -> Ast.ty -> Value.t
+val unpack_value_generic : Wirefmt.reader -> Ast.program -> Ast.ty -> Value.t
 val value_size_generic : Ast.program -> Ast.ty -> Value.t -> int
 
 (** Wrap an environment lookup so the ["runtime:<name>"] symbols the

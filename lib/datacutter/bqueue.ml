@@ -110,7 +110,6 @@ type 'a t = {
   mutable spill_segments : int; (* cumulative segments written *)
   mutable high_water : int; (* max mem_bytes ever *)
   occupancy : Obs.Hist.t;  (* length after each push/pop; guarded by mutex *)
-  batches : Obs.Hist.t;    (* items moved per pop/pop_all; guarded by mutex *)
 }
 
 let create ?(cost = fun _ -> 0) ?spill ~stop capacity =
@@ -137,7 +136,6 @@ let create ?(cost = fun _ -> 0) ?spill ~stop capacity =
     spill_segments = 0;
     high_water = 0;
     occupancy = Obs.Hist.create ~bounds:(Obs.Hist.occupancy_bounds ~capacity);
-    batches = Obs.Hist.create ~bounds:(Obs.Hist.occupancy_bounds ~capacity);
   }
 
 (* The two mutation helpers every public path funnels through (call
@@ -152,7 +150,6 @@ let enqueued q n =
 let dequeued q n =
   if n > 0 then begin
     Obs.Hist.observe q.occupancy (float_of_int (Queue.length q.items));
-    Obs.Hist.observe q.batches (float_of_int n);
     (* After close no pusher can ever enter a wait again — they fail
        fast — so a [not_full] wakeup would only be noise. *)
     if not q.closed then
@@ -392,4 +389,3 @@ let stats q =
   s
 
 let occupancy q = q.occupancy
-let batches q = q.batches

@@ -134,6 +134,3 @@ val no_stats : stats
     single-item and batched paths share one accounting helper). *)
 val occupancy : 'a t -> Obs.Hist.t
 
-(** Items moved per dequeue ({!pop}, {!try_pop} and {!pop_all}): the
-    consumer-side batch-size distribution. *)
-val batches : 'a t -> Obs.Hist.t

@@ -33,35 +33,6 @@ let item_cost = function
   | Data b | Final b -> 24 + Filter.buffer_size b
   | Marker -> 8
 
-(* Item codec for spill segments (and anything else that needs to park
-   an item as bytes): Wirefmt tag + packet + payload.  Total, and
-   self-inverse on every constructor. *)
-let encode_item it =
-  let b = Buffer.create 64 in
-  (match it with
-  | Marker -> Wirefmt.buf_add_int b 0
-  | Data buf ->
-      Wirefmt.buf_add_int b 1;
-      Wirefmt.buf_add_int b buf.Filter.packet;
-      Wirefmt.buf_add_bytes b buf.Filter.data
-  | Final buf ->
-      Wirefmt.buf_add_int b 2;
-      Wirefmt.buf_add_int b buf.Filter.packet;
-      Wirefmt.buf_add_bytes b buf.Filter.data);
-  Buffer.contents b
-
-let decode_item s =
-  let r = Wirefmt.reader_of (Bytes.unsafe_of_string s) in
-  match Wirefmt.read_int r with
-  | 0 -> Marker
-  | 1 ->
-      let packet = Wirefmt.read_int r in
-      Data { Filter.packet; data = Wirefmt.read_bytes r }
-  | 2 ->
-      let packet = Wirefmt.read_int r in
-      Final { Filter.packet; data = Wirefmt.read_bytes r }
-  | n -> invalid_arg (Printf.sprintf "Engine.decode_item: unknown tag %d" n)
-
 type copy = {
   stage : int;
   index : int;
@@ -379,7 +350,6 @@ let engaged_width t s = Atomic.get t.engaged.(s)
 let queue_budget t ~stage = Option.map (fun a -> a.(stage)) t.queue_budgets
 
 let mem_budget t = t.mem_budget
-let stage_name t s = t.stages.(s).Topology.stage_name
 let copy_at t ~stage ~copy = t.copies.(stage).(copy)
 let is_sink_stage t s = s = t.n_stages - 1
 
@@ -926,7 +896,6 @@ let sample_metrics =
 
 type sampler = {
   smp_series : Obs.Timeseries.t;
-  smp_interval : float;
   mutable smp_next_at : float;  (* executor-clock time of the next sample *)
   mutable smp_last_ts : float;
   smp_prev_items : int array array;  (* items grid at the last sample *)
@@ -950,7 +919,6 @@ let sampler_create ?capacity t ~interval_s =
   {
     smp_series =
       Obs.Timeseries.create ?capacity ~interval_s ~columns ();
-    smp_interval = interval_s;
     smp_next_at = t0 +. interval_s;
     smp_last_ts = t0;
     smp_prev_items = Array.map Array.copy t.items_grid;
@@ -984,7 +952,7 @@ let sampler_take smp t ~ts =
   Obs.Timeseries.sample smp.smp_series ~ts vals;
   smp.smp_last_ts <- ts;
   while smp.smp_next_at <= ts do
-    smp.smp_next_at <- smp.smp_next_at +. smp.smp_interval
+    smp.smp_next_at <- smp.smp_next_at +. Obs.Timeseries.interval_s smp.smp_series
   done
 
 (* Simulator: emit every sample scheduled at or before virtual time
@@ -996,11 +964,7 @@ let sampler_advance smp t ~upto =
     sampler_take smp t ~ts:smp.smp_next_at
   done
 
-(* Real-time backends: poll every quarter interval (clamped to
-   [1 ms, 50 ms]) and sample when one is due on the executor clock. *)
-let sampler_period_s smp =
-  Float.max 0.001 (Float.min 0.05 (smp.smp_interval /. 4.0))
-
+(* Real-time backends: sample when one is due on the executor clock. *)
 let sampler_poll smp t =
   let now = (executor t).exec_now () in
   if now >= smp.smp_next_at then sampler_take smp t ~ts:now

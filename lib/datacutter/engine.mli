@@ -59,12 +59,6 @@ type item =
     push/pop of the same item. *)
 val item_cost : item -> int
 
-(** Item codec for spill segments: Wirefmt tag + packet + payload.
-    [decode_item (encode_item it)] is [it] for every constructor. *)
-val encode_item : item -> string
-
-val decode_item : string -> item
-
 (** Shared per-copy protocol state.  Backends may read any field;
     [attempts] and [rr] are owner-only (mutated by the copy's own
     domain / the event loop), the atomics are cross-domain. *)
@@ -177,7 +171,6 @@ val slots : t -> int -> int
     planned width, grows on {!spawn_copy}, never shrinks. *)
 val engaged_width : t -> int -> int
 
-val stage_name : t -> int -> string
 val copy_at : t -> stage:int -> copy:int -> copy
 val is_sink_stage : t -> int -> bool
 
@@ -401,10 +394,6 @@ val sampler_series : sampler -> Obs.Timeseries.t
 (** Simulator hook: emit every sample scheduled at or before virtual
     time [upto], each stamped at its exact scheduled time. *)
 val sampler_advance : sampler -> t -> upto:float -> unit
-
-(** How often to run {!sampler_poll}: a quarter of the interval,
-    clamped to [1 ms, 50 ms]. *)
-val sampler_period_s : sampler -> float
 
 (** Real-time hook: take a sample now if one is due on the executor
     clock. *)

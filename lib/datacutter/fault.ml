@@ -224,7 +224,6 @@ let state_for p ~stage ~copy =
     st_crashed = false;
   }
 
-let calls st = st.st_calls
 
 (* Deterministic uniform [0,1) from (seed, stage, copy, call). *)
 let u01 ~seed ~stage ~copy ~call =

@@ -74,9 +74,6 @@ type state
 
 val state_for : plan -> stage:int -> copy:int -> state
 
-(** Process attempts accounted so far. *)
-val calls : state -> int
-
 (** No scripted fault is configured at this site: {!tick} is pure
     accounting and can never raise.  Fast paths that would change
     injection semantics (e.g. batched wire frames) gate on this. *)

@@ -8,19 +8,19 @@
 
 type msg = It of Engine.item | Release
 
-(* Spill codec for queue messages: one tag byte, then the engine's
-   item codec.  [Release] tokens are tiny but must round-trip too — a
+(* Spill codec for queue messages: one tag byte, then [Wire]'s item
+   codec.  [Release] tokens are tiny but must round-trip too — a
    drain-barrier token has no business being dropped by a spill. *)
 let encode_msg = function
   | Release -> "R"
-  | It it -> "I" ^ Engine.encode_item it
+  | It it -> "I" ^ Wire.encode_item it
 
 let decode_msg s =
   if String.length s = 0 then invalid_arg "Par_runtime.decode_msg: empty"
   else
     match s.[0] with
     | 'R' -> Release
-    | 'I' -> It (Engine.decode_item (String.sub s 1 (String.length s - 1)))
+    | 'I' -> It (Wire.decode_item (String.sub s 1 (String.length s - 1)))
     | c -> invalid_arg (Printf.sprintf "Par_runtime.decode_msg: tag %C" c)
 
 let msg_cost = function It it -> Engine.item_cost it | Release -> 8
@@ -487,9 +487,9 @@ let due ~now s =
     let rec skip next = if next <= now then skip (next +. s.period) else next in
     Some { s with next = skip s.next }
 
-let poll_period = function
+let next_due = function
   | [] -> None
-  | l -> Some (List.fold_left (fun m s -> Float.min m s.period) infinity l)
+  | l -> Some (List.fold_left (fun m s -> Float.min m s.next) infinity l)
 
 type check = { mutable at : schedule; run : unit -> unit }
 
@@ -508,7 +508,7 @@ let periodic_checks eng ~sampler ~spawn =
               Engine.watchdog_check eng wd)
       | _ -> None);
       Option.bind sampler (fun smp ->
-          check (Engine.sampler_period_s smp) (fun () ->
+          check (Obs.Timeseries.interval_s (Engine.sampler_series smp)) (fun () ->
               Engine.sampler_poll smp eng));
       Option.bind (Engine.autoscale_config eng) (fun a ->
           check a.Engine.as_interval_s (fun () ->
@@ -517,28 +517,22 @@ let periodic_checks eng ~sampler ~spawn =
               | `Retired _ | `Idle -> ()));
     ]
 
-(* The calling thread waits until every copy has exited or the run
-   aborts, running the armed checks as it goes: it sleeps the smallest
-   armed period between rounds.  Nothing armed, it blocks on [exits].
-   Once the run is aborting, a copy stuck inside filter code cannot be
-   interrupted: it gets a grace second. *)
+(* The calling thread waits on [exits] until every copy has exited or
+   the run aborts, waking at the earliest armed check's due time to run
+   the checks that are due.  Once the run is aborting, a copy stuck
+   inside filter code cannot be interrupted: it gets a grace second. *)
 let await_copies eng exits checks =
   let exited () = Engine.all_exited eng in
   let finished () = exited () || Engine.aborting eng in
-  (match poll_period (List.map (fun c -> c.at) checks) with
-  | None -> Sched.await exits finished
-  | Some tick ->
-      while not (finished ()) do
-        Unix.sleepf tick;
-        let now = Obs.Clock.elapsed_s () in
-        List.iter
-          (fun c -> Option.iter (fun at -> c.run (); c.at <- at) (due ~now c.at))
-          checks
-      done);
-  let deadline = Obs.Clock.elapsed_s () +. 1.0 in
-  while (not (exited ())) && Obs.Clock.elapsed_s () < deadline do
-    Unix.sleepf 0.002
-  done
+  while
+    not (Sched.await exits ?until:(next_due (List.map (fun c -> c.at) checks)) finished)
+  do
+    let now = Obs.Clock.elapsed_s () in
+    List.iter
+      (fun c -> Option.iter (fun at -> c.run (); c.at <- at) (due ~now c.at))
+      checks
+  done;
+  ignore (Sched.await exits ~until:(Obs.Clock.elapsed_s () +. 1.0) exited)
 
 (* Close the hosts and join each, but leak one that still runs a copy
    stuck in filter code, with every copy on it, rather than hang the
@@ -636,8 +630,12 @@ let executor eng ~backend queues exits =
 
 let drive eng ~backend ?(place = fun _ -> Local) ?(teardown = ignore)
     ?(extra = fun () -> []) () =
+  match Sched.event () with
+  | exception Unix.Unix_error (e, fn, _) ->
+      Error (Supervisor.Setup_failed (fn ^ ": " ^ Unix.error_message e))
+  | exits ->
+  Fun.protect ~finally:(fun () -> Sched.close_event exits) @@ fun () ->
   let n_stages = Engine.n_stages eng in
-  let exits = Sched.event () in
   (* One run-scoped spill dir when the run is budgeted; removed on
      every exit path (success and structured failure). *)
   let budgeted = n_stages > 1 && Engine.queue_budget eng ~stage:1 <> None in

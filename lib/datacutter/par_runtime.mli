@@ -121,8 +121,9 @@ val due : now:float -> schedule -> schedule option
     ([s']) at the first period boundary after [now], the missed ones
     skipped. *)
 
-val poll_period : schedule list -> float option
-(** The smallest armed period; [None], no polling, when none is. *)
+val next_due : schedule list -> float option
+(** The earliest armed due time; [None], no deadline, when none is
+    armed. *)
 
 val drive :
   Engine.t ->
@@ -134,9 +135,9 @@ val drive :
   (Engine.metrics, Supervisor.run_error) result
 (** Run [eng] to completion: one driver per copy, a fiber on the
     {!layout}'s hosts, then a wait on the calling thread until every
-    copy has exited, and the joins.  While checks are armed the wait
-    sleeps their {!poll_period} and runs those {!due}; with none it
-    blocks until the last copy exits.  [place] (default every copy
+    copy has exited, and the joins.  The wait ends when the last copy
+    exits; while checks are armed it also wakes at their {!next_due}
+    and runs those {!due}.  [place] (default every copy
     {!Local}) is asked once per copy slot, planned or dormant, before
     any driver starts.  [teardown] runs after every driver has joined
     and the queues are closed, before the wall clock stops; [extra]
@@ -145,4 +146,5 @@ val drive :
     label: ["thread h"] for the {!layout}'s thread host h, or the
     index (from 1) of its spawned domain.  Once the run aborts, a copy
     stuck in filter code is waited for one second and then its host is
-    leaked, with every copy on it. *)
+    leaked, with every copy on it.  [Error (Setup_failed _)] when the
+    wait's pipe cannot be made. *)

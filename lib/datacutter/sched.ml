@@ -301,18 +301,49 @@ let join { joins; _ } i = joins.(i) ()
 
 (* --- events --- *)
 
-type event = { emu : Mutex.t; ecv : Condition.t }
+(* A pipe, because OCaml 5.1's [Condition.wait] has no timeout: [notify]
+   writes a byte, [await] selects on the read end, and a byte written
+   before the waiter selects is still there when it does.  [notify] and
+   [close_event] hold [emu], so a [notify] after the close (a leaked
+   copy exiting late) writes to no descriptor. *)
+type event = {
+  emu : Mutex.t;
+  rd : Unix.file_descr;
+  wr : Unix.file_descr;
+  mutable live : bool;  (* guarded by emu *)
+}
 
-let event () = { emu = Mutex.create (); ecv = Condition.create () }
+let event () =
+  let rd, wr = Unix.pipe ~cloexec:true () in
+  Unix.set_nonblock wr;
+  { emu = Mutex.create (); rd; wr; live = true }
 
+(* A full pipe already holds a wake-up, so [EAGAIN] loses none. *)
 let notify e =
-  Mutex.lock e.emu;
-  Condition.broadcast e.ecv;
-  Mutex.unlock e.emu
+  Mutex.protect e.emu (fun () ->
+      if e.live then
+        try ignore (Unix.single_write e.wr (Bytes.make 1 '!') 0 1)
+        with Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ())
 
-let await e ready =
-  Mutex.lock e.emu;
-  while not (ready ()) do
-    Condition.wait e.ecv e.emu
-  done;
-  Mutex.unlock e.emu
+let await e ?until ready =
+  let buf = Bytes.create 64 in
+  let rec loop () =
+    let left = match until with Some t -> t -. Obs.Clock.elapsed_s () | None -> -1.0 in
+    ready ()
+    || (until = None || left > 0.0)
+       && begin
+            (match Unix.select [ e.rd ] [] [] left with
+            | [], _, _ | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+            | _ -> ignore (Unix.read e.rd buf 0 64));
+            loop ()
+          end
+  in
+  loop ()
+
+let close_event e =
+  Mutex.protect e.emu (fun () ->
+      if e.live then begin
+        e.live <- false;
+        Unix.close e.rd;
+        Unix.close e.wr
+      end)

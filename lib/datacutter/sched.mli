@@ -90,14 +90,21 @@ val join : hosts -> int -> unit
 (** {2 Events} *)
 
 (** A wake-up for a thread that waits for some state to hold, such as
-    every copy having exited. *)
+    every copy having exited.  It holds a pipe until {!close_event}. *)
 type event
 
+(** @raise Unix.Unix_error when no pipe can be made (EMFILE). *)
 val event : unit -> event
 
-(** Wake every {!await}er to re-check its condition.  Call it after
-    the state change. *)
+(** Wake the {!await}er to re-check its condition.  Call it after the
+    state change; after {!close_event} it does nothing. *)
 val notify : event -> unit
 
-(** Block until [ready ()] holds, re-checking after each {!notify}. *)
-val await : event -> (unit -> bool) -> unit
+(** [await e ?until ready] blocks until [ready ()] holds, re-checking
+    after each {!notify}, or until {!Obs.Clock.elapsed_s} reaches
+    [until], and returns the last [ready ()].  One thread awaits an
+    event at a time, and not a fiber: a fiber would hold its host. *)
+val await : event -> ?until:float -> (unit -> bool) -> bool
+
+(** Close the pipe.  Idempotent. *)
+val close_event : event -> unit

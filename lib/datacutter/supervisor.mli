@@ -88,10 +88,10 @@ type run_error =
           run could start: an autoscale request the engine refused
           outright (budget <= 0, or no inner stage to grow) *)
   | Setup_failed of string
-      (** the process backend could not create its workers: a
-          [Unix.fork] or a ring mapping failed for lack of resources
-          (EMFILE, ENOMEM, EAGAIN).  Every worker already forked was
-          reaped before the run returned. *)
+      (** the run could not set up for lack of resources (EMFILE,
+          ENOMEM, EAGAIN): the pipe a par or proc run waits on, or, on
+          the process backend, a [Unix.fork] or a ring mapping.  Every
+          worker already forked was reaped before the run returned. *)
 
 exception Run_failed of run_error
 

@@ -55,7 +55,6 @@ let create ~stages ~links =
   | _ -> ());
   { stages; links }
 
-let widths t = List.map (fun s -> s.width) t.stages
 
 (* --- observability identities ---
 

@@ -30,8 +30,6 @@ type t = { stages : stage list; links : link list }
     the last a [Sink]. *)
 val create : stages:stage list -> links:link list -> t
 
-val widths : t -> int list
-
 (** {2 Observability identities}
 
     Stable virtual-thread ids for the exported trace: tid 0 is the

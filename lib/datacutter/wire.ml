@@ -195,6 +195,20 @@ let read_item src r =
   | Some it -> it
   | None -> fail "bare item slot cannot be empty"
 
+(* One item alone, as a spill segment parks it: the bytes of one
+   [Batch] item. *)
+let encode_item it =
+  let b = Buffer.create 64 in
+  add_item_opt buffer_sink b (Some it);
+  Buffer.contents b
+
+let decode_item s =
+  let r = Wirefmt.reader_of (Bytes.unsafe_of_string s) in
+  match read_item bytes_source r with
+  | it when r.Wirefmt.pos = r.Wirefmt.limit -> it
+  | _ -> fail "item has %d trailing bytes" (r.Wirefmt.limit - r.Wirefmt.pos)
+  | exception Wirefmt.Short_read m -> fail "truncated item (%s)" m
+
 let add_items sk k items =
   sk.s_int k (List.length items);
   List.iter (fun it -> add_item_opt sk k (Some it)) items

@@ -65,6 +65,12 @@ val decode : Bytes.t -> pos:int -> msg * int
 (** Decode one complete frame at [pos]; returns the message and the
     offset just past it.  Raises {!Protocol_error} on truncation. *)
 
+val encode_item : Engine.item -> string
+val decode_item : string -> Engine.item
+(** One item alone, for a spill segment: the bytes of one {!Batch}
+    item.  [decode_item] raises {!Protocol_error} on an unknown kind
+    byte, truncation or trailing bytes. *)
+
 val encode_big : Wirefmt.Big.writer -> msg -> unit
 (** Encode [msg] directly into a bigstring window — typically an shm
     ring slot — as [tag:1][payload] (no length header: the slot's own

@@ -56,9 +56,22 @@ let test_generic_array_unpack () =
   let data = Buffer.to_bytes buf in
   let back =
     no_minor_collection "generic float[] unpack" (fun () ->
-        Packing.unpack_value_generic (Packing.reader_of data) prog ty)
+        Packing.unpack_value_generic (Wirefmt.reader_of data) prog ty)
   in
   A.(check bool) "round trip" true (V.equal arr back)
+
+(* A layout's array section, unpacked element by element into an array
+   of [lo + len] slots. *)
+let test_layout_array_unpack () =
+  let arr = V.Varray (Array.init n (fun i -> V.Vfloat (float_of_int i))) in
+  let layout = [ Packing.Earray ("a", Section.Whole, Ast.Tfloat) ] in
+  let data = Packing.pack prog layout ~lookup:(fun _ -> arr) in
+  let back =
+    no_minor_collection "layout float[] unpack" (fun () -> Packing.unpack prog layout data)
+  in
+  match back with
+  | [ ("a", v) ] -> A.(check bool) "round trip" true (V.equal arr v)
+  | _ -> A.fail "expected exactly the array a"
 
 let test_collection_unpack () =
   let cls = Option.get (Ast.find_class prog "T") in
@@ -76,7 +89,7 @@ let test_collection_unpack () =
           [
             {
               Packing.g_layout = `Instance;
-              g_fields = [ { Packing.fs_name = "a"; fs_ty = Packing.Sfloat } ];
+              g_fields = [ { Packing.fs_name = "a"; fs_ty = Ast.Tfloat } ];
               g_first_consumer = None;
             };
           ] );
@@ -167,6 +180,7 @@ let () =
         [
           ("Vec.push of fresh values", `Quick, test_vec_push);
           ("generic float[] unpack", `Quick, test_generic_array_unpack);
+          ("layout float[] unpack", `Quick, test_layout_array_unpack);
           ("collection of objects unpack", `Quick, test_collection_unpack);
         ] );
       ( "object allocation",

@@ -135,6 +135,74 @@ let check_profile () =
   A.(check (array (float 0.0))) "task" profile_task p.Costmodel.task;
   A.(check (array (float 0.0))) "vol_out" profile_vol_out p.Costmodel.vol_out
 
+(* The bytes [Packing.pack] writes on each boundary of an app's compiled
+   Decomp plan (2-2-1) for packet 0, as an MD5 per boundary in unit
+   order.  The golden files pin only sizes; these pin entry order and
+   every value's encoding.  kmeans's Decomp plan keeps every segment on
+   C1, so its collection boundary is pinned under the Default plan. *)
+let packed_digests ?strategy ?layout_mode (app : H.app) =
+  let c = H.compile ?strategy ?layout_mode ~widths:[| 2; 2; 1 |] app in
+  let plan = c.Compile.plan in
+  let ctx =
+    Interp.create_ctx ~externs:plan.Codegen.externs
+      ~runtime_defs:plan.Codegen.runtime_defs plan.Codegen.prog
+  in
+  let code =
+    Interp.compile_packet ctx (Interp.init_globals ctx) ~inputs:[]
+      (Array.to_list
+         (Array.map (fun s -> s.Boundary.seg_stmts) plan.Codegen.segments))
+  in
+  let fr = Interp.new_frame code ~packet:0 in
+  let digests = ref [] in
+  Array.iteri
+    (fun i _ ->
+      Interp.run_segment code i fr;
+      for u = 2 to plan.Codegen.m do
+        let layout = plan.Codegen.layouts.(u - 1) in
+        if plan.Codegen.cuts.(u - 1) = i + 1 && layout <> [] then
+          let lookup =
+            Packing.runtime_aware_lookup
+              ~runtime_def:(Hashtbl.find_opt ctx.Interp.runtime_defs)
+              ~lookup:(Interp.lookup code (Packing.lookup_names layout) fr)
+          in
+          let bytes = Packing.pack plan.Codegen.prog layout ~lookup in
+          digests := Digest.to_hex (Digest.bytes bytes) :: !digests
+      done)
+    plan.Codegen.segments;
+  List.rev !digests
+
+let packed_pins =
+  let knn = H.knn_app Apps.Knn.tiny in
+  [
+    ("zbuffer",
+      (fun () -> packed_digests (iso "zbuffer-tiny" `Zbuffer Apps.Isosurface.tiny)),
+      [ "bca471249bde9254700c9e185b471d41" ]);
+    ("apix",
+      (fun () -> packed_digests (iso "apix-tiny" `Apix Apps.Isosurface.tiny)),
+      [ "bca471249bde9254700c9e185b471d41" ]);
+    ("knn", (fun () -> packed_digests knn), [ "3fe9fb32fd832a2ecb624333a45d3ab9" ]);
+    ("knn all-instance",
+      (fun () -> packed_digests ~layout_mode:`All_instance knn),
+      [ "3fe9fb32fd832a2ecb624333a45d3ab9" ]);
+    ("knn all-fieldwise",
+      (fun () -> packed_digests ~layout_mode:`All_fieldwise knn),
+      [ "3fe9fb32fd832a2ecb624333a45d3ab9" ]);
+    ("vmscope",
+      (fun () -> packed_digests (H.vmscope_app Apps.Vmscope.tiny)),
+      [ "7d989d746b34bf7abb9d73ce1e360f99" ]);
+    ("kmeans", (fun () -> packed_digests kmeans_app), []);
+    ("kmeans default",
+      (fun () -> packed_digests ~strategy:Compile.Default kmeans_app),
+      [ "58e175a6f3e2492cac632a675c7265ec" ]);
+    ("kmeans default all-fieldwise",
+      (fun () ->
+        packed_digests ~strategy:Compile.Default ~layout_mode:`All_fieldwise kmeans_app),
+      [ "bdbaba2d94a137502ce996afc8e61122" ]);
+  ]
+
+let check_packed (name, digests, expected) () =
+  A.(check (list string)) (name ^ " packed bytes") expected (digests ())
+
 let () =
   Alcotest.run "opcount-pin"
     [
@@ -145,5 +213,9 @@ let () =
               (check_reference pin))
           reference_pins );
       ("profile", [ A.test_case "iso small 2-2-1" `Quick check_profile ]);
+      ( "packed",
+        List.map
+          (fun ((name, _, _) as pin) -> A.test_case name `Quick (check_packed pin))
+          packed_pins );
     ]
 

@@ -135,11 +135,11 @@ let test_scalar_entries_roundtrip () =
   let prog, _, _, _ = setup () in
   let layout =
     [
-      Packing.Escalar ("n", Packing.Sint);
-      Packing.Escalar ("f", Packing.Sfloat);
-      Packing.Escalar ("ok", Packing.Sbool);
-      Packing.Escalar ("s", Packing.Sstring);
-      Packing.Escalar ("r", Packing.Srange);
+      Packing.Escalar ("n", Ast.Tint);
+      Packing.Escalar ("f", Ast.Tfloat);
+      Packing.Escalar ("ok", Ast.Tbool);
+      Packing.Escalar ("s", Ast.Tstring);
+      Packing.Escalar ("r", Ast.Trectdomain);
     ]
   in
   let lookup = function
@@ -160,7 +160,7 @@ let test_scalar_entries_roundtrip () =
 let test_array_section_roundtrip () =
   let prog, _, _, _ = setup () in
   let sec = Section.Range (Section.Bconst 2, Section.Bconst 6) in
-  let layout = [ Packing.Earray ("a", sec, Packing.Sfloat) ] in
+  let layout = [ Packing.Earray ("a", sec, Ast.Tfloat) ] in
   let arr = V.Varray (Array.init 10 (fun i -> V.Vfloat (float_of_int i))) in
   let lookup = function
     | "a" -> arr
@@ -177,7 +177,7 @@ let test_array_section_roundtrip () =
 let test_symbolic_section_resolved () =
   let prog, _, _, _ = setup () in
   let sec = Section.Range (Section.Bconst 0, Section.Bsym "n") in
-  let layout = [ Packing.Escalar ("n", Packing.Sint); Packing.Earray ("a", sec, Packing.Sint) ] in
+  let layout = [ Packing.Escalar ("n", Ast.Tint); Packing.Earray ("a", sec, Ast.Tint) ] in
   let arr = V.Varray (Array.init 10 (fun i -> V.Vint i)) in
   let lookup = function
     | "a" -> arr
@@ -190,7 +190,7 @@ let test_symbolic_section_resolved () =
 
 let test_obj_any_array_field () =
   let prog = Parser.parse "class Z { float[] depth; } pipelined (p in [0 : 1]) { }" in
-  let layout = [ Packing.Eobj_any ("z", "Z", "depth", Ast.Tarray Ast.Tfloat) ] in
+  let layout = [ Packing.Eobj_field ("z", "Z", "depth", Ast.Tarray Ast.Tfloat) ] in
   let o = V.make_object (Option.get (Ast.find_class prog "Z")) in
   V.set_field o "depth" (V.Varray [| V.Vfloat 1.5; V.Vfloat 2.5 |]);
   let lookup = function
@@ -216,7 +216,7 @@ let test_generic_value_roundtrip_nested () =
   let v = V.Vlist vec in
   let buf = Buffer.create 64 in
   Packing.pack_value_generic buf prog ty v;
-  let r = Packing.reader_of (Buffer.to_bytes buf) in
+  let r = Wirefmt.reader_of (Buffer.to_bytes buf) in
   let v' = Packing.unpack_value_generic r prog ty in
   A.(check bool) "roundtrip" true (V.equal v v');
   A.(check int) "size accounting" (Buffer.length buf)
@@ -309,7 +309,7 @@ let test_unpack_unknown_class () =
   in
   let group =
     { Packing.g_layout = `Instance;
-      g_fields = [ { Packing.fs_name = "a"; fs_ty = Packing.Sfloat } ];
+      g_fields = [ { Packing.fs_name = "a"; fs_ty = Ast.Tfloat } ];
       g_first_consumer = None }
   in
   List.iter
@@ -319,7 +319,7 @@ let test_unpack_unknown_class () =
       | exception V.Runtime_error msg ->
           A.(check string) "error" "unpack: unknown class Missing" msg
       | _ -> A.fail "unpacked objects of an undeclared class")
-    [ Packing.Eobj_field ("t0", "Missing", "a", Packing.Sfloat);
+    [ Packing.Eobj_field ("t0", "Missing", "a", Ast.Tfloat);
       Packing.Ecoll ("ts", Some "Missing", [ group ]) ]
 
 let suite =

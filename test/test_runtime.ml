@@ -779,8 +779,11 @@ let test_check_schedule () =
      its own period has passed. *)
   let a = ref { P.period = 10.0; next = 10.0 }
   and b = ref { P.period = 25.0; next = 25.0 } in
-  A.(check (option (float 0.0))) "poll the smallest period" (Some 10.0)
-    (P.poll_period [ !a; !b ]);
+  A.(check (option (float 0.0))) "wake at the earliest due time" (Some 10.0)
+    (P.next_due [ !a; !b ]);
+  A.(check (option (float 0.0))) "the earliest due time, not the smallest period"
+    (Some 25.0)
+    (P.next_due [ { P.period = 10.0; next = 30.0 }; !b ]);
   let poll s runs ~now =
     Option.iter (fun s' -> runs := now :: !runs; s := s') (P.due ~now !s)
   in
@@ -801,8 +804,8 @@ let test_check_schedule () =
     (Some 60.0) (next (P.due ~now:55.0 s));
   A.(check (option (float 0.0))) "no burst after the late run" None
     (next (Option.bind (P.due ~now:55.0 s) (P.due ~now:58.0)));
-  (* Nothing armed: no polling loop. *)
-  A.(check (option (float 0.0))) "nothing armed" None (P.poll_period [])
+  (* Nothing armed: no deadline. *)
+  A.(check (option (float 0.0))) "nothing armed" None (P.next_due [])
 
 let suite =
   [

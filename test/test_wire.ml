@@ -213,6 +213,21 @@ let test_trailing_bytes () =
   check_protocol_error "trailing payload bytes" (fun () ->
       Wire.decode padded ~pos:0)
 
+(* The spill codec's item: every constructor round-trips; an unknown
+   kind byte, a truncation or trailing bytes are protocol errors. *)
+let test_item_codec () =
+  List.iter
+    (fun it ->
+      let s = Wire.encode_item it in
+      Alcotest.(check bool) "roundtrip" true (item_equal it (Wire.decode_item s));
+      for len = 0 to String.length s - 1 do
+        check_protocol_error "truncated item" (fun () ->
+            Wire.decode_item (String.sub s 0 len))
+      done;
+      check_protocol_error "trailing bytes" (fun () -> Wire.decode_item (s ^ "\000")))
+    [ Engine.Marker; Engine.Data (buffer "data"); Engine.Final (buffer ~packet:0 "") ];
+  check_protocol_error "unknown kind" (fun () -> Wire.decode_item "\009")
+
 (* Frames written with write_msg arrive intact through an OS pipe,
    split across however many reads the kernel chooses; EOF at a frame
    boundary is a clean [None]. *)
@@ -401,6 +416,7 @@ let () =
           Alcotest.test_case "unknown tag rejected" `Quick test_unknown_tag;
           Alcotest.test_case "trailing bytes rejected" `Quick
             test_trailing_bytes;
+          Alcotest.test_case "spill item codec" `Quick test_item_codec;
         ] );
       ("decoder", [ QCheck_alcotest.to_alcotest prop_batch_roundtrip ]);
       ( "fds",
