@@ -467,7 +467,7 @@ pipelined (p in [0 : runtime_define num_packets]) {
 (* Extract (depth, color) arrays from a final ZBuffer value. *)
 let zbuffer_arrays = function
   | V.Vobject o ->
-      let arr name = V.as_array (V.field o name) |> Array.map V.as_float in
+      let arr name = V.as_floats (V.field o name) in
       (arr "depth", arr "color")
   | v -> V.runtime_errorf "expected ZBuffer, got %s" (V.type_name v)
 

@@ -173,8 +173,8 @@ pipelined (p in [0 : runtime_define num_packets]) {
 (* Extract (sx, sy, count) from the final Sums value. *)
 let sums_arrays = function
   | V.Vobject o ->
-      ( V.as_array (V.field o "sx") |> Array.map V.as_float,
-        V.as_array (V.field o "sy") |> Array.map V.as_float,
+      ( V.as_floats (V.field o "sx"),
+        V.as_floats (V.field o "sy"),
         V.as_array (V.field o "count") |> Array.map V.as_int )
   | v -> V.runtime_errorf "expected Sums, got %s" (V.type_name v)
 

@@ -215,13 +215,9 @@ pipelined (p in [0 : runtime_define num_packets]) {
 let knn_result = function
   | V.Vobject o ->
       let filled = V.as_int (V.field o "filled") in
-      let arr name = V.as_array (V.field o name) in
+      let arr name = V.as_floats (V.field o name) in
       let dist = arr "dist" and px = arr "px" and py = arr "py" and pz = arr "pz" in
-      List.init filled (fun i ->
-          ( V.as_float dist.(i),
-            V.as_float px.(i),
-            V.as_float py.(i),
-            V.as_float pz.(i) ))
+      List.init filled (fun i -> (dist.(i), px.(i), py.(i), pz.(i)))
       |> List.sort compare
   | v -> V.runtime_errorf "expected KNN, got %s" (V.type_name v)
 

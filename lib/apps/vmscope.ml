@@ -231,7 +231,7 @@ pipelined (p in [0 : runtime_define num_packets]) {
 
 let image_arrays = function
   | V.Vobject o ->
-      let arr name = V.as_array (V.field o name) |> Array.map V.as_float in
+      let arr name = V.as_floats (V.field o name) in
       (arr "r", arr "g", arr "b")
   | v -> V.runtime_errorf "expected Img, got %s" (V.type_name v)
 

@@ -245,6 +245,10 @@ let rec pack_value_generic buf prog (ty : Ast.ty) (v : V.t) =
       | V.Varray a ->
           Wirefmt.buf_add_int buf (Array.length a);
           Array.iter (fun x -> pack_value_generic buf prog elt x) a
+      | V.Vfloats a when elt = Ast.Tfloat ->
+          Wirefmt.buf_add_int buf (Array.length a);
+          Array.iter (Wirefmt.buf_add_float buf) a
+      | V.Vfloats _ -> pack_value_generic buf prog ty (V.Varray (V.as_array v))
       | _ -> V.runtime_errorf "pack: expected array, got %s" (V.type_name v))
   | Ast.Tlist elt ->
       let l = V.as_list v in
@@ -278,8 +282,7 @@ let rec unpack_value_generic (r : Wirefmt.reader) prog (ty : Ast.ty) : V.t =
       V.Vrange (lo, hi)
   | Ast.Tarray elt ->
       let n = Wirefmt.read_int r in
-      if n < 0 then V.Vnull
-      else V.Varray (V.init_array n (fun _ -> unpack_value_generic r prog elt))
+      if n < 0 then V.Vnull else unpack_array r prog elt ~lo:0 n
   | Ast.Tlist elt ->
       let n = Wirefmt.read_int r in
       let vec = V.Vec.create () in
@@ -296,6 +299,22 @@ let rec unpack_value_generic (r : Wirefmt.reader) prog (ty : Ast.ty) : V.t =
           obj.V.cls.Ast.cd_fields;
         V.Vobject obj)
 
+(* An array of [lo] zeros and then [n] elements read from [r]; a [float]
+   array in the flat form. *)
+and unpack_array r prog elt ~lo n =
+  if elt = Ast.Tfloat then begin
+    let a = Array.make (lo + n) 0.0 in
+    for i = lo to lo + n - 1 do
+      a.(i) <- Wirefmt.read_float r
+    done;
+    V.Vfloats a
+  end
+  else
+    let zero = V.zero_of_ty elt in
+    V.Varray
+      (V.init_array (lo + n) (fun i ->
+           if i < lo then zero else unpack_value_generic r prog elt))
+
 let rec value_size_generic prog (ty : Ast.ty) (v : V.t) =
   match ty with
   | Ast.Tint | Ast.Tfloat -> 8
@@ -308,6 +327,7 @@ let rec value_size_generic prog (ty : Ast.ty) (v : V.t) =
       | V.Vnull -> 8
       | V.Varray a ->
           8 + Array.fold_left (fun s x -> s + value_size_generic prog elt x) 0 a
+      | V.Vfloats a -> 8 + (8 * Array.length a)
       | _ -> 8)
   | Ast.Tlist elt ->
       let l = V.as_list v in
@@ -367,17 +387,17 @@ let lookup_names layout =
 
 (* Resolve a section against the runtime environment (symbolic bounds are
    looked up as integer variables). *)
-let resolve_section lookup (arr : V.t array) (s : Section.t) =
+let resolve_section lookup (arr : V.t) (s : Section.t) =
   let resolve_bound = function
     | Section.Bconst n -> n
     | Section.Bsym v -> V.as_int (lookup v)
     | Section.Bsym_off (v, k) -> V.as_int (lookup v) + k
   in
   match s with
-  | Section.Whole -> (0, Array.length arr)
+  | Section.Whole -> (0, V.array_length arr)
   | Section.Range (lo, hi) ->
       let lo = max 0 (resolve_bound lo) in
-      let hi = min (Array.length arr) (resolve_bound hi) in
+      let hi = min (V.array_length arr) (resolve_bound hi) in
       (lo, max lo hi)
 
 let obj_field lookup v f = V.field (V.as_object (lookup v)) f
@@ -402,12 +422,12 @@ let pack (prog : Ast.program) (layout : layout) ~(lookup : string -> V.t) :
       | Eobj_field (v, _, f, ty) ->
           pack_value_generic buf prog ty (obj_field lookup v f)
       | Earray (a, s, ty) ->
-          let arr = V.as_array (lookup a) in
+          let arr = lookup a in
           let lo, hi = resolve_section lookup arr s in
           Wirefmt.buf_add_int buf lo;
           Wirefmt.buf_add_int buf (hi - lo);
           for i = lo to hi - 1 do
-            pack_value_generic buf prog ty arr.(i)
+            pack_value_generic buf prog ty (V.array_get arr i)
           done
       | Ecoll (c, _, groups) ->
           let l = V.as_list (lookup c) in
@@ -467,16 +487,12 @@ let unpack (prog : Ast.program) (layout : layout) (data : Bytes.t) :
       | Earray (a, _, ty) ->
           let lo = Wirefmt.read_int r in
           let len = Wirefmt.read_int r in
-          let zero = V.zero_of_ty ty in
-          add a
-            (V.Varray
-               (V.init_array (lo + len) (fun i ->
-                    if i < lo then zero else unpack_value_generic r prog ty)))
+          add a (unpack_array r prog ty ~lo len)
       | Ecoll (c, elem_class, groups) ->
           let n = Wirefmt.read_int r in
           let cd = Option.map (unpack_class prog) elem_class in
           let elems =
-            V.init_array n (fun _ ->
+            V.Vec.init n (fun _ ->
                 match cd with
                 | Some cd -> V.Vobject (V.make_object cd)
                 | None -> V.Vfloat 0.0)
@@ -485,8 +501,9 @@ let unpack (prog : Ast.program) (layout : layout) (data : Bytes.t) :
             match cd with
             | Some cd when fs.fs_name <> Gencons.prim_field ->
                 let slot = V.slot cd fs.fs_name in
-                fun i value -> (V.as_object elems.(i)).V.slots.(slot) <- value
-            | _ -> fun i value -> elems.(i) <- value
+                fun i value ->
+                  (V.as_object (V.Vec.get elems i)).V.slots.(slot) <- value
+            | _ -> V.Vec.set elems
           in
           List.iter
             (fun g ->
@@ -508,7 +525,7 @@ let unpack (prog : Ast.program) (layout : layout) (data : Bytes.t) :
                       done)
                     fields)
             groups;
-          add c (V.Vlist (V.Vec.of_array elems)))
+          add c (V.Vlist elems))
     layout;
   List.rev !out
 
@@ -536,9 +553,9 @@ let packed_size (prog : Ast.program) (layout : layout)
       | Escalar (v, ty) -> value_size_generic prog ty (lookup v)
       | Eobj_field (v, _, f, ty) -> value_size_generic prog ty (obj_field lookup v f)
       | Earray (a, s, ty) ->
-          let arr = V.as_array (lookup a) in
+          let arr = lookup a in
           let lo, hi = resolve_section lookup arr s in
-          16 + values_size ty (hi - lo) (fun i -> arr.(lo + i))
+          16 + values_size ty (hi - lo) (fun i -> V.array_get arr (lo + i))
       | Ecoll (c, _, groups) ->
           let l = V.as_list (lookup c) in
           let n = V.Vec.length l in
@@ -569,8 +586,7 @@ let marshal_ops (prog : Ast.program) (layout : layout)
       | Eobj_field (v, _, f, ty) ->
           ops := !ops + (value_size_generic prog ty (obj_field lookup v f) / 4)
       | Earray (a, s, _) ->
-          let arr = V.as_array (lookup a) in
-          let lo, hi = resolve_section lookup arr s in
+          let lo, hi = resolve_section lookup (lookup a) s in
           ops := !ops + (2 * (hi - lo))
       | Ecoll (c, _, groups) ->
           let l = V.as_list (lookup c) in

@@ -173,7 +173,7 @@ let pp_run_error ppf = function
         report
   | Unsupported msg -> Fmt.pf ppf "backend unsupported: %s" msg
   | Copy_budget msg -> Fmt.pf ppf "copy budget: %s" msg
-  | Setup_failed msg -> Fmt.pf ppf "worker setup failed: %s" msg
+  | Setup_failed msg -> Fmt.pf ppf "setup failed: %s" msg
 
 (* Distinct process exit codes so soak scripts can triage structured
    failures without parsing stderr.  3/4/5 are the triage classes the

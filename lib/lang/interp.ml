@@ -10,6 +10,10 @@
      through a per-site one-entry cache ([Value.site]) of the class last
      seen and the slot there; typed sites see one class, an untyped site
      resolves again when the class changes.  [new] fills slots in order;
+   - every arithmetic and comparison operator resolves to a function
+     with direct cases for two floats and two ints ([arith_fn],
+     [compare_fn]); a store into a flat [float[]] ([Value.Vfloats])
+     unboxes its value, and a read boxes one [Vfloat];
    - a name that resolves to nothing compiles to code that raises the
      unbound-variable error when (and only if) it runs.
 
@@ -166,6 +170,92 @@ let compare_vals c op a b =
   | Ne -> r <> 0
   | _ -> assert false
 
+(* Each operator resolved once, at compile time: two floats or two ints
+   take a direct case, any other pair the generic [arith] or
+   [compare_vals] (mixed operands widen, other types raise).  The float
+   comparisons go by [Float.compare], which orders a NaN below every
+   float and equal to itself, like [compare_vals]. *)
+let arith_fn c op : V.t -> V.t -> V.t =
+  match op with
+  | Add -> (
+      fun a b ->
+        match (a, b) with
+        | V.Vfloat x, V.Vfloat y -> charge_float c; V.Vfloat (x +. y)
+        | V.Vint x, V.Vint y -> charge_int c; V.Vint (x + y)
+        | _ -> arith c op a b)
+  | Sub -> (
+      fun a b ->
+        match (a, b) with
+        | V.Vfloat x, V.Vfloat y -> charge_float c; V.Vfloat (x -. y)
+        | V.Vint x, V.Vint y -> charge_int c; V.Vint (x - y)
+        | _ -> arith c op a b)
+  | Mul -> (
+      fun a b ->
+        match (a, b) with
+        | V.Vfloat x, V.Vfloat y -> charge_float c; V.Vfloat (x *. y)
+        | V.Vint x, V.Vint y -> charge_int c; V.Vint (x * y)
+        | _ -> arith c op a b)
+  | Div -> (
+      fun a b ->
+        match (a, b) with
+        | V.Vfloat x, V.Vfloat y -> charge_float c; V.Vfloat (x /. y)
+        | V.Vint x, V.Vint y when y <> 0 -> charge_int c; V.Vint (x / y)
+        | _ -> arith c op a b)
+  | Mod -> (
+      fun a b ->
+        match (a, b) with
+        | V.Vfloat x, V.Vfloat y -> charge_float c; V.Vfloat (Float.rem x y)
+        | V.Vint x, V.Vint y when y <> 0 -> charge_int c; V.Vint (x mod y)
+        | _ -> arith c op a b)
+  | _ -> arith c op
+
+let compare_fn c op : V.t -> V.t -> bool =
+  match op with
+  | Lt -> (
+      fun a b ->
+        match (a, b) with
+        | V.Vfloat x, V.Vfloat y -> charge_float c; Float.compare x y < 0
+        | V.Vint x, V.Vint y -> charge_int c; x < y
+        | _ -> compare_vals c op a b)
+  | Le -> (
+      fun a b ->
+        match (a, b) with
+        | V.Vfloat x, V.Vfloat y -> charge_float c; Float.compare x y <= 0
+        | V.Vint x, V.Vint y -> charge_int c; x <= y
+        | _ -> compare_vals c op a b)
+  | Gt -> (
+      fun a b ->
+        match (a, b) with
+        | V.Vfloat x, V.Vfloat y -> charge_float c; Float.compare x y > 0
+        | V.Vint x, V.Vint y -> charge_int c; x > y
+        | _ -> compare_vals c op a b)
+  | Ge -> (
+      fun a b ->
+        match (a, b) with
+        | V.Vfloat x, V.Vfloat y -> charge_float c; Float.compare x y >= 0
+        | V.Vint x, V.Vint y -> charge_int c; x >= y
+        | _ -> compare_vals c op a b)
+  | Eq -> (
+      fun a b ->
+        match (a, b) with
+        | V.Vfloat x, V.Vfloat y -> charge_float c; Float.compare x y = 0
+        | V.Vint x, V.Vint y -> charge_int c; x = y
+        | _ -> compare_vals c op a b)
+  | Ne -> (
+      fun a b ->
+        match (a, b) with
+        | V.Vfloat x, V.Vfloat y -> charge_float c; Float.compare x y <> 0
+        | V.Vint x, V.Vint y -> charge_int c; x <> y
+        | _ -> compare_vals c op a b)
+  | _ -> compare_vals c op
+
+(* Monomorphic [Stdlib.min]/[max]: the same argument order for a NaN
+   and for a signed zero, without the polymorphic compare. *)
+let fmin (x : float) y = if x <= y then x else y
+let fmax (x : float) y = if x >= y then x else y
+let imin (x : int) y = if x <= y then x else y
+let imax (x : int) y = if x >= y then x else y
+
 let vtrue = V.Vbool true
 let vfalse = V.Vbool false
 let of_bool b = if b then vtrue else vfalse
@@ -200,10 +290,10 @@ let builtin c name =
   | "cos" -> Some (f1 cos)
   | "floor" -> Some (f1 floor)
   | "ceil" -> Some (f1 ceil)
-  | "fmin" -> Some (f2 min)
-  | "fmax" -> Some (f2 max)
-  | "imin" -> Some (i2 min)
-  | "imax" -> Some (i2 max)
+  | "fmin" -> Some (f2 fmin)
+  | "fmax" -> Some (f2 fmax)
+  | "imin" -> Some (i2 imin)
+  | "imax" -> Some (i2 imax)
   | "iabs" ->
       Some
         (B1
@@ -305,8 +395,30 @@ let field_read c base f =
     charge_mem c;
     match base fr with
     | V.Vobject obj -> obj.V.slots.(slot obj)
-    | V.Varray a when f = "length" -> V.Vint (Array.length a)
+    | (V.Varray _ | V.Vfloats _) as a when f = "length" -> V.Vint (V.array_length a)
     | v -> V.runtime_errorf "field .%s of non-object %s" f (V.type_name v)
+
+(* --- arrays --- *)
+
+let not_array v = V.runtime_errorf "expected array, got %s" (V.type_name v)
+
+(* [a[i]]: the array is checked before the index is evaluated. *)
+let index_read c a i fr =
+  charge_mem c;
+  let bounds idx n =
+    if idx < 0 || idx >= n then
+      V.runtime_errorf "array index %d out of bounds [0, %d)" idx n
+  in
+  match a fr with
+  | V.Vfloats fa ->
+      let idx = V.as_int (i fr) in
+      bounds idx (Array.length fa);
+      V.Vfloat (Array.unsafe_get fa idx)
+  | V.Varray arr ->
+      let idx = V.as_int (i fr) in
+      bounds idx (Array.length arr);
+      Array.unsafe_get arr idx
+  | v -> not_array v
 
 (* --- calls --- *)
 
@@ -421,16 +533,7 @@ and compile_expr_desc ctx sc (e : expr) : frame -> V.t =
         | None -> V.runtime_errorf "runtime_define %s is not set" name)
   | Evar v -> read_loc v (resolve sc v)
   | Efield (o, f) -> field_read c (ce o) f
-  | Eindex (a, i) ->
-      let a = ce a and i = ce i in
-      fun fr ->
-        charge_mem c;
-        let arr = V.as_array (a fr) in
-        let idx = V.as_int (i fr) in
-        if idx < 0 || idx >= Array.length arr then
-          V.runtime_errorf "array index %d out of bounds [0, %d)" idx
-            (Array.length arr);
-        arr.(idx)
+  | Eindex (a, i) -> index_read c (ce a) (ce i)
   | Ebinop (And, a, b) ->
       let a = compile_cond ctx sc a and b = ce b in
       fun fr ->
@@ -442,11 +545,11 @@ and compile_expr_desc ctx sc (e : expr) : frame -> V.t =
         charge_branch c;
         if a fr then vtrue else b fr
   | Ebinop (((Add | Sub | Mul | Div | Mod) as op), a, b) ->
-      let a = ce a and b = ce b in
+      let a = ce a and b = ce b and op = arith_fn c op in
       fun fr ->
         let vb = b fr in
         let va = a fr in
-        arith c op va vb
+        op va vb
   | Ebinop ((Lt | Le | Gt | Ge | Eq | Ne), _, _) | Eunop (Not, _) ->
       let test = compile_cond ctx sc e in
       fun fr -> of_bool (test fr)
@@ -492,7 +595,7 @@ and compile_expr_desc ctx sc (e : expr) : frame -> V.t =
         charge_alloc c;
         let n = V.as_int (n fr) in
         if n < 0 then V.runtime_errorf "negative array size %d" n;
-        V.Varray (V.init_array n (fun _ -> V.zero_of_ty t))
+        V.make_array t n
   | Enew_list _ ->
       fun _ ->
         charge_alloc c;
@@ -512,10 +615,11 @@ and compile_cond ctx sc (e : expr) : frame -> bool =
   | Ebool b -> fun _ -> b
   | Ebinop (((Lt | Le | Gt | Ge | Eq | Ne) as op), a, b) ->
       let a = compile_expr ctx sc a and b = compile_expr ctx sc b in
+      let op = compare_fn c op in
       fun fr ->
         let vb = b fr in
         let va = a fr in
-        compare_vals c op va vb
+        op va vb
   | Ebinop (And, a, b) ->
       let a = compile_cond ctx sc a and b = compile_cond ctx sc b in
       fun fr ->
@@ -610,26 +714,37 @@ and compile_stmt ctx sc (st : stmt) : frame -> unit =
   | Sassign (l, e) ->
       let e = ce e and assign = compile_assign ctx sc l in
       fun fr -> assign fr (e fr)
-  | Supdate (Lindex (base, i), op, e) ->
+  | Supdate (Lindex (base, i), op, e) -> (
       (* resolve the place once: index expressions must not be
          re-evaluated (they may have side effects) *)
       let e = ce e and base = compile_read ctx sc base and i = ce i in
+      let op = arith_fn c op in
+      let index fr n =
+        let idx = V.as_int (i fr) in
+        if idx < 0 || idx >= n then
+          V.runtime_errorf "array update index %d out of bounds" idx;
+        charge_mem c;
+        idx
+      in
       fun fr ->
         let v = e fr in
         charge_mem c;
-        let arr = V.as_array (base fr) in
-        let idx = V.as_int (i fr) in
-        if idx < 0 || idx >= Array.length arr then
-          V.runtime_errorf "array update index %d out of bounds" idx;
-        charge_mem c;
-        arr.(idx) <- arith c op arr.(idx) v
+        match base fr with
+        | V.Vfloats fa ->
+            let idx = index fr (Array.length fa) in
+            fa.(idx) <- V.as_float (op (V.Vfloat fa.(idx)) v)
+        | V.Varray arr ->
+            let idx = index fr (Array.length arr) in
+            arr.(idx) <- op arr.(idx) v
+        | w -> not_array w)
   | Supdate (l, op, e) ->
       let e = ce e in
       let read = compile_read ctx sc l and assign = compile_assign ctx sc l in
+      let op = arith_fn c op in
       fun fr ->
         let v = e fr in
         let old = read fr in
-        assign fr (arith c op old v)
+        assign fr (op old v)
   | Sif (cond, th, el) ->
       let cond = compile_cond ctx sc cond in
       let th = compile_block ctx sc th and el = compile_block ctx sc el in
@@ -694,6 +809,7 @@ and compile_stmt ctx sc (st : stmt) : frame -> unit =
               done
           | V.Vlist l -> V.Vec.iter run_elt l
           | V.Varray a -> Array.iter run_elt a
+          | V.Vfloats a -> Array.iter (fun x -> run_elt (V.Vfloat x)) a
           | v -> V.runtime_errorf "foreach over %s" (V.type_name v)
         with Break_loop -> ())
   | Sexpr e ->
@@ -716,16 +832,7 @@ and compile_read ctx sc = function
   | Lvar v -> read_loc v (resolve sc v)
   | Lfield (l, f) -> field_read ctx.counter (compile_read ctx sc l) f
   | Lindex (l, i) ->
-      let c = ctx.counter and l = compile_read ctx sc l in
-      let i = compile_expr ctx sc i in
-      fun fr ->
-        charge_mem c;
-        let arr = V.as_array (l fr) in
-        let idx = V.as_int (i fr) in
-        if idx < 0 || idx >= Array.length arr then
-          V.runtime_errorf "array index %d out of bounds [0, %d)" idx
-            (Array.length arr);
-        arr.(idx)
+      index_read ctx.counter (compile_read ctx sc l) (compile_expr ctx sc i)
 
 and compile_assign ctx sc l : frame -> V.t -> unit =
   let c = ctx.counter in
@@ -742,15 +849,22 @@ and compile_assign ctx sc l : frame -> V.t -> unit =
         match l fr with
         | V.Vobject obj -> obj.V.slots.(slot obj) <- v
         | w -> V.runtime_errorf "field write .%s on %s" f (V.type_name w))
-  | Lindex (l, i) ->
+  | Lindex (l, i) -> (
       let l = compile_read ctx sc l and i = compile_expr ctx sc i in
+      let index fr n =
+        let idx = V.as_int (i fr) in
+        if idx < 0 || idx >= n then
+          V.runtime_errorf "array store index %d out of bounds" idx;
+        idx
+      in
       fun fr v ->
         charge_mem c;
-        let arr = V.as_array (l fr) in
-        let idx = V.as_int (i fr) in
-        if idx < 0 || idx >= Array.length arr then
-          V.runtime_errorf "array store index %d out of bounds" idx;
-        arr.(idx) <- v
+        match l fr with
+        | V.Vfloats fa ->
+            let idx = index fr (Array.length fa) in
+            fa.(idx) <- V.as_float v
+        | V.Varray arr -> arr.(index fr (Array.length arr)) <- v
+        | w -> not_array w)
 
 (* --- globals and packets --- *)
 

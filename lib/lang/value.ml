@@ -4,57 +4,99 @@
    [Array.of_list], which fill from their first element) forces a minor
    collection when the array is above 256 words and [x] is young.  Under
    domains every minor collection stops all of them, so nothing on the
-   per-item path builds a large array from a fresh value: it starts from
-   an immediate or grows with [Array.append], which copies into the
-   major heap without a collection. *)
+   per-item path builds a large array from a fresh value.
+
+   A large array is also born in the major heap, and every young value
+   stored into it is promoted by the next minor collection (the
+   remembered set).  So the per-item path keeps its young values in
+   young arrays: a [List] in chunks of at most 256 elements, and a
+   [float[]] as a flat [float array], whose stores box nothing. *)
 
 (* Growable vector used for List<T> collections (output collections that
-   foreach bodies append to). *)
+   foreach bodies append to).  Chunk [k] holds elements
+   [k * chunk, (k + 1) * chunk); only the last one may be partly
+   filled, and only the first grows (by doubling from 8), so a short
+   list stays small.  A chunk is at most 256 words and so is allocated
+   in the minor heap, next to the values pushed into it. *)
 module Vec = struct
-  type 'a t = { mutable items : 'a array; mutable len : int }
+  let bits = 8
+  let chunk = 1 lsl bits
 
-  let create () = { items = [||]; len = 0 }
+  type 'a t = { mutable chunks : 'a array array; mutable len : int }
 
-  let of_list xs =
-    let items = Array.of_list xs in
-    { items; len = Array.length items }
-
-  let of_array items = { items; len = Array.length items }
-
+  let create () = { chunks = [||]; len = 0 }
   let length v = v.len
 
   let get v i =
     if i < 0 || i >= v.len then invalid_arg "Vec.get: index out of bounds";
-    v.items.(i)
+    Array.unsafe_get (Array.unsafe_get v.chunks (i lsr bits)) (i land (chunk - 1))
 
   let set v i x =
     if i < 0 || i >= v.len then invalid_arg "Vec.set: index out of bounds";
-    v.items.(i) <- x
+    Array.unsafe_set (Array.unsafe_get v.chunks (i lsr bits)) (i land (chunk - 1)) x
 
   let push v x =
-    if v.len = Array.length v.items then
-      (* doubling by self-append: a vector polymorphic in its element
-         has no immediate fill, and [x] is usually fresh *)
-      v.items <-
-        (if v.len = 0 then Array.make 8 x else Array.append v.items v.items);
-    v.items.(v.len) <- x;
+    let k = v.len lsr bits and j = v.len land (chunk - 1) in
+    if k = Array.length v.chunks then begin
+      (* the spine starts from the static [[||]], so it never forces a
+         collection; it stays young up to 256 chunks *)
+      let spine = Array.make (max 4 (2 * k)) [||] in
+      Array.blit v.chunks 0 spine 0 k;
+      v.chunks <- spine
+    end;
+    let c = v.chunks.(k) in
+    let c =
+      if j < Array.length c then c
+      else begin
+        (* a chunk is at most 256 words, so [Array.make] starts it young
+           whatever [x] is *)
+        let c' = Array.make (if k = 0 then max 8 (2 * j) else chunk) x in
+        Array.blit c 0 c' 0 j;
+        v.chunks.(k) <- c';
+        c'
+      end
+    in
+    Array.unsafe_set c j x;
     v.len <- v.len + 1
 
-  let clear v = v.len <- 0
+  let clear v =
+    v.chunks <- [||];
+    v.len <- 0
 
+  (* [f] runs in index order; elements pushed meanwhile are not visited *)
   let iter f v =
-    for i = 0 to v.len - 1 do
-      f v.items.(i)
+    let chunks = v.chunks and len = v.len in
+    for k = 0 to ((len + chunk - 1) lsr bits) - 1 do
+      let c = chunks.(k) in
+      for j = 0 to min chunk (len - (k lsl bits)) - 1 do
+        f (Array.unsafe_get c j)
+      done
     done
 
+  let init n f =
+    if n < 0 then invalid_arg "Vec.init";
+    let chunks = Array.make ((n + chunk - 1) lsr bits) [||] in
+    for k = 0 to Array.length chunks - 1 do
+      let lo = k lsl bits in
+      let m = min chunk (n - lo) in
+      let c = Array.make m (f lo) in
+      for j = 1 to m - 1 do
+        Array.unsafe_set c j (f (lo + j))
+      done;
+      chunks.(k) <- c
+    done;
+    { chunks; len = n }
+
+  let of_list xs =
+    let v = create () in
+    List.iter (push v) xs;
+    v
+
   let to_list v =
-    let rec go i acc = if i < 0 then acc else go (i - 1) (v.items.(i) :: acc) in
+    let rec go i acc = if i < 0 then acc else go (i - 1) (get v i :: acc) in
     go (v.len - 1) []
 
-  let map f v =
-    let out = create () in
-    iter (fun x -> push out (f x)) v;
-    out
+  let map f v = init v.len (fun i -> f (get v i))
 end
 
 type t =
@@ -65,6 +107,7 @@ type t =
   | Vbool of bool
   | Vstring of string
   | Varray of t array
+  | Vfloats of float array (* a [float[]], unboxed *)
   | Vlist of t Vec.t
   | Vobject of obj
   | Vrange of int * int (* [lo : hi), a 1-d rectdomain *)
@@ -87,7 +130,7 @@ let type_name = function
   | Vfloat _ -> "float"
   | Vbool _ -> "bool"
   | Vstring _ -> "String"
-  | Varray _ -> "array"
+  | Varray _ | Vfloats _ -> "array"
   | Vlist _ -> "List"
   | Vobject o -> o.cls.Ast.cd_name
   | Vrange _ -> "Rectdomain"
@@ -115,6 +158,23 @@ let as_string = function
 
 let as_array = function
   | Varray a -> a
+  | Vfloats a -> init_array (Array.length a) (fun i -> Vfloat a.(i))
+  | v -> runtime_errorf "expected array, got %s" (type_name v)
+
+let as_floats = function
+  | Vfloats a -> Array.copy a
+  | Varray a -> Array.map as_float a
+  | v -> runtime_errorf "expected array, got %s" (type_name v)
+
+let array_length = function
+  | Varray a -> Array.length a
+  | Vfloats a -> Array.length a
+  | v -> runtime_errorf "expected array, got %s" (type_name v)
+
+let array_get v i =
+  match v with
+  | Varray a -> a.(i)
+  | Vfloats a -> Vfloat a.(i)
   | v -> runtime_errorf "expected array, got %s" (type_name v)
 
 let as_list = function
@@ -164,6 +224,11 @@ let zero_of_ty (ty : Ast.ty) =
   | Ast.Trectdomain -> Vrange (0, 0)
   | Ast.Tclass _ -> Vnull
 
+let make_array (ty : Ast.ty) n =
+  match ty with
+  | Ast.Tfloat -> Vfloats (Array.make n 0.0)
+  | _ -> Varray (init_array n (fun _ -> zero_of_ty ty))
+
 let rec fill_zeros slots i = function
   | [] -> ()
   | (ty, _) :: rest ->
@@ -183,6 +248,7 @@ let rec deep_copy = function
     ->
       v
   | Varray a -> Varray (init_array (Array.length a) (fun i -> deep_copy a.(i)))
+  | Vfloats a -> Vfloats (Array.copy a)
   | Vlist l -> Vlist (Vec.map deep_copy l)
   | Vobject o ->
       Vobject
@@ -198,10 +264,14 @@ let rec equal a b =
   | Vbool x, Vbool y -> x = y
   | Vstring x, Vstring y -> String.equal x y
   | Vrange (a1, b1), Vrange (a2, b2) -> a1 = a2 && b1 = b2
-  | Varray x, Varray y ->
-      Array.length x = Array.length y
+  | (Varray _ | Vfloats _), (Varray _ | Vfloats _) ->
+      (* a flat [float[]] equals its boxed form *)
+      let n = array_length a in
+      n = array_length b
       && (let ok = ref true in
-          Array.iteri (fun i v -> if not (equal v y.(i)) then ok := false) x;
+          for i = 0 to n - 1 do
+            if not (equal (array_get a i) (array_get b i)) then ok := false
+          done;
           !ok)
   | Vlist x, Vlist y ->
       Vec.length x = Vec.length y
@@ -229,6 +299,7 @@ let rec pp ppf = function
   | Vrange (lo, hi) -> Fmt.pf ppf "[%d : %d]" lo hi
   | Varray a ->
       Fmt.pf ppf "[|%a|]" Fmt.(array ~sep:(any "; ") pp) a
+  | Vfloats a -> pp ppf (Varray (as_array (Vfloats a)))
   | Vlist l ->
       Fmt.pf ppf "List(%d)[%a]" (Vec.length l)
         Fmt.(list ~sep:(any "; ") pp)

@@ -7,17 +7,35 @@
     externs ({!make_object}) share the program's declaration, which
     keeps every field access site on one layout.  Equality and printing
     go by class and field name, never by declaration identity, so
-    objects from two parses of one program compare and print alike. *)
+    objects from two parses of one program compare and print alike.
 
-(** Growable vector, used for [List<T>] collections. *)
+    A [float[]] has two forms.  [Varray] holds boxed [Vfloat]s; it is
+    what a host may build.  [Vfloats] is a flat [float array]: [new
+    float[n]], every unpack of a [float] array and {!deep_copy} of it
+    make this form, an element read boxes one [Vfloat] and a store
+    unboxes (an [int] is widened, as by {!as_float}).  The two forms
+    are one value: {!equal}, {!pp} and the wire encoding do not tell
+    them apart, and hosts read either through {!as_floats}.
+
+    The flat form and {!Vec}'s chunks keep per-item values young.  An
+    array above 256 words is born in the major heap, so every young value stored into it is
+    promoted at the next minor collection; a flat [float array] stores
+    no pointer, and a {!Vec} keeps its elements in chunks of at most
+    256, each allocated young with the values pushed into it. *)
+
+(** Growable vector, used for [List<T>] collections: elements live in
+    chunks of at most 256, so a push never stores into an array born in
+    the major heap (up to 65,536 elements, beyond which the array of
+    chunks is). *)
 module Vec : sig
   type 'a t
 
   val create : unit -> 'a t
   val of_list : 'a list -> 'a t
 
-  (** A vector over [a] itself, not a copy. *)
-  val of_array : 'a array -> 'a t
+  (** [init n f] holds [f 0], ..., [f (n - 1)], computed in index
+      order, filled straight into chunks. *)
+  val init : int -> (int -> 'a) -> 'a t
 
   val length : 'a t -> int
 
@@ -27,6 +45,8 @@ module Vec : sig
   val set : 'a t -> int -> 'a -> unit
   val push : 'a t -> 'a -> unit
   val clear : 'a t -> unit
+
+  (** In index order, over the elements present when it starts. *)
   val iter : ('a -> unit) -> 'a t -> unit
   val to_list : 'a t -> 'a list
   val map : ('a -> 'b) -> 'a t -> 'b t
@@ -40,6 +60,7 @@ type t =
   | Vbool of bool
   | Vstring of string
   | Varray of t array
+  | Vfloats of float array  (** a [float[]], unboxed *)
   | Vlist of t Vec.t
   | Vobject of obj
   | Vrange of int * int  (** [lo : hi), a 1-d rectdomain *)
@@ -68,7 +89,20 @@ val as_int : t -> int
 val as_float : t -> float
 val as_bool : t -> bool
 val as_string : t -> string
+
+(** The boxed elements of an array; a [Vfloats] is boxed into a fresh
+    array, so a store into the result does not reach it. *)
 val as_array : t -> t array
+
+(** The elements of a [float[]] in either form, as a fresh array: a
+    host's readout of a result field. *)
+val as_floats : t -> float array
+
+(** Length and element [i] of an array in either form.
+    @raise Runtime_error when the value is not an array.
+    @raise Invalid_argument when [i] is out of bounds. *)
+val array_length : t -> int
+val array_get : t -> int -> t
 val as_list : t -> t Vec.t
 val as_object : t -> obj
 
@@ -92,6 +126,10 @@ val site : string -> obj -> int
 (** The default (zero) value of a declared type: numeric zeros, empty
     lists, [Vnull] for classes and arrays. *)
 val zero_of_ty : Ast.ty -> t
+
+(** [make_array ty n] is [new ty[n]]: zero elements, a [float] array in
+    the flat form. *)
+val make_array : Ast.ty -> int -> t
 
 (** A fresh object of the class with all fields zero-initialized. *)
 val make_object : Ast.class_decl -> obj

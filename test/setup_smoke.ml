@@ -11,6 +11,11 @@
    - Through the CLI: `cgppc run --backend proc` on a topology needing
      more descriptors than the limit allows exits with the documented
      code 9 and a "setup_failed" error in the metrics JSON.
+   - A par run, after both proc legs (a par run may spawn domains, after
+     which a process cannot fork): with no descriptor left for the pipe
+     it waits on, the run returns [Setup_failed], and `cgppc run
+     --backend par` under `ulimit -n 4` exits 9.  Neither message
+     speaks of a worker, since a par run forks none.
 
    The cgppc binary path arrives as argv(1).  Skips gracefully without
    Unix.fork, shared-memory rings or /proc.  One proc run per process: the
@@ -127,6 +132,37 @@ let cli_leg () =
       ()
   | _ -> die "metrics JSON does not carry a \"setup_failed\" error"
 
+let contains hay needle =
+  let n = String.length hay and m = String.length needle in
+  let rec find i = i + m <= n && (String.sub hay i m = needle || find (i + 1)) in
+  find 0
+
+let par_leg () =
+  let hogs = exhaust_fds ~spare:0 in
+  let result = D.Runtime.run_result ~backend:D.Runtime.Par (topology ()) in
+  List.iter Unix.close hogs;
+  (match result with
+  | Error (D.Supervisor.Setup_failed _ as e) ->
+      let msg = Fmt.str "%a" D.Supervisor.pp_run_error e in
+      if contains msg "worker" then die "par setup error names a worker: %s" msg
+  | Error e ->
+      die "par: expected Setup_failed, got: %s"
+        (Fmt.str "%a" D.Supervisor.pp_run_error e)
+  | Ok _ -> die "par run succeeded with no descriptor left for its pipe");
+  let log = Filename.temp_file "cgpp_setup_smoke" ".log" in
+  let rc =
+    Sys.command
+      (Printf.sprintf "(ulimit -n 4 && exec %s run -a knn --backend par) > %s 2>&1"
+         (Filename.quote cgppc) (Filename.quote log))
+  in
+  let out = read_file log in
+  Sys.remove log;
+  if rc <> 9 then begin
+    prerr_string out;
+    die "cgppc run --backend par under ulimit -n 4 exited %d, expected 9" rc
+  end;
+  if contains out "worker" then die "par setup error names a worker: %s" out
+
 let () =
   if
     not
@@ -139,5 +175,7 @@ let () =
   end;
   in_process_leg ();
   cli_leg ();
+  par_leg ();
   print_endline
-    "setup-smoke ok: failed worker setup reaped its workers and exited 9"
+    "setup-smoke ok: failed worker setup reaped its workers and exited 9; a \
+     par run without its pipe exited 9"

@@ -5,6 +5,11 @@
    heap, then runs one per-item operation that allocates far less than a
    minor heap: the collection count must not move.
 
+   A value built on the per-item path and dropped must not be promoted
+   either: an array born in the major heap (above 256 words) that gets
+   young values stored into it keeps them alive through the next minor
+   collection, and under domains that copying stops every domain too.
+
    The object pins count the words compiled PipeLang allocates for a
    field read and for [new]: objects are fixed-layout records, so a
    read allocates nothing and an object is its record, its slot array
@@ -103,6 +108,31 @@ let test_collection_unpack () =
   | [ ("ts", v) ] -> A.(check bool) "round trip" true (V.equal ts v)
   | _ -> A.fail "expected exactly the collection ts"
 
+(* [f] builds a value that is then dropped: the next minor collection
+   must promote nothing.  [f] runs once before, so that what its first
+   run caches (field sites, the yield counter) is old already. *)
+let promoted_words () = int_of_float (Gc.quick_stat ()).Gc.promoted_words
+
+let no_promotion name f =
+  ignore (Sys.opaque_identity (f ()));
+  Gc.minor ();
+  let minors = minor_collections () and before = promoted_words () in
+  ignore (Sys.opaque_identity (f ()));
+  Gc.minor ();
+  A.(check int) (name ^ ": minor collections") 1 (minor_collections () - minors);
+  A.(check int) (name ^ ": promoted words") 0 (promoted_words () - before)
+
+let test_list_not_promoted () =
+  let cls = Option.get (Ast.find_class prog "T") in
+  no_promotion "List of 1,000 objects" (fun () ->
+      let v = V.Vec.create () in
+      for i = 1 to 1000 do
+        let o = V.make_object cls in
+        o.V.slots.(0) <- V.Vfloat (float_of_int i);
+        V.Vec.push v (V.Vobject o)
+      done;
+      V.Vlist v)
+
 (* Segment 0 sets up [t], segment 1 is the statement under test; it
    runs once so that its field sites have resolved. *)
 let object_code src =
@@ -173,6 +203,37 @@ pipelined (p in [0 : 1]) {
     A.failf "new Tri() allocates %.1f words, more than %d" (words /. float_of_int n)
       bound
 
+(* A segment run on a fresh frame, which is dropped with what it built. *)
+let segment_code src =
+  let prog = Parser.parse src in
+  Typecheck.check prog;
+  let ctx = Interp.create_ctx prog in
+  let pk =
+    Interp.compile_packet ctx (Interp.init_globals ctx) ~inputs:[]
+      [ prog.Ast.pipeline.Ast.pd_body ]
+  in
+  fun () -> Interp.run_segment pk 0 (Interp.new_frame pk ~packet:0)
+
+let test_float_array_not_promoted () =
+  no_promotion "new float[600]"
+    (segment_code
+       {|
+pipelined (p in [0 : 1]) {
+  float[] a = new float[600];
+  for (int i = 0; i < 600; i = i + 1) {
+    a[i] = float_of_int(i) * 0.5 + 1.0;
+  }
+}
+|})
+
+let test_unpacked_field_not_promoted () =
+  let prog = Parser.parse "class Z { float[] depth; } pipelined (p in [0 : 1]) { }" in
+  let layout = [ Packing.Eobj_field ("z", "Z", "depth", Ast.Tarray Ast.Tfloat) ] in
+  let o = V.make_object (Option.get (Ast.find_class prog "Z")) in
+  V.set_field o "depth" (V.Varray (Array.init n (fun i -> V.Vfloat (float_of_int i))));
+  let data = Packing.pack prog layout ~lookup:(fun _ -> V.Vobject o) in
+  no_promotion "unpacked float[] field" (fun () -> Packing.unpack prog layout data)
+
 let () =
   Alcotest.run "gc_alloc"
     [
@@ -182,6 +243,13 @@ let () =
           ("generic float[] unpack", `Quick, test_generic_array_unpack);
           ("layout float[] unpack", `Quick, test_layout_array_unpack);
           ("collection of objects unpack", `Quick, test_collection_unpack);
+        ] );
+      ( "no promotion when dropped",
+        [
+          ("List of fresh objects", `Quick, test_list_not_promoted);
+          ("new float[] filled with computed values", `Quick,
+            test_float_array_not_promoted);
+          ("unpacked float[] object field", `Quick, test_unpacked_field_not_promoted);
         ] );
       ( "object allocation",
         [

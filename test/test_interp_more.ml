@@ -482,4 +482,116 @@ let suite =
       ("set_field undeclared field", `Quick, test_set_field_undeclared);
     ]
 
-let () = Alcotest.run "interp-more" [ ("interp-more", suite) ]
+(* --- operator semantics ---
+
+   What the executor's operators must keep, whatever the representation
+   of their operands: comparisons order floats as [compare] does (a NaN
+   below every float and equal to itself), [fmin]/[fmax] follow
+   [Stdlib.min]/[max]'s argument order, integer division by zero
+   raises, mixed arithmetic widens to float, and [+=] on a [float[]]
+   element reads, adds and stores. *)
+
+(* The globals [names] after one typed run of [body]. *)
+let globals_after ~decls body names =
+  let prog =
+    Parser.parse
+      (Printf.sprintf "%s\npipelined (p in [0 : 1]) {\n%s\n}\n" decls body)
+  in
+  Typecheck.check prog;
+  let ctx = Interp.create_ctx prog in
+  let genv = Interp.run_reference ctx in
+  (ctx, List.map (Interp.global_value genv) names)
+
+let test_nan_comparisons () =
+  let _, vs =
+    globals_after
+      ~decls:
+        "bool lt = false; bool eq = false; bool ne = true; bool gt = false; \
+         bool le = false; bool ge = true;"
+      "float nan = 0.0 / 0.0; lt = nan < 1.0; eq = nan == nan; ne = nan != \
+       nan; gt = 1.0 > nan; le = nan <= -1000000.0; ge = nan >= 1.0;"
+      [ "lt"; "eq"; "ne"; "gt"; "le"; "ge" ]
+  in
+  List.iter2
+    (fun what (expected, v) -> A.(check bool) what true (V.equal v (V.Vbool expected)))
+    [ "nan < 1.0"; "nan == nan"; "nan != nan"; "1.0 > nan"; "nan <= -1e6"; "nan >= 1.0" ]
+    (List.combine [ true; true; false; true; true; false ] vs)
+
+let test_fmin_fmax_order () =
+  let _, vs =
+    globals_after
+      ~decls:
+        "float a = 0.0; float b = 0.0; float c = 0.0; float d = 0.0; float e \
+         = 1.0; float f = 1.0; float g = 1.0; float h = 1.0;"
+      "float nan = 0.0 / 0.0; a = fmin(nan, 1.0); b = fmin(1.0, nan); c = \
+       fmax(nan, 1.0); d = fmax(1.0, nan); e = fmin(0.0, -0.0); f = \
+       fmin(-0.0, 0.0); g = fmax(0.0, -0.0); h = fmax(-0.0, 0.0);"
+      [ "a"; "b"; "c"; "d"; "e"; "f"; "g"; "h" ]
+  in
+  let f = List.map V.as_float vs in
+  let get i = List.nth f i in
+  A.(check (float 0.0)) "fmin(nan, 1.0)" 1.0 (get 0);
+  A.(check bool) "fmin(1.0, nan) is nan" true (Float.is_nan (get 1));
+  A.(check (float 0.0)) "fmax(nan, 1.0)" 1.0 (get 2);
+  A.(check bool) "fmax(1.0, nan) is nan" true (Float.is_nan (get 3));
+  List.iter2
+    (fun what (i, negative) ->
+      A.(check bool) what negative (Float.sign_bit (get i)))
+    [ "fmin(0.0, -0.0) is +0"; "fmin(-0.0, 0.0) is -0"; "fmax(0.0, -0.0) is +0";
+      "fmax(-0.0, 0.0) is -0" ]
+    [ (4, false); (5, true); (6, false); (7, true) ]
+
+let test_int_by_zero () =
+  A.(check string) "division" "integer division by zero"
+    (runtime_error_of "int a = 7; int z = 0; local.x = float_of_int(a / z);");
+  A.(check string) "modulo" "integer modulo by zero"
+    (runtime_error_of "int a = 7; int z = 0; local.x = float_of_int(a % z);");
+  A.(check (float 0.0)) "float division by zero is infinite" infinity
+    (unchecked_x "float z = 0.0; local.x = 1.0 / z;")
+
+let test_mixed_widening () =
+  let ctx, vs =
+    globals_after ~decls:"float r = 0.0; int q = 0;"
+      "int i = 3; float f = 0.5; r = f * i + i / 2; q = i / 2;" [ "r"; "q" ]
+  in
+  (match vs with
+  | [ V.Vfloat r; V.Vint q ] ->
+      A.(check (float 0.0)) "f * i + i / 2" 2.5 r;
+      A.(check int) "i / 2 stays int" 1 q
+  | _ -> A.fail "expected a float r and an int q");
+  (* untyped, a mixed pair widens in the operator itself *)
+  A.(check (float 0.0)) "untyped int * float" 7.5
+    (unchecked_x "int i = 3; local.x = i * 2.5;");
+  let c = ctx.Interp.counter in
+  A.(check (pair int int)) "(int, float) ops" (2, 2) (c.Opcount.int_ops, c.Opcount.float_ops)
+
+let test_float_array_update () =
+  let ctx, vs =
+    globals_after ~decls:"float r = 0.0; float len = 0.0;"
+      "float[] a = new float[3]; a[1] = 1.5; a[1] += 2.0; a[1] += 1; a[2] -= \
+       0.25; a[0] *= 4.0; r = a[1]; foreach (x in a) { len += x; }"
+      [ "r"; "len" ]
+  in
+  (match vs with
+  | [ V.Vfloat r; V.Vfloat sum ] ->
+      A.(check (float 0.0)) "a[1]" 4.5 r;
+      A.(check (float 0.0)) "foreach sum" 4.25 sum
+  | _ -> A.fail "expected floats");
+  A.(check string) "update out of bounds" "array update index 3 out of bounds"
+    (runtime_error_of "float[] a = new float[3]; a[3] += 1.0;");
+  let c = ctx.Interp.counter in
+  A.(check (list int)) "(int, float, mem) ops" [ 0; 7; 14 ]
+    [ c.Opcount.int_ops; c.Opcount.float_ops; c.Opcount.mem_ops ]
+
+let operator_suite =
+  [
+    ("nan comparisons follow compare", `Quick, test_nan_comparisons);
+    ("fmin/fmax argument order", `Quick, test_fmin_fmax_order);
+    ("int division by zero", `Quick, test_int_by_zero);
+    ("mixed arithmetic widens", `Quick, test_mixed_widening);
+    ("float[] element update", `Quick, test_float_array_update);
+  ]
+
+let () =
+  Alcotest.run "interp-more"
+    [ ("interp-more", suite); ("operators", operator_suite) ]

@@ -515,6 +515,50 @@ let prop_vec_push_get =
       && Value.Vec.length v = List.length xs
       && List.for_all2 ( = ) (List.mapi (fun i _ -> Value.Vec.get v i) xs) xs)
 
+(* Lengths on both sides of a chunk (256) and of a young spine (256
+   chunks). *)
+let test_vec_chunk_edges () =
+  List.iter
+    (fun n ->
+      let v = Value.Vec.create () in
+      for i = 0 to n - 1 do
+        Value.Vec.push v i
+      done;
+      let w = Value.Vec.init n Fun.id in
+      let what = Printf.sprintf "n = %d" n in
+      A.(check int) (what ^ ": length") n (Value.Vec.length v);
+      A.(check (list int)) (what ^ ": init = push") (Value.Vec.to_list v)
+        (Value.Vec.to_list w);
+      let sum = ref 0 in
+      Value.Vec.iter (fun x -> sum := !sum + x) v;
+      A.(check int) (what ^ ": iter") (n * (n - 1) / 2) !sum;
+      if n > 0 then begin
+        Value.Vec.set w (n - 1) (-1);
+        A.(check int) (what ^ ": set") (-1) (Value.Vec.get w (n - 1));
+        Value.Vec.push w 7;
+        A.(check int) (what ^ ": push after init") 7 (Value.Vec.get w n)
+      end;
+      Value.Vec.clear v;
+      Value.Vec.push v 42;
+      A.(check (list int)) (what ^ ": clear") [ 42 ] (Value.Vec.to_list v))
+    [ 0; 1; 8; 9; 255; 256; 257; 1000; 65_536; 65_537; 70_000 ]
+
+(* A flat [float[]] is one value with the boxed form it stands for. *)
+let test_flat_float_array () =
+  let flat = Value.Vfloats [| 1.5; -0.0; 3.0 |] in
+  let boxed = Value.Varray [| Value.Vfloat 1.5; Value.Vfloat (-0.0); Value.Vfloat 3.0 |] in
+  A.(check bool) "flat = boxed" true (Value.equal flat boxed);
+  A.(check bool) "boxed = flat" true (Value.equal boxed flat);
+  A.(check bool) "lengths differ" false
+    (Value.equal flat (Value.Varray [| Value.Vfloat 1.5 |]));
+  A.(check string) "printed alike" (Value.to_string boxed) (Value.to_string flat);
+  A.(check (array (float 0.0))) "as_floats" [| 1.5; -0.0; 3.0 |] (Value.as_floats boxed);
+  let copy = Value.deep_copy flat in
+  (match flat with Value.Vfloats a -> a.(0) <- 9.0 | _ -> ());
+  A.(check bool) "deep copy isolates" true (Value.equal copy boxed);
+  A.(check bool) "new float[2]" true
+    (Value.equal (Value.make_array Ast.Tfloat 2) (Value.Vfloats [| 0.0; 0.0 |]))
+
 let qsuite = List.map QCheck_alcotest.to_alcotest [ prop_expr_roundtrip; prop_vec_push_get ]
 
 let suite : unit Alcotest.test_case list =
@@ -553,6 +597,8 @@ let suite : unit Alcotest.test_case list =
     ("interp division by zero", `Quick, test_interp_division_by_zero);
     ("interp array bounds", `Quick, test_interp_array_bounds);
     ("value deep copy isolates", `Quick, test_value_deep_copy_isolates);
+    ("Vec chunk edges", `Quick, test_vec_chunk_edges);
+    ("flat float[] equals its boxed form", `Quick, test_flat_float_array);
   ]
   @ qsuite
 

@@ -25,6 +25,7 @@ let rec render b = function
       Buffer.add_string b "[|";
       Array.iter (fun v -> render b v; Buffer.add_char b ';') a;
       Buffer.add_string b "|]"
+  | V.Vfloats a -> render b (V.Varray (V.as_array (V.Vfloats a)))
   | V.Vlist l ->
       Buffer.add_string b "L[";
       V.Vec.iter (fun v -> render b v; Buffer.add_char b ';') l;
