@@ -117,17 +117,31 @@ let config_conv : int array Cmdliner.Arg.conv =
   in
   Cmdliner.Arg.conv (parse, print)
 
+(* A number flag outside the range the run can use is a usage error
+   naming the flag, never a silent default. *)
+let bounded_conv ~name ~want ~ok of_string pp =
+  let parse s =
+    match of_string s with
+    | Some n when ok n -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "bad %s %S (want %s)" name s want))
+  in
+  Cmdliner.Arg.conv (parse, pp)
+
+let int_from lo name =
+  bounded_conv ~name ~want:(Printf.sprintf "an integer >= %d" lo)
+    ~ok:(fun n -> n >= lo) int_of_string_opt Fmt.int
+
+let positive_float name =
+  bounded_conv ~name ~want:"a number > 0" ~ok:(fun x -> x > 0.0)
+    float_of_string_opt Fmt.float
+
 (* --inflight N: the credit window, a usage error outside the range
    the proc backend runs, so the metrics never report a window the run
    did not use. *)
 let inflight_conv : int Cmdliner.Arg.conv =
   let max = Datacutter.Plan.max_inflight in
-  let parse s =
-    match int_of_string_opt s with
-    | Some n when n >= 1 && n <= max -> Ok n
-    | _ -> Error (`Msg (Printf.sprintf "bad inflight %S (want 1-%d)" s max))
-  in
-  Cmdliner.Arg.conv (parse, Fmt.int)
+  bounded_conv ~name:"inflight" ~want:(Printf.sprintf "1-%d" max)
+    ~ok:(fun n -> n >= 1 && n <= max) int_of_string_opt Fmt.int
 
 let config_label widths =
   String.concat "-" (Array.to_list (Array.map string_of_int widths))
@@ -644,7 +658,7 @@ let metrics_arg =
 let interval_arg =
   Arg.(
     value
-    & opt (some float) None
+    & opt (some (positive_float "metrics interval")) None
     & info [ "metrics-interval-ms" ] ~docv:"MS"
         ~doc:
           "Sample per-copy busy/stall seconds, queue occupancy and item \
@@ -726,7 +740,7 @@ let faults_arg =
 
 let batch_arg =
   Arg.(
-    value & opt int 1
+    value & opt (int_from 1 "batch") 1
     & info [ "batch" ] ~docv:"N"
         ~doc:
           "Move items between stages in batches of up to $(docv): one \
@@ -791,7 +805,7 @@ let replan_from_arg =
 let watchdog_arg =
   Arg.(
     value
-    & opt (some int) None
+    & opt (some (int_from 1 "watchdog")) None
     & info [ "watchdog-ms" ] ~docv:"MS"
         ~doc:
           "Fail the run with a per-copy stall report when no filter copy \
@@ -801,7 +815,7 @@ let watchdog_arg =
 let max_retries_arg =
   Arg.(
     value
-    & opt (some int) None
+    & opt (some (int_from 0 "retry count")) None
     & info [ "max-retries" ] ~docv:"N"
         ~doc:
           "Restart a crashed filter copy at most $(docv) times before \
@@ -811,7 +825,7 @@ let max_retries_arg =
 let call_budget_arg =
   Arg.(
     value
-    & opt (some float) None
+    & opt (some (positive_float "call budget")) None
     & info [ "call-budget-ms" ] ~docv:"MS"
         ~doc:
           "Per-callback time budget: completed overruns are counted in \
@@ -935,7 +949,7 @@ let replan_cmd =
   let budget_arg =
     Arg.(
       value
-      & opt int
+      & opt (int_from 0 "budget")
           Datacutter.Engine.default_autoscale.Datacutter.Engine.as_budget
       & info [ "budget" ] ~docv:"N"
           ~doc:"Extra copies the re-planned widths may spend (default 4).")

@@ -14,8 +14,9 @@
    [waitpid] and replaced by a pre-forked spare.
 
    - A child is a dumb callback executor: read a request frame, run
-     [init]/[process]/[on_eos]/[finalize]/[next], write the result back
-     (or [Crashed] if the callback raised), repeat until [Exit] or EOF.
+     [init]/[process]/[on_eos]/[finalize]/[next], write one [Reply]
+     back (carrying the error if the callback raised), repeat until
+     EOF.
    - Sink copies stay local: their closures carry the caller's result
      collectors, which must mutate parent memory (the paper's "view
      node" sat on the host for the same reason).
@@ -43,10 +44,10 @@ type handle = {
 
 (* --- the child ------------------------------------------------------- *)
 
-(* Child main loop of a forked worker: execute callback requests until
-   the channel closes or the parent sends [Exit], then die.  Never
-   returns: [Unix._exit] (not [exit]) so the child cannot re-run the
-   parent's [at_exit] hooks or flush inherited channel buffers. *)
+(* Child main loop of a forked worker: answer callback requests until
+   the channel closes, then die.  Never returns: [Unix._exit] (not
+   [exit]) so the child cannot re-run the parent's [at_exit] hooks or
+   flush inherited channel buffers. *)
 let worker_main eng (cs : Engine.copy) conn : unit =
   let telem = Obs.Trace.is_enabled () in
   let tid =
@@ -56,12 +57,12 @@ let worker_main eng (cs : Engine.copy) conn : unit =
   let inst = ref `None in
   (* With pipelined [Next] requests the parent may have several queued
      when the source runs dry; once [next] returned [None] the
-     leftovers answer [Done] without touching the source again. *)
+     leftovers answer no slot without touching the source again. *)
   let src_done = ref false in
   (* Local telemetry: spans + cumulative counters recorded around each
-     callback, shipped as [Wire.Telemetry] frames at flush points and
-     immediately before Finalize/Src_finalize/Crashed responses (a
-     crash response is the last frame before the parent SIGKILLs this
+     callback, attached to the reply about to be sent once 32 are
+     pending, and always to a Finalize, Src_finalize or error reply (an
+     error reply is the last frame before the parent SIGKILLs this
      worker, so the failing call's span still ships).  [Obs.Clock]'s t0
      is inherited at fork, so timestamps share the parent's axis.  The
      shared Trace DLS buffer is deliberately NOT used: it was inherited
@@ -73,7 +74,7 @@ let worker_main eng (cs : Engine.copy) conn : unit =
   let busy = ref 0.0 in
   let calls = ref 0 in
   let flush_every = 32 in
-  let flush_telemetry ?(best_effort = false) ~force () =
+  let take_telemetry ~force =
     if telem && !n_pending > 0 && (force || !n_pending >= flush_every) then begin
       let t =
         {
@@ -85,9 +86,9 @@ let worker_main eng (cs : Engine.copy) conn : unit =
       in
       pending := [];
       n_pending := 0;
-      try Shm.send conn (Wire.Telemetry t)
-      with _ -> if not best_effort then Unix._exit 1
+      Some t
     end
+    else None
   in
   let record name f =
     if not telem then f ()
@@ -128,87 +129,70 @@ let worker_main eng (cs : Engine.copy) conn : unit =
     | _ -> failwith "worker has no source instance"
   in
   let run_item f = function
-    | Engine.Data b ->
-        Option.map (fun o -> Engine.Data o) (fst (f.Filter.process b))
-    | Engine.Final b ->
-        Option.map (fun o -> Engine.Final o) (fst (f.Filter.on_eos (Some b)))
+    | Engine.Data b -> fst (f.Filter.process b)
+    | Engine.Final b -> fst (f.Filter.on_eos (Some b))
     | Engine.Marker -> None
   in
-  let final (out, _) = Option.map (fun b -> Engine.Final b) out in
-  let handle req =
-    match req with
-    | Wire.Init -> (
-        match Engine.instantiate eng cs with
+  let answer outs = { Proc_window.outs; error = None } in
+  let handle = function
+    | Wire.Init ->
+        (match Engine.instantiate eng cs with
         | Engine.I_filter f ->
             inst := `Filter f;
-            ignore (f.Filter.init ());
-            Wire.Done
+            ignore (f.Filter.init ())
         | Engine.I_source s ->
             inst := `Source s;
-            src_done := false;
-            Wire.Done)
-    | Wire.Item Engine.Marker -> Wire.Done
-    | Wire.Item it -> Wire.Out (run_item (filter ()) it)
+            src_done := false);
+        answer []
     | Wire.Batch items -> (
-        (* One emission slot per processed input.  If the callback
-           raises partway, reply with the successful prefix and the
-           error — the parent accounts exactly those items before
-           running its crash protocol. *)
+        (* One slot per processed input.  If the callback raises
+           partway, reply with the successful prefix and the error —
+           the parent accounts exactly those items before running its
+           crash protocol. *)
         let f = filter () in
         let outs = ref [] in
         try
           List.iter (fun it -> outs := run_item f it :: !outs) items;
-          Wire.Outs (List.rev !outs, None)
-        with e -> Wire.Outs (List.rev !outs, Some (Printexc.to_string e)))
-    | Wire.Finalize -> Wire.Out (final ((filter ()).Filter.finalize ()))
+          answer (List.rev !outs)
+        with e ->
+          { Proc_window.outs = List.rev !outs; error = Some (Printexc.to_string e) })
+    | Wire.Finalize -> answer [ fst ((filter ()).Filter.finalize ()) ]
     | Wire.Next -> (
         let s = source () in
-        if !src_done then Wire.Done
+        if !src_done then answer []
         else
           match s.Filter.next () with
-          | Some (b, _) -> Wire.Out (Some (Engine.Data b))
+          | Some (b, _) -> answer [ Some b ]
           | None ->
               src_done := true;
-              Wire.Done)
-    | Wire.Src_finalize -> Wire.Out (final ((source ()).Filter.src_finalize ()))
-    | Wire.Exit | Wire.Out _ | Wire.Outs _ | Wire.Done | Wire.Crashed _
-    | Wire.Telemetry _ ->
-        Wire.Crashed "unexpected frame in worker"
+              answer [])
+    | Wire.Src_finalize -> answer [ fst ((source ()).Filter.src_finalize ()) ]
+    | Wire.Item _ | Wire.Exit | Wire.Reply _ -> failwith "unexpected frame in worker"
   in
-  (* Wrap real callback requests in a recorded span; markers and
-     protocol frames are not callbacks. *)
+  (* One span per request, named by its callback. *)
   let span_name = function
-    | Wire.Init -> Some "init"
-    | Wire.Item (Engine.Data _) -> Some "process"
-    | Wire.Item (Engine.Final _) -> Some "on_eos"
-    | Wire.Batch _ -> Some "process_batch"
-    | Wire.Finalize -> Some "finalize"
-    | Wire.Next -> Some "produce"
-    | Wire.Src_finalize -> Some "src_finalize"
-    | _ -> None
+    | Wire.Init -> "init"
+    | Wire.Batch (Engine.Final _ :: _) -> "on_eos"
+    | Wire.Finalize -> "finalize"
+    | Wire.Next -> "produce"
+    | Wire.Src_finalize -> "src_finalize"
+    | _ -> "process"
   in
   let rec loop () =
     match (try Shm.recv conn with _ -> None) with
-    | None | Some Wire.Exit ->
-        (* The parent usually closed its end already; shipping the tail
-           is best-effort. *)
-        flush_telemetry ~best_effort:true ~force:true ()
+    | None -> ()
     | Some req ->
         let resp =
-          try
-            match span_name req with
-            | Some name -> record name (fun () -> handle req)
-            | None -> handle req
-          with e -> Wire.Crashed (Printexc.to_string e)
+          try record (span_name req) (fun () -> handle req)
+          with e -> { Proc_window.outs = []; error = Some (Printexc.to_string e) }
         in
         let force =
-          match (req, resp) with
-          | (Wire.Finalize | Wire.Src_finalize), _ -> true
-          | _, Wire.Crashed _ -> true
-          | _ -> false
+          match req with
+          | Wire.Finalize | Wire.Src_finalize -> true
+          | _ -> resp.Proc_window.error <> None
         in
-        flush_telemetry ~force ();
-        (try Shm.send conn resp with _ -> Unix._exit 1);
+        (try Shm.send conn (Wire.Reply (resp, take_telemetry ~force))
+         with _ -> Unix._exit 1);
         loop ()
   in
   loop ();
@@ -435,18 +419,18 @@ let run eng ?inflight ?frame_bytes () :
       let w = worker () in
       try Shm.send w.conn req with e -> lost e
     in
-    (* The worker's next frame, past any [Telemetry] shipped ahead of it;
-       without [block], [None] when nothing has arrived yet. *)
-    let rec take ~block w =
+    (* The worker's answer, its telemetry absorbed; without [block],
+       [None] when nothing has arrived yet. *)
+    let take ~block w =
       match
         if block then
           Option.fold ~none:`Eof ~some:(fun m -> `Msg m) (Shm.recv w.conn)
         else Shm.try_recv w.conn
       with
-      | `Msg (Wire.Telemetry t) ->
-          absorb t;
-          take ~block w
-      | `Msg m -> Some m
+      | `Msg (Wire.Reply (r, telem)) ->
+          Option.iter absorb telem;
+          Some r
+      | `Msg _ -> lost (Remote_crash "out-of-protocol frame from worker")
       | `Empty -> None
       | `Eof -> lost (Remote_crash "worker exited unexpectedly")
       | exception e -> lost e
@@ -461,28 +445,27 @@ let run eng ?inflight ?frame_bytes () :
         stall_s.(s).(k) <- stall_s.(s).(k) +. (Obs.Clock.elapsed_s () -. t0);
       r
     in
-    let buffer = function
-      | Some (Engine.Data b | Engine.Final b) -> Some b
-      | _ -> None
-    in
-    (* A control round trip, made on an empty window.  A [Crashed] reply
-       is the callback raising in the worker: a crash, but the worker
-       lives. *)
+    (* A control round trip, made on an empty window: its slots.  An
+       error reply is the callback raising in the worker: a crash, but
+       the worker lives. *)
     let control req =
       send req;
       match recv ~stalled:false with
-      | Wire.Out out -> buffer out
-      | Wire.Done -> None
-      | Wire.Crashed msg -> raise (Remote_crash msg)
+      | { Proc_window.error = Some msg; _ } -> raise (Remote_crash msg)
+      | { Proc_window.outs; error = None } -> outs
+    in
+    let one req =
+      match control req with
+      | [ out ] -> out
       | _ -> raise (Remote_crash "out-of-protocol response from worker")
     in
     match stages.(s).Topology.role with
     | Topology.Source _ ->
         (* Up to [h.depth] pipelined [Next] requests ride against the
-           worker, which answers in order: Data frames, then Done for
-           every request past the end.  So the parent forwards items
-           downstream while the child produces the next ones.  Each
-           refill ticks the copy's scripted faults. *)
+           worker, which answers in order: one buffer each, then no
+           slot for every request past the end.  So the parent forwards
+           items downstream while the child produces the next ones.
+           Each refill ticks the copy's scripted faults. *)
         let inert = Fault.inert cs.Engine.fstate in
         let outstanding = ref 0 and finished = ref false in
         let rec next () =
@@ -498,11 +481,11 @@ let run eng ?inflight ?frame_bytes () :
             decr outstanding;
             if not inert then Par_runtime.slow_down cs ~since:t0;
             match r with
-            | Wire.Out (Some (Engine.Data b)) -> Some b
-            | Wire.Done ->
+            | { Proc_window.error = Some msg; _ } -> raise (Remote_crash msg)
+            | { outs = [ Some b ]; _ } -> Some b
+            | { outs = []; _ } ->
                 finished := true;
                 next ()
-            | Wire.Crashed msg -> raise (Remote_crash msg)
             | _ -> raise (Remote_crash "bad next response")
           end
         in
@@ -510,20 +493,9 @@ let run eng ?inflight ?frame_bytes () :
           {
             start = (fun () -> ignore (control Wire.Init));
             next;
-            src_finalize = (fun () -> control Wire.Src_finalize);
+            src_finalize = (fun () -> one Wire.Src_finalize);
           }
     | Topology.Inner _ | Topology.Sink _ ->
-        let response = function
-          | Wire.Out out -> { Proc_window.outs = [ buffer out ]; error = None }
-          | Wire.Outs (outs, error) ->
-              { Proc_window.outs = List.map buffer outs; error }
-          | Wire.Crashed msg -> { Proc_window.outs = []; error = Some msg }
-          | _ ->
-              {
-                Proc_window.outs = [];
-                error = Some "out-of-protocol response from worker";
-              }
-        in
         Par_runtime.Remote_filter
           ( {
               fresh =
@@ -534,18 +506,15 @@ let run eng ?inflight ?frame_bytes () :
                       h.spares <- rest;
                       h.active <- Some w);
               init = (fun () -> ignore (control Wire.Init));
-              call = (fun it -> control (Wire.Item it));
-              finalize = (fun () -> control Wire.Finalize);
+              call = (fun it -> one (Wire.Batch [ it ]));
+              finalize = (fun () -> one Wire.Finalize);
               on_fail = kill_active;
             },
             {
               depth = h.depth;
-              send =
-                (function
-                | [ it ] -> send (Wire.Item it) | its -> send (Wire.Batch its));
-              recv = (fun ~stalled -> response (recv ~stalled));
-              poll =
-                (fun () -> Option.map response (take ~block:false (worker ())));
+              send = (fun its -> send (Wire.Batch its));
+              recv;
+              poll = (fun () -> take ~block:false (worker ()));
             } )
   in
   let place (cs : Engine.copy) =

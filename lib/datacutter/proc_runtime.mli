@@ -64,6 +64,6 @@ val run :
     empty thread host planned for that slot.  The
     queues, and so any spilling under a memory budget, live in the
     parent.  When tracing is enabled the workers ship their callback
-    spans and counters back over the wire ({!Wire.Telemetry}): the
-    trace covers worker pids and the metrics carry a per-copy
-    ["workers"] rollup. *)
+    spans and counters inside their answers ({!Wire.Reply}): the trace
+    covers worker pids and the metrics carry a per-copy ["workers"]
+    rollup. *)

@@ -426,10 +426,10 @@ let pair ?(slots = default_slots) ?(slot_bytes = default_slot_bytes) Shm =
 
 (* Ring slot count derived from the credit window: the smallest power
    of two holding four windows, and at least 8.  A window then never
-   fills more than a quarter of the request ring, and the responses to
-   a full window, each possibly preceded by a telemetry frame, never
-   fill more than half of the response ring — so a pipelined [send]
-   cannot block while responses back up. *)
+   fills more than a quarter of the request ring, nor the answers to a
+   full window (one frame each, telemetry riding inside) more than a
+   quarter of the response ring — so a pipelined [send] cannot block
+   while answers back up. *)
 let min_slots = 8
 
 let plan_slots ~depth =

@@ -55,9 +55,9 @@ val plan_slots : depth:int -> int
 (** Ring slot count for a channel whose credit window holds [depth]
     frames: the smallest power of two [>= 4 * depth], at least 8.  The
     window then never fills more than a quarter of the request ring,
-    and [depth] responses, each preceded by a telemetry frame, fit the
-    response ring — so a pipelined send never blocks while responses
-    back up. *)
+    nor its [depth] answers, telemetry riding inside them, more than a
+    quarter of the response ring — so a pipelined send never blocks
+    while answers back up. *)
 
 val plan_slot_bytes : frame_bytes:int -> int
 (** Ring slot size for a run whose largest planned frame is

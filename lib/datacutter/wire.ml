@@ -11,17 +11,16 @@
                            (the same low-level codec the compiler's
                            buffer-packing layer uses)
 
-   [Data]/[Final] items carry their packet id as a Wirefmt int and
-   their bytes as a Wirefmt length-prefixed payload written straight
-   from [Bytes] (no string round-trip); [Marker] is an empty payload.
-   [Batch] packs N items into one frame so a batched hot path pays one
-   syscall-visible frame per batch instead of per item; its [Outs]
-   response carries the per-item emissions, plus the error message if
-   the callback failed partway (the outputs then cover exactly the
-   successful prefix).  Frames are bounded by [max_frame]; a reader
-   rejects oversized or truncated frames with [Protocol_error] rather
-   than allocating attacker-controlled lengths or silently
-   misparsing. *)
+   Every data call is one [Batch] of items, each a kind byte, its
+   packet id as a Wirefmt int and its bytes as a Wirefmt
+   length-prefixed payload written straight from [Bytes] (no string
+   round-trip).  Every request is answered by one [Reply]: the credit
+   window's [Proc_window.response] — one optional buffer per call, no
+   kind byte, since the parent knows which kind it forwards — plus the
+   worker's telemetry when it ships some.  Frames are bounded by
+   [max_frame]; a reader rejects oversized or truncated frames with
+   [Protocol_error] rather than allocating attacker-controlled lengths
+   or silently misparsing. *)
 
 exception Protocol_error of string
 
@@ -37,35 +36,26 @@ type span = {
   s_tid : int;   (* the copy's stable Topology tid *)
 }
 
-(* A worker's local telemetry: shipped at flush points and before
-   orderly exit, merged by the parent into the process-wide trace. *)
+(* A worker's local telemetry: shipped inside a reply at flush points,
+   merged by the parent into the process-wide trace. *)
 type telemetry = {
   w_pid : int;
   w_spans : span list;
   w_counters : (string * float) list;  (* cumulative, e.g. busy_s *)
 }
 
-(* Requests (parent -> worker) and responses (worker -> parent). *)
+(* Requests (parent -> worker) and the answer (worker -> parent). *)
 type msg =
   | Init  (** (re)instantiate the filter and run [init] *)
-  | Item of Engine.item  (** process a [Data] or drain a [Final] payload *)
-  | Batch of Engine.item list
-      (** process N items in one frame; answered by [Outs] *)
+  | Item of Engine.item  (** one item alone: the codec probes' frame *)
+  | Batch of Engine.item list  (** process N items in one frame *)
   | Finalize  (** run [finalize] and return its emission *)
   | Next  (** pull the next buffer from a source *)
   | Src_finalize  (** run the source's [src_finalize] *)
-  | Exit  (** orderly worker shutdown *)
-  | Out of Engine.item option  (** callback result: optional emission *)
-  | Outs of Engine.item option list * string option
-      (** [Batch] result: one emission slot per processed input, in
-          order; [Some err] if the callback raised partway — the slots
-          then cover exactly the successful prefix *)
-  | Done  (** acknowledgement with no emission (Init, Exit, Marker) *)
-  | Crashed of string  (** the callback raised; payload is the message *)
-  | Telemetry of telemetry
-      (** unsolicited worker -> parent frame, sent immediately before a
-          response at flush points; the parent's rpc loop absorbs any
-          number of these while waiting for the real response *)
+  | Exit  (** end of stream: the codec probes' frame *)
+  | Reply of Proc_window.response * telemetry option
+      (** the answer to one request, with the worker's telemetry at
+          flush points *)
 
 (* An 8 MiB frame comfortably holds any benchmark buffer while keeping
    a corrupt length header from allocating gigabytes. *)
@@ -82,11 +72,7 @@ let tag_of_msg = function
   | Next -> 'N'
   | Src_finalize -> 'S'
   | Exit -> 'X'
-  | Out _ -> 'O'
-  | Outs _ -> 'P'
-  | Done -> 'K'
-  | Crashed _ -> 'C'
-  | Telemetry _ -> 'T'
+  | Reply _ -> 'R'
 
 (* The payload codec is written once against abstract byte sinks and
    sources, then instantiated twice: over [Buffer]/[Bytes] for the
@@ -171,35 +157,36 @@ let read_buffer src r =
   let data = src.g_bytes r in
   Filter.make_buffer ~packet data
 
-(* Item kind byte used inside [Out]/[Outs]/[Batch] payloads. *)
-let add_item_opt sk k = function
-  | None -> sk.s_char k '\000'
-  | Some (Engine.Data b) ->
+(* Item kind byte used inside [Batch] payloads. *)
+let add_item sk k = function
+  | Engine.Data b ->
       sk.s_char k '\001';
       add_buffer sk k b
-  | Some (Engine.Final b) ->
+  | Engine.Final b ->
       sk.s_char k '\002';
       add_buffer sk k b
-  | Some Engine.Marker -> sk.s_char k '\003'
-
-let read_item_opt src r =
-  match src.g_char r with
-  | '\000' -> None
-  | '\001' -> Some (Engine.Data (read_buffer src r))
-  | '\002' -> Some (Engine.Final (read_buffer src r))
-  | '\003' -> Some Engine.Marker
-  | c -> fail "bad item kind byte %C in payload" c
+  | Engine.Marker -> sk.s_char k '\003'
 
 let read_item src r =
-  match read_item_opt src r with
-  | Some it -> it
-  | None -> fail "bare item slot cannot be empty"
+  match src.g_char r with
+  | '\001' -> Engine.Data (read_buffer src r)
+  | '\002' -> Engine.Final (read_buffer src r)
+  | '\003' -> Engine.Marker
+  | c -> fail "bad item kind byte %C in payload" c
+
+let add_opt sk k add = function
+  | None -> sk.s_bool k false
+  | Some v ->
+      sk.s_bool k true;
+      add sk k v
+
+let read_opt src r read = if src.g_bool r then Some (read src r) else None
 
 (* One item alone, as a spill segment parks it: the bytes of one
    [Batch] item. *)
 let encode_item it =
   let b = Buffer.create 64 in
-  add_item_opt buffer_sink b (Some it);
+  add_item buffer_sink b it;
   Buffer.contents b
 
 let decode_item s =
@@ -209,9 +196,9 @@ let decode_item s =
   | _ -> fail "item has %d trailing bytes" (r.Wirefmt.limit - r.Wirefmt.pos)
   | exception Wirefmt.Short_read m -> fail "truncated item (%s)" m
 
-let add_items sk k items =
-  sk.s_int k (List.length items);
-  List.iter (fun it -> add_item_opt sk k (Some it)) items
+let add_counted sk k add xs =
+  sk.s_int k (List.length xs);
+  List.iter (add sk k) xs
 
 let read_counted what src r read_one =
   let n = src.g_int r in
@@ -235,11 +222,9 @@ let read_span src r =
 
 let add_telemetry sk k t =
   sk.s_int k t.w_pid;
-  sk.s_int k (List.length t.w_spans);
-  List.iter (add_span sk k) t.w_spans;
-  sk.s_int k (List.length t.w_counters);
-  List.iter
-    (fun (kk, v) ->
+  add_counted sk k add_span t.w_spans;
+  add_counted sk k
+    (fun sk k (kk, v) ->
       sk.s_string k kk;
       sk.s_float k v)
     t.w_counters
@@ -257,21 +242,14 @@ let read_telemetry src r =
 
 let encode_payload sk k (m : msg) =
   match m with
-  | Init | Finalize | Next | Src_finalize | Exit | Done -> ()
+  | Init | Finalize | Next | Src_finalize | Exit -> ()
   | Item (Engine.Data b) | Item (Engine.Final b) -> add_buffer sk k b
   | Item Engine.Marker -> ()
-  | Batch items -> add_items sk k items
-  | Out it -> add_item_opt sk k it
-  | Outs (outs, err) ->
-      sk.s_int k (List.length outs);
-      List.iter (add_item_opt sk k) outs;
-      (match err with
-      | None -> sk.s_bool k false
-      | Some e ->
-          sk.s_bool k true;
-          sk.s_string k e)
-  | Crashed s -> sk.s_string k s
-  | Telemetry t -> add_telemetry sk k t
+  | Batch items -> add_counted sk k add_item items
+  | Reply ({ Proc_window.outs; error }, telem) ->
+      add_counted sk k (fun sk k -> add_opt sk k add_buffer) outs;
+      add_opt sk k (fun sk k -> sk.s_string k) error;
+      add_opt sk k add_telemetry telem
 
 let decode_payload src r tag : msg =
   match tag with
@@ -284,14 +262,12 @@ let decode_payload src r tag : msg =
   | 'N' -> Next
   | 'S' -> Src_finalize
   | 'X' -> Exit
-  | 'O' -> Out (read_item_opt src r)
-  | 'P' ->
-      let outs = read_counted "outs slot" src r read_item_opt in
-      let err = if src.g_bool r then Some (src.g_string r) else None in
-      Outs (outs, err)
-  | 'K' -> Done
-  | 'C' -> Crashed (src.g_string r)
-  | 'T' -> Telemetry (read_telemetry src r)
+  | 'R' ->
+      let outs =
+        read_counted "reply slot" src r (fun src r -> read_opt src r read_buffer)
+      in
+      let error = read_opt src r (fun src r -> src.g_string r) in
+      Reply ({ Proc_window.outs; error }, read_opt src r read_telemetry)
   | c -> fail "unknown frame tag %C" c
 
 let encode (m : msg) : Bytes.t =

@@ -2,11 +2,11 @@
 
     A frame is [tag:1][len:4 LE][payload:len]; payloads use the
     {!Wirefmt} codec (the same low-level codec as the compiler's
-    buffer-packing layer).  [Data]/[Final] items carry packet id +
-    bytes, written straight from [Bytes] (no string round-trip);
-    [Marker] is an empty payload; [Batch] packs N items into one
-    length-prefixed frame.  See [lib/datacutter/proc_runtime.ml] for
-    the request/response discipline. *)
+    buffer-packing layer).  The parent sends requests; the worker
+    answers every request with one {!Reply}.  Items carry a kind byte,
+    packet id and bytes, written straight from [Bytes] (no string
+    round-trip).  See [lib/datacutter/proc_runtime.ml] for the
+    request/response discipline. *)
 
 exception Protocol_error of string
 (** Raised on malformed input: unknown tag, oversized or negative
@@ -30,29 +30,27 @@ type telemetry = {
       (** cumulative counters, e.g. ["busy_s"], ["calls"] *)
 }
 
-(** Requests (parent → worker) and responses (worker → parent). *)
+(** Requests (parent → worker) and the answer (worker → parent). *)
 type msg =
-  | Init  (** (re)instantiate the filter and run [init] *)
-  | Item of Engine.item  (** process a [Data] or drain a [Final] payload *)
+  | Init  (** (re)instantiate the filter and run [init]; answers [[]] *)
+  | Item of Engine.item
+      (** one item alone; no worker takes it (a frame shape the
+          benchmark's codec probes measure) *)
   | Batch of Engine.item list
-      (** process N items in one frame (one syscall-visible transfer
-          per batch); answered by [Outs] *)
-  | Finalize  (** run [finalize] and return its emission *)
-  | Next  (** pull the next buffer from a source *)
-  | Src_finalize  (** run the source's [src_finalize] *)
-  | Exit  (** orderly worker shutdown *)
-  | Out of Engine.item option  (** callback result: optional emission *)
-  | Outs of Engine.item option list * string option
-      (** [Batch] result: one emission slot per processed input, in
-          order; [Some err] when the callback raised partway — the
-          slots then cover exactly the successful prefix *)
-  | Done  (** acknowledgement with no emission *)
-  | Crashed of string  (** the callback raised; payload is the message *)
-  | Telemetry of telemetry
-      (** unsolicited worker → parent frame sent immediately before a
-          response at flush points and before orderly exit; the
-          parent's rpc loop absorbs any number of these while waiting
-          for the real response *)
+      (** run [process] on each [Data] item and [on_eos] on each
+          [Final] one; answers one slot per item, in order — or, when
+          the callback raised partway, the successful prefix plus the
+          error *)
+  | Finalize  (** run [finalize]; answers its one slot *)
+  | Next
+      (** pull the next buffer from a source; answers one slot, or
+          [[]] past the end *)
+  | Src_finalize  (** run the source's [src_finalize]; answers one slot *)
+  | Exit  (** end of stream; no worker takes it (see [Item]) *)
+  | Reply of Proc_window.response * telemetry option
+      (** the worker's answer to one request: any other exception in
+          the worker is an error reply with no slots.  The worker's
+          pending telemetry rides along at flush points. *)
 
 val max_frame : int
 (** Upper bound on a frame's payload size; larger lengths are rejected

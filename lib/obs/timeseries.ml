@@ -6,9 +6,10 @@
    and a counter remembers how many were lost, so a long run degrades
    to "the most recent window" instead of unbounded memory.
 
-   Not thread-safe: exactly one sampler (the sim event loop or a
-   dedicated sampler domain) appends, and readers collect after the
-   run, mirroring the Trace collection discipline. *)
+   Not thread-safe: exactly one sampler (the sim event loop, or the
+   calling thread of a par or proc run between its waits) appends, and
+   readers collect after the run, mirroring the Trace collection
+   discipline. *)
 
 type t = {
   interval_s : float;

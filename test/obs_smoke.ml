@@ -254,21 +254,46 @@ let no_shm_leg () =
   check "no-shm: error kind is not \"unsupported\""
     (J.to_str (J.member "kind" (J.member "error" doc)) = "unsupported")
 
-let inflight_range_leg () =
-  List.iter
-    (fun n ->
-      let log = Filename.concat base (Printf.sprintf "inflight-%d.log" n) in
+(* Out-of-range run flags are usage errors (exit 124) naming the flag,
+   never a silent default.  A negative --mem-budget is not among them:
+   it is the documented invalid-plan exit 6. *)
+let contains s sub =
+  let n = String.length sub in
+  let rec at i = i + n <= String.length s && (String.sub s i n = sub || at (i + 1)) in
+  at 0
+
+let flag_range_leg () =
+  List.iteri
+    (fun i (args, flag) ->
+      let log = Filename.concat base (Printf.sprintf "flag-range-%d.log" i) in
       let rc =
         Sys.command
-          (Printf.sprintf
-             "%s run -a streambench --backend proc --inflight %d > %s 2>&1"
-             (Filename.quote cgppc) n (Filename.quote log))
+          (Printf.sprintf "%s %s > %s 2>&1" (Filename.quote cgppc) args
+             (Filename.quote log))
       in
+      let out = read_file log in
       if rc <> 124 then begin
-        (try prerr_endline (read_file log) with _ -> ());
-        die "--inflight %d exited %d, expected 124 (usage error)" n rc
-      end)
-    [ 0; 17 ]
+        prerr_endline out;
+        die "%s exited %d, expected 124 (usage error)" args rc
+      end;
+      check
+        (Printf.sprintf "%s: usage error does not name %s" args flag)
+        (contains out flag))
+    [
+      ("run -a streambench --backend proc --inflight 0", "--inflight");
+      ("run -a streambench --backend proc --inflight 17", "--inflight");
+      ("run -a knn --batch 0", "--batch");
+      ("run -a knn --batch=-5", "--batch");
+      ("run -a knn --backend par --watchdog-ms=-1", "--watchdog-ms");
+      ("run -a knn --metrics-interval-ms=-3", "--metrics-interval-ms");
+      ( "run -a knn --metrics-interval-ms=-3 --openmetrics "
+        ^ Filename.quote (Filename.concat base "range.om"),
+        "--metrics-interval-ms" );
+      ("run -a knn --backend par --call-budget-ms=-1", "--call-budget-ms");
+      ("run -a knn --max-retries=-2", "--max-retries");
+      ("replan missing.json --batch=-3", "--batch");
+      ("replan missing.json --budget=-1", "--budget");
+    ]
 
 (* A par run prints the domains its metrics record, not its copy
    count: 4-4-1 is nine copies, so on a host with fewer than nine cores
@@ -388,7 +413,7 @@ let () =
     ring_geometry_leg ();
     replan_from_leg ()
   end;
-  inflight_range_leg ();
+  flag_range_leg ();
   par_domains_leg ();
   ignore (Sys.command (Printf.sprintf "rm -rf %s" (Filename.quote base)));
   Printf.printf "obs-smoke ok: %s telemetry + openmetrics + attribution verified\n"

@@ -15,6 +15,7 @@ module Shm = Datacutter.Shm
 module Wire = Datacutter.Wire
 module Engine = Datacutter.Engine
 module Filter = Datacutter.Filter
+open Wire_eq
 
 let shm_available = Shm.available ()
 
@@ -22,10 +23,11 @@ let shm_available = Shm.available ()
 let ring_pair ?slots ?slot_bytes () =
   if shm_available then Some (Shm.pair ?slots ?slot_bytes Shm.Shm) else None
 
-let crashed i = Wire.Crashed (Printf.sprintf "frame-%d" i)
+(* Ring frames carry their payload as an error reply's message. *)
+let crashed i = error_reply (Printf.sprintf "frame-%d" i)
 
 let expect_crashed what i = function
-  | `Msg (Wire.Crashed s) ->
+  | `Msg (Wire.Reply ({ error = Some s; _ }, None)) ->
       Alcotest.(check string) what (Printf.sprintf "frame-%d" i) s
   | `Msg _ -> Alcotest.failf "%s: wrong frame kind" what
   | `Empty -> Alcotest.failf "%s: ring unexpectedly empty" what
@@ -43,7 +45,7 @@ let test_wraparound () =
       for i = 0 to 499 do
         Shm.send a (crashed i);
         match Shm.recv b with
-        | Some (Wire.Crashed s) ->
+        | Some (Wire.Reply ({ error = Some s; _ }, None)) ->
             Alcotest.(check string)
               "wrapped frame" (Printf.sprintf "frame-%d" i) s
         | _ -> Alcotest.fail "wrap-around: lost or mangled frame"
@@ -52,7 +54,7 @@ let test_wraparound () =
       for i = 0 to 99 do
         Shm.send b (crashed i);
         match Shm.recv a with
-        | Some (Wire.Crashed s) ->
+        | Some (Wire.Reply ({ error = Some s; _ }, None)) ->
             Alcotest.(check string)
               "reverse frame" (Printf.sprintf "frame-%d" i) s
         | _ -> Alcotest.fail "wrap-around: reverse direction broken"
@@ -105,11 +107,11 @@ let test_overflow_in_order () =
       for burst = 0 to 4 do
         let base = burst * 6 in
         for i = base to base + 5 do
-          Shm.send a (Wire.Crashed (payload i))
+          Shm.send a (error_reply (payload i))
         done;
         for i = base to base + 5 do
           match Shm.recv b with
-          | Some (Wire.Crashed s) ->
+          | Some (Wire.Reply ({ error = Some s; _ }, None)) ->
               Alcotest.(check string) "mixed-size frame" (payload i) s
           | _ -> Alcotest.fail "overflow: lost or mangled frame"
         done
@@ -152,10 +154,10 @@ let test_lazy_faulting () =
         Alcotest.failf "mapping an 8 MiB pair raised VmRSS by %d KiB" (after - before)
 
 (* A ring sized for a window of [depth] holds the worst case the proc
-   driver produces: [depth] requests plus one control frame on the
-   request ring, and [depth] responses each preceded by the worker's
-   telemetry frame on the response ring — all without a refused send,
-   so no pipelined send can block while responses back up. *)
+   driver produces: [depth] batch requests plus one control frame on
+   the request ring, and [depth] answers each carrying the worker's
+   telemetry on the response ring — all without a refused send, so no
+   pipelined send can block while answers back up. *)
 let qcheck_plan_slots =
   QCheck.Test.make ~name:"plan_slots holds a full window" ~count:50
     QCheck.(int_range 1 16)
@@ -164,32 +166,29 @@ let qcheck_plan_slots =
       let slots = Shm.plan_slots ~depth in
       let a, b = Shm.pair ~slots ~slot_bytes:512 Shm.Shm in
       let telemetry =
-        Wire.Telemetry
-          {
-            Wire.w_pid = 1;
-            w_spans =
-              [
-                {
-                  Wire.s_name = "process";
-                  s_cat = "proc-worker";
-                  s_ts = 0.0;
-                  s_dur = 1e-6;
-                  s_tid = 0;
-                };
-              ];
-            w_counters = [ ("busy_s", 1e-6); ("calls", 1.0) ];
-          }
+        {
+          Wire.w_pid = 1;
+          w_spans =
+            [
+              {
+                Wire.s_name = "process";
+                s_cat = "proc-worker";
+                s_ts = 0.0;
+                s_dur = 1e-6;
+                s_tid = 0;
+              };
+            ];
+          w_counters = [ ("busy_s", 1e-6); ("calls", 1.0) ];
+        }
       in
       let all_accepted conn msgs = List.for_all (Shm.try_send conn) msgs in
       let requests =
         List.init depth (fun i ->
-            Wire.Item
-              (Engine.Data (Filter.make_buffer ~packet:i (Bytes.make 64 'x'))))
+            Wire.Batch
+              [ Engine.Data (Filter.make_buffer ~packet:i (Bytes.make 64 'x')) ])
         @ [ Wire.Finalize ]
       in
-      let responses =
-        List.concat (List.init depth (fun _ -> [ telemetry; Wire.Out None ]))
-      in
+      let responses = List.init depth (fun _ -> reply ~telem:telemetry [ None ]) in
       let ok =
         slots land (slots - 1) = 0
         && slots >= max 8 (4 * depth)
@@ -221,7 +220,7 @@ let test_sigkill_peer () =
           (* frames written before death are still delivered... *)
           for i = 0 to 4 do
             match Shm.recv a with
-            | Some (Wire.Crashed s) ->
+            | Some (Wire.Reply ({ error = Some s; _ }, None)) ->
                 Alcotest.(check string)
                   "pre-death frame" (Printf.sprintf "frame-%d" i) s
             | _ -> Alcotest.fail "sigkill: pre-death frame lost"
@@ -243,16 +242,6 @@ let test_sigkill_peer () =
 
 (* --- QCheck: arbitrary frames round-trip vs the Wire codec ------------ *)
 
-let buffer ?(packet = 7) s = Filter.make_buffer ~packet (Bytes.of_string s)
-
-let item_equal a b =
-  match (a, b) with
-  | Engine.Marker, Engine.Marker -> true
-  | Engine.Data x, Engine.Data y | Engine.Final x, Engine.Final y ->
-      x.Filter.packet = y.Filter.packet
-      && Bytes.equal x.Filter.data y.Filter.data
-  | _ -> false
-
 (* Payload sizes straddle the 512-byte slot boundary on purpose: both
    the in-ring and the overflow path must deliver Wire-equal frames. *)
 let qcheck_roundtrip =
@@ -264,22 +253,16 @@ let qcheck_roundtrip =
       let a, b = Shm.pair ~slots:8 ~slot_bytes:512 Shm.Shm in
       let sent =
         [
-          Wire.Crashed s;
+          error_reply s;
           Wire.Batch (List.map (fun x -> Engine.Data (buffer x)) batch);
-          Wire.Out (Some (Engine.Final (buffer s)));
+          reply [ Some (buffer s) ];
         ]
       in
       let ok =
         List.for_all
           (fun m ->
             Shm.send a m;
-            match (m, Shm.recv b) with
-            | Wire.Crashed x, Some (Wire.Crashed y) -> String.equal x y
-            | Wire.Batch xs, Some (Wire.Batch ys) ->
-                List.length xs = List.length ys
-                && List.for_all2 item_equal xs ys
-            | Wire.Out (Some x), Some (Wire.Out (Some y)) -> item_equal x y
-            | _ -> false)
+            match Shm.recv b with Some got -> msg_equal m got | None -> false)
           sent
       in
       Shm.close a;
@@ -292,17 +275,6 @@ let qcheck_roundtrip =
    structurally equal both to the original and to what the plain Bytes
    codec ([Wire.encode]/[Wire.decode]) round-trips — the two paths must
    describe the same wire language. *)
-let msg_equal a b =
-  match (a, b) with
-  | Wire.Crashed x, Wire.Crashed y -> String.equal x y
-  | Wire.Done, Wire.Done -> true
-  | Wire.Item x, Wire.Item y -> item_equal x y
-  | Wire.Batch xs, Wire.Batch ys ->
-      List.length xs = List.length ys && List.for_all2 item_equal xs ys
-  | Wire.Out (Some x), Wire.Out (Some y) -> item_equal x y
-  | Wire.Out None, Wire.Out None -> true
-  | _ -> false
-
 let qcheck_inring_vs_bytes =
   QCheck.Test.make ~name:"send/recv matches the Bytes codec" ~count:150
     QCheck.(
@@ -314,11 +286,11 @@ let qcheck_inring_vs_bytes =
       let a, b = Shm.pair ~slots:8 ~slot_bytes:65536 Shm.Shm in
       let msgs =
         [
-          Wire.Crashed s;
-          Wire.Item (Engine.Data (buffer s));
+          error_reply s;
+          Wire.Batch [ Engine.Data (buffer s) ];
           Wire.Batch (List.map (fun x -> Engine.Data (buffer x)) batch);
-          Wire.Out (Some (Engine.Final (buffer s)));
-          Wire.Done;
+          reply [ Some (buffer s) ];
+          reply [];
         ]
       in
       let ok =

@@ -7,100 +7,59 @@ module Wire = Datacutter.Wire
 module Engine = Datacutter.Engine
 module Filter = Datacutter.Filter
 
-let buffer ?(packet = 7) s = Filter.make_buffer ~packet (Bytes.of_string s)
-
-let item_equal a b =
-  match (a, b) with
-  | Engine.Marker, Engine.Marker -> true
-  | Engine.Data x, Engine.Data y | Engine.Final x, Engine.Final y ->
-      x.Filter.packet = y.Filter.packet && Bytes.equal x.Filter.data y.Filter.data
-  | _ -> false
-
-let item_opt_equal a b =
-  match (a, b) with
-  | None, None -> true
-  | Some x, Some y -> item_equal x y
-  | _ -> false
-
-let msg_equal a b =
-  match (a, b) with
-  | Wire.Init, Wire.Init
-  | Wire.Finalize, Wire.Finalize
-  | Wire.Next, Wire.Next
-  | Wire.Src_finalize, Wire.Src_finalize
-  | Wire.Exit, Wire.Exit
-  | Wire.Done, Wire.Done
-  | Wire.Out None, Wire.Out None ->
-      true
-  | Wire.Item x, Wire.Item y -> item_equal x y
-  | Wire.Batch xs, Wire.Batch ys ->
-      List.length xs = List.length ys && List.for_all2 item_equal xs ys
-  | Wire.Outs (xs, xe), Wire.Outs (ys, ye) ->
-      List.length xs = List.length ys
-      && List.for_all2 item_opt_equal xs ys
-      && Option.equal String.equal xe ye
-  | Wire.Out (Some x), Wire.Out (Some y) -> item_equal x y
-  | Wire.Crashed x, Wire.Crashed y -> String.equal x y
-  | Wire.Telemetry x, Wire.Telemetry y ->
-      x.Wire.w_pid = y.Wire.w_pid
-      && List.length x.Wire.w_spans = List.length y.Wire.w_spans
-      && List.for_all2
-           (fun (a : Wire.span) (b : Wire.span) ->
-             String.equal a.Wire.s_name b.Wire.s_name
-             && String.equal a.Wire.s_cat b.Wire.s_cat
-             && a.Wire.s_ts = b.Wire.s_ts
-             && a.Wire.s_dur = b.Wire.s_dur
-             && a.Wire.s_tid = b.Wire.s_tid)
-           x.Wire.w_spans y.Wire.w_spans
-      && List.length x.Wire.w_counters = List.length y.Wire.w_counters
-      && List.for_all2
-           (fun (ka, va) (kb, vb) -> String.equal ka kb && va = vb)
-           x.Wire.w_counters y.Wire.w_counters
-  | _ -> false
+open Wire_eq
 
 let msg_name = function
   | Wire.Init -> "Init"
-  | Wire.Item (Engine.Data _) -> "Item Data"
-  | Wire.Item (Engine.Final _) -> "Item Final"
-  | Wire.Item Engine.Marker -> "Item Marker"
+  | Wire.Item _ -> "Item"
   | Wire.Batch items -> Printf.sprintf "Batch[%d]" (List.length items)
-  | Wire.Outs (outs, err) ->
-      Printf.sprintf "Outs[%d%s]" (List.length outs)
-        (match err with Some _ -> ",err" | None -> "")
   | Wire.Finalize -> "Finalize"
   | Wire.Next -> "Next"
   | Wire.Src_finalize -> "Src_finalize"
   | Wire.Exit -> "Exit"
-  | Wire.Out None -> "Out None"
-  | Wire.Out (Some (Engine.Data _)) -> "Out Data"
-  | Wire.Out (Some (Engine.Final _)) -> "Out Final"
-  | Wire.Out (Some Engine.Marker) -> "Out Marker"
-  | Wire.Done -> "Done"
-  | Wire.Crashed _ -> "Crashed"
-  | Wire.Telemetry { Wire.w_spans; w_counters; _ } ->
-      Printf.sprintf "Telemetry[%d spans,%d counters]"
-        (List.length w_spans) (List.length w_counters)
+  | Wire.Reply ({ Proc_window.outs; error }, telem) ->
+      Printf.sprintf "Reply[%d%s%s]" (List.length outs)
+        (match error with Some _ -> ",err" | None -> "")
+        (match telem with
+        | Some { Wire.w_spans; w_counters; _ } ->
+            Printf.sprintf ",%d spans,%d counters" (List.length w_spans)
+              (List.length w_counters)
+        | None -> "")
+
+let telemetry =
+  {
+    Wire.w_pid = 1;
+    w_spans =
+      [
+        {
+          Wire.s_name = "process";
+          s_cat = "proc-worker";
+          s_ts = 0.125;
+          s_dur = 3.5e-4;
+          s_tid = 2;
+        };
+        { Wire.s_name = ""; s_cat = ""; s_ts = 0.0; s_dur = 0.0; s_tid = 0 };
+      ];
+    w_counters = [ ("busy_s", 1.25); ("calls", 42.0) ];
+  }
 
 (* One representative of every message kind, including the empty-data
    and empty-string edge cases. *)
 let samples =
   [
     Wire.Init;
-    Wire.Item (Engine.Data (buffer "payload bytes"));
-    Wire.Item (Engine.Data (buffer ~packet:0 ""));
-    Wire.Item (Engine.Final (buffer ~packet:max_int "final"));
-    Wire.Item Engine.Marker;
+    Wire.Batch [ Engine.Data (buffer ~packet:0 "") ];
+    Wire.Batch [ Engine.Final (buffer ~packet:max_int "final") ];
+    Wire.Batch [ Engine.Marker ];
     Wire.Finalize;
     Wire.Next;
     Wire.Src_finalize;
-    Wire.Exit;
-    Wire.Out None;
-    Wire.Out (Some (Engine.Data (buffer "emitted")));
-    Wire.Out (Some (Engine.Final (buffer "last")));
-    Wire.Out (Some Engine.Marker);
-    Wire.Done;
-    Wire.Crashed "Failure(\"boom\")";
-    Wire.Crashed "";
+    reply [];
+    reply [ None ];
+    reply [ Some (buffer "emitted") ];
+    reply [ Some (buffer ~packet:0 "") ];
+    error_reply "Failure(\"boom\")";
+    error_reply "";
     Wire.Batch [ Engine.Data (buffer "one") ];
     Wire.Batch
       [
@@ -109,33 +68,10 @@ let samples =
         Engine.Final (buffer ~packet:3 "tail");
         Engine.Marker;
       ];
-    Wire.Outs ([], None);
-    Wire.Outs ([ None; Some (Engine.Data (buffer "out")) ], None);
-    Wire.Outs ([ Some (Engine.Final (buffer "partial")) ], Some "boom");
-    Wire.Outs ([], Some "");
-    Wire.Telemetry { Wire.w_pid = 12345; w_spans = []; w_counters = [] };
-    Wire.Telemetry
-      {
-        Wire.w_pid = 1;
-        w_spans =
-          [
-            {
-              Wire.s_name = "process";
-              s_cat = "proc-worker";
-              s_ts = 0.125;
-              s_dur = 3.5e-4;
-              s_tid = 2;
-            };
-            {
-              Wire.s_name = "";
-              s_cat = "";
-              s_ts = 0.0;
-              s_dur = 0.0;
-              s_tid = 0;
-            };
-          ];
-        w_counters = [ ("busy_s", 1.25); ("calls", 42.0) ];
-      };
+    reply [ None; Some (buffer "out") ];
+    reply ~error:"boom" [ Some (buffer "partial") ];
+    reply ~telem:{ Wire.w_pid = 12345; w_spans = []; w_counters = [] } [];
+    reply ~telem:telemetry [ Some (buffer "out") ];
   ]
 
 let test_roundtrip () =
@@ -152,15 +88,15 @@ let test_roundtrip () =
 
 (* Frames decode at any offset, so concatenated frames decode in turn. *)
 let test_decode_offset () =
-  let a = Wire.encode (Wire.Item (Engine.Data (buffer "first")))
-  and b = Wire.encode Wire.Done in
+  let a = Wire.encode (Wire.Batch [ Engine.Data (buffer "first") ])
+  and b = Wire.encode (reply []) in
   let both = Bytes.cat a b in
   let m1, p1 = Wire.decode both ~pos:0 in
   let m2, p2 = Wire.decode both ~pos:p1 in
   Alcotest.(check bool)
     "first frame" true
-    (msg_equal m1 (Wire.Item (Engine.Data (buffer "first"))));
-  Alcotest.(check bool) "second frame" true (msg_equal m2 Wire.Done);
+    (msg_equal m1 (Wire.Batch [ Engine.Data (buffer "first") ]));
+  Alcotest.(check bool) "second frame" true (msg_equal m2 (reply []));
   Alcotest.(check int) "all bytes consumed" (Bytes.length both) p2
 
 let check_protocol_error name f =
@@ -169,7 +105,7 @@ let check_protocol_error name f =
   | _ -> Alcotest.failf "%s: expected Protocol_error" name
 
 let test_truncated () =
-  let frame = Wire.encode (Wire.Item (Engine.Data (buffer "some payload"))) in
+  let frame = Wire.encode (Wire.Batch [ Engine.Data (buffer "some payload") ]) in
   (* every strict prefix of a full frame must be rejected, whether the
      cut lands in the header or in the payload *)
   for len = 0 to Bytes.length frame - 1 do
@@ -180,19 +116,20 @@ let test_truncated () =
 
 let test_short_payload () =
   (* a syntactically complete frame whose payload is cut short inside a
-     field: header says 4 payload bytes, but the string length prefix
-     inside claims more *)
-  let frame = Wire.encode (Wire.Crashed "0123456789") in
+     field: header says 13 payload bytes (the slot count, the error
+     flag and half the error's length prefix), but the string length
+     prefix inside claims more *)
+  let frame = Wire.encode (error_reply "0123456789") in
   (* shrink the declared frame length so the payload ends mid-string *)
-  Bytes.set_int32_le frame 1 4l;
-  let cut = Bytes.sub frame 0 (1 + 4 + 4) in
+  Bytes.set_int32_le frame 1 13l;
+  let cut = Bytes.sub frame 0 (1 + 4 + 13) in
   check_protocol_error "payload cut mid-field" (fun () ->
       Wire.decode cut ~pos:0)
 
 let test_oversized () =
   let frame = Bytes.create (1 + 4) in
-  Bytes.set frame 0 'C';
-  (* tag: Crashed *)
+  Bytes.set frame 0 'R';
+  (* tag: Reply *)
   Bytes.set_int32_le frame 1 (Int32.of_int (Wire.max_frame + 1));
   check_protocol_error "length above max_frame" (fun () ->
       Wire.decode frame ~pos:0);
@@ -228,6 +165,36 @@ let test_item_codec () =
     [ Engine.Marker; Engine.Data (buffer "data"); Engine.Final (buffer ~packet:0 "") ];
   check_protocol_error "unknown kind" (fun () -> Wire.decode_item "\009")
 
+(* [msg] through the ring codec: encoded into a bigstring window as a
+   ring slot holds it, decoded in place; also its in-ring size. *)
+let via_ring m =
+  let buf = Bigarray.Array1.create Bigarray.char Bigarray.c_layout 4096 in
+  let w = Wirefmt.Big.writer buf in
+  Wire.encode_big w m;
+  let len = Wirefmt.Big.writer_pos w in
+  (Wire.decode_big (Wirefmt.Big.reader ~limit:len buf), len)
+
+(* The frames the benchmark's flood workload sends, for its 32-byte
+   item: a one-item request and its one-slot answer. *)
+let test_flood_sizes () =
+  let b = buffer (String.make 32 'x') in
+  Alcotest.(check int) "request in ring" 58 (snd (via_ring (Wire.Batch [ Engine.Data b ])));
+  Alcotest.(check int) "answer in ring" 60 (snd (via_ring (reply [ Some b ])))
+
+(* Answers carrying telemetry, and a partial prefix plus an error, agree
+   through the Bytes codec and the ring codec. *)
+let test_reply_codecs () =
+  List.iter
+    (fun m ->
+      let via_bytes, _ = Wire.decode (Wire.encode m) ~pos:0 in
+      Alcotest.(check bool) (msg_name m ^ " via Bytes") true (msg_equal m via_bytes);
+      Alcotest.(check bool) (msg_name m ^ " via ring") true (msg_equal m (fst (via_ring m))))
+    [
+      reply ~telem:telemetry [ None; Some (buffer "out") ];
+      reply ~error:"Failure(\"boom\")" [ Some (buffer "a"); None ];
+      reply ~error:"boom" ~telem:telemetry [ Some (buffer "partial") ];
+    ]
+
 (* Frames written with write_msg arrive intact through an OS pipe,
    split across however many reads the kernel chooses; EOF at a frame
    boundary is a clean [None]. *)
@@ -251,19 +218,17 @@ let test_fd_roundtrip () =
    → decode at successive offsets, and the stream cut at any of the
    generator's chunk boundaries decodes to exactly the frames it holds
    whole, then rejects the cut frame instead of misreading it. *)
+let gen_buffer =
+  QCheck.Gen.(
+    map2 (fun packet s -> buffer ~packet s) (int_bound 10_000)
+      (string_size (int_bound 64)))
+
 let gen_item =
   QCheck.Gen.(
     frequency
       [
-        ( 6,
-          map2
-            (fun packet s ->
-              Engine.Data (buffer ~packet (Bytes.to_string (Bytes.of_string s))))
-            (int_bound 10_000) (string_size (int_bound 64)) );
-        ( 2,
-          map2
-            (fun packet s -> Engine.Final (buffer ~packet s))
-            (int_bound 10_000) (string_size (int_bound 64)) );
+        (6, map (fun b -> Engine.Data b) gen_buffer);
+        (2, map (fun b -> Engine.Final b) gen_buffer);
         (1, return Engine.Marker);
       ])
 
@@ -274,8 +239,8 @@ let gen_msg =
         (3, map (fun items -> Wire.Batch items) (list_size (1 -- 20) gen_item));
         ( 2,
           map2
-            (fun outs err -> Wire.Outs (outs, err))
-            (list_size (int_bound 20) (option gen_item))
+            (fun outs error -> reply ?error outs)
+            (list_size (int_bound 20) (option gen_buffer))
             (option (string_size (int_bound 32))) );
       ])
 
@@ -342,7 +307,7 @@ let prop_batch_roundtrip =
    cannot livelock under the signal storm. *)
 let test_fd_short_writes_and_eintr () =
   let rd, wr = Unix.pipe () in
-  let big = Wire.Crashed (String.make (1024 * 1024) 'x') in
+  let big = error_reply (String.make (1024 * 1024) 'x') in
   (* fill the pipe so the writer thread parks in a blocked write *)
   Unix.set_nonblock wr;
   let junk = Bytes.make 4096 'j' in
@@ -388,7 +353,7 @@ let test_fd_short_writes_and_eintr () =
 
 let test_fd_midframe_eof () =
   let rd, wr = Unix.pipe () in
-  let frame = Wire.encode (Wire.Crashed "interrupted") in
+  let frame = Wire.encode (error_reply "interrupted") in
   let half = Bytes.length frame / 2 in
   let rec write_all off len =
     if len > 0 then begin
@@ -417,6 +382,8 @@ let () =
           Alcotest.test_case "trailing bytes rejected" `Quick
             test_trailing_bytes;
           Alcotest.test_case "spill item codec" `Quick test_item_codec;
+          Alcotest.test_case "flood frame sizes in the ring" `Quick test_flood_sizes;
+          Alcotest.test_case "replies through both codecs" `Quick test_reply_codecs;
         ] );
       ("decoder", [ QCheck_alcotest.to_alcotest prop_batch_roundtrip ]);
       ( "fds",
