@@ -1,19 +1,35 @@
 (* Resolve-once executor for PipeLang with operation accounting.
 
-   Code is compiled once into OCaml closures over slot frames, then run:
-   - every variable resolves at compile time to a slot of a per-call or
-     per-packet [Value.t array] frame (each block declaration gets its
-     own slot), or to a global's cell;
+   Code is compiled once into OCaml closures over typed frames, then run:
+   - a frame has three parts: [Value.t] slots, a flat [float array] and
+     an [int array].  In a checked function or packet (the type checker
+     annotated every expression) an [int] or [float] local, parameter,
+     [for] counter or [foreach] variable lives unboxed in the int or
+     float part; any other variable, and every variable of unchecked
+     code, is a [Value.t] slot.  Globals stay [Value.t] cells;
+   - a checked [float] expression is compiled destination-style: it
+     leaves its value in a register of the float part (a temporary, the
+     local it is assigned to, or a constant pre-seeded from the frame's
+     template), and each operator and float builtin is specialised
+     inline, because an OCaml closure that returns a float or an
+     indirect call that takes one boxes it.  A checked [int]
+     expression is a [frame -> int] closure.  So arithmetic,
+     comparisons, the numeric builtins, [float[]] element reads and
+     stores and argument passing allocate nothing; a value is boxed
+     only where it meets a [Value.t]: an object field, a list, an
+     extern, [return], a global, and [lookup]/[setter];
+   - a typed operand that reads a [Value.t] unboxes it where it is used,
+     and a value that is no number raises the error of the operator
+     using it, as the generic code does;
    - every call resolves to the compiled function, the builtin or the
-     extern; methods are compiled once per (class, method) and cached;
+     extern; methods are compiled once per (class, method) and cached.
+     A call takes the frame its function's last finished call left
+     behind, so a call allocates no frame either; a context therefore
+     serves one domain at a time (its counter already did);
    - every field access resolves to a slot of the object's record
      through a per-site one-entry cache ([Value.site]) of the class last
      seen and the slot there; typed sites see one class, an untyped site
      resolves again when the class changes.  [new] fills slots in order;
-   - every arithmetic and comparison operator resolves to a function
-     with direct cases for two floats and two ints ([arith_fn],
-     [compare_fn]); a store into a flat [float[]] ([Value.Vfloats])
-     unboxes its value, and a read boxes one [Vfloat];
    - a name that resolves to nothing compiles to code that raises the
      unbound-variable error when (and only if) it runs.
 
@@ -24,23 +40,43 @@
      filters, over a packet frame filled from a stream buffer.
 
    Every executed operation is charged to the context's [Opcount.t]; the
-   compiler's profiling pass and the simulated cluster both read it.
-   Binary operands are evaluated right to left, call arguments left to
+   compiler's profiling pass and the simulated cluster both read it, and
+   typed code charges exactly what the generic code charges.  Binary
+   operands are evaluated right to left, call arguments left to
    right. *)
 
 open Ast
 module V = Value
 
-type frame = V.t array
+type frame = { vals : V.t array; floats : float array; ints : int array }
+
+(* The sizes of a frame's parts, and its float part as a fresh frame
+   starts: zeros, with every constant register pre-seeded. *)
+type layout = { nvals : int; nints : int; floats0 : float array }
+
+let empty_layout = { nvals = 0; nints = 0; floats0 = [||] }
+
+let frame_of l =
+  {
+    vals = Array.make l.nvals V.Vunit;
+    floats = Array.copy l.floats0;
+    ints = Array.make l.nints 0;
+  }
+
+let no_frame = frame_of empty_layout
+
+(* Where a caller stores a parameter of the callee's frame. *)
+type param = Pval of int | Pfloat of int | Pint of int
 
 (* A compiled function or method.  The record exists before its body is
    compiled, so recursive calls resolve to it. *)
 type fn = {
   fn_decl : func_decl;
-  fn_this : int;  (* slot of [this] in a method, -1 in a function *)
-  fn_params : int array;  (* slot of each parameter *)
-  mutable fn_slots : int;  (* frame size *)
+  fn_this : int;  (* [Value.t] slot of [this] in a method, -1 in a function *)
+  fn_params : param array;
+  mutable fn_layout : layout;
   mutable fn_body : frame -> unit;
+  mutable fn_spare : frame;  (* [no_frame], or a frame to reuse *)
 }
 
 type code = {
@@ -112,22 +148,32 @@ let charge_call (c : Opcount.t) = c.calls <- c.calls + 1
 let charge_append (c : Opcount.t) = c.appends <- c.appends + 1
 let charge_alloc (c : Opcount.t) = c.allocs <- c.allocs + 1
 
-(* --- numeric helpers --- *)
+(* --- generic numeric helpers (values of any type) --- *)
+
+(* [arith] on two [int]s, unboxed; the caller charges. *)
+let[@inline] int_arith op x y =
+  match op with
+  | Add -> x + y
+  | Sub -> x - y
+  | Mul -> x * y
+  | Div -> if y = 0 then V.runtime_errorf "integer division by zero" else x / y
+  | Mod -> if y = 0 then V.runtime_errorf "integer modulo by zero" else x mod y
+  | _ -> assert false
+
+(* [arith] on two [float]s, inlined at each use: a call would box them. *)
+let[@inline] float_arith op x y =
+  match op with
+  | Add -> x +. y
+  | Sub -> x -. y
+  | Mul -> x *. y
+  | Div -> x /. y
+  | _ -> Float.rem x y
 
 let arith c op a b =
   match (a, b) with
   | V.Vint x, V.Vint y ->
       charge_int c;
-      V.Vint
-        (match op with
-        | Add -> x + y
-        | Sub -> x - y
-        | Mul -> x * y
-        | Div ->
-            if y = 0 then V.runtime_errorf "integer division by zero" else x / y
-        | Mod ->
-            if y = 0 then V.runtime_errorf "integer modulo by zero" else x mod y
-        | _ -> assert false)
+      V.Vint (int_arith op x y)
   | (V.Vfloat _ | V.Vint _), (V.Vfloat _ | V.Vint _) ->
       charge_float c;
       let x = V.as_float a and y = V.as_float b in
@@ -141,6 +187,17 @@ let arith c op a b =
         | _ -> assert false)
   | _ ->
       V.runtime_errorf "arithmetic on %s and %s" (V.type_name a) (V.type_name b)
+
+(* Whether comparison [op] holds of a [compare] result. *)
+let[@inline] holds op r =
+  match op with
+  | Lt -> r < 0
+  | Le -> r <= 0
+  | Gt -> r > 0
+  | Ge -> r >= 0
+  | Eq -> r = 0
+  | Ne -> r <> 0
+  | _ -> assert false
 
 let compare_vals c op a b =
   let r =
@@ -161,93 +218,7 @@ let compare_vals c op a b =
         V.runtime_errorf "comparison between %s and %s" (V.type_name a)
           (V.type_name b)
   in
-  match op with
-  | Lt -> r < 0
-  | Le -> r <= 0
-  | Gt -> r > 0
-  | Ge -> r >= 0
-  | Eq -> r = 0
-  | Ne -> r <> 0
-  | _ -> assert false
-
-(* Each operator resolved once, at compile time: two floats or two ints
-   take a direct case, any other pair the generic [arith] or
-   [compare_vals] (mixed operands widen, other types raise).  The float
-   comparisons go by [Float.compare], which orders a NaN below every
-   float and equal to itself, like [compare_vals]. *)
-let arith_fn c op : V.t -> V.t -> V.t =
-  match op with
-  | Add -> (
-      fun a b ->
-        match (a, b) with
-        | V.Vfloat x, V.Vfloat y -> charge_float c; V.Vfloat (x +. y)
-        | V.Vint x, V.Vint y -> charge_int c; V.Vint (x + y)
-        | _ -> arith c op a b)
-  | Sub -> (
-      fun a b ->
-        match (a, b) with
-        | V.Vfloat x, V.Vfloat y -> charge_float c; V.Vfloat (x -. y)
-        | V.Vint x, V.Vint y -> charge_int c; V.Vint (x - y)
-        | _ -> arith c op a b)
-  | Mul -> (
-      fun a b ->
-        match (a, b) with
-        | V.Vfloat x, V.Vfloat y -> charge_float c; V.Vfloat (x *. y)
-        | V.Vint x, V.Vint y -> charge_int c; V.Vint (x * y)
-        | _ -> arith c op a b)
-  | Div -> (
-      fun a b ->
-        match (a, b) with
-        | V.Vfloat x, V.Vfloat y -> charge_float c; V.Vfloat (x /. y)
-        | V.Vint x, V.Vint y when y <> 0 -> charge_int c; V.Vint (x / y)
-        | _ -> arith c op a b)
-  | Mod -> (
-      fun a b ->
-        match (a, b) with
-        | V.Vfloat x, V.Vfloat y -> charge_float c; V.Vfloat (Float.rem x y)
-        | V.Vint x, V.Vint y when y <> 0 -> charge_int c; V.Vint (x mod y)
-        | _ -> arith c op a b)
-  | _ -> arith c op
-
-let compare_fn c op : V.t -> V.t -> bool =
-  match op with
-  | Lt -> (
-      fun a b ->
-        match (a, b) with
-        | V.Vfloat x, V.Vfloat y -> charge_float c; Float.compare x y < 0
-        | V.Vint x, V.Vint y -> charge_int c; x < y
-        | _ -> compare_vals c op a b)
-  | Le -> (
-      fun a b ->
-        match (a, b) with
-        | V.Vfloat x, V.Vfloat y -> charge_float c; Float.compare x y <= 0
-        | V.Vint x, V.Vint y -> charge_int c; x <= y
-        | _ -> compare_vals c op a b)
-  | Gt -> (
-      fun a b ->
-        match (a, b) with
-        | V.Vfloat x, V.Vfloat y -> charge_float c; Float.compare x y > 0
-        | V.Vint x, V.Vint y -> charge_int c; x > y
-        | _ -> compare_vals c op a b)
-  | Ge -> (
-      fun a b ->
-        match (a, b) with
-        | V.Vfloat x, V.Vfloat y -> charge_float c; Float.compare x y >= 0
-        | V.Vint x, V.Vint y -> charge_int c; x >= y
-        | _ -> compare_vals c op a b)
-  | Eq -> (
-      fun a b ->
-        match (a, b) with
-        | V.Vfloat x, V.Vfloat y -> charge_float c; Float.compare x y = 0
-        | V.Vint x, V.Vint y -> charge_int c; x = y
-        | _ -> compare_vals c op a b)
-  | Ne -> (
-      fun a b ->
-        match (a, b) with
-        | V.Vfloat x, V.Vfloat y -> charge_float c; Float.compare x y <> 0
-        | V.Vint x, V.Vint y -> charge_int c; x <> y
-        | _ -> compare_vals c op a b)
-  | _ -> compare_vals c op
+  holds op r
 
 (* Monomorphic [Stdlib.min]/[max]: the same argument order for a NaN
    and for a signed zero, without the polymorphic compare. *)
@@ -260,8 +231,9 @@ let vtrue = V.Vbool true
 let vfalse = V.Vbool false
 let of_bool b = if b then vtrue else vfalse
 
-(* Builtins by arity, so a call with the right argument count runs
-   without building an argument list. *)
+(* Builtins on values, by arity, so a call with the right argument count
+   runs without building an argument list.  Checked code calls the
+   numeric ones inline instead ([compile_f], [compile_i]). *)
 type builtin = B1 of (V.t -> V.t) | B2 of (V.t -> V.t -> V.t)
 
 let builtin c name =
@@ -317,58 +289,276 @@ let builtin c name =
       Some (B1 (fun _ -> V.Vunit))
   | _ -> None
 
+(* --- unboxing where typed code meets a [Value.t] --- *)
+
+(* The error a non-number raises, by where typed code uses it: the
+   message the generic code gives at that use. *)
+type mismatch = V.t -> string
+
+let expected what : mismatch =
+ fun v -> Printf.sprintf "expected %s, got %s" what (V.type_name v)
+
+let as_float_msg = expected "float"
+let as_int_msg = expected "int"
+
+let fail (bad : mismatch) v = raise (V.Runtime_error (bad v))
+
+(* The static type name of a checked operand, for the messages that name
+   both operands. *)
+let ty_name (e : expr) =
+  match e.ety with Some t -> ty_to_string t | None -> "void"
+
+let arith_left b : mismatch =
+ fun v -> Printf.sprintf "arithmetic on %s and %s" (V.type_name v) (ty_name b)
+
+let arith_right a : mismatch =
+ fun v -> Printf.sprintf "arithmetic on %s and %s" (ty_name a) (V.type_name v)
+
+let compare_left b : mismatch =
+ fun v -> Printf.sprintf "comparison between %s and %s" (V.type_name v) (ty_name b)
+
+let compare_right a : mismatch =
+ fun v -> Printf.sprintf "comparison between %s and %s" (ty_name a) (V.type_name v)
+
+let negation_msg : mismatch = fun v -> "negation of " ^ V.type_name v
+
+(* Unit-returning, so the float is never boxed to leave a function. *)
+let store_float bad (f : float array) d = function
+  | V.Vfloat x -> f.(d) <- x
+  | V.Vint n -> f.(d) <- float_of_int n
+  | v -> fail bad v
+
+let unbox_int bad = function V.Vint n -> n | v -> fail bad v
+
 (* --- compile-time scopes --- *)
 
-(* Where a name lives: a slot of the running frame, a global's cell, or
-   nowhere. *)
-type loc = Slot of int | Cell of V.t array * int | Unbound
+(* Where a name lives: a slot of one of the running frame's parts, a
+   global's cell, or nowhere. *)
+type loc =
+  | Slot of int
+  | Fslot of int
+  | Islot of int
+  | Cell of V.t array * int
+  | Unbound
+
+(* The frame being laid out.  [typed] says whether [int]/[float]
+   variables get unboxed slots; float temporaries that are free again
+   go to [free], and no variable or constant ever takes one. *)
+type regs = {
+  typed : bool;
+  mutable nv : int;
+  mutable nf : int;
+  mutable ni : int;
+  mutable free : int list;
+  mutable consts : (float * int) list;
+}
 
 (* The lexical scopes being compiled, innermost first.  All scopes of
-   one function body (or one packet) share a frame, sized by [size]. *)
+   one function body (or one packet) share a frame, laid out by
+   [regs]. *)
 type scopes = {
-  levels : (string * int) list ref list;
-  size : int ref;
+  levels : (string * loc) list ref list;
+  regs : regs;
   outer : string -> loc;  (* names no scope declares *)
 }
 
 let no_outer _ = Unbound
 
-let open_frame outer = { levels = [ ref [] ]; size = ref 0; outer }
+let open_frame ~typed outer =
+  {
+    levels = [ ref [] ];
+    regs = { typed; nv = 0; nf = 0; ni = 0; free = []; consts = [] };
+    outer;
+  }
+
 let push_level sc = { sc with levels = ref [] :: sc.levels }
 
-(* Declare [name] in the innermost scope.  A redeclaration in the same
-   scope reuses the slot: the new binding replaces the old one. *)
-let declare sc name =
+let layout_of r =
+  let floats0 = Array.make r.nf 0.0 in
+  List.iter (fun (x, i) -> floats0.(i) <- x) r.consts;
+  { nvals = r.nv; nints = r.ni; floats0 }
+
+let new_float r =
+  let i = r.nf in
+  r.nf <- i + 1;
+  i
+
+(* A fresh slot for a variable of type [ty]. *)
+let new_loc r ty =
+  match ty with
+  | Tfloat when r.typed -> Fslot (new_float r)
+  | Tint when r.typed ->
+      let i = r.ni in
+      r.ni <- i + 1;
+      Islot i
+  | _ ->
+      let i = r.nv in
+      r.nv <- i + 1;
+      Slot i
+
+(* The slot a declaration of [name] takes: a redeclaration in the same
+   scope reuses the slot of its kind, so the new binding replaces the
+   old one.  It is bound by [bind], after its initializer is compiled. *)
+let slot_for sc ty name =
+  let r = sc.regs in
+  let fits = function
+    | Fslot _ -> r.typed && ty = Tfloat
+    | Islot _ -> r.typed && ty = Tint
+    | Slot _ -> not (r.typed && (ty = Tfloat || ty = Tint))
+    | Cell _ | Unbound -> false
+  in
+  match List.assoc_opt name !(List.hd sc.levels) with
+  | Some l when fits l -> l
+  | _ -> new_loc r ty
+
+let bind sc name l =
   let level = List.hd sc.levels in
-  match List.assoc_opt name !level with
-  | Some i -> i
-  | None ->
-      let i = !(sc.size) in
-      incr sc.size;
-      level := (name, i) :: !level;
-      i
+  level := (name, l) :: List.remove_assoc name !level
+
+let declare sc ty name =
+  let l = slot_for sc ty name in
+  bind sc name l;
+  l
 
 let resolve sc name =
   let rec go = function
     | [] -> sc.outer name
     | level :: rest -> (
-        match List.assoc_opt name !level with
-        | Some i -> Slot i
-        | None -> go rest)
+        match List.assoc_opt name !level with Some l -> l | None -> go rest)
   in
   go sc.levels
 
 let read_loc name = function
-  | Slot i -> fun (fr : frame) -> fr.(i)
+  | Slot i -> fun fr -> fr.vals.(i)
+  | Fslot i -> fun fr -> V.Vfloat fr.floats.(i)
+  | Islot i -> fun fr -> V.Vint fr.ints.(i)
   | Cell (cells, i) -> fun _ -> cells.(i)
   | Unbound -> fun _ -> V.runtime_errorf "unbound variable %s" name
 
 let write_loc name = function
-  | Slot i -> fun (fr : frame) v -> fr.(i) <- v
+  | Slot i -> fun fr v -> fr.vals.(i) <- v
+  | Fslot i -> fun fr v -> store_float as_float_msg fr.floats i v
+  | Islot i -> fun fr v -> fr.ints.(i) <- unbox_int as_int_msg v
   | Cell (cells, i) -> fun _ v -> cells.(i) <- v
   | Unbound -> fun _ _ -> V.runtime_errorf "unbound variable %s" name
 
-let rec eval_args args (fr : frame) =
+(* Every expression of a body is annotated: the checker ran on it, so
+   its frame may be typed. *)
+let rec checked_expr (e : expr) =
+  Option.is_some e.ety
+  &&
+  match e.e with
+  | Eint _ | Efloat _ | Ebool _ | Estring _ | Enull | Evar _ | Eruntime_define _
+  | Enew_list _ ->
+      true
+  | Efield (a, _) | Eunop (_, a) | Enew_array (_, a) -> checked_expr a
+  | Eindex (a, b) | Ebinop (_, a, b) | Erange (a, b) ->
+      checked_expr a && checked_expr b
+  | Ecall (_, args) | Enew (_, args) -> List.for_all checked_expr args
+  | Emethod (o, _, args) -> checked_expr o && List.for_all checked_expr args
+
+let rec checked_lvalue = function
+  | Lvar _ -> true
+  | Lfield (l, _) -> checked_lvalue l
+  | Lindex (l, i) -> checked_lvalue l && checked_expr i
+
+let rec checked_stmt (st : stmt) =
+  match st.s with
+  | Sdecl (_, _, init) -> Option.fold ~none:true ~some:checked_expr init
+  | Sassign (l, e) | Supdate (l, _, e) -> checked_lvalue l && checked_expr e
+  | Sif (c, th, el) -> checked_expr c && checked_stmts th && checked_stmts el
+  | Sfor (init, c, step, body) ->
+      checked_stmt init && checked_expr c && checked_stmt step && checked_stmts body
+  | Swhile (c, body) -> checked_expr c && checked_stmts body
+  | Sforeach { fe_coll; fe_where; fe_body; _ } ->
+      checked_expr fe_coll
+      && Option.fold ~none:true ~some:checked_expr fe_where
+      && checked_stmts fe_body
+  | Sexpr e | Sreturn (Some e) -> checked_expr e
+  | Sreturn None | Sbreak | Scontinue -> true
+  | Sblock body -> checked_stmts body
+
+and checked_stmts body = List.for_all checked_stmt body
+
+(* The representation a checked expression computes in: [int], [float]
+   or none (a [Value.t]).  Unchecked code is all [Value.t]. *)
+let numeric sc (e : expr) =
+  if not sc.regs.typed then None
+  else match e.ety with Some ((Tint | Tfloat) as t) -> Some t | _ -> None
+
+(* A checked expression whose value is stored as a [float]. *)
+let float_valued sc (e : expr) =
+  match numeric sc e with Some Tfloat -> true | Some _ -> e.ewiden | None -> false
+
+(* --- float registers --- *)
+
+(* A checked float expression compiled destination-style: [run] leaves
+   its value in register [reg] of the float part.  A constant or a float
+   local runs nothing.  A [temp] register is the consumer's to
+   [release], once everything evaluated between its run and its use is
+   compiled. *)
+type fexp = { reg : int; run : (frame -> unit) option; temp : bool }
+
+let release sc x = if x.temp then sc.regs.free <- x.reg :: sc.regs.free
+
+(* A checked [int] operand: the operator using a constant or an [int]
+   local reads it inline. *)
+type iexp = Iconst of int | Ivar of int | Icode of (frame -> int)
+
+let icode = function
+  | Iconst n -> fun _ -> n
+  | Ivar k -> fun fr -> fr.ints.(k)
+  | Icode x -> x
+
+(* The register an operation writes: [dst] when given, else a
+   temporary. *)
+let out sc dst =
+  match dst with
+  | Some d -> (d, false)
+  | None -> (
+      let r = sc.regs in
+      match r.free with
+      | t :: rest ->
+          r.free <- rest;
+          (t, true)
+      | [] -> (new_float r, true))
+
+let const sc x =
+  let r = sc.regs in
+  let same (y, _) = Int64.equal (Int64.bits_of_float y) (Int64.bits_of_float x) in
+  match List.find_opt same r.consts with
+  | Some (_, i) -> { reg = i; run = None; temp = false }
+  | None ->
+      let i = new_float r in
+      r.consts <- (x, i) :: r.consts;
+      { reg = i; run = None; temp = false }
+
+let computed sc dst f =
+  let d, temp = out sc dst in
+  { reg = d; run = Some (f d); temp }
+
+(* The [Value.t] slot [e] reads, when it is a variable there. *)
+let val_slot sc (e : expr) =
+  match e.e with
+  | Evar v -> ( match resolve sc v with Slot k -> Some k | _ -> None)
+  | _ -> None
+
+let nop (_ : frame) = ()
+let run_of x = Option.value x.run ~default:nop
+
+(* [x], then its value copied into register [d] if it is not there. *)
+let move x d =
+  let r = x.reg in
+  match x.run with
+  | None when r = d -> nop
+  | None -> fun fr -> fr.floats.(d) <- fr.floats.(r)
+  | Some run when r = d -> run
+  | Some run ->
+      fun fr ->
+        run fr;
+        fr.floats.(d) <- fr.floats.(r)
+
+let rec eval_args args fr =
   match args with
   | [] -> []
   | e :: rest ->
@@ -389,34 +579,36 @@ let seq = function
           a.(i) fr
         done
 
+let field_of f slot = function
+  | V.Vobject obj -> obj.V.slots.(slot obj)
+  | (V.Varray _ | V.Vfloats _) as a when f = "length" -> V.Vint (V.array_length a)
+  | v -> V.runtime_errorf "field .%s of non-object %s" f (V.type_name v)
+
 let field_read c base f =
   let slot = V.site f in
   fun fr ->
     charge_mem c;
-    match base fr with
-    | V.Vobject obj -> obj.V.slots.(slot obj)
-    | (V.Varray _ | V.Vfloats _) as a when f = "length" -> V.Vint (V.array_length a)
-    | v -> V.runtime_errorf "field .%s of non-object %s" f (V.type_name v)
+    field_of f slot (base fr)
 
 (* --- arrays --- *)
 
 let not_array v = V.runtime_errorf "expected array, got %s" (V.type_name v)
 
+let check_bounds idx n =
+  if idx < 0 || idx >= n then
+    V.runtime_errorf "array index %d out of bounds [0, %d)" idx n
+
 (* [a[i]]: the array is checked before the index is evaluated. *)
 let index_read c a i fr =
   charge_mem c;
-  let bounds idx n =
-    if idx < 0 || idx >= n then
-      V.runtime_errorf "array index %d out of bounds [0, %d)" idx n
-  in
   match a fr with
   | V.Vfloats fa ->
-      let idx = V.as_int (i fr) in
-      bounds idx (Array.length fa);
+      let idx = i fr in
+      check_bounds idx (Array.length fa);
       V.Vfloat (Array.unsafe_get fa idx)
   | V.Varray arr ->
-      let idx = V.as_int (i fr) in
-      bounds idx (Array.length arr);
+      let idx = i fr in
+      check_bounds idx (Array.length arr);
       Array.unsafe_get arr idx
   | v -> not_array v
 
@@ -428,20 +620,41 @@ let run_fn fn fr =
     V.Vunit
   with Return_value v -> v
 
+(* A call takes its function's spare frame, the frame of a call that
+   returned, if there is one; a recursive or interleaved call finds none
+   and makes a fresh frame.  Every slot a call reads it has written
+   first (a declaration without initializer writes the zero), and no
+   code writes a constant register, so a spare frame needs no reset. *)
+let take_frame fn =
+  let fr = fn.fn_spare in
+  if fr == no_frame then frame_of fn.fn_layout
+  else begin
+    fn.fn_spare <- no_frame;
+    fr
+  end
+
 let arity_error fn given =
   V.runtime_errorf "%s: arity mismatch (%d expected, %d given)"
     fn.fn_decl.fd_name
     (Array.length fn.fn_params)
     given
 
+let set_param callee p v =
+  match p with
+  | Pval k -> callee.vals.(k) <- v
+  | Pfloat k -> store_float as_float_msg callee.floats k v
+  | Pint k -> callee.ints.(k) <- unbox_int as_int_msg v
+
 (* Invoke a method with already-evaluated arguments. *)
 let invoke fn recv argv =
   let n = List.length argv in
   if n <> Array.length fn.fn_params then arity_error fn n;
-  let fr = Array.make fn.fn_slots V.Vunit in
-  fr.(fn.fn_this) <- recv;
-  List.iteri (fun i v -> fr.(fn.fn_params.(i)) <- v) argv;
-  run_fn fn fr
+  let fr = take_frame fn in
+  fr.vals.(fn.fn_this) <- recv;
+  List.iteri (fun i v -> set_param fr fn.fn_params.(i) v) argv;
+  let v = run_fn fn fr in
+  fn.fn_spare <- fr;
+  v
 
 let list_method c l m argv =
   match (m, argv) with
@@ -460,20 +673,48 @@ let list_method c l m argv =
       V.Vunit
   | _ -> V.runtime_errorf "unknown List method %s/%d" m (List.length argv)
 
+let is_float_builtin = function
+  | "sqrt" | "fabs" | "sin" | "cos" | "floor" | "ceil" | "fmin" | "fmax"
+  | "float_of_int" ->
+      true
+  | _ -> false
+
+let is_int_builtin = function
+  | "imin" | "imax" | "iabs" | "int_of_float" -> true
+  | _ -> false
+
 (* [register] receives the record before the body is compiled, so the
    body's recursive calls resolve to it. *)
 let rec compile_fn ctx fd ~is_method ~register =
-  let sc = open_frame no_outer in
-  let fn_this = if is_method then declare sc "this" else -1 in
+  let sc = open_frame ~typed:(checked_stmts fd.fd_body) no_outer in
+  let fn_this =
+    if not is_method then -1
+    else match declare sc Tvoid "this" with Slot i -> i | _ -> assert false
+  in
   let fn_params =
-    Array.of_list (List.map (fun (_, name) -> declare sc name) fd.fd_params)
+    Array.of_list
+      (List.map
+         (fun (ty, name) ->
+           match declare sc ty name with
+           | Slot i -> Pval i
+           | Fslot i -> Pfloat i
+           | Islot i -> Pint i
+           | Cell _ | Unbound -> assert false)
+         fd.fd_params)
   in
   let fn =
-    { fn_decl = fd; fn_this; fn_params; fn_slots = 0; fn_body = (fun _ -> ()) }
+    {
+      fn_decl = fd;
+      fn_this;
+      fn_params;
+      fn_layout = empty_layout;
+      fn_body = nop;
+      fn_spare = no_frame;
+    }
   in
   register fn;
   fn.fn_body <- compile_block ctx sc fd.fd_body;
-  fn.fn_slots <- !(sc.size);
+  fn.fn_layout <- layout_of sc.regs;
   fn
 
 and function_code ctx fd =
@@ -503,13 +744,39 @@ and call_method ctx recv m argv =
 
 (* --- expressions --- *)
 
-(* A widened expression (an [int] the checker accepted where a [float]
-   is expected) stores a float; any other expression pays nothing. *)
+(* A [Value.t]-valued expression.  A checked operation or numeric
+   variable computes unboxed and boxes its result once; a widened
+   expression (an [int] the checker accepted where a [float] is
+   expected) stores a float; anything else is generic code. *)
 and compile_expr ctx sc (e : expr) : frame -> V.t =
-  let v = compile_expr_desc ctx sc e in
-  if e.ewiden then fun fr -> V.Vfloat (V.as_float (v fr)) else v
+  let unboxed =
+    match e.e with
+    | Ebinop ((Add | Sub | Mul | Div | Mod), _, _) | Eunop (Neg, _) -> true
+    | Evar v -> ( match resolve sc v with Fslot _ | Islot _ -> true | _ -> false)
+    | Ecall (f, _) ->
+        find_func ctx.prog f = None && (is_float_builtin f || is_int_builtin f)
+    | _ -> false
+  in
+  match (e.e, numeric sc e) with
+  | Eint n, _ when e.ewiden ->
+      let v = V.Vfloat (float_of_int n) in
+      fun _ -> v
+  | _, Some Tint when unboxed && not e.ewiden ->
+      let x = compile_i ctx sc e in
+      fun fr -> V.Vint (x fr)
+  | _, Some _ when unboxed ->
+      let x = compile_f ctx sc e in
+      release sc x;
+      let run = run_of x and r = x.reg in
+      fun fr ->
+        run fr;
+        V.Vfloat fr.floats.(r)
+  | _ ->
+      let v = compile_boxed ctx sc e in
+      if e.ewiden then fun fr -> V.Vfloat (V.as_float (v fr)) else v
 
-and compile_expr_desc ctx sc (e : expr) : frame -> V.t =
+(* The generic code of an expression: every value a [Value.t]. *)
+and compile_boxed ctx sc (e : expr) : frame -> V.t =
   let c = ctx.counter in
   let ce = compile_expr ctx sc in
   match e.e with
@@ -526,14 +793,12 @@ and compile_expr_desc ctx sc (e : expr) : frame -> V.t =
       let v = V.Vstring s in
       fun _ -> v
   | Enull -> fun _ -> V.Vnull
-  | Eruntime_define name -> (
-      fun _ ->
-        match Hashtbl.find_opt ctx.runtime_defs name with
-        | Some v -> V.Vint v
-        | None -> V.runtime_errorf "runtime_define %s is not set" name)
+  | Eruntime_define name ->
+      let x = runtime_define ctx name in
+      fun fr -> V.Vint (x fr)
   | Evar v -> read_loc v (resolve sc v)
-  | Efield (o, f) -> field_read c (ce o) f
-  | Eindex (a, i) -> index_read c (ce a) (ce i)
+  | Efield (o, f) -> compile_field ctx sc o f
+  | Eindex (a, i) -> index_read c (ce a) (compile_int ctx sc i)
   | Ebinop (And, a, b) ->
       let a = compile_cond ctx sc a and b = ce b in
       fun fr ->
@@ -545,11 +810,11 @@ and compile_expr_desc ctx sc (e : expr) : frame -> V.t =
         charge_branch c;
         if a fr then vtrue else b fr
   | Ebinop (((Add | Sub | Mul | Div | Mod) as op), a, b) ->
-      let a = ce a and b = ce b and op = arith_fn c op in
+      let a = ce a and b = ce b in
       fun fr ->
         let vb = b fr in
         let va = a fr in
-        op va vb
+        arith c op va vb
   | Ebinop ((Lt | Le | Gt | Ge | Eq | Ne), _, _) | Eunop (Not, _) ->
       let test = compile_cond ctx sc e in
       fun fr -> of_bool (test fr)
@@ -564,7 +829,7 @@ and compile_expr_desc ctx sc (e : expr) : frame -> V.t =
             charge_float c;
             V.Vfloat (-.f)
         | v -> V.runtime_errorf "negation of %s" (V.type_name v))
-  | Ecall (f, args) -> compile_call ctx f (List.map ce args)
+  | Ecall (f, args) -> compile_call ctx sc f args
   | Emethod (o, m, args) ->
       let o = ce o and args = List.map ce args in
       fun fr ->
@@ -590,10 +855,10 @@ and compile_expr_desc ctx sc (e : expr) : frame -> V.t =
             done;
             V.Vobject obj)
   | Enew_array (t, n) ->
-      let n = ce n in
+      let n = compile_int ctx sc n in
       fun fr ->
         charge_alloc c;
-        let n = V.as_int (n fr) in
+        let n = n fr in
         if n < 0 then V.runtime_errorf "negative array size %d" n;
         V.make_array t n
   | Enew_list _ ->
@@ -601,25 +866,315 @@ and compile_expr_desc ctx sc (e : expr) : frame -> V.t =
         charge_alloc c;
         V.Vlist (V.Vec.create ())
   | Erange (lo, hi) ->
-      let lo = ce lo and hi = ce hi in
+      let lo = compile_int ctx sc lo and hi = compile_int ctx sc hi in
       fun fr ->
-        let lo = V.as_int (lo fr) in
-        let hi = V.as_int (hi fr) in
+        let lo = lo fr in
+        let hi = hi fr in
         V.Vrange (lo, hi)
 
+(* [Hashtbl.find], since [find_opt] allocates its option. *)
+and runtime_define ctx name _ =
+  match Hashtbl.find ctx.runtime_defs name with
+  | v -> v
+  | exception Not_found -> V.runtime_errorf "runtime_define %s is not set" name
+
+(* [o.f]; an object in a [Value.t] slot is read in place. *)
+and compile_field ctx sc o f =
+  let c = ctx.counter in
+  match val_slot sc o with
+  | Some k ->
+      let slot = V.site f in
+      fun fr ->
+        charge_mem c;
+        field_of f slot fr.vals.(k)
+  | None -> field_read c (compile_expr ctx sc o) f
+
+and compile_iexp ?bad ctx sc (e : expr) =
+  match e.e with
+  | Eint n -> Iconst n
+  | Evar v -> (
+      match resolve sc v with
+      | Islot k -> Ivar k
+      | _ -> Icode (compile_i ?bad ctx sc e))
+  | _ -> Icode (compile_i ?bad ctx sc e)
+
+(* An expression whose value is used as an [int] (an index, a size, a
+   bound): unboxed when checked, else through [Value.as_int]. *)
+and compile_int ctx sc (e : expr) : frame -> int = icode (compile_index ctx sc e)
+
+and compile_index ctx sc (e : expr) : iexp =
+  match numeric sc e with
+  | Some Tint -> compile_iexp ctx sc e
+  | _ ->
+      let v = compile_expr ctx sc e in
+      Icode (fun fr -> V.as_int (v fr))
+
+(* A checked [int] expression.  [bad] is the error a [Value.t] operand
+   that is no [int] raises. *)
+and compile_i ?(bad = as_int_msg) ctx sc (e : expr) : frame -> int =
+  let c = ctx.counter in
+  let boxed () =
+    let v = compile_boxed ctx sc e in
+    fun fr -> unbox_int bad (v fr)
+  in
+  match e.e with
+  | Eint n -> fun _ -> n
+  | Eruntime_define name -> runtime_define ctx name
+  | Evar v -> (
+      match resolve sc v with
+      | Islot k -> fun fr -> fr.ints.(k)
+      | _ -> boxed ())
+  | Efield (({ ety = Some (Tarray _); _ } as o), "length") -> (
+      let o = compile_expr ctx sc o in
+      fun fr ->
+        charge_mem c;
+        match o fr with
+        | V.Varray a -> Array.length a
+        | V.Vfloats a -> Array.length a
+        | v -> V.runtime_errorf "field .length of non-object %s" (V.type_name v))
+  | Efield (o, f) -> (
+      match val_slot sc o with
+      | Some k ->
+          let slot = V.site f in
+          fun fr ->
+            charge_mem c;
+            unbox_int bad (field_of f slot fr.vals.(k))
+      | None -> boxed ())
+  | Ebinop (((Add | Sub | Mul | Div | Mod) as op), a, b) -> (
+      let b' = compile_iexp ~bad:(arith_right a) ctx sc b in
+      match (compile_iexp ~bad:(arith_left b) ctx sc a, b') with
+      | Ivar ka, Iconst n ->
+          fun fr ->
+            charge_int c;
+            int_arith op fr.ints.(ka) n
+      | Ivar ka, Ivar kb ->
+          fun fr ->
+            charge_int c;
+            let i = fr.ints in
+            int_arith op i.(ka) i.(kb)
+      | a, b ->
+          let a = icode a and b = icode b in
+          fun fr ->
+            let y = b fr in
+            let x = a fr in
+            charge_int c;
+            int_arith op x y)
+  | Eunop (Neg, a) ->
+      let a = compile_i ~bad:negation_msg ctx sc a in
+      fun fr ->
+        let x = a fr in
+        charge_int c;
+        -x
+  | Ecall (f, args) when find_func ctx.prog f = None -> (
+      match (f, args) with
+      | ("imin" | "imax"), [ a; b ] ->
+          let a = compile_i ctx sc a and b = compile_i ctx sc b in
+          let op = if f = "imin" then imin else imax in
+          fun fr ->
+            let x = a fr in
+            let y = b fr in
+            charge_call c;
+            charge_int c;
+            op x y
+      | "iabs", [ a ] ->
+          let a = compile_i ctx sc a in
+          fun fr ->
+            let x = a fr in
+            charge_call c;
+            charge_int c;
+            abs x
+      | "int_of_float", [ a ] ->
+          let x = compile_f ctx sc a in
+          release sc x;
+          let run = run_of x and r = x.reg in
+          fun fr ->
+            run fr;
+            charge_call c;
+            charge_int c;
+            int_of_float fr.floats.(r)
+      | _ -> boxed ())
+  | _ -> boxed ()
+
+(* A checked [float] expression, or an [int] one used as a float.  The
+   root writes [dst] when given, unless the value already sits in a
+   register (a constant or a float local); the caller then copies it
+   ([move]).  [bad] is the error a [Value.t] operand that is no number
+   raises. *)
+and compile_f ?dst ?(bad = as_float_msg) ctx sc (e : expr) : fexp =
+  let c = ctx.counter in
+  let boxed read =
+    computed sc dst (fun d fr -> store_float bad fr.floats d (read fr))
+  in
+  match e.ety with
+  | Some Tint -> (
+      match e.e with
+      | Eint n -> const sc (float_of_int n)
+      | _ ->
+          let x = compile_i ~bad ctx sc e in
+          computed sc dst (fun d fr ->
+              let n = x fr in
+              fr.floats.(d) <- float_of_int n))
+  | _ -> (
+      match e.e with
+      | Efloat x -> const sc x
+      | Evar v -> (
+          match resolve sc v with
+          | Fslot k -> { reg = k; run = None; temp = false }
+          | l -> boxed (read_loc v l))
+      | Efield (o, f) -> (
+          match val_slot sc o with
+          | Some k ->
+              let slot = V.site f in
+              computed sc dst (fun d fr ->
+                  charge_mem c;
+                  store_float bad fr.floats d (field_of f slot fr.vals.(k)))
+          | None -> boxed (compile_field ctx sc o f))
+      | Eindex (a, i) ->
+          let a = compile_expr ctx sc a and i = compile_index ctx sc i in
+          let index = icode i in
+          let index fr = match i with Ivar k -> fr.ints.(k) | _ -> index fr in
+          computed sc dst (fun d fr ->
+              charge_mem c;
+              match a fr with
+              | V.Vfloats fa ->
+                  let idx = index fr in
+                  check_bounds idx (Array.length fa);
+                  fr.floats.(d) <- Array.unsafe_get fa idx
+              | V.Varray arr ->
+                  let idx = index fr in
+                  check_bounds idx (Array.length arr);
+                  store_float bad fr.floats d (Array.unsafe_get arr idx)
+              | v -> not_array v)
+      | Ebinop (((Add | Sub | Mul | Div | Mod) as op), a, b) ->
+          let xb = compile_f ~bad:(arith_right a) ctx sc b in
+          let xa = compile_f ~bad:(arith_left b) ctx sc a in
+          release sc xa;
+          release sc xb;
+          computed sc dst (farith c op xa xb)
+      | Eunop (Neg, a) ->
+          let x = compile_f ~bad:negation_msg ctx sc a in
+          release sc x;
+          let r = x.reg and run = run_of x in
+          computed sc dst (fun d fr ->
+              run fr;
+              charge_float c;
+              let f = fr.floats in
+              f.(d) <- -.f.(r))
+      | Ecall (f, args) when find_func ctx.prog f = None && is_float_builtin f -> (
+          match float_builtin ctx sc dst f args with
+          | Some x -> x
+          | None -> boxed (compile_boxed ctx sc e))
+      | _ -> boxed (compile_boxed ctx sc e))
+
+(* [a op b] into register [d], the operator inline; an operand that
+   sits in a register already is not run. *)
+and farith c op xa xb d =
+  let ra = xa.reg and rb = xb.reg in
+  match (xa.run, xb.run) with
+  | None, None ->
+      fun fr ->
+        charge_float c;
+        let f = fr.floats in
+        f.(d) <- float_arith op f.(ra) f.(rb)
+  | Some runa, None ->
+      fun fr ->
+        runa fr;
+        charge_float c;
+        let f = fr.floats in
+        f.(d) <- float_arith op f.(ra) f.(rb)
+  | None, Some runb ->
+      fun fr ->
+        runb fr;
+        charge_float c;
+        let f = fr.floats in
+        f.(d) <- float_arith op f.(ra) f.(rb)
+  | Some runa, Some runb ->
+      fun fr ->
+        runb fr;
+        runa fr;
+        charge_float c;
+        let f = fr.floats in
+        f.(d) <- float_arith op f.(ra) f.(rb)
+
+(* A float builtin with its argument count, inline; [None] for a wrong
+   count, which the generic code reports. *)
+and float_builtin ctx sc dst f args =
+  let c = ctx.counter in
+  match (f, args) with
+  | "float_of_int", [ a ] ->
+      let a = compile_i ctx sc a in
+      Some
+        (computed sc dst (fun d fr ->
+             let n = a fr in
+             charge_call c;
+             charge_float c;
+             fr.floats.(d) <- float_of_int n))
+  | ("fmin" | "fmax"), [ a; b ] ->
+      let xa = compile_f ctx sc a in
+      let xb = compile_f ctx sc b in
+      release sc xa;
+      release sc xb;
+      let ra = xa.reg and rb = xb.reg and runa = run_of xa and runb = run_of xb in
+      let args fr =
+        runa fr;
+        runb fr;
+        charge_call c;
+        charge_float c;
+        fr.floats
+      in
+      Some
+        (computed sc dst (fun d ->
+             if f = "fmin" then fun fr ->
+               let f = args fr in
+               let x = f.(ra) and y = f.(rb) in
+               f.(d) <- (if x <= y then x else y)
+             else fun fr ->
+               let f = args fr in
+               let x = f.(ra) and y = f.(rb) in
+               f.(d) <- (if x >= y then x else y)))
+  | ("sqrt" | "fabs" | "sin" | "cos" | "floor" | "ceil"), [ a ] ->
+      let x = compile_f ctx sc a in
+      release sc x;
+      let r = x.reg and run = run_of x in
+      let arg fr =
+        run fr;
+        charge_call c;
+        charge_float c;
+        fr.floats
+      in
+      Some
+        (computed sc dst (fun d ->
+             match f with
+             | "sqrt" -> fun fr -> let f = arg fr in f.(d) <- sqrt f.(r)
+             | "fabs" -> fun fr -> let f = arg fr in f.(d) <- abs_float f.(r)
+             | "sin" -> fun fr -> let f = arg fr in f.(d) <- sin f.(r)
+             | "cos" -> fun fr -> let f = arg fr in f.(d) <- cos f.(r)
+             | "floor" -> fun fr -> let f = arg fr in f.(d) <- floor f.(r)
+             | _ -> fun fr -> let f = arg fr in f.(d) <- ceil f.(r)))
+  | _ -> None
 
 (* An expression in a test position, evaluated straight to a bool. *)
 and compile_cond ctx sc (e : expr) : frame -> bool =
   let c = ctx.counter in
   match e.e with
   | Ebool b -> fun _ -> b
-  | Ebinop (((Lt | Le | Gt | Ge | Eq | Ne) as op), a, b) ->
-      let a = compile_expr ctx sc a and b = compile_expr ctx sc b in
-      let op = compare_fn c op in
-      fun fr ->
-        let vb = b fr in
-        let va = a fr in
-        op va vb
+  | Ebinop (((Lt | Le | Gt | Ge | Eq | Ne) as op), a, b) -> (
+      match (numeric sc a, numeric sc b) with
+      | Some Tint, Some Tint ->
+          let b' = compile_iexp ~bad:(compare_right a) ctx sc b in
+          icompare c op (compile_iexp ~bad:(compare_left b) ctx sc a) b' 
+      | Some _, Some _ ->
+          let xb = compile_f ~bad:(compare_right a) ctx sc b in
+          let xa = compile_f ~bad:(compare_left b) ctx sc a in
+          release sc xa;
+          release sc xb;
+          fcompare c op xa xb
+      | _ ->
+          let a = compile_expr ctx sc a and b = compile_expr ctx sc b in
+          fun fr ->
+            let vb = b fr in
+            let va = a fr in
+            compare_vals c op va vb)
   | Ebinop (And, a, b) ->
       let a = compile_cond ctx sc a and b = compile_cond ctx sc b in
       fun fr ->
@@ -639,29 +1194,85 @@ and compile_cond ctx sc (e : expr) : frame -> bool =
       let e = compile_expr ctx sc e in
       fun fr -> V.as_bool (e fr)
 
+and icompare c op a b : frame -> bool =
+  match (a, b) with
+  | Ivar ka, Iconst n ->
+      fun fr ->
+        charge_int c;
+        holds op (Int.compare fr.ints.(ka) n)
+  | Ivar ka, Ivar kb ->
+      fun fr ->
+        charge_int c;
+        let i = fr.ints in
+        holds op (Int.compare i.(ka) i.(kb))
+  | a, b ->
+      let a = icode a and b = icode b in
+      fun fr ->
+        let y = b fr in
+        let x = a fr in
+        charge_int c;
+        holds op (Int.compare x y)
+
+(* Float comparisons go by [Float.compare], which orders a NaN below
+   every float and equal to itself, as [compare_vals] does; inline,
+   since a helper taking two floats would box them. *)
+and fcompare c op xa xb =
+  let ra = xa.reg and rb = xb.reg in
+  match (xa.run, xb.run) with
+  | None, None ->
+      fun fr ->
+        charge_float c;
+        let f = fr.floats in
+        holds op (Float.compare f.(ra) f.(rb))
+  | Some runa, None ->
+      fun fr ->
+        runa fr;
+        charge_float c;
+        let f = fr.floats in
+        holds op (Float.compare f.(ra) f.(rb))
+  | None, Some runb ->
+      fun fr ->
+        runb fr;
+        charge_float c;
+        let f = fr.floats in
+        holds op (Float.compare f.(ra) f.(rb))
+  | Some runa, Some runb ->
+      fun fr ->
+        runb fr;
+        runa fr;
+        charge_float c;
+        let f = fr.floats in
+        holds op (Float.compare f.(ra) f.(rb))
+
 (* A call resolves to the program function of that name, else the
    builtin, else the extern.  Arguments go straight into the callee's
-   frame. *)
-and compile_call ctx f args =
+   frame, a checked [int] or [float] one unboxed. *)
+and compile_call ctx sc f args =
   let c = ctx.counter in
   match find_func ctx.prog f with
   | Some fd ->
       let fn = function_code ctx fd in
-      let args = Array.of_list args in
-      let n = Array.length args in
-      if n <> Array.length fn.fn_params then (fun fr ->
-        Array.iter (fun a -> ignore (a fr)) args;
-        charge_call c;
-        arity_error fn n)
-      else
+      let n = List.length args in
+      if n <> Array.length fn.fn_params then (
+        let args = List.map (compile_expr ctx sc) args in
         fun fr ->
-          let callee = Array.make fn.fn_slots V.Vunit in
+          List.iter (fun a -> ignore (a fr)) args;
+          charge_call c;
+          arity_error fn n)
+      else
+        let arg k a = compile_arg ctx sc fn.fn_params.(k) a in
+        let args = Array.of_list (List.mapi arg args) in
+        fun fr ->
+          let callee = take_frame fn in
           for i = 0 to n - 1 do
-            callee.(fn.fn_params.(i)) <- args.(i) fr
+            args.(i) fr callee
           done;
           charge_call c;
-          run_fn fn callee
+          let v = run_fn fn callee in
+          fn.fn_spare <- callee;
+          v
   | None -> (
+      let args = List.map (compile_expr ctx sc) args in
       match (builtin c f, args) with
       | Some (B1 op), [ a ] ->
           fun fr ->
@@ -693,58 +1304,121 @@ and compile_call ctx f args =
             charge_call c;
             ext argv)
 
+(* Evaluate one argument into its parameter of the callee's frame. *)
+and compile_arg ctx sc p (a : expr) : frame -> frame -> unit =
+  match (p, numeric sc a) with
+  | Pfloat k, Some _ ->
+      let x = compile_f ctx sc a in
+      release sc x;
+      let r = x.reg in
+      (match x.run with
+      | None -> fun fr callee -> callee.floats.(k) <- fr.floats.(r)
+      | Some run ->
+          fun fr callee ->
+            run fr;
+            callee.floats.(k) <- fr.floats.(r))
+  | Pint k, Some Tint ->
+      let x = compile_i ctx sc a in
+      fun fr callee -> callee.ints.(k) <- x fr
+  | _ ->
+      let v = compile_expr ctx sc a in
+      fun fr callee -> set_param callee p (v fr)
+
 (* --- statements --- *)
 
 and compile_stmt ctx sc (st : stmt) : frame -> unit =
   let c = ctx.counter in
   let ce = compile_expr ctx sc in
   match st.s with
-  | Sdecl (ty, name, init) ->
+  | Sdecl (ty, name, init) -> (
       (* the initializer sees the scope before the declaration *)
-      let init =
-        match (init, ty) with
-        | Some e, _ -> ce e
-        | None, Tlist _ -> fun _ -> V.zero_of_ty ty
-        | None, _ ->
-            let z = V.zero_of_ty ty in
-            fun _ -> z
+      let l = slot_for sc ty name in
+      let code =
+        match (l, init) with
+        | Fslot k, Some e -> move (compile_f ~dst:k ctx sc e) k
+        | Fslot k, None -> fun fr -> fr.floats.(k) <- 0.0
+        | Islot k, Some e ->
+            let x = compile_i ctx sc e in
+            fun fr -> fr.ints.(k) <- x fr
+        | Islot k, None -> fun fr -> fr.ints.(k) <- 0
+        | _, Some e ->
+            let x = ce e in
+            let write = write_loc name l in
+            fun fr -> write fr (x fr)
+        | _, None -> (
+            let write = write_loc name l in
+            match ty with
+            | Tlist _ -> fun fr -> write fr (V.zero_of_ty ty)
+            | _ ->
+                let z = V.zero_of_ty ty in
+                fun fr -> write fr z)
       in
-      let i = declare sc name in
-      fun fr -> fr.(i) <- init fr
-  | Sassign (l, e) ->
-      let e = ce e and assign = compile_assign ctx sc l in
-      fun fr -> assign fr (e fr)
-  | Supdate (Lindex (base, i), op, e) -> (
-      (* resolve the place once: index expressions must not be
-         re-evaluated (they may have side effects) *)
-      let e = ce e and base = compile_read ctx sc base and i = ce i in
-      let op = arith_fn c op in
+      bind sc name l;
+      code)
+  | Sassign (Lvar name, e) -> (
+      match resolve sc name with
+      | Fslot k ->
+          let store = move (compile_f ~dst:k ctx sc e) k in
+          fun fr ->
+            store fr;
+            charge_mem c
+      | Islot k ->
+          let x = compile_i ctx sc e in
+          fun fr ->
+            let n = x fr in
+            charge_mem c;
+            fr.ints.(k) <- n
+      | _ ->
+          let e = ce e and assign = compile_assign ctx sc (Lvar name) in
+          fun fr -> assign fr (e fr))
+  | Sassign (Lindex (l, i), e) when float_valued sc e ->
+      (* a [float[]] element: stored unboxed into the flat form *)
+      let x = compile_f ctx sc e in
+      let base = compile_read ctx sc l and i = compile_int ctx sc i in
+      release sc x;
+      let run = run_of x and r = x.reg in
       let index fr n =
-        let idx = V.as_int (i fr) in
+        let idx = i fr in
         if idx < 0 || idx >= n then
-          V.runtime_errorf "array update index %d out of bounds" idx;
-        charge_mem c;
+          V.runtime_errorf "array store index %d out of bounds" idx;
         idx
       in
       fun fr ->
-        let v = e fr in
+        run fr;
         charge_mem c;
-        match base fr with
+        (match base fr with
         | V.Vfloats fa ->
             let idx = index fr (Array.length fa) in
-            fa.(idx) <- V.as_float (op (V.Vfloat fa.(idx)) v)
+            fa.(idx) <- fr.floats.(r)
         | V.Varray arr ->
             let idx = index fr (Array.length arr) in
-            arr.(idx) <- op arr.(idx) v
+            arr.(idx) <- V.Vfloat fr.floats.(r)
         | w -> not_array w)
-  | Supdate (l, op, e) ->
-      let e = ce e in
-      let read = compile_read ctx sc l and assign = compile_assign ctx sc l in
-      let op = arith_fn c op in
-      fun fr ->
-        let v = e fr in
-        let old = read fr in
-        assign fr (op old v)
+  | Sassign (l, e) ->
+      let e = ce e and assign = compile_assign ctx sc l in
+      fun fr -> assign fr (e fr)
+  | Supdate (Lindex (base, i), op, e) -> compile_index_update ctx sc base i op e
+  | Supdate (Lvar name, op, e) when numeric sc e <> None -> (
+      match resolve sc name with
+      | Fslot k ->
+          let x = compile_f ctx sc e in
+          release sc x;
+          let run = run_of x and r = x.reg in
+          fun fr ->
+            run fr;
+            charge_float c;
+            let f = fr.floats in
+            f.(k) <- float_arith op f.(k) f.(r);
+            charge_mem c
+      | Islot k when numeric sc e = Some Tint ->
+          let x = compile_i ctx sc e in
+          fun fr ->
+            let y = x fr in
+            charge_int c;
+            fr.ints.(k) <- int_arith op fr.ints.(k) y;
+            charge_mem c
+      | _ -> compile_update ctx sc (Lvar name) op e)
+  | Supdate (l, op, e) -> compile_update ctx sc l op e
   | Sif (cond, th, el) ->
       let cond = compile_cond ctx sc cond in
       let th = compile_block ctx sc th and el = compile_block ctx sc el in
@@ -783,35 +1457,7 @@ and compile_stmt ctx sc (st : stmt) : frame -> unit =
             back_edge yp
           done
         with Break_loop -> ())
-  | Sforeach { fe_var; fe_coll; fe_where; fe_body } -> (
-      let coll = ce fe_coll in
-      let sc = push_level sc in
-      let slot = declare sc fe_var in
-      let where = Option.map (compile_cond ctx sc) fe_where in
-      let body = compile_block ctx sc fe_body in
-      fun fr ->
-        let coll = coll fr in
-        let yp = Domain.DLS.get yield_key in
-        let run_elt v =
-          charge_branch c;
-          fr.(slot) <- v;
-          let selected =
-            match where with None -> true | Some w -> w fr
-          in
-          (if selected then try body fr with Continue_loop -> ());
-          back_edge yp
-        in
-        try
-          match coll with
-          | V.Vrange (lo, hi) ->
-              for i = lo to hi - 1 do
-                run_elt (V.Vint i)
-              done
-          | V.Vlist l -> V.Vec.iter run_elt l
-          | V.Varray a -> Array.iter run_elt a
-          | V.Vfloats a -> Array.iter (fun x -> run_elt (V.Vfloat x)) a
-          | v -> V.runtime_errorf "foreach over %s" (V.type_name v)
-        with Break_loop -> ())
+  | Sforeach fe -> compile_foreach ctx sc fe
   | Sexpr e ->
       let e = ce e in
       fun fr -> ignore (e fr)
@@ -823,6 +1469,97 @@ and compile_stmt ctx sc (st : stmt) : frame -> unit =
   | Scontinue -> fun _ -> raise_notrace Continue_loop
   | Sblock body -> compile_block ctx sc body
 
+(* [l op= e] through [Value.t]s: the place is read, combined and
+   written. *)
+and compile_update ctx sc l op e =
+  let c = ctx.counter in
+  let e = compile_expr ctx sc e in
+  let read = compile_read ctx sc l and assign = compile_assign ctx sc l in
+  fun fr ->
+    let v = e fr in
+    let old = read fr in
+    assign fr (arith c op old v)
+
+(* [a[i] op= e]: the place is resolved once, since the index expression
+   must not be evaluated twice (it may have side effects). *)
+and compile_index_update ctx sc base i op e =
+  let c = ctx.counter in
+  let e = compile_expr ctx sc e in
+  let base = compile_read ctx sc base and i = compile_int ctx sc i in
+  let index fr n =
+    let idx = i fr in
+    if idx < 0 || idx >= n then
+      V.runtime_errorf "array update index %d out of bounds" idx;
+    charge_mem c;
+    idx
+  in
+  fun fr ->
+    let v = e fr in
+    charge_mem c;
+    match base fr with
+    | V.Vfloats fa ->
+        let idx = index fr (Array.length fa) in
+        fa.(idx) <- V.as_float (arith c op (V.Vfloat fa.(idx)) v)
+    | V.Varray arr ->
+        let idx = index fr (Array.length arr) in
+        arr.(idx) <- arith c op arr.(idx) v
+    | w -> not_array w
+
+(* The loop variable takes each element; an [int] or [float] one
+   unboxed, a rectdomain's index and a flat [float[]]'s element without
+   a box. *)
+and compile_foreach ctx sc { fe_var; fe_coll; fe_where; fe_body } =
+  let c = ctx.counter in
+  let coll = compile_expr ctx sc fe_coll in
+  let sc = push_level sc in
+  let elt_ty =
+    match fe_coll.ety with
+    | Some Trectdomain -> Tint
+    | Some (Tlist t | Tarray t) -> t
+    | _ -> Tvoid
+  in
+  let l = declare sc elt_ty fe_var in
+  let where = Option.map (compile_cond ctx sc) fe_where in
+  let body = compile_block ctx sc fe_body in
+  let set = write_loc fe_var l in
+  fun fr ->
+    let coll = coll fr in
+    let yp = Domain.DLS.get yield_key in
+    let run_elt () =
+      charge_branch c;
+      let selected = match where with None -> true | Some w -> w fr in
+      (if selected then try body fr with Continue_loop -> ());
+      back_edge yp
+    in
+    try
+      match coll with
+      | V.Vrange (lo, hi) ->
+          for i = lo to hi - 1 do
+            (match l with Islot k -> fr.ints.(k) <- i | _ -> set fr (V.Vint i));
+            run_elt ()
+          done
+      | V.Vfloats a ->
+          for j = 0 to Array.length a - 1 do
+            (match l with
+            | Fslot k -> fr.floats.(k) <- Array.unsafe_get a j
+            | _ -> set fr (V.Vfloat (Array.unsafe_get a j)));
+            run_elt ()
+          done
+      | V.Vlist xs ->
+          V.Vec.iter
+            (fun v ->
+              set fr v;
+              run_elt ())
+            xs
+      | V.Varray a ->
+          Array.iter
+            (fun v ->
+              set fr v;
+              run_elt ())
+            a
+      | v -> V.runtime_errorf "foreach over %s" (V.type_name v)
+    with Break_loop -> ()
+
 (* A block opens a scope; its declarations take fresh slots. *)
 and compile_block ctx sc body =
   let sc = push_level sc in
@@ -832,7 +1569,7 @@ and compile_read ctx sc = function
   | Lvar v -> read_loc v (resolve sc v)
   | Lfield (l, f) -> field_read ctx.counter (compile_read ctx sc l) f
   | Lindex (l, i) ->
-      index_read ctx.counter (compile_read ctx sc l) (compile_expr ctx sc i)
+      index_read ctx.counter (compile_read ctx sc l) (compile_int ctx sc i)
 
 and compile_assign ctx sc l : frame -> V.t -> unit =
   let c = ctx.counter in
@@ -850,9 +1587,9 @@ and compile_assign ctx sc l : frame -> V.t -> unit =
         | V.Vobject obj -> obj.V.slots.(slot obj) <- v
         | w -> V.runtime_errorf "field write .%s on %s" f (V.type_name w))
   | Lindex (l, i) -> (
-      let l = compile_read ctx sc l and i = compile_expr ctx sc i in
+      let l = compile_read ctx sc l and i = compile_int ctx sc i in
       let index fr n =
-        let idx = V.as_int (i fr) in
+        let idx = i fr in
         if idx < 0 || idx >= n then
           V.runtime_errorf "array store index %d out of bounds" idx;
         idx
@@ -868,47 +1605,49 @@ and compile_assign ctx sc l : frame -> V.t -> unit =
 
 (* --- globals and packets --- *)
 
-type globals = { cells : V.t array; names : (string * int) list }
+type globals = { cells : V.t array; names : (string * loc) list }
 
 (* Evaluate the top-level declarations in order; each initializer sees
-   the globals declared before it.  The cells are the initializers'
-   frame. *)
+   the globals declared before it.  The cells are the [Value.t] part of
+   the initializers' frame. *)
 let init_globals ctx =
-  let sc = open_frame no_outer in
+  let sc = open_frame ~typed:false no_outer in
   let inits =
     List.map
-      (fun g -> compile_stmt ctx sc (mk_stmt (Sdecl (g.gd_ty, g.gd_name, g.gd_init))))
+      (fun g ->
+        compile_stmt ctx sc (mk_stmt (Sdecl (g.gd_ty, g.gd_name, g.gd_init))))
       ctx.prog.globals
   in
-  let cells = Array.make !(sc.size) V.Vunit in
-  List.iter (fun init -> init cells) inits;
-  { cells; names = !(List.hd sc.levels) }
+  let fr = frame_of (layout_of sc.regs) in
+  List.iter (fun init -> init fr) inits;
+  { cells = fr.vals; names = !(List.hd sc.levels) }
 
 let global_loc globals name =
   match List.assoc_opt name globals.names with
-  | Some i -> Cell (globals.cells, i)
-  | None -> Unbound
+  | Some (Slot i) -> Cell (globals.cells, i)
+  | _ -> Unbound
 
-let global_value globals name = read_loc name (global_loc globals name) [||]
+let global_value globals name = read_loc name (global_loc globals name) no_frame
 
 type packet_code = {
   segments : (frame -> unit) array;
   packet_scope : scopes;
+  layout : layout;
 }
 
-(* Slot 0 holds the packet index; the inputs follow in order. *)
+(* [Value.t] slot 0 holds the packet index; the inputs follow in order. *)
 let compile_packet ctx globals ~inputs segments =
-  let sc = open_frame (global_loc globals) in
-  ignore (declare sc ctx.prog.pipeline.pd_var);
-  List.iter (fun name -> ignore (declare sc name)) inputs;
-  let segments =
-    Array.of_list (List.map (fun stmts -> seq (List.map (compile_stmt ctx sc) stmts)) segments)
-  in
-  { segments; packet_scope = sc }
+  let typed = List.for_all checked_stmts segments in
+  let sc = open_frame ~typed (global_loc globals) in
+  ignore (declare sc Tvoid ctx.prog.pipeline.pd_var);
+  List.iter (fun name -> ignore (declare sc Tvoid name)) inputs;
+  let segment stmts = seq (List.map (compile_stmt ctx sc) stmts) in
+  let segments = Array.of_list (List.map segment segments) in
+  { segments; packet_scope = sc; layout = layout_of sc.regs }
 
 let new_frame pk ~packet =
-  let fr = Array.make !(pk.packet_scope.size) V.Vunit in
-  fr.(0) <- V.Vint packet;
+  let fr = frame_of pk.layout in
+  fr.vals.(0) <- V.Vint packet;
   fr
 
 let run_segment pk i fr = pk.segments.(i) fr
@@ -928,8 +1667,9 @@ let lookup pk names =
 let run_reference ctx =
   let globals = init_globals ctx in
   let pd = ctx.prog.pipeline in
-  let count = compile_expr ctx (open_frame (global_loc globals)) pd.pd_count in
-  let n = V.as_int (count [||]) in
+  let sc = open_frame ~typed:false (global_loc globals) in
+  let count = compile_expr ctx sc pd.pd_count in
+  let n = V.as_int (count (frame_of (layout_of sc.regs))) in
   let pk =
     compile_packet ctx globals ~inputs:[] [ [ mk_stmt (Sblock pd.pd_body) ] ]
   in

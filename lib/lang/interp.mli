@@ -1,16 +1,29 @@
 (** Resolve-once executor for PipeLang with operation accounting.
 
-    Code is compiled once into closures over slot frames: variables
+    Code is compiled once into closures over typed frames: variables
     resolve at compile time to frame slots or global cells, calls to the
     compiled function, builtin or extern, and methods are compiled once
     per (class, method).  A name that resolves to nothing raises its
     runtime error only when the code naming it runs.
 
+    A frame has [Value.t] slots, a flat [float] part and an [int] part.
+    In code the type checker has annotated, [int] and [float] locals,
+    parameters, loop variables and temporaries live unboxed, so checked
+    arithmetic, comparisons, numeric builtins, [float[]] element reads
+    and stores, argument passing and calls allocate nothing; a value is
+    boxed where it meets a [Value.t] (object fields, lists, externs,
+    [return], globals, {!lookup} and {!setter}).  Unchecked code keeps
+    every variable a [Value.t], and a typed operand that is no number
+    raises the error the generic code raises.  Each compiled function
+    keeps the frame of its last finished call for the next one, so a
+    context, like its counter, serves one domain at a time.
+
     Two uses: reference execution of whole programs (the sequential
     semantics every decomposed execution is checked against), and
     execution of individual filter code segments by the generated
     filters, over a packet frame filled from stream buffers.  Every
-    executed operation is charged to the context's counter. *)
+    executed operation is charged to the context's counter, the same
+    for typed and generic code. *)
 
 (** The program's compiled functions and methods, filled on first
     reference. *)

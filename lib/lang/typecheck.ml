@@ -272,7 +272,11 @@ let rec check_stmt env (st : stmt) =
       match op with
       | Add | Sub | Mul ->
           if not (is_numeric lt && is_numeric et) then
-            Srcloc.errorf loc "compound update on non-numeric types"
+            Srcloc.errorf loc "compound update on non-numeric types";
+          (* the result must fit the place, as for [l = l op e] *)
+          if not (assignable ~target:lt ~src:et) then
+            Srcloc.errorf loc "compound update of %s with %s" (ty_to_string lt)
+              (ty_to_string et)
       | _ -> Srcloc.errorf loc "unsupported compound operator")
   | Sif (c, th, el) ->
       let ct = check_expr env c in

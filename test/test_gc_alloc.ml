@@ -234,6 +234,66 @@ let test_unpacked_field_not_promoted () =
   let data = Packing.pack prog layout ~lookup:(fun _ -> V.Vobject o) in
   no_promotion "unpacked float[] field" (fun () -> Packing.unpack prog layout data)
 
+(* Checked code keeps [int] and [float] locals, parameters and
+   temporaries unboxed: a loop allocates the same minor words whatever
+   its iteration count.  The segment runs once first, so that what its
+   first run caches is allocated already; then [iters] iterations and a
+   hundred times as many must allocate alike. *)
+let typed_loop_words ?(decls = "") body =
+  let prog =
+    Parser.parse
+      (Printf.sprintf "%s\npipelined (p in [0 : 1]) {\n%s\n}\n" decls body)
+  in
+  Typecheck.check prog;
+  let ctx = Interp.create_ctx ~runtime_defs:[ ("iters", 1000) ] prog in
+  let pk =
+    Interp.compile_packet ctx (Interp.init_globals ctx) ~inputs:[]
+      [ prog.Ast.pipeline.Ast.pd_body ]
+  in
+  let words iters =
+    Interp.set_runtime_define ctx "iters" iters;
+    let fr = Interp.new_frame pk ~packet:0 in
+    minor_words_of (fun () -> Interp.run_segment pk 0 fr)
+  in
+  ignore (words 1000);
+  (words 1000, words 100_000)
+
+let no_growth name ?decls body =
+  let small, large = typed_loop_words ?decls body in
+  A.(check (float 0.0)) (name ^ ": minor words at 100x the iterations") small large
+
+let test_int_counter_loop () =
+  no_growth "int counter"
+    "int s = 0; for (int i = 0; i < runtime_define iters; i = i + 1) { s = s + i % 7; }"
+
+let test_float_locals_and_params () =
+  no_growth "float arithmetic"
+    ~decls:
+      "float mix(float a, float b, int n) { float x = 1.0; for (int i = 0; i < n; i \
+       = i + 1) { x = x * a + b - x / 3.0; x = fmin(x, 8.0) + fabs(-b); } return x; }"
+    "float a = 0.5; float b = 0.25; float y = 0.0; for (int i = 0; i < runtime_define \
+     iters; i = i + 1) { y = y * a + b; } y = mix(a, b, runtime_define iters);"
+
+let test_call_float_int_params () =
+  no_growth "call"
+    ~decls:
+      "void touch(float x, int k) { } float half(float x, int k) { int j = k; float \
+       y = x * 0.5; touch(y, j); return y; }"
+    "float y = 0.0; for (int i = 0; i < runtime_define iters; i = i + 1) { \
+     touch(y + 1.0, i); } y = half(y, 3);"
+
+let test_merge_loop () =
+  no_growth "merge loop"
+    ~decls:
+      "class Z { float[] depth; float[] color; void merge(Z other, int n) { for \
+       (int i = 0; i < n; i = i + 1) { int j = i % 600; if (other.depth[j] < \
+       this.depth[j]) { this.depth[j] = other.depth[j]; this.color[j] = \
+       other.color[j]; } } } }"
+    "Z a = new Z(); Z b = new Z(); a.depth = new float[600]; a.color = new \
+     float[600]; b.depth = new float[600]; b.color = new float[600]; for (int i = \
+     0; i < 600; i = i + 1) { b.depth[i] = 0.0 - float_of_int(i); a.depth[i] = \
+     float_of_int(i % 5); } a.merge(b, runtime_define iters);"
+
 let () =
   Alcotest.run "gc_alloc"
     [
@@ -255,5 +315,12 @@ let () =
         [
           ("field read allocates nothing", `Quick, test_field_read_allocates_nothing);
           ("new object is its record and slots", `Quick, test_new_object_words);
+        ] );
+      ( "typed frames",
+        [
+          ("int counter loop", `Quick, test_int_counter_loop);
+          ("float locals and parameters", `Quick, test_float_locals_and_params);
+          ("call with float and int parameters", `Quick, test_call_float_int_params);
+          ("float[] compare-and-store loop", `Quick, test_merge_loop);
         ] );
     ]

@@ -179,8 +179,8 @@ let test_append_counting () =
 
 (* [acc_template] with top-level declarations before the pipeline; run
    without the type checker so the interpreter's own name resolution is
-   what the tests see. *)
-let run_unchecked ?(decls = "") body =
+   what the tests see ([check] runs it first). *)
+let run_unchecked ?(check = false) ?(decls = "") body =
   let src =
     Printf.sprintf
       {|
@@ -200,13 +200,14 @@ pipelined (p in [0 : 1]) {
 |}
       decls body
   in
-  let ctx = Interp.create_ctx (Parser.parse src) in
-  Interp.run_reference ctx
+  let prog = Parser.parse src in
+  if check then Typecheck.check prog;
+  Interp.run_reference (Interp.create_ctx prog)
 
 let unchecked_x ?decls body = result_x (run_unchecked ?decls body)
 
-let runtime_error_of ?decls body =
-  match run_unchecked ?decls body with
+let runtime_error_of ?check ?decls body =
+  match run_unchecked ?check ?decls body with
   | exception V.Runtime_error msg -> msg
   | _ -> A.fail "expected a runtime error"
 
@@ -239,13 +240,15 @@ let test_scope_fresh_zero_per_iteration () =
         float_of_int(n) * 10.0; }")
 
 let test_scope_recursion_frames () =
-  A.(check (float 1e-12))
-    "each call keeps its own locals" 60.0
-    (unchecked_x
-       ~decls:
-         "int f(int n) { int v = n; if (n > 0) { int r = f(n - 1); return v \
-          * 10 + r; } return v; }"
-       "local.x = float_of_int(f(3));")
+  let decls =
+    "int f(int n) { int v = n; if (n > 0) { int r = f(n - 1); return v * 10 \
+     + r; } return v; }"
+  in
+  let body = "local.x = float_of_int(f(3)) + float_of_int(f(f(1) + 1));" in
+  A.(check (float 1e-12)) "each call keeps its own locals" 720.0
+    (unchecked_x ~decls body);
+  A.(check (float 1e-12)) "checked: each call keeps its own locals" 720.0
+    (result_x (run_unchecked ~check:true ~decls body))
 
 let test_scope_this_in_methods () =
   A.(check (float 1e-12))
@@ -583,6 +586,33 @@ let test_float_array_update () =
   A.(check (list int)) "(int, float, mem) ops" [ 0; 7; 14 ]
     [ c.Opcount.int_ops; c.Opcount.float_ops; c.Opcount.mem_ops ]
 
+(* Checked code computes [int]s and [float]s unboxed, yet fails with
+   the message the generic code gives. *)
+let test_checked_errors () =
+  let err = runtime_error_of ~check:true in
+  List.iter
+    (fun (what, expected, msg) -> A.(check string) what expected msg)
+    [
+      ( "int division", "integer division by zero",
+        err "int a = 7; int z = 0; int q = a / z; local.x = float_of_int(q);" );
+      ( "int modulo", "integer modulo by zero",
+        err "int a = 7; int z = 0; local.x = float_of_int(a % z + 1);" );
+      ( "float[] read in arithmetic", "array index 5 out of bounds [0, 3)",
+        err "float[] a = new float[3]; float y = a[5] * 2.0 + 1.0; local.x = y;" );
+      ( "negative float[] read", "array index -1 out of bounds [0, 3)",
+        err "float[] a = new float[3]; int i = 0 - 1; local.x = 1.0 + a[i];" );
+      ( "float field of null", "field .x of non-object null",
+        err "Acc n; float y = n.x + 1.0; local.x = y;" );
+      ( "no return, left operand", "arithmetic on void and float",
+        err ~decls:"float g() { }" "float y = g() + 1.0; local.x = y;" );
+      ( "no return, right operand", "arithmetic on int and void",
+        err ~decls:"float g() { }" "int i = 2; local.x = i * g();" );
+      ( "no return, compared", "comparison between void and float",
+        err ~decls:"float g() { }" "if (g() < 1.0) { local.x = 1.0; }" );
+      ( "no return, negated", "negation of void",
+        err ~decls:"float g() { }" "float y = 0.0 - (-g()); local.x = y;" );
+    ]
+
 let operator_suite =
   [
     ("nan comparisons follow compare", `Quick, test_nan_comparisons);
@@ -590,6 +620,7 @@ let operator_suite =
     ("int division by zero", `Quick, test_int_by_zero);
     ("mixed arithmetic widens", `Quick, test_mixed_widening);
     ("float[] element update", `Quick, test_float_array_update);
+    ("checked code keeps the error messages", `Quick, test_checked_errors);
   ]
 
 let () =

@@ -260,6 +260,12 @@ let test_typecheck_unbound () =
 let test_typecheck_bad_assign () =
   expect_type_error (wrap_pipeline "int x = 0; x = 1.5;") "cannot assign"
 
+(* [l op= e] must fit [l], as [l = l op e] must: an [int] place cannot
+   take a [float] result. *)
+let test_typecheck_bad_update () =
+  expect_type_error (wrap_pipeline "int x = 0; x += 1.5;") "compound update of int";
+  ignore (typecheck_ok (wrap_pipeline "float x = 0.0; x += 1; int n = 0; n *= 2;"))
+
 let test_typecheck_int_to_float_ok () =
   ignore (typecheck_ok (wrap_pipeline "float x = 3; x = x + 1;"))
 
@@ -579,6 +585,7 @@ let suite : unit Alcotest.test_case list =
     ("typecheck unbound", `Quick, test_typecheck_unbound);
     ("typecheck bad assign", `Quick, test_typecheck_bad_assign);
     ("typecheck int->float ok", `Quick, test_typecheck_int_to_float_ok);
+    ("typecheck bad compound update", `Quick, test_typecheck_bad_update);
     ("typecheck if not bool", `Quick, test_typecheck_if_not_bool);
     ("typecheck bad field", `Quick, test_typecheck_bad_field);
     ("typecheck reduc needs merge", `Quick, test_typecheck_reduc_needs_merge);
