@@ -17,6 +17,9 @@
      adaptive          elastic copies vs a deliberately misplanned plan
      transport_smoke   a tiny transport sweep asserting batch histograms
                        (the @perf-smoke rule)
+     interp            the sequential executor: minor and promoted words,
+                       collections and wall time of five reference runs
+                       of the iso large dataset (prints only)
      smoke             one tiny figure cell, parsed back and validated
                        (the @bench-smoke rule)
 
@@ -466,18 +469,16 @@ let passthrough_app : H.app =
       fun ctx args ->
         let p = V.as_int (List.hd args) in
         let t = Lang.Interp.class_decl ctx "T" in
-        let slot = V.slot t in
+        let make = V.maker t and slot = V.float_slot t in
         let a1 = slot "a1" and a2 = slot "a2" in
         let bs = Array.init 8 (fun b -> slot (Printf.sprintf "b%d" b)) in
         let vec = V.Vec.create () in
         for i = 0 to 1999 do
-          let o = V.make_object t in
+          let o = make () in
           let base = Apps.Prng.hash_float 11 ((p * 2000) + i) in
-          o.V.slots.(a1) <- V.Vfloat base;
-          o.V.slots.(a2) <- V.Vfloat (base *. 0.5);
-          Array.iteri
-            (fun b s -> o.V.slots.(s) <- V.Vfloat (base +. float_of_int b))
-            bs;
+          o.V.floats.(a1) <- base;
+          o.V.floats.(a2) <- base *. 0.5;
+          Array.iteri (fun b s -> o.V.floats.(s) <- base +. float_of_int b) bs;
           V.Vec.push vec (V.Vobject o)
         done;
         ctx.Lang.Interp.counter.Lang.Opcount.mem_ops <-
@@ -1044,6 +1045,38 @@ let smoke () =
   end;
   Fmt.pr "smoke: %s parses back and validates@." path
 
+(* ------------------------------------------------------------------ *)
+(* The sequential executor, alone: [Compile.run_reference] of the
+   z-buffer program on the large iso dataset after one warm-up run, five
+   times, each run's allocation, collections and wall time.  Minor words
+   count what the executor allocates per run and promoted words what a
+   minor collection finds alive (the packet in flight); nothing is
+   recorded under bench/results.                                        *)
+(* ------------------------------------------------------------------ *)
+
+let interp () =
+  let c = H.compile ~widths:[| 1; 1; 1 |] (H.iso_app ~variant:`Zbuffer Apps.Isosurface.large) in
+  print_header "Interp: sequential reference run, iso z-buffer large"
+    [ "minor Mwords"; "promoted Mw"; "minor GCs"; "major GCs"; "wall s" ];
+  ignore (Compile.run_reference c);
+  (* [Gc.minor_words], not [quick_stat]'s field, which OCaml 5 only
+     advances at a minor collection *)
+  for run = 1 to 5 do
+    let s0 = Gc.quick_stat () and w0 = Gc.minor_words () and t0 = Unix.gettimeofday () in
+    ignore (Sys.opaque_identity (Compile.run_reference c));
+    let t1 = Unix.gettimeofday () and w1 = Gc.minor_words () and s1 = Gc.quick_stat () in
+    let mw f = Fmt.str "%.2f" ((f s1 -. f s0) /. 1e6) in
+    let count f = string_of_int (f s1 - f s0) in
+    print_row (string_of_int run)
+      [
+        Fmt.str "%.2f" ((w1 -. w0) /. 1e6);
+        mw (fun s -> s.Gc.promoted_words);
+        count (fun s -> s.Gc.minor_collections);
+        count (fun s -> s.Gc.major_collections);
+        Fmt.str "%.3f" (t1 -. t0);
+      ]
+  done
+
 let targets =
   [
     ("fig5", fun () -> iso "Figure 5: z-buffer, small dataset" `Zbuffer Apps.Isosurface.small);
@@ -1062,7 +1095,11 @@ let targets =
     ("outofcore", outofcore);
     ("adaptive", adaptive);
     ("smoke", smoke);
+    ("interp", interp);
   ]
+
+(* Targets that print only, with no results file. *)
+let unrecorded = [ "interp" ]
 
 let () =
   let requested =
@@ -1076,7 +1113,7 @@ let () =
       | Some f ->
           Record.start name;
           f ();
-          Record.write name;
+          if not (List.mem name unrecorded) then Record.write name;
           if !Record.failed then begin
             Fmt.epr "%s: some legs could not run (see the \"error\" rows)@."
               name;

@@ -66,13 +66,13 @@ let read_samples : string * Lang.Interp.extern_fn =
     fun ctx args ->
       let p = V.as_int (List.hd args) in
       let sample = Lang.Interp.class_decl ctx "Sample" in
-      let slot = V.slot sample "value" in
+      let make = V.maker sample and slot = V.float_slot sample "value" in
       let vec = V.Vec.create () in
       for i = 0 to 999 do
         let u = Apps.Prng.hash_float 7 ((p * 1000) + i) in
         let value = (u *. 1.3) -. 0.15 (* some fall outside [0, 1) *) in
-        let o = V.make_object sample in
-        o.V.slots.(slot) <- V.Vfloat value;
+        let o = make () in
+        o.V.floats.(slot) <- value;
         V.Vec.push vec (V.Vobject o)
       done;
       ctx.Lang.Interp.counter.Lang.Opcount.mem_ops <-

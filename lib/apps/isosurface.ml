@@ -43,18 +43,21 @@ let tiny =
 
 (* --- synthetic scalar field ---------------------------------------- *)
 
+(* One rational blob of strength [s] centred on (cx, cy, cz), at (u, v,
+   w).  Inlined, like the [Prng] hash, so [field] boxes only its
+   result. *)
+let[@inline] blob u v w cx cy cz s =
+  let dx = u -. cx and dy = v -. cy and dz = w -. cz in
+  s /. (1.0 +. (25.0 *. ((dx *. dx) +. (dy *. dy) +. (dz *. dz))))
+
 let field cfg x y z =
   let d = float_of_int cfg.grid_dim in
   let u = float_of_int x /. d
   and v = float_of_int y /. d
   and w = float_of_int z /. d in
-  let blob cx cy cz s =
-    let dx = u -. cx and dy = v -. cy and dz = w -. cz in
-    s /. (1.0 +. (25.0 *. ((dx *. dx) +. (dy *. dy) +. (dz *. dz))))
-  in
   let corner_index = x + ((cfg.grid_dim + 1) * (y + ((cfg.grid_dim + 1) * z))) in
-  blob 0.35 0.4 0.5 1.0
-  +. blob 0.7 0.6 0.45 0.8
+  blob u v w 0.35 0.4 0.5 1.0
+  +. blob u v w 0.7 0.6 0.45 0.8
   +. (0.02 *. Prng.hash_float cfg.seed corner_index)
 
 let cube_count cfg = cfg.grid_dim * cfg.grid_dim * cfg.grid_dim
@@ -63,29 +66,31 @@ let per_packet cfg = (cube_count cfg + cfg.num_packets - 1) / cfg.num_packets
 
 (* [cube_maker ctx ~corner d] builds the Cube object for global cube
    index [gi] as the program declares the class, corner values supplied
-   by [corner] (the analytic field, or the cached grid).  The slots are
-   resolved once per maker. *)
+   by [corner] (the analytic field, or the cached grid) and written
+   straight into the object's flat [float] part.  The layout and the
+   slots are resolved once per maker. *)
 let cube_maker ctx ~corner d =
   let cube = Interp.class_decl ctx "Cube" in
   let slot =
-    Array.map (V.slot cube)
+    Array.map (V.float_slot cube)
       [| "x"; "y"; "z"; "v000"; "v001"; "v010"; "v011"; "v100"; "v101"; "v110"; "v111" |]
   in
+  let make = V.maker cube in
   fun gi ->
     let cx = gi mod d and cy = gi / d mod d and cz = gi / (d * d) in
-    let o = V.make_object cube in
-    let set k v = o.V.slots.(slot.(k)) <- V.Vfloat v in
-    set 0 (float_of_int cx);
-    set 1 (float_of_int cy);
-    set 2 (float_of_int cz);
-    set 3 (corner cx cy cz);
-    set 4 (corner cx cy (cz + 1));
-    set 5 (corner cx (cy + 1) cz);
-    set 6 (corner cx (cy + 1) (cz + 1));
-    set 7 (corner (cx + 1) cy cz);
-    set 8 (corner (cx + 1) cy (cz + 1));
-    set 9 (corner (cx + 1) (cy + 1) cz);
-    set 10 (corner (cx + 1) (cy + 1) (cz + 1));
+    let o = make () in
+    let f = o.V.floats in
+    f.(slot.(0)) <- float_of_int cx;
+    f.(slot.(1)) <- float_of_int cy;
+    f.(slot.(2)) <- float_of_int cz;
+    f.(slot.(3)) <- corner cx cy cz;
+    f.(slot.(4)) <- corner cx cy (cz + 1);
+    f.(slot.(5)) <- corner cx (cy + 1) cz;
+    f.(slot.(6)) <- corner cx (cy + 1) (cz + 1);
+    f.(slot.(7)) <- corner (cx + 1) cy cz;
+    f.(slot.(8)) <- corner (cx + 1) cy (cz + 1);
+    f.(slot.(9)) <- corner (cx + 1) (cy + 1) cz;
+    f.(slot.(10)) <- corner (cx + 1) (cy + 1) (cz + 1);
     V.Vobject o
 
 (* read_cubes(p): the cubes of packet p, charging a per-byte read cost to

@@ -59,13 +59,14 @@ let externs cfg (cents : centroids) : (string * Interp.extern_fn) list =
         let p = V.as_int (List.hd args) in
         let lo, hi = packet_range cfg p in
         let pt = Interp.class_decl ctx "Pt" in
-        let sx = V.slot pt "x" and sy = V.slot pt "y" in
+        let make = V.maker pt in
+        let sx = V.float_slot pt "x" and sy = V.float_slot pt "y" in
         let vec = V.Vec.create () in
         for i = lo to hi - 1 do
           let x, y = point cfg i in
-          let o = V.make_object pt in
-          o.V.slots.(sx) <- V.Vfloat x;
-          o.V.slots.(sy) <- V.Vfloat y;
+          let o = make () in
+          o.V.floats.(sx) <- x;
+          o.V.floats.(sy) <- y;
           V.Vec.push vec (V.Vobject o)
         done;
         ctx.Interp.counter.Opcount.mem_ops <-

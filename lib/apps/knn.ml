@@ -55,14 +55,15 @@ let read_points_extern cfg : string * Interp.extern_fn =
       let p = V.as_int (List.hd args) in
       let lo, hi = packet_range cfg p in
       let pt = Interp.class_decl ctx "Pt" in
-      let sx = V.slot pt "x" and sy = V.slot pt "y" and sz = V.slot pt "z" in
+      let make = V.maker pt in
+      let sx = V.float_slot pt "x" and sy = V.float_slot pt "y" and sz = V.float_slot pt "z" in
       let vec = V.Vec.create () in
       for i = lo to hi - 1 do
         let x, y, z = point cfg i in
-        let o = V.make_object pt in
-        o.V.slots.(sx) <- V.Vfloat x;
-        o.V.slots.(sy) <- V.Vfloat y;
-        o.V.slots.(sz) <- V.Vfloat z;
+        let o = make () in
+        o.V.floats.(sx) <- x;
+        o.V.floats.(sy) <- y;
+        o.V.floats.(sz) <- z;
         V.Vec.push vec (V.Vobject o)
       done;
       (* byte-bound repository read: raw binary points, ~0.5 ops/byte *)

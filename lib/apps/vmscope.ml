@@ -100,17 +100,19 @@ let read_chunk_extern cfg : string * Interp.extern_fn =
       let p = V.as_int (List.hd args) in
       let ylo, yhi = query_rows cfg p in
       let px = Interp.class_decl ctx "Px" in
-      let slot = Array.map (V.slot px) [| "ix"; "iy"; "r"; "g"; "b" |] in
+      let make = V.maker px in
+      let ix = V.slot px "ix" and iy = V.slot px "iy" in
+      let rgb = Array.map (V.float_slot px) [| "r"; "g"; "b" |] in
       let vec = V.Vec.create () in
       for y = ylo to yhi - 1 do
         for x = 0 to cfg.image_w - 1 do
           let r, g, b = pixel cfg x y in
-          let o = V.make_object px in
-          o.V.slots.(slot.(0)) <- V.Vint x;
-          o.V.slots.(slot.(1)) <- V.Vint y;
-          o.V.slots.(slot.(2)) <- V.Vfloat r;
-          o.V.slots.(slot.(3)) <- V.Vfloat g;
-          o.V.slots.(slot.(4)) <- V.Vfloat b;
+          let o = make () in
+          V.set o ix (V.Vint x);
+          V.set o iy (V.Vint y);
+          o.V.floats.(rgb.(0)) <- r;
+          o.V.floats.(rgb.(1)) <- g;
+          o.V.floats.(rgb.(2)) <- b;
           V.Vec.push vec (V.Vobject o)
         done
       done;

@@ -196,8 +196,11 @@ let absorb_payload plan ~absorb_all u ctx genv (b : Filter.buffer) =
    lookup resolved for the layouts it reads. *)
 let compile_unit plan ctx genv u ~in_layout ~out_layout =
   let inputs = Packing.bound_names in_layout in
+  let typed name =
+    (name, Option.value (Tyenv.find plan.tyenv name) ~default:Ast.Tvoid)
+  in
   let code =
-    Interp.compile_packet ctx genv ~inputs
+    Interp.compile_packet ctx genv ~inputs:(List.map typed inputs)
       (List.map (fun seg -> seg.Boundary.seg_stmts) (segments_of_unit plan u))
   in
   let setters = List.map (fun name -> (name, Interp.setter code name)) inputs in

@@ -259,9 +259,9 @@ let rec pack_value_generic buf prog (ty : Ast.ty) (v : V.t) =
       | V.Vnull -> Wirefmt.buf_add_bool buf false
       | V.Vobject obj ->
           Wirefmt.buf_add_bool buf true;
-          List.iteri
-            (fun i (fty, _) -> pack_value_generic buf prog fty obj.V.slots.(i))
-            obj.V.cls.Ast.cd_fields
+          V.iter_fields obj.V.cls (fun fty _ -> function
+            | V.Flat k -> Wirefmt.buf_add_float buf obj.V.floats.(k)
+            | V.Boxed i -> pack_value_generic buf prog fty obj.V.slots.(i))
       | _ -> V.runtime_errorf "pack: expected %s object" cls)
 
 let unpack_class prog cls =
@@ -293,10 +293,11 @@ let rec unpack_value_generic (r : Wirefmt.reader) prog (ty : Ast.ty) : V.t =
   | Ast.Tclass cls -> (
       if not (Wirefmt.read_bool r) then V.Vnull
       else
-        let obj = V.make_object (unpack_class prog cls) in
-        List.iteri
-          (fun i (fty, _) -> obj.V.slots.(i) <- unpack_value_generic r prog fty)
-          obj.V.cls.Ast.cd_fields;
+        let cd = unpack_class prog cls in
+        let obj = V.make_object cd in
+        V.iter_fields cd (fun fty _ -> function
+          | V.Flat k -> obj.V.floats.(k) <- Wirefmt.read_float r
+          | V.Boxed i -> obj.V.slots.(i) <- unpack_value_generic r prog fty);
         V.Vobject obj)
 
 (* An array of [lo] zeros and then [n] elements read from [r]; a [float]
@@ -338,9 +339,9 @@ let rec value_size_generic prog (ty : Ast.ty) (v : V.t) =
       match v with
       | V.Vobject obj ->
           let s = ref 1 in
-          List.iteri
-            (fun i (fty, _) -> s := !s + value_size_generic prog fty obj.V.slots.(i))
-            obj.V.cls.Ast.cd_fields;
+          V.iter_fields obj.V.cls (fun fty _ -> function
+            | V.Flat _ -> s := !s + 8
+            | V.Boxed i -> s := !s + value_size_generic prog fty obj.V.slots.(i));
           !s
       | _ -> 1)
 
@@ -402,14 +403,37 @@ let resolve_section lookup (arr : V.t) (s : Section.t) =
 
 let obj_field lookup v f = V.field (V.as_object (lookup v)) f
 
-(* One field of a collection's elements, resolved once for all of them. *)
-let elt_field (fs : field_spec) =
-  if fs.fs_name = Gencons.prim_field then Fun.id
+let is_field cls (fs : field_spec) = cls <> None && fs.fs_name <> Gencons.prim_field
+
+(* The place ([Value.slot]) of field [fs] in the elements of a
+   collection of class [cls], when the program declares the class. *)
+let elt_slot prog cls fs =
+  if not (is_field cls fs) then None
   else
-    let slot = V.site fs.fs_name in
-    fun elt ->
-      let o = V.as_object elt in
-      o.V.slots.(slot o)
+    Option.map
+      (fun cd -> V.slot cd fs.fs_name)
+      (Ast.find_class prog (Option.get cls))
+
+(* One field of a collection's elements, resolved once for all of them,
+   or the element itself in a collection of primitives.  A layout may
+   name a class the program does not declare: each element is then read
+   by name, and [unpack] rejects the class. *)
+let elt_field prog cls fs =
+  match elt_slot prog cls fs with
+  | Some p -> fun elt -> V.get (V.as_object elt) p
+  | None when is_field cls fs -> fun elt -> V.field (V.as_object elt) fs.fs_name
+  | None -> Fun.id
+
+(* [elt_field], written straight into [buf]: a [float] field from the
+   element's flat part. *)
+let elt_packer prog cls fs =
+  match elt_slot prog cls fs with
+  | Some (V.Flat k) -> fun buf elt -> Wirefmt.buf_add_float buf (V.as_object elt).V.floats.(k)
+  | Some (V.Boxed i) ->
+      fun buf elt -> pack_value_generic buf prog fs.fs_ty (V.as_object elt).V.slots.(i)
+  | None ->
+      let get = elt_field prog cls fs in
+      fun buf elt -> pack_value_generic buf prog fs.fs_ty (get elt)
 
 (* Pack the values described by [layout] from [lookup] into bytes. *)
 let pack (prog : Ast.program) (layout : layout) ~(lookup : string -> V.t) :
@@ -429,28 +453,24 @@ let pack (prog : Ast.program) (layout : layout) ~(lookup : string -> V.t) :
           for i = lo to hi - 1 do
             pack_value_generic buf prog ty (V.array_get arr i)
           done
-      | Ecoll (c, _, groups) ->
+      | Ecoll (c, cls, groups) ->
           let l = V.as_list (lookup c) in
           let n = V.Vec.length l in
           Wirefmt.buf_add_int buf n;
           List.iter
             (fun g ->
-              let fields =
-                List.map (fun fs -> (fs.fs_ty, elt_field fs)) g.g_fields
-              in
+              let fields = List.map (elt_packer prog cls) g.g_fields in
               match g.g_layout with
               | `Instance ->
                   for i = 0 to n - 1 do
                     let elt = V.Vec.get l i in
-                    List.iter
-                      (fun (ty, get) -> pack_value_generic buf prog ty (get elt))
-                      fields
+                    List.iter (fun pack -> pack buf elt) fields
                   done
               | `Fieldwise ->
                   List.iter
-                    (fun (ty, get) ->
+                    (fun pack ->
                       for i = 0 to n - 1 do
-                        pack_value_generic buf prog ty (get (V.Vec.get l i))
+                        pack buf (V.Vec.get l i)
                       done)
                     fields)
             groups)
@@ -490,38 +510,36 @@ let unpack (prog : Ast.program) (layout : layout) (data : Bytes.t) :
           add a (unpack_array r prog ty ~lo len)
       | Ecoll (c, elem_class, groups) ->
           let n = Wirefmt.read_int r in
-          let cd = Option.map (unpack_class prog) elem_class in
+          let make = Option.map (fun cls -> V.maker (unpack_class prog cls)) elem_class in
           let elems =
             V.Vec.init n (fun _ ->
-                match cd with
-                | Some cd -> V.Vobject (V.make_object cd)
+                match make with
+                | Some make -> V.Vobject (make ())
                 | None -> V.Vfloat 0.0)
           in
-          let setter (fs : field_spec) =
-            match cd with
-            | Some cd when fs.fs_name <> Gencons.prim_field ->
-                let slot = V.slot cd fs.fs_name in
-                fun i value ->
-                  (V.as_object (V.Vec.get elems i)).V.slots.(slot) <- value
-            | _ -> V.Vec.set elems
+          (* [read i] reads field [fs] of element [i], a [float] one
+             straight into the element's flat part *)
+          let reader (fs : field_spec) =
+            let obj i = V.as_object (V.Vec.get elems i) in
+            match elt_slot prog elem_class fs with
+            | Some (V.Flat k) -> fun i -> (obj i).V.floats.(k) <- Wirefmt.read_float r
+            | Some (V.Boxed j) ->
+                fun i -> (obj i).V.slots.(j) <- unpack_value_generic r prog fs.fs_ty
+            | None -> fun i -> V.Vec.set elems i (unpack_value_generic r prog fs.fs_ty)
           in
           List.iter
             (fun g ->
-              let fields =
-                List.map (fun fs -> (fs.fs_ty, setter fs)) g.g_fields
-              in
+              let fields = List.map reader g.g_fields in
               match g.g_layout with
               | `Instance ->
                   for i = 0 to n - 1 do
-                    List.iter
-                      (fun (ty, set) -> set i (unpack_value_generic r prog ty))
-                      fields
+                    List.iter (fun read -> read i) fields
                   done
               | `Fieldwise ->
                   List.iter
-                    (fun (ty, set) ->
+                    (fun read ->
                       for i = 0 to n - 1 do
-                        set i (unpack_value_generic r prog ty)
+                        read i
                       done)
                     fields)
             groups;
@@ -556,14 +574,14 @@ let packed_size (prog : Ast.program) (layout : layout)
           let arr = lookup a in
           let lo, hi = resolve_section lookup arr s in
           16 + values_size ty (hi - lo) (fun i -> V.array_get arr (lo + i))
-      | Ecoll (c, _, groups) ->
+      | Ecoll (c, cls, groups) ->
           let l = V.as_list (lookup c) in
           let n = V.Vec.length l in
           List.fold_left
             (fun total g ->
               List.fold_left
                 (fun total fs ->
-                  let get = elt_field fs in
+                  let get = elt_field prog cls fs in
                   total + values_size fs.fs_ty n (fun i -> get (V.Vec.get l i)))
                 total g.g_fields)
             8 groups)

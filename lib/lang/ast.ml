@@ -172,6 +172,7 @@ type program = {
   funcs : func_decl list;
   globals : global_decl list;
   pipeline : pipeline_decl;
+  mutable checked : bool; (* set by the type checker once it accepts *)
 }
 
 let find_class prog name = List.find_opt (fun c -> c.cd_name = name) prog.classes

@@ -141,6 +141,7 @@ type program = {
   funcs : func_decl list;
   globals : global_decl list;
   pipeline : pipeline_decl;
+  mutable checked : bool; (* set by the type checker once it accepts *)
 }
 
 val find_class : program -> string -> class_decl option

@@ -1,48 +1,48 @@
-(* Resolve-once executor for PipeLang with operation accounting.
+(* Resolve-once executor for checked PipeLang, with operation accounting.
 
-   Code is compiled once into OCaml closures over typed frames, then run:
+   [create_ctx] takes a program the type checker has annotated, and its
+   code is compiled once into OCaml closures over typed frames, then run:
    - a frame has three parts: [Value.t] slots, a flat [float array] and
-     an [int array].  In a checked function or packet (the type checker
-     annotated every expression) an [int] or [float] local, parameter,
-     [for] counter or [foreach] variable lives unboxed in the int or
-     float part; any other variable, and every variable of unchecked
-     code, is a [Value.t] slot.  Globals stay [Value.t] cells;
-   - a checked [float] expression is compiled destination-style: it
-     leaves its value in a register of the float part (a temporary, the
-     local it is assigned to, or a constant pre-seeded from the frame's
-     template), and each operator and float builtin is specialised
-     inline, because an OCaml closure that returns a float or an
-     indirect call that takes one boxes it.  A checked [int]
-     expression is a [frame -> int] closure.  So arithmetic,
-     comparisons, the numeric builtins, [float[]] element reads and
-     stores and argument passing allocate nothing; a value is boxed
-     only where it meets a [Value.t]: an object field, a list, an
-     extern, [return], a global, and [lookup]/[setter];
-   - a typed operand that reads a [Value.t] unboxes it where it is used,
-     and a value that is no number raises the error of the operator
-     using it, as the generic code does;
+     an [int array].  An [int] or [float] local, parameter, packet
+     input, [for] counter, [foreach] variable and function result lives
+     unboxed in the int or float part; any other variable is a [Value.t]
+     slot.  Globals stay [Value.t] cells;
+   - a [float] expression is compiled destination-style: it leaves its
+     value in a register of the float part (a temporary, the local it is
+     assigned to, or a constant pre-seeded from the frame's template),
+     and each operator and float builtin is specialised inline, because
+     an OCaml closure that returns a float or an indirect call that
+     takes one boxes it.  An [int] expression is a [frame -> int]
+     closure.  So arithmetic, comparisons, the numeric builtins, [float]
+     fields, [float[]] elements, argument passing and [return] allocate
+     nothing; a value is boxed only where it meets a [Value.t]: a field
+     of another type, a list, an extern, a method, a global, and
+     [lookup]/[setter];
+   - an operand that reads a [Value.t] unboxes it where it is used, and
+     a value that is no number (null, or the void of a function that
+     ended without [return]) raises the error of the operator using it;
    - every call resolves to the compiled function, the builtin or the
      extern; methods are compiled once per (class, method) and cached.
      A call takes the frame its function's last finished call left
      behind, so a call allocates no frame either; a context therefore
-     serves one domain at a time (its counter already did);
-   - every field access resolves to a slot of the object's record
-     through a per-site one-entry cache ([Value.site]) of the class last
-     seen and the slot there; typed sites see one class, an untyped site
-     resolves again when the class changes.  [new] fills slots in order;
+     serves one domain at a time (its counter already did).  [return]
+     leaves its value in a result register of the callee's frame, where
+     the caller reads it, and raises a constant exception;
+   - PipeLang has no inheritance, so every field access resolves at
+     compile time, from the static class of its object, to a place in
+     the object's [Value.t] slots or its flat [float] part
+     ([Value.slot]).  [new] fills fields in declaration order;
    - a name that resolves to nothing compiles to code that raises the
      unbound-variable error when (and only if) it runs.
 
-   Two uses:
-   - reference execution of a whole program (sequential, one packet at a
-     time) for correctness oracles;
-   - execution of individual filter code segments by the generated
-     filters, over a packet frame filled from a stream buffer.
+   Two uses: reference execution of a whole program (sequential, one
+   packet at a time) for correctness oracles, and execution of filter
+   code segments by the generated filters, over a packet frame filled
+   from a stream buffer.
 
    Every executed operation is charged to the context's [Opcount.t]; the
-   compiler's profiling pass and the simulated cluster both read it, and
-   typed code charges exactly what the generic code charges.  Binary
-   operands are evaluated right to left, call arguments left to
+   compiler's profiling pass and the simulated cluster both read it.
+   Binary operands are evaluated right to left, call arguments left to
    right. *)
 
 open Ast
@@ -68,12 +68,18 @@ let no_frame = frame_of empty_layout
 (* Where a caller stores a parameter of the callee's frame. *)
 type param = Pval of int | Pfloat of int | Pint of int
 
+(* Where a function's [return] leaves its value: a register of the float
+   or int part, a [Value.t] slot (a [bool] is one of two static values
+   there), or nowhere. *)
+type result = Rnone | Rfloat of int | Rint of int | Rval of int
+
 (* A compiled function or method.  The record exists before its body is
    compiled, so recursive calls resolve to it. *)
 type fn = {
   fn_decl : func_decl;
   fn_this : int;  (* [Value.t] slot of [this] in a method, -1 in a function *)
   fn_params : param array;
+  fn_result : result;
   mutable fn_layout : layout;
   mutable fn_body : frame -> unit;
   mutable fn_spare : frame;  (* [no_frame], or a frame to reuse *)
@@ -97,7 +103,8 @@ type ctx = {
    and consult runtime_defines (query parameters). *)
 and extern_fn = ctx -> V.t list -> V.t
 
-exception Return_value of V.t
+(* Raised by [return] once its value is in the frame's result register. *)
+exception Return
 exception Break_loop
 exception Continue_loop
 
@@ -121,6 +128,7 @@ let back_edge yp =
   end
 
 let create_ctx ?(externs = []) ?(runtime_defs = []) prog =
+  if not prog.checked then invalid_arg "Interp.create_ctx: the program is not type-checked";
   let ext = Hashtbl.create 16 in
   List.iter (fun (name, fn) -> Hashtbl.replace ext name fn) externs;
   let rd = Hashtbl.create 8 in
@@ -148,9 +156,9 @@ let charge_call (c : Opcount.t) = c.calls <- c.calls + 1
 let charge_append (c : Opcount.t) = c.appends <- c.appends + 1
 let charge_alloc (c : Opcount.t) = c.allocs <- c.allocs + 1
 
-(* --- generic numeric helpers (values of any type) --- *)
+(* --- operators --- *)
 
-(* [arith] on two [int]s, unboxed; the caller charges. *)
+(* Integer arithmetic; the caller charges. *)
 let[@inline] int_arith op x y =
   match op with
   | Add -> x + y
@@ -160,7 +168,7 @@ let[@inline] int_arith op x y =
   | Mod -> if y = 0 then V.runtime_errorf "integer modulo by zero" else x mod y
   | _ -> assert false
 
-(* [arith] on two [float]s, inlined at each use: a call would box them. *)
+(* Float arithmetic, inlined at each use: a call would box the floats. *)
 let[@inline] float_arith op x y =
   match op with
   | Add -> x +. y
@@ -168,25 +176,6 @@ let[@inline] float_arith op x y =
   | Mul -> x *. y
   | Div -> x /. y
   | _ -> Float.rem x y
-
-let arith c op a b =
-  match (a, b) with
-  | V.Vint x, V.Vint y ->
-      charge_int c;
-      V.Vint (int_arith op x y)
-  | (V.Vfloat _ | V.Vint _), (V.Vfloat _ | V.Vint _) ->
-      charge_float c;
-      let x = V.as_float a and y = V.as_float b in
-      V.Vfloat
-        (match op with
-        | Add -> x +. y
-        | Sub -> x -. y
-        | Mul -> x *. y
-        | Div -> x /. y
-        | Mod -> Float.rem x y
-        | _ -> assert false)
-  | _ ->
-      V.runtime_errorf "arithmetic on %s and %s" (V.type_name a) (V.type_name b)
 
 (* Whether comparison [op] holds of a [compare] result. *)
 let[@inline] holds op r =
@@ -199,100 +188,28 @@ let[@inline] holds op r =
   | Ne -> r <> 0
   | _ -> assert false
 
-let compare_vals c op a b =
-  let r =
-    match (a, b) with
-    | V.Vint x, V.Vint y ->
-        charge_int c;
-        compare x y
-    | (V.Vfloat _ | V.Vint _), (V.Vfloat _ | V.Vint _) ->
-        charge_float c;
-        compare (V.as_float a) (V.as_float b)
-    | V.Vbool x, V.Vbool y ->
-        charge_int c;
-        compare x y
-    | V.Vstring x, V.Vstring y ->
-        charge_int c;
-        String.compare x y
-    | _ ->
-        V.runtime_errorf "comparison between %s and %s" (V.type_name a)
-          (V.type_name b)
-  in
-  holds op r
-
-(* Monomorphic [Stdlib.min]/[max]: the same argument order for a NaN
-   and for a signed zero, without the polymorphic compare. *)
-let fmin (x : float) y = if x <= y then x else y
-let fmax (x : float) y = if x >= y then x else y
-let imin (x : int) y = if x <= y then x else y
-let imax (x : int) y = if x >= y then x else y
+(* [==] on the operands a checked program compares as [Value.t]s (it
+   compares numbers unboxed): bools and strings by value, objects,
+   arrays and lists by identity, and [null]. *)
+let same a b =
+  match (a, b) with
+  | V.Vbool x, V.Vbool y -> x = y
+  | V.Vstring x, V.Vstring y -> String.equal x y
+  | V.Vrange (a, b), V.Vrange (c, d) -> a = c && b = d
+  | V.Vobject x, V.Vobject y -> x == y
+  | ( (V.Vnull | V.Vobject _ | V.Varray _ | V.Vfloats _ | V.Vlist _),
+      (V.Vnull | V.Vobject _ | V.Varray _ | V.Vfloats _ | V.Vlist _) ) ->
+      (* an array or a list has one box, made where it is *)
+      a == b
+  | _ -> V.runtime_errorf "comparison between %s and %s" (V.type_name a) (V.type_name b)
 
 let vtrue = V.Vbool true
 let vfalse = V.Vbool false
 let of_bool b = if b then vtrue else vfalse
 
-(* Builtins on values, by arity, so a call with the right argument count
-   runs without building an argument list.  Checked code calls the
-   numeric ones inline instead ([compile_f], [compile_i]). *)
-type builtin = B1 of (V.t -> V.t) | B2 of (V.t -> V.t -> V.t)
-
-let builtin c name =
-  let f1 op =
-    B1
-      (fun a ->
-        charge_float c;
-        V.Vfloat (op (V.as_float a)))
-  in
-  let f2 op =
-    B2
-      (fun a b ->
-        charge_float c;
-        V.Vfloat (op (V.as_float a) (V.as_float b)))
-  in
-  let i2 op =
-    B2
-      (fun a b ->
-        charge_int c;
-        V.Vint (op (V.as_int a) (V.as_int b)))
-  in
-  match name with
-  | "sqrt" -> Some (f1 sqrt)
-  | "fabs" -> Some (f1 abs_float)
-  | "sin" -> Some (f1 sin)
-  | "cos" -> Some (f1 cos)
-  | "floor" -> Some (f1 floor)
-  | "ceil" -> Some (f1 ceil)
-  | "fmin" -> Some (f2 fmin)
-  | "fmax" -> Some (f2 fmax)
-  | "imin" -> Some (i2 imin)
-  | "imax" -> Some (i2 imax)
-  | "iabs" ->
-      Some
-        (B1
-           (fun a ->
-             charge_int c;
-             V.Vint (abs (V.as_int a))))
-  | "int_of_float" ->
-      Some
-        (B1
-           (fun a ->
-             charge_int c;
-             V.Vint (int_of_float (V.as_float a))))
-  | "float_of_int" ->
-      Some
-        (B1
-           (fun a ->
-             charge_float c;
-             V.Vfloat (float_of_int (V.as_int a))))
-  | "print" ->
-      (* reference runs are silent; hosts override via externs *)
-      Some (B1 (fun _ -> V.Vunit))
-  | _ -> None
-
 (* --- unboxing where typed code meets a [Value.t] --- *)
 
-(* The error a non-number raises, by where typed code uses it: the
-   message the generic code gives at that use. *)
+(* The error a non-number raises, by where typed code uses it. *)
 type mismatch = V.t -> string
 
 let expected what : mismatch =
@@ -303,8 +220,8 @@ let as_int_msg = expected "int"
 
 let fail (bad : mismatch) v = raise (V.Runtime_error (bad v))
 
-(* The static type name of a checked operand, for the messages that name
-   both operands. *)
+(* The static type name of an operand, for the messages that name both
+   operands. *)
 let ty_name (e : expr) =
   match e.ety with Some t -> ty_to_string t | None -> "void"
 
@@ -341,11 +258,9 @@ type loc =
   | Cell of V.t array * int
   | Unbound
 
-(* The frame being laid out.  [typed] says whether [int]/[float]
-   variables get unboxed slots; float temporaries that are free again
-   go to [free], and no variable or constant ever takes one. *)
+(* The frame being laid out.  Float temporaries that are free again go
+   to [free], and no variable or constant ever takes one. *)
 type regs = {
-  typed : bool;
   mutable nv : int;
   mutable nf : int;
   mutable ni : int;
@@ -353,22 +268,25 @@ type regs = {
   mutable consts : (float * int) list;
 }
 
-(* The lexical scopes being compiled, innermost first.  All scopes of
-   one function body (or one packet) share a frame, laid out by
-   [regs]. *)
+(* The lexical scopes being compiled, innermost first, each name with
+   its slot and declared type.  All scopes of one function body (or one
+   packet) share a frame, laid out by [regs]; [result] is where its
+   [return] leaves the value. *)
 type scopes = {
-  levels : (string * loc) list ref list;
+  levels : (string * (loc * ty)) list ref list;
   regs : regs;
-  outer : string -> loc;  (* names no scope declares *)
+  outer : string -> loc * ty;  (* names no scope declares *)
+  result : result;
 }
 
-let no_outer _ = Unbound
+let no_outer _ = (Unbound, Tvoid)
 
-let open_frame ~typed outer =
+let open_frame outer =
   {
     levels = [ ref [] ];
-    regs = { typed; nv = 0; nf = 0; ni = 0; free = []; consts = [] };
+    regs = { nv = 0; nf = 0; ni = 0; free = []; consts = [] };
     outer;
+    result = Rnone;
   }
 
 let push_level sc = { sc with levels = ref [] :: sc.levels }
@@ -378,55 +296,40 @@ let layout_of r =
   List.iter (fun (x, i) -> floats0.(i) <- x) r.consts;
   { nvals = r.nv; nints = r.ni; floats0 }
 
-let new_float r =
-  let i = r.nf in
-  r.nf <- i + 1;
-  i
-
-(* A fresh slot for a variable of type [ty]. *)
-let new_loc r ty =
-  match ty with
-  | Tfloat when r.typed -> Fslot (new_float r)
-  | Tint when r.typed ->
-      let i = r.ni in
-      r.ni <- i + 1;
-      Islot i
-  | _ ->
-      let i = r.nv in
-      r.nv <- i + 1;
-      Slot i
+let new_float r = r.nf <- r.nf + 1; r.nf - 1
+let new_int r = r.ni <- r.ni + 1; r.ni - 1
+let new_val r = r.nv <- r.nv + 1; r.nv - 1
 
 (* The slot a declaration of [name] takes: a redeclaration in the same
    scope reuses the slot of its kind, so the new binding replaces the
    old one.  It is bound by [bind], after its initializer is compiled. *)
 let slot_for sc ty name =
   let r = sc.regs in
-  let fits = function
-    | Fslot _ -> r.typed && ty = Tfloat
-    | Islot _ -> r.typed && ty = Tint
-    | Slot _ -> not (r.typed && (ty = Tfloat || ty = Tint))
-    | Cell _ | Unbound -> false
-  in
-  match List.assoc_opt name !(List.hd sc.levels) with
-  | Some l when fits l -> l
-  | _ -> new_loc r ty
+  match (List.assoc_opt name !(List.hd sc.levels), ty) with
+  | Some ((Fslot _ as l), _), Tfloat | Some ((Islot _ as l), _), Tint -> l
+  | Some ((Slot _ as l), _), ty when ty <> Tfloat && ty <> Tint -> l
+  | _, Tfloat -> Fslot (new_float r)
+  | _, Tint -> Islot (new_int r)
+  | _ -> Slot (new_val r)
 
-let bind sc name l =
+let bind sc name ty l =
   let level = List.hd sc.levels in
-  level := (name, l) :: List.remove_assoc name !level
+  level := (name, (l, ty)) :: List.remove_assoc name !level
 
 let declare sc ty name =
   let l = slot_for sc ty name in
-  bind sc name l;
+  bind sc name ty l;
   l
 
-let resolve sc name =
+let lookup sc name =
   let rec go = function
     | [] -> sc.outer name
     | level :: rest -> (
-        match List.assoc_opt name !level with Some l -> l | None -> go rest)
+        match List.assoc_opt name !level with Some b -> b | None -> go rest)
   in
   go sc.levels
+
+let resolve sc name = fst (lookup sc name)
 
 let read_loc name = function
   | Slot i -> fun fr -> fr.vals.(i)
@@ -442,58 +345,59 @@ let write_loc name = function
   | Cell (cells, i) -> fun _ v -> cells.(i) <- v
   | Unbound -> fun _ _ -> V.runtime_errorf "unbound variable %s" name
 
-(* Every expression of a body is annotated: the checker ran on it, so
-   its frame may be typed. *)
-let rec checked_expr (e : expr) =
-  Option.is_some e.ety
-  &&
-  match e.e with
-  | Eint _ | Efloat _ | Ebool _ | Estring _ | Enull | Evar _ | Eruntime_define _
-  | Enew_list _ ->
-      true
-  | Efield (a, _) | Eunop (_, a) | Enew_array (_, a) -> checked_expr a
-  | Eindex (a, b) | Ebinop (_, a, b) | Erange (a, b) ->
-      checked_expr a && checked_expr b
-  | Ecall (_, args) | Enew (_, args) -> List.for_all checked_expr args
-  | Emethod (o, _, args) -> checked_expr o && List.for_all checked_expr args
+(* The representation an expression computes in: [int], [float] or none
+   (a [Value.t]). *)
+let numeric (e : expr) =
+  match e.ety with Some ((Tint | Tfloat) as t) -> Some t | _ -> None
 
-let rec checked_lvalue = function
-  | Lvar _ -> true
-  | Lfield (l, _) -> checked_lvalue l
-  | Lindex (l, i) -> checked_lvalue l && checked_expr i
+(* An expression whose value is stored as a [float]: a [float] one, or
+   an [int] one the checker widened. *)
+let float_valued (e : expr) =
+  match e.ety with Some Tfloat -> true | Some Tint -> e.ewiden | _ -> false
 
-let rec checked_stmt (st : stmt) =
-  match st.s with
-  | Sdecl (_, _, init) -> Option.fold ~none:true ~some:checked_expr init
-  | Sassign (l, e) | Supdate (l, _, e) -> checked_lvalue l && checked_expr e
-  | Sif (c, th, el) -> checked_expr c && checked_stmts th && checked_stmts el
-  | Sfor (init, c, step, body) ->
-      checked_stmt init && checked_expr c && checked_stmt step && checked_stmts body
-  | Swhile (c, body) -> checked_expr c && checked_stmts body
-  | Sforeach { fe_coll; fe_where; fe_body; _ } ->
-      checked_expr fe_coll
-      && Option.fold ~none:true ~some:checked_expr fe_where
-      && checked_stmts fe_body
-  | Sexpr e | Sreturn (Some e) -> checked_expr e
-  | Sreturn None | Sbreak | Scontinue -> true
-  | Sblock body -> checked_stmts body
+(* --- fields --- *)
 
-and checked_stmts body = List.for_all checked_stmt body
+let field_ty ctx ty f =
+  let cd = match ty with Tclass c -> find_class ctx.prog c | _ -> None in
+  match Option.bind cd (fun cd -> List.find_opt (fun (_, n) -> n = f) cd.cd_fields) with
+  | Some (t, _) -> t
+  | None -> Tvoid
 
-(* The representation a checked expression computes in: [int], [float]
-   or none (a [Value.t]).  Unchecked code is all [Value.t]. *)
-let numeric sc (e : expr) =
-  if not sc.regs.typed then None
-  else match e.ety with Some ((Tint | Tfloat) as t) -> Some t | _ -> None
+(* The static type of a place. *)
+let rec lvalue_ty ctx sc = function
+  | Lvar v -> snd (lookup sc v)
+  | Lfield (l, f) -> field_ty ctx (lvalue_ty ctx sc l) f
+  | Lindex (l, _) -> ( match lvalue_ty ctx sc l with Tarray t -> t | _ -> Tvoid)
 
-(* A checked expression whose value is stored as a [float]. *)
-let float_valued sc (e : expr) =
-  match numeric sc e with Some Tfloat -> true | Some _ -> e.ewiden | None -> false
+(* The place ([Value.slot]) of field [f] in objects of static type [ty],
+   when [ty] is a class. *)
+let field_index ctx ty f =
+  match ty with
+  | Tclass c -> Option.map (fun cd -> V.slot cd f) (find_class ctx.prog c)
+  | _ -> None
+
+let expr_ty (e : expr) = Option.value e.ety ~default:Tvoid
+let no_field f v = V.runtime_errorf "field .%s of non-object %s" f (V.type_name v)
+let obj_to_read f = function V.Vobject o -> o | v -> no_field f v
+
+let obj_to_write f = function
+  | V.Vobject o -> o
+  | w -> V.runtime_errorf "field write .%s on %s" f (V.type_name w)
+
+(* [o.f] as a [Value.t]; by name when the class is not known
+   statically. *)
+let get_field f idx = function
+  | V.Vobject o -> ( match idx with Some i -> V.get o i | None -> V.field o f)
+  | (V.Varray _ | V.Vfloats _) as a when f = "length" -> V.Vint (V.array_length a)
+  | v -> no_field f v
+
+let set_field f idx o v =
+  match idx with Some i -> V.set o i v | None -> V.set_field o f v
 
 (* --- float registers --- *)
 
-(* A checked float expression compiled destination-style: [run] leaves
-   its value in register [reg] of the float part.  A constant or a float
+(* A float expression compiled destination-style: [run] leaves its
+   value in register [reg] of the float part.  A constant or a float
    local runs nothing.  A [temp] register is the consumer's to
    [release], once everything evaluated between its run and its use is
    compiled. *)
@@ -501,8 +405,8 @@ type fexp = { reg : int; run : (frame -> unit) option; temp : bool }
 
 let release sc x = if x.temp then sc.regs.free <- x.reg :: sc.regs.free
 
-(* A checked [int] operand: the operator using a constant or an [int]
-   local reads it inline. *)
+(* An [int] operand: the operator using a constant or an [int] local
+   reads it inline. *)
 type iexp = Iconst of int | Ivar of int | Icode of (frame -> int)
 
 let icode = function
@@ -579,17 +483,6 @@ let seq = function
           a.(i) fr
         done
 
-let field_of f slot = function
-  | V.Vobject obj -> obj.V.slots.(slot obj)
-  | (V.Varray _ | V.Vfloats _) as a when f = "length" -> V.Vint (V.array_length a)
-  | v -> V.runtime_errorf "field .%s of non-object %s" f (V.type_name v)
-
-let field_read c base f =
-  let slot = V.site f in
-  fun fr ->
-    charge_mem c;
-    field_of f slot (base fr)
-
 (* --- arrays --- *)
 
 let not_array v = V.runtime_errorf "expected array, got %s" (V.type_name v)
@@ -597,6 +490,13 @@ let not_array v = V.runtime_errorf "expected array, got %s" (V.type_name v)
 let check_bounds idx n =
   if idx < 0 || idx >= n then
     V.runtime_errorf "array index %d out of bounds [0, %d)" idx n
+
+(* The index [i] evaluates to, checked against an array of [n] for a
+   store. *)
+let store_index i fr n =
+  let idx = i fr in
+  if idx < 0 || idx >= n then V.runtime_errorf "array store index %d out of bounds" idx;
+  idx
 
 (* [a[i]]: the array is checked before the index is evaluated. *)
 let index_read c a i fr =
@@ -614,11 +514,19 @@ let index_read c a i fr =
 
 (* --- calls --- *)
 
-let run_fn fn fr =
-  try
-    fn.fn_body fr;
-    V.Vunit
-  with Return_value v -> v
+(* Whether the body ran into [return]. *)
+let run_fn fn fr = match fn.fn_body fr with () -> false | exception Return -> true
+
+(* A finished call's result as a [Value.t]: void when the body ended
+   without [return]. *)
+let result_value fn callee returned =
+  if not returned then V.Vunit
+  else
+    match fn.fn_result with
+    | Rnone -> V.Vunit
+    | Rfloat k -> V.Vfloat callee.floats.(k)
+    | Rint k -> V.Vint callee.ints.(k)
+    | Rval k -> callee.vals.(k)
 
 (* A call takes its function's spare frame, the frame of a call that
    returned, if there is one; a recursive or interleaved call finds none
@@ -633,12 +541,6 @@ let take_frame fn =
     fr
   end
 
-let arity_error fn given =
-  V.runtime_errorf "%s: arity mismatch (%d expected, %d given)"
-    fn.fn_decl.fd_name
-    (Array.length fn.fn_params)
-    given
-
 let set_param callee p v =
   match p with
   | Pval k -> callee.vals.(k) <- v
@@ -648,19 +550,24 @@ let set_param callee p v =
 (* Invoke a method with already-evaluated arguments. *)
 let invoke fn recv argv =
   let n = List.length argv in
-  if n <> Array.length fn.fn_params then arity_error fn n;
+  if n <> Array.length fn.fn_params then
+    V.runtime_errorf "%s: arity mismatch (%d expected, %d given)"
+      fn.fn_decl.fd_name (Array.length fn.fn_params) n;
   let fr = take_frame fn in
   fr.vals.(fn.fn_this) <- recv;
   List.iteri (fun i v -> set_param fr fn.fn_params.(i) v) argv;
-  let v = run_fn fn fr in
+  let returned = run_fn fn fr in
   fn.fn_spare <- fr;
-  v
+  result_value fn fr returned
+
+let append c l v =
+  charge_append c;
+  V.Vec.push l v
 
 let list_method c l m argv =
   match (m, argv) with
   | "add", [ v ] ->
-      charge_append c;
-      V.Vec.push l v;
+      append c l v;
       V.Vunit
   | "size", [] -> V.Vint (V.Vec.length l)
   | "get", [ V.Vint i ] ->
@@ -685,11 +592,13 @@ let is_int_builtin = function
 
 (* [register] receives the record before the body is compiled, so the
    body's recursive calls resolve to it. *)
-let rec compile_fn ctx fd ~is_method ~register =
-  let sc = open_frame ~typed:(checked_stmts fd.fd_body) no_outer in
+let rec compile_fn ctx fd ~this ~register =
+  let sc = open_frame no_outer in
   let fn_this =
-    if not is_method then -1
-    else match declare sc Tvoid "this" with Slot i -> i | _ -> assert false
+    match this with
+    | None -> -1
+    | Some cd -> (
+        match declare sc (Tclass cd.cd_name) "this" with Slot i -> i | _ -> assert false)
   in
   let fn_params =
     Array.of_list
@@ -702,27 +611,35 @@ let rec compile_fn ctx fd ~is_method ~register =
            | Cell _ | Unbound -> assert false)
          fd.fd_params)
   in
+  let r = sc.regs in
+  let fn_result =
+    match fd.fd_ret with
+    | Tvoid -> Rnone
+    | Tfloat -> Rfloat (new_float r)
+    | Tint -> Rint (new_int r)
+    | _ -> Rval (new_val r)
+  in
   let fn =
     {
       fn_decl = fd;
       fn_this;
       fn_params;
+      fn_result;
       fn_layout = empty_layout;
       fn_body = nop;
       fn_spare = no_frame;
     }
   in
   register fn;
-  fn.fn_body <- compile_block ctx sc fd.fd_body;
-  fn.fn_layout <- layout_of sc.regs;
+  fn.fn_body <- compile_block ctx { sc with result = fn_result } fd.fd_body;
+  fn.fn_layout <- layout_of r;
   fn
 
 and function_code ctx fd =
   match Hashtbl.find_opt ctx.code.funcs fd.fd_name with
   | Some fn -> fn
   | None ->
-      compile_fn ctx fd ~is_method:false
-        ~register:(Hashtbl.replace ctx.code.funcs fd.fd_name)
+      compile_fn ctx fd ~this:None ~register:(Hashtbl.replace ctx.code.funcs fd.fd_name)
 
 (* The compiled method [m] of class [cd], compiled on first use. *)
 and method_code ctx cd m =
@@ -732,7 +649,7 @@ and method_code ctx cd m =
       match find_method cd m with
       | None -> V.runtime_errorf "class %s has no method %s" cd.cd_name m
       | Some md ->
-          compile_fn ctx md ~is_method:true
+          compile_fn ctx md ~this:(Some cd)
             ~register:(Hashtbl.replace ctx.code.methods (cd.cd_name, m)))
 
 and call_method ctx recv m argv =
@@ -744,10 +661,10 @@ and call_method ctx recv m argv =
 
 (* --- expressions --- *)
 
-(* A [Value.t]-valued expression.  A checked operation or numeric
-   variable computes unboxed and boxes its result once; a widened
-   expression (an [int] the checker accepted where a [float] is
-   expected) stores a float; anything else is generic code. *)
+(* A [Value.t]-valued expression.  An operation or numeric variable
+   computes unboxed and boxes its result once; a widened expression (an
+   [int] the checker accepted where a [float] is expected) stores a
+   float. *)
 and compile_expr ctx sc (e : expr) : frame -> V.t =
   let unboxed =
     match e.e with
@@ -757,25 +674,25 @@ and compile_expr ctx sc (e : expr) : frame -> V.t =
         find_func ctx.prog f = None && (is_float_builtin f || is_int_builtin f)
     | _ -> false
   in
-  match (e.e, numeric sc e) with
+  match (e.e, numeric e) with
   | Eint n, _ when e.ewiden ->
       let v = V.Vfloat (float_of_int n) in
       fun _ -> v
   | _, Some Tint when unboxed && not e.ewiden ->
       let x = compile_i ctx sc e in
       fun fr -> V.Vint (x fr)
-  | _, Some _ when unboxed ->
+  | _, Some _ when unboxed || e.ewiden ->
       let x = compile_f ctx sc e in
       release sc x;
       let run = run_of x and r = x.reg in
       fun fr ->
         run fr;
         V.Vfloat fr.floats.(r)
-  | _ ->
-      let v = compile_boxed ctx sc e in
-      if e.ewiden then fun fr -> V.Vfloat (V.as_float (v fr)) else v
+  | _ -> compile_boxed ctx sc e
 
-(* The generic code of an expression: every value a [Value.t]. *)
+(* An expression read as a [Value.t] where it stands: a constant, a
+   variable, a field, an element, a condition, a call or an
+   allocation. *)
 and compile_boxed ctx sc (e : expr) : frame -> V.t =
   let c = ctx.counter in
   let ce = compile_expr ctx sc in
@@ -787,7 +704,7 @@ and compile_boxed ctx sc (e : expr) : frame -> V.t =
       let v = V.Vfloat f in
       fun _ -> v
   | Ebool b ->
-      let v = V.Vbool b in
+      let v = of_bool b in
       fun _ -> v
   | Estring s ->
       let v = V.Vstring s in
@@ -799,61 +716,69 @@ and compile_boxed ctx sc (e : expr) : frame -> V.t =
   | Evar v -> read_loc v (resolve sc v)
   | Efield (o, f) -> compile_field ctx sc o f
   | Eindex (a, i) -> index_read c (ce a) (compile_int ctx sc i)
-  | Ebinop (And, a, b) ->
-      let a = compile_cond ctx sc a and b = ce b in
-      fun fr ->
-        charge_branch c;
-        if a fr then b fr else vfalse
-  | Ebinop (Or, a, b) ->
-      let a = compile_cond ctx sc a and b = ce b in
-      fun fr ->
-        charge_branch c;
-        if a fr then vtrue else b fr
-  | Ebinop (((Add | Sub | Mul | Div | Mod) as op), a, b) ->
-      let a = ce a and b = ce b in
-      fun fr ->
-        let vb = b fr in
-        let va = a fr in
-        arith c op va vb
-  | Ebinop ((Lt | Le | Gt | Ge | Eq | Ne), _, _) | Eunop (Not, _) ->
+  | Ebinop _ | Eunop _ ->
+      (* arithmetic went unboxed in [compile_expr] *)
       let test = compile_cond ctx sc e in
       fun fr -> of_bool (test fr)
-  | Eunop (Neg, a) -> (
-      let a = ce a in
+  | Ecall (f, args) -> (
+      match find_func ctx.prog f with
+      | Some fd ->
+          call_with ctx sc fd args (fun fn _ callee returned ->
+              result_value fn callee returned)
+      | None when is_float_builtin f || is_int_builtin f -> ce e
+      | None ->
+          let args = List.map ce args in
+          let run =
+            if f = "print" then fun _ -> V.Vunit (* reference runs are silent *)
+            else
+              match Hashtbl.find_opt ctx.externs f with
+              | Some ext -> ext ctx
+              | None -> fun _ -> V.runtime_errorf "unknown function %s" f
+          in
+          fun fr ->
+            let argv = eval_args args fr in
+            charge_call c;
+            run argv)
+  | Emethod (({ ety = Some (Tlist _); _ } as o), "add", [ a ]) ->
+      (* a [List] append without the argument list *)
+      let o = ce o and a = ce a in
       fun fr ->
-        match a fr with
-        | V.Vint n ->
-            charge_int c;
-            V.Vint (-n)
-        | V.Vfloat f ->
-            charge_float c;
-            V.Vfloat (-.f)
-        | v -> V.runtime_errorf "negation of %s" (V.type_name v))
-  | Ecall (f, args) -> compile_call ctx sc f args
+        let l = V.as_list (o fr) in
+        let v = a fr in
+        charge_call c;
+        append c l v;
+        V.Vunit
   | Emethod (o, m, args) ->
       let o = ce o and args = List.map ce args in
       fun fr ->
         let recv = o fr in
         call_method ctx recv m (eval_args args fr)
-  | Enew (cname, args) -> (
-      match find_class ctx.prog cname with
-      | None ->
-          fun _ ->
-            charge_alloc c;
-            V.runtime_errorf "unknown class %s" cname
-      | Some cls ->
-          let args = Array.of_list (List.map ce args) in
-          let n = Array.length args in
-          fun fr ->
-            charge_alloc c;
-            let obj = V.make_object cls in
-            if n > 0 && n <> Array.length obj.V.slots then
-              V.runtime_errorf "new %s expects %d arguments, got %d" cname
-                (Array.length obj.V.slots) n;
-            for i = 0 to n - 1 do
-              obj.V.slots.(i) <- args.(i) fr
-            done;
-            V.Vobject obj)
+  | Enew (cname, args) ->
+      let cls = class_decl ctx cname in
+      let make = V.maker cls in
+      let init (_, name) a =
+        match V.slot cls name with
+        | V.Flat k ->
+            let x = compile_f ctx sc a in
+            release sc x;
+            let run = run_of x and r = x.reg in
+            fun fr (o : V.obj) ->
+              run fr;
+              o.floats.(k) <- fr.floats.(r)
+        | V.Boxed i ->
+            let x = ce a in
+            fun fr (o : V.obj) -> o.slots.(i) <- x fr
+      in
+      let inits =
+        Array.of_list (if args = [] then [] else List.map2 init cls.cd_fields args)
+      in
+      fun fr ->
+        charge_alloc c;
+        let obj = make () in
+        for i = 0 to Array.length inits - 1 do
+          inits.(i) fr obj
+        done;
+        V.Vobject obj
   | Enew_array (t, n) ->
       let n = compile_int ctx sc n in
       fun fr ->
@@ -878,16 +803,20 @@ and runtime_define ctx name _ =
   | v -> v
   | exception Not_found -> V.runtime_errorf "runtime_define %s is not set" name
 
-(* [o.f]; an object in a [Value.t] slot is read in place. *)
+(* [o.f] as a [Value.t]; an object in a [Value.t] slot is read in
+   place. *)
 and compile_field ctx sc o f =
-  let c = ctx.counter in
+  let c = ctx.counter and idx = field_index ctx (expr_ty o) f in
   match val_slot sc o with
   | Some k ->
-      let slot = V.site f in
       fun fr ->
         charge_mem c;
-        field_of f slot fr.vals.(k)
-  | None -> field_read c (compile_expr ctx sc o) f
+        get_field f idx fr.vals.(k)
+  | None ->
+      let o = compile_expr ctx sc o in
+      fun fr ->
+        charge_mem c;
+        get_field f idx (o fr)
 
 and compile_iexp ?bad ctx sc (e : expr) =
   match e.e with
@@ -898,19 +827,11 @@ and compile_iexp ?bad ctx sc (e : expr) =
       | _ -> Icode (compile_i ?bad ctx sc e))
   | _ -> Icode (compile_i ?bad ctx sc e)
 
-(* An expression whose value is used as an [int] (an index, a size, a
-   bound): unboxed when checked, else through [Value.as_int]. *)
-and compile_int ctx sc (e : expr) : frame -> int = icode (compile_index ctx sc e)
+(* An [int] expression used as an index, a size or a bound. *)
+and compile_int ctx sc (e : expr) : frame -> int = icode (compile_iexp ctx sc e)
 
-and compile_index ctx sc (e : expr) : iexp =
-  match numeric sc e with
-  | Some Tint -> compile_iexp ctx sc e
-  | _ ->
-      let v = compile_expr ctx sc e in
-      Icode (fun fr -> V.as_int (v fr))
-
-(* A checked [int] expression.  [bad] is the error a [Value.t] operand
-   that is no [int] raises. *)
+(* An [int] expression.  [bad] is the error a [Value.t] operand that is
+   no [int] raises. *)
 and compile_i ?(bad = as_int_msg) ctx sc (e : expr) : frame -> int =
   let c = ctx.counter in
   let boxed () =
@@ -931,15 +852,14 @@ and compile_i ?(bad = as_int_msg) ctx sc (e : expr) : frame -> int =
         match o fr with
         | V.Varray a -> Array.length a
         | V.Vfloats a -> Array.length a
-        | v -> V.runtime_errorf "field .length of non-object %s" (V.type_name v))
+        | v -> no_field "length" v)
   | Efield (o, f) -> (
-      match val_slot sc o with
-      | Some k ->
-          let slot = V.site f in
+      match (field_index ctx (expr_ty o) f, val_slot sc o) with
+      | Some (V.Boxed i), Some k ->
           fun fr ->
             charge_mem c;
-            unbox_int bad (field_of f slot fr.vals.(k))
-      | None -> boxed ())
+            unbox_int bad (obj_to_read f fr.vals.(k)).slots.(i)
+      | _ -> boxed ())
   | Ebinop (((Add | Sub | Mul | Div | Mod) as op), a, b) -> (
       let b' = compile_iexp ~bad:(arith_right a) ctx sc b in
       match (compile_iexp ~bad:(arith_left b) ctx sc a, b') with
@@ -965,25 +885,30 @@ and compile_i ?(bad = as_int_msg) ctx sc (e : expr) : frame -> int =
         let x = a fr in
         charge_int c;
         -x
-  | Ecall (f, args) when find_func ctx.prog f = None -> (
-      match (f, args) with
-      | ("imin" | "imax"), [ a; b ] ->
+  | Ecall (f, args) -> (
+      match (find_func ctx.prog f, args) with
+      | Some fd, _ ->
+          (* an [int] function, so its result is in an int register *)
+          call_with ctx sc fd args (fun fn ->
+              let r = match fn.fn_result with Rint r -> r | _ -> assert false in
+              fun _ callee returned -> if returned then callee.ints.(r) else fail bad V.Vunit)
+      | None, [ a; b ] when f = "imin" || f = "imax" ->
           let a = compile_i ctx sc a and b = compile_i ctx sc b in
-          let op = if f = "imin" then imin else imax in
+          let op = if f = "imin" then Int.min else Int.max in
           fun fr ->
             let x = a fr in
             let y = b fr in
             charge_call c;
             charge_int c;
             op x y
-      | "iabs", [ a ] ->
+      | None, [ a ] when f = "iabs" ->
           let a = compile_i ctx sc a in
           fun fr ->
             let x = a fr in
             charge_call c;
             charge_int c;
             abs x
-      | "int_of_float", [ a ] ->
+      | None, [ a ] when f = "int_of_float" ->
           let x = compile_f ctx sc a in
           release sc x;
           let run = run_of x and r = x.reg in
@@ -995,11 +920,10 @@ and compile_i ?(bad = as_int_msg) ctx sc (e : expr) : frame -> int =
       | _ -> boxed ())
   | _ -> boxed ()
 
-(* A checked [float] expression, or an [int] one used as a float.  The
-   root writes [dst] when given, unless the value already sits in a
-   register (a constant or a float local); the caller then copies it
-   ([move]).  [bad] is the error a [Value.t] operand that is no number
-   raises. *)
+(* A [float] expression, or an [int] one used as a float.  The root
+   writes [dst] when given, unless the value already sits in a register
+   (a constant or a float local); the caller then copies it ([move]).
+   [bad] is the error a [Value.t] operand that is no number raises. *)
 and compile_f ?dst ?(bad = as_float_msg) ctx sc (e : expr) : fexp =
   let c = ctx.counter in
   let boxed read =
@@ -1022,15 +946,15 @@ and compile_f ?dst ?(bad = as_float_msg) ctx sc (e : expr) : fexp =
           | Fslot k -> { reg = k; run = None; temp = false }
           | l -> boxed (read_loc v l))
       | Efield (o, f) -> (
-          match val_slot sc o with
-          | Some k ->
-              let slot = V.site f in
+          match field_index ctx (expr_ty o) f with
+          | Some (V.Flat k) ->
+              let base = compile_expr ctx sc o in
               computed sc dst (fun d fr ->
                   charge_mem c;
-                  store_float bad fr.floats d (field_of f slot fr.vals.(k)))
-          | None -> boxed (compile_field ctx sc o f))
+                  fr.floats.(d) <- (obj_to_read f (base fr)).floats.(k))
+          | _ -> boxed (compile_field ctx sc o f))
       | Eindex (a, i) ->
-          let a = compile_expr ctx sc a and i = compile_index ctx sc i in
+          let a = compile_expr ctx sc a and i = compile_iexp ctx sc i in
           let index = icode i in
           let index fr = match i with Ivar k -> fr.ints.(k) | _ -> index fr in
           computed sc dst (fun d fr ->
@@ -1060,10 +984,19 @@ and compile_f ?dst ?(bad = as_float_msg) ctx sc (e : expr) : fexp =
               charge_float c;
               let f = fr.floats in
               f.(d) <- -.f.(r))
-      | Ecall (f, args) when find_func ctx.prog f = None && is_float_builtin f -> (
-          match float_builtin ctx sc dst f args with
-          | Some x -> x
-          | None -> boxed (compile_boxed ctx sc e))
+      | Ecall (f, args) -> (
+          match find_func ctx.prog f with
+          | Some fd ->
+              computed sc dst (fun d ->
+                  call_with ctx sc fd args (fun fn ->
+                      let r = match fn.fn_result with Rfloat r -> r | _ -> assert false in
+                      fun fr callee returned ->
+                        if returned then fr.floats.(d) <- callee.floats.(r)
+                        else fail bad V.Vunit))
+          | None -> (
+              match float_builtin ctx sc dst f args with
+              | Some x -> x
+              | None -> boxed (compile_boxed ctx sc e)))
       | _ -> boxed (compile_boxed ctx sc e))
 
 (* [a op b] into register [d], the operator inline; an operand that
@@ -1096,8 +1029,8 @@ and farith c op xa xb d =
         let f = fr.floats in
         f.(d) <- float_arith op f.(ra) f.(rb)
 
-(* A float builtin with its argument count, inline; [None] for a wrong
-   count, which the generic code reports. *)
+(* A float builtin with its argument count, inline; [None] for anything
+   else. *)
 and float_builtin ctx sc dst f args =
   let c = ctx.counter in
   match (f, args) with
@@ -1122,6 +1055,7 @@ and float_builtin ctx sc dst f args =
         charge_float c;
         fr.floats
       in
+      (* [Stdlib.min]/[max]'s argument order for a NaN and a signed zero *)
       Some
         (computed sc dst (fun d ->
              if f = "fmin" then fun fr ->
@@ -1159,10 +1093,10 @@ and compile_cond ctx sc (e : expr) : frame -> bool =
   match e.e with
   | Ebool b -> fun _ -> b
   | Ebinop (((Lt | Le | Gt | Ge | Eq | Ne) as op), a, b) -> (
-      match (numeric sc a, numeric sc b) with
+      match (numeric a, numeric b) with
       | Some Tint, Some Tint ->
           let b' = compile_iexp ~bad:(compare_right a) ctx sc b in
-          icompare c op (compile_iexp ~bad:(compare_left b) ctx sc a) b' 
+          icompare c op (compile_iexp ~bad:(compare_left b) ctx sc a) b'
       | Some _, Some _ ->
           let xb = compile_f ~bad:(compare_right a) ctx sc b in
           let xa = compile_f ~bad:(compare_left b) ctx sc a in
@@ -1174,7 +1108,8 @@ and compile_cond ctx sc (e : expr) : frame -> bool =
           fun fr ->
             let vb = b fr in
             let va = a fr in
-            compare_vals c op va vb)
+            charge_int c;
+            holds op (if same va vb then 0 else 1))
   | Ebinop (And, a, b) ->
       let a = compile_cond ctx sc a and b = compile_cond ctx sc b in
       fun fr ->
@@ -1214,8 +1149,8 @@ and icompare c op a b : frame -> bool =
         holds op (Int.compare x y)
 
 (* Float comparisons go by [Float.compare], which orders a NaN below
-   every float and equal to itself, as [compare_vals] does; inline,
-   since a helper taking two floats would box them. *)
+   every float and equal to itself; inline, since a helper taking two
+   floats would box them. *)
 and fcompare c op xa xb =
   let ra = xa.reg and rb = xb.reg in
   match (xa.run, xb.run) with
@@ -1244,85 +1179,46 @@ and fcompare c op xa xb =
         let f = fr.floats in
         holds op (Float.compare f.(ra) f.(rb))
 
-(* A call resolves to the program function of that name, else the
-   builtin, else the extern.  Arguments go straight into the callee's
-   frame, a checked [int] or [float] one unboxed. *)
-and compile_call ctx sc f args =
+(* A call of program function [fd]: the arguments go straight into the
+   callee's frame, an [int] or [float] one unboxed, and [k fn caller
+   callee returned] reads the result out of the callee's frame. *)
+and call_with :
+      'a. ctx -> scopes -> func_decl -> expr list ->
+      (fn -> frame -> frame -> bool -> 'a) -> frame -> 'a =
+ fun ctx sc fd args k ->
   let c = ctx.counter in
-  match find_func ctx.prog f with
-  | Some fd ->
-      let fn = function_code ctx fd in
-      let n = List.length args in
-      if n <> Array.length fn.fn_params then (
-        let args = List.map (compile_expr ctx sc) args in
-        fun fr ->
-          List.iter (fun a -> ignore (a fr)) args;
-          charge_call c;
-          arity_error fn n)
-      else
-        let arg k a = compile_arg ctx sc fn.fn_params.(k) a in
-        let args = Array.of_list (List.mapi arg args) in
-        fun fr ->
-          let callee = take_frame fn in
-          for i = 0 to n - 1 do
-            args.(i) fr callee
-          done;
-          charge_call c;
-          let v = run_fn fn callee in
-          fn.fn_spare <- callee;
-          v
-  | None -> (
-      let args = List.map (compile_expr ctx sc) args in
-      match (builtin c f, args) with
-      | Some (B1 op), [ a ] ->
-          fun fr ->
-            let v = a fr in
-            charge_call c;
-            op v
-      | Some (B2 op), [ a; b ] ->
-          fun fr ->
-            let va = a fr in
-            let vb = b fr in
-            charge_call c;
-            op va vb
-      | Some b, _ ->
-          let expects =
-            match b with B1 _ -> "1 argument" | B2 _ -> "2 arguments"
-          in
-          fun fr ->
-            ignore (eval_args args fr);
-            charge_call c;
-            V.runtime_errorf "%s expects %s" f expects
-      | None, _ ->
-          let ext =
-            match Hashtbl.find_opt ctx.externs f with
-            | Some ext -> ext ctx
-            | None -> fun _ -> V.runtime_errorf "unknown function %s" f
-          in
-          fun fr ->
-            let argv = eval_args args fr in
-            charge_call c;
-            ext argv)
+  let fn = function_code ctx fd in
+  let args = Array.of_list (List.mapi (fun i a -> compile_arg ctx sc fn.fn_params.(i) a) args) in
+  let k = k fn in
+  fun fr ->
+    let callee = take_frame fn in
+    for i = 0 to Array.length args - 1 do
+      args.(i) fr callee
+    done;
+    charge_call c;
+    let returned = run_fn fn callee in
+    fn.fn_spare <- callee;
+    k fr callee returned
 
 (* Evaluate one argument into its parameter of the callee's frame. *)
 and compile_arg ctx sc p (a : expr) : frame -> frame -> unit =
-  match (p, numeric sc a) with
-  | Pfloat k, Some _ ->
+  match p with
+  | Pfloat k -> (
       let x = compile_f ctx sc a in
       release sc x;
       let r = x.reg in
-      (match x.run with
+      match x.run with
       | None -> fun fr callee -> callee.floats.(k) <- fr.floats.(r)
       | Some run ->
           fun fr callee ->
             run fr;
             callee.floats.(k) <- fr.floats.(r))
-  | Pint k, Some Tint ->
+  | Pint k ->
       let x = compile_i ctx sc a in
       fun fr callee -> callee.ints.(k) <- x fr
-  | _ ->
+  | Pval k ->
       let v = compile_expr ctx sc a in
-      fun fr callee -> set_param callee p (v fr)
+      fun fr callee -> callee.vals.(k) <- v fr
 
 (* --- statements --- *)
 
@@ -1330,31 +1226,7 @@ and compile_stmt ctx sc (st : stmt) : frame -> unit =
   let c = ctx.counter in
   let ce = compile_expr ctx sc in
   match st.s with
-  | Sdecl (ty, name, init) -> (
-      (* the initializer sees the scope before the declaration *)
-      let l = slot_for sc ty name in
-      let code =
-        match (l, init) with
-        | Fslot k, Some e -> move (compile_f ~dst:k ctx sc e) k
-        | Fslot k, None -> fun fr -> fr.floats.(k) <- 0.0
-        | Islot k, Some e ->
-            let x = compile_i ctx sc e in
-            fun fr -> fr.ints.(k) <- x fr
-        | Islot k, None -> fun fr -> fr.ints.(k) <- 0
-        | _, Some e ->
-            let x = ce e in
-            let write = write_loc name l in
-            fun fr -> write fr (x fr)
-        | _, None -> (
-            let write = write_loc name l in
-            match ty with
-            | Tlist _ -> fun fr -> write fr (V.zero_of_ty ty)
-            | _ ->
-                let z = V.zero_of_ty ty in
-                fun fr -> write fr z)
-      in
-      bind sc name l;
-      code)
+  | Sdecl (ty, name, init) -> compile_decl ctx sc ty name init (slot_for sc ty name)
   | Sassign (Lvar name, e) -> (
       match resolve sc name with
       | Fslot k ->
@@ -1371,34 +1243,39 @@ and compile_stmt ctx sc (st : stmt) : frame -> unit =
       | _ ->
           let e = ce e and assign = compile_assign ctx sc (Lvar name) in
           fun fr -> assign fr (e fr))
-  | Sassign (Lindex (l, i), e) when float_valued sc e ->
+  | Sassign (Lfield (l, f), e) -> (
+      match field_index ctx (lvalue_ty ctx sc l) f with
+      | Some (V.Flat k) -> (
+          (* a [float] field: stored unboxed into the flat part *)
+          let x = compile_f ctx sc e in
+          let base = compile_read ctx sc l in
+          release sc x;
+          let run = run_of x and r = x.reg in
+          fun fr ->
+            run fr;
+            charge_mem c;
+            (obj_to_write f (base fr)).floats.(k) <- fr.floats.(r))
+      | _ ->
+          let e = ce e and assign = compile_assign ctx sc (Lfield (l, f)) in
+          fun fr -> assign fr (e fr))
+  | Sassign (Lindex (l, i), e) when float_valued e ->
       (* a [float[]] element: stored unboxed into the flat form *)
       let x = compile_f ctx sc e in
       let base = compile_read ctx sc l and i = compile_int ctx sc i in
       release sc x;
       let run = run_of x and r = x.reg in
-      let index fr n =
-        let idx = i fr in
-        if idx < 0 || idx >= n then
-          V.runtime_errorf "array store index %d out of bounds" idx;
-        idx
-      in
       fun fr ->
         run fr;
         charge_mem c;
         (match base fr with
-        | V.Vfloats fa ->
-            let idx = index fr (Array.length fa) in
-            fa.(idx) <- fr.floats.(r)
-        | V.Varray arr ->
-            let idx = index fr (Array.length arr) in
-            arr.(idx) <- V.Vfloat fr.floats.(r)
+        | V.Vfloats fa -> fa.(store_index i fr (Array.length fa)) <- fr.floats.(r)
+        | V.Varray arr -> arr.(store_index i fr (Array.length arr)) <- V.Vfloat fr.floats.(r)
         | w -> not_array w)
   | Sassign (l, e) ->
       let e = ce e and assign = compile_assign ctx sc l in
       fun fr -> assign fr (e fr)
   | Supdate (Lindex (base, i), op, e) -> compile_index_update ctx sc base i op e
-  | Supdate (Lvar name, op, e) when numeric sc e <> None -> (
+  | Supdate (Lvar name, op, e) -> (
       match resolve sc name with
       | Fslot k ->
           let x = compile_f ctx sc e in
@@ -1410,7 +1287,7 @@ and compile_stmt ctx sc (st : stmt) : frame -> unit =
             let f = fr.floats in
             f.(k) <- float_arith op f.(k) f.(r);
             charge_mem c
-      | Islot k when numeric sc e = Some Tint ->
+      | Islot k ->
           let x = compile_i ctx sc e in
           fun fr ->
             let y = x fr in
@@ -1418,7 +1295,24 @@ and compile_stmt ctx sc (st : stmt) : frame -> unit =
             fr.ints.(k) <- int_arith op fr.ints.(k) y;
             charge_mem c
       | _ -> compile_update ctx sc (Lvar name) op e)
-  | Supdate (l, op, e) -> compile_update ctx sc l op e
+  | Supdate (Lfield (l, f), op, e) -> (
+      match field_index ctx (lvalue_ty ctx sc l) f with
+      | Some (V.Flat k) ->
+          (* a [float] field, read and written in place; the place is
+             resolved twice, as a read and then as a write *)
+          let x = compile_f ctx sc e in
+          let base = compile_read ctx sc l in
+          release sc x;
+          let run = run_of x and r = x.reg in
+          fun fr ->
+            run fr;
+            charge_mem c;
+            let old = (obj_to_read f (base fr)).floats.(k) in
+            charge_float c;
+            let v = float_arith op old fr.floats.(r) in
+            charge_mem c;
+            (obj_to_write f (base fr)).floats.(k) <- v
+      | _ -> compile_update ctx sc (Lfield (l, f)) op e)
   | Sif (cond, th, el) ->
       let cond = compile_cond ctx sc cond in
       let th = compile_block ctx sc th and el = compile_block ctx sc el in
@@ -1461,30 +1355,93 @@ and compile_stmt ctx sc (st : stmt) : frame -> unit =
   | Sexpr e ->
       let e = ce e in
       fun fr -> ignore (e fr)
-  | Sreturn None -> fun _ -> raise_notrace (Return_value V.Vunit)
-  | Sreturn (Some e) ->
-      let e = ce e in
-      fun fr -> raise_notrace (Return_value (e fr))
+  | Sreturn None -> fun _ -> raise_notrace Return
+  | Sreturn (Some e) -> (
+      match sc.result with
+      | Rfloat k ->
+          let store = move (compile_f ~dst:k ctx sc e) k in
+          fun fr ->
+            store fr;
+            raise_notrace Return
+      | Rint k ->
+          let x = compile_i ctx sc e in
+          fun fr ->
+            fr.ints.(k) <- x fr;
+            raise_notrace Return
+      | Rval k ->
+          let e = ce e in
+          fun fr ->
+            fr.vals.(k) <- e fr;
+            raise_notrace Return
+      | Rnone ->
+          let e = ce e in
+          fun fr ->
+            ignore (e fr);
+            raise_notrace Return)
   | Sbreak -> fun _ -> raise_notrace Break_loop
   | Scontinue -> fun _ -> raise_notrace Continue_loop
   | Sblock body -> compile_block ctx sc body
 
-(* [l op= e] through [Value.t]s: the place is read, combined and
-   written. *)
+(* A declaration into slot [l]; the initializer sees the scope before
+   the declaration. *)
+and compile_decl ctx sc ty name init l =
+  let code =
+    match (l, init) with
+    | Fslot k, Some e -> move (compile_f ~dst:k ctx sc e) k
+    | Fslot k, None -> fun fr -> fr.floats.(k) <- 0.0
+    | Islot k, Some e ->
+        let x = compile_i ctx sc e in
+        fun fr -> fr.ints.(k) <- x fr
+    | Islot k, None -> fun fr -> fr.ints.(k) <- 0
+    | _, Some e ->
+        let x = compile_expr ctx sc e in
+        let write = write_loc name l in
+        fun fr -> write fr (x fr)
+    | _, None -> (
+        let write = write_loc name l in
+        match ty with
+        | Tlist _ -> fun fr -> write fr (V.zero_of_ty ty)
+        | _ ->
+            let z = V.zero_of_ty ty in
+            fun fr -> write fr z)
+  in
+  bind sc name ty l;
+  code
+
+(* [l op= e] on a place read and written as a [Value.t] (a global, a
+   field of another type than [float]); the place is a [float] exactly
+   when [e] is stored as one (the checker marks a widened [e]). *)
 and compile_update ctx sc l op e =
   let c = ctx.counter in
-  let e = compile_expr ctx sc e in
-  let read = compile_read ctx sc l and assign = compile_assign ctx sc l in
-  fun fr ->
-    let v = e fr in
-    let old = read fr in
-    assign fr (arith c op old v)
+  let bad = arith_left e in
+  if float_valued e then begin
+    let x = compile_f ctx sc e in
+    let read = compile_read ctx sc l and assign = compile_assign ctx sc l in
+    let run = run_of x and r = x.reg and t = new_float sc.regs in
+    release sc x;
+    fun fr ->
+      run fr;
+      store_float bad fr.floats t (read fr);
+      charge_float c;
+      let f = fr.floats in
+      assign fr (V.Vfloat (float_arith op f.(t) f.(r)))
+  end
+  else
+    let x = compile_i ctx sc e in
+    let read = compile_read ctx sc l and assign = compile_assign ctx sc l in
+    fun fr ->
+      let y = x fr in
+      let old = unbox_int bad (read fr) in
+      charge_int c;
+      assign fr (V.Vint (int_arith op old y))
 
 (* [a[i] op= e]: the place is resolved once, since the index expression
-   must not be evaluated twice (it may have side effects). *)
+   must not be evaluated twice (it may have side effects); a flat
+   [float[]] element is updated in place. *)
 and compile_index_update ctx sc base i op e =
   let c = ctx.counter in
-  let e = compile_expr ctx sc e in
+  (* [e]'s register stays held while the place is compiled *)
+  let x = if float_valued e then Some (compile_f ctx sc e) else None in
   let base = compile_read ctx sc base and i = compile_int ctx sc i in
   let index fr n =
     let idx = i fr in
@@ -1493,17 +1450,35 @@ and compile_index_update ctx sc base i op e =
     charge_mem c;
     idx
   in
-  fun fr ->
-    let v = e fr in
-    charge_mem c;
-    match base fr with
-    | V.Vfloats fa ->
-        let idx = index fr (Array.length fa) in
-        fa.(idx) <- V.as_float (arith c op (V.Vfloat fa.(idx)) v)
-    | V.Varray arr ->
-        let idx = index fr (Array.length arr) in
-        arr.(idx) <- arith c op arr.(idx) v
-    | w -> not_array w
+  match x with
+  | Some x -> (
+      release sc x;
+      let run = run_of x and r = x.reg in
+      fun fr ->
+        run fr;
+        charge_mem c;
+        match base fr with
+        | V.Vfloats fa ->
+            let idx = index fr (Array.length fa) in
+            charge_float c;
+            fa.(idx) <- float_arith op fa.(idx) fr.floats.(r)
+        | V.Varray arr ->
+            let idx = index fr (Array.length arr) in
+            charge_float c;
+            arr.(idx) <- V.Vfloat (float_arith op (V.as_float arr.(idx)) fr.floats.(r))
+        | w -> not_array w)
+  | None -> (
+      let x = compile_i ctx sc e and bad = arith_left e in
+      fun fr ->
+        let y = x fr in
+        charge_mem c;
+        match base fr with
+        | V.Varray arr ->
+            let idx = index fr (Array.length arr) in
+            let old = unbox_int bad arr.(idx) in
+            charge_int c;
+            arr.(idx) <- V.Vint (int_arith op old y)
+        | w -> not_array w)
 
 (* The loop variable takes each element; an [int] or [float] one
    unboxed, a rectdomain's index and a flat [float[]]'s element without
@@ -1567,7 +1542,12 @@ and compile_block ctx sc body =
 
 and compile_read ctx sc = function
   | Lvar v -> read_loc v (resolve sc v)
-  | Lfield (l, f) -> field_read ctx.counter (compile_read ctx sc l) f
+  | Lfield (l, f) ->
+      let c = ctx.counter and idx = field_index ctx (lvalue_ty ctx sc l) f in
+      let base = compile_read ctx sc l in
+      fun fr ->
+        charge_mem c;
+        get_field f idx (base fr)
   | Lindex (l, i) ->
       index_read ctx.counter (compile_read ctx sc l) (compile_int ctx sc i)
 
@@ -1579,43 +1559,34 @@ and compile_assign ctx sc l : frame -> V.t -> unit =
       fun fr v ->
         charge_mem c;
         write fr v
-  | Lfield (l, f) -> (
-      let l = compile_read ctx sc l and slot = V.site f in
+  | Lfield (l, f) ->
+      let idx = field_index ctx (lvalue_ty ctx sc l) f in
+      let base = compile_read ctx sc l in
       fun fr v ->
         charge_mem c;
-        match l fr with
-        | V.Vobject obj -> obj.V.slots.(slot obj) <- v
-        | w -> V.runtime_errorf "field write .%s on %s" f (V.type_name w))
+        set_field f idx (obj_to_write f (base fr)) v
   | Lindex (l, i) -> (
       let l = compile_read ctx sc l and i = compile_int ctx sc i in
-      let index fr n =
-        let idx = i fr in
-        if idx < 0 || idx >= n then
-          V.runtime_errorf "array store index %d out of bounds" idx;
-        idx
-      in
       fun fr v ->
         charge_mem c;
         match l fr with
-        | V.Vfloats fa ->
-            let idx = index fr (Array.length fa) in
-            fa.(idx) <- V.as_float v
-        | V.Varray arr -> arr.(index fr (Array.length arr)) <- v
+        | V.Vfloats fa -> fa.(store_index i fr (Array.length fa)) <- V.as_float v
+        | V.Varray arr -> arr.(store_index i fr (Array.length arr)) <- v
         | w -> not_array w)
 
 (* --- globals and packets --- *)
 
-type globals = { cells : V.t array; names : (string * loc) list }
+type globals = { cells : V.t array; names : (string * (loc * ty)) list }
 
 (* Evaluate the top-level declarations in order; each initializer sees
    the globals declared before it.  The cells are the [Value.t] part of
-   the initializers' frame. *)
+   the initializers' frame, where every global takes a slot. *)
 let init_globals ctx =
-  let sc = open_frame ~typed:false no_outer in
+  let sc = open_frame no_outer in
   let inits =
     List.map
       (fun g ->
-        compile_stmt ctx sc (mk_stmt (Sdecl (g.gd_ty, g.gd_name, g.gd_init))))
+        compile_decl ctx sc g.gd_ty g.gd_name g.gd_init (Slot (new_val sc.regs)))
       ctx.prog.globals
   in
   let fr = frame_of (layout_of sc.regs) in
@@ -1624,10 +1595,11 @@ let init_globals ctx =
 
 let global_loc globals name =
   match List.assoc_opt name globals.names with
-  | Some (Slot i) -> Cell (globals.cells, i)
-  | _ -> Unbound
+  | Some (Slot i, ty) -> (Cell (globals.cells, i), ty)
+  | _ -> no_outer name
 
-let global_value globals name = read_loc name (global_loc globals name) no_frame
+let global_value globals name =
+  read_loc name (fst (global_loc globals name)) no_frame
 
 type packet_code = {
   segments : (frame -> unit) array;
@@ -1635,19 +1607,18 @@ type packet_code = {
   layout : layout;
 }
 
-(* [Value.t] slot 0 holds the packet index; the inputs follow in order. *)
+(* [int] slot 0 holds the packet index; the inputs follow in order. *)
 let compile_packet ctx globals ~inputs segments =
-  let typed = List.for_all checked_stmts segments in
-  let sc = open_frame ~typed (global_loc globals) in
-  ignore (declare sc Tvoid ctx.prog.pipeline.pd_var);
-  List.iter (fun name -> ignore (declare sc Tvoid name)) inputs;
+  let sc = open_frame (global_loc globals) in
+  ignore (declare sc Tint ctx.prog.pipeline.pd_var);
+  List.iter (fun (name, ty) -> ignore (declare sc ty name)) inputs;
   let segment stmts = seq (List.map (compile_stmt ctx sc) stmts) in
   let segments = Array.of_list (List.map segment segments) in
   { segments; packet_scope = sc; layout = layout_of sc.regs }
 
 let new_frame pk ~packet =
   let fr = frame_of pk.layout in
-  fr.vals.(0) <- V.Vint packet;
+  fr.ints.(0) <- packet;
   fr
 
 let run_segment pk i fr = pk.segments.(i) fr
@@ -1667,9 +1638,9 @@ let lookup pk names =
 let run_reference ctx =
   let globals = init_globals ctx in
   let pd = ctx.prog.pipeline in
-  let sc = open_frame ~typed:false (global_loc globals) in
-  let count = compile_expr ctx sc pd.pd_count in
-  let n = V.as_int (count (frame_of (layout_of sc.regs))) in
+  let sc = open_frame (global_loc globals) in
+  let count = compile_int ctx sc pd.pd_count in
+  let n = count (frame_of (layout_of sc.regs)) in
   let pk =
     compile_packet ctx globals ~inputs:[] [ [ mk_stmt (Sblock pd.pd_body) ] ]
   in

@@ -1,29 +1,32 @@
-(** Resolve-once executor for PipeLang with operation accounting.
+(** Resolve-once executor for checked PipeLang, with operation
+    accounting.
 
-    Code is compiled once into closures over typed frames: variables
-    resolve at compile time to frame slots or global cells, calls to the
-    compiled function, builtin or extern, and methods are compiled once
-    per (class, method).  A name that resolves to nothing raises its
-    runtime error only when the code naming it runs.
+    A context runs a program the type checker has annotated
+    ({!Typecheck.check}).  Its code is compiled once into closures over
+    typed frames: variables resolve at compile time to frame slots or
+    global cells, fields to an index into the object from the static
+    class of the object, calls to the compiled function, builtin or
+    extern, and methods are compiled once per (class, method).  A name
+    that resolves to nothing raises its runtime error only when the code
+    naming it runs.
 
     A frame has [Value.t] slots, a flat [float] part and an [int] part.
-    In code the type checker has annotated, [int] and [float] locals,
-    parameters, loop variables and temporaries live unboxed, so checked
-    arithmetic, comparisons, numeric builtins, [float[]] element reads
-    and stores, argument passing and calls allocate nothing; a value is
-    boxed where it meets a [Value.t] (object fields, lists, externs,
-    [return], globals, {!lookup} and {!setter}).  Unchecked code keeps
-    every variable a [Value.t], and a typed operand that is no number
-    raises the error the generic code raises.  Each compiled function
-    keeps the frame of its last finished call for the next one, so a
-    context, like its counter, serves one domain at a time.
+    [int] and [float] locals, parameters, packet inputs, loop variables,
+    temporaries and function results live unboxed, so arithmetic,
+    comparisons, numeric builtins, [float] object fields, [float[]]
+    elements, argument passing and returns allocate nothing; a value is
+    boxed where it meets a [Value.t] (other object fields, lists,
+    externs, methods, globals, {!lookup} and {!setter}).  A value that
+    is no number where one is used raises the error of the operator
+    using it.  Each compiled function keeps the frame of its last
+    finished call for the next one, so a context, like its counter,
+    serves one domain at a time.
 
     Two uses: reference execution of whole programs (the sequential
     semantics every decomposed execution is checked against), and
     execution of individual filter code segments by the generated
     filters, over a packet frame filled from stream buffers.  Every
-    executed operation is charged to the context's counter, the same
-    for typed and generic code. *)
+    executed operation is charged to the context's counter. *)
 
 (** The program's compiled functions and methods, filled on first
     reference. *)
@@ -41,6 +44,8 @@ type ctx = {
     operation costs (e.g. per byte read) and consult runtime defines. *)
 and extern_fn = ctx -> Value.t list -> Value.t
 
+(** @raise Invalid_argument when {!Typecheck.check} has not accepted the
+    program. *)
 val create_ctx :
   ?externs:(string * extern_fn) list ->
   ?runtime_defs:(string * int) list ->
@@ -83,10 +88,14 @@ type frame
     to run in order in one packet scope, as if they were one statement
     list: a top-level declaration of one segment is visible to the later
     ones.  The packet scope starts with the pipeline variable and then
-    [inputs] (the names a stream buffer fills); other free names resolve
-    to [globals]. *)
+    [inputs] (the names a stream buffer fills, with their declared
+    types); other free names resolve to [globals]. *)
 val compile_packet :
-  ctx -> globals -> inputs:string list -> Ast.stmt list list -> packet_code
+  ctx ->
+  globals ->
+  inputs:(string * Ast.ty) list ->
+  Ast.stmt list list ->
+  packet_code
 
 (** A fresh frame with the pipeline variable bound to [packet]. *)
 val new_frame : packet_code -> packet:int -> frame

@@ -623,6 +623,7 @@ let parse_program st =
         funcs = List.rev !funcs;
         globals = List.rev !globals;
         pipeline;
+        checked = false;
       }
 
 (* Parse a full compilation unit from source text. *)

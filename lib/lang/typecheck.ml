@@ -63,7 +63,15 @@ let lookup env name =
 
 (* int is implicitly promotable to float, as in Java's widening. *)
 let widens ~target ~src = ty_equal target Tfloat && ty_equal src Tint
-let assignable ~target ~src = ty_equal target src || widens ~target ~src
+
+(* [null] (typed [void]) is a value of every class and array type, as
+   in Java. *)
+let is_reference = function Tclass _ | Tarray _ -> true | _ -> false
+let is_null (e : expr) = match e.e with Enull -> true | _ -> false
+
+(* Whether [e], of type [src], may flow into a [target] slot. *)
+let assignable ~target ~src (e : expr) =
+  ty_equal target src || widens ~target ~src || (is_null e && is_reference target)
 
 (* Mark a checked expression that flows into a [target] slot, so the
    interpreter stores a widened value as a float. *)
@@ -132,7 +140,13 @@ and check_expr_desc env (e : expr) : ty =
               (ty_to_string ta) (ty_to_string tb);
           Tbool
       | Eq | Ne ->
-          if not (ty_equal ta tb || (is_numeric ta && is_numeric tb)) then
+          if
+            not
+              (ty_equal ta tb
+              || (is_numeric ta && is_numeric tb)
+              || (is_null a && is_reference tb)
+              || (is_null b && is_reference ta))
+          then
             Srcloc.errorf loc "equality between incompatible types %s, %s"
               (ty_to_string ta) (ty_to_string tb);
           Tbool
@@ -167,7 +181,7 @@ and check_expr_desc env (e : expr) : ty =
       | Tlist elt -> (
           match (m, arg_tys) with
           | "add", [ t ] ->
-              if not (assignable ~target:elt ~src:t) then
+              if not (assignable ~target:elt ~src:t (List.hd args)) then
                 Srcloc.errorf loc "List<%s>.add with %s" (ty_to_string elt)
                   (ty_to_string t);
               List.iter (mark_widening ~target:elt) args;
@@ -215,11 +229,11 @@ and check_call loc name params args arg_tys =
     Srcloc.errorf loc "%s expects %d argument(s), got %d" name
       (List.length params) (List.length arg_tys);
   List.iter2
-    (fun p a ->
-      if not (assignable ~target:p ~src:a) then
+    (fun p (a, e) ->
+      if not (assignable ~target:p ~src:a e) then
         Srcloc.errorf loc "%s: argument type %s incompatible with %s" name
           (ty_to_string a) (ty_to_string p))
-    params arg_tys;
+    params (List.combine arg_tys args);
   List.iter2 (fun p e -> mark_widening ~target:p e) params args
 
 let rec check_lvalue env loc (l : lvalue) : ty =
@@ -254,7 +268,7 @@ let rec check_stmt env (st : stmt) =
       | None -> ()
       | Some e ->
           let et = check_expr env e in
-          if not (assignable ~target:ty ~src:et) then
+          if not (assignable ~target:ty ~src:et e) then
             Srcloc.errorf loc "cannot initialize %s %s with %s"
               (ty_to_string ty) name (ty_to_string et);
           mark_widening ~target:ty e);
@@ -262,7 +276,7 @@ let rec check_stmt env (st : stmt) =
   | Sassign (l, e) ->
       let lt = check_lvalue env loc l in
       let et = check_expr env e in
-      if not (assignable ~target:lt ~src:et) then
+      if not (assignable ~target:lt ~src:et e) then
         Srcloc.errorf loc "cannot assign %s to %s" (ty_to_string et)
           (ty_to_string lt);
       mark_widening ~target:lt e
@@ -273,10 +287,12 @@ let rec check_stmt env (st : stmt) =
       | Add | Sub | Mul ->
           if not (is_numeric lt && is_numeric et) then
             Srcloc.errorf loc "compound update on non-numeric types";
-          (* the result must fit the place, as for [l = l op e] *)
-          if not (assignable ~target:lt ~src:et) then
+          (* the result must fit the place, as for [l = l op e]; a
+             widened [e] tells the interpreter the place is a [float] *)
+          if not (assignable ~target:lt ~src:et e) then
             Srcloc.errorf loc "compound update of %s with %s" (ty_to_string lt)
-              (ty_to_string et)
+              (ty_to_string et);
+          mark_widening ~target:lt e
       | _ -> Srcloc.errorf loc "unsupported compound operator")
   | Sif (c, th, el) ->
       let ct = check_expr env c in
@@ -315,7 +331,7 @@ let rec check_stmt env (st : stmt) =
         Srcloc.errorf loc "return without value in non-void function"
   | Sreturn (Some e) ->
       let et = check_expr env e in
-      if not (assignable ~target:env.current_ret ~src:et) then
+      if not (assignable ~target:env.current_ret ~src:et e) then
         Srcloc.errorf loc "return type %s incompatible with %s"
           (ty_to_string et)
           (ty_to_string env.current_ret);
@@ -394,7 +410,7 @@ let check ?(externs = []) (prog : program) =
       | None -> ()
       | Some e ->
           let et = check_expr env e in
-          if not (assignable ~target:g.gd_ty ~src:et) then
+          if not (assignable ~target:g.gd_ty ~src:et e) then
             Srcloc.errorf g.gd_loc "cannot initialize global %s %s with %s"
               (ty_to_string g.gd_ty) g.gd_name (ty_to_string et);
           mark_widening ~target:g.gd_ty e);
@@ -406,4 +422,5 @@ let check ?(externs = []) (prog : program) =
   let ct = check_expr env prog.pipeline.pd_count in
   if not (ty_equal ct Tint) then
     Srcloc.errorf prog.pipeline.pd_loc "packet count must be int";
-  check_block env prog.pipeline.pd_body
+  check_block env prog.pipeline.pd_body;
+  prog.checked <- true

@@ -21,5 +21,8 @@ val builtin_externs : extern_sig list
 
 (** [check ?externs prog] type checks the program, raising
     {!Srcloc.Error} on the first violation.  [externs] declares the host
-    functions available on top of {!builtin_externs}. *)
+    functions available on top of {!builtin_externs}.  It annotates
+    every expression with its type, and sets [prog.checked] once the
+    whole program is accepted; [null] is a value of every class and
+    array type. *)
 val check : ?externs:extern_sig list -> Ast.program -> unit

@@ -112,7 +112,9 @@ type t =
   | Vobject of obj
   | Vrange of int * int (* [lo : hi), a 1-d rectdomain *)
 
-and obj = { cls : Ast.class_decl; slots : t array }
+(* [slots] holds the fields of every type but [float], in declaration
+   order, and [floats] the [float] fields, flat (see [slot]). *)
+and obj = { cls : Ast.class_decl; slots : t array; floats : float array }
 
 (* [Array.init] that starts from the immediate [Vnull] (see the top of
    this file); [f] runs in index order. *)
@@ -185,31 +187,42 @@ let as_object = function
   | Vobject o -> o
   | v -> runtime_errorf "expected object, got %s" (type_name v)
 
+(* A field's place is fixed per class: each part counts its own fields
+   in declaration order.  [fold_fields] is the one walk of the layout:
+   [f ty name k acc] for each field, [k] its index in its part. *)
+type place = Boxed of int | Flat of int
+
+let fold_fields (cd : Ast.class_decl) f acc =
+  let rec go nv nf acc = function
+    | [] -> acc
+    | (Ast.Tfloat, name) :: rest -> go nv (nf + 1) (f Ast.Tfloat name nf acc) rest
+    | (ty, name) :: rest -> go (nv + 1) nf (f ty name nv acc) rest
+  in
+  go 0 0 acc cd.cd_fields
+
+let place_of (ty : Ast.ty) k = match ty with Ast.Tfloat -> Flat k | _ -> Boxed k
+let iter_fields cd f = fold_fields cd (fun ty name k () -> f ty name (place_of ty k)) ()
+
 let slot (cd : Ast.class_decl) name =
-  let rec go i = function
-    | [] -> runtime_errorf "object %s has no field %s" cd.cd_name name
-    | (_, f) :: rest -> if String.equal f name then i else go (i + 1) rest
+  let find ty f k found =
+    match found with None when String.equal f name -> Some (place_of ty k) | _ -> found
   in
-  go 0 cd.cd_fields
+  match fold_fields cd find None with
+  | Some p -> p
+  | None -> runtime_errorf "object %s has no field %s" cd.cd_name name
 
-let field obj name = obj.slots.(slot obj.cls name)
-let set_field obj name v = obj.slots.(slot obj.cls name) <- v
+let float_slot (cd : Ast.class_decl) name =
+  match slot cd name with
+  | Flat k -> k
+  | Boxed _ -> runtime_errorf "field %s.%s is not a float" cd.cd_name name
 
-(* The pair is replaced whole on a miss, so a site shared between
-   domains never pairs one class with another class's slot. *)
-let site name =
-  let none =
-    { Ast.cd_name = ""; cd_reduc = false; cd_fields = []; cd_methods = [];
-      cd_loc = Srcloc.dummy }
-  in
-  let cache = ref (none, -1) in
-  fun obj ->
-    let cd, i = !cache in
-    if obj.cls == cd then i
-    else
-      let i = slot obj.cls name in
-      cache := (obj.cls, i);
-      i
+let get o = function Boxed i -> o.slots.(i) | Flat k -> Vfloat o.floats.(k)
+
+let set o p v =
+  match p with Boxed i -> o.slots.(i) <- v | Flat k -> o.floats.(k) <- as_float v
+
+let field obj name = get obj (slot obj.cls name)
+let set_field obj name v = set obj (slot obj.cls name) v
 
 (* Default (zero) value for a declared type. *)
 let zero_of_ty (ty : Ast.ty) =
@@ -229,16 +242,20 @@ let make_array (ty : Ast.ty) n =
   | Ast.Tfloat -> Vfloats (Array.make n 0.0)
   | _ -> Varray (init_array n (fun _ -> zero_of_ty ty))
 
-let rec fill_zeros slots i = function
-  | [] -> ()
-  | (ty, _) :: rest ->
-      slots.(i) <- zero_of_ty ty;
-      fill_zeros slots (i + 1) rest
+(* The layout is computed once per maker.  An object is its record, its
+   [slots] (the static [[||]] when every field is a [float]) and its
+   [floats]; a [List] field needs a fresh zero in every object. *)
+let maker (cls : Ast.class_decl) =
+  let boxed ty _ _ tys = match ty with Ast.Tfloat -> tys | _ -> ty :: tys in
+  let tys = Array.of_list (List.rev (fold_fields cls boxed [])) in
+  let nf = List.length cls.cd_fields - Array.length tys in
+  let zeros () = Array.map zero_of_ty tys in
+  let shared = zeros () in
+  let fresh = Array.exists (function Ast.Tlist _ -> true | _ -> false) tys in
+  fun () ->
+    { cls; slots = (if fresh then zeros () else Array.copy shared); floats = Array.make nf 0.0 }
 
-let make_object (cls : Ast.class_decl) =
-  let slots = Array.make (List.length cls.cd_fields) Vnull in
-  fill_zeros slots 0 cls.cd_fields;
-  { cls; slots }
+let make_object cls = maker cls ()
 
 (* Structural deep copy.  Used when a value crosses a filter boundary in
    value form (tests and the reference evaluator); the production path
@@ -252,7 +269,11 @@ let rec deep_copy = function
   | Vlist l -> Vlist (Vec.map deep_copy l)
   | Vobject o ->
       Vobject
-        { o with slots = init_array (Array.length o.slots) (fun i -> deep_copy o.slots.(i)) }
+        {
+          o with
+          slots = init_array (Array.length o.slots) (fun i -> deep_copy o.slots.(i));
+          floats = Array.copy o.floats;
+        }
 
 (* Structural equality that treats lists as multisets is deliberately NOT
    provided here; [equal] is plain structural equality in order. *)
@@ -287,6 +308,7 @@ let rec equal a b =
            (fun (_, f) (_, g) -> String.equal f g)
            x.cls.cd_fields y.cls.cd_fields
       && equal (Varray x.slots) (Varray y.slots)
+      && equal (Vfloats x.floats) (Vfloats y.floats)
   | _ -> false
 
 let rec pp ppf = function
@@ -306,7 +328,7 @@ let rec pp ppf = function
         (Vec.to_list l)
   | Vobject o ->
       let fields =
-        List.mapi (fun i (_, name) -> (name, o.slots.(i))) o.cls.cd_fields
+        fold_fields o.cls (fun ty name k acc -> (name, get o (place_of ty k)) :: acc) []
         |> List.sort (fun (a, _) (b, _) -> String.compare a b)
       in
       Fmt.pf ppf "%s{%a}" o.cls.cd_name

@@ -1,13 +1,16 @@
 (** Runtime values of the PipeLang interpreter.
 
-    An object is a fixed-layout record: a [Value.t array] with one slot
-    per field in declaration order, and the class declaration itself as
-    the layout descriptor, so there is no class registry to share
-    between domains.  Objects built by [new], by unpacking and by host
-    externs ({!make_object}) share the program's declaration, which
-    keeps every field access site on one layout.  Equality and printing
-    go by class and field name, never by declaration identity, so
-    objects from two parses of one program compare and print alike.
+    An object is a fixed-layout record with the class declaration itself
+    as the layout descriptor, so there is no class registry to share
+    between domains: its [float] fields sit in a flat [float array],
+    which a store boxes nothing into, and every other field in a
+    [Value.t array], each part in declaration order.  PipeLang has no
+    inheritance, so code that knows an object's class resolves a field
+    to its place once ({!slot}) and reads the part in place.  Objects
+    built by [new], by unpacking and by host externs ({!make_object})
+    share the program's declaration.  Equality and printing go by
+    class and field name, never by declaration identity, so objects
+    from two parses of one program compare and print alike.
 
     A [float[]] has two forms.  [Varray] holds boxed [Vfloat]s; it is
     what a host may build.  [Vfloats] is a flat [float array]: [new
@@ -65,10 +68,10 @@ type t =
   | Vobject of obj
   | Vrange of int * int  (** [lo : hi), a 1-d rectdomain *)
 
-(** The class declaration and one slot per declared field, in
-    declaration order.  Code that reads a field many times resolves the
-    name to a slot once ({!slot}, {!site}) and indexes [slots]. *)
-and obj = { cls : Ast.class_decl; slots : t array }
+(** The class declaration, its non-[float] fields in [slots] and its
+    [float] fields in [floats], each in declaration order; {!slot}
+    gives a field's place. *)
+and obj = { cls : Ast.class_decl; slots : t array; floats : float array }
 
 (** [Array.init n f] for values, without the minor collection OCaml
     5.1 forces when an array above 256 words starts from a young fill:
@@ -106,22 +109,36 @@ val array_get : t -> int -> t
 val as_list : t -> t Vec.t
 val as_object : t -> obj
 
-(** [slot cls name] is the index of field [name] in objects of [cls].
+(** Where a field sits in objects of its class: [Boxed i] is
+    [slots.(i)] and [Flat k] a [float] field at [floats.(k)]. *)
+type place = Boxed of int | Flat of int
+
+(** [iter_fields cls f] calls [f ty name place] for each field of
+    [cls] in declaration order: the layout every reader and writer of
+    an object's parts follows. *)
+val iter_fields : Ast.class_decl -> (Ast.ty -> string -> place -> unit) -> unit
+
+(** [slot cls name] is the place of field [name] in objects of [cls].
     @raise Runtime_error when the class declares no such field. *)
-val slot : Ast.class_decl -> string -> int
+val slot : Ast.class_decl -> string -> place
+
+(** [float_slot cls name] is the index of [float] field [name] in
+    [floats], where a host stores it directly.
+    @raise Runtime_error when the class declares no such [float]
+    field. *)
+val float_slot : Ast.class_decl -> string -> int
+
+(** The field at a place ({!slot}), a [float] one boxed; [set] unboxes
+    into a [float] field (an [int] is widened, as by {!as_float}). *)
+val get : obj -> place -> t
+
+val set : obj -> place -> t -> unit
 
 (** Access by name, resolved on every call.
     @raise Runtime_error when the field does not exist. *)
 val field : obj -> string -> t
 
 val set_field : obj -> string -> t -> unit
-
-(** [site name] is the slot of field [name] for a field access site: it
-    remembers the last class it saw and its slot there, so a site that
-    sees one class resolves the name once.  The cache is safe to share
-    between domains.
-    @raise Runtime_error when the object's class declares no such field. *)
-val site : string -> obj -> int
 
 (** The default (zero) value of a declared type: numeric zeros, empty
     lists, [Vnull] for classes and arrays. *)
@@ -131,8 +148,15 @@ val zero_of_ty : Ast.ty -> t
     the flat form. *)
 val make_array : Ast.ty -> int -> t
 
-(** A fresh object of the class with all fields zero-initialized. *)
+(** A fresh object of the class with all fields zero-initialized: its
+    record, its [slots] and its [floats] ([[||]] when a part has no
+    field). *)
 val make_object : Ast.class_decl -> obj
+
+(** [maker cls ()] is [make_object cls], with the class's layout
+    computed once, when [maker cls] is applied: for code that builds
+    many objects of one class. *)
+val maker : Ast.class_decl -> unit -> obj
 
 (** Structural deep copy (arrays, lists and objects are duplicated). *)
 val deep_copy : t -> t

@@ -11,9 +11,10 @@
    collection, and under domains that copying stops every domain too.
 
    The object pins count the words compiled PipeLang allocates for a
-   field read and for [new]: objects are fixed-layout records, so a
-   read allocates nothing and an object is its record, its slot array
-   and its [Vobject] box. *)
+   field read and for [new]: objects are fixed-layout records with their
+   [float] fields in a flat array, so a read or a store of a [float]
+   field allocates nothing and an all-[float] object is its record, its
+   float array and its [Vobject] box. *)
 
 module A = Alcotest
 open Core
@@ -128,15 +129,16 @@ let test_list_not_promoted () =
       let v = V.Vec.create () in
       for i = 1 to 1000 do
         let o = V.make_object cls in
-        o.V.slots.(0) <- V.Vfloat (float_of_int i);
+        o.V.floats.(0) <- float_of_int i;
         V.Vec.push v (V.Vobject o)
       done;
       V.Vlist v)
 
 (* Segment 0 sets up [t], segment 1 is the statement under test; it
-   runs once so that its field sites have resolved. *)
+   runs once so that what its first run caches is allocated already. *)
 let object_code src =
   let prog = Parser.parse src in
+  Typecheck.check prog;
   let ctx = Interp.create_ctx prog in
   let body = List.rev prog.Ast.pipeline.Ast.pd_body in
   let pk =
@@ -173,21 +175,25 @@ pipelined (p in [0 : 1]) {
   in
   A.(check (float 0.0)) "minor words of 10,000 field reads" 0.0 words
 
-let test_new_object_words () =
-  let pk, fr =
-    object_code
-      {|
+let tri_class =
+  {|
 class Tri {
   float x0; float y0; float z0;
   float x1; float y1; float z1;
   float x2; float y2; float z2;
   float shade;
 }
-pipelined (p in [0 : 1]) {
-  Tri t = null;
-  t = new Tri();
-}
 |}
+
+(* The record (header, class, slots, floats), the 10 floats with their
+   header, and the two-word Vobject box; [slots] is the static empty
+   array. *)
+let tri_words = 4 + 11 + 2
+
+let new_tri_words what stmt =
+  let pk, fr =
+    object_code
+      (tri_class ^ "pipelined (p in [0 : 1]) {\n  Tri t = null;\n" ^ stmt ^ "\n}\n")
   in
   let n = 1000 in
   let words =
@@ -196,12 +202,17 @@ pipelined (p in [0 : 1]) {
           Interp.run_segment pk 1 fr
         done)
   in
-  (* the record (header, class, slots), the 10 slots with their header,
-     and the two-word Vobject box *)
-  let bound = 3 + 11 + 2 in
-  if words > float_of_int (bound * n) then
-    A.failf "new Tri() allocates %.1f words, more than %d" (words /. float_of_int n)
-      bound
+  if words > float_of_int (tri_words * n) then
+    A.failf "%s allocates %.1f words, more than %d" what (words /. float_of_int n)
+      tri_words
+
+let test_new_object_words () = new_tri_words "new Tri()" "t = new Tri();"
+
+let test_filled_object_words () =
+  new_tri_words "new Tri() with ten fields stored"
+    "{ t = new Tri(); t.x0 = 1.0; t.y0 = 2.0; t.z0 = 3.0; t.x1 = t.x0 + 1.0; \
+     t.y1 = t.y0 * 2.0; t.z1 = 4; t.x2 = 5.0; t.y2 = 6.0; t.z2 = 7.0; t.shade \
+     = 0.5; }"
 
 (* A segment run on a fresh frame, which is dropped with what it built. *)
 let segment_code src =
@@ -282,6 +293,24 @@ let test_call_float_int_params () =
     "float y = 0.0; for (int i = 0; i < runtime_define iters; i = i + 1) { \
      touch(y + 1.0, i); } y = half(y, 3);"
 
+let test_float_call_loop () =
+  no_growth "float call"
+    ~decls:"float sq(float y) { return y * 0.5 + 1.0; } bool small(float y) { \
+            return y < 3.0; }"
+    "float x = 0.0; int k = 0; for (int i = 0; i < runtime_define iters; i = i \
+     + 1) { x = sq(x); if (small(x)) { k = k + 1; } }"
+
+let test_field_store_loop () =
+  no_growth "Tri field stores" ~decls:tri_class
+    "Tri t = new Tri(); for (int i = 0; i < runtime_define iters; i = i + 1) { \
+     t.x0 = t.x0 + 1.0; t.y0 = float_of_int(i); t.shade += 0.25; t.z2 = \
+     t.x0 * t.shade; }"
+
+let test_float_array_update_loop () =
+  no_growth "float[] +="
+    "float[] arr = new float[600]; float x = 0.5; for (int i = 0; i < \
+     runtime_define iters; i = i + 1) { arr[i % 600] += x; arr[i % 7] *= 1.0; }"
+
 let test_merge_loop () =
   no_growth "merge loop"
     ~decls:
@@ -293,6 +322,53 @@ let test_merge_loop () =
      float[600]; b.depth = new float[600]; b.color = new float[600]; for (int i = \
      0; i < 600; i = i + 1) { b.depth[i] = 0.0 - float_of_int(i); a.depth[i] = \
      float_of_int(i % 5); } a.merge(b, runtime_define iters);"
+
+(* The synthetic iso field and its hash, as computed before they were
+   inlined: the cached-grid dataset files hold these bits. *)
+let test_iso_field_bits () =
+  let open Apps in
+  let bits what expected f = A.(check int64) what expected (Int64.bits_of_float f) in
+  List.iter
+    (fun (cfg, name, x, y, z, expected) ->
+      bits (Printf.sprintf "field %s %d %d %d" name x y z) expected (Isosurface.field cfg x y z))
+    [
+      (Isosurface.small, "small", 0, 0, 0, 0x3fbd02bfc7668768L);
+      (Isosurface.small, "small", 3, 7, 11, 0x3fddef03dbc91b47L);
+      (Isosurface.small, "small", 24, 24, 24, 0x3fbc122d08f84a7aL);
+      (Isosurface.large, "large", 3, 7, 11, 0x3fd03296b0e60e28L);
+      (Isosurface.large, "large", 24, 24, 24, 0x3fe4614f81ec879bL);
+      (Isosurface.large, "large", 13, 5, 38, 0x3fc4332c1f83a194L);
+      (Isosurface.tiny, "tiny", 3, 7, 11, 0x3fa97aa9e7752ca0L);
+    ];
+  List.iter
+    (fun (s, i, expected) ->
+      bits (Printf.sprintf "hash_float %d %d" s i) expected (Prng.hash_float s i))
+    [
+      (42, 0, 0x3fe6a967881103c5L);
+      (7, 12345, 0x3fe98fc23a41e96aL);
+      (11, 999999, 0x3fd9d75ed78b16e6L);
+      (0, -3, 0x3fd1fd50703ca9e8L);
+    ];
+  A.(check int64) "hash2 42 0" 0xb54b3c40881e2907L (Prng.hash2 42 0)
+
+(* [read_cubes] calls [field] eight times per cube: it may box its
+   result (2 words), and in a build without cross-module inlining (the
+   dev profile compiles with [-opaque]) [Prng.hash_float]'s too; it used
+   to allocate 27. *)
+let test_iso_field_words () =
+  let cfg = Apps.Isosurface.large in
+  let n = 10_000 in
+  let acc = [| 0.0 |] in
+  let words =
+    minor_words_of (fun () ->
+        for i = 0 to n - 1 do
+          acc.(0) <- acc.(0) +. Apps.Isosurface.field cfg (i mod 39) (i / 39 mod 39) (i mod 7)
+        done)
+  in
+  ignore (Sys.opaque_identity acc);
+  if words > float_of_int (4 * n) then
+    A.failf "Isosurface.field allocates %.1f words per call, more than 4"
+      (words /. float_of_int n)
 
 let () =
   Alcotest.run "gc_alloc"
@@ -314,7 +390,9 @@ let () =
       ( "object allocation",
         [
           ("field read allocates nothing", `Quick, test_field_read_allocates_nothing);
-          ("new object is its record and slots", `Quick, test_new_object_words);
+          ("new object is its record and floats", `Quick, test_new_object_words);
+          ("filled object stays its record and floats", `Quick,
+            test_filled_object_words);
         ] );
       ( "typed frames",
         [
@@ -322,5 +400,13 @@ let () =
           ("float locals and parameters", `Quick, test_float_locals_and_params);
           ("call with float and int parameters", `Quick, test_call_float_int_params);
           ("float[] compare-and-store loop", `Quick, test_merge_loop);
+          ("float and bool calls in a loop", `Quick, test_float_call_loop);
+          ("Tri field-store loop", `Quick, test_field_store_loop);
+          ("float[] += loop", `Quick, test_float_array_update_loop);
+        ] );
+      ( "iso data generator",
+        [
+          ("values pinned bit for bit", `Quick, test_iso_field_bits);
+          ("field boxes only floats", `Quick, test_iso_field_words);
         ] );
     ]

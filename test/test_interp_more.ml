@@ -128,7 +128,10 @@ let test_extern_dispatch () =
 let test_unknown_function_errors () =
   let src = acc_template "local.x = float_of_int(nosuch(1));" in
   let prog = Parser.parse src in
-  (* bypass the type checker to reach the interpreter's error *)
+  (* declared to the checker, but the host provides no such extern *)
+  Typecheck.check
+    ~externs:[ Typecheck.{ ex_name = "nosuch"; ex_params = [ Ast.Tint ]; ex_ret = Ast.Tint } ]
+    prog;
   let ctx = Interp.create_ctx prog in
   match Interp.run_reference ctx with
   | exception V.Runtime_error msg ->
@@ -177,10 +180,9 @@ let test_append_counting () =
 
 (* --- scoping semantics --- *)
 
-(* [acc_template] with top-level declarations before the pipeline; run
-   without the type checker so the interpreter's own name resolution is
-   what the tests see ([check] runs it first). *)
-let run_unchecked ?(check = false) ?(decls = "") body =
+(* [acc_template] with top-level declarations before the pipeline, type
+   checked and run. *)
+let run_acc ?(decls = "") body =
   let src =
     Printf.sprintf
       {|
@@ -201,20 +203,25 @@ pipelined (p in [0 : 1]) {
       decls body
   in
   let prog = Parser.parse src in
-  if check then Typecheck.check prog;
+  Typecheck.check prog;
   Interp.run_reference (Interp.create_ctx prog)
 
-let unchecked_x ?decls body = result_x (run_unchecked ?decls body)
+let acc_x ?decls body = result_x (run_acc ?decls body)
 
-let runtime_error_of ?check ?decls body =
-  match run_unchecked ?check ?decls body with
+let runtime_error_of ?decls body =
+  match run_acc ?decls body with
   | exception V.Runtime_error msg -> msg
   | _ -> A.fail "expected a runtime error"
+
+let type_error_of ?decls body =
+  match run_acc ?decls body with
+  | exception Srcloc.Error (_, msg) -> msg
+  | _ -> A.fail "expected a type error"
 
 let test_scope_shadowing () =
   A.(check (float 1e-12))
     "innermost binding wins, outer restored" 1232.0
-    (unchecked_x
+    (acc_x
        "int x = 1; { int x = 2; local.x += float_of_int(x); { int x = 3; \
         local.x += float_of_int(x) * 10.0; } local.x += float_of_int(x) * \
         100.0; } local.x += float_of_int(x) * 1000.0;")
@@ -222,19 +229,19 @@ let test_scope_shadowing () =
 let test_scope_outer_before_redeclaration () =
   A.(check (float 1e-12))
     "outer read before inner decl" 57.0
-    (unchecked_x
+    (acc_x
        "int x = 5; { int y = x; int x = 7; local.x = float_of_int(y * 10 + \
         x); }");
   A.(check (float 1e-12))
     "every iteration reads the outer x first" 210.0
-    (unchecked_x
+    (acc_x
        "int x = 5; for (int i = 0; i < 2; i = i + 1) { local.x += \
         float_of_int(x); int x = 100; local.x += float_of_int(x); }")
 
 let test_scope_fresh_zero_per_iteration () =
   A.(check (float 1e-12))
     "uninitialized decls restart at zero" 33.0
-    (unchecked_x
+    (acc_x
        "for (int i = 0; i < 3; i = i + 1) { List<int> xs; xs.add(i); \
         local.x += float_of_int(xs.size()); int n; n += 1; local.x += \
         float_of_int(n) * 10.0; }")
@@ -246,38 +253,57 @@ let test_scope_recursion_frames () =
   in
   let body = "local.x = float_of_int(f(3)) + float_of_int(f(f(1) + 1));" in
   A.(check (float 1e-12)) "each call keeps its own locals" 720.0
-    (unchecked_x ~decls body);
-  A.(check (float 1e-12)) "checked: each call keeps its own locals" 720.0
-    (result_x (run_unchecked ~check:true ~decls body))
+    (acc_x ~decls body)
 
 let test_scope_this_in_methods () =
   A.(check (float 1e-12))
     "this is the receiver" 3.0
-    (unchecked_x "local.bump(1.5); local.x = local.twice();")
+    (acc_x "local.bump(1.5); local.x = local.twice();")
 
 let test_scope_nested_break_continue () =
   A.(check (float 1e-12))
     "break/continue bind to the innermost loop" 212.0
-    (unchecked_x
+    (acc_x
        "for (int i = 0; i < 4; i = i + 1) { if (i == 3) { break; } foreach (j \
         in [0 : 10]) { if (j == 2) { continue; } if (j > 4) { break; } \
         local.x += 1.0; } if (i == 1) { continue; } local.x += 100.0; }")
 
 let test_scope_function_cannot_see_globals () =
   A.(check string) "unbound in function" "unbound variable g"
-    (runtime_error_of ~decls:"int g = 3; int f() { return g; }"
+    (type_error_of ~decls:"int g = 3; int f() { return g; }"
        "local.x = float_of_int(f());")
 
+(* Packet code whose earlier segment is not compiled with it names a
+   variable nothing binds: it compiles, and fails only if it runs. *)
 let test_scope_unbound_in_dead_branch () =
-  A.(check (float 1e-12))
-    "never executed, never fails" 1.0
-    (unchecked_x
-       "if (false) { local.x = float_of_int(nosuch); } local.x += 1.0;")
+  let prog =
+    Parser.parse
+      "float r = 0.0; pipelined (p in [0 : 1]) { float y = 2.0; if (p > 5) { \
+       r = y; } r = r + 1.0; }"
+  in
+  Typecheck.check prog;
+  let ctx = Interp.create_ctx prog in
+  let genv = Interp.init_globals ctx in
+  let later = List.tl prog.Ast.pipeline.Ast.pd_body in
+  let pk = Interp.compile_packet ctx genv ~inputs:[] [ later ] in
+  Interp.run_segment pk 0 (Interp.new_frame pk ~packet:0);
+  A.(check (float 1e-12)) "never executed, never fails" 1.0
+    (V.as_float (Interp.global_value genv "r"));
+  match Interp.run_segment pk 0 (Interp.new_frame pk ~packet:6) with
+  | exception V.Runtime_error msg -> A.(check string) "executed" "unbound variable y" msg
+  | () -> A.fail "read an unbound variable"
 
+(* The checker rejects a call with the wrong argument count; a host's
+   method call is checked when it runs. *)
 let test_scope_arity_mismatch () =
-  A.(check string) "message" "f: arity mismatch (2 expected, 1 given)"
-    (runtime_error_of ~decls:"int f(int a, int b) { return a + b; }"
-       "local.x = float_of_int(f(1));")
+  A.(check string) "checker" "f expects 2 argument(s), got 1"
+    (type_error_of ~decls:"int f(int a, int b) { return a + b; }"
+       "local.x = float_of_int(f(1));");
+  let ctx, genv = run (acc_template "") in
+  match Interp.call_method ctx (Interp.global_value genv "result") "merge" [] with
+  | exception V.Runtime_error msg ->
+      A.(check string) "host call" "merge: arity mismatch (1 expected, 0 given)" msg
+  | _ -> A.fail "expected a runtime error"
 
 (* --- out-of-range indexing is a runtime error everywhere --- *)
 
@@ -370,20 +396,26 @@ let suite =
     ("list get out of bounds", `Quick, test_list_get_out_of_bounds);
   ]
 
-(* Untyped: [bump] declares an [A] but is also passed [B] objects, which
-   declare the same fields in the other order, so the field sites in
-   [bump] alternate between two layouts and miss on every call. *)
-let test_field_site_two_layouts () =
+(* [A] and [B] declare the same fields in the other order, mixed with
+   [float] ones, so a field's index differs between them: each access
+   resolves from its object's class. *)
+let test_fields_resolve_per_class () =
   let prog =
     Parser.parse
       {|
-class A { int x; int y; }
-class B { int y; int x; }
+class A { int x; float f; int y; }
+class B { float f; int y; int x; }
 A ga = new A();
 B gb = new B();
 A reads = new A();
 int bump(A o, int k) {
   o.x = o.x + k;
+  o.f += 0.5;
+  return o.x;
+}
+int bump_b(B o, int k) {
+  o.x += k;
+  o.f = o.f + 0.25;
   return o.x;
 }
 pipelined (p in [0 : 1]) {
@@ -391,11 +423,12 @@ pipelined (p in [0 : 1]) {
   gb.y = 200;
   for (int i = 0; i < 3; i = i + 1) {
     reads.x = reads.x + bump(ga, 1);
-    reads.y = reads.y + bump(gb, 10);
+    reads.y = reads.y + bump_b(gb, 10);
   }
 }
 |}
   in
+  Typecheck.check prog;
   let genv = Interp.run_reference (Interp.create_ctx prog) in
   let get g f = V.as_int (V.field (V.as_object (Interp.global_value genv g)) f) in
   A.(check int) "A.x written" 3 (get "ga" "x");
@@ -403,7 +436,10 @@ pipelined (p in [0 : 1]) {
   A.(check int) "B.x written" 30 (get "gb" "x");
   A.(check int) "B.y untouched" 200 (get "gb" "y");
   A.(check int) "reads of A.x" 6 (get "reads" "x");
-  A.(check int) "reads of B.x" 60 (get "reads" "y")
+  A.(check int) "reads of B.x" 60 (get "reads" "y");
+  let getf g = V.as_float (V.field (V.as_object (Interp.global_value genv g)) "f") in
+  A.(check (float 0.0)) "A.f" 1.5 (getf "ga");
+  A.(check (float 0.0)) "B.f" 0.75 (getf "gb")
 
 let test_set_field_undeclared () =
   let prog = Parser.parse "class C { int x; } pipelined (p in [0 : 1]) { }" in
@@ -413,20 +449,20 @@ let test_set_field_undeclared () =
       A.(check string) "error" "object C has no field nope" msg
   | () -> A.fail "set_field added an undeclared field"
 
-(* Untyped: a constructor call with a wrong argument count. *)
+(* A constructor call with a wrong argument count is a type error. *)
 let test_new_arity_mismatch () =
   let prog =
     Parser.parse
       "class C { int x; int y; } pipelined (p in [0 : 1]) { C c = new C(1); }"
   in
-  match Interp.run_reference (Interp.create_ctx prog) with
-  | exception V.Runtime_error msg ->
-      A.(check string) "error" "new C expects 2 arguments, got 1" msg
-  | _ -> A.fail "expected a runtime error"
+  match Typecheck.check prog with
+  | exception Srcloc.Error (_, msg) ->
+      A.(check string) "error" "new C expects 2 argument(s), got 1" msg
+  | () -> A.fail "expected a type error"
 
 (* int -> float widening stores a float at every site the checker
    accepts it: the float global [r] must read 1.5, not the int 1. *)
-let widened_r ?(check = true) ~decls body =
+let widened_r ~decls body =
   let prog =
     Parser.parse
       (Printf.sprintf
@@ -440,7 +476,7 @@ pipelined (p in [0 : 1]) {
 |}
          decls body)
   in
-  if check then Typecheck.check prog;
+  Typecheck.check prog;
   Interp.global_value (Interp.run_reference (Interp.create_ctx prog)) "r"
 
 let check_float_r what expected r =
@@ -468,20 +504,21 @@ let test_widening_after_int_division () =
   (* the int expression is evaluated as an int, then widened *)
   check_float_r "3 / 2 widened" 1.0 (widened_r ~decls:"" "r = 3 / 2;")
 
-let test_widening_untyped () =
-  (* no checker, no marks: the value is stored as it is *)
-  match widened_r ~check:false ~decls:"" "float f = 3; r = f / 2;" with
-  | V.Vint 1 -> ()
-  | v -> A.failf "untyped run changed: r = %a" V.pp v
+let test_unchecked_rejected () =
+  let prog = Parser.parse "float r = 0.0; pipelined (p in [0 : 1]) { float f = 3; r = f / 2; }" in
+  match Interp.create_ctx prog with
+  | exception Invalid_argument msg ->
+      A.(check string) "error" "Interp.create_ctx: the program is not type-checked" msg
+  | _ -> A.fail "ran a program the checker never saw"
 
 let suite =
   suite
   @ [
       ("int to float widening at every site", `Quick, test_widening_sites);
       ("widening after int division", `Quick, test_widening_after_int_division);
-      ("untyped program is not widened", `Quick, test_widening_untyped);
+      ("unchecked program is rejected", `Quick, test_unchecked_rejected);
       ("new with wrong argument count", `Quick, test_new_arity_mismatch);
-      ("field site sees two layouts", `Quick, test_field_site_two_layouts);
+      ("fields resolve per class", `Quick, test_fields_resolve_per_class);
       ("set_field undeclared field", `Quick, test_set_field_undeclared);
     ]
 
@@ -550,7 +587,7 @@ let test_int_by_zero () =
   A.(check string) "modulo" "integer modulo by zero"
     (runtime_error_of "int a = 7; int z = 0; local.x = float_of_int(a % z);");
   A.(check (float 0.0)) "float division by zero is infinite" infinity
-    (unchecked_x "float z = 0.0; local.x = 1.0 / z;")
+    (acc_x "float z = 0.0; local.x = 1.0 / z;")
 
 let test_mixed_widening () =
   let ctx, vs =
@@ -562,9 +599,8 @@ let test_mixed_widening () =
       A.(check (float 0.0)) "f * i + i / 2" 2.5 r;
       A.(check int) "i / 2 stays int" 1 q
   | _ -> A.fail "expected a float r and an int q");
-  (* untyped, a mixed pair widens in the operator itself *)
-  A.(check (float 0.0)) "untyped int * float" 7.5
-    (unchecked_x "int i = 3; local.x = i * 2.5;");
+  A.(check (float 0.0)) "int * float" 7.5
+    (acc_x "int i = 3; local.x = i * 2.5;");
   let c = ctx.Interp.counter in
   A.(check (pair int int)) "(int, float) ops" (2, 2) (c.Opcount.int_ops, c.Opcount.float_ops)
 
@@ -586,10 +622,33 @@ let test_float_array_update () =
   A.(check (list int)) "(int, float, mem) ops" [ 0; 7; 14 ]
     [ c.Opcount.int_ops; c.Opcount.float_ops; c.Opcount.mem_ops ]
 
-(* Checked code computes [int]s and [float]s unboxed, yet fails with
-   the message the generic code gives. *)
+(* A store's value is computed before its place is resolved; a float
+   temporary of the place (here in the index) must not take the
+   value's register. *)
+let test_place_keeps_value_register () =
+  let pre = "float x = 2.0; float y = 1.5; " in
+  List.iter
+    (fun (what, expected, body) ->
+      A.(check (float 0.0)) what expected (acc_x (pre ^ body)))
+    [
+      ( "a[int_of_float(f)] += e", 7.0,
+        "float[] a = new float[4]; a[3] = 1.0; a[int_of_float(y * 2.0)] += x \
+         * 3.0; local.x = a[3];" );
+      ( "a[int_of_float(f)] *= e", 6.0,
+        "float[] a = new float[4]; a[3] = 1.0; a[int_of_float(y * 2.0)] *= x \
+         * 3.0; local.x = a[3];" );
+      ( "objs[int_of_float(f)].g = e", 6.0,
+        "Acc[] ts = new Acc[4]; ts[3] = new Acc(); ts[int_of_float(y * \
+         2.0)].x = x * 3.0; local.x = ts[3].x;" );
+      ( "objs[int_of_float(f)].g += e", 7.0,
+        "Acc[] ts = new Acc[4]; ts[3] = new Acc(); ts[3].x = 1.0; \
+         ts[int_of_float(y * 2.0)].x += x * 3.0; local.x = ts[3].x;" );
+    ]
+
+(* Code computes [int]s and [float]s unboxed, yet a value that is no
+   number fails with the message of the operator using it. *)
 let test_checked_errors () =
-  let err = runtime_error_of ~check:true in
+  let err = runtime_error_of in
   List.iter
     (fun (what, expected, msg) -> A.(check string) what expected msg)
     [
@@ -620,6 +679,8 @@ let operator_suite =
     ("int division by zero", `Quick, test_int_by_zero);
     ("mixed arithmetic widens", `Quick, test_mixed_widening);
     ("float[] element update", `Quick, test_float_array_update);
+    ("update place keeps the value's register", `Quick,
+      test_place_keeps_value_register);
     ("checked code keeps the error messages", `Quick, test_checked_errors);
   ]
 

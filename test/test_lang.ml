@@ -311,6 +311,49 @@ let test_typecheck_method_unknown () =
     ("class C { int a; } " ^ wrap_pipeline "C c = new C(); c.run();")
     "no method run"
 
+(* [null] is a value of every class and array type, as in Java, and of
+   no other. *)
+let test_typecheck_null_references () =
+  ignore
+    (typecheck_ok
+       ("class T { float a; } T keep(T t) { return t; } T none() { return null; } "
+       ^ wrap_pipeline
+           "T t = null; float[] f = null; t = null; f = null; bool b = t == null; \
+            b = null != f; T u = keep(null); List<T> ts = new List<T>(); \
+            ts.add(null); T v = none();"))
+
+let test_typecheck_null_not_scalar () =
+  expect_type_error (wrap_pipeline "int x = null;") "cannot initialize int x with void";
+  expect_type_error (wrap_pipeline "float y = 0.0; bool b = y == null;")
+    "equality between incompatible types float, void";
+  expect_type_error
+    ("class T { int a; } " ^ wrap_pipeline "T t = new T(); t.a = null;")
+    "cannot assign void to int"
+
+let test_interp_null_references () =
+  let src =
+    {|
+class T { float a; }
+int r = 0;
+T make(bool b) { if (b) { return new T(); } return null; }
+pipelined (p in [0 : 1]) {
+  T t = make(false);
+  if (t == null) { r = r + 1; }
+  T u = make(true);
+  if (u != null) { r = r + 10; }
+  if (u == u) { r = r + 100; }
+  T v = new T();
+  if (u == v) { r = r + 1000; }
+  float[] f = null;
+  if (f == null) { r = r + 10000; }
+}
+|}
+  in
+  let prog = typecheck_ok src in
+  let genv = Interp.run_reference (Interp.create_ctx prog) in
+  A.(check int) "null and identity comparisons" 10111
+    (Value.as_int (Interp.global_value genv "r"))
+
 (* --- interpreter --- *)
 
 let run_with_externs ?(num_packets = 4) ?(per_packet = 10) src =
@@ -594,6 +637,9 @@ let suite : unit Alcotest.test_case list =
     ("typecheck dup class", `Quick, test_typecheck_dup_class);
     ("typecheck call arity", `Quick, test_typecheck_call_arity);
     ("typecheck unknown method", `Quick, test_typecheck_method_unknown);
+    ("typecheck null for references", `Quick, test_typecheck_null_references);
+    ("typecheck null not for scalars", `Quick, test_typecheck_null_not_scalar);
+    ("interp null references", `Quick, test_interp_null_references);
     ("interp reference run", `Quick, test_interp_reference_run);
     ("interp where filters", `Quick, test_interp_where_filters);
     ("interp arrays and for", `Quick, test_interp_arrays_and_for);

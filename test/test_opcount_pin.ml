@@ -33,7 +33,7 @@ let rec render b = function
   | V.Vobject o ->
       Buffer.add_string b o.V.cls.Ast.cd_name;
       Buffer.add_char b '{';
-      List.mapi (fun i (_, k) -> (k, o.V.slots.(i))) o.V.cls.Ast.cd_fields
+      List.map (fun (_, k) -> (k, V.field o k)) o.V.cls.Ast.cd_fields
       |> List.sort (fun (x, _) (y, _) -> String.compare x y)
       |> List.iter (fun (k, v) ->
              Buffer.add_string b k;
