@@ -14,7 +14,7 @@
      transport         streambench batch sweep on sim / par / proc, and
                        the proc shm credit window (inflight) x batch grid
      outofcore         file-backed streambench: items/s vs size vs budget
-     adaptive          elastic copies vs a deliberately misplanned plan
+     adaptive          a deliberately misplanned plan vs its metrics replan
      transport_smoke   a tiny transport sweep asserting batch histograms
                        (the @perf-smoke rule)
      interp            the sequential executor: minor and promoted words,
@@ -840,149 +840,90 @@ let outofcore () =
     [ Datacutter.Runtime.Proc; Datacutter.Runtime.Sim; Datacutter.Runtime.Par ]
 
 (* ------------------------------------------------------------------ *)
-(* Adaptive: elastic copies vs a deliberately misplanned plan.
+(* Adaptive: a deliberately misplanned plan against its metrics replan.
    The misplanned streambench gives the latency-bound middle stage one
-   copy; the static leg pays for that, the autoscaled leg discovers the
-   missing copies mid-run, and the replanned leg derives them from the
-   static run's measured metrics (the --replan-from path).  A final sim
-   pair asserts the autoscaled simulator is bit-deterministic.          *)
+   copy, and the phased one waits only in the second half of the
+   stream; on par and proc the static leg pays for the missing copies,
+   and the replanned leg derives them from the static run's measured
+   metrics (the --replan-from path).                                   *)
 (* ------------------------------------------------------------------ *)
 
 let adaptive () =
-  print_header
-    "Adaptive: misplanned streambench 1-1-1 (static vs autoscale vs replan)"
+  print_header "Adaptive: misplanned streambench 1-1-1 (static vs replan)"
     [ "elapsed(s)"; "items/s"; "vs static" ];
-  (* 4x the misplanned stream so the autoscaler's one-time ramp (the
-     backlog the planned copy accumulates before the first spawn) is
-     amortized below the noise floor; queues capped at 32 items keep
-     that head start small.  Both knobs apply to every par leg alike. *)
-  let cfg = Apps.Streambench.scaled Apps.Streambench.misplanned 4 in
+  (* 4x the stream, queues capped at 32 items: both apply to every leg
+     alike. *)
   let queue_capacity = 32 in
   let base_widths = [| 1; 1; 1 |] in
-  let az = Datacutter.Engine.default_autoscale in
-  let budget = az.Datacutter.Engine.as_budget in
-  let leg ?autoscale ?queue_capacity ~backend ~cfg ?powers ?bandwidths
-      ?latency ~widths () =
-    let powers =
-      match powers with Some p -> p | None -> H.node_powers cluster widths
+  let workload (name, base) backend =
+    let cfg = Apps.Streambench.scaled base 4 in
+    let items = float_of_int cfg.Apps.Streambench.items in
+    let bname = Datacutter.Runtime.backend_name backend in
+    let tags = [ ("backend", bname); ("workload", name) ] in
+    (* a measured leg; each run also returns its metrics JSON *)
+    let leg label widths =
+      measure ~backend label (fun () ->
+          let topo, results =
+            Apps.Streambench.topology cfg ~widths
+              ~powers:(H.node_powers cluster widths)
+              ~bandwidths:(Array.make 2 cluster.H.bandwidth)
+              ~latency:cluster.H.latency ()
+          in
+          let m =
+            cell (Datacutter.Runtime.run_result ~backend ~queue_capacity topo)
+          in
+          if results () <> Apps.Streambench.expected cfg then
+            Fmt.failwith "adaptive %s %s: sink multiset diverged" name bname;
+          (m.Datacutter.Engine.elapsed_s, Datacutter.Runtime.metrics_to_json m))
     in
-    let bandwidths =
-      match bandwidths with
-      | Some b -> b
-      | None -> Array.make 2 cluster.H.bandwidth
-    in
-    let latency =
-      match latency with Some l -> l | None -> cluster.H.latency
-    in
-    let topo, results =
-      Apps.Streambench.topology cfg ~widths ~powers ~bandwidths ~latency ()
-    in
-    let m = cell (Datacutter.Runtime.run_result ~backend ?autoscale ?queue_capacity topo) in
-    if results () <> Apps.Streambench.expected cfg then
-      Fmt.failwith "adaptive %s: sink multiset diverged"
-        (Datacutter.Runtime.backend_name backend);
-    m
-  in
-  let spawned (m : Datacutter.Engine.metrics) =
-    match m.Datacutter.Engine.autoscale_section with
-    | Some j -> (
-        try float_of_int (Obs.Json.to_int (Obs.Json.member "spawned" j))
-        with Obs.Json.Parse_error _ -> 0.0)
-    | None -> 0.0
-  in
-  let items = float_of_int cfg.Apps.Streambench.items in
-  (* a measured par leg; each run also returns its spawn count and
-     metrics JSON *)
-  let par ?autoscale label widths =
-    measure ~backend:Datacutter.Runtime.Par label (fun () ->
-        let m =
-          leg ?autoscale ~backend:Datacutter.Runtime.Par ~cfg ~queue_capacity ~widths ()
+    Option.iter
+      (fun static_runs ->
+        let static_rate = items /. Measure.median (List.map fst static_runs) in
+        (* record one leg's row against the static leg *)
+        let record label widths runs extra =
+          let t = Measure.median (List.map fst runs) in
+          let rate = items /. t in
+          Record.row ~tags
+            ~measured:
+              [
+                ("elapsed_s", Measure.summarize (List.map fst runs));
+                ( "items_per_s",
+                  Measure.summarize (List.map (fun (t, _) -> items /. t) runs) );
+              ]
+            ~copies:(copies widths) label
+            (("vs_static", rate /. static_rate) :: extra);
+          print_row
+            (Fmt.str "%s %s %s" name bname label)
+            [ Fmt.str "%.4f" t; Fmt.str "%.0f" rate; Fmt.str "%.2f" (rate /. static_rate) ]
         in
-        (m.Datacutter.Engine.elapsed_s, (spawned m, Datacutter.Runtime.metrics_to_json m)))
+        record "static" base_widths static_runs [];
+        (* the replanned leg: feed the median static run's measured
+           metrics back through the planner and run the result
+           statically *)
+        let _, static_json =
+          List.nth
+            (List.sort (fun (a, _) (b, _) -> Float.compare a b) static_runs)
+            (List.length static_runs / 2)
+        in
+        let widths =
+          match Replan.of_json static_json with
+          | Ok t -> (Replan.plan ~budget:Replan.default_budget t).Replan.pl_plan.widths
+          | Error msg -> Fmt.failwith "adaptive: replan rejected the metrics: %s" msg
+        in
+        Option.iter
+          (fun runs ->
+            record "replan" widths runs
+              [ ("replan_mid_width", float_of_int widths.(1)) ])
+          (leg "replan" widths))
+      (leg "static" base_widths)
   in
-  Option.iter
-    (fun static_runs ->
-      let static_rate = items /. Measure.median (List.map fst static_runs) in
-      (* record one leg's row against the static leg; its items/s *)
-      let record label widths runs extra =
-        let t = Measure.median (List.map fst runs) in
-        let rate = items /. t in
-        stream_row ~backend:Datacutter.Runtime.Par ~items ~widths label
-          (("vs_static", rate /. static_rate) :: extra)
-          runs;
-        print_row label
-          [ Fmt.str "%.4f" t; Fmt.str "%.0f" rate; Fmt.str "%.2f" (rate /. static_rate) ];
-        rate
-      in
-      (* the static leg: the misplanned plan as given *)
-      ignore (record "static" base_widths static_runs []);
-      (* autoscaled leg: same plan, elastic budget armed *)
-      let auto_rate =
-        par ~autoscale:az "autoscale" base_widths
-        |> Option.map (fun runs ->
-               record "autoscale" base_widths runs
-                 [ ("spawned", Measure.median (List.map (fun (_, (s, _)) -> s) runs)) ])
-      in
-      (* replanned leg: feed the median static run's measured metrics
-         back through the planner and run the result statically *)
-      let _, (_, static_json) =
-        List.nth
-          (List.sort (fun (a, _) (b, _) -> Float.compare a b) static_runs)
-          (List.length static_runs / 2)
-      in
-      let widths =
-        match Replan.of_json static_json with
-        | Ok t -> (Replan.plan ~budget t).Replan.pl_plan.widths
-        | Error msg -> Fmt.failwith "adaptive: replan rejected the metrics: %s" msg
-      in
-      let replan_rate =
-        par "replan" widths
-        |> Option.map (fun runs ->
-               record "replan" widths runs [ ("replan_mid_width", float_of_int widths.(1)) ])
-      in
-      match (auto_rate, replan_rate) with
-      | Some a, Some r ->
-          Fmt.pr "  autoscale %.2fx static; replan %.2fx static (%.2fx autoscaled)@."
-            (a /. static_rate) (r /. static_rate) (r /. a)
-      | _ -> ())
-    (par "static" base_widths);
-  (* sim determinism: a modeled-slow middle stage (no real blocking —
-     sim executes filters for real) behind fast modeled links, so the
-     middle stage rather than the wire is the simulated bottleneck and
-     the autoscaler actually spawns; run twice — the serialized metrics
-     must be bit-identical.  The tighter controller interval fits more
-     spawns into the window before the modeled source drains and
-     freezes stage membership. *)
-  let sim_cfg = Apps.Streambench.tiny in
-  let sim_powers =
-    [|
-      cluster.H.node_power; cluster.H.node_power /. 16.0; cluster.H.view_power;
-    |]
-  in
-  let sim_az = { az with Datacutter.Engine.as_interval_s = 0.0005 } in
-  let sim_leg () =
-    leg ~autoscale:sim_az ~backend:Datacutter.Runtime.Sim ~cfg:sim_cfg
-      ~powers:sim_powers ~bandwidths:(Array.make 2 1e9) ~latency:0.0
-      ~widths:base_widths ()
-  in
-  let m1 = sim_leg () and m2 = sim_leg () in
-  let s1 = Obs.Json.to_string (Datacutter.Runtime.metrics_to_json m1) in
-  let s2 = Obs.Json.to_string (Datacutter.Runtime.metrics_to_json m2) in
-  if s1 <> s2 then begin
-    Fmt.epr "adaptive: autoscaled sim runs are not bit-identical@.";
-    exit 1
-  end;
-  if spawned m1 = 0.0 then begin
-    Fmt.epr "adaptive: autoscaled sim run never spawned a copy@.";
-    exit 1
-  end;
-  Record.row ~tags:[ ("backend", "sim") ] "sim-det"
+  List.iter
+    (fun w ->
+      List.iter (workload w) [ Datacutter.Runtime.Par; Datacutter.Runtime.Proc ])
     [
-      ("deterministic", 1.0);
-      ("elapsed_s", m1.Datacutter.Engine.elapsed_s);
-      ("spawned", spawned m1);
-    ];
-  Fmt.pr "  sim: autoscaled run bit-deterministic (%.0f spawns)@." (spawned m1)
+      ("misplanned", Apps.Streambench.misplanned);
+      ("phased", Apps.Streambench.phased);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Smoke cell for @bench-smoke: one tiny figure cell, recorded through

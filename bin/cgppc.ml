@@ -317,19 +317,11 @@ let emit file app widths strategy cluster_spec =
 
 let run file target widths strategy backend cluster_spec trace mjson
     faults watchdog_ms max_retries call_budget_ms batch mem_budget interval_ms
-    openmetrics report autoscale_n replan_from inflight =
+    openmetrics report replan_from inflight =
   let cluster = cluster_of_spec cluster_spec in
   let faults = Option.value faults ~default:Datacutter.Fault.empty in
   let policy = policy_of ~watchdog_ms ~max_retries ~call_budget_ms in
   let metrics_interval_s = interval_s_of ~interval_ms ~openmetrics in
-  (* The mid-run elastic controller; a nonsensical budget is rejected by
-     the engine with [Copy_budget] (documented exit code 8). *)
-  let autoscale =
-    Option.map
-      (fun n ->
-        { Datacutter.Engine.default_autoscale with Datacutter.Engine.as_budget = n })
-      autoscale_n
-  in
   (* Between-runs feedback: measured metrics from a previous run replace
      the --config plan with an evidence-derived one — widths, batch
      caps, queue budgets and credit window, as `cgppc replan` prints it
@@ -340,14 +332,11 @@ let run file target widths strategy backend cluster_spec trace mjson
         match Replan.of_file path with
         | Error msg -> invalid_arg ("--replan-from: " ^ msg)
         | Ok t ->
-            let budget =
-              Option.value autoscale_n
-                ~default:
-                  Datacutter.Engine.default_autoscale
-                    .Datacutter.Engine.as_budget
-            in
             let batch_cap = if batch > 1 then Some batch else None in
-            let p = (Replan.plan ?batch_cap ?mem_budget ~budget t).Replan.pl_plan in
+            let p =
+              (Replan.plan ?batch_cap ?mem_budget ~budget:Replan.default_budget t)
+                .Replan.pl_plan
+            in
             Fmt.pr "replanned widths from %s: %s -> %s@." path
               (config_label widths) (config_label p.widths);
             match inflight with
@@ -378,9 +367,6 @@ let run file target widths strategy backend cluster_spec trace mjson
     | None -> ());
     if not (Datacutter.Fault.is_empty faults) then
       Obs.Metrics.set_str m "faults" (Datacutter.Fault.to_string faults);
-    (match autoscale_n with
-    | Some n -> Obs.Metrics.set_int m "autoscale_budget" n
-    | None -> ());
     (match replan_from with
     | Some path -> Obs.Metrics.set_str m "replan_from" path
     | None -> ());
@@ -393,8 +379,7 @@ let run file target widths strategy backend cluster_spec trace mjson
      structured error in place of runtime counters — so harnesses can
      diagnose from the JSON alone; then the process exits with the
      error's documented code (watchdog 3, stage death 4, protocol 5,
-     invalid topology 6, unsupported backend 7, elastic copy budget 8,
-     worker setup 9). *)
+     invalid topology 6, unsupported backend 7, worker setup 9). *)
   let write_failure fill err =
     (match mjson with
     | None -> ()
@@ -489,7 +474,7 @@ let run file target widths strategy backend cluster_spec trace mjson
           Obs.Metrics.set_int doc "num_packets" cfg.Apps.Streambench.items
         in
         match
-          H.run_plan ~backend ~faults ~policy ?metrics_interval_s ?autoscale
+          H.run_plan ~backend ~faults ~policy ?metrics_interval_s
             (match replanned with
             | Some p -> p
             | None ->
@@ -525,7 +510,7 @@ let run file target widths strategy backend cluster_spec trace mjson
       let fill doc = compile_metrics doc c in
       let topo, results = H.topology c ~cluster ~widths in
       (match
-         H.run_plan ~backend ~faults ~policy ?metrics_interval_s ?autoscale
+         H.run_plan ~backend ~faults ~policy ?metrics_interval_s
            (match replanned with
            | Some p -> p
            | None ->
@@ -768,22 +753,6 @@ let mem_budget_arg =
            $(b,spill_segments), $(b,mem_high_water)). Unset means \
            classic blocking back-pressure.")
 
-let autoscale_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "autoscale" ] ~docv:"BUDGET"
-        ~doc:
-          "Arm the mid-run elastic-copy controller with a budget of \
-           $(docv) extra copies: a sustained-saturated inner stage \
-           transparently gains a pre-planned dormant copy, a \
-           long-idle elastic copy stands down, and the metrics JSON \
-           gains an $(b,autoscale) section. The simulator ticks the \
-           controller at deterministic virtual times (bit-reproducible \
-           runs); par and proc tick it from the calling thread. A \
-           non-positive budget or a pipeline with no inner stage fails \
-           with exit code 8.")
-
 let replan_from_arg =
   Arg.(
     value
@@ -794,9 +763,9 @@ let replan_from_arg =
            $(b,--metrics-json) document or a bare runtime metrics \
            object) instead of trusting $(b,--config): the measured \
            per-copy service times and item sizes are fed back through \
-           the planner, up to $(b,--autoscale)'s budget (default 4) of \
-           extra copies are placed on the measured bottleneck stages, \
-           and the run takes the whole re-planned plan: widths, batch \
+           the planner, up to 4 extra copies (the $(b,replan) \
+           subcommand's default $(b,--budget)) are placed on the \
+           measured bottleneck stages, and the run takes the whole re-planned plan: widths, batch \
            caps (under $(b,--batch)), queue budgets (under \
            $(b,--mem-budget)) and credit window (unless \
            $(b,--inflight) is given). See also the $(b,replan) \
@@ -886,20 +855,20 @@ let run_term ~always_report =
          (fun
            ( f, a, c, s, b, cl, tr, mj,
              (fl, wd, mr, cb, bt, mb),
-             (iv, om, rp, az, rf, infl) )
+             (iv, om, rp, rf, infl) )
          ->
            run f a c s b cl tr mj fl wd mr cb bt mb iv om
-             (rp || always_report) az rf infl)
+             (rp || always_report) rf infl)
       $ (const
-           (fun f a c s b cl tr mj fl wd mr cb bt mb iv om rp az rf infl ->
+           (fun f a c s b cl tr mj fl wd mr cb bt mb iv om rp rf infl ->
              ( f, a, c, s, b, cl, tr, mj,
                (fl, wd, mr, cb, bt, mb),
-               (iv, om, rp, az, rf, infl) ))
+               (iv, om, rp, rf, infl) ))
         $ file_arg $ target_arg $ config_arg $ strategy_arg $ backend_arg
         $ cluster_arg $ trace_arg $ metrics_arg $ faults_arg
         $ watchdog_arg $ max_retries_arg $ call_budget_arg $ batch_arg
         $ mem_budget_arg $ interval_arg $ openmetrics_arg $ report_arg
-        $ autoscale_arg $ replan_from_arg $ inflight_arg)))
+        $ replan_from_arg $ inflight_arg)))
 
 (* Documented exit codes for runtime failures, mapped from the
    structured error by {!Datacutter.Supervisor.exit_code_of}.  Kept
@@ -919,10 +888,6 @@ let run_exits =
        ~doc:"The requested backend is unsupported here: $(b,proc) needs \
              Unix.fork and shared-memory rings (an mmap'd file in the \
              temp directory)."
-  :: Cmd.Exit.info 8
-       ~doc:"The elastic copy budget was refused: $(b,--autoscale) got \
-             a non-positive budget, or the pipeline has no inner stage \
-             to scale."
   :: Cmd.Exit.info 9
        ~doc:"The $(b,proc) backend could not create its workers: a fork \
              or a shared-memory ring failed for lack of resources (file \
@@ -949,10 +914,9 @@ let replan_cmd =
   let budget_arg =
     Arg.(
       value
-      & opt (int_from 0 "budget")
-          Datacutter.Engine.default_autoscale.Datacutter.Engine.as_budget
+      & opt (int_from 0 "budget") Replan.default_budget
       & info [ "budget" ] ~docv:"N"
-          ~doc:"Extra copies the re-planned widths may spend (default 4).")
+          ~doc:"Extra copies the re-planned widths may spend.")
   in
   Cmd.v
     (Cmd.info "replan"

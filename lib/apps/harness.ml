@@ -176,11 +176,11 @@ let inflight_plan (c : Compile.t) ~cluster =
   let widths = Array.make (Costmodel.width_of c.Compile.pipeline) 1 in
   (plan c ~cluster ~widths).Datacutter.Plan.inflight
 
-let run_plan ?backend ?faults ?policy ?metrics_interval_s ?autoscale
+let run_plan ?backend ?faults ?policy ?metrics_interval_s
     (p : Datacutter.Plan.t) topo =
   Datacutter.Runtime.run_result ?backend ?faults ?policy
     ?stage_batch:p.stage_batch ?mem_budget:p.mem_budget
-    ?queue_budgets:p.queue_budgets ?metrics_interval_s ?autoscale
+    ?queue_budgets:p.queue_budgets ?metrics_interval_s
     ~inflight:p.inflight ~frame_bytes:p.frame_bytes topo
 
 let topology (c : Compile.t) ~(cluster : cluster) ~(widths : int array) =
@@ -190,10 +190,10 @@ let topology (c : Compile.t) ~(cluster : cluster) ~(widths : int array) =
     ~latency:cluster.latency ()
 
 let run_compiled ?backend ?faults ?policy ?batch ?mem_budget
-    ?metrics_interval_s ?autoscale ?inflight (c : Compile.t)
+    ?metrics_interval_s ?inflight (c : Compile.t)
     ~(cluster : cluster) ~(widths : int array) =
   let topo, results = topology c ~cluster ~widths in
-  run_plan ?backend ?faults ?policy ?metrics_interval_s ?autoscale
+  run_plan ?backend ?faults ?policy ?metrics_interval_s
     (plan ?batch ?mem_budget ?inflight c ~cluster ~widths)
     topo
   |> Result.map (fun metrics -> (metrics, results ()))

@@ -103,7 +103,6 @@ val run_plan :
   ?faults:Datacutter.Fault.plan ->
   ?policy:Datacutter.Supervisor.policy ->
   ?metrics_interval_s:float ->
-  ?autoscale:Datacutter.Engine.autoscale ->
   Datacutter.Plan.t ->
   Datacutter.Topology.t ->
   (Datacutter.Engine.metrics, Datacutter.Supervisor.run_error) result
@@ -127,7 +126,6 @@ val run_compiled :
   ?batch:int ->
   ?mem_budget:int ->
   ?metrics_interval_s:float ->
-  ?autoscale:Datacutter.Engine.autoscale ->
   ?inflight:int ->
   Compile.t ->
   cluster:cluster ->

@@ -14,25 +14,31 @@ type config = {
   work : float;  (** weighted ops charged per item at each stage *)
   mid_spin : int;  (** real CPU iterations per item at the middle stage *)
   mid_block_s : float;  (** real blocking wait per item at the middle stage *)
+  mid_block_from : float;  (** stream fraction before the middle stage waits *)
 }
 
 let default =
   { items = 20_000; item_bytes = 32; work = 8.0; mid_spin = 0;
-    mid_block_s = 0.0 }
+    mid_block_s = 0.0; mid_block_from = 0.0 }
 
 let tiny =
   { items = 2_000; item_bytes = 32; work = 8.0; mid_spin = 0;
-    mid_block_s = 0.0 }
+    mid_block_s = 0.0; mid_block_from = 0.0 }
 
 (* The adaptive bench's misplanned workload: each item blocks the middle
    stage for real time (a stand-in for a latency-bound remote read), so
    with one planned copy the middle stage is the measured bottleneck —
-   and because the cost is waiting, not computing, elastic copies
-   overlap it even on a single-core host: the wait is a [Sched.sleep],
-   so a copy running as a fiber lets its host's other copies run. *)
+   and because the cost is waiting, not computing, more copies overlap
+   it even on a single-core host: the wait is a [Sched.sleep], so a
+   copy running as a fiber lets its host's other copies run. *)
 let misplanned =
   { items = 1_200; item_bytes = 32; work = 8.0; mid_spin = 0;
-    mid_block_s = 0.0005 }
+    mid_block_s = 0.0005; mid_block_from = 0.0 }
+
+(* A phase change: the first half of the stream passes the middle stage
+   without waiting, the second half waits as in [misplanned], so a plan
+   sized from the whole run's mean sees half the wait per packet. *)
+let phased = { misplanned with mid_block_from = 0.5 }
 
 (* Integer-mixing busywork the optimizer cannot delete: the result
    feeds [Sys.opaque_identity].  Pure compute, no allocation, so one
@@ -118,6 +124,9 @@ let topology cfg ?dataset ~(widths : int array) ~(powers : float array)
       src_finalize = (fun () -> (None, 0.0));
     }
   in
+  let block_from =
+    int_of_float (cfg.mid_block_from *. float_of_int cfg.items)
+  in
   let make_mid _k : Filter.t =
     {
       Filter.name = "sb-mid";
@@ -125,7 +134,8 @@ let topology cfg ?dataset ~(widths : int array) ~(powers : float array)
       process =
         (fun b ->
           if cfg.mid_spin > 0 then spin cfg.mid_spin b.Filter.packet;
-          if cfg.mid_block_s > 0.0 then Sched.sleep cfg.mid_block_s;
+          if cfg.mid_block_s > 0.0 && b.Filter.packet >= block_from then
+            Sched.sleep cfg.mid_block_s;
           (Some b, cfg.work));
       on_eos = (fun payload -> (payload, 0.0));
       finalize = (fun () -> (None, 0.0));

@@ -21,6 +21,9 @@ type config = {
           on a single core.  Filters execute for real on
           every backend, including sim — only use with wall-clock
           backends. *)
+  mid_block_from : float;
+      (** the fraction of the stream (by packet number) that passes the
+          middle stage without waiting; 0 = every packet waits *)
 }
 
 val default : config
@@ -28,8 +31,13 @@ val tiny : config
 
 val misplanned : config
 (** The adaptive bench's workload: a middle stage that waits per item,
-    so a 1-1-1 plan is wrong on purpose — the mid-run autoscaler (or a
-    metrics replan) must discover the missing copies. *)
+    so a 1-1-1 plan is wrong on purpose — a metrics replan
+    ({!Core.Replan}) must discover the missing copies. *)
+
+val phased : config
+(** [misplanned] with a phase change: the middle stage waits only on
+    packets in the second half of the stream, so a replan from a first
+    run sizes it for the average wait, not the second half's. *)
 
 (** [scaled cfg n]: the same per-item shape, [n] times the stream — the
     dataset axis of the out-of-core sweep ([bench outofcore]). *)

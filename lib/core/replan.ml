@@ -85,15 +85,15 @@ let profile t =
     packets = n;
   }
 
+let default_budget = 4
+
 let plan_widths ~budget t =
   if budget < 0 then invalid_arg "Replan.plan_widths: negative budget";
   let m = Array.length t.rp_rows in
   let widths = Array.map (fun r -> max 1 r.rs_width) t.rp_rows in
   let work = Array.map work_s t.rp_rows in
   (* Greedy water-filling, one copy at a time onto the inner stage with
-     the worst remaining per-copy service — exactly the stage the
-     mid-run autoscaler would pick, so a replanned static run starts
-     where an autoscaled run converges. *)
+     the worst remaining per-copy service. *)
   let per_copy s = work.(s) /. float_of_int widths.(s) in
   (* Endpoints are pinned, so their service time is the floor no amount
      of inner width can beat — growing an inner stage past it just

@@ -61,12 +61,16 @@ val profile : t -> Costmodel.profile
     seconds), [vol_out.(s)] the measured per-packet bytes leaving stage
     [s]. *)
 
+val default_budget : int
+(** The extra copies a re-plan may spend unless told otherwise (4):
+    [cgppc replan]'s [--budget] default, [cgppc run --replan-from] and
+    the adaptive bench all read it. *)
+
 val plan_widths : budget:int -> t -> int array
 (** Re-planned stage widths: start from the measured widths and spend
     up to [budget] extra copies greedily, each on the inner stage with
     the highest remaining per-copy service time ({!service_s} scaled by
-    the growing width) — the same stage the mid-run autoscaler would
-    feed.  Endpoints (stage 0 and the sink) are pinned: sources run
+    the growing width).  Endpoints (stage 0 and the sink) are pinned: sources run
     where the data lives, sinks where results are viewed.
     @raise Invalid_argument when [budget < 0]. *)
 

@@ -8,8 +8,8 @@
    in through the [executor] record (clock, send, queue stats, wake)
    and keep only their scheduling mechanism: a time-ordered event heap
    or one runner per copy.  Nothing here sleeps, spawns or starts a
-   thread: periodic checks run one tick per call, and spawn/retire
-   decisions are returned for the backend to act on.
+   thread: periodic checks run one tick per call, and retire decisions
+   are returned for the backend to act on.
 
    Shared state is atomic where more than one domain can touch it
    (alive masks, marker counts, the barrier, lifecycle states, the
@@ -74,56 +74,13 @@ type executor = {
   exec_wake : unit -> unit;
 }
 
-(* Mid-run autoscaling: the elastic-copy budget and the controller's
-   decision thresholds.  [as_interval_s] is virtual time on the
-   simulator (deterministic decision points) and wall time elsewhere. *)
-type autoscale = {
-  as_interval_s : float;
-  as_budget : int;       (* copies the whole run may add *)
-  as_hi_items : int;     (* per-copy backlog considered saturated *)
-  as_sustain : int;      (* consecutive saturated ticks before a spawn *)
-  as_idle_ticks : int;   (* consecutive empty ticks before a retire *)
-}
-
-let default_autoscale =
-  {
-    as_interval_s = 0.002;
-    as_budget = 4;
-    as_hi_items = 4;
-    as_sustain = 2;
-    as_idle_ticks = 50;
-  }
-
-(* Autoscale outcome counters, one writer (the controller tick) but
-   read concurrently by the metrics assembly. *)
-type autoscale_stats = {
-  asc_spawned : int Atomic.t;
-  asc_retired : int Atomic.t;         (* idle-retired, NOT crash-retired *)
-  asc_refused_budget : int Atomic.t;  (* spawn wanted, budget spent *)
-  asc_refused_late : int Atomic.t;    (* spawn wanted, stage already draining *)
-}
-
 type t = {
   topo : Topology.t;
   stages : Topology.stage array;
   n_stages : int;
   pol : Supervisor.policy;
   tracing : bool;
-  copies : copy array array;
-      (* per stage: [width] planned copies followed by dormant elastic
-         slots; slots [0, engaged) are members of the stage *)
-  engaged : int Atomic.t array;
-      (* per-stage membership: starts at the planned width, grows on
-         spawn, never shrinks (idle-retired copies stay members of the
-         EOS barrier and keep relaying markers) *)
-  markers_started : bool Atomic.t array;
-      (* stage s: a Marker has been broadcast INTO s — membership of s
-         is frozen from then on (written under [elastic_mu]) *)
-  elastic_mu : Mutex.t;  (* serializes spawn/retire vs marker broadcast *)
-  autoscale : autoscale option;
-  asc : autoscale_stats;
-  asc_hot : int array;   (* controller-owned: consecutive saturated ticks *)
-  asc_cold : int array;  (* controller-owned: consecutive empty ticks *)
+  copies : copy array array;  (* per stage: its planned width of copies *)
   send_batch : int array;        (* outgoing batch cap per stage *)
   at_eos : int Atomic.t array;   (* per-stage drain barrier *)
   progress : int Atomic.t;
@@ -182,31 +139,9 @@ let resolve_budgets ~n_stages ~mem_budget ~queue_budgets =
         (Supervisor.Invalid_topology "queue_budgets entries must be >= 0")
   | _ -> Ok ()
 
-(* Dormant elastic headroom per stage: an autoscaled run pre-allocates
-   [as_budget] extra slots on every inner stage (the whole budget could
-   land on one stage), so the routing mask, queues and accounting grids
-   never have to grow — a spawn just engages the next dormant slot. *)
-let resolve_autoscale ~n_stages autoscale =
-  match autoscale with
-  | None -> Ok (fun _ -> 0)
-  | Some a ->
-      if a.as_budget <= 0 then
-        Error
-          (Supervisor.Copy_budget
-             (Printf.sprintf "autoscale copy budget must be >= 1 (got %d)"
-                a.as_budget))
-      else if n_stages < 3 then
-        Error
-          (Supervisor.Copy_budget
-             "autoscale needs an inner stage to grow (pipeline has only \
-              a source and a sink)")
-      else if a.as_interval_s <= 0.0 then
-        Error (Supervisor.Copy_budget "autoscale interval must be > 0")
-      else Ok (fun s -> if s = 0 || s = n_stages - 1 then 0 else a.as_budget)
-
 let create ?(faults = Fault.empty) ?(policy = Supervisor.default_policy)
     ?(queue_capacity = 64) ?stage_batch ?mem_budget ?queue_budgets
-    ?metrics_interval_s ?autoscale (topo : Topology.t) =
+    ?metrics_interval_s (topo : Topology.t) =
   match Supervisor.validate ~queue_capacity topo with
   | Error e -> Error e
   | Ok () -> (
@@ -214,17 +149,13 @@ let create ?(faults = Fault.empty) ?(policy = Supervisor.default_policy)
       let n_stages = Array.length stages in
       match
         Result.bind (resolve_budgets ~n_stages ~mem_budget ~queue_budgets)
-          (fun () ->
-            Result.bind (resolve_autoscale ~n_stages autoscale) (fun extra ->
-                Result.map
-                  (fun sb -> (extra, sb))
-                  (resolve_batches ~n_stages ~stage_batch)))
+          (fun () -> resolve_batches ~n_stages ~stage_batch)
       with
       | Error e -> Error e
-      | Ok (extra, send_batch) ->
-          let slots s = stages.(s).Topology.width + extra s in
+      | Ok send_batch ->
+          let width s = stages.(s).Topology.width in
           let per_copy mk =
-            Array.init n_stages (fun s -> Array.init (slots s) (fun _ -> mk ()))
+            Array.init n_stages (fun s -> Array.init (width s) (fun _ -> mk ()))
           in
           let tracing = Obs.Trace.is_enabled () in
           if tracing then Topology.announce_threads topo;
@@ -237,44 +168,22 @@ let create ?(faults = Fault.empty) ?(policy = Supervisor.default_policy)
               tracing;
               copies =
                 Array.init n_stages (fun s ->
-                    let width = stages.(s).Topology.width in
-                    Array.init (slots s) (fun k ->
-                        let dormant = k >= width in
+                    Array.init (width s) (fun k ->
                         {
                           stage = s;
                           index = k;
                           fstate = Fault.state_for faults ~stage:s ~copy:k;
-                          alive = Atomic.make (not dormant);
+                          alive = Atomic.make true;
                           markers = Atomic.make 0;
                           at_quota = Atomic.make false;
                           attempts = 0;
                           rr = k;
                           out_buf = [];
                           out_len = 0;
-                          (* dormant slots look finished until engaged, so
-                             the watchdog and all_exited ignore them *)
-                          lifecycle =
-                            Atomic.make (if dormant then st_done else st_starting);
+                          lifecycle = Atomic.make st_starting;
                           call_start = Atomic.make 0.0;
-                          exited = Atomic.make dormant;
+                          exited = Atomic.make false;
                         }));
-              engaged =
-                Array.map
-                  (fun (st : Topology.stage) -> Atomic.make st.Topology.width)
-                  stages;
-              markers_started =
-                Array.init n_stages (fun _ -> Atomic.make false);
-              elastic_mu = Mutex.create ();
-              autoscale;
-              asc =
-                {
-                  asc_spawned = Atomic.make 0;
-                  asc_retired = Atomic.make 0;
-                  asc_refused_budget = Atomic.make 0;
-                  asc_refused_late = Atomic.make 0;
-                };
-              asc_hot = Array.make n_stages 0;
-              asc_cold = Array.make n_stages 0;
               send_batch;
               at_eos = Array.map (fun _ -> Atomic.make 0) stages;
               progress = Atomic.make 0;
@@ -291,7 +200,7 @@ let create ?(faults = Fault.empty) ?(policy = Supervisor.default_policy)
               stall_push = per_copy (fun () -> 0.0);
               batch_hist =
                 Array.init n_stages (fun s ->
-                    Array.init (slots s) (fun _ ->
+                    Array.init (width s) (fun _ ->
                         Obs.Hist.create
                           ~bounds:
                             (Obs.Hist.occupancy_bounds
@@ -334,15 +243,6 @@ let metrics_interval_s t = t.metrics_interval_s
 let input_batch t s = if s = 0 then 1 else t.send_batch.(s - 1)
 
 let width t s = t.stages.(s).Topology.width
-
-(* Elastic membership: [slots] is the physical allocation (planned
-   width + dormant headroom), [engaged_width] the current routing /
-   barrier membership.  Everything that routes, counts markers or
-   releases a barrier must use [engaged_width]; everything that owns
-   per-copy storage (queues, grids, sampler columns) sizes by
-   [slots]. *)
-let slots t s = Array.length t.copies.(s)
-let engaged_width t s = Atomic.get t.engaged.(s)
 
 (* The in-memory byte budget of one consumer queue at [stage] (>= 1),
    [None] when the run is unbudgeted (queues then block instead of
@@ -404,7 +304,7 @@ let rec note_out t (c : copy) = function
    a batch is the routing unit. *)
 let pick_dst t (c : copy) =
   let dst = t.copies.(c.stage + 1) in
-  let w = Atomic.get t.engaged.(c.stage + 1) in
+  let w = Array.length dst in
   let rec pick tries =
     if tries >= w then
       Error
@@ -445,19 +345,8 @@ let send_downstream t (c : copy) (it : item) =
         Result.bind (flush t c) (fun () ->
             let exec = executor t in
             let s' = c.stage + 1 in
-            (* Broadcasting a marker into a stage freezes its
-               membership: a copy engaged after this point would have
-               missed the marker and could never reach its quota, so
-               [spawn_copy] refuses once the flag is up.  The flag and
-               the membership read are ordered by [elastic_mu]; the
-               sends themselves can happen outside the lock because
-               membership can no longer change. *)
-            Mutex.lock t.elastic_mu;
-            Atomic.set t.markers_started.(s') true;
-            let n = Atomic.get t.engaged.(s') in
-            Mutex.unlock t.elastic_mu;
             (* broadcast: dead copies still count markers *)
-            for j = 0 to n - 1 do
+            for j = 0 to width t s' - 1 do
               exec.exec_send ~src:c ~dst_stage:s' ~dst_copy:j [ it ]
             done;
             Ok ())
@@ -483,7 +372,7 @@ let send_downstream t (c : copy) (it : item) =
         else Ok ()
 
 let reroute t (c : copy) (it : item) =
-  let w = Atomic.get t.engaged.(c.stage) in
+  let w = width t c.stage in
   let rec pick tries j =
     if tries >= w then
       Error
@@ -500,11 +389,8 @@ let reroute t (c : copy) (it : item) =
 
 (* --- the end-of-stream drain barrier --- *)
 
-(* Marker quota: read dynamically, but by the time any marker reaches
-   this copy the upstream stage's membership is already frozen (its
-   copies only relay markers once markers were broadcast into them). *)
-let upstream_width t (c : copy) =
-  if c.stage = 0 then 0 else Atomic.get t.engaged.(c.stage - 1)
+(* Marker quota: one marker from every copy of the upstream stage. *)
+let upstream_width t (c : copy) = if c.stage = 0 then 0 else width t (c.stage - 1)
 
 let note_marker _t (c : copy) = Atomic.incr c.markers
 let markers_seen (c : copy) = Atomic.get c.markers
@@ -515,160 +401,10 @@ let count_eos t (c : copy) =
   else begin
     Atomic.set c.at_quota true;
     let n = 1 + Atomic.fetch_and_add t.at_eos.(c.stage) 1 in
-    if n >= Atomic.get t.engaged.(c.stage) then `Stage_drained else `Counted
+    if n >= width t c.stage then `Stage_drained else `Counted
   end
 
-let barrier_released t s = Atomic.get t.at_eos.(s) >= Atomic.get t.engaged.(s)
-
-(* --- the elastic copy lifecycle ---
-
-   Spawn engages the next dormant slot of an inner stage as a full
-   member: routable, counted by the EOS barrier, a marker target.  The
-   one ordering rule is membership-before-visibility: the copy is made
-   alive (and un-exited) *before* [engaged] is bumped, so a router that
-   observes the new width always finds a routable copy; the backend
-   starts the copy after the decision returns, once it is a member.
-   Spawning is refused once a marker has been broadcast into the stage
-   ([markers_started]) — a later joiner would have missed that marker
-   and could never reach its quota.
-
-   Retire is the voluntary counterpart and deliberately weaker: it
-   only clears [alive] on the highest live elastic slot.  [engaged]
-   never shrinks, so the copy stays a barrier member and a marker
-   target; the router just stops handing it Data, it drains whatever
-   it already has, and finalizes at EOS like everyone else.  Crash
-   retirement (the supervisor path) is untouched and uses separate
-   counters. *)
-
-let autoscale_config t = t.autoscale
-
-let spawn_copy t ~stage =
-  if stage <= 0 || stage >= t.n_stages - 1 then `Invalid
-  else begin
-    Mutex.lock t.elastic_mu;
-    let r =
-      if Atomic.get t.markers_started.(stage) then `Late
-      else
-        let n = Atomic.get t.engaged.(stage) in
-        if n >= slots t stage then `No_slot
-        else begin
-          let c = t.copies.(stage).(n) in
-          Atomic.set c.markers 0;
-          Atomic.set c.at_quota false;
-          Atomic.set c.lifecycle st_starting;
-          Atomic.set c.exited false;
-          Atomic.set c.alive true;
-          Atomic.set t.engaged.(stage) (n + 1);
-          `Spawned n
-        end
-    in
-    Mutex.unlock t.elastic_mu;
-    r
-  end
-
-let retire_idle t ~stage =
-  if stage <= 0 || stage >= t.n_stages - 1 then `Invalid
-  else begin
-    Mutex.lock t.elastic_mu;
-    let r =
-      if Atomic.get t.markers_started.(stage) then `Late
-      else
-        let n = Atomic.get t.engaged.(stage) in
-        let planned = width t stage in
-        let live = ref 0 in
-        for k = 0 to n - 1 do
-          if Atomic.get t.copies.(stage).(k).alive then incr live
-        done;
-        let rec last_live k =
-          if k < planned then None
-          else if Atomic.get t.copies.(stage).(k).alive then Some k
-          else last_live (k - 1)
-        in
-        (* never retire the stage's last live copy *)
-        if !live < 2 then `No_copy
-        else
-          match last_live (n - 1) with
-          | None -> `No_copy
-          | Some k ->
-              Atomic.set t.copies.(stage).(k).alive false;
-              `Retired k
-    in
-    Mutex.unlock t.elastic_mu;
-    r
-  end
-
-(* One controller decision.  Single caller by construction — the sim
-   event loop at exact virtual times, or the calling thread on the
-   real clock — so [asc_hot]/[asc_cold] need no synchronisation.  At
-   most one spawn or one retire per tick: per-copy backlog across the
-   engaged copies of each inner stage decides saturation, a stage
-   sustained-saturated for [as_sustain] ticks gains a copy (budget
-   permitting), a stage empty for [as_idle_ticks] ticks sheds its
-   highest elastic copy.  The caller starts a spawned copy and stands a
-   retired one down. *)
-let autoscale_tick t =
-  match t.autoscale with
-  | None -> `Idle
-  | Some a ->
-      let exec = executor t in
-      let decision = ref `Idle in
-      let best = ref (-1) and best_backlog = ref 0.0 in
-      for s = 1 to t.n_stages - 2 do
-        let n = Atomic.get t.engaged.(s) in
-        let backlog = ref 0 in
-        for k = 0 to n - 1 do
-          let qs = exec.exec_queue_stats ~stage:s ~copy:k in
-          backlog := !backlog + qs.Bqueue.st_items
-        done;
-        let per_copy = float_of_int !backlog /. float_of_int (max 1 n) in
-        if per_copy >= float_of_int a.as_hi_items then begin
-          t.asc_hot.(s) <- t.asc_hot.(s) + 1;
-          t.asc_cold.(s) <- 0;
-          if t.asc_hot.(s) >= a.as_sustain && per_copy > !best_backlog then begin
-            best := s;
-            best_backlog := per_copy
-          end
-        end
-        else begin
-          t.asc_hot.(s) <- 0;
-          if !backlog = 0 then t.asc_cold.(s) <- t.asc_cold.(s) + 1
-          else t.asc_cold.(s) <- 0
-        end
-      done;
-      (if !best >= 0 then
-         if Atomic.get t.asc.asc_spawned >= a.as_budget then begin
-           Atomic.incr t.asc.asc_refused_budget;
-           t.asc_hot.(!best) <- 0  (* re-arm: count one refusal per episode *)
-         end
-         else
-           match spawn_copy t ~stage:!best with
-           | `Spawned k ->
-               Atomic.incr t.asc.asc_spawned;
-               t.asc_hot.(!best) <- 0;
-               decision := `Spawned (!best, k)
-           | `Late ->
-               Atomic.incr t.asc.asc_refused_late;
-               t.asc_hot.(!best) <- 0
-           | `No_slot ->
-               Atomic.incr t.asc.asc_refused_budget;
-               t.asc_hot.(!best) <- 0
-           | `Invalid -> ());
-      (if !decision = `Idle then
-         let s = ref 1 in
-         let continue = ref true in
-         while !continue && !s <= t.n_stages - 2 do
-           (if t.asc_cold.(!s) >= a.as_idle_ticks then begin
-              t.asc_cold.(!s) <- 0;
-              match retire_idle t ~stage:!s with
-              | `Retired k ->
-                  Atomic.incr t.asc.asc_retired;
-                  decision := `Retired (!s, k);
-                  continue := false
-              | _ -> ()
-            end);
-           if !continue then incr s
-         done);
-      !decision
+let barrier_released t s = Atomic.get t.at_eos.(s) >= width t s
 
 (* --- the supervisor state machine --- *)
 
@@ -789,7 +525,7 @@ let copy_report ?state_of t =
   in
   List.concat
     (List.init t.n_stages (fun s ->
-         List.init (engaged_width t s) (fun k ->
+         List.init (width t s) (fun k ->
              let qs = exec.exec_queue_stats ~stage:s ~copy:k in
              {
                Supervisor.cr_stage = s;
@@ -903,15 +639,12 @@ type sampler = {
 
 let sampler_create ?capacity t ~interval_s =
   if interval_s <= 0.0 then invalid_arg "Engine.sampler_create: interval <= 0";
-  (* Columns cover every physical slot, not just the engaged prefix:
-     the column set is fixed at creation, and a copy spawned mid-run
-     must land in a pre-existing column. *)
   let columns =
     Array.of_list
       (List.concat
          (List.init t.n_stages (fun s ->
               List.concat
-                (List.init (slots t s) (fun k ->
+                (List.init (width t s) (fun k ->
                      let lbl = Topology.copy_label t.topo ~stage:s ~copy:k in
                      List.map (fun m -> lbl ^ ":" ^ m) sample_metrics)))))
   in
@@ -932,7 +665,7 @@ let sampler_take smp t ~ts =
   let vals = Array.make (Array.length (Obs.Timeseries.columns smp.smp_series)) 0.0 in
   let j = ref 0 in
   for s = 0 to t.n_stages - 1 do
-    for k = 0 to slots t s - 1 do
+    for k = 0 to width t s - 1 do
       let items = t.items_grid.(s).(k) in
       let qs = exec.exec_queue_stats ~stage:s ~copy:k in
       vals.(!j) <- t.busy.(s).(k);
@@ -1077,10 +810,6 @@ type metrics = {
   batch_plan : int array;
   batch_out : Obs.Hist.t array array;
   timeseries : Obs.Timeseries.t option;
-  autoscale_section : Obs.Json.t option;
-      (* the ["autoscale"] metrics section — present exactly when the
-         run had an elastic copy budget, so static runs keep their
-         pre-elastic key set *)
   extra : (string * Obs.Json.t) list;
   copies : Supervisor.copy_report list;
   recovery : Supervisor.recovery;
@@ -1092,27 +821,6 @@ type metrics = {
          peak simultaneous queue memory of the run *)
 }
 
-let autoscale_to_json t =
-  match t.autoscale with
-  | None -> None
-  | Some a ->
-      let ints arr =
-        Obs.Json.List (Array.to_list (Array.map (fun i -> Obs.Json.Int i) arr))
-      in
-      Some
-        (Obs.Json.Obj
-           [
-             ("budget", Obs.Json.Int a.as_budget);
-             ("spawned", Obs.Json.Int (Atomic.get t.asc.asc_spawned));
-             ("retired", Obs.Json.Int (Atomic.get t.asc.asc_retired));
-             ( "refused_budget",
-               Obs.Json.Int (Atomic.get t.asc.asc_refused_budget) );
-             ("refused_late", Obs.Json.Int (Atomic.get t.asc.asc_refused_late));
-             ("engaged", ints (Array.map Atomic.get t.engaged));
-             ( "planned",
-               ints (Array.map (fun st -> st.Topology.width) t.stages) );
-           ])
-
 let metrics t ~elapsed_s ?queue_occupancy ?link_stats ?timeseries
     ?(extra = []) () =
   let exec = executor t in
@@ -1120,35 +828,30 @@ let metrics t ~elapsed_s ?queue_occupancy ?link_stats ?timeseries
   and spill_segments = ref 0
   and mem_high_water = ref 0 in
   for s = 0 to t.n_stages - 1 do
-    for k = 0 to engaged_width t s - 1 do
+    for k = 0 to width t s - 1 do
       let qs = exec.exec_queue_stats ~stage:s ~copy:k in
       spilled_bytes := !spilled_bytes + qs.Bqueue.st_spilled_bytes;
       spill_segments := !spill_segments + qs.st_spill_segments;
       mem_high_water := !mem_high_water + qs.st_mem_high_water
     done
   done;
-  (* Grids are allocated over all physical slots; report only the
-     engaged prefix, so a never-engaged dormant slot leaves no trace. *)
-  let engaged_rows grid =
-    Array.init t.n_stages (fun s -> Array.sub grid.(s) 0 (engaged_width t s))
-  in
+  let rows grid = Array.map Array.copy grid in
   {
     backend = exec.exec_backend;
     elapsed_s;
     stage_names = Array.map (fun s -> s.Topology.stage_name) t.stages;
-    busy_s = engaged_rows t.busy;
-    items = engaged_rows t.items_grid;
-    items_out = engaged_rows t.items_out;
-    bytes_out = engaged_rows t.bytes_out;
-    queue_wait_s = engaged_rows t.queue_wait;
-    stall_pop_s = engaged_rows t.stall_pop;
-    stall_push_s = engaged_rows t.stall_push;
+    busy_s = rows t.busy;
+    items = rows t.items_grid;
+    items_out = rows t.items_out;
+    bytes_out = rows t.bytes_out;
+    queue_wait_s = rows t.queue_wait;
+    stall_pop_s = rows t.stall_pop;
+    stall_push_s = rows t.stall_push;
     queue_occupancy;
     link_stats;
     batch_plan = t.send_batch;
-    batch_out = engaged_rows t.batch_hist;
+    batch_out = rows t.batch_hist;
     timeseries;
-    autoscale_section = autoscale_to_json t;
     extra;
     copies = copy_report t;
     recovery = t.rec_counters;
@@ -1253,13 +956,8 @@ let metrics_to_json m =
     | None -> []
     | Some ts -> [ ("timeseries", Obs.Timeseries.to_json ts) ]
   in
-  let autoscale =
-    match m.autoscale_section with
-    | None -> []
-    | Some j -> [ ("autoscale", j) ]
-  in
   Obs.Json.Obj
-    (base @ links @ timeseries @ autoscale @ m.extra
+    (base @ links @ timeseries @ m.extra
     @ [
         ( "copies",
           Obs.Json.List (List.map Supervisor.copy_report_to_json m.copies) );

@@ -8,10 +8,10 @@
     stage; a per-stage drain barrier gates finalization; a supervisor
     retries, retires and re-routes failing copies.  This module owns all
     of that protocol — topology instantiation, the routing mask, the EOS
-    barrier, the retry/retire/re-route state machine, the elastic copy
-    lifecycle, the watchdog and sampler checks, recovery counters and
-    the unified metrics record — leaving each backend only its
-    scheduling mechanism.
+    barrier, the retry/retire/re-route state machine, the watchdog and
+    sampler checks, recovery counters and the unified metrics record —
+    leaving each backend only its scheduling mechanism.  A stage runs
+    exactly its planned width of copies from start to end.
 
     {2 The executor signature}
 
@@ -24,20 +24,19 @@
       or one heap-scheduled transfer paying the modeled link latency
       once (simulator).  The implementation must charge any blocking to
       the sender ({!note_stall_push});
-    - [exec_queue_stats] — the copy's input-queue occupancy, for the
-      autoscaler, stall reports, the sampler and the final metrics
+    - [exec_queue_stats] — the copy's input-queue occupancy, for stall
+      reports, the sampler and the final metrics
       ({!Bqueue.no_stats} for a source, which has no input queue);
     - [exec_wake] — wake every blocked copy so it can observe
       {!aborting} (a no-op for single-threaded backends).
 
     Decision/mechanism split: functions here never block, never sleep
     and never schedule — they update shared protocol state and return a
-    decision ([`Retry of delay], [`Stage_drained], [`Fatal err],
-    [`Spawned (s, k)], a route, ...) that the backend applies with its
-    own mechanism: sleeping a backoff or scheduling an event, starting a
-    copy's runner or waking a simulated copy.  Periodic checks
-    ({!watchdog_check}, {!sampler_poll}, {!autoscale_tick}) do one tick
-    per call; the backend decides when ticks run.  Shared state uses
+    decision ([`Retry of delay], [`Stage_drained], [`Fatal err], a
+    route, ...) that the backend applies with its own mechanism:
+    sleeping a backoff or scheduling an event, or waking a simulated
+    copy.  Periodic checks ({!watchdog_check}, {!sampler_poll}) do one
+    tick per call; the backend decides when ticks run.  Shared state uses
     atomics, which the domain backend needs and the single-threaded
     simulator tolerates for free. *)
 
@@ -94,26 +93,6 @@ type executor = {
   exec_wake : unit -> unit;
 }
 
-(** {2 Mid-run autoscaling}
-
-    The elastic-copy controller: per-copy input backlog across each
-    inner stage decides saturation; a stage sustained-saturated gains
-    a dormant copy ({!spawn_copy}), a stage long-empty sheds its
-    highest elastic copy ({!retire_idle}), all bounded by a run-wide
-    copy budget.  [as_interval_s] is virtual time on the simulator
-    (deterministic decision points) and wall time elsewhere. *)
-type autoscale = {
-  as_interval_s : float;
-  as_budget : int;       (** copies the whole run may add *)
-  as_hi_items : int;     (** per-copy backlog considered saturated *)
-  as_sustain : int;      (** consecutive saturated ticks before a spawn *)
-  as_idle_ticks : int;   (** consecutive empty ticks before a retire *)
-}
-
-(** 2ms interval, budget 4, saturation at 4 items/copy sustained for
-    2 ticks, retire after 50 empty ticks. *)
-val default_autoscale : autoscale
-
 (** Validate the topology ({!Supervisor.validate}) and build the shared
     protocol state: per-copy cells, the per-stage EOS barrier, recovery
     counters and accounting grids.  Announces the topology's virtual
@@ -125,11 +104,7 @@ val default_autoscale : autoscale
     mechanism needs.  Beyond the topology, [create] checks the options:
     [queue_capacity] (default 64) at least 1, [stage_batch] and
     [queue_budgets] one entry per stage, budgets non-negative
-    ([Invalid_topology]), and an autoscale budget of at least 1 and a
-    positive interval on a pipeline with an inner stage
-    ([Copy_budget]).  [autoscale]
-    pre-allocates [as_budget] dormant elastic slots on every inner
-    stage (see {!spawn_copy}). *)
+    ([Invalid_topology]). *)
 val create :
   ?faults:Fault.plan ->
   ?policy:Supervisor.policy ->
@@ -138,7 +113,6 @@ val create :
   ?mem_budget:int ->
   ?queue_budgets:int array ->
   ?metrics_interval_s:float ->
-  ?autoscale:autoscale ->
   Topology.t ->
   (t, Supervisor.run_error) result
 
@@ -157,19 +131,11 @@ val faults : t -> Fault.plan
 val queue_capacity : t -> int
 val metrics_interval_s : t -> float option
 
-(** The *planned* copy count of stage [s] (the topology's width).
-    Routing and barrier arithmetic use {!engaged_width} instead. *)
+(** The copy count of stage [s] (the topology's planned width): the
+    routing mask, the marker quota and the EOS barrier count these
+    copies, and backends size their per-copy resources (queues,
+    domains, workers) by it. *)
 val width : t -> int -> int
-
-(** Physical copy slots of stage [s]: planned width plus dormant
-    elastic headroom.  Backends size their per-copy resources (queues,
-    domains, workers) by this. *)
-val slots : t -> int -> int
-
-(** Current membership of stage [s]: slots [0, engaged) are routable
-    members of the routing mask and the EOS barrier.  Starts at the
-    planned width, grows on {!spawn_copy}, never shrinks. *)
-val engaged_width : t -> int -> int
 
 val copy_at : t -> stage:int -> copy:int -> copy
 val is_sink_stage : t -> int -> bool
@@ -246,47 +212,6 @@ val count_eos : t -> copy -> [ `Already | `Counted | `Stage_drained ]
 
 val barrier_released : t -> int -> bool
 
-(** {2 The elastic copy lifecycle}
-
-    Copies can join and leave a stage mid-run as a first-class
-    operation, independent of the fault path.  A spawn engages the
-    next dormant slot as a full member (routable, a marker target, a
-    barrier voter); membership of a stage freezes the moment a marker
-    is broadcast into it — a later joiner would have missed that
-    marker and could never meet its quota, so spawns then return
-    [`Late].  A voluntary retire only clears the copy's [alive] flag:
-    the router stops handing it Data, it drains what it has and
-    finalizes at EOS like everyone else; [engaged_width] never
-    shrinks, so barrier and marker arithmetic are unaffected.
-
-    Both operations only change membership and return the decision;
-    the backend acts on it — it starts a runner for a spawned copy, and
-    the simulator stands a retired copy down (hands off its backlog). *)
-
-val autoscale_config : t -> autoscale option
-
-(** Engage the next dormant slot of inner stage [stage]: the copy is a
-    routable member when this returns, and may already find items in
-    its queue once the backend starts it.  [`Invalid] for endpoint
-    stages, [`Late] once the stage's membership is frozen, [`No_slot]
-    when the stage's dormant headroom is spent. *)
-val spawn_copy :
-  t -> stage:int -> [ `Spawned of int | `Late | `No_slot | `Invalid ]
-
-(** Stand down the highest live elastic copy of [stage] (never a
-    planned copy, never the last live copy).  A copy that runs its own
-    loop (domains, processes) drains its queue by itself. *)
-val retire_idle :
-  t -> stage:int -> [ `Retired of int | `Late | `No_copy | `Invalid ]
-
-(** One controller decision (at most one spawn or retire), returned as
-    [(stage, copy)] for the caller to act on.  Call from exactly one
-    place — the simulator's event loop at virtual decision points, or
-    the real backends' calling thread every [as_interval_s].  [`Idle]
-    when the run has no autoscale config. *)
-val autoscale_tick :
-  t -> [ `Idle | `Spawned of int * int | `Retired of int * int ]
-
 (** {2 The supervisor state machine} *)
 
 (** One crash: account it and decide.  [`Retry d] consumed one unit of
@@ -330,7 +255,7 @@ val st_done : int
 val set_lifecycle : copy -> int -> unit
 val mark_exited : copy -> unit
 
-(** Every copy slot's body has returned (dormant slots count). *)
+(** Every copy's body has returned. *)
 val all_exited : t -> bool
 
 (** Global progress counter (watchdog heartbeat); bump after every
@@ -456,11 +381,6 @@ type metrics = {
       (** flushed batch sizes per copy (all 1.0 at B = 1) *)
   timeseries : Obs.Timeseries.t option;
       (** sampled series when a sampler ran (["timeseries"] section) *)
-  autoscale_section : Obs.Json.t option;
-      (** the ["autoscale"] section (budget, spawned, retired,
-          refusals, final engaged vs planned widths) — present exactly
-          when the run had an elastic copy budget, so static runs keep
-          their pre-elastic key set *)
   extra : (string * Obs.Json.t) list;
       (** backend-specific extra JSON sections (e.g. the proc
           backend's ["workers"]) *)

@@ -304,12 +304,9 @@ let count_eos f =
   match Engine.count_eos f.eng f.cs with
   | `Already | `Counted -> ()
   | `Stage_drained ->
-      (* wake the engaged members only — a dormant slot's queue has no
-         consumer to take the token *)
-      let s = f.cs.Engine.stage in
-      for j = 0 to Engine.engaged_width f.eng s - 1 do
-        Bqueue.push_token f.queues.(s).(j) Release
-      done
+      Array.iter
+        (fun q -> Bqueue.push_token q Release)
+        f.queues.(f.cs.Engine.stage)
 
 let serve_final f b =
   f.current <- [ Engine.Final b ];
@@ -450,22 +447,21 @@ let copy_fiber eng queues exits placement (cs : Engine.copy) () =
   Engine.mark_exited cs;
   Sched.notify exits
 
-type slot = { stage : int; copy : int; local : bool; planned : bool }
+type slot = { stage : int; copy : int; local : bool }
 type host = { kind : Sched.kind; slots : (int * int) list }
 
-(* Where every copy slot runs (see the .mli): in an all-[Local] run
-   the planned copies dealt round the hosts from the sink backwards,
-   otherwise a host per slot. *)
+(* Where every copy runs (see the .mli): in an all-[Local] run the
+   copies dealt round the hosts from the sink backwards, otherwise a
+   host per copy. *)
 let layout ~cores slots =
   if List.for_all (fun c -> c.local) slots then
-    let planned = List.filter (fun c -> c.planned) slots in
-    let n = List.length planned in
+    let n = List.length slots in
     let d = max 1 (min cores n) in
     List.init d (fun h ->
         {
           kind = (if h = 0 then Sched.Thread else Sched.Domain);
           slots =
-            List.filteri (fun i _ -> (n - 1 - i) mod d = h) planned
+            List.filteri (fun i _ -> (n - 1 - i) mod d = h) slots
             |> List.map (fun c -> (c.stage, c.copy));
         })
   else
@@ -493,9 +489,9 @@ let next_due = function
 
 type check = { mutable at : schedule; run : unit -> unit }
 
-(* The armed checks — watchdog, sampler, autoscaler — each with its own
-   period; [spawn] starts a copy the autoscaler engaged. *)
-let periodic_checks eng ~sampler ~spawn =
+(* The armed checks — watchdog and sampler — each with its own
+   period. *)
+let periodic_checks eng ~sampler =
   let check period run =
     Some { at = { period; next = Obs.Clock.elapsed_s () +. period }; run }
   in
@@ -510,11 +506,6 @@ let periodic_checks eng ~sampler ~spawn =
       Option.bind sampler (fun smp ->
           check (Obs.Timeseries.interval_s (Engine.sampler_series smp)) (fun () ->
               Engine.sampler_poll smp eng));
-      Option.bind (Engine.autoscale_config eng) (fun a ->
-          check a.Engine.as_interval_s (fun () ->
-              match Engine.autoscale_tick eng with
-              | `Spawned (s, k) -> spawn s k
-              | `Retired _ | `Idle -> ()));
     ]
 
 (* The calling thread waits on [exits] until every copy has exited or
@@ -571,19 +562,16 @@ let runners_section eng plan host_of slots =
       plan
   in
   let copy (s, k) =
-    let h = host_of.(s).(k) in
-    if h < 0 then None
-    else Some (Topology.copy_label (Engine.topology eng) ~stage:s ~copy:k, label.(h))
+    (Topology.copy_label (Engine.topology eng) ~stage:s ~copy:k, label.(host_of.(s).(k)))
   in
   ( "runners",
     Obs.Json.Obj
       [
         ("domains", Obs.Json.Int !domains);
-        ("copies", Obs.Json.Obj (List.filter_map copy slots));
+        ("copies", Obs.Json.Obj (List.map copy slots));
       ] )
 
-(* An input queue per copy slot of stages 1.. — dormant elastic slots
-   get theirs up front, so a spawn never allocates. *)
+(* An input queue per copy of stages 1.. *)
 let make_queues eng spill_dir =
   Array.init (Engine.n_stages eng) (fun s ->
       if s = 0 then [||]
@@ -596,7 +584,7 @@ let make_queues eng spill_dir =
                    ~decode:decode_msg)
           | _ -> None
         in
-        Array.init (Engine.slots eng s) (fun _ ->
+        Array.init (Engine.width eng s) (fun _ ->
             (Bqueue.create ~cost:msg_cost ?spill ~stop:(Engine.stop_flag eng)
                (Engine.queue_capacity eng)
               : msg Bqueue.t)))
@@ -642,73 +630,54 @@ let drive eng ~backend ?(place = fun _ -> Local) ?(teardown = ignore)
   let spill_dir = if budgeted then Some (Spill.create_dir ()) else None in
   let queues = make_queues eng spill_dir in
   Engine.attach eng (executor eng ~backend queues exits);
-  (* Each copy slot's placement, planned or dormant, asked before any
-     driver starts. *)
+  (* Each copy's placement, asked before any driver starts. *)
   let places =
     Array.init n_stages (fun s ->
-        Array.init (Engine.slots eng s) (fun k ->
+        Array.init (Engine.width eng s) (fun k ->
             place (Engine.copy_at eng ~stage:s ~copy:k)))
   in
   let fiber (s, k) =
     copy_fiber eng queues exits places.(s).(k) (Engine.copy_at eng ~stage:s ~copy:k)
   in
-  (* Every copy is a fiber on one of the [layout]'s hosts.  [host_of]
-     is each slot's host, -1 until its copy starts; only the calling
-     thread writes it. *)
+  (* Every copy is a fiber on one of the [layout]'s hosts; [host_of] is
+     each copy's host. *)
   let slots =
     List.concat
       (List.init n_stages (fun s ->
-           List.init (Engine.slots eng s) (fun k -> (s, k))))
+           List.init (Engine.width eng s) (fun k -> (s, k))))
   in
-  let planned (s, k) = k < Engine.width eng s in
   let plan =
     Array.of_list
       (layout ~cores:(Domain.recommended_domain_count ())
          (List.map
             (fun (s, k) ->
               let local = match places.(s).(k) with Local -> true | _ -> false in
-              { stage = s; copy = k; local; planned = planned (s, k) })
+              { stage = s; copy = k; local })
             slots))
   in
-  let host_of = Array.map (Array.map (fun _ -> -1)) places in
+  let host_of = Array.map (Array.map (fun _ -> 0)) places in
+  Array.iteri
+    (fun h { slots; _ } -> List.iter (fun (s, k) -> host_of.(s).(k) <- h) slots)
+    plan;
   let t0 = Obs.Clock.elapsed_s () in
   let pool =
     Sched.hosts
       (Array.to_list
-         (Array.mapi
-            (fun h { kind; slots } ->
-              let copies = List.filter planned slots in
-              List.iter (fun (s, k) -> host_of.(s).(k) <- h) copies;
-              (kind, List.map fiber copies))
-            plan))
-  in
-  (* The engine made an elastic copy a routable member before returning
-     [`Spawned], so it may find items already queued.  A retired copy
-     keeps running its own driver and drains its queue by itself. *)
-  let spawn stage copy =
-    let c = (stage, copy) in
-    let on = Array.find_index (fun { slots; _ } -> List.mem c slots) plan in
-    host_of.(stage).(copy) <- Sched.spawn pool ?on (fiber c)
+         (Array.map (fun { kind; slots } -> (kind, List.map fiber slots)) plan))
   in
   let sampler =
     match Engine.metrics_interval_s eng with
     | Some iv when iv > 0.0 -> Some (Engine.sampler_create eng ~interval_s:iv)
     | _ -> None
   in
-  await_copies eng exits (periodic_checks eng ~sampler ~spawn);
+  await_copies eng exits (periodic_checks eng ~sampler);
   join_hosts eng pool plan host_of slots;
   (* Graceful queue close: leaked stuck copies (abort path) wake with
      [Closed] instead of blocking forever. *)
   Array.iter (Array.iter Bqueue.close) queues;
   teardown ();
   let wall_time = Obs.Clock.elapsed_s () -. t0 in
-  let occupancy =
-    (* engaged members only: a dormant slot's queue never had a
-       consumer, so its occupancy is noise *)
-    Array.init n_stages (fun s ->
-        let n = min (Array.length queues.(s)) (Engine.engaged_width eng s) in
-        Array.init n (fun k -> Bqueue.occupancy queues.(s).(k)))
-  in
+  let occupancy = Array.map (Array.map Bqueue.occupancy) queues in
   let result =
     match Engine.abort_error eng with
     | Some e -> Error e

@@ -19,36 +19,31 @@
     {!Supervisor.Stalled} when the watchdog is armed.
 
     The calling thread, while it waits for the copies, runs the armed
-    periodic checks — the watchdog, the time-series sampler and the
-    autoscaler.  It is no fiber host, so a filter that blocks natively
+    periodic checks — the watchdog and the time-series sampler.  It is
+    no fiber host, so a filter that blocks natively
     cannot hide a stall from the watchdog. *)
 
 (** {2 Placement} *)
 
-(** A copy slot as {!layout} sees it: [local] when its callbacks run on
-    its driver ({!Local}), [planned] unless it is a dormant elastic
-    slot. *)
-type slot = { stage : int; copy : int; local : bool; planned : bool }
+(** A copy as {!layout} sees it: [local] when its callbacks run on its
+    driver ({!Local}). *)
+type slot = { stage : int; copy : int; local : bool }
 
-(** A host to start: what runs it, and the slots whose copies are its
+(** A host to start: what runs it, and the copies that are its
     fibers. *)
 type host = { kind : Sched.kind; slots : (int * int) list }
 
 val layout : cores:int -> slot list -> host list
-(** The hosts of a run whose copy slots, in pipeline order, are the
-    given ones.
-    - {b Every slot local} (par): D = min ([cores], planned copies)
-      hosts, host 0 a thread of the calling domain, the rest spawned
-      domains.  The planned copy at position i of n goes to host
-      (n − 1 − i) mod D: the sink stays on the calling domain and
-      neighbouring copies land on different domains when D ≥ 2.  An
-      elastic copy becomes a fiber on the host with the fewest
-      unfinished fibers.
-    - {b Some slot remote} (proc): every slot, dormant ones included,
-      alone on a host: a thread of the calling domain for a remote slot
-      (its frame waits are native), a spawned domain for a local one
-      (the proc sink).  A dormant slot's elastic copy runs on its
-      host. *)
+(** The hosts of a run whose copies, in pipeline order, are the given
+    ones.
+    - {b Every copy local} (par): D = min ([cores], copies) hosts, host
+      0 a thread of the calling domain, the rest spawned domains.  The
+      copy at position i of n goes to host (n − 1 − i) mod D: the sink
+      stays on the calling domain and neighbouring copies land on
+      different domains when D ≥ 2.
+    - {b Some copy remote} (proc): every copy alone on a host: a thread
+      of the calling domain for a remote copy (its frame waits are
+      native), a spawned domain for a local one (the proc sink). *)
 
 (** A filter copy's callbacks as round trips. *)
 type calls = {
@@ -138,8 +133,7 @@ val drive :
     copy has exited, and the joins.  The wait ends when the last copy
     exits; while checks are armed it also wakes at their {!next_due}
     and runs those {!due}.  [place] (default every copy
-    {!Local}) is asked once per copy slot, planned or dormant, before
-    any driver starts.  [teardown] runs after every driver has joined
+    {!Local}) is asked once per copy, before any driver starts.  [teardown] runs after every driver has joined
     and the queues are closed, before the wall clock stops; [extra]
     adds metrics sections after ["runners"]: [domains], the calling
     domain plus every domain spawned, and [copies], each copy's host by

@@ -294,7 +294,7 @@ let run eng ?inflight ?frame_bytes () :
   (* Credit-stall seconds per copy, reported under metrics "transport".
      One writer per cell: the copy's own driver fiber. *)
   let stall_s =
-    Array.init n_stages (fun s -> Array.make (Engine.slots eng s) 0.0)
+    Array.init n_stages (fun s -> Array.make (Engine.width eng s) 0.0)
   in
   (* A dead child turns writes into EPIPE errors (a [Remote_crash])
      rather than a fatal signal. *)
@@ -312,11 +312,8 @@ let run eng ?inflight ?frame_bytes () :
   (* Fork every worker while the runtime is still single-domain: one
      per source copy, 1 + max_retries per non-sink filter copy (the
      spares stand in for fork-on-restart), none for sink copies (their
-     filters run in the parent).  Dormant elastic slots get their full
-     worker complement up front too — forking after a domain exists is
-     impossible in OCaml 5, so a mid-run spawn can only promote
-     pre-forked processes.  Each worker gets a fresh [Shm.pair] sized
-     from its copy's window depth. *)
+     filters run in the parent).  Each worker gets a fresh [Shm.pair]
+     sized from its copy's window depth. *)
   let all_workers : worker list ref = ref [] in
   let obtain ~slots cs =
     let s = cs.Engine.stage and k = cs.Engine.index in
@@ -362,7 +359,7 @@ let run eng ?inflight ?frame_bytes () :
   in
   match
     Array.init n_stages (fun s ->
-        Array.init (Engine.slots eng s) (fun k ->
+        Array.init (Engine.width eng s) (fun k ->
             if Engine.is_sink_stage eng s then None
             else Some (copy_workers (Engine.copy_at eng ~stage:s ~copy:k))))
   with
@@ -580,7 +577,7 @@ let run eng ?inflight ?frame_bytes () :
     let entries =
       List.concat
         (List.init n_stages (fun s ->
-             List.concat (List.init (Engine.slots eng s) (copy_entry s))))
+             List.concat (List.init (Engine.width eng s) (copy_entry s))))
     in
     if entries = [] then [] else [ ("workers", Obs.Json.Obj entries) ]
   in
@@ -602,7 +599,7 @@ let run eng ?inflight ?frame_bytes () :
     let stall_total = ref 0.0 in
     let stalls = ref [] in
     for s = n_stages - 1 downto 0 do
-      for k = Engine.slots eng s - 1 downto 0 do
+      for k = Engine.width eng s - 1 downto 0 do
         let v = stall_s.(s).(k) in
         if v > 0.0 then begin
           stall_total := !stall_total +. v;

@@ -57,12 +57,7 @@ val run :
     ({!Shm.plan_slot_bytes}) so batched frames stay on the ring instead
     of overflowing to the control socket.
 
-    An autoscaled run pre-forks every dormant elastic slot's full
-    worker complement (active plus spares) up front, because forking
-    after domains exist is impossible in OCaml 5; a mid-run spawn
-    merely starts a driver fiber over the waiting processes, on the
-    empty thread host planned for that slot.  The
-    queues, and so any spilling under a memory budget, live in the
+    The queues, and so any spilling under a memory budget, live in the
     parent.  When tracing is enabled the workers ship their callback
     spans and counters inside their answers ({!Wire.Reply}): the trace
     covers worker pids and the metrics carry a per-copy ["workers"]

@@ -1,18 +1,19 @@
-(** Unified entry point for running a {!Topology} on either backend.
+(** Unified entry point for running a {!Topology} on any of the three
+    backends.
 
-    Both backends execute the same {!Engine} protocol — topology
-    instantiation, round-robin routing over the live-copy mask, the
-    per-stage EOS drain barrier, the retry / retire / re-route failover
-    machine — and produce the same {!Engine.metrics} record, serialized
+    All three execute the same {!Engine} protocol — topology
+    instantiation at the planned widths, round-robin routing over the
+    live-copy mask, the per-stage EOS drain barrier, the retry / retire
+    / re-route failover machine — and produce the same {!Engine.metrics} record, serialized
     by the same {!metrics_to_json}.  They differ only in mechanism:
 
     - {!Sim} ({!Sim_runtime}): discrete-event simulation on one thread;
       [elapsed_s] is the simulated makespan, [link_stats] is populated,
       [queue_occupancy] is [None].
-    - {!Par} ({!Par_runtime}): one thread per filter copy on at most
-      nproc OCaml 5 domains, with bounded blocking queues; [elapsed_s]
-      is wall time,
-      [queue_occupancy] is populated, [link_stats] is [None].
+    - {!Par} ({!Par_runtime}): every filter copy an effect fiber on at
+      most nproc hosts (OCaml 5 domains), with bounded blocking queues;
+      [elapsed_s] is wall time, [queue_occupancy] is populated,
+      [link_stats] is [None].
     - {!Proc} ({!Proc_runtime}): one OS process per source/inner filter
       copy, forked per run, every item serialized as {!Wire} frames
       over shared-memory ring pairs ({!Shm}); scheduling, metrics shape
@@ -34,7 +35,6 @@ val run_result :
   ?mem_budget:int ->
   ?queue_budgets:int array ->
   ?metrics_interval_s:float ->
-  ?autoscale:Engine.autoscale ->
   ?inflight:int ->
   ?frame_bytes:int ->
   Topology.t ->
@@ -80,16 +80,6 @@ val run_result :
     section).  The simulator samples at fixed {e virtual} times, so the
     series is deterministic; Par and Proc sample on the real clock from
     the calling thread.
-
-    [autoscale] arms the mid-run elastic-copy controller on every
-    backend (see {!Engine.autoscale_tick}): a sustained-saturated inner
-    stage transparently gains a copy out of the run's elastic budget, a
-    long-idle elastic copy stands down, and the metrics gain an
-    ["autoscale"] section.  The simulator ticks the controller at
-    deterministic virtual times, so an autoscaled sim run is
-    bit-reproducible; Par and Proc tick it from the calling thread.
-    [Error (Copy_budget _)] (exit code 8 via [cgppc run]) when the
-    budget is invalid or the pipeline has no inner stage.
 
     [inflight] (Proc only) is the credit window: how many frames each
     driver keeps in flight to its worker before waiting for an

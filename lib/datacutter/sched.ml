@@ -26,7 +26,6 @@ type host = {
       (* host thread only, by deadline *)
   mutable current : fiber;  (* the fiber the host thread runs *)
   mutable tid : int;  (* the host thread's id, -1 before it starts *)
-  live : int Atomic.t;  (* fibers started and not yet finished *)
 }
 
 type wstate = Unset | Set | Parked of host * (unit -> unit)
@@ -160,14 +159,12 @@ let start h body () =
     h.current <- f;
     Effect.Deep.continue k ()
   in
-  let finished () = Atomic.decr h.live in
   h.current <- f;
   Effect.Deep.match_with body ()
     {
-      retc = finished;
+      retc = Fun.id;
       exnc =
         (fun e ->
-          finished ();
           Logs.err (fun m -> m "fiber raised %s" (Printexc.to_string e)));
       effc =
         (fun (type a) (e : a Effect.t) ->
@@ -253,7 +250,6 @@ let hosts plan =
         timers = [];
         current = { yielded = 0.0; mark = 0.0 };
         tid = -1;
-        live = Atomic.make (List.length bs);
       }
     in
     List.iter (fun b -> Queue.push (start h b) h.runq) bs;
@@ -270,23 +266,6 @@ let hosts plan =
   in
   let started = Array.of_list (List.map start_host plan) in
   { hs = Array.map fst started; joins = Array.map snd started }
-
-let spawn { hs; _ } ?on body =
-  let i =
-    match on with
-    | Some i -> i
-    | None ->
-        let best = ref 0 in
-        Array.iteri
-          (fun i h ->
-            if Atomic.get h.live < Atomic.get hs.(!best).live then best := i)
-          hs;
-        !best
-  in
-  let h = hs.(i) in
-  Atomic.incr h.live;
-  schedule h (start h body);
-  i
 
 let close { hs; _ } =
   Array.iter

@@ -75,11 +75,6 @@ type hosts
     numbered from 0 in plan order. *)
 val hosts : (kind * (unit -> unit) list) list -> hosts
 
-(** [spawn hs ?on body] runs [body] as a fiber on host [on], by default
-    on the host with the fewest unfinished fibers, and returns that
-    host's number.  Call it before {!close}. *)
-val spawn : hosts -> ?on:int -> (unit -> unit) -> int
-
 (** Let every host end once it has nothing left to run.  Idempotent. *)
 val close : hosts -> unit
 

@@ -39,9 +39,6 @@ type event =
   | Ev_copy_done of copy * Filter.buffer option * [ `Data | `Final | `Finalize ]
   | Ev_source_step of copy
   | Ev_finalize of copy  (* finalize (or retry one) if the barrier allows *)
-  | Ev_autoscale
-      (* recurring controller decision point at exact virtual times —
-         autoscaled sim runs stay bit-deterministic *)
 
 (* Aborts the event loop with a structured error; never escapes
    [run]. *)
@@ -54,17 +51,12 @@ let run eng : (Engine.metrics, Supervisor.run_error) result =
   let links = Array.of_list topo.Topology.links in
   let n_stages = Array.length stages in
   let n_links = max 0 (n_stages - 1) in
-  (* One sim-copy per physical slot; dormant elastic slots start
-     [finished = true] so the end-of-run wedge check and marker relays
-     ignore them until a spawn engages one. *)
   let copies =
     Array.init n_stages (fun s ->
-        Array.init (Engine.slots eng s) (fun k ->
+        Array.init (Engine.width eng s) (fun k ->
             let cs = Engine.copy_at eng ~stage:s ~copy:k in
             { cs; impl = Engine.instantiate eng cs; queue = Queue.create ();
-              busy = false;
-              finished = k >= stages.(s).Topology.width;
-              link_free_at = 0.0;
+              busy = false; finished = false; link_free_at = 0.0;
               idle_since = 0.0; q_mem_bytes = 0; q_disk_items = 0;
               q_disk_bytes = 0; q_spilled_bytes = 0; q_spill_segments = 0;
               q_high_water = 0; q_seg_acc = 0 }))
@@ -262,9 +254,9 @@ let run eng : (Engine.metrics, Supervisor.run_error) result =
     end
   in
 
-  (* Stand [c] down once it is off the routing mask (crash or voluntary
-     retire): hand what it held and had queued to live siblings, and
-     keep its marker obligation alive through the zombie path. *)
+  (* Stand [c] down once a crash took it off the routing mask: hand
+     what it held and had queued to live siblings, and keep its marker
+     obligation alive through the zombie path. *)
   let stand_down t (c : copy) in_flight =
     c.busy <- false;
     now := t;
@@ -389,29 +381,6 @@ let run eng : (Engine.metrics, Supervisor.run_error) result =
         if kind = `Finalize then (c.finished <- true; send t c Marker);
         maybe_start t c
     | Ev_finalize c -> if not (dead c) then maybe_start t c
-    | Ev_autoscale -> (
-        (* A spawned copy is already a member, its queue still empty
-           (the controller runs inside this loop): wake it. *)
-        (match Engine.autoscale_tick eng with
-        | `Spawned (s, k) ->
-            let c = copies.(s).(k) in
-            c.finished <- false;
-            c.idle_since <- t
-        | `Retired (s, k) -> stand_down t copies.(s).(k) None
-        | `Idle -> ());
-        (* keep ticking while any engaged copy is still working; once
-           everything finished the heap is allowed to drain *)
-        match Engine.autoscale_config eng with
-        | None -> ()
-        | Some a ->
-            let unfinished = ref false in
-            for s = 0 to n_stages - 1 do
-              for k = 0 to Engine.engaged_width eng s - 1 do
-                if not copies.(s).(k).finished then unfinished := true
-              done
-            done;
-            if !unfinished then
-              Timeline.push heap (t +. a.Engine.as_interval_s) Ev_autoscale)
     | Ev_source_step c -> (
         if not (dead c) then
           match c.impl with
@@ -452,9 +421,6 @@ let run eng : (Engine.metrics, Supervisor.run_error) result =
                Engine.note_busy eng c.cs (cost /. power_of c)
            | I_source _ -> Timeline.push heap 0.0 (Ev_source_step c)))
       copies;
-    (match Engine.autoscale_config eng with
-    | Some a -> Timeline.push heap a.Engine.as_interval_s Ev_autoscale
-    | None -> ());
     let rec loop () =
       match Timeline.pop heap with
       | None -> ()

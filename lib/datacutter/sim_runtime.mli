@@ -16,8 +16,8 @@
     that leaves a copy's end-of-stream protocol incomplete yields
     {!Supervisor.Stalled} with a marker-deficit report.
 
-    Simulated time makes every run option deterministic: autoscale
-    decisions and time-series samples land at exact virtual times, and a
+    Simulated time makes every run option deterministic: time-series
+    samples land at exact virtual times, and a
     memory budget is modeled — an arrival over its queue's budget is
     flagged spilled and replaying it charges a startup-plus-per-byte
     disk term into the service time.  Queue capacity does not apply;

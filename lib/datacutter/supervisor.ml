@@ -107,7 +107,6 @@ type run_error =
   | Stage_dead of { stage : int; stage_name : string; error : string }
   | Stalled of { after_s : float; report : copy_report list }
   | Unsupported of string
-  | Copy_budget of string
   | Setup_failed of string
 
 exception Run_failed of run_error
@@ -149,9 +148,6 @@ let run_error_to_json = function
   | Unsupported msg ->
       Obs.Json.Obj
         [ ("kind", Obs.Json.Str "unsupported"); ("error", Obs.Json.Str msg) ]
-  | Copy_budget msg ->
-      Obs.Json.Obj
-        [ ("kind", Obs.Json.Str "copy_budget"); ("error", Obs.Json.Str msg) ]
   | Setup_failed msg ->
       Obs.Json.Obj
         [ ("kind", Obs.Json.Str "setup_failed"); ("error", Obs.Json.Str msg) ]
@@ -172,16 +168,15 @@ let pp_run_error ppf = function
         Fmt.(list ~sep:(any "@\n") (any "  " ++ pp_copy_report))
         report
   | Unsupported msg -> Fmt.pf ppf "backend unsupported: %s" msg
-  | Copy_budget msg -> Fmt.pf ppf "copy budget: %s" msg
   | Setup_failed msg -> Fmt.pf ppf "setup failed: %s" msg
 
 (* Distinct process exit codes so soak scripts can triage structured
    failures without parsing stderr.  3/4/5 are the triage classes the
-   robustness docs commit to; 6/7 cover the remaining constructors,
-   8 the elastic-copy budget (an autoscale plan the engine refused, a
-   different triage bucket than a malformed topology) and 9 a worker
-   setup the host's resources refused.  cmdliner
-   reserves 123-125, so small codes are safe. *)
+   robustness docs commit to; 6/7 cover the remaining constructors and
+   9 a worker setup the host's resources refused.  8 is unused: it
+   named a run option that no longer exists, and no code is renumbered
+   so scripts keyed on 9 keep working.  cmdliner reserves 123-125, so
+   small codes are safe. *)
 let exit_code_of = function
   | Stalled _ -> 3
   | Stage_dead { error; _ } ->
@@ -197,7 +192,6 @@ let exit_code_of = function
       if contains error "protocol error" then 5 else 4
   | Invalid_topology _ -> 6
   | Unsupported _ -> 7
-  | Copy_budget _ -> 8
   | Setup_failed _ -> 9
 
 (* --- topology validation ---

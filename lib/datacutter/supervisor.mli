@@ -1,4 +1,4 @@
-(** Shared fault-tolerance vocabulary of the two runtimes: retry /
+(** Shared fault-tolerance vocabulary of the three backends: retry /
     retirement policy, recovery counters, structured run errors, and
     topology validation.
 
@@ -83,10 +83,6 @@ type run_error =
   | Unsupported of string
       (** the selected backend cannot run on this platform (e.g. the
           process backend without [Unix.fork]) *)
-  | Copy_budget of string
-      (** the elastic-copy budget was invalid or exhausted before the
-          run could start: an autoscale request the engine refused
-          outright (budget <= 0, or no inner stage to grow) *)
   | Setup_failed of string
       (** the run could not set up for lack of resources (EMFILE,
           ENOMEM, EAGAIN): the pipe a par or proc run waits on, or, on
@@ -105,12 +101,10 @@ val pp_run_error : Format.formatter -> run_error -> unit
     triage without parsing stderr: 3 = watchdog stall ({!Stalled}),
     4 = retries exhausted ({!Stage_dead}), 5 = wire-protocol error (a
     {!Stage_dead} whose error came from the proc backend's protocol
-    layer), 6 = invalid topology, 7 = unsupported backend, 8 = elastic
-    copy budget exhausted / autoscale refused ({!Copy_budget} — kept
-    distinct from the generic topology error so soak scripts can tell
-    a bad autoscale plan from a malformed pipeline), 9 = worker setup
-    refused by the host's resources ({!Setup_failed}).  Used by
-    [cgppc run]; codes 123-125 are reserved by cmdliner. *)
+    layer), 6 = invalid topology, 7 = unsupported backend, 9 = worker
+    setup refused by the host's resources ({!Setup_failed}).  8 is not
+    used (it was a removed run option's code; no other code moved).
+    Used by [cgppc run]; codes 123-125 are reserved by cmdliner. *)
 val exit_code_of : run_error -> int
 
 (** Validate a topology that may not have gone through

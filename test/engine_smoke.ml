@@ -238,158 +238,6 @@ let check ~what n (legs : (string * leg) list) =
               (String.concat "," leg.keys))
         rest)
 
-(* --- the elastic leg: autoscale armed on every backend ------------- *)
-
-(* A topology whose middle stage is slow both in modeled time (cost 20
-   at power 100, so the simulator's controller sees the backlog) and in
-   real time (a per-item sleep, so the domain and process controllers
-   see it too), behind a throttled source that keeps stage membership
-   open long enough for mid-run spawns on the real backends. *)
-let make_elastic_topo ~n () =
-  let sink, got = recording_sink () in
-  let source _ =
-    let i = ref 0 in
-    {
-      Datacutter.Filter.src_name = "src";
-      next =
-        (fun () ->
-          if !i >= n then None
-          else begin
-            let p = !i in
-            incr i;
-            Unix.sleepf 0.0003;
-            Some (buffer_of_int p, 1.0)
-          end);
-      src_finalize = (fun () -> (None, 0.0));
-    }
-  in
-  let inner _ =
-    {
-      (Datacutter.Filter.pass_through "mid") with
-      Datacutter.Filter.process =
-        (fun b -> Unix.sleepf 0.0005; (Some b, 20.0));
-    }
-  in
-  let topo =
-    Datacutter.Topology.create
-      ~stages:
-        [
-          { Datacutter.Topology.stage_name = "src"; width = 1; power = 100.0;
-            role = Datacutter.Topology.Source source };
-          { Datacutter.Topology.stage_name = "mid"; width = 1; power = 100.0;
-            role = Datacutter.Topology.Inner inner };
-          { Datacutter.Topology.stage_name = "sink"; width = 1; power = 100.0;
-            role = Datacutter.Topology.Sink sink };
-        ]
-      ~links:
-        [
-          { Datacutter.Topology.bandwidth = 1e6; latency = 0.0 };
-          { Datacutter.Topology.bandwidth = 1e6; latency = 0.0 };
-        ]
-  in
-  (topo, got)
-
-let elastic_autoscale =
-  {
-    Datacutter.Engine.as_interval_s = 0.001;
-    as_budget = 2;
-    as_hi_items = 2;
-    as_sustain = 1;
-    as_idle_ticks = 100_000;
-  }
-
-type eleg = {
-  e_got : int list;
-  e_spawned : int;
-  e_keys : string list;
-  e_domains : int;  (** runners.domains, 0 without the section *)
-  e_hosts : (string * string) list;  (** runners.copies, as text *)
-}
-
-let run_elastic_leg ~label backend n : eleg =
-  let topo, got = make_elastic_topo ~n () in
-  match
-    Datacutter.Runtime.run_result ~backend ~autoscale:elastic_autoscale topo
-  with
-  | Error e ->
-      die "%s run failed: %s" label
-        (Fmt.str "%a" Datacutter.Supervisor.pp_run_error e)
-  | Ok m ->
-      let j = Datacutter.Runtime.metrics_to_json m in
-      let spawned =
-        match m.Datacutter.Engine.autoscale_section with
-        | Some a -> Obs.Json.to_int (Obs.Json.member "spawned" a)
-        | None -> die "%s: autoscaled run has no autoscale section" label
-      in
-      let e_domains, e_hosts =
-        match List.assoc_opt "runners" m.Datacutter.Engine.extra with
-        | None -> (0, [])
-        | Some r ->
-            ( Obs.Json.to_int (Obs.Json.member "domains" r),
-              match Obs.Json.member "copies" r with
-              | Obs.Json.Obj kvs ->
-                  List.map (fun (l, h) -> (l, Obs.Json.to_string h)) kvs
-              | _ -> die "%s: runners.copies is not an object" label )
-      in
-      {
-        e_got = got ();
-        e_spawned = spawned;
-        e_keys = strip (json_keys j);
-        e_domains;
-        e_hosts;
-      }
-
-let run_elastic_proc_leg ~label n : eleg =
-  let rd, wr = Unix.pipe () in
-  match Unix.fork () with
-  | 0 ->
-      Unix.close rd;
-      let leg = run_elastic_leg ~label Datacutter.Runtime.Proc n in
-      let oc = Unix.out_channel_of_descr wr in
-      Marshal.to_channel oc leg [];
-      flush oc;
-      Unix._exit 0
-  | pid -> (
-      Unix.close wr;
-      let ic = Unix.in_channel_of_descr rd in
-      let leg =
-        try Some (Marshal.from_channel ic : eleg)
-        with End_of_file | Failure _ -> None
-      in
-      close_in ic;
-      match (leg, Unix.waitpid [] pid) with
-      | Some leg, (_, Unix.WEXITED 0) -> leg
-      | _, (_, Unix.WEXITED c) ->
-          die "%s: proc subprocess exited %d without a result" label c
-      | _, (_, Unix.WSIGNALED sg) ->
-          die "%s: proc subprocess killed by signal %d" label sg
-      | _, (_, Unix.WSTOPPED _) -> die "%s: proc subprocess stopped" label)
-
-(* Every leg must deliver the full multiset exactly once while its
-   controller grows the slow stage mid-run; the metrics key sets (the
-   autoscale section included) must agree. *)
-let check_elastic n (legs : (string * eleg) list) =
-  let all = List.init n Fun.id in
-  List.iter
-    (fun (name, leg) ->
-      if leg.e_got <> all then
-        die "elastic: %s sink multiset wrong (%d packets, expected %d distinct)"
-          name (List.length leg.e_got) n;
-      if leg.e_spawned < 1 then
-        die "elastic: %s controller never spawned a copy" name)
-    legs;
-  match legs with
-  | [] -> ()
-  | (n0, leg0) :: rest ->
-      List.iter
-        (fun (name, leg) ->
-          if leg.e_keys <> leg0.e_keys then
-            die "elastic: metrics JSON key sets diverge (%s: %s; %s: %s)" n0
-              (String.concat "," leg0.e_keys)
-              name
-              (String.concat "," leg.e_keys))
-        rest
-
 let recovery_of what legs name =
   match List.assoc_opt name legs with
   | Some leg -> leg.recovery
@@ -440,14 +288,6 @@ let () =
                   ?faults ?policy ~batch n ))
             scenarios)
         batches
-  in
-  (* the elastic proc leg must also fork before any par leg spawns a
-     domain in this process *)
-  let n_elastic = 60 in
-  let elastic_proc =
-    if with_proc then
-      Some (run_elastic_proc_leg ~label:"elastic/proc" n_elastic)
-    else None
   in
   (* the mem-budget proc leg forks before any par domain too; the
      budget is far below the in-flight bytes so the parent-side queues
@@ -572,60 +412,9 @@ let () =
     @ match mem_proc with Some l -> [ ("proc", l) ] | None -> []
   in
   check ~what:"mem-budget" n mem_legs;
-  (* elastic differential: the same slow-middle topology autoscaled on
-     every backend — identical sink multisets, live spawns everywhere *)
-  let elastic_legs =
-    [
-      ("sim", run_elastic_leg ~label:"elastic/sim" Datacutter.Runtime.Sim
-          n_elastic);
-      ("par", run_elastic_leg ~label:"elastic/par" Datacutter.Runtime.Par
-          n_elastic);
-    ]
-    @ match elastic_proc with Some l -> [ ("proc", l) ] | None -> []
-  in
-  check_elastic n_elastic elastic_legs;
-  (* Proc gives every remote copy, a spawned one too, a thread host of
-     its own on the calling domain ("thread h"), and the sink the one
-     spawned domain: a spawned copy that joined another copy's host or
-     started a domain would show here. *)
-  Option.iter
-    (fun leg ->
-      if leg.e_domains <> 2 then
-        die "elastic/proc: %d domains, expected the caller and the sink's"
-          leg.e_domains;
-      let spawned =
-        List.filter (fun (l, _) -> l <> "mid/0" && String.starts_with ~prefix:"mid/" l)
-          leg.e_hosts
-      in
-      if List.length spawned <> leg.e_spawned then
-        die "elastic/proc: runners lists %d spawned copies, autoscale %d"
-          (List.length spawned) leg.e_spawned;
-      List.iter
-        (fun (l, h) ->
-          let sink = l = "sink/0" in
-          if
-            not
-              (if sink then h = "1"
-               else String.starts_with ~prefix:{|"thread |} h)
-          then
-            die "elastic/proc: %s ran on %s, expected %s" l h
-              (if sink then "1" else "a thread host"))
-        leg.e_hosts;
-      List.iter
-        (fun (l, h) ->
-          match List.filter (fun (l', h') -> h' = h && l' <> l) leg.e_hosts with
-          | [] -> ()
-          | (l', _) :: _ ->
-              die "elastic/proc: spawned copy %s shares host %s with %s" l h l')
-        spawned)
-    elastic_proc;
   let names = if with_proc then "sim/par/proc" else "sim/par" in
   Printf.printf
     "engine-smoke ok: %s agree on %d packets at batch 1 and 64 — healthy, \
      crash@5+retire (rerouted) and crash@3+retry (replayed=%d); mem-budget \
-     %dB agrees; elastic autoscale agrees on %d packets (%s)\n"
-    names n pr.Datacutter.Supervisor.replayed mem_budget n_elastic
-    (String.concat ", "
-       (List.map
-          (fun (name, leg) -> Printf.sprintf "%s +%d" name leg.e_spawned)
-          elastic_legs))
+     %dB agrees\n"
+    names n pr.Datacutter.Supervisor.replayed mem_budget

@@ -669,13 +669,11 @@ let test_validation () =
       links = [ link; link ];
     }
   in
-  let run ?queue_capacity ?stage_batch ?mem_budget ?queue_budgets ?autoscale
-      topo backend =
+  let run ?queue_capacity ?stage_batch ?mem_budget ?queue_budgets topo backend =
     Runtime.run_result ~backend ?queue_capacity ?stage_batch ?mem_budget
-      ?queue_budgets ?autoscale topo
+      ?queue_budgets topo
   in
   let invalid = function Supervisor.Invalid_topology _ -> true | _ -> false in
-  let budget = function Supervisor.Copy_budget _ -> true | _ -> false in
   (* hand-built records bypass Topology.create, so the runtimes must
      reject them on their own *)
   let cases =
@@ -710,11 +708,6 @@ let test_validation () =
       ("stage_batch length", invalid, run ~stage_batch:[| 4; 4 |] three);
       ("negative mem_budget", invalid, run ~mem_budget:(-1) three);
       ("negative queue budget", invalid, run ~queue_budgets:[| 0; -1; 8 |] three);
-      ( "autoscale budget 0",
-        budget,
-        run
-          ~autoscale:{ Engine.default_autoscale with Engine.as_budget = 0 }
-          three );
     ]
   in
   let backends =
@@ -745,6 +738,310 @@ let test_validation () =
         backends errs)
     cases
 
+(* --- the routing mask under failure retirement --- *)
+
+let null_source _ =
+  { Filter.src_name = "null"; next = (fun () -> None);
+    src_finalize = (fun () -> (None, 0.0)) }
+
+(* An engine over a 3-stage pipeline whose middle stage is [mid_width]
+   wide, wired to a mock executor that records every Data delivery and
+   flags any aimed at a retired copy.  The engine core owns the routing
+   mask; the mock stands in for all three backends at once. *)
+let mock_engine ~mid_width =
+  let eng =
+    match
+      Engine.create
+        (topo3 ~widths:(1, mid_width, 1) ~source:null_source
+           ~inner:(fun _ -> Filter.pass_through "mid")
+           ~sink:(fun _ -> Filter.pass_through "sink")
+           ())
+    with
+    | Ok e -> e
+    | Error e -> A.failf "engine create: %a" Supervisor.pp_run_error e
+  in
+  let delivered = ref [] in
+  let violations = ref [] in
+  let deliver ~dst_stage ~dst_copy = function
+    | Engine.Data b ->
+        let c = Engine.copy_at eng ~stage:dst_stage ~copy:dst_copy in
+        if not (Atomic.get c.Engine.alive) then
+          violations :=
+            Printf.sprintf "Data %d routed to dead copy %d.%d" b.Filter.packet
+              dst_stage dst_copy
+            :: !violations;
+        delivered := b.Filter.packet :: !delivered
+    | Engine.Final _ | Engine.Marker -> ()
+  in
+  Engine.attach eng
+    {
+      Engine.exec_backend = Engine.Par;
+      exec_now = Unix.gettimeofday;
+      exec_send =
+        (fun ~src:_ ~dst_stage ~dst_copy items ->
+          List.iter (deliver ~dst_stage ~dst_copy) items);
+      exec_queue_stats = (fun ~stage:_ ~copy:_ -> Bqueue.no_stats);
+      exec_wake = (fun () -> ());
+    };
+  (eng, delivered, violations)
+
+type op = Send | Retire of int
+
+let gen_routing =
+  let open QCheck.Gen in
+  int_range 2 4 >>= fun w ->
+  list_size (int_range 20 120)
+    (frequency [ (6, return Send); (1, map (fun k -> Retire k) (int_bound (w - 1))) ])
+  >|= fun ops -> (w, ops)
+
+let print_routing (w, ops) =
+  Printf.sprintf "width %d: %s" w
+    (String.concat ""
+       (List.map (function Send -> "D" | Retire k -> Printf.sprintf "-%d" k) ops))
+
+(* A retirement never takes the stage's last live copy: that one is a
+   stage death, which [test_sim_whole_stage_dead] covers. *)
+let prop_routing_mask =
+  QCheck.Test.make ~count:200
+    ~name:"routing: no dead targets, no drops under failure retirement"
+    (QCheck.make gen_routing ~print:print_routing)
+    (fun (w, ops) ->
+      let eng, delivered, violations = mock_engine ~mid_width:w in
+      let src = Engine.copy_at eng ~stage:0 ~copy:0 in
+      let alive k = Atomic.get (Engine.copy_at eng ~stage:1 ~copy:k).Engine.alive in
+      let sent = ref 0 in
+      List.iter
+        (function
+          | Send -> (
+              match
+                Engine.send_downstream eng src
+                  (Engine.Data (buffer_of_string !sent "x"))
+              with
+              | Ok () -> incr sent
+              | Error e ->
+                  QCheck.Test.fail_reportf "send failed: %a"
+                    Supervisor.pp_run_error e)
+          | Retire k ->
+              if alive k && List.length (List.filter alive (List.init w Fun.id)) > 1
+              then
+                match
+                  Engine.retire eng (Engine.copy_at eng ~stage:1 ~copy:k)
+                    ~error:(Failure "injected")
+                with
+                | `Continue -> ()
+                | `Fatal e ->
+                    QCheck.Test.fail_reportf "retire was fatal: %a"
+                      Supervisor.pp_run_error e)
+        ops;
+      (match !violations with
+      | [] -> ()
+      | v :: _ -> QCheck.Test.fail_reportf "routing violation: %s" v);
+      let got = List.sort compare !delivered in
+      if got <> List.init !sent Fun.id then
+        QCheck.Test.fail_reportf "dropped/duplicated items: %d sent, %d seen"
+          !sent (List.length got);
+      true)
+
+(* --- exit codes --- *)
+
+let test_exit_codes () =
+  let codes =
+    List.map Supervisor.exit_code_of
+      [
+        Supervisor.Stalled { after_s = 1.0; report = [] };
+        Supervisor.Stage_dead { stage = 1; stage_name = "mid"; error = "x" };
+        Supervisor.Invalid_topology "x";
+        Supervisor.Unsupported "x";
+        Supervisor.Setup_failed "x";
+      ]
+  in
+  A.check A.int "failure classes stay distinct"
+    (List.length codes)
+    (List.length (List.sort_uniq compare codes))
+
+(* --- Report: zero-item stages serialize as null, never NaN --- *)
+
+let test_report_zero_items () =
+  let m =
+    match
+      Runtime.run_result ~backend:Runtime.Sim
+        (topo3 ~source:null_source
+           ~inner:(fun _ -> Filter.pass_through "mid")
+           ~sink:(fun _ -> Filter.pass_through "sink")
+           ())
+    with
+    | Ok m -> m
+    | Error e -> A.failf "empty run failed: %a" Supervisor.pp_run_error e
+  in
+  let r =
+    Core.Report.make
+      ~pipeline:(Core.Costmodel.uniform ~m:3 ~power:100.0 ~bandwidth:1e6 ())
+      ~profile:
+        { Core.Costmodel.task = [| 1.0; 1.0; 1.0 |];
+          vol_out = [| 8.0; 8.0; 0.0 |];
+          packets = 0 }
+      ~assignment:[| 1; 2; 3 |] ~metrics:m
+  in
+  Array.iter
+    (fun row ->
+      A.check A.bool
+        (Printf.sprintf "stage %d measured is None" row.Core.Report.sr_stage)
+        true
+        (row.Core.Report.sr_measured_s = None && row.Core.Report.sr_error_pct = None))
+    r.Core.Report.rows;
+  let s = Obs.Json.to_string (Core.Report.to_json r) in
+  List.iter
+    (fun bad ->
+      A.check A.bool (Printf.sprintf "no %S in report JSON" bad) false
+        (Astring.String.is_infix ~affix:bad s))
+    [ "nan"; "inf" ];
+  A.check A.bool "null measured survives serialization" true
+    (Astring.String.is_infix ~affix:"null" s)
+
+(* --- the calling thread's checks, and remote copies' hosts --- *)
+
+(* Watchdog and sampler armed together share the calling thread's
+   wait: each still runs, and a healthy run whose source pauses
+   halfway never trips.  The sink multiset is the exactly-once
+   verdict. *)
+let test_par_shared_monitor () =
+  let n = 300 in
+  let source _ =
+    let i = ref 0 in
+    {
+      Filter.src_name = "src";
+      next =
+        (fun () ->
+          if !i >= n then None
+          else begin
+            let p = !i in
+            incr i;
+            if p = n / 2 then Unix.sleepf 0.02 else Unix.sleepf 0.0001;
+            Some (buffer_of_string p "x", 1.0)
+          end);
+      src_finalize = (fun () -> (None, 0.0));
+    }
+  in
+  let inner _ =
+    {
+      (Filter.pass_through "mid") with
+      Filter.process = (fun b -> Unix.sleepf 0.0003; (Some b, 1.0));
+    }
+  in
+  let sink, got = recording_sink () in
+  let policy =
+    { Supervisor.default_policy with Supervisor.watchdog_ms = Some 1000 }
+  in
+  match
+    Runtime.run_result ~backend:Runtime.Par ~policy ~metrics_interval_s:0.002
+      (topo3 ~source ~inner ~sink ())
+  with
+  | Error e -> A.failf "par run failed: %a" Supervisor.pp_run_error e
+  | Ok m ->
+      expect_packets n (got ());
+      let rows =
+        match m.Engine.timeseries with
+        | Some ts -> Obs.Timeseries.length ts
+        | None -> 0
+      in
+      A.check A.bool "the sampler took samples" true (rows > 0);
+      A.check A.int "no watchdog trips" 0
+        m.Engine.recovery.Supervisor.watchdog_trips
+
+(* A run with remote copies, as proc runs: every copy runs alone on its
+   host.  The middle stage's three copies are remote over an in-process
+   link that blocks natively, as a worker's ring does, and every
+   callback records the thread it ran on. *)
+let test_remote_copies_alone () =
+  let n = 200 in
+  let mu = Mutex.create () in
+  let ran = Hashtbl.create 8 in
+  let record label =
+    Mutex.lock mu;
+    Hashtbl.replace ran (label, Thread.id (Thread.self ())) ();
+    Mutex.unlock mu
+  in
+  let source _ =
+    let i = ref 0 in
+    {
+      Filter.src_name = "src";
+      next =
+        (fun () ->
+          record "src/0";
+          if !i >= n then None
+          else begin
+            incr i;
+            Unix.sleepf 0.0001;
+            Some (buffer_of_string (!i - 1) "x", 1.0)
+          end);
+      src_finalize = (fun () -> (None, 0.0));
+    }
+  in
+  let recorded, got = recording_sink () in
+  let sink k =
+    let f = recorded k in
+    { f with Filter.process = (fun b -> record "sink/0"; f.Filter.process b) }
+  in
+  let eng =
+    match
+      Engine.create
+        (topo3 ~widths:(1, 3, 1) ~source
+           ~inner:(fun _ -> Filter.pass_through "mid")
+           ~sink ())
+    with
+    | Ok eng -> eng
+    | Error e -> A.failf "engine rejected: %a" Supervisor.pp_run_error e
+  in
+  let remote (cs : Engine.copy) =
+    let label = Printf.sprintf "mid/%d" cs.Engine.index in
+    let call = function
+      | Engine.Data b -> Some b
+      | Engine.Final _ | Engine.Marker -> None
+    in
+    let answers = Queue.create () in
+    Par_runtime.Remote_filter
+      ( {
+          Par_runtime.fresh = ignore;
+          init = (fun () -> record label);
+          call = (fun it -> record label; call it);
+          finalize = (fun () -> None);
+          on_fail = ignore;
+        },
+        {
+          Par_runtime.depth = 1;
+          send =
+            (fun items ->
+              record label;
+              Unix.sleepf 0.0005;
+              Queue.push
+                { Proc_window.outs = List.map call items; error = None }
+                answers);
+          recv = (fun ~stalled:_ -> Queue.pop answers);
+          poll = (fun () -> Queue.take_opt answers);
+        } )
+  in
+  let place (cs : Engine.copy) =
+    if cs.Engine.stage = 1 then remote cs else Par_runtime.Local
+  in
+  match Par_runtime.drive eng ~backend:Engine.Par ~place () with
+  | Error e -> A.failf "run failed: %a" Supervisor.pp_run_error e
+  | Ok _ ->
+      expect_packets n (got ());
+      let runs = Hashtbl.fold (fun k () acc -> k :: acc) ran [] in
+      let labels = List.sort_uniq compare (List.map fst runs) in
+      A.check A.int "every copy ran" 5 (List.length labels);
+      List.iter
+        (fun l ->
+          match List.filter (fun (l', _) -> l' = l) runs with
+          | [ (_, t) ] ->
+              List.iter
+                (fun (l', t') ->
+                  if l' <> l && t' = t then
+                    A.failf "%s and %s shared a host thread" l l')
+                runs
+          | ts -> A.failf "%s ran on %d threads" l (List.length ts))
+        labels
+
 let suite =
   [
     ("fault spec roundtrip", `Quick, test_parse_roundtrip);
@@ -773,4 +1070,12 @@ let () =
     [
       ("fault", suite);
       ("fault-prop", List.map QCheck_alcotest.to_alcotest [ prop_roundtrip ]);
+      ("routing", [ QCheck_alcotest.to_alcotest prop_routing_mask ]);
+      ("supervisor", [ A.test_case "exit codes" `Quick test_exit_codes ]);
+      ("report", [ A.test_case "zero items -> null" `Quick test_report_zero_items ]);
+      ( "concurrent",
+        [
+          A.test_case "par shared monitor" `Quick test_par_shared_monitor;
+          A.test_case "remote copies run alone" `Quick test_remote_copies_alone;
+        ] );
     ]

@@ -600,21 +600,15 @@ let test_par_placement () =
 
 (* --- placement, planned without starting a run --- *)
 
-(* The slots of a three-stage pipeline in pipeline order: [widths]
-   planned copies per stage plus [dormant] elastic slots on the middle
-   stage, every slot local unless [remote] says otherwise. *)
-let slots_of ?(dormant = 0) ?(remote = fun _ -> false) (w0, w1, w2) =
+(* The copies of a three-stage pipeline in pipeline order, [widths]
+   per stage, every copy local unless [remote] says otherwise. *)
+let slots_of ?(remote = fun _ -> false) (w0, w1, w2) =
   List.concat
     (List.mapi
        (fun s n ->
          List.init n (fun k ->
-             {
-               Par_runtime.stage = s;
-               copy = k;
-               local = not (remote s);
-               planned = not (s = 1 && k >= w1);
-             }))
-       [ w0; w1 + dormant; w2 ])
+             { Par_runtime.stage = s; copy = k; local = not (remote s) }))
+       [ w0; w1; w2 ])
 
 let kind_name = function Sched.Thread -> "thread" | Sched.Domain -> "domain"
 let pairs = A.(list (pair int int))
@@ -622,14 +616,8 @@ let pairs = A.(list (pair int int))
 let test_layout_par () =
   List.iter
     (fun ((w0, w1, w2) as widths) ->
-      let slots = slots_of ~dormant:2 widths in
-      let planned =
-        List.filter_map
-          (fun c ->
-            if c.Par_runtime.planned then Some (c.Par_runtime.stage, c.copy)
-            else None)
-          slots
-      in
+      let slots = slots_of widths in
+      let copies = List.map (fun c -> (c.Par_runtime.stage, c.copy)) slots in
       let n = w0 + w1 + w2 in
       List.iter
         (fun cores ->
@@ -641,8 +629,8 @@ let test_layout_par () =
             ("thread" :: List.init (d - 1) (fun _ -> "domain"))
             (List.map (fun h -> kind_name h.Par_runtime.kind) hosts);
           A.check pairs
-            (what ^ ": every planned copy once, no dormant slot")
-            planned
+            (what ^ ": every copy once")
+            copies
             (List.sort compare
                (List.concat_map (fun h -> h.Par_runtime.slots) hosts));
           let host_of c =
@@ -655,8 +643,8 @@ let test_layout_par () =
               (fun a b ->
                 A.(check bool) (what ^ ": neighbours apart") true
                   (host_of a <> host_of b))
-              (List.filteri (fun i _ -> i < n - 1) planned)
-              (List.tl planned))
+              (List.filteri (fun i _ -> i < n - 1) copies)
+              (List.tl copies))
         [ 1; 2; 4 ])
     [ (1, 1, 1); (2, 2, 1); (4, 4, 1) ];
   A.(check (list pairs))
@@ -673,7 +661,7 @@ let test_layout_par () =
 
 (* Proc: the source and inner slots are remote, the sink local. *)
 let test_layout_proc () =
-  let slots = slots_of ~dormant:2 ~remote:(fun s -> s < 2) (2, 2, 1) in
+  let slots = slots_of ~remote:(fun s -> s < 2) (2, 2, 1) in
   let hosts = Par_runtime.layout ~cores:2 slots in
   A.check pairs "a host per slot, in slot order"
     (List.map (fun c -> (c.Par_runtime.stage, c.copy)) slots)
@@ -688,14 +676,7 @@ let test_layout_proc () =
       A.(check string)
         (what ^ ": remote on a caller thread, the sink on a domain")
         (if c.Par_runtime.local then "domain" else "thread")
-        (kind_name h.Par_runtime.kind);
-      if not c.Par_runtime.planned then
-        A.(check bool) (what ^ ": dormant slot's host starts empty") false
-          (List.exists
-             (fun c' ->
-               c'.Par_runtime.planned
-               && List.mem (c'.Par_runtime.stage, c'.copy) h.Par_runtime.slots)
-             slots))
+        (kind_name h.Par_runtime.kind))
     slots hosts;
   A.(check int) "one domain, for the sink" 1
     (List.length
