@@ -241,14 +241,13 @@ let write_openmetrics path (m : Datacutter.Engine.metrics) =
 let inspect file app =
   let a = load ~file ~app in
   let prog = Compile.front_end ~file:a.H.name ~externs_sig:a.H.externs_sig a.H.source in
-  let segments = Boundary.segments_of_body prog.Lang.Ast.pipeline.Lang.Ast.pd_body in
-  let rc = Reqcomm.analyze prog segments in
+  let rc = Reqcomm.analyze prog in
   Fmt.pr "program %s: %d classes, %d functions, %d globals@." a.H.name
     (List.length prog.Lang.Ast.classes)
     (List.length prog.Lang.Ast.funcs)
     (List.length prog.Lang.Ast.globals);
-  Fmt.pr "%d atomic filters, %d candidate boundaries@.@." (List.length segments)
-    (Boundary.boundary_count segments);
+  let n1 = Reqcomm.segment_count rc in
+  Fmt.pr "%d atomic filters, %d candidate boundaries@.@." n1 (max 0 (n1 - 1));
   Fmt.pr "%a@." Reqcomm.pp rc;
   `Ok ()
 

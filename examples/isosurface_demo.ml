@@ -43,7 +43,7 @@ let () =
     (fun (s : Boundary.segment) ->
       Fmt.pr "  %a on C%d@." Boundary.pp_segment s
         c.Compile.assignment.(s.Boundary.seg_index))
-    c.Compile.segments;
+    (Reqcomm.segments c.Compile.rc);
   Fmt.pr "simulated 2-2-1 run: %.3fs, %.0f KB moved@.@." t (bytes /. 1024.);
   let depth, color =
     Apps.Isosurface.zbuffer_arrays (List.assoc "zfinal" results)

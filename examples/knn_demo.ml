@@ -23,7 +23,7 @@ let describe label (c : Compile.t) =
     (fun (s : Boundary.segment) ->
       Fmt.pr "  %a -> C%d@." Boundary.pp_segment s
         c.Compile.assignment.(s.Boundary.seg_index))
-    c.Compile.segments;
+    (Reqcomm.segments c.Compile.rc);
   Fmt.pr "  predicted total: %.4fs@.@." c.Compile.predicted_total
 
 let () =

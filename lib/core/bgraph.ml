@@ -1,4 +1,4 @@
-(* The candidate filter boundary graph (§4.1).
+(* The candidate filter boundary graph (§4.1) and ReqComm over it (§4.2).
 
    Nodes are candidate filter boundaries plus a start node that
    pre-dominates and an end node that post-dominates everything; an edge
@@ -7,14 +7,15 @@
    contain candidate boundaries forks the graph, and a *flow path* is any
    start-to-end path.
 
-   The chain produced by [Boundary.segments_of_body] is the special case
-   the code generator supports (conditionals kept atomic); this module
-   implements the general DAG formulation: construction, flow-path
-   enumeration, and the backward ReqComm propagation over the graph —
-   at a fork, a value is required if any outgoing path requires it
-   (may-information, hence the union). *)
+   Both shapes come from one glue rule, [Boundary.segments_of_stmts]:
+   [chain] lays the compiler's atomic filters end to end (conditionals
+   kept atomic, DESIGN.md restriction 6), and [build] forks at the
+   conditionals that contain candidate boundaries.  ReqComm is one
+   backward propagation over either; at a fork a value is required if
+   any outgoing path requires it (may-information, hence the union). *)
 
 open Lang
+module S = Set.Make (String)
 
 type edge = {
   e_src : int;
@@ -37,6 +38,25 @@ let in_edges g n = List.filter (fun e -> e.e_dst = n) g.edges
 (* Construction                                                         *)
 (* ------------------------------------------------------------------ *)
 
+(* Node i is boundary b_i; edge i carries segment i. *)
+let chain (segments : Boundary.segment list) : t =
+  let n1 = List.length segments in
+  {
+    n_nodes = n1 + 1;
+    start = 0;
+    stop = n1;
+    edges =
+      List.map
+        (fun (s : Boundary.segment) ->
+          {
+            e_src = s.Boundary.seg_index;
+            e_dst = s.Boundary.seg_index + 1;
+            e_code = s.Boundary.seg_stmts;
+            e_label = s.Boundary.seg_label;
+          })
+        segments;
+  }
+
 (* Does a statement list contain any boundary-worthy statement (so that a
    conditional around it must fork the graph rather than stay atomic)? *)
 let rec contains_boundary stmts =
@@ -49,69 +69,52 @@ let rec contains_boundary stmts =
       | _ -> false)
     stmts
 
-type builder = {
-  mutable next : int;
-  mutable built : edge list;
-}
-
-let fresh b =
-  let n = b.next in
-  b.next <- n + 1;
-  n
-
-let add_edge b ~src ~dst ~code ~label =
-  b.built <- { e_src = src; e_dst = dst; e_code = code; e_label = label } :: b.built
-
-(* Lay a (fissioned) statement list between [src] and [dst].  Consecutive
-   plain statements glue into the following segment exactly like the
-   chain construction; a conditional containing boundaries becomes a
-   fork/join diamond whose guard evaluation travels with both branch
-   edges (each branch is entered only when the packet takes that path). *)
-let rec lay b ~src ~dst (stmts : Ast.stmt list) =
-  (* split into runs: [run] is the pending plain prefix *)
-  let flush_segment ~src ~dst pending label =
-    add_edge b ~src ~dst ~code:(List.rev pending) ~label
-  in
-  let rec go src pending = function
-    | [] ->
-        if pending = [] then begin
-          if src <> dst then
-            add_edge b ~src ~dst ~code:[] ~label:"(empty)"
-        end
-        else flush_segment ~src ~dst pending "tail"
-    | (st : Ast.stmt) :: rest -> (
-        match st.Ast.s with
-        | Ast.Sif (cond, th, el)
-          when contains_boundary th || contains_boundary el ->
-            (* fork: boundary before and after the conditional *)
-            let fork = fresh b in
-            (if pending = [] then begin
-               if src <> fork then add_edge b ~src ~dst:fork ~code:[] ~label:"(empty)"
-             end
-             else flush_segment ~src ~dst:fork pending "pre-branch");
-            let join = fresh b in
-            (* the guard is evaluated on entry to either branch; encode it
-               as a marker statement so analyses see the condition's
-               uses *)
-            let guard = Ast.mk_stmt (Ast.Sexpr cond) in
-            lay b ~src:fork ~dst:join (guard :: th);
-            lay b ~src:fork ~dst:join (guard :: el);
-            go join [] rest
-        | _ when Boundary.boundary_worthy st ->
-            let nxt = if rest = [] then dst else fresh b in
-            flush_segment ~src ~dst:nxt (st :: pending)
-              (if pending = [] && rest = [] then "last" else "seg");
-            if rest = [] then () else go nxt [] rest
-        | _ -> go src (st :: pending) rest)
-  in
-  go src [] stmts
-
-(* Build the graph of a pipelined body (fission is applied first). *)
+(* Build the graph of a pipelined body (fission is applied first).  A
+   statement list is laid between [src] and [dst] as the chain of its
+   atomic filters; a filter ending in a conditional with boundaries in
+   its branches becomes a fork/join diamond instead.  Its plain prefix
+   leads to the fork, and the guard evaluation travels with both branch
+   edges (each branch is entered only when the packet takes that path),
+   encoded as a marker statement so analyses see the condition's uses. *)
 let build (body : Ast.stmt list) : t =
-  let b = { next = 2; built = [] } in
-  let start = 0 and stop = 1 in
-  lay b ~src:start ~dst:stop (Boundary.fission_body body);
-  { n_nodes = b.next; start; stop; edges = List.rev b.built }
+  let next = ref 2 and edges = ref [] in
+  let fresh () =
+    incr next;
+    !next - 1
+  in
+  let add src dst code label =
+    edges := { e_src = src; e_dst = dst; e_code = code; e_label = label } :: !edges
+  in
+  let rec lay src dst stmts =
+    let rec go src = function
+      | [] -> if src <> dst then add src dst [] "(empty)"
+      | (seg : Boundary.segment) :: rest -> (
+          let nxt () = if rest = [] then dst else fresh () in
+          match List.rev seg.Boundary.seg_stmts with
+          | { Ast.s = Ast.Sif (cond, th, el); _ } :: pre
+            when contains_boundary th || contains_boundary el ->
+              let fork =
+                if pre = [] then src
+                else begin
+                  let n = fresh () in
+                  add src n (List.rev pre) "pre-branch";
+                  n
+                end
+              in
+              let join = nxt () in
+              let guard = Ast.mk_stmt (Ast.Sexpr cond) in
+              lay fork join (guard :: th);
+              lay fork join (guard :: el);
+              go join rest
+          | _ ->
+              let n = nxt () in
+              add src n seg.Boundary.seg_stmts seg.Boundary.seg_label;
+              go n rest)
+    in
+    go src (Boundary.segments_of_stmts stmts)
+  in
+  lay 0 1 (Boundary.fission_body body);
+  { n_nodes = !next; start = 0; stop = 1; edges = List.rev !edges }
 
 (* ------------------------------------------------------------------ *)
 (* Flow paths                                                           *)
@@ -152,40 +155,43 @@ let reverse_topo (g : t) : int list =
   done;
   List.rev !order
 
-(* ReqComm at every node: R(end) = {}; for an edge e,
-   contribution(e) = (R(dst e) - Gen(code e)) + Cons(code e); at a node
-   with several outgoing edges the contributions union (a value is
-   needed if any path needs it). *)
-let reqcomm (prog : Ast.program) (g : t) : Varset.t array =
+(* R(end) = {}; an edge e contributes (R(dst e) - Gen(e)) + Cons(e),
+   where Cons leaves out every global: reduction globals (classes
+   implementing Reducinterface) are persistent filter state whose
+   per-copy partials merge at finalize, and the other globals are
+   run-time configuration broadcast at startup.  Gen/Cons are computed
+   once per edge, in [g.edges] order. *)
+let reqcomm (prog : Ast.program) (g : t) =
   let ctx =
     Gencons.create_ctx_for_body prog
       (List.concat_map (fun e -> e.e_code) g.edges)
   in
+  let gen_cons =
+    List.map (fun e -> (e, Gencons.analyze_segment ctx e.e_code)) g.edges
+  in
+  let globals =
+    S.of_list (List.map (fun gd -> gd.Ast.gd_name) prog.Ast.globals)
+  in
   let r = Array.make g.n_nodes Varset.empty in
-  let order = reverse_topo g in
   List.iter
     (fun n ->
-      if n <> g.stop then
-        r.(n) <-
-          List.fold_left
-            (fun acc e ->
-              let gen, cons = Gencons.analyze_segment ctx e.e_code in
-              Varset.union acc
-                (Varset.union (Varset.diff r.(e.e_dst) gen) cons))
-            Varset.empty (out_edges g n))
-    order;
-  r
+      List.iter
+        (fun (e, (gen, cons)) ->
+          if e.e_src = n then
+            (* [Varset.union] folds its second argument into the first:
+               a node with one out-edge takes the contribution as is *)
+            r.(n) <-
+              Varset.union
+                (Varset.union (Varset.diff r.(e.e_dst) gen)
+                   (Varset.filter
+                      (fun it -> not (S.mem (Varset.base it) globals))
+                      cons))
+                r.(n))
+        gen_cons)
+    (reverse_topo g);
+  (Array.of_list (List.map snd gen_cons), r)
 
 (* A chain graph (no forks) is what the code generator supports. *)
 let is_chain (g : t) =
   List.for_all (fun n -> List.length (out_edges g n) <= 1)
     (List.init g.n_nodes (fun i -> i))
-
-let pp ppf (g : t) =
-  Fmt.pf ppf "boundary graph: %d nodes, %d edges@\n" g.n_nodes
-    (List.length g.edges);
-  List.iter
-    (fun e ->
-      Fmt.pf ppf "  %d -> %d [%s] (%d stmts)@\n" e.e_src e.e_dst e.e_label
-        (List.length e.e_code))
-    g.edges

@@ -1,11 +1,13 @@
-(** The candidate filter boundary graph (§4.1).
+(** The candidate filter boundary graph (§4.1) and the one ReqComm
+    propagation (§4.2).
 
     Nodes are candidate boundaries plus a pre-dominating start node and a
     post-dominating end node; edges carry the code between adjacent
     boundaries.  After loop fission the graph is acyclic; a conditional
     whose branches contain candidate boundaries forks it, and a flow path
-    is any start-to-end path.  The chain case (no forks) is what the code
-    generator supports; this module provides the general DAG analyses. *)
+    is any start-to-end path.  Both the compiler's chain ({!chain}, which
+    {!Reqcomm} analyzes) and the general DAG ({!build}) glue statements
+    into atomic filters with {!Boundary.segments_of_stmts}. *)
 
 open Lang
 
@@ -24,23 +26,28 @@ type t = {
 }
 
 val out_edges : t -> int -> edge list
-val in_edges : t -> int -> edge list
+
+(** The compiler's atomic filters laid end to end, conditionals kept
+    atomic: node [i] is boundary b_i and edge [i] carries segment [i]. *)
+val chain : Boundary.segment list -> t
 
 (** Build the graph of a pipelined body (loop fission is applied
     first).  Conditionals whose branches contain candidate boundaries
     become fork/join diamonds; the guard expression travels with both
-    branch edges. *)
+    branch edges.  Without such conditionals the edges are
+    {!Boundary.segments_of_body}'s segments. *)
 val build : Ast.stmt list -> t
 
 (** All start-to-end paths. *)
 val flow_paths : t -> edge list list
 
-(** ReqComm at every node, by backward propagation in reverse topological
-    order; at a fork a value is required if any outgoing path requires
-    it. *)
-val reqcomm : Ast.program -> t -> Varset.t array
+(** ReqComm by one backward propagation in reverse topological order:
+    each edge's (Gen, Cons), in [edges] order, and the values required
+    at every node.  At a fork a value is required if any outgoing path
+    requires it.  Globals never cross a boundary: reduction globals are
+    persistent filter state merged at finalize, the others run-time
+    configuration. *)
+val reqcomm : Ast.program -> t -> (Varset.t * Varset.t) array * Varset.t array
 
 (** No forks: the shape the code generator supports. *)
 val is_chain : t -> bool
-
-val pp : Format.formatter -> t -> unit

@@ -323,7 +323,3 @@ let segments_of_stmts (body : Ast.stmt list) : segment list =
 (* Full phase: fission then segment. *)
 let segments_of_body (body : Ast.stmt list) : segment list =
   segments_of_stmts (fission_body body)
-
-(* The candidate boundaries b_1 .. b_n sit between consecutive segments:
-   boundary i separates segment i-1 from segment i (0-based segments). *)
-let boundary_count segments = max 0 (List.length segments - 1)

@@ -39,6 +39,3 @@ val segments_of_stmts : Ast.stmt list -> segment list
 
 (** The full phase: {!fission_body} then {!segments_of_stmts}. *)
 val segments_of_body : Ast.stmt list -> segment list
-
-(** Number of candidate boundaries (segments minus one). *)
-val boundary_count : segment list -> int

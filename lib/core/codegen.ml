@@ -24,9 +24,7 @@ module V = Value
 module SS = Set.Make (String)
 
 type plan = {
-  prog : Ast.program;
-  segments : Boundary.segment array;
-  rc : Reqcomm.t;
+  rc : Reqcomm.t;  (* the analyzed program: its segments and ReqComm sets *)
   tyenv : Tyenv.t;
   assignment : Costmodel.assignment;
   m : int;
@@ -40,23 +38,23 @@ type plan = {
   runtime_defs : (string * int) list;
 }
 
-let segments_of_unit plan u =
-  let out = ref [] in
-  Array.iteri
-    (fun i a -> if a = u then out := plan.segments.(i) :: !out)
-    plan.assignment;
-  List.rev !out
+let prog plan = plan.rc.Reqcomm.prog
 
-let make_plan ?(layout_mode : Packing.mode = `Auto) (prog : Ast.program)
-    (segments : Boundary.segment list)
-    (rc : Reqcomm.t) ~(assignment : Costmodel.assignment) ~(m : int)
-    ~(num_packets : int) ~(externs : (string * Interp.extern_fn) list)
+let segments_of_unit plan u =
+  Array.to_list plan.rc.Reqcomm.segs
+  |> List.filter_map (fun (si : Reqcomm.seg_info) ->
+         if plan.assignment.(si.Reqcomm.si_seg.Boundary.seg_index) = u then
+           Some si.Reqcomm.si_seg
+         else None)
+
+let make_plan ?(layout_mode : Packing.mode = `Auto) (rc : Reqcomm.t)
+    ~(assignment : Costmodel.assignment) ~(m : int) ~(num_packets : int)
+    ~(externs : (string * Interp.extern_fn) list)
     ~(runtime_defs : (string * int) list) : plan =
-  let segments = Array.of_list segments in
-  let n1 = Array.length segments in
+  let n1 = Reqcomm.segment_count rc in
   if Array.length assignment <> n1 then
     invalid_arg "make_plan: assignment/segment mismatch";
-  let tyenv = Tyenv.of_segments prog (Array.to_list segments) in
+  let tyenv = Tyenv.of_segments rc.Reqcomm.prog (Reqcomm.segments rc) in
   let cuts =
     Array.init m (fun u0 ->
         let u = u0 + 1 in
@@ -73,12 +71,10 @@ let make_plan ?(layout_mode : Packing.mode = `Auto) (prog : Ast.program)
           let cut = cuts.(u0) in
           if cut >= n1 then [] (* only final results flow here *)
           else
-            Packing.layout_for_cut ~mode:layout_mode prog tyenv rc ~cut
+            Packing.layout_for_cut ~mode:layout_mode tyenv rc ~cut
               ~filter_of_seg)
   in
   {
-    prog;
-    segments;
     rc;
     tyenv;
     assignment;
@@ -107,15 +103,15 @@ let reduc_updated plan u =
        SS.empty
 
 let global_decl plan name =
-  List.find_opt (fun g -> g.Ast.gd_name = name) plan.prog.Ast.globals
+  List.find_opt (fun g -> g.Ast.gd_name = name) (prog plan).Ast.globals
 
 let reduc_global_types plan =
   List.filter_map
     (fun g ->
-      if Reqcomm.S.mem g.Ast.gd_name (Reqcomm.reduction_globals plan.prog) then
+      if Reqcomm.S.mem g.Ast.gd_name plan.rc.Reqcomm.reduc then
         Some (g.Ast.gd_name, g.Ast.gd_ty)
       else None)
-    plan.prog.Ast.globals
+    (prog plan).Ast.globals
 
 (* Marshalling cost charged as memory operations on [ctx]. *)
 let charge_marshal ctx layout ~lookup ~consumed_here =
@@ -148,7 +144,7 @@ let finalize_payload plan u ctx genv =
                  Some (name, g.Ast.gd_ty, Interp.global_value genv name)
              | None -> None)
     in
-    let data = Objpack.pack_globals plan.prog globals in
+    let data = Objpack.pack_globals (prog plan) globals in
     (* packing cost proportional to payload size *)
     ctx.Interp.counter.Opcount.mem_ops <-
       ctx.Interp.counter.Opcount.mem_ops + (Bytes.length data / 8);
@@ -159,7 +155,7 @@ let finalize_payload plan u ctx genv =
    the repacked leftover to forward (None if fully absorbed). *)
 let absorb_payload plan ~absorb_all u ctx genv (b : Filter.buffer) =
   let types = reduc_global_types plan in
-  let incoming = Objpack.unpack_globals plan.prog types b.Filter.data in
+  let incoming = Objpack.unpack_globals (prog plan) types b.Filter.data in
   ctx.Interp.counter.Opcount.mem_ops <-
     ctx.Interp.counter.Opcount.mem_ops + (Bytes.length b.Filter.data / 8);
   let updated = reduc_updated plan u in
@@ -188,7 +184,7 @@ let absorb_payload plan ~absorb_all u ctx genv (b : Filter.buffer) =
           | None -> None)
         leftover
     in
-    Some (Filter.make_buffer ~packet:(-1) (Objpack.pack_globals plan.prog globals))
+    Some (Filter.make_buffer ~packet:(-1) (Objpack.pack_globals (prog plan) globals))
   end
 
 (* The unit's segments compiled once for this filter instance, the
@@ -234,9 +230,9 @@ let forward_cost bytes = float_of_int bytes *. 0.25
    handles packets congruent to k modulo width, mirroring the declustered
    datasets of the paper's data nodes. *)
 let make_source plan ~(width : int) (k : int) : Filter.source =
+  let prog = prog plan in
   let ctx =
-    Interp.create_ctx ~externs:plan.externs ~runtime_defs:plan.runtime_defs
-      plan.prog
+    Interp.create_ctx ~externs:plan.externs ~runtime_defs:plan.runtime_defs prog
   in
   let genv = Interp.init_globals ctx in
   let out_layout = if plan.m > 1 then plan.layouts.(1) else [] in
@@ -253,7 +249,7 @@ let make_source plan ~(width : int) (k : int) : Filter.source =
       let fr = Interp.new_frame code ~packet:p in
       run fr;
       let lookup = lookup fr in
-      let data = Packing.pack plan.prog out_layout ~lookup in
+      let data = Packing.pack prog out_layout ~lookup in
       charge_marshal ctx out_layout ~lookup
         ~consumed_here:(fun c f -> consumed_by_unit plan 1 c f);
       Some (Filter.make_buffer ~packet:p data, weighted_since ctx before)
@@ -269,9 +265,9 @@ let make_source plan ~(width : int) (k : int) : Filter.source =
 (* An inner or sink filter for unit [u] (2..m). *)
 let make_filter plan ~(u : int)
     ?(on_result : ((string * V.t) list -> unit) option) (_k : int) : Filter.t =
+  let prog = prog plan in
   let ctx =
-    Interp.create_ctx ~externs:plan.externs ~runtime_defs:plan.runtime_defs
-      plan.prog
+    Interp.create_ctx ~externs:plan.externs ~runtime_defs:plan.runtime_defs prog
   in
   let genv = Interp.init_globals ctx in
   let hosts_segments = segments_of_unit plan u <> [] in
@@ -292,13 +288,13 @@ let make_filter plan ~(u : int)
     end
     else begin
       let fr = Interp.new_frame code ~packet:b.Filter.packet in
-      set_inputs fr (Packing.unpack plan.prog in_layout b.Filter.data);
+      set_inputs fr (Packing.unpack prog in_layout b.Filter.data);
       let lookup = lookup fr in
       charge_marshal ctx in_layout ~lookup ~consumed_here;
       run fr;
       let out =
         if u < plan.m then begin
-          let data = Packing.pack plan.prog out_layout ~lookup in
+          let data = Packing.pack prog out_layout ~lookup in
           charge_marshal ctx out_layout ~lookup ~consumed_here;
           Some (Filter.make_buffer ~packet:b.Filter.packet data)
         end
@@ -320,9 +316,8 @@ let make_filter plan ~(u : int)
     if is_sink then begin
       match on_result with
       | Some f ->
-          let reduc = Reqcomm.reduction_globals plan.prog in
           let results =
-            Reqcomm.S.elements reduc
+            Reqcomm.S.elements plan.rc.Reqcomm.reduc
             |> List.map (fun name -> (name, Interp.global_value genv name))
           in
           f results

@@ -16,9 +16,7 @@ open Lang
 open Datacutter
 
 type plan = {
-  prog : Ast.program;
-  segments : Boundary.segment array;
-  rc : Reqcomm.t;
+  rc : Reqcomm.t;  (** the analyzed program: its segments and ReqComm sets *)
   tyenv : Tyenv.t;
   assignment : Costmodel.assignment;
   m : int;
@@ -34,8 +32,6 @@ type plan = {
 
 val make_plan :
   ?layout_mode:Packing.mode ->
-  Ast.program ->
-  Boundary.segment list ->
   Reqcomm.t ->
   assignment:Costmodel.assignment ->
   m:int ->

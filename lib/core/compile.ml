@@ -21,10 +21,7 @@ type strategy =
   | Fixed of int array         (* explicit segment -> unit map *)
 
 type t = {
-  prog : Ast.program;
-  segments : Boundary.segment list;
-  rc : Reqcomm.t;
-  tyenv : Tyenv.t;
+  rc : Reqcomm.t;  (* the analyzed program: its segments and ReqComm sets *)
   profile : Profile.t;
   pipeline : Costmodel.pipeline;
   constraints : Decompose.constraints;
@@ -46,10 +43,6 @@ let front_end ?(file = "<input>") ~externs_sig source =
       Typecheck.check ~externs:externs_sig prog;
       prog)
 
-let segment ~prog =
-  phase "boundaries" (fun () ->
-      Boundary.segments_of_body prog.Ast.pipeline.Ast.pd_body)
-
 (* Pinning constraints from the extern classification. *)
 let constraints_of ~rc ~source_externs ~sink_externs =
   let pin_first = Reqcomm.segments_calling rc (SS.of_list source_externs) in
@@ -64,9 +57,9 @@ let constraints_of ~rc ~source_externs ~sink_externs =
    filter plan with the program's layout mode.  [who] names the caller
    in errors. *)
 let decide ~who ~strategy ~layout_mode ~pipeline ~constraints ~num_packets
-    ~externs ~runtime_defs prog segments rc profile =
+    ~externs ~runtime_defs rc profile =
   let m = Costmodel.width_of pipeline in
-  let n1 = List.length segments in
+  let n1 = Reqcomm.segment_count rc in
   let assignment, predicted_latency =
     phase "decompose" @@ fun () ->
     match strategy with
@@ -92,7 +85,7 @@ let decide ~who ~strategy ~layout_mode ~pipeline ~constraints ~num_packets
         Costmodel.pp_assignment assignment predicted_latency predicted_total);
   let plan =
     phase "codegen" (fun () ->
-        Codegen.make_plan ~layout_mode prog segments rc ~assignment ~m
+        Codegen.make_plan ~layout_mode rc ~assignment ~m
           ~num_packets ~externs ~runtime_defs)
   in
   (assignment, predicted_latency, predicted_total, plan)
@@ -111,12 +104,12 @@ let compile ?(file = "<input>") ~(source : string)
         (List.length prog.Ast.classes)
         (List.length prog.Ast.funcs)
         (List.length prog.Ast.globals));
-  let segments = segment ~prog in
+  let rc = phase "reqcomm" (fun () -> Reqcomm.analyze prog) in
+  let segments = Reqcomm.segments rc in
   Log.info (fun m ->
       m "boundaries: %d atomic filters (%s)" (List.length segments)
         (String.concat " | "
            (List.map (fun s -> s.Boundary.seg_label) segments)));
-  let rc = phase "reqcomm" (fun () -> Reqcomm.analyze prog segments) in
   Log.debug (fun m -> m "reqcomm:@
 %a" Reqcomm.pp rc);
   let tyenv = Tyenv.of_segments prog segments in
@@ -133,7 +126,7 @@ let compile ?(file = "<input>") ~(source : string)
       let bases =
         Varset.fold
           (fun item acc ->
-            let b = Reqcomm.item_base item in
+            let b = Varset.base item in
             match Tyenv.find tyenv b with
             | Some (Ast.Tclass _) | Some (Ast.Tlist _) | Some (Ast.Tarray _)
               ->
@@ -156,7 +149,7 @@ let compile ?(file = "<input>") ~(source : string)
   let runtime_defs = ("num_packets", num_packets) :: runtime_defs in
   let profile =
     phase "profile" (fun () ->
-        Profile.run prog segments rc ~externs ~runtime_defs ~num_packets
+        Profile.run rc ~externs ~runtime_defs ~num_packets
           ~samples ~final_copies ())
   in
   Log.info (fun m' ->
@@ -171,14 +164,10 @@ let compile ?(file = "<input>") ~(source : string)
   let constraints = constraints_of ~rc ~source_externs ~sink_externs in
   let assignment, predicted_latency, predicted_total, plan =
     decide ~who:"compile" ~strategy ~layout_mode ~pipeline ~constraints
-      ~num_packets ~externs ~runtime_defs prog segments rc
-      profile.Profile.profile
+      ~num_packets ~externs ~runtime_defs rc profile.Profile.profile
   in
   {
-    prog;
-    segments;
     rc;
-    tyenv;
     profile;
     pipeline;
     constraints;
@@ -194,11 +183,10 @@ let compile ?(file = "<input>") ~(source : string)
 let run_reference (c : t) : (string * Value.t) list =
   let ctx =
     Interp.create_ctx ~externs:c.plan.Codegen.externs
-      ~runtime_defs:c.plan.Codegen.runtime_defs c.prog
+      ~runtime_defs:c.plan.Codegen.runtime_defs c.rc.Reqcomm.prog
   in
   let genv = Interp.run_reference ctx in
-  Reqcomm.reduction_globals c.prog
-  |> Reqcomm.S.elements
+  Reqcomm.S.elements c.rc.Reqcomm.reduc
   |> List.map (fun name -> (name, Interp.global_value genv name))
 
 let pp_summary ppf (c : t) =
@@ -207,7 +195,7 @@ let pp_summary ppf (c : t) =
     (fun (s : Boundary.segment) ->
       Fmt.pf ppf "  %a -> C%d@\n" Boundary.pp_segment s
         c.assignment.(s.Boundary.seg_index))
-    c.segments;
+    (Reqcomm.segments c.rc);
   Fmt.pf ppf "predicted latency %.6fs, total %.6fs@\n" c.predicted_latency
     c.predicted_total
 
@@ -225,8 +213,8 @@ let replan (c : t) ~(pipeline : Costmodel.pipeline) ?(strategy = Decomp) () :
   let assignment, predicted_latency, predicted_total, plan =
     decide ~who:"replan" ~strategy ~layout_mode:c.layout_mode ~pipeline
       ~constraints:c.constraints ~num_packets:p.Codegen.num_packets
-      ~externs:p.Codegen.externs ~runtime_defs:p.Codegen.runtime_defs c.prog
-      c.segments c.rc c.profile.Profile.profile
+      ~externs:p.Codegen.externs ~runtime_defs:p.Codegen.runtime_defs c.rc
+      c.profile.Profile.profile
   in
   { c with pipeline; assignment; predicted_latency; predicted_total; plan }
 

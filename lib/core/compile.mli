@@ -21,10 +21,7 @@ type strategy =
   | Fixed of int array  (** explicit segment-to-unit map *)
 
 type t = {
-  prog : Ast.program;
-  segments : Boundary.segment list;
-  rc : Reqcomm.t;
-  tyenv : Tyenv.t;
+  rc : Reqcomm.t;  (** the analyzed program: its segments and ReqComm sets *)
   profile : Profile.t;
   pipeline : Costmodel.pipeline;
   constraints : Decompose.constraints;
@@ -38,9 +35,6 @@ type t = {
 (** Parse and type check only.  @raise Srcloc.Error on user errors. *)
 val front_end :
   ?file:string -> externs_sig:Typecheck.extern_sig list -> string -> Ast.program
-
-(** Fission and segment a program's pipelined body. *)
-val segment : prog:Ast.program -> Boundary.segment list
 
 (** Full compilation.  [source_externs]/[sink_externs] name the host
     functions that pin segments to the first/last unit; segment 0 (the

@@ -105,7 +105,7 @@ let emit_plan (plan : Codegen.plan) : string =
   Buffer.add_string buf
     (Printf.sprintf "-- generated pipeline: %d filters over %d segments --\n"
        plan.Codegen.m
-       (Array.length plan.Codegen.segments));
+       (Reqcomm.segment_count plan.Codegen.rc));
   for u = 1 to plan.Codegen.m do
     if u > 1 then Buffer.add_string buf "\n";
     emit_filter buf plan u

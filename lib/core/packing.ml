@@ -68,9 +68,9 @@ type mode = [ `Auto | `All_instance | `All_fieldwise ]
    decomposition via [filter_of_seg] (which filter index each segment
    belongs to).  [rc] supplies the ReqComm set and first-consumer
    queries. *)
-let layout_for_cut ?(mode : mode = `Auto) (prog : Ast.program)
-    (tyenv : Tyenv.t) (rc : Reqcomm.t) ~(cut : int)
-    ~(filter_of_seg : int -> int) : layout =
+let layout_for_cut ?(mode : mode = `Auto) (tyenv : Tyenv.t) (rc : Reqcomm.t)
+    ~(cut : int) ~(filter_of_seg : int -> int) : layout =
+  let prog = rc.Reqcomm.prog in
   let items = Varset.items (Reqcomm.reqcomm_into rc cut) in
   let receiving_filter = filter_of_seg cut in
   (* group items by base variable *)

@@ -56,7 +56,6 @@ type mode = [ `Auto | `All_instance | `All_fieldwise ]
     decomposition described by [filter_of_seg]. *)
 val layout_for_cut :
   ?mode:mode ->
-  Ast.program ->
   Tyenv.t ->
   Reqcomm.t ->
   cut:int ->

@@ -21,14 +21,15 @@ type t = {
   final_bytes : float;
 }
 
-(* Profile [segments] by running [samples] packets end-to-end.  The
-   [num_packets] parameter is the N of the cost formula (the real packet
-   count of the run being planned, not the sample size). *)
-let run (prog : Ast.program) (segments : Boundary.segment list)
-    (rc : Reqcomm.t) ~(externs : (string * Interp.extern_fn) list)
+(* Profile the analyzed program's segments by running [samples] packets
+   end-to-end.  The [num_packets] parameter is the N of the cost formula
+   (the real packet count of the run being planned, not the sample
+   size). *)
+let run (rc : Reqcomm.t) ~(externs : (string * Interp.extern_fn) list)
     ~(runtime_defs : (string * int) list) ~(num_packets : int)
     ?(samples = [ 0 ]) ?(weights = Opcount.default_weights)
     ?(final_copies = 1) () : t =
+  let prog = rc.Reqcomm.prog and segments = Reqcomm.segments rc in
   let n1 = List.length segments in
   if n1 = 0 then invalid_arg "Profile.run: no segments";
   let tyenv = Tyenv.of_segments prog segments in
@@ -36,7 +37,7 @@ let run (prog : Ast.program) (segments : Boundary.segment list)
   let layouts =
     Array.init (n1 + 1) (fun i ->
         if i = 0 then []
-        else Packing.layout_for_cut prog tyenv rc ~cut:i ~filter_of_seg:(fun s -> s))
+        else Packing.layout_for_cut tyenv rc ~cut:i ~filter_of_seg:(fun s -> s))
   in
   let ctx = Interp.create_ctx ~externs ~runtime_defs prog in
   let genv = Interp.init_globals ctx in
@@ -80,11 +81,10 @@ let run (prog : Ast.program) (segments : Boundary.segment list)
   Array.iteri (fun i v -> task.(i) <- v /. avg) task;
   Array.iteri (fun i v -> vols.(i) <- v /. avg) vols;
   (* final reduction state size after the sample run *)
-  let reduc = Reqcomm.reduction_globals prog in
   let final_globals =
     List.filter_map
       (fun g ->
-        if Reqcomm.S.mem g.Ast.gd_name reduc then
+        if Reqcomm.S.mem g.Ast.gd_name rc.Reqcomm.reduc then
           Some (g.Ast.gd_name, g.Ast.gd_ty, Interp.global_value genv g.Ast.gd_name)
         else None)
       prog.Ast.globals

@@ -17,15 +17,13 @@ type t = {
   final_bytes : float;  (** packed size of the final reduction state *)
 }
 
-(** [run prog segments rc ~externs ~runtime_defs ~num_packets ()]
-    profiles by executing the [samples] packets end-to-end.
+(** [run rc ~externs ~runtime_defs ~num_packets ()] profiles the
+    analyzed program by executing the [samples] packets end-to-end.
     [num_packets] is the N of the cost formula.  [final_copies] is the
     number of transparent copies that will hold reduction partials: each
     ships its partial at end of stream, so the final-result volume is
     amortized as copies x bytes / N. *)
 val run :
-  Ast.program ->
-  Boundary.segment list ->
   Reqcomm.t ->
   externs:(string * Interp.extern_fn) list ->
   runtime_defs:(string * int) list ->

@@ -1,21 +1,18 @@
-(* Required-communication analysis (§4.2).
+(* Required-communication analysis (§4.2) of the compiler's chain.
 
-   Given the atomic filters (segments) f_1 .. f_{n+1}, computes the set of
-   values that must cross each candidate boundary:
+   Given the atomic filters (segments) f_1 .. f_{n+1}, the set of values
+   that must cross each candidate boundary is
 
      ReqComm(end)  = {}
      ReqComm(b_i)  = (ReqComm(b_{i+1}) - Gen(f_{i+1})) + Cons(f_{i+1})
 
-   in a single backward pass.  As the paper observes, the computed set at
-   a boundary remains correct when intermediate boundaries are not
-   selected, so the same sets serve every decomposition the dynamic
-   program considers.
-
-   Two families of items are excluded from per-packet communication:
-   - reduction globals (classes implementing Reducinterface): they are
-     persistent filter state; each packet's contribution is merged locally
-     and the merged value travels once, at finalize time;
-   - other globals: run-time configuration, broadcast at startup. *)
+   computed by [Bgraph.reqcomm]'s one backward propagation over the
+   chain, which also leaves globals out of per-packet communication.  As
+   the paper observes, the computed set at a boundary remains correct
+   when intermediate boundaries are not selected, so the same sets serve
+   every decomposition the dynamic program considers.  This module adds
+   what the code generator needs per segment: its externs and reduction
+   state, the first consumer of an item, and the pinned segments. *)
 
 open Lang
 module S = Set.Make (String)
@@ -26,7 +23,6 @@ type seg_info = {
   si_cons : Varset.t;
   si_externs : S.t;          (* extern functions the segment calls *)
   si_reduc_state : S.t;      (* reduction globals this segment touches *)
-  si_config : S.t;           (* non-reduction globals it reads *)
 }
 
 type t = {
@@ -36,13 +32,8 @@ type t = {
      reqcomm.(0) is the data the first filter receives from nowhere and is
      empty by construction apart from the packet index. *)
   reqcomm : Varset.t array;
+  reduc : S.t;  (* reduction globals: persistent filter state *)
 }
-
-let item_base = function
-  | Varset.Var v -> v
-  | Varset.Coll c -> c
-  | Varset.ElemField (c, _) -> c
-  | Varset.Arr (a, _) -> a
 
 let reduction_globals (prog : Ast.program) =
   List.filter_map
@@ -53,52 +44,27 @@ let reduction_globals (prog : Ast.program) =
     prog.Ast.globals
   |> S.of_list
 
-let plain_globals (prog : Ast.program) =
-  List.filter_map
-    (fun g ->
-      match g.Ast.gd_ty with
-      | Ast.Tclass c when Ast.is_reduction_class prog c -> None
-      | _ -> Some g.Ast.gd_name)
-    prog.Ast.globals
-  |> S.of_list
-
-let analyze (prog : Ast.program) (segments : Boundary.segment list) : t =
-  let ctx = Gencons.create_ctx_for_body prog
-      (List.concat_map (fun s -> s.Boundary.seg_stmts) segments)
-  in
+let analyze (prog : Ast.program) : t =
+  let segments = Boundary.segments_of_body prog.Ast.pipeline.Ast.pd_body in
+  let gen_cons, reqcomm = Bgraph.reqcomm prog (Bgraph.chain segments) in
   let reduc = reduction_globals prog in
-  let plain = plain_globals prog in
+  let bases vs =
+    Varset.fold (fun item acc -> S.add (Varset.base item) acc) vs S.empty
+  in
   let segs =
-    segments
-    |> List.map (fun (seg : Boundary.segment) ->
-           let gen, cons = Gencons.analyze_segment ctx seg.Boundary.seg_stmts in
-           let bases_of vs =
-             Varset.fold (fun item acc -> S.add (item_base item) acc) vs S.empty
-           in
-           let all_bases = S.union (bases_of gen) (bases_of cons) in
-           {
-             si_seg = seg;
-             si_gen = gen;
-             si_cons = cons;
-             si_externs = Gencons.externs_called prog seg.Boundary.seg_stmts;
-             si_reduc_state = S.inter all_bases reduc;
-             si_config = S.inter (bases_of cons) plain;
-           })
+    List.map2
+      (fun (seg : Boundary.segment) (gen, cons) ->
+        {
+          si_seg = seg;
+          si_gen = gen;
+          si_cons = cons;
+          si_externs = Gencons.externs_called prog seg.Boundary.seg_stmts;
+          si_reduc_state = S.inter (S.union (bases gen) (bases cons)) reduc;
+        })
+      segments (Array.to_list gen_cons)
     |> Array.of_list
   in
-  let n1 = Array.length segs in
-  let excluded item =
-    let b = item_base item in
-    S.mem b reduc || S.mem b plain
-  in
-  let reqcomm = Array.make (n1 + 1) Varset.empty in
-  for i = n1 - 1 downto 0 do
-    let filtered_gen = segs.(i).si_gen in
-    let filtered_cons = Varset.filter (fun it -> not (excluded it)) segs.(i).si_cons in
-    reqcomm.(i) <-
-      Varset.union (Varset.diff reqcomm.(i + 1) filtered_gen) filtered_cons
-  done;
-  { prog; segs; reqcomm }
+  { prog; segs; reqcomm; reduc }
 
 (* Values crossing boundary b_i (between segment i-1 and segment i),
    1-based like the paper; [reqcomm_into t 0] is the input of the first
@@ -106,6 +72,8 @@ let analyze (prog : Ast.program) (segments : Boundary.segment list) : t =
 let reqcomm_into t i = t.reqcomm.(i)
 
 let segment_count t = Array.length t.segs
+
+let segments t = Array.to_list (Array.map (fun si -> si.si_seg) t.segs)
 
 (* The first segment that consumes each item after boundary [i]: used by
    the packing phase to choose instance-wise vs field-wise layout (§5). *)

@@ -1,15 +1,18 @@
-(** Required-communication analysis (§4.2).
+(** Required-communication analysis (§4.2) of the compiler's chain.
 
-    Given the atomic filters f_1 .. f_{n+1}, computes the set of values
-    that must cross each candidate boundary in one backward pass:
+    Given the atomic filters f_1 .. f_{n+1} of the program's pipelined
+    body, the values that must cross each candidate boundary are
 
     {v ReqComm(end) = {};  ReqComm(b_i) = (ReqComm(b_{i+1}) - Gen(f_{i+1})) + Cons(f_{i+1}) v}
 
-    As the paper observes, the computed set at a boundary remains correct
-    when intermediate boundaries are not selected, so the same sets serve
-    every decomposition the dynamic program considers.  Reduction globals
-    (persistent filter state, §2.2) and plain globals (run-time
-    configuration) are excluded from per-packet communication. *)
+    computed by {!Bgraph.reqcomm}'s one backward propagation over
+    {!Bgraph.chain}, which also excludes globals (reduction state and
+    run-time configuration) from per-packet communication.  As the paper
+    observes, the computed set at a boundary remains correct when
+    intermediate boundaries are not selected, so the same sets serve
+    every decomposition the dynamic program considers.  A value of {!t}
+    is the analyzed program: it carries the program, its segments and
+    its reduction globals to profiling, decomposition and codegen. *)
 
 open Lang
 
@@ -25,7 +28,6 @@ type seg_info = {
   si_cons : Varset.t;
   si_externs : S.t;      (** extern functions the segment calls *)
   si_reduc_state : S.t;  (** reduction globals it touches *)
-  si_config : S.t;       (** non-reduction globals it reads *)
 }
 
 type t = {
@@ -33,21 +35,23 @@ type t = {
   segs : seg_info array;
   reqcomm : Varset.t array;
       (** [reqcomm.(i)] enters segment [i]; [reqcomm.(n+1)] is empty *)
+  reduc : S.t;  (** reduction globals: persistent filter state *)
 }
-
-val item_base : Varset.item -> string
 
 (** Names of globals whose class implements Reducinterface. *)
 val reduction_globals : Ast.program -> S.t
 
-val plain_globals : Ast.program -> S.t
-
-val analyze : Ast.program -> Boundary.segment list -> t
+(** Fission and segment the program's pipelined body
+    ({!Boundary.segments_of_body}) and analyze it. *)
+val analyze : Ast.program -> t
 
 (** Values crossing the boundary that enters segment [i]. *)
 val reqcomm_into : t -> int -> Varset.t
 
 val segment_count : t -> int
+
+(** The atomic filters f_1 .. f_{n+1}, in order. *)
+val segments : t -> Boundary.segment list
 
 (** First segment at or after [i] that consumes [item] before any
     redefinition — drives the instance-wise/field-wise grouping (§5). *)

@@ -14,6 +14,8 @@ type item =
                                        collection [c] *)
   | Arr of string * Section.t       (* rectilinear section of an array *)
 
+let base = function Var v | Coll v | ElemField (v, _) | Arr (v, _) -> v
+
 let item_to_string = function
   | Var v -> v
   | Coll c -> c ^ "#"

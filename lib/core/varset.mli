@@ -13,6 +13,10 @@ type item =
                                       object variables *)
   | Arr of string * Section.t     (** rectilinear section of an array *)
 
+(** The variable an item belongs to: the scalar, collection or array
+    it names. *)
+val base : item -> string
+
 val item_to_string : item -> string
 
 type t

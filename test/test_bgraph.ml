@@ -81,7 +81,7 @@ let test_atomic_conditional_stays_chain () =
 
 let test_reqcomm_union_at_fork () =
   let prog, g = graph_of branch_body in
-  let r = Bgraph.reqcomm prog g in
+  let _, r = Bgraph.reqcomm prog g in
   (* at the node entering the branch (the fork), both branches' needs are
      present: t.a for the then-branch, t.b for the else-branch *)
   let fork =
@@ -99,27 +99,20 @@ let test_reqcomm_union_at_fork () =
 let test_reqcomm_chain_matches_linear_analysis () =
   (* on a chain the graph propagation must agree with the linear one *)
   let prog, g = graph_of chain_body in
-  let r = Bgraph.reqcomm prog g in
-  let segments = Boundary.segments_of_body prog.Ast.pipeline.Ast.pd_body in
-  let rc = Reqcomm.analyze prog segments in
-  (* walk the unique flow path: node entering edge k corresponds to
-     boundary k.  ReqComm excludes globals; the graph version keeps them,
-     so compare only the non-global items. *)
+  let _, r = Bgraph.reqcomm prog g in
+  let rc = Reqcomm.analyze prog in
+  (* walk the unique flow path: the node entering edge k is boundary k *)
   let path = List.hd (Bgraph.flow_paths g) in
-  let reduc = Reqcomm.reduction_globals prog in
-  let strip vs =
-    Varset.filter
-      (fun item -> not (Reqcomm.S.mem (Reqcomm.item_base item) reduc))
-      vs
-  in
   List.iteri
     (fun k (e : Bgraph.edge) ->
-      if k > 0 then
-        A.(check bool)
-          (Printf.sprintf "boundary %d agrees" k)
-          true
-          (Varset.equal (strip r.(e.Bgraph.e_src)) (Reqcomm.reqcomm_into rc k)))
-    path
+      A.(check bool)
+        (Printf.sprintf "boundary %d agrees" k)
+        true
+        (Varset.equal r.(e.Bgraph.e_src) (Reqcomm.reqcomm_into rc k)))
+    path;
+  A.(check bool) "end agrees" true
+    (Varset.equal r.(g.Bgraph.stop)
+       (Reqcomm.reqcomm_into rc (List.length path)))
 
 let test_nested_branch () =
   let _, g =
@@ -202,7 +195,12 @@ let prop_path_reqcomm_covered =
           (shape_to_body shape)
       in
       let prog, g = graph_of body in
-      let r = Bgraph.reqcomm prog g in
+      let _, r = Bgraph.reqcomm prog g in
+      let global it =
+        List.exists
+          (fun gd -> gd.Ast.gd_name = Varset.base it)
+          prog.Ast.globals
+      in
       let ctx =
         Gencons.create_ctx_for_body prog
           (List.concat_map (fun e -> e.Bgraph.e_code) g.Bgraph.edges)
@@ -216,7 +214,9 @@ let prop_path_reqcomm_covered =
             (fun (e : Bgraph.edge) ->
               Hashtbl.replace linear e.Bgraph.e_dst !acc;
               let gen, cons = Gencons.analyze_segment ctx e.Bgraph.e_code in
-              acc := Varset.union (Varset.diff !acc gen) cons;
+              acc :=
+                Varset.union (Varset.diff !acc gen)
+                  (Varset.filter (fun it -> not (global it)) cons);
               Hashtbl.replace linear e.Bgraph.e_src !acc)
             (List.rev path);
           (* every item the path needs at a node is present in the graph's

@@ -62,11 +62,9 @@ let externs_sig =
 let num_packets = 4
 
 let make_plan ?m assignment =
-  let prog = Compile.front_end ~externs_sig src in
-  let segments = Compile.segment ~prog in
-  let rc = Reqcomm.analyze prog segments in
+  let rc = Reqcomm.analyze (Compile.front_end ~externs_sig src) in
   let m = match m with Some m -> m | None -> Array.fold_left max 1 assignment in
-  Codegen.make_plan prog segments rc ~assignment ~m ~num_packets
+  Codegen.make_plan rc ~assignment ~m ~num_packets
     ~externs:[ read_ps ]
     ~runtime_defs:[ ("num_packets", num_packets) ]
 

@@ -1,19 +1,17 @@
-(* Golden tests for the filter emitter: the rendered filter code of two
-   applications at fixed decompositions must match the committed files.
-   Regenerate with `dune exec bin/gen_golden.exe -- test/golden` after an
-   intentional change. *)
+(* Golden tests for the filter emitter and the ReqComm analysis: the
+   rendered filter code of two applications at fixed decompositions,
+   and the ReqComm sets of all five applications (what `cgppc inspect`
+   prints), must match the committed files.  Regenerate with
+   `dune exec bin/gen_golden.exe -- test/golden` after an intentional
+   change. *)
 
 module A = Alcotest
 open Core
 module H = Apps.Harness
 
-let plan_of app assignment m =
-  let prog = Compile.front_end ~externs_sig:app.H.externs_sig app.H.source in
-  let segments = Compile.segment ~prog in
-  let rc = Reqcomm.analyze prog segments in
-  Codegen.make_plan prog segments rc ~assignment ~m
-    ~num_packets:app.H.num_packets ~externs:app.H.externs
-    ~runtime_defs:(("num_packets", app.H.num_packets) :: app.H.runtime_defs)
+let analyze (app : H.app) =
+  Reqcomm.analyze
+    (Compile.front_end ~externs_sig:app.H.externs_sig app.H.source)
 
 let read_file path =
   let ic = open_in path in
@@ -26,21 +24,40 @@ let read_file path =
    copied next to it by the dune rule (deps). *)
 let golden name = read_file (Filename.concat "golden" name)
 
-let check_golden name app assignment m () =
-  let plan = plan_of app assignment m in
+let check_emit name app assignment m () =
+  let plan =
+    Codegen.make_plan (analyze app) ~assignment ~m
+      ~num_packets:app.H.num_packets ~externs:app.H.externs
+      ~runtime_defs:(("num_packets", app.H.num_packets) :: app.H.runtime_defs)
+  in
   A.(check string) name (golden name) (Emit.emit_plan plan)
+
+let check_reqcomm name app () =
+  A.(check string) name (golden name) (Fmt.str "%a" Reqcomm.pp (analyze app))
 
 let suite =
   [
     ( "knn filters",
       `Quick,
-      check_golden "knn_filters.txt" (H.knn_app Apps.Knn.tiny)
+      check_emit "knn_filters.txt" (H.knn_app Apps.Knn.tiny)
         [| 1; 1; 1; 2 |] 3 );
     ( "vmscope filters",
       `Quick,
-      check_golden "vmscope_filters.txt"
+      check_emit "vmscope_filters.txt"
         (H.vmscope_app Apps.Vmscope.tiny)
         [| 1; 1; 3 |] 3 );
   ]
+  @
+  let kmeans = Apps.Kmeans.tiny in
+  List.map
+    (fun (name, app) ->
+      (name ^ " reqcomm", `Quick, check_reqcomm (name ^ "_reqcomm.txt") app))
+    [
+      ("zbuffer", H.iso_app ~variant:`Zbuffer Apps.Isosurface.tiny);
+      ("apix", H.iso_app ~variant:`Apix Apps.Isosurface.tiny);
+      ("knn", H.knn_app Apps.Knn.tiny);
+      ("vmscope", H.vmscope_app Apps.Vmscope.tiny);
+      ("kmeans", H.kmeans_app kmeans (Apps.Kmeans.initial_centroids kmeans));
+    ]
 
 let () = Alcotest.run "emit-golden" [ ("emit-golden", suite) ]

@@ -39,13 +39,8 @@ pipelined (p in [0 : 4]) { %s }
 |}
       decls body
   in
-  let prog = Parser.parse src in
-  let segs = Boundary.segments_of_body prog.Ast.pipeline.Ast.pd_body in
-  let ctx =
-    Gencons.create_ctx_for_body prog
-      (List.concat_map (fun s -> s.Boundary.seg_stmts) segs)
-  in
-  Gencons.analyze_segment ctx (List.nth segs i).Boundary.seg_stmts
+  let si = (Reqcomm.analyze (Parser.parse src)).Reqcomm.segs.(i) in
+  (si.Reqcomm.si_gen, si.Reqcomm.si_cons)
 
 let has set item = Varset.mem item set
 let v x = Varset.Var x

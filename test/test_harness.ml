@@ -55,7 +55,7 @@ let test_run_cell_returns_results () =
   A.(check bool) "bytes moved" true (bytes > 0.0);
   A.(check bool) "result present" true (List.mem_assoc "result" results);
   A.(check int) "assignment covers segments"
-    (List.length c.Compile.segments)
+    (Reqcomm.segment_count c.Compile.rc)
     (Array.length c.Compile.assignment)
 
 let test_layout_modes_same_results () =
@@ -85,7 +85,7 @@ let test_replan_moves_work_with_bandwidth () =
        (fun (s : Boundary.segment) ->
          String.length s.Boundary.seg_label >= 7
          && String.sub s.Boundary.seg_label 0 7 = "foreach")
-       c.Compile.segments)
+       (Reqcomm.segments c.Compile.rc))
       .Boundary.seg_index
   in
   A.(check int) "slow net: insert on data host" 1
@@ -109,7 +109,7 @@ let test_replan_moves_work_with_bandwidth () =
 let test_replan_preserves_analysis () =
   let c = H.compile ~widths:[| 1; 1; 1 |] tiny_knn in
   let c' = Compile.replan c ~pipeline:c.Compile.pipeline () in
-  A.(check bool) "same segments" true (c.Compile.segments == c'.Compile.segments);
+  A.(check bool) "same analysis" true (c.Compile.rc == c'.Compile.rc);
   A.(check bool) "same profile" true (c.Compile.profile == c'.Compile.profile)
 
 let test_replan_keeps_layout_mode () =

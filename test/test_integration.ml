@@ -82,7 +82,7 @@ let test_knn_decomposition_shape () =
       (fun (s : Boundary.segment) ->
         String.length s.Boundary.seg_label >= 7
         && String.sub s.Boundary.seg_label 0 7 = "foreach")
-      c.Compile.segments
+      (Reqcomm.segments c.Compile.rc)
   in
   A.(check int) "insert loop on C1" 1
     c.Compile.assignment.(foreach_seg.Boundary.seg_index)
@@ -238,6 +238,38 @@ let test_fixed_strategy_roundtrip () =
   A.check float_list "fixed strategy correct" oracle
     (knn_dists (List.assoc "result" results))
 
+(* ReqComm shown sound by execution: each segment on its own unit of an
+   (n+1)-unit pipeline, so every candidate boundary carries its ReqComm
+   set across a stream, and the sim run must reproduce the sequential
+   reference of each of the five applications. *)
+let test_every_boundary_matches_reference () =
+  let kmeans =
+    let cfg = Apps.Kmeans.tiny in
+    H.kmeans_app cfg (Apps.Kmeans.initial_centroids cfg)
+  in
+  List.iter
+    (fun (app : H.app) ->
+      let n1 = Array.length (compile app).Compile.assignment in
+      let widths = Array.make n1 1 in
+      let c =
+        H.compile ~strategy:(Compile.Fixed (Array.init n1 succ)) ~widths app
+      in
+      let _, results = run c ~widths in
+      List.iter
+        (fun (name, v) ->
+          A.(check bool)
+            (Printf.sprintf "%s %s over %d units" app.H.name name n1)
+            true
+            (V.equal v (List.assoc name results)))
+        (Compile.run_reference c))
+    [
+      H.iso_app ~variant:`Zbuffer Apps.Isosurface.tiny;
+      H.iso_app ~variant:`Apix Apps.Isosurface.tiny;
+      H.knn_app Apps.Knn.tiny;
+      H.vmscope_app Apps.Vmscope.tiny;
+      kmeans;
+    ]
+
 let suite =
   [
     ("knn sim matches reference", `Quick, test_knn_sim_matches_reference);
@@ -257,6 +289,8 @@ let suite =
     ("iso decomp not slower", `Quick, test_iso_decomp_not_slower);
     ("prediction tracks measurement", `Quick, test_predicted_total_tracks_measured);
     ("fixed strategy roundtrip", `Quick, test_fixed_strategy_roundtrip);
+    ("every boundary cut matches reference", `Quick,
+      test_every_boundary_matches_reference);
   ]
 
 

@@ -146,12 +146,13 @@ let packed_digests ?strategy ?layout_mode (app : H.app) =
   let plan = c.Compile.plan in
   let ctx =
     Interp.create_ctx ~externs:plan.Codegen.externs
-      ~runtime_defs:plan.Codegen.runtime_defs plan.Codegen.prog
+      ~runtime_defs:plan.Codegen.runtime_defs plan.Codegen.rc.Reqcomm.prog
   in
   let code =
     Interp.compile_packet ctx (Interp.init_globals ctx) ~inputs:[]
-      (Array.to_list
-         (Array.map (fun s -> s.Boundary.seg_stmts) plan.Codegen.segments))
+      (List.map
+         (fun s -> s.Boundary.seg_stmts)
+         (Reqcomm.segments plan.Codegen.rc))
   in
   let fr = Interp.new_frame code ~packet:0 in
   let digests = ref [] in
@@ -166,10 +167,10 @@ let packed_digests ?strategy ?layout_mode (app : H.app) =
               ~runtime_def:(Hashtbl.find_opt ctx.Interp.runtime_defs)
               ~lookup:(Interp.lookup code (Packing.lookup_names layout) fr)
           in
-          let bytes = Packing.pack plan.Codegen.prog layout ~lookup in
+          let bytes = Packing.pack plan.Codegen.rc.Reqcomm.prog layout ~lookup in
           digests := Digest.to_hex (Digest.bytes bytes) :: !digests
       done)
-    plan.Codegen.segments;
+    plan.Codegen.rc.Reqcomm.segs;
   List.rev !digests
 
 let packed_pins =

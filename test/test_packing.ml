@@ -34,17 +34,15 @@ pipelined (p in [0 : 2]) {
 |}
 
 let setup () =
-  let prog = Parser.parse src in
-  let segs = Boundary.segments_of_body prog.Ast.pipeline.Ast.pd_body in
-  let rc = Reqcomm.analyze prog segs in
-  let tyenv = Tyenv.of_segments prog segs in
-  (prog, segs, rc, tyenv)
+  let rc = Reqcomm.analyze (Parser.parse src) in
+  let prog = rc.Reqcomm.prog in
+  (prog, rc, Tyenv.of_segments prog (Reqcomm.segments rc))
 
 (* boundary entering segment 1 (after the read), with each segment its
    own filter *)
 let layout_b1 ?(filter_of_seg = fun s -> s) () =
-  let prog, _, rc, tyenv = setup () in
-  (prog, Packing.layout_for_cut prog tyenv rc ~cut:1 ~filter_of_seg)
+  let prog, rc, tyenv = setup () in
+  (prog, Packing.layout_for_cut tyenv rc ~cut:1 ~filter_of_seg)
 
 let find_coll layout c =
   List.find_map
@@ -132,7 +130,7 @@ let test_empty_collection () =
   | _ -> A.fail "expected list"
 
 let test_scalar_entries_roundtrip () =
-  let prog, _, _, _ = setup () in
+  let prog, _, _ = setup () in
   let layout =
     [
       Packing.Escalar ("n", Ast.Tint);
@@ -158,7 +156,7 @@ let test_scalar_entries_roundtrip () =
   A.(check bool) "range" true (V.equal (List.assoc "r" out) (V.Vrange (3, 17)))
 
 let test_array_section_roundtrip () =
-  let prog, _, _, _ = setup () in
+  let prog, _, _ = setup () in
   let sec = Section.Range (Section.Bconst 2, Section.Bconst 6) in
   let layout = [ Packing.Earray ("a", sec, Ast.Tfloat) ] in
   let arr = V.Varray (Array.init 10 (fun i -> V.Vfloat (float_of_int i))) in
@@ -175,7 +173,7 @@ let test_array_section_roundtrip () =
   | _ -> A.fail "expected a flat float array"
 
 let test_symbolic_section_resolved () =
-  let prog, _, _, _ = setup () in
+  let prog, _, _ = setup () in
   let sec = Section.Range (Section.Bconst 0, Section.Bsym "n") in
   let layout = [ Packing.Escalar ("n", Ast.Tint); Packing.Earray ("a", sec, Ast.Tint) ] in
   let arr = V.Varray (Array.init 10 (fun i -> V.Vint i)) in
@@ -206,7 +204,7 @@ let test_obj_any_array_field () =
   | _ -> A.fail "expected object"
 
 let test_generic_value_roundtrip_nested () =
-  let prog, _, _, _ = setup () in
+  let prog, _, _ = setup () in
   (* List<T> via the generic codec *)
   let ty = Ast.Tlist (Ast.Tclass "T") in
   let vec = V.Vec.create () in
@@ -267,7 +265,7 @@ let prop_roundtrip_random =
 
 (* objpack: reduction-state payload round trip *)
 let test_objpack_globals_roundtrip () =
-  let prog, _, _, _ = setup () in
+  let prog, _, _ = setup () in
   let cd = Option.get (Ast.find_class prog "R") in
   let o = V.make_object cd in
   V.set_field o "x" (V.Vfloat 9.75);
@@ -279,7 +277,7 @@ let test_objpack_globals_roundtrip () =
   | _ -> A.fail "expected object"
 
 let test_objpack_null_and_arrays () =
-  let prog, _, _, _ = setup () in
+  let prog, _, _ = setup () in
   let globals =
     [
       ("a", Ast.Tarray Ast.Tint, V.Varray [| V.Vint 1; V.Vint 2 |]);
@@ -299,7 +297,7 @@ let test_objpack_null_and_arrays () =
 (* A layout naming a class the program does not declare is rejected when
    unpacking, for a single object and for a collection's elements. *)
 let test_unpack_unknown_class () =
-  let prog, _, _, _ = setup () in
+  let prog, _, _ = setup () in
   let t = mk_t prog 1.0 2.0 3 in
   let lookup = function
     | "t0" -> t

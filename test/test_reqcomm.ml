@@ -4,10 +4,7 @@ module A = Alcotest
 open Core
 open Lang
 
-let analyze src =
-  let prog = Parser.parse src in
-  let segs = Boundary.segments_of_body prog.Ast.pipeline.Ast.pd_body in
-  (prog, segs, Reqcomm.analyze prog segs)
+let analyze src = Reqcomm.analyze (Parser.parse src)
 
 let pipeline_src =
   {|
@@ -37,8 +34,8 @@ let f c fl = Varset.ElemField (c, fl)
 let coll c = Varset.Coll c
 
 let test_backward_propagation () =
-  let _, segs, rc = analyze pipeline_src in
-  A.(check int) "segments" 4 (List.length segs);
+  let rc = analyze pipeline_src in
+  A.(check int) "segments" 4 (Reqcomm.segment_count rc);
   (* boundary 1 (after the read): everything of ts flows *)
   let b1 = Reqcomm.reqcomm_into rc 1 in
   A.(check bool) "ts.a" true (Varset.mem (f "ts" "a") b1);
@@ -57,7 +54,7 @@ let test_backward_propagation () =
 
 let test_narrowing_to_used_fields () =
   (* only the fields downstream actually reads should cross *)
-  let _, _, rc =
+  let rc =
     analyze
       {|
 class T { float a; float b; bool keep; }
@@ -75,7 +72,7 @@ pipelined (p in [0 : 2]) {
   A.(check bool) "keep does not" false (Varset.mem (f "ts" "keep") b1)
 
 let test_reduction_globals_excluded () =
-  let _, _, rc = analyze pipeline_src in
+  let rc = analyze pipeline_src in
   for i = 0 to Reqcomm.segment_count rc do
     let b = Reqcomm.reqcomm_into rc i in
     A.(check bool)
@@ -85,7 +82,7 @@ let test_reduction_globals_excluded () =
   done
 
 let test_config_globals_excluded () =
-  let _, _, rc =
+  let rc =
     analyze
       {|
 int threshold = 10;
@@ -106,13 +103,13 @@ let test_reqcomm_correct_when_boundary_skipped () =
      candidate boundaries are not selected; concretely ReqComm(b1) must
      include everything segment 3 needs that segment 1 and 2 don't
      produce *)
-  let _, _, rc = analyze pipeline_src in
+  let rc = analyze pipeline_src in
   let b1 = Reqcomm.reqcomm_into rc 1 in
   (* local.x is produced in segment 2 (decl) — not needed at b1 *)
   A.(check bool) "local produced downstream" false (Varset.mem (f "local" "x") b1)
 
 let test_seg_metadata () =
-  let _, _, rc = analyze pipeline_src in
+  let rc = analyze pipeline_src in
   let si = rc.Reqcomm.segs.(3) in
   A.(check bool) "merge touches acc" true
     (Reqcomm.S.mem "acc" si.Reqcomm.si_reduc_state);
@@ -121,7 +118,7 @@ let test_seg_metadata () =
     (Reqcomm.S.mem "read_ts" si0.Reqcomm.si_externs)
 
 let test_first_consumer () =
-  let _, _, rc = analyze pipeline_src in
+  let rc = analyze pipeline_src in
   (* after boundary 1, ts.keep is first consumed by segment 1 (the
      compaction), ts.a by segment 1 too (via sel.add copying fields) *)
   A.(check (option int)) "keep consumer" (Some 1)
@@ -131,7 +128,7 @@ let test_first_consumer () =
     (Reqcomm.first_consumer rc 3 (f "local" "x"))
 
 let test_segments_calling () =
-  let _, _, rc = analyze pipeline_src in
+  let rc = analyze pipeline_src in
   let module S = Set.Make (String) in
   A.(check (list int)) "read pinned" [ 0 ]
     (Reqcomm.segments_calling rc (S.singleton "read_ts"))
