@@ -5,8 +5,9 @@
     may-alias information.  PipeLang aliases arise from reference
     assignments between object/collection variables; references stored
     into fields or collection elements "escape" and conservatively alias
-    every other escaped reference.  The classes are flow-insensitive,
-    hence sound as may-information. *)
+    every other escaped reference.  The classes are flow-insensitive —
+    the same statements in any order give the same classes — hence
+    sound as may-information. *)
 
 open Lang
 
@@ -17,7 +18,8 @@ val create : unit -> t
 (** Union two variables' alias classes. *)
 val union : t -> string -> string -> unit
 
-(** Mark a variable as stored into a structure. *)
+(** Mark a variable's class as stored into a structure; the mark
+    stays with the class through later unions. *)
 val mark_escaped : t -> string -> unit
 
 (** Might the two names refer to the same object? *)

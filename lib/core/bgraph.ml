@@ -163,7 +163,7 @@ let reverse_topo (g : t) : int list =
    once per edge, in [g.edges] order. *)
 let reqcomm (prog : Ast.program) (g : t) =
   let ctx =
-    Gencons.create_ctx_for_body prog
+    Gencons.create_ctx prog
       (List.concat_map (fun e -> e.e_code) g.edges)
   in
   let gen_cons =

@@ -32,21 +32,8 @@ module S = Set.Make (String)
 
 let rec expr_uses (e : Ast.expr) acc =
   match e.Ast.e with
-  | Ast.Eint _ | Ast.Efloat _ | Ast.Ebool _ | Ast.Estring _ | Ast.Enull
-  | Ast.Eruntime_define _ ->
-      acc
   | Ast.Evar v -> S.add v acc
-  | Ast.Efield (o, _) -> expr_uses o acc
-  | Ast.Eindex (a, i) -> expr_uses a (expr_uses i acc)
-  | Ast.Ebinop (_, a, b) -> expr_uses a (expr_uses b acc)
-  | Ast.Eunop (_, a) -> expr_uses a acc
-  | Ast.Ecall (_, args) -> List.fold_left (fun acc a -> expr_uses a acc) acc args
-  | Ast.Emethod (o, _, args) ->
-      List.fold_left (fun acc a -> expr_uses a acc) (expr_uses o acc) args
-  | Ast.Enew (_, args) -> List.fold_left (fun acc a -> expr_uses a acc) acc args
-  | Ast.Enew_array (_, n) -> expr_uses n acc
-  | Ast.Enew_list _ -> acc
-  | Ast.Erange (lo, hi) -> expr_uses lo (expr_uses hi acc)
+  | _ -> List.fold_left (fun acc e -> expr_uses e acc) acc (Ast.sub_exprs e)
 
 let rec lvalue_uses (l : Ast.lvalue) acc =
   (* indices and intermediate receivers of an lvalue are read *)
@@ -121,70 +108,28 @@ and stmts_def_use stmts =
     (S.empty, S.empty, S.empty) stmts
 
 (* Method calls may mutate their receiver wherever they appear — as a
-   statement, in a declaration's initializer, or nested inside another
-   expression.  Collect every receiver's base variables. *)
+   statement, in a declaration's initializer, in an lvalue index, or nested
+   inside another expression — and a callee may mutate the variables it is
+   passed.  Collect every such variable. *)
 let rec expr_receivers (e : Ast.expr) acc =
-  match e.Ast.e with
-  | Ast.Emethod (recv, _, args) ->
-      let acc = expr_uses recv acc in
-      List.fold_left (fun acc a -> expr_receivers a acc) acc args
-  | Ast.Efield (o, _) -> expr_receivers o acc
-  | Ast.Eindex (a, i) -> expr_receivers a (expr_receivers i acc)
-  | Ast.Ebinop (_, a, b) -> expr_receivers a (expr_receivers b acc)
-  | Ast.Eunop (_, a) -> expr_receivers a acc
-  | Ast.Ecall (_, args) ->
-      (* a callee may mutate reference arguments *)
-      List.fold_left
-        (fun acc (a : Ast.expr) ->
-          match a.Ast.e with
-          | Ast.Evar v -> S.add v (expr_receivers a acc)
-          | _ -> expr_receivers a acc)
-        acc args
-  | Ast.Enew (_, args) ->
-      List.fold_left (fun acc a -> expr_receivers a acc) acc args
-  | Ast.Enew_array (_, n) -> expr_receivers n acc
-  | Ast.Erange (a, b) -> expr_receivers a (expr_receivers b acc)
-  | Ast.Eint _ | Ast.Efloat _ | Ast.Ebool _ | Ast.Estring _ | Ast.Enull
-  | Ast.Evar _ | Ast.Enew_list _ | Ast.Eruntime_define _ ->
-      acc
+  let acc =
+    match e.Ast.e with
+    | Ast.Emethod (recv, _, _) -> expr_uses recv acc
+    | Ast.Ecall (_, args) ->
+        List.fold_left
+          (fun acc (a : Ast.expr) ->
+            match a.Ast.e with Ast.Evar v -> S.add v acc | _ -> acc)
+          acc args
+    | _ -> acc
+  in
+  List.fold_left (fun acc e -> expr_receivers e acc) acc (Ast.sub_exprs e)
 
 let rec stmt_writes_receiver (st : Ast.stmt) =
-  match st.Ast.s with
-  | Ast.Sdecl (_, _, Some e)
-  | Ast.Sassign (_, e)
-  | Ast.Supdate (_, _, e)
-  | Ast.Sexpr e
-  | Ast.Sreturn (Some e) ->
-      expr_receivers e S.empty
-  | Ast.Sif (c, th, el) ->
-      List.fold_left
-        (fun acc st -> S.union acc (stmt_writes_receiver st))
-        (expr_receivers c S.empty)
-        (th @ el)
-  | Ast.Sfor (i, c, stp, body) ->
-      List.fold_left
-        (fun acc st -> S.union acc (stmt_writes_receiver st))
-        (expr_receivers c S.empty)
-        (i :: stp :: body)
-  | Ast.Swhile (c, body) ->
-      List.fold_left
-        (fun acc st -> S.union acc (stmt_writes_receiver st))
-        (expr_receivers c S.empty)
-        body
-  | Ast.Sforeach { fe_coll; fe_where; fe_body; _ } ->
-      let acc = expr_receivers fe_coll S.empty in
-      let acc =
-        match fe_where with Some w -> expr_receivers w acc | None -> acc
-      in
-      List.fold_left
-        (fun acc st -> S.union acc (stmt_writes_receiver st))
-        acc fe_body
-  | Ast.Sblock body ->
-      List.fold_left
-        (fun acc st -> S.union acc (stmt_writes_receiver st))
-        S.empty body
-  | Ast.Sdecl (_, _, None) | Ast.Sreturn None | Ast.Sbreak | Ast.Scontinue ->
-      S.empty
+  let es, ss = Ast.stmt_parts st in
+  List.fold_left
+    (fun acc st -> S.union acc (stmt_writes_receiver st))
+    (List.fold_left (fun acc e -> expr_receivers e acc) S.empty es)
+    ss
 
 (* ------------------------------------------------------------------ *)
 (* Loop fission                                                        *)
@@ -280,12 +225,9 @@ let label_of_stmt (st : Ast.stmt) =
    (which must be wholly contained, hence atomic), call statements, and
    declarations/assignments whose right-hand side is a (non-builtin)
    function call — the "start and end of a function call" candidates. *)
-let builtin_names =
-  S.of_list (List.map (fun e -> e.Typecheck.ex_name) Typecheck.builtin_externs)
-
 let is_call_rhs (e : Ast.expr) =
   match e.Ast.e with
-  | Ast.Ecall (f, _) -> not (S.mem f builtin_names)
+  | Ast.Ecall (f, _) -> not (Typecheck.is_builtin f)
   | Ast.Emethod _ -> true
   | _ -> false
 
@@ -293,7 +235,7 @@ let boundary_worthy (st : Ast.stmt) =
   match st.Ast.s with
   | Ast.Sforeach _ | Ast.Sif _ | Ast.Sfor _ | Ast.Swhile _ -> true
   | Ast.Sexpr { e = Ast.Emethod _; _ } -> true
-  | Ast.Sexpr { e = Ast.Ecall (f, _); _ } -> not (S.mem f builtin_names)
+  | Ast.Sexpr { e = Ast.Ecall (f, _); _ } -> not (Typecheck.is_builtin f)
   | Ast.Sdecl (_, _, Some e) | Ast.Sassign (_, e) -> is_call_rhs e
   | _ -> false
 

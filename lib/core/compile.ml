@@ -119,7 +119,7 @@ let compile ?(file = "<input>") ~(source : string)
   let () =
     phase "alias_check" @@ fun () ->
     let body = List.concat_map (fun s -> s.Boundary.seg_stmts) segments in
-    let gctx = Gencons.create_ctx_for_body prog body in
+    let gctx = Gencons.create_ctx prog body in
     let aliases = Gencons.aliases_of gctx body in
     let n1 = List.length segments in
     for i = 1 to n1 - 1 do
@@ -140,7 +140,9 @@ let compile ?(file = "<input>") ~(source : string)
             (fun k b ->
               if j < k && Alias.may_alias aliases a b then
                 Srcloc.errorf prog.Ast.pipeline.Ast.pd_loc
-                  "references %s and %s may alias and would cross the                    candidate boundary b%d; aliased references cannot be                    communicated by value"
+                  "references %s and %s may alias and would cross the \
+                   candidate boundary b%d; aliased references cannot be \
+                   communicated by value"
                   a b i)
             bases)
         bases

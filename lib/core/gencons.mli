@@ -7,7 +7,10 @@
     contribute Cons but never Gen; counted-loop accesses widen to
     rectilinear sections from the loop bounds; calls are analyzed
     interprocedurally and context-sensitively with formals mapped to
-    actuals. *)
+    actuals.  Writes through a reference join Gen only when {!Alias}
+    proves it unaliased.  The traversals that only collect (declared
+    names, called externs) recurse through {!Ast.sub_exprs} and
+    {!Ast.stmt_parts}. *)
 
 open Lang
 
@@ -19,12 +22,11 @@ type ctx
     primitives ([List<int>], [List<float>]). *)
 val prim_field : string
 
-(** Context whose outer variables come from the program's own pipelined
-    body (globals, the packet variable, top-level declarations). *)
-val create_ctx : Ast.program -> ctx
-
-(** Context for an explicitly segmented/fissioned body. *)
-val create_ctx_for_body : Ast.program -> Ast.stmt list -> ctx
+(** [create_ctx prog body] is the context of the pipelined body [body]
+    (the program's own, or its fissioned/segmented form): its outer
+    variables are {!Tyenv.of_body}'s — the packet variable, the globals
+    and the top-level declarations of [body]. *)
+val create_ctx : Ast.program -> Ast.stmt list -> ctx
 
 (** Gen and Cons of one segment. *)
 val analyze_segment : ctx -> Ast.stmt list -> Varset.t * Varset.t

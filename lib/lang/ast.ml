@@ -190,5 +190,35 @@ let rec lvalue_base = function
   | Lfield (l, _) -> lvalue_base l
   | Lindex (l, _) -> lvalue_base l
 
+(* The one structural walk of the analyses: an expression's direct
+   subexpressions, and the expressions a statement evaluates itself (lvalue
+   indices included) beside the statements nested in it. *)
+let sub_exprs e =
+  match e.e with
+  | Eint _ | Efloat _ | Ebool _ | Estring _ | Enull | Evar _ | Enew_list _
+  | Eruntime_define _ ->
+      []
+  | Efield (a, _) | Eunop (_, a) | Enew_array (_, a) -> [ a ]
+  | Eindex (a, b) | Ebinop (_, a, b) | Erange (a, b) -> [ a; b ]
+  | Ecall (_, args) | Enew (_, args) -> args
+  | Emethod (o, _, args) -> o :: args
+
+let rec lvalue_indices acc = function
+  | Lvar _ -> acc
+  | Lfield (l, _) -> lvalue_indices acc l
+  | Lindex (l, i) -> lvalue_indices (i :: acc) l
+
+let stmt_parts st =
+  match st.s with
+  | Sdecl (_, _, init) -> (Option.to_list init, [])
+  | Sassign (l, e) | Supdate (l, _, e) -> (lvalue_indices [ e ] l, [])
+  | Sif (c, th, el) -> ([ c ], th @ el)
+  | Sfor (init, c, step, body) -> ([ c ], init :: step :: body)
+  | Swhile (c, body) -> ([ c ], body)
+  | Sforeach fe -> (fe.fe_coll :: Option.to_list fe.fe_where, fe.fe_body)
+  | Sexpr e | Sreturn (Some e) -> ([ e ], [])
+  | Sreturn None | Sbreak | Scontinue -> ([], [])
+  | Sblock body -> ([], body)
+
 let mk_expr ?(loc = Srcloc.dummy) e = { e; eloc = loc; ety = None; ewiden = false }
 let mk_stmt ?(loc = Srcloc.dummy) s = { s; sloc = loc }

@@ -5,7 +5,8 @@
     (optionally with a [where] selection clause), classes implementing
     [Reducinterface] whose updates are associative and commutative, a
     [pipelined] loop over data packets, and [runtime_define] constants
-    fixed by the host at run time. *)
+    fixed by the host at run time.  {!sub_exprs} and {!stmt_parts} are
+    the one structural walk that the compiler's analyses share. *)
 
 type ty =
   | Tint
@@ -151,6 +152,19 @@ val is_reduction_class : program -> string -> bool
 
 (** The variable ultimately written by an lvalue. *)
 val lvalue_base : lvalue -> string
+
+(** {2 The structural walk}
+
+    The compiler's analyses recurse through these two functions and
+    match only the forms they treat specially. *)
+
+(** The direct subexpressions of an expression, left to right. *)
+val sub_exprs : expr -> expr list
+
+(** [stmt_parts st] is [(es, ss)]: the expressions [st] evaluates itself
+    — an lvalue's index expressions included — and the statements nested
+    in it (branches, loop header statements and bodies, block members). *)
+val stmt_parts : stmt -> expr list * stmt list
 
 val mk_expr : ?loc:Srcloc.t -> expr_desc -> expr
 val mk_stmt : ?loc:Srcloc.t -> stmt_desc -> stmt

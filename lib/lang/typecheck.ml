@@ -39,6 +39,8 @@ let builtin_externs =
     { ex_name = "print"; ex_params = [ Tstring ]; ex_ret = Tvoid };
   ]
 
+let is_builtin name = List.exists (fun e -> e.ex_name = name) builtin_externs
+
 let push_scope env = env.scopes <- [] :: env.scopes
 let pop_scope env =
   match env.scopes with [] -> assert false | _ :: rest -> env.scopes <- rest

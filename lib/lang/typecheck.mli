@@ -19,6 +19,9 @@ type extern_sig = {
     [imin], [imax], [iabs], [int_of_float], [float_of_int], [print]. *)
 val builtin_externs : extern_sig list
 
+(** Is [name] one of {!builtin_externs}? *)
+val is_builtin : string -> bool
+
 (** [check ?externs prog] type checks the program, raising
     {!Srcloc.Error} on the first violation.  [externs] declares the host
     functions available on top of {!builtin_externs}.  It annotates

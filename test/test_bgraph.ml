@@ -202,7 +202,7 @@ let prop_path_reqcomm_covered =
           prog.Ast.globals
       in
       let ctx =
-        Gencons.create_ctx_for_body prog
+        Gencons.create_ctx prog
           (List.concat_map (fun e -> e.Bgraph.e_code) g.Bgraph.edges)
       in
       List.for_all

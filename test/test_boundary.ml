@@ -151,21 +151,30 @@ pipelined (p in [0 : 3]) {
   in
   A.(check (float 1e-9)) "fission preserves result" fused fissioned
 
-let test_split_points_basic () =
-  let prog =
-    prog_of
-      "List<T> ts = read_ts(p); foreach (t in ts) { t.a = 1.0; t.b = 2.0; \
-       t.keep = true; }"
-  in
+let split_points body =
   match
     List.filter_map
       (fun (st : Ast.stmt) ->
         match st.Ast.s with Ast.Sforeach fe -> Some fe | _ -> None)
-      prog.Ast.pipeline.Ast.pd_body
+      (prog_of body).Ast.pipeline.Ast.pd_body
   with
-  | [ fe ] ->
-      A.(check (list int)) "all gaps legal" [ 1; 2 ] (Boundary.foreach_split_points fe)
+  | [ fe ] -> Boundary.foreach_split_points fe
   | _ -> A.fail "expected one foreach"
+
+let test_split_points_basic () =
+  A.(check (list int)) "all gaps legal" [ 1; 2 ]
+    (split_points
+       "List<T> ts = read_ts(p); foreach (t in ts) { t.a = 1.0; t.b = 2.0; \
+        t.keep = true; }")
+
+let test_lvalue_index_call_blocks_split () =
+  (* the method call in the index may advance [c], which the second
+     statement reads: splitting would run every c.next() before the
+     first c.last() *)
+  A.(check (list int)) "no legal gap" []
+    (split_points
+       "List<T> ts = read_ts(p); float[] b = new float[4]; foreach (t in ts) \
+        { b[c.next()] = t.a; t.b = c.last(); }")
 
 let suite =
   [
@@ -180,6 +189,7 @@ let suite =
     ("no fission across outer flow", `Quick, test_no_fission_across_outer_write_read);
     ("fission preserves semantics", `Quick, test_fission_preserves_semantics);
     ("split points basic", `Quick, test_split_points_basic);
+    ("lvalue index call blocks split", `Quick, test_lvalue_index_call_blocks_split);
   ]
 
 let () = Alcotest.run "boundary" [ ("boundary", suite) ]

@@ -21,7 +21,7 @@ pipelined (p in [0 : 4]) { %s }
       decls body
   in
   let prog = Parser.parse src in
-  let ctx = Gencons.create_ctx prog in
+  let ctx = Gencons.create_ctx prog prog.Ast.pipeline.Ast.pd_body in
   Gencons.analyze_segment ctx prog.Ast.pipeline.Ast.pd_body
 
 (* Analyze only the [i]th segment of the segmented body. *)
@@ -211,6 +211,8 @@ pipelined (p in [0 : 2]) {
   List<float> xs = read_data(p);
   float y = sqrt(2.0);
   emit(y);
+  int[] b = new int[4];
+  b[read_x(p)] = 1;
 }
 |}
   in
@@ -219,6 +221,7 @@ pipelined (p in [0 : 2]) {
   let module S = Set.Make (String) in
   A.(check bool) "read_data found" true (S.mem "read_data" e);
   A.(check bool) "emit found" true (S.mem "emit" e);
+  A.(check bool) "call in an lvalue index found" true (S.mem "read_x" e);
   A.(check bool) "builtin sqrt excluded" false (S.mem "sqrt" e)
 
 let suite =
