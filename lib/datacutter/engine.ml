@@ -733,25 +733,34 @@ module Ring = struct
 end
 
 module Timeline = struct
-  type 'a t = { mutable arr : (float * 'a) array; mutable len : int }
+  (* [seq] numbers the pushes: events at one time pop in push order. *)
+  type 'a t = {
+    mutable arr : (float * int * 'a) array;
+    mutable len : int;
+    mutable seq : int;
+  }
 
-  let create () = { arr = [||]; len = 0 }
+  let create () = { arr = [||]; len = 0; seq = 0 }
+
+  let before ((t1 : float), s1, _) (t2, s2, _) = t1 < t2 || (t1 = t2 && s1 < s2)
 
   let push h time v =
+    let ev = (time, h.seq, v) in
+    h.seq <- h.seq + 1;
     if h.len = Array.length h.arr then begin
       let cap = max 16 (2 * Array.length h.arr) in
-      let arr = Array.make cap (time, v) in
+      let arr = Array.make cap ev in
       Array.blit h.arr 0 arr 0 h.len;
       h.arr <- arr
     end;
-    h.arr.(h.len) <- (time, v);
+    h.arr.(h.len) <- ev;
     h.len <- h.len + 1;
     let i = ref (h.len - 1) in
     while
       !i > 0
       &&
       let p = (!i - 1) / 2 in
-      fst h.arr.(p) > fst h.arr.(!i)
+      before h.arr.(!i) h.arr.(p)
     do
       let p = (!i - 1) / 2 in
       let tmp = h.arr.(p) in
@@ -763,7 +772,7 @@ module Timeline = struct
   let pop h =
     if h.len = 0 then None
     else begin
-      let top = h.arr.(0) in
+      let time, _, v = h.arr.(0) in
       h.len <- h.len - 1;
       h.arr.(0) <- h.arr.(h.len);
       let i = ref 0 in
@@ -771,8 +780,8 @@ module Timeline = struct
       while !continue do
         let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
         let smallest = ref !i in
-        if l < h.len && fst h.arr.(l) < fst h.arr.(!smallest) then smallest := l;
-        if r < h.len && fst h.arr.(r) < fst h.arr.(!smallest) then smallest := r;
+        if l < h.len && before h.arr.(l) h.arr.(!smallest) then smallest := l;
+        if r < h.len && before h.arr.(r) h.arr.(!smallest) then smallest := r;
         if !smallest <> !i then begin
           let tmp = h.arr.(!smallest) in
           h.arr.(!smallest) <- h.arr.(!i);
@@ -781,7 +790,7 @@ module Timeline = struct
         end
         else continue := false
       done;
-      Some top
+      Some (time, v)
     end
 end
 

@@ -340,7 +340,8 @@ module Ring : sig
   val truncated : t -> bool
 end
 
-(** Time-ordered event queue (binary heap) for discrete-event backends. *)
+(** Time-ordered event queue (binary heap) for discrete-event backends.
+    Events pushed at one time pop in push order. *)
 module Timeline : sig
   type 'a t
 

@@ -788,6 +788,22 @@ let test_check_schedule () =
   (* Nothing armed: no deadline. *)
   A.(check (option (float 0.0))) "nothing armed" None (P.next_due [])
 
+(* Ties break by push order: a batch's items pushed at one arrival time
+   reach the copy's FIFO queue in the order they were sent. *)
+let test_timeline_ties_fifo () =
+  let h = Engine.Timeline.create () in
+  List.iter (fun v -> Engine.Timeline.push h 1.0 v) [ "a"; "b"; "c"; "d"; "e" ];
+  Engine.Timeline.push h 0.5 "early";
+  Engine.Timeline.push h 1.0 "f";
+  let rec drain acc =
+    match Engine.Timeline.pop h with
+    | Some (_, v) -> drain (v :: acc)
+    | None -> List.rev acc
+  in
+  A.(check (list string)) "time, then push order"
+    [ "early"; "a"; "b"; "c"; "d"; "e"; "f" ]
+    (drain [])
+
 let suite =
   [
     ("all packets delivered", `Quick, test_all_packets_delivered);
@@ -815,6 +831,7 @@ let suite =
     ("proc layout", `Quick, test_layout_proc);
     ("supervisor loop", `Quick, test_supervise);
     ("periodic check schedule", `Quick, test_check_schedule);
+    ("timeline ties pop in push order", `Quick, test_timeline_ties_fifo);
   ]
 
 let () = Alcotest.run "runtime" [ ("runtime", suite) ]
