@@ -158,16 +158,12 @@ let faults_conv : Datacutter.Fault.plan Cmdliner.Arg.conv =
   Cmdliner.Arg.conv (parse, print)
 
 (* Fold the robustness flags over the default supervisor policy. *)
-let policy_of ~watchdog_ms ~max_retries ~call_budget_ms =
+let policy_of ~max_retries ~call_budget_ms =
   let d = Datacutter.Supervisor.default_policy in
   {
     d with
     Datacutter.Supervisor.max_retries =
       Option.value max_retries ~default:d.Datacutter.Supervisor.max_retries;
-    watchdog_ms =
-      (match watchdog_ms with
-      | Some _ -> watchdog_ms
-      | None -> d.Datacutter.Supervisor.watchdog_ms);
     call_budget_s =
       (match call_budget_ms with
       | Some ms -> Some (ms /. 1000.0)
@@ -315,11 +311,11 @@ let emit file app widths strategy cluster_spec =
 (* --- run --- *)
 
 let run file target widths strategy backend cluster_spec trace mjson
-    faults watchdog_ms max_retries call_budget_ms batch mem_budget interval_ms
+    faults max_retries call_budget_ms batch mem_budget interval_ms
     openmetrics report replan_from inflight =
   let cluster = cluster_of_spec cluster_spec in
   let faults = Option.value faults ~default:Datacutter.Fault.empty in
-  let policy = policy_of ~watchdog_ms ~max_retries ~call_budget_ms in
+  let policy = policy_of ~max_retries ~call_budget_ms in
   let metrics_interval_s = interval_s_of ~interval_ms ~openmetrics in
   (* Between-runs feedback: measured metrics from a previous run replace
      the --config plan with an evidence-derived one — widths, batch
@@ -770,16 +766,6 @@ let replan_from_arg =
            $(b,--inflight) is given). See also the $(b,replan) \
            subcommand, which prints the same plan without running.")
 
-let watchdog_arg =
-  Arg.(
-    value
-    & opt (some (int_from 1 "watchdog")) None
-    & info [ "watchdog-ms" ] ~docv:"MS"
-        ~doc:
-          "Fail the run with a per-copy stall report when no filter copy \
-           makes progress for $(docv) milliseconds (parallel runs; the \
-           simulator always detects unresolvable stalls).")
-
 let max_retries_arg =
   Arg.(
     value
@@ -797,8 +783,9 @@ let call_budget_arg =
     & info [ "call-budget-ms" ] ~docv:"MS"
         ~doc:
           "Per-callback time budget: completed overruns are counted in \
-           the recovery metrics, and the watchdog treats calls running \
-           past the budget as blocked.")
+           the recovery metrics, and the watchdog counts a call running \
+           past the budget as stuck: without a budget, a call that never \
+           returns is never a stall.")
 
 (* Run a command body with logging configured and every user-facing
    error rendered cleanly (cmdliner would otherwise report raised
@@ -853,19 +840,19 @@ let run_term ~always_report =
       (with_logs
          (fun
            ( f, a, c, s, b, cl, tr, mj,
-             (fl, wd, mr, cb, bt, mb),
+             (fl, mr, cb, bt, mb),
              (iv, om, rp, rf, infl) )
          ->
-           run f a c s b cl tr mj fl wd mr cb bt mb iv om
+           run f a c s b cl tr mj fl mr cb bt mb iv om
              (rp || always_report) rf infl)
       $ (const
-           (fun f a c s b cl tr mj fl wd mr cb bt mb iv om rp rf infl ->
+           (fun f a c s b cl tr mj fl mr cb bt mb iv om rp rf infl ->
              ( f, a, c, s, b, cl, tr, mj,
-               (fl, wd, mr, cb, bt, mb),
+               (fl, mr, cb, bt, mb),
                (iv, om, rp, rf, infl) ))
         $ file_arg $ target_arg $ config_arg $ strategy_arg $ backend_arg
         $ cluster_arg $ trace_arg $ metrics_arg $ faults_arg
-        $ watchdog_arg $ max_retries_arg $ call_budget_arg $ batch_arg
+        $ max_retries_arg $ call_budget_arg $ batch_arg
         $ mem_budget_arg $ interval_arg $ openmetrics_arg $ report_arg
         $ replan_from_arg $ inflight_arg)))
 
@@ -874,8 +861,9 @@ let run_term ~always_report =
    clear of cmdliner's reserved 123-125. *)
 let run_exits =
   Cmd.Exit.info 3
-    ~doc:"The watchdog aborted the run: no copy made progress for the \
-          stall threshold (see $(b,--watchdog-ms))."
+    ~doc:"The watchdog aborted the run: every copy waited on a queue \
+          (or ran a call past $(b,--call-budget-ms)) and none moved \
+          between two checks 50 ms apart."
   :: Cmd.Exit.info 4
        ~doc:"A whole stage died: every copy crashed past its retry \
              budget (see $(b,--max-retries))."

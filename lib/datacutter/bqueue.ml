@@ -251,7 +251,7 @@ let room ~bounded q =
         && (not (Atomic.get q.stop))
         && not q.closed
       do
-        Sched.wait q.not_full q.mutex
+        Sched.wait q.not_full q.mutex "blocked_push"
       done;
       q.capacity - Queue.length q.items
   | _ -> max_int
@@ -311,7 +311,7 @@ let pop_all q ~max:cap =
   let t0 = Obs.Clock.elapsed_s () in
   Mutex.lock q.mutex;
   while logically_empty q && (not (Atomic.get q.stop)) && not q.closed do
-    Sched.wait q.not_empty q.mutex
+    Sched.wait q.not_empty q.mutex "blocked_pop"
   done;
   check_stop q;
   if logically_empty q then begin

@@ -12,8 +12,8 @@
    are returned for the backend to act on.
 
    Shared state is atomic where more than one domain can touch it
-   (alive masks, marker counts, the barrier, lifecycle states, the
-   progress counter); the single-threaded simulator pays nothing for
+   (alive masks, marker counts, the barrier, each copy's fiber, call
+   start and exit); the single-threaded simulator pays nothing for
    that.  [attempts] and [rr] are owner-only by construction: only the
    copy's own domain (or the one event-loop thread) mutates them. *)
 
@@ -44,27 +44,10 @@ type copy = {
   mutable rr : int;
   mutable out_buf : item list;  (* batch accumulator, newest first *)
   mutable out_len : int;
-  lifecycle : int Atomic.t;
-  call_start : float Atomic.t;
+  fiber : Sched.fiber option Atomic.t;
+  call_start : float Atomic.t;  (* [infinity] between calls *)
   exited : bool Atomic.t;
 }
-
-(* Copy lifecycle states (for the watchdog and stall reports). *)
-let st_starting = 0
-let st_computing = 1
-let st_blocked_push = 2
-let st_blocked_pop = 3
-let st_idle = 4
-let st_done = 5
-
-let state_name = function
-  | 0 -> "starting"
-  | 1 -> "computing"
-  | 2 -> "blocked_push"
-  | 3 -> "blocked_pop"
-  | 4 -> "running"
-  | 5 -> "done"
-  | _ -> "unknown"
 
 type executor = {
   exec_backend : backend;
@@ -83,7 +66,6 @@ type t = {
   copies : copy array array;  (* per stage: its planned width of copies *)
   send_batch : int array;        (* outgoing batch cap per stage *)
   at_eos : int Atomic.t array;   (* per-stage drain barrier *)
-  progress : int Atomic.t;
   rec_counters : Supervisor.recovery;
   rec_mu : Mutex.t;
   stop : bool Atomic.t;
@@ -102,6 +84,8 @@ type t = {
   faults : Fault.plan;
   queue_capacity : int;          (* items per bounded stream queue *)
   metrics_interval_s : float option;  (* time-series sampling period *)
+  mutable stuck_since : ((bool * int * float) array * float) option;
+      (* the watchdog's marks when it first saw every copy stuck *)
   mutable exec : executor option;
 }
 
@@ -180,13 +164,12 @@ let create ?(faults = Fault.empty) ?(policy = Supervisor.default_policy)
                           rr = k;
                           out_buf = [];
                           out_len = 0;
-                          lifecycle = Atomic.make st_starting;
-                          call_start = Atomic.make 0.0;
+                          fiber = Atomic.make None;
+                          call_start = Atomic.make infinity;
                           exited = Atomic.make false;
                         }));
               send_batch;
               at_eos = Array.map (fun _ -> Atomic.make 0) stages;
-              progress = Atomic.make 0;
               rec_counters = Supervisor.fresh_recovery ();
               rec_mu = Mutex.create ();
               stop = Atomic.make false;
@@ -221,6 +204,7 @@ let create ?(faults = Fault.empty) ?(policy = Supervisor.default_policy)
               faults;
               queue_capacity;
               metrics_interval_s;
+              stuck_since = None;
               exec = None;
             })
 
@@ -441,15 +425,12 @@ let retire t (c : copy) ~error =
              ~error:(Printexc.to_string error))
       else `Continue
 
-(* --- lifecycle, accounting, the watchdog --- *)
+(* --- accounting, the copies report, the watchdog --- *)
 
-let set_lifecycle (c : copy) st = Atomic.set c.lifecycle st
 let mark_exited (c : copy) = Atomic.set c.exited true
 
 let all_exited t =
   Array.for_all (Array.for_all (fun c -> Atomic.get c.exited)) t.copies
-
-let note_progress t = Atomic.incr t.progress
 
 let note_busy t (c : copy) s =
   t.busy.(c.stage).(c.index) <- t.busy.(c.stage).(c.index) +. s
@@ -468,7 +449,6 @@ let note_stall_push t (c : copy) s =
 
 let timed_call t (c : copy) ~name f =
   let exec = executor t in
-  set_lifecycle c st_computing;
   let t0 = exec.exec_now () in
   Atomic.set c.call_start t0;
   (* a fiber's time yielded to its host's siblings is not its service *)
@@ -489,8 +469,7 @@ let timed_call t (c : copy) ~name f =
              tid = Topology.copy_tid t.topo ~stage:c.stage ~copy:c.index;
              args = [];
            });
-    set_lifecycle c st_idle;
-    note_progress t;
+    Atomic.set c.call_start infinity;
     match t.pol.Supervisor.call_budget_s with
     | Some b when busy > b ->
         bump t (fun r -> r.Supervisor.budget_exceeded <- r.budget_exceeded + 1)
@@ -504,14 +483,23 @@ let timed_call t (c : copy) ~name f =
       finish ();
       raise e
 
-let lifecycle_description t (c : copy) =
-  let st = Atomic.get c.lifecycle in
-  let base = state_name st in
+let wait_status (c : copy) =
+  match Atomic.get c.fiber with Some f -> Sched.status f | None -> Sched.Running
+
+(* "done" once the body returned, the wait label while in a [Sched]
+   wait, "computing (x s in call)" inside a call, else "running". *)
+let copy_state t (c : copy) =
   let base =
-    if st = st_computing then
-      Printf.sprintf "%s (%.3fs in call)" base
-        ((executor t).exec_now () -. Atomic.get c.call_start)
-    else base
+    if Atomic.get c.exited then "done"
+    else
+      match wait_status c with
+      | Sched.Waiting l | Sched.Woken l -> l
+      | Sched.Running | Sched.Yielded ->
+          let s = Atomic.get c.call_start in
+          if s = infinity then "running"
+          else
+            Printf.sprintf "computing (%.3fs in call)"
+              ((executor t).exec_now () -. s)
   in
   if Atomic.get c.alive then base else "retired/" ^ base
 
@@ -520,8 +508,7 @@ let copy_report ?state_of t =
   let state_of =
     match state_of with
     | Some f -> f
-    | None ->
-        fun ~stage ~copy -> lifecycle_description t t.copies.(stage).(copy)
+    | None -> fun ~stage ~copy -> copy_state t t.copies.(stage).(copy)
   in
   List.concat
     (List.init t.n_stages (fun s ->
@@ -538,79 +525,64 @@ let copy_report ?state_of t =
                cr_spilled_items = qs.st_disk_items;
              })))
 
-(* Trip when the progress counter stands still for the threshold while
-   every unfinished copy is blocked on a queue, or stuck inside a call
-   for longer than the budget (the threshold itself if no budget is
-   set) — a long legitimate computation holds the watchdog off.  One
-   [watchdog_check] is one tick; the backend decides when ticks run. *)
-type watchdog = {
-  wd_threshold : float;
-  wd_overdue : float;
-  mutable wd_last_progress : int;
-  mutable wd_last_change : float;
-}
+let stall_check_s = 0.05
 
-let watchdog t ~ms =
-  let threshold = float_of_int ms /. 1000.0 in
-  {
-    wd_threshold = threshold;
-    wd_overdue =
-      Option.value t.pol.Supervisor.call_budget_s ~default:threshold;
-    wd_last_progress = Atomic.get t.progress;
-    wd_last_change = (executor t).exec_now ();
-  }
-
-let watchdog_period_s wd =
-  Float.max 0.002 (Float.min 0.05 (wd.wd_threshold /. 4.0))
-
-let watchdog_check t wd =
+let trip t ~now ~after_s =
   let exec = executor t in
-  let p = Atomic.get t.progress in
-  let now = exec.exec_now () in
-  if p <> wd.wd_last_progress then begin
-    wd.wd_last_progress <- p;
-    wd.wd_last_change <- now
-  end;
-  if now -. wd.wd_last_change >= wd.wd_threshold then begin
-    let all_blocked = ref true in
-    let any_live = ref false in
-    Array.iter
-      (Array.iter (fun (c : copy) ->
-           let st = Atomic.get c.lifecycle in
-           if st <> st_done then begin
-             any_live := true;
-             if st = st_blocked_push || st = st_blocked_pop then ()
-             else if
-               st = st_computing
-               && now -. Atomic.get c.call_start > wd.wd_overdue
-             then ()
-             else all_blocked := false
-           end))
-      t.copies;
-    if !any_live && !all_blocked then begin
-      let after_s = now -. wd.wd_last_change in
-      bump t (fun r -> r.Supervisor.watchdog_trips <- r.watchdog_trips + 1);
-      let report = copy_report t in
-      if t.tracing then
-        Obs.Trace.emit
-          (Obs.Trace.Instant
-             {
-               name = "watchdog_trip";
-               cat = backend_name exec.exec_backend;
-               ts = now;
-               tid = 0;
-               args =
-                 List.map
-                   (fun cr ->
-                     (cr.Supervisor.cr_label, Obs.Trace.Astr cr.cr_state))
-                   report;
-             });
-      Logs.err (fun m ->
-          m "watchdog: no progress for %.3fs; %d copies blocked" after_s
-            (List.length report));
-      abort t (Supervisor.Stalled { after_s; report })
-    end
-  end
+  bump t (fun r -> r.Supervisor.watchdog_trips <- r.watchdog_trips + 1);
+  let report = copy_report t in
+  if t.tracing then
+    Obs.Trace.emit
+      (Obs.Trace.Instant
+         {
+           name = "watchdog_trip";
+           cat = backend_name exec.exec_backend;
+           ts = now;
+           tid = 0;
+           args =
+             List.map
+               (fun cr -> (cr.Supervisor.cr_label, Obs.Trace.Astr cr.cr_state))
+               report;
+         });
+  Logs.err (fun m ->
+      m "watchdog: no progress for %.3fs; %d copies blocked" after_s
+        (List.length report));
+  abort t (Supervisor.Stalled { after_s; report })
+
+(* The rule is the .mli's.  An exited copy reads [None].  A copy's
+   status is read before its park count, so equal counts on two checks
+   mean one unbroken park. *)
+let watchdog_check t =
+  let now = (executor t).exec_now () in
+  let reads =
+    Array.map
+      (fun (c : copy) ->
+        let st = if Atomic.get c.exited then None else Some (wait_status c) in
+        let parks = Option.fold ~none:0 ~some:Sched.parks (Atomic.get c.fiber) in
+        (st, parks, Atomic.get c.call_start))
+      (Array.concat (Array.to_list t.copies))
+  in
+  let overdue = function
+    | Some (Sched.Running | Sched.Yielded), _, call -> (
+        match t.pol.Supervisor.call_budget_s with
+        | Some b -> now -. call > b
+        | None -> false)
+    | _ -> false
+  in
+  let held = Array.exists overdue reads in
+  let stuck = function
+    | (None | Some (Sched.Waiting _)), _, _ -> true
+    | Some (Sched.Woken _ | Sched.Yielded), _, _ -> held
+    | r -> overdue r
+  in
+  let marks = Array.map (fun (st, parks, call) -> (st = None, parks, call)) reads in
+  if Array.exists (fun (st, _, _) -> st <> None) reads && Array.for_all stuck reads
+  then
+    match t.stuck_since with
+    | Some (m, since) when m = marks ->
+        if now -. since >= stall_check_s then trip t ~now ~after_s:(now -. since)
+    | _ -> t.stuck_since <- Some (marks, now)
+  else t.stuck_since <- None
 
 (* --- time-series sampler --- *)
 

@@ -72,8 +72,10 @@ type copy = {
   mutable rr : int;              (** round-robin cursor downstream *)
   mutable out_buf : item list;   (** batch accumulator, newest first *)
   mutable out_len : int;         (** [List.length out_buf] *)
-  lifecycle : int Atomic.t;      (** a lifecycle state, up to {!st_done} *)
-  call_start : float Atomic.t;   (** start of the in-flight call *)
+  fiber : Sched.fiber option Atomic.t;
+      (** the copy's fiber, recorded when it starts (par, proc) *)
+  call_start : float Atomic.t;
+      (** start of the in-flight call; [infinity] between calls *)
   exited : bool Atomic.t;        (** the copy's body returned *)
 }
 
@@ -118,7 +120,7 @@ val create :
 
 (** Plug the backend in.  Must be called before any function that needs
     the executor ({!send_downstream}, {!timed_call}, {!copy_report},
-    {!watchdog}). *)
+    {!watchdog_check}). *)
 val attach : t -> executor -> unit
 
 val policy : t -> Supervisor.policy
@@ -246,21 +248,12 @@ val abort_error : t -> Supervisor.run_error option
     primitives ({!Bqueue.create}) so waiters unblock on abort. *)
 val stop_flag : t -> bool Atomic.t
 
-(** {2 Lifecycle states, accounting hooks, the watchdog} *)
+(** {2 Accounting hooks, the copies report, the watchdog} *)
 
-val st_blocked_push : int
-val st_blocked_pop : int
-val st_idle : int
-val st_done : int
-val set_lifecycle : copy -> int -> unit
 val mark_exited : copy -> unit
 
 (** Every copy's body has returned. *)
 val all_exited : t -> bool
-
-(** Global progress counter (watchdog heartbeat); bump after every
-    completed call, push and pop. *)
-val note_progress : t -> unit
 
 val note_busy : t -> copy -> float -> unit
 val note_item_done : t -> copy -> unit
@@ -268,34 +261,41 @@ val note_queue_wait : t -> copy -> float -> unit
 val note_stall_pop : t -> copy -> float -> unit
 val note_stall_push : t -> copy -> float -> unit
 
-(** Run one filter callback on the executor clock: lifecycle goes to
-    computing, busy time is charged, a span is emitted when
-    tracing, the call budget is checked and progress ticks — whether
-    the callback returns or raises.  (Real-time backends; the simulator
-    charges modeled costs with {!note_busy} instead.) *)
+(** Run one filter callback on the executor clock: [call_start] holds
+    its start while it runs, busy time is charged, a span is emitted
+    when tracing and the call budget is checked — whether the callback
+    returns or raises.  (Real-time backends; the simulator charges
+    modeled costs with {!note_busy} instead.) *)
 val timed_call : t -> copy -> name:string -> (unit -> 'a) -> 'a
 
-(** Per-copy state snapshot for {!Supervisor.Stalled} reports.
-    [state_of] overrides the lifecycle-based description (the simulator
-    reports marker deficits instead). *)
+(** Per-copy state snapshot for {!Supervisor.Stalled} reports and the
+    metrics ["copies"] section.  A copy reads ["done"] once it exited,
+    ["blocked_push"] or ["blocked_pop"] while its fiber is in a
+    {!Sched.wait}, ["computing (x s in call)"] inside a call, and
+    ["running"] otherwise; ["retired/"] prefixes a retired copy's
+    state.  [state_of] overrides this (the simulator reports marker
+    deficits instead). *)
 val copy_report :
   ?state_of:(stage:int -> copy:int -> string) -> t -> Supervisor.copy_report list
 
-(** The stall watchdog (real-time backends): its last-progress state,
-    armed with a [ms] threshold from now. *)
-type watchdog
+(** The watchdog's fixed period, 50 ms: the real-time backends run
+    {!watchdog_check} this often. *)
+val stall_check_s : float
 
-val watchdog : t -> ms:int -> watchdog
-
-(** How often to run {!watchdog_check}: a quarter of the threshold,
-    clamped to [2 ms, 50 ms]. *)
-val watchdog_period_s : watchdog -> float
-
-(** One watchdog tick: trips — aborting the run with
-    {!Supervisor.Stalled} and a per-copy report — when the progress
-    counter has stood still for the threshold while every unfinished
-    copy is blocked on a queue or stuck in a call past the budget. *)
-val watchdog_check : t -> watchdog -> unit
+(** One watchdog check (real-time backends, always armed).  A live
+    copy is stuck when its fiber waits in a {!Sched.wait} nobody has
+    woken, or when it has run a call longer than the policy's
+    [call_budget_s] (never, without a budget).  A runnable fiber, woken
+    or yielded and not yet resumed, is stuck too while such a call
+    runs, as that call may hold its host; otherwise it is not, and
+    neither are sleeps and native waits.  The check trips — aborting
+    the run with {!Supervisor.Stalled} and a per-copy report — when
+    every live copy is stuck on two checks at least {!stall_check_s}
+    apart and no copy's park count, call start or exit moved in
+    between.  Without an overdue call such a state cannot be left:
+    every copy waits on a queue that only another waiting copy could
+    serve. *)
+val watchdog_check : t -> unit
 
 (** {2 Time-series sampler}
 
@@ -388,7 +388,7 @@ type metrics = {
   copies : Supervisor.copy_report list;
       (** end-of-run snapshot of every copy — the same per-copy report
           the watchdog prints on a stall, serialized as the metrics
-          ["copies"] section so lifecycle evidence is machine-readable
+          ["copies"] section so each copy's end state is machine-readable
           on successful runs too *)
   recovery : Supervisor.recovery;
   mem_budget : int option;

@@ -283,10 +283,7 @@ let recv f =
   else begin
     if f.path.busy () && Bqueue.length f.q = 0 then
       f.path.event f Proc_window.Idle;
-    Engine.set_lifecycle f.cs Engine.st_blocked_pop;
     let ms, blocked = Bqueue.pop_all f.q ~max:f.in_cap in
-    Engine.set_lifecycle f.cs Engine.st_idle;
-    Engine.note_progress f.eng;
     Engine.note_stall_pop f.eng f.cs blocked;
     match ms with
     | [] -> assert false
@@ -414,9 +411,10 @@ let local_calls eng cs f0 =
     on_fail = ignore;
   }
 
-(* A copy's fiber: its driver, its placement resolved once, then its
-   exit. *)
+(* A copy's fiber: recorded on the copy for the watchdog, its driver,
+   its placement resolved once, then its exit. *)
 let copy_fiber eng queues exits placement (cs : Engine.copy) () =
+  Atomic.set cs.Engine.fiber (Sched.current ());
   (try
      match placement with
      | Remote_source src -> run_source eng cs src
@@ -443,7 +441,6 @@ let copy_fiber eng queues exits placement (cs : Engine.copy) () =
       Engine.abort eng
         (Engine.stage_dead_error eng ~stage:cs.stage
            ~error:("unexpected runtime error: " ^ Printexc.to_string e)));
-  Engine.set_lifecycle cs Engine.st_done;
   Engine.mark_exited cs;
   Sched.notify exits
 
@@ -489,24 +486,19 @@ let next_due = function
 
 type check = { mutable at : schedule; run : unit -> unit }
 
-(* The armed checks — watchdog and sampler — each with its own
-   period. *)
+(* The periodic checks, each with its own period: the watchdog, always
+   armed, and the sampler when one runs. *)
 let periodic_checks eng ~sampler =
   let check period run =
-    Some { at = { period; next = Obs.Clock.elapsed_s () +. period }; run }
+    { at = { period; next = Obs.Clock.elapsed_s () +. period }; run }
   in
-  List.filter_map Fun.id
-    [
-      (match (Engine.policy eng).Supervisor.watchdog_ms with
-      | Some ms when ms > 0 ->
-          let wd = Engine.watchdog eng ~ms in
-          check (Engine.watchdog_period_s wd) (fun () ->
-              Engine.watchdog_check eng wd)
-      | _ -> None);
-      Option.bind sampler (fun smp ->
-          check (Obs.Timeseries.interval_s (Engine.sampler_series smp)) (fun () ->
-              Engine.sampler_poll smp eng));
-    ]
+  check Engine.stall_check_s (fun () -> Engine.watchdog_check eng)
+  :: Option.to_list
+       (Option.map
+          (fun smp ->
+            check (Obs.Timeseries.interval_s (Engine.sampler_series smp))
+              (fun () -> Engine.sampler_poll smp eng))
+          sampler)
 
 (* The calling thread waits on [exits] until every copy has exited or
    the run aborts, waking at the earliest armed check's due time to run
@@ -598,13 +590,10 @@ let executor eng ~backend queues exits =
     exec_now = Obs.Clock.elapsed_s;
     exec_send =
       (fun ~src ~dst_stage ~dst_copy items ->
-        Engine.set_lifecycle src Engine.st_blocked_push;
         let blocked =
           Bqueue.push_all queues.(dst_stage).(dst_copy)
             (List.map (fun it -> It it) items)
         in
-        Engine.set_lifecycle src Engine.st_idle;
-        Engine.note_progress eng;
         Engine.note_stall_push eng src blocked;
         Sched.tick ());
     exec_queue_stats =

@@ -16,12 +16,11 @@
     most once per millisecond of a fiber's run ({!Sched.tick}); a
     copy's busy time excludes the time it spent yielded.  Whole-stage
     death aborts with {!Supervisor.Stage_dead}, a no-progress run with
-    {!Supervisor.Stalled} when the watchdog is armed.
+    {!Supervisor.Stalled} when the watchdog sees every copy wait.
 
-    The calling thread, while it waits for the copies, runs the armed
-    periodic checks — the watchdog and the time-series sampler.  It is
-    no fiber host, so a filter that blocks natively
-    cannot hide a stall from the watchdog. *)
+    The calling thread, while it waits for the copies, runs the
+    periodic checks: the watchdog, always, and the time-series sampler
+    when armed. *)
 
 (** {2 Placement} *)
 
@@ -131,8 +130,8 @@ val drive :
 (** Run [eng] to completion: one driver per copy, a fiber on the
     {!layout}'s hosts, then a wait on the calling thread until every
     copy has exited, and the joins.  The wait ends when the last copy
-    exits; while checks are armed it also wakes at their {!next_due}
-    and runs those {!due}.  [place] (default every copy
+    exits; meanwhile it wakes at the checks' {!next_due} and runs those
+    {!due}.  [place] (default every copy
     {!Local}) is asked once per copy, before any driver starts.  [teardown] runs after every driver has joined
     and the queues are closed, before the wall clock stops; [extra]
     adds metrics sections after ["runners"]: [domains], the calling

@@ -52,7 +52,7 @@ val run_result :
     unbounded.
 
     [faults] is a scripted fault plan ({!Fault}); [policy] the
-    supervisor's retry budget, backoff, watchdog and call budget
+    supervisor's retry budget, backoff and call budget
     ({!Supervisor.default_policy}).
 
     [stage_batch] is the per-stage outgoing batch cap, one entry per

@@ -12,10 +12,24 @@
 
 let now = Unix.gettimeofday
 
-(* A fiber's yield bookkeeping. *)
-type fiber = { mutable yielded : float; mutable mark : float }
+type wstate = Unset | Set | Parked of host * (unit -> unit)
+and waiter = wstate Atomic.t
 
-type host = {
+(* Where a fiber is suspended, from the suspension until it resumes:
+   in a wait, on the waiter it parked on under its label, or in a
+   yield. *)
+and suspension = Free | In_wait of string * waiter | In_yield
+
+(* A fiber's yield bookkeeping (host thread only), and its suspension
+   and park count, any thread's to read. *)
+and fiber = {
+  mutable yielded : float;
+  mutable mark : float;
+  on : suspension Atomic.t;
+  parks : int Atomic.t;
+}
+
+and host = {
   runq : (unit -> unit) Queue.t;  (* host thread only *)
   mu : Mutex.t;
   cv : Condition.t;
@@ -27,9 +41,6 @@ type host = {
   mutable current : fiber;  (* the fiber the host thread runs *)
   mutable tid : int;  (* the host thread's id, -1 before it starts *)
 }
-
-type wstate = Unset | Set | Parked of host * (unit -> unit)
-type waiter = wstate Atomic.t
 
 type _ Effect.t +=
   | Park : waiter -> unit Effect.t
@@ -73,14 +84,18 @@ type cond = {
 
 let cond () = { cv = Condition.create (); fibers = Queue.create () }
 
-let wait c m =
+let wait c m label =
   match self () with
   | None -> Condition.wait c.cv m
-  | Some _ ->
+  | Some h ->
+      let f = h.current in
       let w = Atomic.make Unset in
       Queue.push w c.fibers;
       Mutex.unlock m;
+      Atomic.incr f.parks;
+      Atomic.set f.on (In_wait (label, w));
       Effect.perform (Park w);
+      Atomic.set f.on Free;
       Mutex.lock m
 
 let signal c =
@@ -123,7 +138,9 @@ let yield () =
       if not (Queue.is_empty h.runq) then begin
         let f = h.current in
         let t0 = now () in
+        Atomic.set f.on In_yield;
         Effect.perform Yield;
+        Atomic.set f.on Free;
         f.yielded <- f.yielded +. (now () -. t0)
       end
 
@@ -145,6 +162,19 @@ let () = Lang.Interp.set_yield_hook tick
 
 let yielded_s () = match self () with None -> 0.0 | Some h -> h.current.yielded
 
+let current () = Option.map (fun h -> h.current) (self ())
+
+type status = Running | Waiting of string | Woken of string | Yielded
+
+let status f =
+  match Atomic.get f.on with
+  | Free -> Running
+  | In_yield -> Yielded
+  | In_wait (l, w) -> (
+      match Atomic.get w with Set -> Woken l | Unset | Parked _ -> Waiting l)
+
+let parks f = Atomic.get f.parks
+
 let sleep s =
   if s > 0.0 then
     match self () with
@@ -153,8 +183,11 @@ let sleep s =
 
 (* --- hosts --- *)
 
+let new_fiber mark =
+  { yielded = 0.0; mark; on = Atomic.make Free; parks = Atomic.make 0 }
+
 let start h body () =
-  let f = { yielded = 0.0; mark = now () } in
+  let f = new_fiber (now ()) in
   let resume k () =
     h.current <- f;
     Effect.Deep.continue k ()
@@ -248,7 +281,7 @@ let hosts plan =
         idle = false;
         closed = false;
         timers = [];
-        current = { yielded = 0.0; mark = 0.0 };
+        current = new_fiber 0.0;
         tid = -1;
       }
     in

@@ -30,10 +30,13 @@ type cond
 
 val cond : unit -> cond
 
-(** [wait c m], with [m] held: release [m], block until {!signal} or
-    {!broadcast} on [c], then re-acquire [m].  Like [Condition.wait],
-    a wake-up may find the awaited state already gone. *)
-val wait : cond -> Mutex.t -> unit
+(** [wait c m label], with [m] held: release [m], block until {!signal}
+    or {!broadcast} on [c], then re-acquire [m].  Like
+    [Condition.wait], a wake-up may find the awaited state already
+    gone.  A fiber publishes the wait under [label] until it resumes
+    ({!status}); {!Bqueue}, the one caller, passes ["blocked_push"] or
+    ["blocked_pop"]. *)
+val wait : cond -> Mutex.t -> string -> unit
 
 (** Wake one waiter, if any (a fiber first).  Never blocks. *)
 val signal : cond -> unit
@@ -58,6 +61,25 @@ val yielded_s : unit -> float
 (** Sleep: a fiber suspends and its host runs the others, a thread
     calls [Unix.sleepf]. *)
 val sleep : float -> unit
+
+(** {2 Published suspensions}, readable from any thread (the
+    watchdog's). *)
+
+type fiber
+
+(** The calling fiber; [None] outside a fiber. *)
+val current : unit -> fiber option
+
+(** [Waiting l]: parked in a {!wait} under [l] that nobody has woken
+    yet.  [Woken l]: woken from it, not yet resumed by its host.
+    [Yielded]: in a {!yield}, not yet resumed.  [Running]: anything
+    else — running, asleep in {!sleep} or blocked natively. *)
+type status = Running | Waiting of string | Woken of string | Yielded
+
+val status : fiber -> status
+
+(** How many times the fiber has parked in a {!wait}. *)
+val parks : fiber -> int
 
 (** {2 Hosts} *)
 

@@ -458,13 +458,9 @@ let run eng : (Engine.metrics, Supervisor.run_error) result =
            (Supervisor.Stalled
               { after_s = !makespan; report = Engine.copy_report ~state_of eng }))
     end;
-    (* Truthful end-of-run lifecycle for the metrics ["copies"] section:
-       the simulator does not drive the engine's lifecycle atomics
-       during the run (no watchdog here), so mark completion now. *)
-    Array.iter
-      (Array.iter (fun c ->
-           if c.finished then Engine.set_lifecycle c.cs Engine.st_done))
-      copies;
+    (* Every copy finished: the metrics ["copies"] section reads
+       "done". *)
+    Array.iter (Array.iter (fun c -> Engine.mark_exited c.cs)) copies;
     Engine.metrics eng ~elapsed_s:!makespan
       ~link_stats:
         (Array.init n_links (fun i ->

@@ -17,17 +17,16 @@
                                       still drains
 
    If every copy of a stage retires the run aborts with [Stage_dead];
-   a watchdog that sees every live copy blocked past its threshold
-   aborts with [Stalled] and a per-copy report. *)
+   a watchdog that sees every live copy stuck, with nothing moving
+   between two checks, aborts with [Stalled] and a per-copy report. *)
 
 type policy = {
   max_retries : int;          (* restart attempts per copy before retiring *)
   backoff_s : float;          (* base restart delay; doubles per attempt *)
   retention : int;            (* replay ring: buffers kept per copy *)
   call_budget_s : float option;
-      (* per-call budget; completed overruns are counted, stuck calls
-         are classified as blocked by the watchdog *)
-  watchdog_ms : int option;   (* no-progress threshold; None = no watchdog *)
+      (* per-call budget; completed overruns are counted, and the
+         watchdog counts a call running past it as stuck *)
 }
 
 let default_policy =
@@ -36,7 +35,6 @@ let default_policy =
     backoff_s = 0.005;
     retention = 64;
     call_budget_s = None;
-    watchdog_ms = None;
   }
 
 (* --- recovery counters --- *)

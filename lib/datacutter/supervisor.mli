@@ -13,7 +13,8 @@
                                               forward markers)
     v}
     If every copy of a stage retires the run aborts with {!Stage_dead};
-    the watchdog aborts a no-progress run with {!Stalled}. *)
+    the watchdog ({!Engine.watchdog_check}) aborts a stalled run with
+    {!Stalled}. *)
 
 type policy = {
   max_retries : int;  (** restart attempts per copy before it retires *)
@@ -22,15 +23,13 @@ type policy = {
   call_budget_s : float option;
       (** per-call budget.  A completed call over budget is counted
           ([budget_exceeded]); a call still running past the budget is
-          classified as blocked by the watchdog.  (True preemption of a
-          domain is impossible, so overruns cannot be interrupted.) *)
-  watchdog_ms : int option;
-      (** fail the run when no copy makes progress for this long and
-          every live copy is blocked; [None] disables the watchdog *)
+          stuck to the watchdog, the only way it sees a call that
+          never returns.  (True preemption of a domain is impossible,
+          so overruns cannot be interrupted.) *)
 }
 
 (** [max_retries = 3], [backoff_s = 5ms], [retention = 64], no call
-    budget, watchdog off. *)
+    budget. *)
 val default_policy : policy
 
 (** Counters surfaced by both runtimes' [metrics_to_json]. *)
@@ -78,8 +77,8 @@ type run_error =
   | Stage_dead of { stage : int; stage_name : string; error : string }
       (** every copy of [stage] retired; the run was aborted *)
   | Stalled of { after_s : float; report : copy_report list }
-      (** the watchdog saw no progress for [after_s] seconds with every
-          live copy blocked *)
+      (** the watchdog saw every live copy stuck, and nothing move, for
+          [after_s] seconds *)
   | Unsupported of string
       (** the selected backend cannot run on this platform (e.g. the
           process backend without [Unix.fork]) *)

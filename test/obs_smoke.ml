@@ -284,7 +284,8 @@ let flag_range_leg () =
       ("run -a streambench --backend proc --inflight 17", "--inflight");
       ("run -a knn --batch 0", "--batch");
       ("run -a knn --batch=-5", "--batch");
-      ("run -a knn --backend par --watchdog-ms=-1", "--watchdog-ms");
+      (* a removed flag is usage error 124 naming it *)
+      ("run -a knn --backend par --watchdog-ms 1000", "--watchdog-ms");
       ("run -a knn --metrics-interval-ms=-3", "--metrics-interval-ms");
       ( "run -a knn --metrics-interval-ms=-3 --openmetrics "
         ^ Filename.quote (Filename.concat base "range.om"),

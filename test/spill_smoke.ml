@@ -5,8 +5,8 @@
    asserts that
 
    - the budgeted run completes with exit 0 — back-pressure spills to
-     disk instead of deadlocking, and the armed watchdog never trips on
-     a merely-large dataset; on the real-time backends a scripted
+     disk instead of deadlocking, and the watchdog, armed on every
+     run, never trips on a merely-large dataset; on the real-time backends a scripted
      slowdown of the sink makes it fall behind whatever the host's
      load, so the queue before it outgrows the budget by construction;
    - the sink sees exactly the same (count, checksum) as an unbudgeted
@@ -115,7 +115,7 @@ let run_leg backend =
   sh
     (Printf.sprintf
        "%s run -a streambench -c 1-1-1 -b %s --cluster %s --mem-budget %d \
-        --watchdog-ms 5000 --metrics-json %s%s"
+        --metrics-json %s%s"
        (Filename.quote cgppc) backend cluster budget (Filename.quote mj)
        (sink_slowdown backend))
     log1;

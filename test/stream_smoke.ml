@@ -1,5 +1,5 @@
 (* Smoke test for the proc backend's credit-based frame pipelining,
-   wired into `dune runtest` via the @stream-smoke alias.  Five legs of
+   wired into `dune runtest` via the @stream-smoke alias.  Six legs of
    full proc runs, the first three at a deep credit window
    (--inflight 16):
 
@@ -32,6 +32,11 @@
      queue runs empty; a window that kept the first answer parked until
      the next input would wait forever, so the leg fails when no result
      arrives within 5 s.
+   - Parked sink: the sink's [process] pops a private queue that
+     nothing fills, so the sink, the local copy, parks for good as a
+     fiber.  With no policy given the watchdog must return [Stalled]
+     within 2 s, the sink reading blocked_pop; the leg fails when no
+     result arrives within 10 s.
 
    Each leg runs in its own forked child (OCaml 5 permanently refuses
    [Unix.fork] once a domain has been spawned, and every proc run
@@ -143,7 +148,7 @@ let topo ~n ?final ?(mid_width = 1) ?(source = counting_source ?final n)
    With [timeout_s] the child runs in its own process group, and the
    whole group (the run and its workers) is killed when no result
    arrives in time. *)
-let in_child ?timeout_s ~label (f : unit -> leg) : leg =
+let in_child ?timeout_s ~label (f : unit -> 'a) : 'a =
   let rd, wr = Unix.pipe () in
   match Unix.fork () with
   | 0 ->
@@ -167,7 +172,7 @@ let in_child ?timeout_s ~label (f : unit -> leg) : leg =
         timeout_s;
       let ic = Unix.in_channel_of_descr rd in
       let leg =
-        try Some (Marshal.from_channel ic : leg)
+        try Some (Marshal.from_channel ic : 'a)
         with End_of_file | Failure _ -> None
       in
       close_in ic;
@@ -355,11 +360,39 @@ let () =
   if data_packets idle.events <> List.init n Fun.id then
     die "idle: sink data stream wrong or out of order";
 
+  (* --- leg 6: a parked sink stalls ----------------------------------- *)
+  let stall_s, sink_state =
+    in_child ~label:"parked sink" ~timeout_s:10.0 (fun () ->
+        let never = Datacutter.Bqueue.create ~stop:(Atomic.make false) 1 in
+        let t, _ =
+          topo ~n:200
+            ~on_data:(fun _ -> ignore (Datacutter.Bqueue.pop never))
+            ~mid:(fun _ -> Datacutter.Filter.pass_through "mid")
+            ()
+        in
+        let t0 = Unix.gettimeofday () in
+        match Datacutter.Runtime.run_result ~backend:Datacutter.Runtime.Proc t with
+        | Error (Datacutter.Supervisor.Stalled { report; _ }) ->
+            let sink =
+              List.find (fun cr -> cr.Datacutter.Supervisor.cr_stage = 2) report
+            in
+            (Unix.gettimeofday () -. t0, sink.cr_state)
+        | Error e ->
+            die "parked sink: wrong error: %s"
+              (Fmt.str "%a" Datacutter.Supervisor.pp_run_error e)
+        | Ok _ -> die "parked sink: the run completed")
+  in
+  if stall_s >= 2.0 then
+    die "parked sink: stalled after %.2f s, not within 2 s" stall_s;
+  if sink_state <> "blocked_pop" then
+    die "parked sink: the sink reads %S, not blocked_pop" sink_state;
+
   Printf.printf
     "stream-smoke ok: FIFO at inflight=16 (300 packets), window drained at \
      EOS/finalize barriers, SIGKILL mid-window recovered exactly-once \
      (crashes=%d retries=%d replayed=%d), give-up re-routed exactly-once \
-     at inflight 1/4/16 and batch 8, idle window settled at inflight 4\n"
+     at inflight 1/4/16 and batch 8, idle window settled at inflight 4, \
+     parked sink stalled after %.2f s\n"
     kill.recovery.Datacutter.Supervisor.crashes
     kill.recovery.Datacutter.Supervisor.retries
-    kill.recovery.Datacutter.Supervisor.replayed
+    kill.recovery.Datacutter.Supervisor.replayed stall_s

@@ -427,6 +427,25 @@ let test_par_sink_restart_on_caller () =
   A.(check int) "par replayed the crashed sink's inputs" 5
     par.Supervisor.replayed
 
+(* Run [f] in a domain of its own and wait at most 10 s for its result,
+   so a run that hangs fails its case instead of the suite. *)
+let within_10s ~why f =
+  let outcome = Atomic.make None in
+  let runner = Domain.spawn (fun () -> Atomic.set outcome (Some (f ()))) in
+  let deadline = Unix.gettimeofday () +. 10.0 in
+  let rec await () =
+    match Atomic.get outcome with
+    | Some r ->
+        Domain.join runner;
+        r
+    | None when Unix.gettimeofday () > deadline ->
+        A.failf "run still blocked after 10 s: %s" why
+    | None ->
+        Unix.sleepf 0.01;
+        await ()
+  in
+  await ()
+
 (* The copy completing the stage drain barrier may find its own queue
    full.  Copy 1.1's window drain at the barrier edge is slow, as a
    remote copy's is: while it drains, retired copy 1.0's zombie
@@ -452,13 +471,7 @@ let test_par_barrier_own_queue_full () =
   let topo =
     topo3 ~widths:(1, 2, 1) ~source:(counting_source n) ~inner ~sink ()
   in
-  let policy =
-    {
-      Supervisor.default_policy with
-      Supervisor.max_retries = 0;
-      watchdog_ms = Some 2000;
-    }
-  in
+  let policy = { Supervisor.default_policy with Supervisor.max_retries = 0 } in
   let eng =
     match Engine.create ~policy ~queue_capacity:1 topo with
     | Ok eng -> eng
@@ -510,32 +523,17 @@ let test_par_barrier_own_queue_full () =
     if cs.Engine.stage = 1 && cs.Engine.index = 1 then slow_drain ()
     else Par_runtime.Local
   in
-  (* a deadlocked barrier blocks outside the watchdog's view: give the
-     run a time limit of its own *)
-  let outcome = Atomic.make None in
-  let runner =
-    Domain.spawn (fun () ->
-        Atomic.set outcome
-          (Some
-             (Par_runtime.drive eng ~backend:Engine.Par ~place ())))
-  in
-  let deadline = Unix.gettimeofday () +. 10.0 in
-  let rec await () =
-    match Atomic.get outcome with
-    | Some r ->
-        Domain.join runner;
-        r
-    | None when Unix.gettimeofday () > deadline ->
-        A.fail "run still blocked after 10 s: the drain barrier deadlocked"
-    | None ->
-        Unix.sleepf 0.01;
-        await ()
-  in
-  match await () with
+  match
+    within_10s ~why:"the drain barrier deadlocked" (fun () ->
+        Par_runtime.drive eng ~backend:Engine.Par ~place ())
+  with
   | Error e -> A.failf "run failed: %a" Supervisor.pp_run_error e
   | Ok m ->
       expect_packets n (got ());
-      A.(check int) "one copy retired" 1 m.Engine.recovery.Supervisor.retired
+      A.(check int) "one copy retired" 1 m.Engine.recovery.Supervisor.retired;
+      (* the 0.2 s native wait at the barrier is a call, not a stall *)
+      A.(check int) "no watchdog trips" 0
+        m.Engine.recovery.Supervisor.watchdog_trips
 
 (* --- the stall watchdog --- *)
 
@@ -569,11 +567,7 @@ let watchdog_trips_on_deadlock ?metrics_interval_s () =
       ~sink ()
   in
   let policy =
-    {
-      Supervisor.default_policy with
-      Supervisor.watchdog_ms = Some 100;
-      call_budget_s = Some 0.05;
-    }
+    { Supervisor.default_policy with Supervisor.call_budget_s = Some 0.05 }
   in
   match
     Runtime.run_result ~backend:Runtime.Par ~queue_capacity:2 ~policy
@@ -595,6 +589,42 @@ let test_watchdog_trips_on_deadlock () = watchdog_trips_on_deadlock ()
 
 let test_watchdog_trips_with_sampler () =
   watchdog_trips_on_deadlock ~metrics_interval_s:0.001 ()
+
+(* A sink whose [process] parks forever on a [Sched] wait: it pops a
+   private queue that nothing fills.  The pipeline backs up behind it
+   until every copy waits on a queue, and the watchdog, armed on every
+   run, returns [Stalled] with no policy given.  stream_smoke runs the
+   same topology on proc, where a run needs a process of its own. *)
+let test_watchdog_trips_on_parked_sink () =
+  let never : unit Bqueue.t = Bqueue.create ~stop:(Atomic.make false) 1 in
+  let sink _ =
+    {
+      (Filter.pass_through "sink") with
+      Filter.process = (fun _ -> ignore (Bqueue.pop never); (None, 1.0));
+    }
+  in
+  let topo =
+    topo3 ~source:(counting_source 200)
+      ~inner:(fun _ -> Filter.pass_through "mid")
+      ~sink ()
+  in
+  let t0 = Unix.gettimeofday () in
+  match
+    within_10s ~why:"the parked sink's stall went unseen" (fun () ->
+        Runtime.run_result ~backend:Runtime.Par topo)
+  with
+  | Error (Supervisor.Stalled { report; _ }) ->
+      let dt = Unix.gettimeofday () -. t0 in
+      A.(check bool) (Printf.sprintf "stalled after %.2f s, within 2 s" dt) true
+        (dt < 2.0);
+      A.(check (list string))
+        "the sink reads blocked_pop" [ "blocked_pop" ]
+        (List.filter_map
+           (fun cr ->
+             if cr.Supervisor.cr_stage = 2 then Some cr.cr_state else None)
+           report)
+  | Error e -> A.failf "wrong error: %a" Supervisor.pp_run_error e
+  | Ok _ -> A.fail "a parked sink must trip the watchdog"
 
 (* A copy stuck inside filter code cannot be interrupted.  Once another
    stage dies, the join gives the stuck copy a grace period and then
@@ -640,10 +670,7 @@ let test_watchdog_quiet_on_healthy_run () =
       ~inner:(fun _ -> Filter.pass_through "mid")
       ~sink ()
   in
-  let policy =
-    { Supervisor.default_policy with Supervisor.watchdog_ms = Some 2000 }
-  in
-  match Runtime.run_result ~backend:Runtime.Par ~policy topo with
+  match Runtime.run_result ~backend:Runtime.Par topo with
   | Error e -> A.failf "healthy run failed: %a" Supervisor.pp_run_error e
   | Ok m ->
       expect_packets 15 (got ());
@@ -900,9 +927,9 @@ let test_report_zero_items () =
 
 (* --- the calling thread's checks, and remote copies' hosts --- *)
 
-(* Watchdog and sampler armed together share the calling thread's
-   wait: each still runs, and a healthy run whose source pauses
-   halfway never trips.  The sink multiset is the exactly-once
+(* The watchdog, always armed, and the sampler share the calling
+   thread's wait: each still runs, and a healthy run whose source
+   pauses halfway never trips.  The sink multiset is the exactly-once
    verdict. *)
 let test_par_shared_monitor () =
   let n = 300 in
@@ -929,11 +956,8 @@ let test_par_shared_monitor () =
     }
   in
   let sink, got = recording_sink () in
-  let policy =
-    { Supervisor.default_policy with Supervisor.watchdog_ms = Some 1000 }
-  in
   match
-    Runtime.run_result ~backend:Runtime.Par ~policy ~metrics_interval_s:0.002
+    Runtime.run_result ~backend:Runtime.Par ~metrics_interval_s:0.002
       (topo3 ~source ~inner ~sink ())
   with
   | Error e -> A.failf "par run failed: %a" Supervisor.pp_run_error e
@@ -1060,6 +1084,9 @@ let suite =
     ( "watchdog trips on deadlock with sampler armed",
       `Quick,
       test_watchdog_trips_with_sampler );
+    ( "watchdog trips on a parked sink",
+      `Quick,
+      test_watchdog_trips_on_parked_sink );
     ("watchdog quiet on healthy run", `Quick, test_watchdog_quiet_on_healthy_run);
     ("par abort leaks a stuck copy", `Quick, test_par_abort_leaks_stuck_copy);
     ("runtime topology validation", `Quick, test_validation);

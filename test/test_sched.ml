@@ -245,6 +245,81 @@ let test_sleep_wakes () =
   check_runs_during_loop ~other_first:true "sleeper woke" (fun () ->
       Sched.sleep 0.005)
 
+(* --- published waits --- *)
+
+let pp_status ppf = function
+  | Sched.Running -> Fmt.string ppf "running"
+  | Sched.Waiting l -> Fmt.pf ppf "waiting %s" l
+  | Sched.Woken l -> Fmt.pf ppf "woken %s" l
+  | Sched.Yielded -> Fmt.string ppf "yielded"
+
+let status = A.testable pp_status ( = )
+
+(* A fiber parked on a [Sched.cond] reads as waiting under its label,
+   and its park count moves; once signalled, and before its host resumes
+   it, it reads as woken, not waiting; a fiber in a yield reads as
+   yielded; a sleeping fiber never reads as waiting.  The parker and the
+   signaller share host 0, parker first, so the parker cannot resume
+   while the signaller runs, and resumes when the signaller yields; the
+   sleeper sleeps alone on host 1 while the signaller reads it. *)
+let test_published_waits () =
+  let m = Mutex.create () and c = Sched.cond () in
+  let parker = Atomic.make None and signaller = Atomic.make None in
+  let sleeper = Atomic.make None in
+  let asleep = Atomic.make false and done_ = Atomic.make 0 in
+  let parks_before = ref (-1) and parked = ref [] and woken = ref [] in
+  let yielded = ref [] and sleeping = ref [] in
+  let fiber f () =
+    f ();
+    Atomic.incr done_
+  in
+  let park () =
+    let f = Option.get (Sched.current ()) in
+    Atomic.set parker (Some f);
+    parks_before := Sched.parks f;
+    Mutex.lock m;
+    Sched.wait c m "blocked_pop";
+    Mutex.unlock m;
+    yielded := [ Sched.status (Option.get (Atomic.get signaller)) ]
+  in
+  let signal () =
+    Atomic.set signaller (Sched.current ());
+    let f = Option.get (Atomic.get parker) in
+    parked := [ (Sched.status f, Sched.parks f) ];
+    Mutex.lock m;
+    Sched.signal c;
+    Mutex.unlock m;
+    woken := [ Sched.status f ];
+    Sched.yield ();
+    while not (Atomic.get asleep) do Unix.sleepf 0.001 done;
+    let s = Option.get (Atomic.get sleeper) in
+    for _ = 1 to 20 do
+      sleeping := Sched.status s :: !sleeping;
+      Unix.sleepf 0.001
+    done
+  in
+  let sleep () =
+    Atomic.set sleeper (Sched.current ());
+    Atomic.set asleep true;
+    Sched.sleep 0.1
+  in
+  A.(check bool) "finished within 10 s" true
+    (within_limit
+       [ [ fiber park; fiber signal ]; [ fiber sleep ] ]
+       ~done_ ~finished:3);
+  A.(check (list (pair status int)))
+    "parked: waiting, one more park"
+    [ (Sched.Waiting "blocked_pop", !parks_before + 1) ]
+    !parked;
+  A.(check (list status)) "signalled, not yet resumed: woken"
+    [ Sched.Woken "blocked_pop" ] !woken;
+  A.(check (list status)) "yielding: yielded" [ Sched.Yielded ] !yielded;
+  A.(check (list status)) "sleeping: running"
+    (List.init 20 (fun _ -> Sched.Running))
+    !sleeping;
+  A.(check status) "resumed: running" Sched.Running
+    (Sched.status (Option.get (Atomic.get parker)))
+
 let () =
   A.run "sched"
     [
@@ -256,5 +331,6 @@ let () =
             test_loop_yields;
           A.test_case "sleeper wakes during a sibling's loop" `Quick
             test_sleep_wakes;
+          A.test_case "waits are published" `Quick test_published_waits;
         ] );
     ]
