@@ -728,7 +728,11 @@ let batch_arg =
            across processes, one modeled transfer per batch in the \
            simulator. Per-stage caps are derived from the cost model's \
            item sizes, so stages emitting small items batch harder. \
-           $(docv)=1 (the default) is the unbatched hot path.")
+           $(docv)=1 (the default) sends every item as soon as it is \
+           made; a receiving copy still takes the items already queued \
+           for it in one hand-off (up to one 16 KiB ring slot), and a \
+           proc frame waiting for credit carries them, but no item \
+           waits for a batch to fill.")
 
 let mem_budget_arg =
   Arg.(

@@ -93,10 +93,15 @@ val push_all : 'a t -> 'a list -> float
 val pop : 'a t -> 'a * float
 
 (** Block until at least one item is available, then take up to [max]
-    of them (FIFO) under the same lock acquisition.  Close semantics
-    match {!pop}: a closed queue drains its backlog first and raises
-    [Closed] only once empty.  @raise Aborted once [stop] is set. *)
-val pop_all : 'a t -> max:int -> 'a list * float
+    of them (FIFO) under the same lock acquisition.  With [bytes], the
+    pop is also bounded by cost: it always takes the first item, even
+    one that alone costs more, then takes each further whole item only
+    while the costs taken stay within [bytes].  It takes only what is
+    queued; it never waits for more.  The popped items leave the
+    queue's byte accounting.  Close semantics match {!pop}: a closed
+    queue drains its backlog first and raises [Closed] only once empty.
+    @raise Aborted once [stop] is set. *)
+val pop_all : ?bytes:int -> 'a t -> max:int -> 'a list * float
 
 (** Graceful shutdown: wakes every blocked pusher and popper exactly
     once (they stop waiting and observe the closed state) and refuses

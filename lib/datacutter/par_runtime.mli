@@ -68,6 +68,10 @@ type source = {
     credit window ({!Proc_window}) of [depth] credits over it. *)
 type link = {
   depth : int;
+  frame_bytes : int;
+      (** the payload one ring slot carries: a frame waiting for credit
+          absorbs the [Data] items popped behind it within this many
+          bytes of its estimate, so it never overflows the slot *)
   send : Engine.item list -> unit;  (** put one data frame on the wire *)
   recv : stalled:bool -> Proc_window.response;
       (** block for the answer to the oldest unanswered frame;

@@ -216,30 +216,37 @@ let kill_worker label (w : worker) =
   Shm.close w.conn
 
 (* Orderly shutdown for workers still alive at the end of the run:
-   close the request channel (the child reads EOF and [_exit]s), give
-   it a grace period, then SIGKILL. *)
-let shutdown_worker label (w : worker) =
-  Shm.close w.conn;
+   close every request channel first (each child reads EOF and
+   [_exit]s), then reap them all under one shared grace second and
+   SIGKILL those that outlive it. *)
+let shutdown_workers (ws : (string * worker) list) =
+  List.iter (fun (_, w) -> Shm.close w.conn) ws;
   let deadline = Obs.Clock.elapsed_s () +. 1.0 in
-  let rec reap () =
+  let exited (label, w) =
     match Unix.waitpid [ Unix.WNOHANG ] w.pid with
-    | 0, _ ->
-        if Obs.Clock.elapsed_s () > deadline then begin
-          Logs.warn (fun m ->
-              m "proc worker %s pid %d unresponsive; killing" label w.pid);
-          (try Unix.kill w.pid Sys.sigkill with Unix.Unix_error _ -> ());
-          ignore (Unix.waitpid [] w.pid)
-        end
-        else begin
-          Unix.sleepf 0.002;
-          reap ()
-        end
+    | 0, _ -> false
     | _, status ->
         Logs.debug (fun m ->
-            m "proc worker %s pid %d: %s" label w.pid (string_of_status status))
-    | exception Unix.Unix_error (Unix.ECHILD, _, _) -> ()
+            m "proc worker %s pid %d: %s" label w.pid (string_of_status status));
+        true
+    | exception Unix.Unix_error (Unix.ECHILD, _, _) -> true
   in
-  reap ()
+  let rec reap ws =
+    match List.filter (fun lw -> not (exited lw)) ws with
+    | [] -> ()
+    | live when Obs.Clock.elapsed_s () > deadline ->
+        List.iter
+          (fun (label, w) ->
+            Logs.warn (fun m ->
+                m "proc worker %s pid %d unresponsive; killing" label w.pid);
+            (try Unix.kill w.pid Sys.sigkill with Unix.Unix_error _ -> ());
+            ignore (Unix.waitpid [] w.pid))
+          live
+    | live ->
+        Unix.sleepf 0.002;
+        reap live
+  in
+  reap ws
 
 (* --- the run --------------------------------------------------------- *)
 
@@ -366,7 +373,7 @@ let run eng ?inflight ?frame_bytes () :
   | exception e -> (
       (* Reap whatever was forked before the failure, so no worker
          outlives the run and no channel fd stays open. *)
-      List.iter (shutdown_worker "aborted-setup") !all_workers;
+      shutdown_workers (List.map (fun w -> ("aborted-setup", w)) !all_workers);
       restore_sigpipe ();
       match e with
       | Failure msg ->
@@ -509,6 +516,7 @@ let run eng ?inflight ?frame_bytes () :
             },
             {
               depth = h.depth;
+              frame_bytes = (Shm.stats (worker ()).conn).Shm.slot_bytes;
               send = (fun its -> send (Wire.Batch its));
               recv;
               poll = (fun () -> take ~block:false (worker ()));
@@ -520,9 +528,10 @@ let run eng ?inflight ?frame_bytes () :
     | None -> Par_runtime.Local
   in
   (* After the joins and the queue close: shut the surviving children
-     down — the still-active workers of completed copies and every
-     unused spare. *)
+     down together — the still-active workers of completed copies and
+     every unused spare. *)
   let teardown () =
+    let survivors = ref [] in
     Array.iteri
       (fun s row ->
         Array.iteri
@@ -531,12 +540,14 @@ let run eng ?inflight ?frame_bytes () :
             | None -> ()
             | Some h ->
                 let lbl = label s k in
-                Option.iter (shutdown_worker lbl) h.active;
+                List.iter
+                  (fun w -> survivors := (lbl, w) :: !survivors)
+                  (Option.to_list h.active @ h.spares);
                 h.active <- None;
-                List.iter (shutdown_worker lbl) h.spares;
                 h.spares <- [])
           row)
       handles;
+    shutdown_workers (List.rev !survivors);
     restore_sigpipe ()
   in
   (* Per-copy rollup of the workers' final cumulative counters: worker

@@ -58,11 +58,24 @@ val byte_budget : int
     slot never block the driver's writes.  A frame over 32 KiB is
     charged the whole budget: it travels alone on an empty window. *)
 
-val create : depth:int -> t
-(** An empty window of [depth] credits (at least 1). *)
+val create : depth:int -> frame_bytes:int -> t
+(** An empty window of [depth] credits (at least 1) whose frames
+    {!absorb} within [frame_bytes]: the payload of one ring slot, so an
+    absorbing frame never overflows to the control socket. *)
 
 val step : t -> event -> action list
 (** Apply one event; carry out the actions in order. *)
+
+val absorb : t -> (int -> Engine.item option) -> unit
+(** [absorb w take] grows the frame waiting for credit with the items
+    already waiting behind it: [take room] hands over the next item if
+    its {!Engine.item_cost} is at most [room], else [None].  The frame's
+    estimate (32 bytes plus its items' costs) stays within
+    [frame_bytes]; the absorbed items are owned by the window like the
+    frame's own, acknowledged after them, resent on {!Crash} and
+    re-routed on {!Give_up}.  Without a frame waiting for credit
+    ([awaiting] is not [Some Credit]) it never calls [take]: a frame
+    sent into a free credit carries what was submitted. *)
 
 val awaiting : t -> wait option
 (** The answer the driver must block for before its next event, if

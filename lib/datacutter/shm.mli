@@ -45,6 +45,9 @@ val resolve : transport option -> transport
 
 type conn
 
+val default_slot_bytes : int
+(** A ring slot's frame payload unless planned larger: 16 KiB. *)
+
 val pair : ?slots:int -> ?slot_bytes:int -> transport -> conn * conn
 (** A connected (parent, child) endpoint pair — call before forking.
     [slots] (power of two, default 64) and [slot_bytes] (frame payload

@@ -1,5 +1,5 @@
 (* Smoke test for the proc backend's credit-based frame pipelining,
-   wired into `dune runtest` via the @stream-smoke alias.  Six legs of
+   wired into `dune runtest` via the @stream-smoke alias.  Seven legs of
    full proc runs, the first three at a deep credit window
    (--inflight 16):
 
@@ -37,6 +37,15 @@
      fiber.  With no policy given the watchdog must return [Stalled]
      within 2 s, the sink reading blocked_pop; the leg fails when no
      result arrives within 10 s.
+   - Crash under coalescing: batch 1, the default window (4), no fault
+     plan, so the middle copies are fault-inert: each pops every item
+     queued behind it, and a frame waiting for credit absorbs them.  The
+     worker's first calls sleep, so the fast source fills the queue and
+     the window stalls.  Copy 0's [process] then raises a plain
+     exception once (a flag file, as in leg 3).  With one retry the
+     spare takes over through replay and the resend of the absorbed
+     frames; with none, at width 2, the copy retires and re-routes
+     them.  The sink sees every packet exactly once.
 
    Each leg runs in its own forked child (OCaml 5 permanently refuses
    [Unix.fork] once a domain has been spawned, and every proc run
@@ -387,12 +396,52 @@ let () =
   if sink_state <> "blocked_pop" then
     die "parked sink: the sink reads %S, not blocked_pop" sink_state;
 
+  (* --- leg 7: a real crash under coalescing ------------------------- *)
+  let n = 400 in
+  let raising_once copy =
+    {
+      (Datacutter.Filter.pass_through "mid") with
+      Datacutter.Filter.process =
+        (fun b ->
+          let p = int_of_buffer b in
+          if p < 2 then Unix.sleepf 0.02;
+          if copy = 0 && p >= 40 && not (Sys.file_exists flag) then begin
+            Unix.close (Unix.openfile flag [ Unix.O_CREAT ] 0o644);
+            failwith "mid raised"
+          end;
+          (Some b, 1.0));
+    }
+  in
+  let coalesced ~label ~mid_width ~max_retries =
+    let policy =
+      { Datacutter.Supervisor.default_policy with Datacutter.Supervisor.max_retries }
+    in
+    let leg =
+      run_leg ~label ~policy ~inflight:4 ~n ~mid_width ~mid:raising_once ()
+    in
+    if Sys.file_exists flag then Sys.remove flag;
+    if List.sort compare (data_packets leg.events) <> List.init n Fun.id then
+      die "%s: delivery not exactly-once" label;
+    let r = leg.recovery in
+    if r.Datacutter.Supervisor.crashes <> 1 then
+      die "%s: expected 1 crash, got %d" label r.Datacutter.Supervisor.crashes;
+    r
+  in
+  let r = coalesced ~label:"coalesced retry" ~mid_width:1 ~max_retries:1 in
+  if r.Datacutter.Supervisor.retries <> 1 then
+    die "coalesced retry: expected 1 retry, got %d" r.Datacutter.Supervisor.retries;
+  let r = coalesced ~label:"coalesced give-up" ~mid_width:2 ~max_retries:0 in
+  if r.Datacutter.Supervisor.retired <> 1 then
+    die "coalesced give-up: expected 1 retirement, got %d"
+      r.Datacutter.Supervisor.retired;
+
   Printf.printf
     "stream-smoke ok: FIFO at inflight=16 (300 packets), window drained at \
      EOS/finalize barriers, SIGKILL mid-window recovered exactly-once \
      (crashes=%d retries=%d replayed=%d), give-up re-routed exactly-once \
      at inflight 1/4/16 and batch 8, idle window settled at inflight 4, \
-     parked sink stalled after %.2f s\n"
+     parked sink stalled after %.2f s, a crash under coalescing recovered \
+     exactly-once by retry and by give-up\n"
     kill.recovery.Datacutter.Supervisor.crashes
     kill.recovery.Datacutter.Supervisor.retries
     kill.recovery.Datacutter.Supervisor.replayed stall_s

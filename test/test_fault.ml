@@ -356,6 +356,47 @@ let test_par_crash_retire () =
       A.(check int) "one copy retired" 1 r.Supervisor.retired;
       A.(check bool) "its traffic re-routed" true (r.Supervisor.rerouted >= 1)
 
+(* A real crash under coalescing.  With no fault plan the mid copies
+   are fault-inert, so each pop takes every item queued behind them
+   (within one ring slot); the first item's call sleeps, so a fast
+   source fills the queue meanwhile.  Copy 0's [process] then raises a
+   plain exception once, on one item, with the items popped alongside
+   it still unserved.  A retry replays the ring and serves them; with
+   no retry the copy retires and re-routes them to its sibling.  The
+   sink sees every packet exactly once either way. *)
+let test_par_crash_under_coalescing () =
+  let n = 400 in
+  let leg ~what ~width ~max_retries =
+    let sink, got = recording_sink () in
+    let fired = Atomic.make false in
+    let inner copy =
+      {
+        (Filter.pass_through "mid") with
+        Filter.process =
+          (fun b ->
+            if b.Filter.packet < 2 then Sched.sleep 0.02;
+            if copy = 0 && b.Filter.packet >= 40 && not (Atomic.exchange fired true)
+            then failwith "mid raised";
+            (Some b, 1.0));
+      }
+    in
+    let topo =
+      topo3 ~widths:(1, width, 1) ~source:(counting_source n) ~inner ~sink ()
+    in
+    let policy = { Supervisor.default_policy with Supervisor.max_retries } in
+    let m = run_exn Runtime.Par ~policy topo in
+    A.(check (list int)) (what ^ ": every packet exactly once") (List.init n Fun.id)
+      (got ());
+    m.Engine.recovery
+  in
+  let r = leg ~what:"retry" ~width:1 ~max_retries:1 in
+  A.(check (pair int int)) "retry: one crash, one retry" (1, 1)
+    (r.Supervisor.crashes, r.Supervisor.retries);
+  A.(check bool) "retry: replayed" true (r.Supervisor.replayed >= 1);
+  let r = leg ~what:"give-up" ~width:2 ~max_retries:0 in
+  A.(check int) "give-up: one copy retired" 1 r.Supervisor.retired;
+  A.(check bool) "give-up: its items re-routed" true (r.Supervisor.rerouted >= 1)
+
 (* The sink of an all-local par run is a thread on the calling domain,
    and a crash restarts it there: a fresh instance rebuilt by replay.
    Each sink instance records its packets and publishes them at
@@ -503,6 +544,7 @@ let test_par_barrier_own_queue_full () =
         },
         {
           Par_runtime.depth = Plan.max_inflight;
+          frame_bytes = Shm.default_slot_bytes;
           send =
             (fun items ->
               Unix.sleepf 0.005;
@@ -1033,6 +1075,7 @@ let test_remote_copies_alone () =
         },
         {
           Par_runtime.depth = 1;
+          frame_bytes = Shm.default_slot_bytes;
           send =
             (fun items ->
               record label;
@@ -1079,6 +1122,7 @@ let suite =
     ("par crash restart with replay", `Quick, test_par_crash_restart);
     ("par crash retire and re-route", `Quick, test_par_crash_retire);
     ("par barrier with own queue full", `Quick, test_par_barrier_own_queue_full);
+    ("par crash under coalescing", `Quick, test_par_crash_under_coalescing);
     ("par sink restarts on the calling domain", `Quick, test_par_sink_restart_on_caller);
     ("watchdog trips on deadlock", `Quick, test_watchdog_trips_on_deadlock);
     ( "watchdog trips on deadlock with sampler armed",

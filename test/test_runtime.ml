@@ -484,6 +484,56 @@ let test_bqueue_token_past_capacity () =
   | () -> A.fail "push_token after close must raise Closed"
   | exception Bqueue.Closed -> ()
 
+(* A byte-bounded pop takes its first item whatever it costs, then
+   whole items while their costs fit the bound; tokens and spilled
+   segments keep their FIFO place, and the popped bytes leave the
+   queue's accounting. *)
+let test_bqueue_pop_bytes () =
+  let stop = Atomic.make false in
+  let q : string Bqueue.t = Bqueue.create ~cost:String.length ~stop 16 in
+  List.iter
+    (fun s -> ignore (Bqueue.push q s))
+    [ String.make 10 'a'; "bb"; "ccc"; "dddd"; "e" ];
+  let pop ?(max = max_int) q bytes = fst (Bqueue.pop_all q ~max ~bytes) in
+  let mem q = (Bqueue.stats q).Bqueue.st_mem_bytes in
+  A.(check (list string)) "one item even when it alone exceeds the bound"
+    [ String.make 10 'a' ] (pop q 4);
+  A.(check int) "its bytes leave the accounting" 10 (mem q);
+  A.(check (list string)) "stops before exceeding the bound" [ "bb"; "ccc" ]
+    (pop q 8);
+  A.(check int) "bytes of what stays queued" 5 (mem q);
+  A.(check (list string)) "the item cap still holds" [ "dddd" ] (pop ~max:1 q 100);
+  Bqueue.push_token q "t";
+  A.(check (list string)) "FIFO across a token" [ "e"; "t" ] (pop q 2);
+  A.(check int) "accounting empty" 0 (mem q);
+  A.(check int) "nothing left" 0 (Bqueue.length q);
+  (* a spilling queue: the bound runs over refills from disk *)
+  let dir = Spill.create_dir () in
+  let spill = Bqueue.spill_config ~budget:8 ~dir ~encode:Fun.id ~decode:Fun.id in
+  let q : string Bqueue.t = Bqueue.create ~cost:String.length ~spill ~stop 4 in
+  (* 303 bytes each: the back buffer reaches the 4 KiB segment target *)
+  let items = List.init 40 (fun i -> Printf.sprintf "i%02d%s" i (String.make 300 'x')) in
+  let first, rest = List.partition (fun s -> s < "i20") items in
+  List.iter (fun s -> ignore (Bqueue.push q s)) first;
+  Bqueue.push_token q "tok";
+  List.iter (fun s -> ignore (Bqueue.push q s)) rest;
+  A.(check bool) "items spilled" true ((Bqueue.stats q).Bqueue.st_disk_items > 0);
+  Bqueue.close q;
+  let rec drain acc =
+    match pop q 700 with
+    | xs ->
+        let bytes = List.fold_left (fun a s -> a + String.length s) 0 xs in
+        if bytes > 700 then A.failf "a pop of %d items took %d bytes" (List.length xs) bytes;
+        drain (List.rev_append xs acc)
+    | exception Bqueue.Closed -> List.rev acc
+  in
+  A.(check (list string)) "FIFO across the token and the segments"
+    (first @ [ "tok" ] @ rest) (drain []);
+  let st = Bqueue.stats q in
+  A.(check (pair int int)) "memory and disk accounting drained" (0, 0)
+    (st.Bqueue.st_mem_bytes, st.Bqueue.st_disk_items);
+  Spill.remove_dir dir
+
 (* Domain ids only grow, so a probe domain spawned after a run gets an
    id one past the last domain the run spawned. *)
 let probe_domain_id () =
@@ -825,6 +875,7 @@ let suite =
       `Quick,
       test_bqueue_close_while_batch_blocked );
     ("bqueue token past capacity", `Quick, test_bqueue_token_past_capacity);
+    ("bqueue byte-bounded pop", `Quick, test_bqueue_pop_bytes);
     ("par domains spawned", `Quick, test_par_domains_spawned);
     ("par placement", `Quick, test_par_placement);
     ("par layout", `Quick, test_layout_par);
