@@ -57,8 +57,9 @@ val run_result :
 
     [stage_batch] is the per-stage outgoing batch cap, one entry per
     stage, the sink's forced to 1 (see {!Plan} to derive one from the
-    cost model).  Without it every stage is unbatched,
-    bit-for-bit the pre-batching behaviour.  Batching is an
+    cost model).  Without it no stage holds an item back to fill a
+    batch; a fault-inert receiving copy still takes what is already
+    queued for it in one pop (see {!Par_runtime}).  Batching is an
     engine-level concept, so all three backends honour it: one queue
     round trip (Par/Proc), one modeled transfer (Sim) and one wire
     frame (Proc) per batch.
