@@ -47,6 +47,7 @@ type source = {
 type link = {
   depth : int;
   frame_bytes : int;
+  ring_slots : int;
   send : Engine.item list -> unit;
   recv : stalled:bool -> Proc_window.response;
   poll : unit -> Proc_window.response option;
@@ -275,7 +276,7 @@ let rec grab f acc =
   | None -> List.rev acc
 
 let remote_path l =
-  let w = Proc_window.create ~depth:l.depth ~frame_bytes:l.frame_bytes in
+  let w = Proc_window.create ~depth:l.depth ~frame_bytes:l.frame_bytes ~slots:l.ring_slots in
   {
     data =
       (fun f it ->
@@ -520,13 +521,23 @@ let periodic_checks eng ~sampler =
               (fun () -> Engine.sampler_poll smp eng))
           sampler)
 
+(* A copy that can no longer return: exited, or parked in a [Sched]
+   wait that nobody has woken once every run queue has been woken. *)
+let settled (cs : Engine.copy) =
+  Atomic.get cs.Engine.exited
+  ||
+  match Option.map Sched.status (Atomic.get cs.Engine.fiber) with
+  | Some (Sched.Waiting _) -> true
+  | _ -> false
+
 (* The calling thread waits on [exits] until every copy has exited or
    the run aborts, waking at the earliest armed check's due time to run
    the checks that are due.  Once the run is aborting, a copy stuck
-   inside filter code cannot be interrupted: it gets a grace second. *)
-let await_copies eng exits checks =
-  let exited () = Engine.all_exited eng in
-  let finished () = exited () || Engine.aborting eng in
+   inside filter code cannot be interrupted: it gets a grace second,
+   unless every copy left is parked for good.  The queues are woken
+   first, as the abort's own wake may still be on its way. *)
+let await_copies eng exits checks queues copies =
+  let finished () = Engine.all_exited eng || Engine.aborting eng in
   while
     not (Sched.await exits ?until:(next_due (List.map (fun c -> c.at) checks)) finished)
   do
@@ -535,7 +546,10 @@ let await_copies eng exits checks =
       (fun c -> Option.iter (fun at -> c.run (); c.at <- at) (due ~now c.at))
       checks
   done;
-  ignore (Sched.await exits ~until:(Obs.Clock.elapsed_s () +. 1.0) exited)
+  Array.iter (Array.iter Bqueue.wake) queues;
+  ignore
+    (Sched.await exits ~until:(Obs.Clock.elapsed_s () +. 1.0) (fun () ->
+         List.for_all settled copies))
 
 (* Close the hosts and join each, but leak one that still runs a copy
    stuck in filter code, with every copy on it, rather than hang the
@@ -679,7 +693,8 @@ let drive eng ~backend ?(place = fun _ -> Local) ?(teardown = ignore)
     | Some iv when iv > 0.0 -> Some (Engine.sampler_create eng ~interval_s:iv)
     | _ -> None
   in
-  await_copies eng exits (periodic_checks eng ~sampler);
+  await_copies eng exits (periodic_checks eng ~sampler) queues
+    (List.map (fun (s, k) -> Engine.copy_at eng ~stage:s ~copy:k) slots);
   join_hosts eng pool plan host_of slots;
   (* Graceful queue close: leaked stuck copies (abort path) wake with
      [Closed] instead of blocking forever. *)

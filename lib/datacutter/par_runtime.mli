@@ -71,7 +71,10 @@ type link = {
   frame_bytes : int;
       (** the payload one ring slot carries: a frame waiting for credit
           absorbs the [Data] items popped behind it within this many
-          bytes of its estimate, so it never overflows the slot *)
+          bytes of its estimate, so it fits one slot *)
+  ring_slots : int;
+      (** the request ring's slot count: the slots of the frames in
+          flight stay within it, so a send never blocks *)
   send : Engine.item list -> unit;  (** put one data frame on the wire *)
   recv : stalled:bool -> Proc_window.response;
       (** block for the answer to the oldest unanswered frame;

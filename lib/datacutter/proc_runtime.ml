@@ -440,7 +440,8 @@ let run eng ?inflight ?frame_bytes () :
       | exception e -> lost e
     in
     (* Blocking receive.  A [stalled] wait, forced by an exhausted
-       credit or byte budget, is the transport's credit-stall metric. *)
+       credit or the request ring's slots, is the transport's credit-stall
+       metric. *)
     let recv ~stalled =
       let w = worker () in
       let t0 = if stalled then Obs.Clock.elapsed_s () else 0.0 in
@@ -514,9 +515,11 @@ let run eng ?inflight ?frame_bytes () :
               finalize = (fun () -> one Wire.Finalize);
               on_fail = kill_active;
             },
+            let ring = Shm.stats (worker ()).conn in
             {
               depth = h.depth;
-              frame_bytes = (Shm.stats (worker ()).conn).Shm.slot_bytes;
+              frame_bytes = ring.Shm.slot_bytes;
+              ring_slots = ring.Shm.slots;
               send = (fun its -> send (Wire.Batch its));
               recv;
               poll = (fun () -> take ~block:false (worker ()));

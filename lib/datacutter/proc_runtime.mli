@@ -44,7 +44,7 @@ val run :
     ["transport"] key as an object [{kind; inflight; slots; slot_bytes;
     overflow_frames; ring_occupancy_hw; credit_stall_s; stalls?}],
     [kind] always ["shm"], [slots] the largest ring slot count over the
-    workers.
+    workers, [overflow_frames] the frames that spanned ring slots.
 
     [inflight] is the credit window: how many frames each driver keeps
     in flight to its worker before waiting for an acknowledgement
@@ -52,10 +52,11 @@ val run :
     at every depth: at 1 each frame settles right after its send.
     Copies with injected faults run that same window at depth 1, so
     scripted crash timing is independent of the window.  Each worker's
-    rings get {!Shm.plan_slots} slots for its copy's depth.
+    rings get {!Shm.plan_slots} slots for its copy's depth, and the
+    window keeps its frames in flight within the request ring.
     [frame_bytes] sizes the ring slots from the expected largest frame
-    ({!Shm.plan_slot_bytes}) so batched frames stay on the ring instead
-    of overflowing to the control socket.
+    ({!Shm.plan_slot_bytes}) so batched frames fit one slot instead of
+    spanning several.
 
     The queues, and so any spilling under a memory budget, live in the
     parent.  When tracing is enabled the workers ship their callback

@@ -25,25 +25,23 @@ type wait = Credit | Settle
 
 (* One frame of the window: its items, trimmed from the front as
    partial answers arrive (what remains is exactly the unacknowledged
-   suffix a crash must resend or a give-up re-route), and the bytes it
-   is charged against the budget. *)
-type frame = { mutable items : Engine.item list; bytes : int }
+   suffix a crash must resend or a give-up re-route), and the ring
+   slots it is charged against the budget. *)
+type frame = { mutable items : Engine.item list; slots : int }
 
 type t = {
   depth : int;
-  frame_bytes : int;  (* the estimate an absorbing frame stays within *)
+  frame_bytes : int;  (* one slot's payload *)
+  ring_slots : int;  (* the slot budget: the request ring *)
   frames : frame Queue.t;  (* in flight, oldest first *)
-  mutable bytes : int;  (* charged by the frames in flight *)
+  mutable used : int;  (* slots charged by the frames in flight *)
   mutable staged : frame option;  (* submitted, waiting for credit *)
   mutable settle : bool;  (* settle everything in flight first *)
 }
 
-let byte_budget = 64 * 1024
-let big_frame_bytes = 32 * 1024
-
-let create ~depth ~frame_bytes =
-  { depth = max 1 depth; frame_bytes; frames = Queue.create (); bytes = 0;
-    staged = None; settle = false }
+let create ~depth ~frame_bytes ~slots =
+  { depth = max 1 depth; frame_bytes; ring_slots = slots;
+    frames = Queue.create (); used = 0; staged = None; settle = false }
 
 let in_flight w = Queue.length w.frames
 
@@ -52,30 +50,30 @@ let awaiting w =
   else if w.settle && not (Queue.is_empty w.frames) then Some Settle
   else None
 
-(* The staged frame goes out once a credit is free and its bytes fit
-   the budget, or the window is empty.  At depth 1 every frame settles
-   right after its send. *)
+(* The staged frame goes out once a credit is free and its slots fit
+   the ring beside those in flight, or the window is empty.  At depth 1
+   every frame settles right after its send. *)
 let release w =
   match w.staged with
   | Some fr
     when Queue.length w.frames < w.depth
-         && (w.bytes = 0 || w.bytes + fr.bytes <= byte_budget) ->
+         && (w.used = 0 || w.used + fr.slots <= w.ring_slots) ->
       w.staged <- None;
       Queue.push fr w.frames;
-      w.bytes <- w.bytes + fr.bytes;
+      w.used <- w.used + fr.slots;
       if w.depth = 1 then w.settle <- true;
       [ Send fr.items ]
   | _ -> []
 
+(* At least the bytes the frame encodes to. *)
 let estimate items =
   List.fold_left (fun a it -> a + Engine.item_cost it) 32 items
 
-let frame_of items =
-  let est = estimate items in
-  { items; bytes = (if est > big_frame_bytes then byte_budget else est) }
+let frame_of w items =
+  { items; slots = max 1 ((estimate items + w.frame_bytes - 1) / w.frame_bytes) }
 
 let submit w items =
-  w.staged <- Some (frame_of items);
+  w.staged <- Some (frame_of w items);
   release w
 
 (* The staged frame takes what [take] hands over while its estimate
@@ -91,14 +89,14 @@ let absorb w take =
       in
       (match more (estimate fr.items) [] with
       | [] -> ()
-      | taken -> w.staged <- Some (frame_of (fr.items @ List.rev taken)))
+      | taken -> w.staged <- Some (frame_of w (fr.items @ List.rev taken)))
 
 (* The head frame after its answer leaves the window once nothing is
    owed on it, so a crash never resends an empty frame. *)
 let finish w fr error =
   if fr.items = [] then begin
     ignore (Queue.pop w.frames);
-    w.bytes <- w.bytes - fr.bytes;
+    w.used <- w.used - fr.slots;
     if Queue.is_empty w.frames then w.settle <- false
   end;
   match error with
@@ -137,7 +135,7 @@ let step w = function
         List.concat_map (fun fr -> fr.items) (owed w @ Option.to_list w.staged)
       in
       Queue.clear w.frames;
-      w.bytes <- 0;
+      w.used <- 0;
       w.staged <- None;
       w.settle <- false;
       if items = [] then [] else [ Reroute items ]

@@ -2,9 +2,22 @@
     no I/O.
 
     A remote copy keeps up to [depth] data frames in flight to its
-    worker, within a byte budget, before the first answer comes back.
-    The worker answers in FIFO order, so each answer settles the head
-    frame and acknowledges its items in submission order.
+    worker, within a budget of ring slots, before the first answer
+    comes back.  The worker answers in FIFO order, so each answer
+    settles the head frame and acknowledges its items in submission
+    order.
+
+    {b Why the budget is the request ring.}  A frame is charged as many
+    request-ring slots as its estimate needs slot payloads, at least
+    one; the estimate, 32 bytes plus its items' {!Engine.item_cost}s,
+    bounds its encoded bytes from above.  The slots of the
+    frames in flight stay within the ring, so a pipelined send always
+    finds its slots free and never blocks, even while the worker is
+    itself blocked writing answers (larger than its ring, if they are)
+    that the driver has yet to read: the driver reads them when it
+    waits for credit.  A frame larger than the whole ring is sent only
+    on an empty window, when the worker has nothing left to answer and
+    drains the frame as it is written ({!Shm}).
 
     The copy driver ({!Par_runtime}) raises the {!event}s, carries out
     the {!action}s over the frame link its backend supplies, and blocks
@@ -52,16 +65,11 @@ type wait =
 
 type t
 
-val byte_budget : int
-(** In-flight request bytes one window may hold: 64 KiB, under the
-    default socketpair send buffer, so frames that overflow their ring
-    slot never block the driver's writes.  A frame over 32 KiB is
-    charged the whole budget: it travels alone on an empty window. *)
-
-val create : depth:int -> frame_bytes:int -> t
-(** An empty window of [depth] credits (at least 1) whose frames
-    {!absorb} within [frame_bytes]: the payload of one ring slot, so an
-    absorbing frame never overflows to the control socket. *)
+val create : depth:int -> frame_bytes:int -> slots:int -> t
+(** An empty window of [depth] credits (at least 1) over a request ring
+    of [slots] slots of [frame_bytes] payload each.  Its frames
+    {!absorb} within [frame_bytes], so an absorbing frame fits one
+    slot. *)
 
 val step : t -> event -> action list
 (** Apply one event; carry out the actions in order. *)

@@ -88,7 +88,8 @@ val run_result :
     it under ["transport"] (an object: kind, inflight, ring slots and
     stats, credit-stall seconds).  [frame_bytes] (Proc only) sizes the
     shared-memory ring slots for the largest expected wire frame
-    ({!Shm.plan_slot_bytes}) so batched frames stay on the ring. *)
+    ({!Shm.plan_slot_bytes}) so batched frames fit one slot; a larger
+    frame spans several. *)
 
 (** Re-exports so callers can report metrics without importing
     {!Engine}. *)

@@ -16,27 +16,21 @@
        words 3..7        padding (keeps the header off the slots' lines)
        slot i            at word 8 + i * slot_words:
          +0              seq stamp: 0 while free, [seq + 1] once the
-                         frame written at cursor [seq] is complete
-         +1              frame byte length, or -1 for an overflow
-                         marker (the frame itself travels the socket)
-         +2 ..           the encoded Wire frame, packed LE into words
+                         chunk written at cursor [seq] is complete
+         +1              chunk length word: [n] for a frame's last (or
+                         only) chunk of [n] bytes, [-n] for a chunk of
+                         [n] bytes that the next slot continues
+         +2 ..           the chunk's bytes, packed LE into words
 
-   Cursors are plain [int]s that increase monotonically; [land mask]
-   picks the slot.  The writer publishes a frame by storing the seq
-   stamp LAST, so a reader that observes [seq + 1] also observes the
-   payload (x86-TSO store ordering; OCaml evaluates these effectful
-   Bigarray stores in program order).  The reader frees the slot by
-   republishing the tail AFTER copying the payload out.
-
-   Waiting is futex-shaped: a blocked side spins on its polled word
-   (only worth doing on multicore — on one core the spin burns the
-   quantum the peer needs), then sets its parked flag and blocks on a
-   dedicated doorbell socketpair; the peer checks the flag after
-   publishing a frame / freeing a slot and pokes one byte, so a parked
-   side wakes at fd speed instead of nanosleep-timer-slack speed.  A
-   dead peer closes the doorbell (EOF) and is double-checked with a
-   [MSG_PEEK] probe on the main socket, converting into EOF/EPIPE
-   instead of a hang. *)
+   A frame is [Wire.encode_big]'s [tag][payload], encoded straight
+   into its slot when it fits.  Cursors are plain [int]s that increase
+   monotonically; [land mask] picks the slot.  The writer publishes a
+   chunk by storing the seq stamp LAST, so a reader that observes
+   [seq + 1] also observes the payload (x86-TSO store ordering; OCaml
+   evaluates these effectful Bigarray stores in program order).  The
+   reader frees the slot by republishing the tail AFTER copying the
+   payload out.  Waiting and liveness are the .mli's: park on the
+   doorbell, whose EOF reports a dead peer. *)
 
 module A1 = Bigarray.Array1
 
@@ -123,57 +117,34 @@ let ring_free r =
   (r.cached_tail <- Int64.to_int (A1.unsafe_get r.buf 0);
    r.cursor - r.cached_tail < r.slots)
 
-let overflow_len = -1
-
 (* Byte offset of the payload area of the slot at [seq] inside the
    char view (the payload starts two control words past the base). *)
 let payload_off r seq = (slot_base r seq + 2) * 8
 
 (* Publish the slot at the write cursor: len word, then the seq stamp
    LAST (the payload bytes were already stored through the char view),
-   so a reader that observes the stamp observes the frame. *)
+   so a reader that observes the stamp observes the chunk. *)
 let ring_publish r len =
   let base = slot_base r r.cursor in
   A1.unsafe_set r.buf (base + 1) (Int64.of_int len);
   A1.unsafe_set r.buf base (Int64.of_int (r.cursor + 1));
   r.cursor <- r.cursor + 1
 
-let ring_write_overflow r = ring_publish r overflow_len
-
 (* Reader: has the slot at our cursor been published? *)
 let ring_ready r =
   Int64.to_int (A1.unsafe_get r.buf (slot_base r r.cursor)) = r.cursor + 1
 
+(* The length word of the published slot at the read cursor. *)
+let ring_len r = Int64.to_int (A1.unsafe_get r.buf (slot_base r r.cursor + 1))
+
 (* Free the slot at the read cursor by republishing the tail — only
-   AFTER the payload has been decoded out, since the writer may then
-   immediately overwrite it. *)
+   AFTER the payload has been copied or decoded out, since the writer
+   may then immediately overwrite it. *)
 let ring_release r =
   A1.unsafe_set r.buf 0 (Int64.of_int (r.cursor + 1));
   r.cursor <- r.cursor + 1
 
-(* --- liveness + polling ---------------------------------------------- *)
-
-(* The socket rides along for exactly this: a 1-byte MSG_PEEK tells a
-   blocked side whether its peer still exists.  0 bytes = orderly EOF
-   or a dead process; EAGAIN (nothing buffered) and EINTR mean alive.
-   Peeking never consumes, so pending overflow frames are unharmed. *)
-let peer_alive fd =
-  match Unix.set_nonblock fd with
-  | exception Unix.Unix_error _ -> false
-  | () ->
-      let peek_buf = Bytes.create 1 in
-      let alive =
-        match Unix.recv fd peek_buf 0 1 [ Unix.MSG_PEEK ] with
-        | 0 -> false
-        | _ -> true
-        | exception
-            Unix.Unix_error
-              ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) ->
-            true
-        | exception Unix.Unix_error _ -> false
-      in
-      (try Unix.clear_nonblock fd with Unix.Unix_error _ -> ());
-      alive
+(* --- waiting ---------------------------------------------------------- *)
 
 exception Peer_dead
 
@@ -197,13 +168,13 @@ let park_timeout = 0.025
 (* --- connections ----------------------------------------------------- *)
 
 type conn = {
-  c_fd : Unix.file_descr;
   db : Unix.file_descr;  (* doorbell: park/wake socketpair, RCVTIMEO-bounded *)
   db_buf : Bytes.t;  (* drains the doorbell; one driver drives each side *)
   tx : ring;
   rx : ring;
-  fd_scratch : Bytes.t ref;  (* receive buffer for overflow frames *)
-  mutable st_overflow : int;  (* frames that fell back to the socket *)
+  mutable tx_span : Wirefmt.Big.buf;  (* a frame too big for a slot, encoded whole *)
+  mutable rx_span : Wirefmt.Big.buf;  (* the chunks of such a frame, gathered *)
+  mutable st_overflow : int;  (* frames that spanned slots *)
   mutable st_occ_hw : int;  (* tx occupancy high-water, in slots *)
 }
 
@@ -233,10 +204,10 @@ let doorbell c r flag_word =
    flag the peer checks, re-check [ready], block reading the doorbell.
    The read is bounded by [SO_RCVTIMEO] (= [park_timeout]), so one
    syscall both sleeps and drains queued wakeups (the conn's 64-byte
-   buffer empties the pipe in one gulp).  Raise [Peer_dead] only after a
-   failed liveness probe (or doorbell EOF) AND one more [ready]
-   check — the peer may have published its last frame just before
-   dying. *)
+   buffer empties the pipe in one gulp); a timed-out read re-checks and
+   parks again.  Raise [Peer_dead] only on doorbell EOF AND one more
+   [ready] check — the peer may have published its last chunk just
+   before dying. *)
 let wait_until c r flag_word ready =
   let set v = A1.unsafe_set r.buf flag_word (if v then 1L else 0L) in
   let rec spin n =
@@ -253,12 +224,9 @@ let wait_until c r flag_word ready =
       match Unix.read c.db c.db_buf 0 (Bytes.length c.db_buf) with
       | 0 -> dead ()  (* doorbell EOF: peer closed or died *)
       | _ -> park ()  (* woken; the loop re-checks [ready] *)
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> park ()
-      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-          (* RCVTIMEO expired: backstop liveness probe, then re-park *)
-          if ready () then set false
-          else if peer_alive c.c_fd then park ()
-          else dead ()
+      | exception
+          Unix.Unix_error ((Unix.EINTR | Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+          park ()  (* interrupted, or RCVTIMEO expired *)
       | exception Unix.Unix_error _ -> dead ()
   and dead () =
     if ready () then set false
@@ -269,93 +237,156 @@ let wait_until c r flag_word ready =
   in
   spin spin_budget
 
-let fd_of c = c.c_fd
+(* The free slot at the tx cursor and the published one at the rx
+   cursor; both test the ring before entering [wait_until], so a slot
+   that is ready at once costs no allocation.  @raise Peer_dead *)
+let await_free c =
+  if not (ring_free c.tx) then
+    wait_until c c.tx w_wr_parked (fun () -> ring_free c.tx)
 
-let close c =
-  (try Unix.close c.c_fd with Unix.Unix_error _ -> ());
-  try Unix.close c.db with Unix.Unix_error _ -> ()
+let await_ready c =
+  if not (ring_ready c.rx) then
+    wait_until c c.rx w_rd_parked (fun () -> ring_ready c.rx)
+
+let fd_of c = c.db
+
+let close c = try Unix.close c.db with Unix.Unix_error _ -> ()
 
 let epipe fn = raise (Unix.Unix_error (Unix.EPIPE, fn, ""))
 
-(* Encode [msg] straight into the free slot at the tx cursor (the
-   caller checked [ring_free]) — no intermediate [Bytes] frame.  When
-   the message overflows the slot, nothing was published yet, so the
-   marker + socket fallback preserves frame order exactly. *)
+(* --- frames ----------------------------------------------------------- *)
+
+(* [msg] encoded into [buf] from [pos] up to [limit]; its length.
+   @raise Wirefmt.Big.Overflow when it does not fit. *)
+let encode_at buf ~pos ~limit msg =
+  let w = Wirefmt.Big.writer buf ~pos ~limit in
+  Wire.encode_big w msg;
+  Wirefmt.Big.writer_pos w - pos
+
+(* [buf] grown to hold [n] bytes, its first [keep] bytes kept.  A frame
+   is at most its tag byte and [Wire.max_frame] payload bytes. *)
+let grow buf ~keep n =
+  let max_span = Wire.max_frame + 1 in
+  if n > max_span then
+    raise (Wire.Protocol_error (Printf.sprintf "frame over max_frame %d" Wire.max_frame));
+  if A1.dim buf >= n then buf
+  else
+    let b = A1.create Bigarray.char Bigarray.c_layout (min max_span (max n (2 * A1.dim buf))) in
+    A1.blit (A1.sub buf 0 keep) (A1.sub b 0 keep);
+    b
+
+(* Write a frame too big for one slot whole into [c.tx_span], then
+   across consecutive slots from the free one at the cursor: every
+   chunk but the last fills its slot and publishes its length negated.
+   Each chunk is published as soon as it is written, so a frame longer
+   than the ring streams through it while the reader frees slots.
+   @raise Peer_dead *)
+let send_span c msg =
+  let r = c.tx in
+  let rec encode () =
+    try encode_at c.tx_span ~pos:0 ~limit:(A1.dim c.tx_span) msg
+    with Wirefmt.Big.Overflow ->
+      c.tx_span <- grow c.tx_span ~keep:0 (max (A1.dim c.tx_span + 1) (2 * r.payload_bytes));
+      encode ()
+  in
+  let len = encode () in
+  let rec chunk pos =
+    await_free c;
+    let n = min r.payload_bytes (len - pos) in
+    A1.blit (A1.sub c.tx_span pos n) (A1.sub r.cbuf (payload_off r r.cursor) n);
+    ring_publish r (if pos + n = len then n else -n);
+    doorbell c r w_rd_parked;
+    if pos + n < len then chunk (pos + n)
+  in
+  c.st_overflow <- c.st_overflow + 1;
+  chunk 0
+
+(* Send [msg] from the free slot at the tx cursor: encoded straight
+   into the slot (no intermediate [Bytes] frame), or, when it does not
+   fit — nothing was published yet — across slots.  @raise Peer_dead *)
 let ring_send_msg c msg =
   let r = c.tx in
   let off = payload_off r r.cursor in
-  (match
-     let w = Wirefmt.Big.writer r.cbuf ~pos:off ~limit:(off + r.payload_bytes) in
-     Wire.encode_big w msg;
-     Wirefmt.Big.writer_pos w - off
-   with
-  | len -> ring_publish r len
-  | exception Wirefmt.Big.Overflow ->
-      c.st_overflow <- c.st_overflow + 1;
-      ring_write_overflow r;
-      Wire.write_msg c.c_fd msg);
+  (match encode_at r.cbuf ~pos:off ~limit:(off + r.payload_bytes) msg with
+  | len ->
+      ring_publish r len;
+      (* a frame is now available: wake a reader parked on our tx ring *)
+      doorbell c r w_rd_parked
+  | exception Wirefmt.Big.Overflow -> send_span c msg);
   (* tx occupancy against the (possibly stale) cached tail: a cheap
      high-water pressure gauge, never above [slots] *)
   let occ = r.cursor - r.cached_tail in
-  if occ > c.st_occ_hw then c.st_occ_hw <- occ;
-  (* a frame is now available: wake a reader parked on our tx ring *)
-  doorbell c r w_rd_parked
+  if occ > c.st_occ_hw then c.st_occ_hw <- occ
 
-(* [send] and [recv] test the ring before entering [wait_until], so a
-   slot that is ready at once costs no allocation. *)
-let send c msg =
-  if ring_free c.tx then ring_send_msg c msg
-  else
-    match wait_until c c.tx w_wr_parked (fun () -> ring_free c.tx) with
-    | () -> ring_send_msg c msg
-    | exception Peer_dead -> epipe "Shm.send"
+(* Free the slot at the rx cursor and wake a writer parked on it. *)
+let free_slot c =
+  ring_release c.rx;
+  doorbell c c.rx w_wr_parked
 
-(* Consume the published slot at the rx cursor (caller checked
-   [ring_ready]): decode the frame in place from the char view, then
-   free the slot — decoded payloads are fresh heap values, so the
-   writer overwriting the slot afterwards is harmless. *)
+(* Copy the chunks of a spanning frame into [c.rx_span] from [pos] on,
+   freeing each slot as it goes; the frame's length.  The writer is
+   mid-frame, so this waits for every chunk.  @raise Peer_dead *)
+let rec gather c pos =
+  let r = c.rx in
+  let len = ring_len r in
+  let n = abs len in
+  if n < 0 || n > r.payload_bytes then
+    raise (Wire.Protocol_error (Printf.sprintf "shm ring slot has bad length %d" len));
+  c.rx_span <- grow c.rx_span ~keep:pos (pos + n);
+  A1.blit (A1.sub r.cbuf (payload_off r r.cursor) n) (A1.sub c.rx_span pos n);
+  free_slot c;
+  if len >= 0 then pos + n
+  else begin
+    await_ready c;
+    gather c (pos + n)
+  end
+
+(* Consume the frame whose first chunk is published at the rx cursor.
+   A one-slot frame is decoded in place from the char view before its
+   slot is freed — decoded payloads are fresh heap values, so the
+   writer overwriting the slot afterwards is harmless.  @raise
+   Peer_dead when the writer dies inside a spanning frame. *)
 let ring_consume c =
   let r = c.rx in
-  let base = slot_base r r.cursor in
-  let len = Int64.to_int (A1.unsafe_get r.buf (base + 1)) in
-  let free () =
-    ring_release r;
-    (* a slot is now free: wake a writer parked on our rx ring *)
-    doorbell c r w_wr_parked
-  in
-  if len = overflow_len then begin
-    c.st_overflow <- c.st_overflow + 1;
-    free ();
-    Wire.read_msg ~scratch:c.fd_scratch c.c_fd
-  end
-  else if len < 0 || len > r.payload_bytes then
-    raise
-      (Wire.Protocol_error
-         (Printf.sprintf "shm ring slot has bad frame length %d" len))
-  else begin
+  let len = ring_len r in
+  if len >= 0 && len <= r.payload_bytes then begin
     let off = payload_off r r.cursor in
     let m = Wire.decode_big (Wirefmt.Big.reader r.cbuf ~pos:off ~limit:(off + len)) in
-    free ();
-    Some m
+    free_slot c;
+    m
+  end
+  else begin
+    c.st_overflow <- c.st_overflow + 1;
+    let len = gather c 0 in
+    Wire.decode_big (Wirefmt.Big.reader c.rx_span ~limit:len)
   end
 
+let send c msg =
+  match
+    await_free c;
+    ring_send_msg c msg
+  with
+  | () -> ()
+  | exception Peer_dead -> epipe "Shm.send"
+
 let recv c =
-  if ring_ready c.rx then ring_consume c
-  else
-    match wait_until c c.rx w_rd_parked (fun () -> ring_ready c.rx) with
-    | () -> ring_consume c
-    | exception Peer_dead -> None
+  match
+    await_ready c;
+    ring_consume c
+  with
+  | m -> Some m
+  | exception Peer_dead -> None
 
 let try_send c msg =
   ring_free c.tx
-  && begin
-       ring_send_msg c msg;
-       true
-     end
+  &&
+  match ring_send_msg c msg with
+  | () -> true
+  | exception Peer_dead -> epipe "Shm.try_send"
 
 let try_recv c =
   if not (ring_ready c.rx) then `Empty
-  else match ring_consume c with Some m -> `Msg m | None -> `Eof
+  else match ring_consume c with m -> `Msg m | exception Peer_dead -> `Eof
 
 (* --- stats ----------------------------------------------------------- *)
 
@@ -383,53 +414,43 @@ let pair ?(slots = default_slots) ?(slot_bytes = default_slot_bytes) Shm =
   if slots <= 0 || slots land (slots - 1) <> 0 then
     invalid_arg "Shm.pair: slots must be a positive power of two";
   if slot_bytes <= 0 then invalid_arg "Shm.pair: slot_bytes must be positive";
-  let fd_a, fd_b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let db_a, db_b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   match
-    let db_a, db_b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    match
-      (* parked reads sleep in the kernel but still time out for the
-         liveness backstop; sends never wedge on a full pipe *)
-      List.iter
-        (fun fd ->
-          Unix.setsockopt_float fd Unix.SO_RCVTIMEO park_timeout;
-          Unix.setsockopt_float fd Unix.SO_SNDTIMEO park_timeout)
-        [ db_a; db_b ];
-      let ab = map_ring ~slots ~slot_bytes in
-      (* a -> b *)
-      let ba = map_ring ~slots ~slot_bytes in
-      (* b -> a *)
-      let mk fd db tx_buf rx_buf =
-        {
-          c_fd = fd;
-          db;
-          db_buf = Bytes.create 64;
-          tx = ring_view tx_buf ~slots ~slot_bytes;
-          rx = ring_view rx_buf ~slots ~slot_bytes;
-          fd_scratch = ref (Bytes.create 256);
-          st_overflow = 0;
-          st_occ_hw = 0;
-        }
-      in
-      (mk fd_a db_a ab ba, mk fd_b db_b ba ab)
-    with
-    | pair -> pair
-    | exception e ->
-        (try Unix.close db_a with Unix.Unix_error _ -> ());
-        (try Unix.close db_b with Unix.Unix_error _ -> ());
-        raise e
+    (* parked reads sleep in the kernel but still time out, to re-check
+       for a missed bell; sends never wedge on a full pipe *)
+    List.iter
+      (fun fd ->
+        Unix.setsockopt_float fd Unix.SO_RCVTIMEO park_timeout;
+        Unix.setsockopt_float fd Unix.SO_SNDTIMEO park_timeout)
+      [ db_a; db_b ];
+    let ab = map_ring ~slots ~slot_bytes in
+    (* a -> b *)
+    let ba = map_ring ~slots ~slot_bytes in
+    (* b -> a *)
+    let mk db tx_buf rx_buf =
+      {
+        db;
+        db_buf = Bytes.create 64;
+        tx = ring_view tx_buf ~slots ~slot_bytes;
+        rx = ring_view rx_buf ~slots ~slot_bytes;
+        tx_span = A1.create Bigarray.char Bigarray.c_layout 0;
+        rx_span = A1.create Bigarray.char Bigarray.c_layout 0;
+        st_overflow = 0;
+        st_occ_hw = 0;
+      }
+    in
+    (mk db_a ab ba, mk db_b ba ab)
   with
   | pair -> pair
   | exception e ->
-      (try Unix.close fd_a with Unix.Unix_error _ -> ());
-      (try Unix.close fd_b with Unix.Unix_error _ -> ());
+      (try Unix.close db_a with Unix.Unix_error _ -> ());
+      (try Unix.close db_b with Unix.Unix_error _ -> ());
       raise e
 
 (* Ring slot count derived from the credit window: the smallest power
-   of two holding four windows, and at least 8.  A window then never
-   fills more than a quarter of the request ring, nor the answers to a
-   full window (one frame each, telemetry riding inside) more than a
-   quarter of the response ring — so a pipelined [send] cannot block
-   while answers back up. *)
+   of two holding four windows, and at least 8.  A window of one-slot
+   frames then fills at most a quarter of the request ring, and their
+   answers (telemetry riding inside) a quarter of the response ring. *)
 let min_slots = 8
 
 let plan_slots ~depth =

@@ -1,9 +1,10 @@
-(* Length-prefixed wire protocol for the process backend.
+(* The frame codec of the process backend; it does no I/O.
 
    The parent (which runs the whole Engine protocol) and each worker
-   child exchange [msg] frames over an [Shm] channel: encoded in place
-   into a ring slot ([encode_big]), or, for a frame too big for its
-   slot, framed on the channel's control socket.  A socket frame is:
+   child exchange [msg] frames over an [Shm] ring pair, as
+   [tag:1][payload] ([encode_big]/[decode_big]): straight into one
+   ring slot, or, for a frame too big for its slot, across several.
+   The standalone [Bytes] frame ([encode]/[decode]) adds a length:
 
        tag : 1 byte        message kind
        len : 4 bytes LE    payload length in bytes
@@ -76,8 +77,9 @@ let tag_of_msg = function
 
 (* The payload codec is written once against abstract byte sinks and
    sources, then instantiated twice: over [Buffer]/[Bytes] for the
-   socket path, and over a {!Wirefmt.Big} window for in-ring encode
-   straight into an mmap'd shm slot ([encode_big]/[decode_big] below).
+   standalone frame, and over a {!Wirefmt.Big} window for in-ring
+   encode straight into an mmap'd shm slot ([encode_big]/[decode_big]
+   below).
    A first-class record (not a functor) keeps the call sites
    monomorphic-cheap and lets the two instances share every
    message-shape decision by construction. *)
@@ -281,49 +283,35 @@ let encode (m : msg) : Bytes.t =
   Buffer.blit payload 0 frame header_bytes len;
   frame
 
-(* Decode one frame whose header has already been validated: a bounded
-   reader over exactly the payload window (possibly in the middle of a
-   larger scratch buffer — no payload copy).  Rejects trailing garbage
-   so a framing bug cannot silently smuggle data between messages. *)
-let decode_reader tag (r : Wirefmt.reader) : msg =
+(* Decode [tag]'s payload from [r], which bounds exactly the frame
+   (possibly in the middle of a larger buffer — no payload copy).
+   Rejects truncation and trailing garbage, so a framing bug cannot
+   silently smuggle data between messages. *)
+let decode_whole src r tag : msg =
   let m =
-    try decode_payload bytes_source r tag
+    try decode_payload src r tag
     with Wirefmt.Short_read m -> fail "truncated frame payload (%s)" m
   in
-  if r.Wirefmt.pos <> r.Wirefmt.limit then
-    fail "frame has %d trailing bytes after %C payload"
-      (r.Wirefmt.limit - r.Wirefmt.pos)
-      tag;
+  let left = src.g_left r in
+  if left <> 0 then fail "frame has %d trailing bytes after %C payload" left tag;
   m
 
 (* --- in-ring frames ---------------------------------------------------- *)
 
-(* Inside an shm ring slot the 4-byte length header is redundant — the
-   slot's own length word already bounds the payload — so the in-slot
+(* Inside an shm ring the 4-byte length header is redundant — the
+   slots' own length words already bound the payload — so the in-ring
    format is just [tag:1][payload], encoded directly into the mmap'd
    window.  [encode_big] raises {!Wirefmt.Big.Overflow} (without having
    published anything) when the message does not fit, and the caller
-   falls back to the framed socket encoding. *)
+   encodes it into a larger window to spread across slots. *)
 let encode_big (w : Wirefmt.Big.writer) (m : msg) : unit =
   Wirefmt.Big.add_char w (tag_of_msg m);
   encode_payload big_sink w m
 
 let decode_big (r : Wirefmt.Big.reader) : msg =
-  let tag =
-    try Wirefmt.Big.read_char r
-    with Wirefmt.Short_read _ -> fail "empty in-ring frame"
-  in
-  let m =
-    try decode_payload big_source r tag
-    with Wirefmt.Short_read m -> fail "truncated in-ring payload (%s)" m
-  in
-  let left = Wirefmt.Big.remaining r in
-  if left <> 0 then
-    fail "in-ring frame has %d trailing bytes after %C payload" left tag;
-  m
-
-let check_len len =
-  if len < 0 || len > max_frame then fail "bad frame length %d (max %d)" len max_frame
+  match Wirefmt.Big.read_char r with
+  | tag -> decode_whole big_source r tag
+  | exception Wirefmt.Short_read _ -> fail "empty in-ring frame"
 
 (* Decode a complete frame (header + payload) held in [b] at [pos].
    Returns the message and the offset just past the frame. *)
@@ -332,7 +320,7 @@ let decode (b : Bytes.t) ~(pos : int) : msg * int =
     fail "truncated frame header";
   let tag = Bytes.get b pos in
   let len = Int32.to_int (Bytes.get_int32_le b (pos + 1)) in
-  check_len len;
+  if len < 0 || len > max_frame then fail "bad frame length %d (max %d)" len max_frame;
   if pos + header_bytes + len > Bytes.length b then
     fail "truncated frame: header says %d payload bytes, %d available" len
       (Bytes.length b - pos - header_bytes);
@@ -340,59 +328,4 @@ let decode (b : Bytes.t) ~(pos : int) : msg * int =
     Wirefmt.reader_of b ~pos:(pos + header_bytes)
       ~limit:(pos + header_bytes + len)
   in
-  (decode_reader tag r, pos + header_bytes + len)
-
-(* --- blocking fd transport ------------------------------------------- *)
-
-(* Distinguish "interrupted before writing anything" (EINTR: retry the
-   same range) from a genuine 0-byte completion, which a blocking
-   [Unix.write] never returns for [len > 0] — if one surfaces anyway
-   (fd re-opened non-blocking, kernel oddity) retrying would busy-spin
-   forever, so fail loudly instead. *)
-let rec write_all fd b off len =
-  if len > 0 then
-    match Unix.write fd b off len with
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> write_all fd b off len
-    | 0 -> fail "write returned 0 bytes on a blocking fd"
-    | n -> write_all fd b (off + n) (len - n)
-
-let write_msg fd (m : msg) =
-  let frame = encode m in
-  write_all fd frame 0 (Bytes.length frame)
-
-(* Read exactly [len] bytes; [`Eof] only if the stream ends on a frame
-   boundary (0 bytes read so far). *)
-let really_read fd b len =
-  let rec go off =
-    if off >= len then `Ok
-    else
-      match Unix.read fd b off (len - off) with
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
-      | 0 -> if off = 0 then `Eof else fail "eof inside a frame"
-      | n -> go (off + n)
-  in
-  go 0
-
-(* [scratch] is a reusable receive buffer: steady-state reads allocate
-   nothing per frame beyond the decoded buffers themselves.  Grown
-   geometrically toward the frame length so one connection converges on
-   its largest frame size. *)
-let read_msg ?scratch fd : msg option =
-  let buf =
-    match scratch with
-    | Some r -> r
-    | None -> ref (Bytes.create header_bytes)
-  in
-  if Bytes.length !buf < header_bytes then buf := Bytes.create 256;
-  match really_read fd !buf header_bytes with
-  | `Eof -> None
-  | `Ok ->
-      let tag = Bytes.get !buf 0 in
-      let len = Int32.to_int (Bytes.get_int32_le !buf 1) in
-      check_len len;
-      if Bytes.length !buf < len then
-        buf := Bytes.create (max len (2 * Bytes.length !buf));
-      (match really_read fd !buf len with
-      | `Eof -> fail "eof inside a frame payload"
-      | `Ok -> ());
-      Some (decode_reader tag (Wirefmt.reader_of !buf ~limit:len))
+  (decode_whole bytes_source r tag, pos + header_bytes + len)

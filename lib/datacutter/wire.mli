@@ -1,8 +1,9 @@
-(** Length-prefixed wire protocol for the process backend.
+(** The frame codec of the process backend; it does no I/O.
 
-    A frame is [tag:1][len:4 LE][payload:len]; payloads use the
-    {!Wirefmt} codec (the same low-level codec as the compiler's
-    buffer-packing layer).  The parent sends requests; the worker
+    A frame travels an {!Shm} ring as [tag:1][payload] ({!encode_big}),
+    and stands alone as [tag:1][len:4 LE][payload:len] ({!encode});
+    payloads use the {!Wirefmt} codec (the same low-level codec as the
+    compiler's buffer-packing layer).  The parent sends requests; the worker
     answers every request with one {!Reply}.  Items carry a kind byte,
     packet id and bytes, written straight from [Bytes] (no string
     round-trip).  See [lib/datacutter/proc_runtime.ml] for the
@@ -10,7 +11,7 @@
 
 exception Protocol_error of string
 (** Raised on malformed input: unknown tag, oversized or negative
-    length, truncated payload, trailing bytes, or EOF mid-frame. *)
+    length, truncated payload or trailing bytes. *)
 
 (** One callback span recorded inside a worker, timestamped on the
     shared {!Obs.Clock} axis (the clock's t0 predates the fork). *)
@@ -71,23 +72,12 @@ val decode_item : string -> Engine.item
 
 val encode_big : Wirefmt.Big.writer -> msg -> unit
 (** Encode [msg] directly into a bigstring window — typically an shm
-    ring slot — as [tag:1][payload] (no length header: the slot's own
-    length word bounds the payload).  Raises [Wirefmt.Big.Overflow]
+    ring slot — as [tag:1][payload] (no length header: the slots' own
+    length words bound the payload).  Raises [Wirefmt.Big.Overflow]
     when the message does not fit; nothing is published in that case,
-    so the caller can fall back to the framed socket encoding. *)
+    so the caller can encode it into a larger window instead. *)
 
 val decode_big : Wirefmt.Big.reader -> msg
 (** Inverse of {!encode_big}: decode one [tag:1][payload] frame in
     place from a bigstring window bounded to exactly the frame.
     Raises {!Protocol_error} on truncation or trailing bytes. *)
-
-val write_msg : Unix.file_descr -> msg -> unit
-(** Blocking full write of one frame (retries [EINTR]); propagates
-    [Unix.Unix_error] (e.g. [EPIPE]) for the caller's crash handling. *)
-
-val read_msg : ?scratch:Bytes.t ref -> Unix.file_descr -> msg option
-(** Blocking read of one frame; [None] on EOF at a frame boundary,
-    {!Protocol_error} if the peer dies mid-frame.  [scratch] is a
-    reusable receive buffer (grown geometrically as needed): passing
-    the same ref for every read on a connection makes steady-state
-    receive allocation-free apart from the decoded buffers. *)

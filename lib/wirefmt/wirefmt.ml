@@ -89,9 +89,9 @@ let read_bytes r =
    typically a view over mmap'd shared memory, so a producer can encode
    a payload directly where the consumer will read it (no intermediate
    [Buffer]/[Bytes] staging copy).  The writer is bounded: running out
-   of window raises [Overflow] and the caller falls back to a heap
-   encoding (e.g. the shm transport's overflow-to-socket path), so a
-   partial in-place encode is never published. *)
+   of window raises [Overflow] and the caller falls back to a larger
+   window (e.g. the shm transport, for a frame that spans ring slots),
+   so a partial in-place encode is never published. *)
 module Big = struct
   module A1 = Bigarray.Array1
 

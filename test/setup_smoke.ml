@@ -1,16 +1,17 @@
 (* Smoke test for a proc run whose worker setup runs out of resources,
    wired into `dune runtest` via the @setup-smoke alias.  The dune rule
-   starts it under `ulimit -n 64`, so every worker channel (four fds
-   while forking, two kept by the parent) eats into a small budget.
+   starts it under `ulimit -n 64`, so every worker channel (two fds
+   while forking, one kept by the parent) eats into a small budget.
 
    - In process: the descriptors left over are used up until only a
      few workers fit, then a wide topology is run.  The run must return
      [Setup_failed] after reaping every worker it forked: no child is
      left (waitpid reports ECHILD), every channel fd is closed again,
      and SIGPIPE is back to its previous disposition.
-   - Through the CLI: `cgppc run --backend proc` on a topology needing
-     more descriptors than the limit allows exits with the documented
-     code 9 and a "setup_failed" error in the metrics JSON.
+   - Through the CLI: `cgppc run --backend proc` under `ulimit -n 32`
+     on a topology needing more descriptors than that allows exits
+     with the documented code 9 and a "setup_failed" error in the
+     metrics JSON.
    - A par run, after both proc legs (a par run may spawn domains, after
      which a process cannot fork): with no descriptor left for the pipe
      it waits on, the run returns [Setup_failed], and `cgppc run
@@ -38,7 +39,7 @@ let cgppc =
 let open_fds () = Array.length (Sys.readdir "/proc/self/fd")
 
 (* Source width 2 and a width-4 inner stage with 3 spares per copy:
-   18 workers, 36 parent-side fds. *)
+   18 workers, 18 parent-side fds. *)
 let topology () =
   let source _ =
     {
@@ -81,7 +82,8 @@ let exhaust_fds ~spare =
 
 let in_process_leg () =
   ignore (Sys.signal Sys.sigpipe Sys.Signal_default);
-  (* room for about three workers: each needs four fds while it forks *)
+  (* room for about seven workers: each keeps one fd, and needs two
+     more while it forks *)
   let hogs = exhaust_fds ~spare:10 in
   let before = open_fds () in
   (match D.Runtime.run_result ~backend:D.Runtime.Proc (topology ()) with
@@ -107,15 +109,16 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-(* 8 source workers + 8 inner copies x 4 workers = 40 channels. *)
+(* 8 source workers + 8 inner copies x 4 workers = 40 channels, one
+   parent-side fd each, under a limit of 32. *)
 let cli_leg () =
   let mj = Filename.temp_file "cgpp_setup_smoke" ".json" in
   let log = Filename.temp_file "cgpp_setup_smoke" ".log" in
   let rc =
     Sys.command
       (Printf.sprintf
-         "%s run -a streambench --backend proc -c 8-8-1 --metrics-json %s > %s \
-          2>&1"
+         "(ulimit -n 32 && exec %s run -a streambench --backend proc -c 8-8-1 \
+          --metrics-json %s) > %s 2>&1"
          (Filename.quote cgppc) (Filename.quote mj) (Filename.quote log))
   in
   let out = read_file log in

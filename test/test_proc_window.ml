@@ -11,9 +11,11 @@
      blocks.  Every submitted or absorbed item must be delivered exactly
      once (acknowledged or re-routed), acks come in submission order, no
      item is acked twice after a resend, the window never exceeds its
-     credits or its byte budget, nothing is absorbed while no frame
-     waits for credit, a frame that absorbed stays within its slot
-     payload, and no finished answer is held across an idle event.
+     credits, the frames in flight never take more slots than the
+     request ring has, a frame larger than the ring is sent only on an
+     empty window, nothing is absorbed while no frame waits for credit,
+     a frame that absorbed stays within its slot payload, and no
+     finished answer is held across an idle event.
    - Unit tests pin the SIGKILL-with-a-full-window case (the resend is
      exactly the unacknowledged suffix), the give-up hand-back and the
      absorb step.
@@ -39,11 +41,10 @@ let ids = List.map id_of
 let frame_estimate items =
   List.fold_left (fun a it -> a + Engine.item_cost it) 32 items
 
-(* The bytes a frame is charged: the documented estimate, with a frame
-   over 32 KiB charged as the whole budget. *)
-let frame_cost items =
-  let est = frame_estimate items in
-  if est > 32 * 1024 then W.byte_budget else est
+(* The ring slots a frame takes: the documented estimate over the
+   slot payload, rounded up, at least one. *)
+let frame_slots ~frame_bytes items =
+  max 1 ((frame_estimate items + frame_bytes - 1) / frame_bytes)
 
 (* --- the model ------------------------------------------------------- *)
 
@@ -67,7 +68,13 @@ let pp_ev = function
   | Drain -> "Drain"
   | Idle -> "Idle"
 
-type case = { depth : int; frame_bytes : int; seed : int; evs : ev list }
+type case = {
+  depth : int;
+  frame_bytes : int;
+  ring_slots : int;
+  seed : int;
+  evs : ev list;
+}
 
 let gen_case =
   let open QCheck.Gen in
@@ -93,16 +100,17 @@ let gen_case =
       ]
   in
   map4
-    (fun depth frame_bytes seed evs -> { depth; frame_bytes; seed; evs })
-    (int_range 1 16)
+    (fun (depth, ring_slots) frame_bytes seed evs ->
+      { depth; frame_bytes; ring_slots; seed; evs })
+    (pair (int_range 1 16) (oneofl [ 8; 16; 64 ]))
     (oneofl [ 1024; 16 * 1024 ])
     (int_bound 1_000_000)
     (list_size (int_range 1 60) ev)
 
 let arb_case =
   QCheck.make gen_case ~print:(fun c ->
-      Printf.sprintf "depth %d, frame %dB, seed %d: %s" c.depth c.frame_bytes
-        c.seed
+      Printf.sprintf "depth %d, frame %dB, ring %d slots, seed %d: %s" c.depth
+        c.frame_bytes c.ring_slots c.seed
         (String.concat " " (List.map pp_ev c.evs)))
 
 exception Violation of string
@@ -110,7 +118,7 @@ exception Violation of string
 let violation fmt = Printf.ksprintf (fun m -> raise (Violation m)) fmt
 
 (* Run one case; raises [Violation] on a broken property. *)
-let run_case { depth; frame_bytes; seed; evs } =
+let run_case { depth; frame_bytes; ring_slots; seed; evs } =
   let rng = Random.State.make [| seed |] in
   let max_retries = 2 in
   let next_id = ref 0 in
@@ -123,7 +131,7 @@ let run_case { depth; frame_bytes; seed; evs } =
     Hashtbl.replace delivered id how
   in
   (* one window generation: a give-up starts a fresh copy *)
-  let w = ref (W.create ~depth ~frame_bytes) in
+  let w = ref (W.create ~depth ~frame_bytes ~slots:ring_slots) in
   let retries = ref max_retries in
   let last_ack = ref (-1) in
   (* the worker: frames received and not yet answered, and answers
@@ -135,9 +143,11 @@ let run_case { depth; frame_bytes; seed; evs } =
   let check_budget () =
     let n = Queue.length in_flight in
     if n > depth then violation "%d frames in flight at depth %d" n depth;
-    let bytes = Queue.fold (fun a fr -> a + frame_cost fr) 0 in_flight in
-    if n > 1 && bytes > W.byte_budget then
-      violation "%d bytes in flight over the %d-byte budget" bytes W.byte_budget
+    let slots =
+      Queue.fold (fun a fr -> a + frame_slots ~frame_bytes fr) 0 in_flight
+    in
+    if n > 1 && slots > ring_slots then
+      violation "%d slots in flight in a %d-slot ring" slots ring_slots
   in
   (* the items queued behind the window, as payload sizes: an item is
      made, numbered and counted as submitted when a frame absorbs it *)
@@ -166,6 +176,12 @@ let run_case { depth; frame_bytes; seed; evs } =
     then
       violation "a frame that absorbed is %d bytes over its %d-byte slot"
         (frame_estimate items) frame_bytes;
+    if
+      frame_slots ~frame_bytes items > ring_slots
+      && not (Queue.is_empty in_flight)
+    then
+      violation "a %d-slot frame sent beside %d in flight"
+        (frame_slots ~frame_bytes items) (Queue.length in_flight);
     Queue.push items received;
     Queue.push items in_flight;
     check_budget ()
@@ -240,7 +256,7 @@ let run_case { depth; frame_bytes; seed; evs } =
   let give_up () =
     step W.Give_up;
     lose_worker ();
-    w := W.create ~depth ~frame_bytes;
+    w := W.create ~depth ~frame_bytes ~slots:ring_slots;
     retries := max_retries;
     last_ack := -1
   in
@@ -314,13 +330,15 @@ let prop_window ~count =
 
 let slot = 16 * 1024
 
+let create ~depth = W.create ~depth ~frame_bytes:slot ~slots:(4 * depth)
+
 let sends acts =
   List.concat_map
     (function W.Send items -> [ ids items ] | _ -> [])
     acts
 
 let test_sigkill_full_window () =
-  let w = W.create ~depth:4 ~frame_bytes:slot in
+  let w = create ~depth:4 in
   let frames = List.init 4 (fun f -> List.init 3 (fun i -> item ((3 * f) + i))) in
   let sent = List.concat_map (fun fr -> sends (W.step w (W.Submit fr))) frames in
   A.(check (list (list int))) "every frame goes out" (List.map ids frames) sent;
@@ -345,7 +363,7 @@ let test_sigkill_full_window () =
   | _ -> A.fail "crash: expected one resend"
 
 let test_give_up_hands_back () =
-  let w = W.create ~depth:1 ~frame_bytes:slot in
+  let w = create ~depth:1 in
   ignore (W.step w (W.Submit [ item 0; item 1 ]));
   A.(check bool) "depth 1 settles right after the send" true
     (W.awaiting w = Some W.Settle);
@@ -357,13 +375,22 @@ let test_give_up_hands_back () =
   A.(check int) "empty after give-up" 0 (W.in_flight w);
   A.(check bool) "nothing awaited" true (W.awaiting w = None)
 
+(* 8 slots of ring: a 7-slot frame joins a 1-slot one, a 9-slot frame
+   waits for an empty window. *)
 let test_big_frame_alone () =
-  let w = W.create ~depth:16 ~frame_bytes:slot in
+  let w = W.create ~depth:16 ~frame_bytes:slot ~slots:8 in
   ignore (W.step w (W.Submit [ item 0 ]));
+  A.(check (list (list int))) "a frame that fits the ring beside it goes"
+    [ [ 1 ] ]
+    (sends (W.step w (W.Submit [ item ~size:((7 * slot) - 64) 1 ])));
+  let ok = W.Response { W.outs = [ None ]; error = None } in
+  ignore (W.step w ok);
   A.(check (list (list int))) "an oversized frame waits for an empty window" []
-    (sends (W.step w (W.Submit [ item ~size:40_000 1 ])));
-  A.(check (list (list int))) "and goes once the window empties" [ [ 1 ] ]
-    (sends (W.step w (W.Response { W.outs = [ None ]; error = None })))
+    (sends (W.step w (W.Submit [ item ~size:(8 * slot) 2 ])));
+  A.(check (list (list int))) "and goes once the window empties" [ [ 2 ] ]
+    (sends (W.step w ok));
+  A.(check (list (list int))) "alone" []
+    (sends (W.step w (W.Submit [ item 3 ])))
 
 (* Hands over the items of [pending] while they fit, counting the
    calls. *)
@@ -380,7 +407,7 @@ let taker pending =
   (take, calls)
 
 let test_absorb () =
-  let w = W.create ~depth:2 ~frame_bytes:slot in
+  let w = create ~depth:2 in
   let behind = ref [ item 3; item 4; item ~size:(slot - 24 - 32 - (2 * 32)) 5; item 6 ] in
   let take, calls = taker behind in
   ignore (W.step w (W.Submit [ item 0 ]));

@@ -1,7 +1,9 @@
 (* Tests for the shared-memory proc transport (Shm): ring wrap-around
-   and full/empty boundaries through the nonblocking endpoints,
-   overflow frames falling back to the control socket in order, a
-   SIGKILLed peer surfacing as EOF/EPIPE instead of a wedge, lazy
+   and full/empty boundaries through the nonblocking endpoints, a
+   QCheck property that frames up to three rings long span slots in
+   order, a SIGKILLed peer surfacing as EOF/EPIPE instead of a wedge,
+   also in the middle of a spanning frame, the credit window over real
+   rings answered by frames longer than the ring without deadlock, lazy
    faulting of freshly mapped rings, a QCheck property that rings sized
    by [Shm.plan_slots] hold a full credit window, and a QCheck
    round-trip of arbitrary frames against the Wire codec's structural
@@ -15,6 +17,7 @@ module Shm = Datacutter.Shm
 module Wire = Datacutter.Wire
 module Engine = Datacutter.Engine
 module Filter = Datacutter.Filter
+module Proc_window = Datacutter.Proc_window
 open Wire_eq
 
 let shm_available = Shm.available ()
@@ -90,34 +93,106 @@ let test_full_empty_boundary () =
       Shm.close a;
       Shm.close b
 
-let test_overflow_in_order () =
-  match ring_pair ~slots:8 ~slot_bytes:256 () with
-  | None -> ()
-  | Some (a, b) ->
-      (* Frames alternately below and far above the slot payload: the
-         big ones ride the socket behind an in-ring marker, and the
-         receiver still sees strict sending order. *)
-      let payload i =
-        if i mod 2 = 0 then Printf.sprintf "small-%d" i
-        else Printf.sprintf "big-%d-%s" i (String.make 4096 'x')
+(* --- frames that span slots, QCheck ------------------------------------ *)
+
+(* Slot payload and ring of the spanning property's pair. *)
+let span_slots = 8
+let span_slot_bytes = 512
+let span_ring_bytes = span_slots * span_slot_bytes
+
+(* A message tree of about [total] payload bytes: a batch of [k] items,
+   or an answer with [k] slots, maybe an error and maybe telemetry of
+   [k] spans; or a tag-only frame. *)
+let gen_span_msg =
+  let open QCheck.Gen in
+  int_bound (3 * span_ring_bytes) >>= fun total ->
+  int_range 1 8 >>= fun k ->
+  let bytes n = string_size (return n) in
+  let buf n = map2 (fun packet s -> buffer ~packet s) (int_bound 10_000) (bytes n) in
+  let item =
+    frequency
+      [
+        (6, map (fun b -> Engine.Data b) (buf (total / k)));
+        (2, map (fun b -> Engine.Final b) (buf (total / k)));
+        (1, return Engine.Marker);
+      ]
+  in
+  let span =
+    map
+      (fun s_name ->
+        { Wire.s_name; s_cat = "proc-worker"; s_ts = 0.5; s_dur = 1e-6; s_tid = k })
+      (bytes (total / (4 * k)))
+  in
+  let telem =
+    map
+      (fun w_spans -> { Wire.w_pid = 42; w_spans; w_counters = [ ("busy_s", 0.25) ] })
+      (list_repeat k span)
+  in
+  frequency
+    [
+      (1, oneofl [ Wire.Init; Wire.Finalize; Wire.Next; Wire.Src_finalize ]);
+      (4, map (fun items -> Wire.Batch items) (list_repeat k item));
+      ( 4,
+        map3
+          (fun outs error telem -> reply ?error ?telem outs)
+          (list_repeat k (option (buf (total / (2 * k)))))
+          (option (bytes (total / 4)))
+          (option telem) );
+    ]
+
+(* [msgs] sent through [a] from this thread and received from [b] on a
+   second one, so a frame longer than the ring streams through it.  A
+   reader that raises hangs up its doorbell first, so the sender stops
+   on EPIPE instead of waiting on a full ring, and the error is
+   re-raised here. *)
+let through a b msgs =
+  let got = ref [] and failed = ref None in
+  let reader =
+    Thread.create
+      (fun () ->
+        try
+          List.iter
+            (fun _ -> Option.iter (fun m -> got := m :: !got) (Shm.recv b))
+            msgs
+        with e ->
+          failed := Some e;
+          Unix.shutdown (Shm.fd_of b) Unix.SHUTDOWN_SEND)
+      ()
+  in
+  (try List.iter (Shm.send a) msgs
+   with Unix.Unix_error (Unix.EPIPE, _, _) -> ());
+  Thread.join reader;
+  Option.iter raise !failed;
+  List.rev !got
+
+(* A frame's bytes in the ring: [Wire.encode]'s frame less its 4-byte
+   length. *)
+let ring_bytes m = Bytes.length (Wire.encode m) - 4
+
+(* Random frames from a tag byte up to three rings' worth go
+   [through] a pair.  They arrive Wire-equal and in order, and both
+   ends count exactly the frames longer than a slot as spanning. *)
+let qcheck_spanning =
+  QCheck.Test.make ~name:"spanning frames arrive in order" ~count:100
+    QCheck.(
+      make
+        ~print:(fun ms -> String.concat " " (List.map (fun m -> string_of_int (ring_bytes m)) ms))
+        Gen.(list_size (1 -- 12) gen_span_msg))
+    (fun msgs ->
+      QCheck.assume shm_available;
+      let a, b = Shm.pair ~slots:span_slots ~slot_bytes:span_slot_bytes Shm.Shm in
+      let got = through a b msgs in
+      let slot = (Shm.stats a).Shm.slot_bytes in
+      let spanned = List.length (List.filter (fun m -> ring_bytes m > slot) msgs) in
+      let ok =
+        List.length got = List.length msgs
+        && List.for_all2 msg_equal msgs got
+        && (Shm.stats a).Shm.overflow_frames = spanned
+        && (Shm.stats b).Shm.overflow_frames = spanned
       in
-      (* bursts of 6 (≤ the 8 ring slots — a single thread drives both
-         endpoints, so a full ring would deadlock), then drain: each
-         burst mixes in-ring and overflow frames *)
-      for burst = 0 to 4 do
-        let base = burst * 6 in
-        for i = base to base + 5 do
-          Shm.send a (error_reply (payload i))
-        done;
-        for i = base to base + 5 do
-          match Shm.recv b with
-          | Some (Wire.Reply ({ error = Some s; _ }, None)) ->
-              Alcotest.(check string) "mixed-size frame" (payload i) s
-          | _ -> Alcotest.fail "overflow: lost or mangled frame"
-        done
-      done;
       Shm.close a;
-      Shm.close b
+      Shm.close b;
+      ok)
 
 (* --- geometry ------------------------------------------------------- *)
 
@@ -240,10 +315,115 @@ let test_sigkill_peer () =
           ignore (Unix.waitpid [] pid);
           Shm.close a)
 
+(* A writer SIGKILLed in the middle of a spanning frame: the child
+   starts a frame three rings long and blocks once the ring is full;
+   the parent kills it there.  [recv] takes the published chunks, sees
+   the doorbell's EOF and returns [None]: no partial frame and no hang
+   (an alarm ends the test process if it hangs). *)
+let test_kill_mid_frame () =
+  match ring_pair ~slots:8 ~slot_bytes:512 () with
+  | None -> ()
+  | Some (a, b) -> (
+      let go_rd, go_wr = Unix.pipe () in
+      match Unix.fork () with
+      | 0 ->
+          Shm.close a;
+          ignore (Unix.write_substring go_wr "!" 0 1);
+          Shm.send b (error_reply (String.make (3 * 8 * 512) 'x'));
+          Unix._exit 1
+      | pid ->
+          Shm.close b;
+          Unix.close go_wr;
+          (* freeing a slot rings the dead writer's doorbell *)
+          let sigpipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
+          ignore (Unix.read go_rd (Bytes.create 1) 0 1);
+          Unix.close go_rd;
+          (* the child fills the ring in microseconds, then parks *)
+          Unix.sleepf 0.2;
+          Unix.kill pid Sys.sigkill;
+          ignore (Unix.waitpid [] pid);
+          ignore (Unix.alarm 10);
+          let got = Shm.recv a in
+          ignore (Unix.alarm 0);
+          Alcotest.(check bool) "no partial frame" true (got = None);
+          Alcotest.(check int) "the frame had started" 1
+            (Shm.stats a).Shm.overflow_frames;
+          Sys.set_signal Sys.sigpipe sigpipe;
+          Shm.close a)
+
+(* The credit window over real rings: a forked worker answers every
+   request with a frame three rings long, while the parent drives a
+   [Proc_window] of depth 4 over 8-slot rings with requests of three
+   slots, every tenth one ten slots.  A full window of them would take
+   12 slots or more.  The worker blocks writing each answer until the
+   parent reads it; the parent's sends must never block meanwhile,
+   which the window's slot budget ensures.  A deadlock fails after
+   10 s. *)
+let test_window_no_deadlock () =
+  match ring_pair ~slots:8 ~slot_bytes:512 () with
+  | None -> ()
+  | Some (a, b) -> (
+      let slot = (Shm.stats a).Shm.slot_bytes in
+      let answer = buffer (String.make (3 * 8 * slot) 'a') in
+      match Unix.fork () with
+      | 0 ->
+          Shm.close a;
+          let rec serve () =
+            match Shm.recv b with
+            | Some (Wire.Batch items) ->
+                Shm.send b (reply (Some answer :: List.map (fun _ -> None) (List.tl items)));
+                serve ()
+            | _ -> Unix._exit 0
+          in
+          serve ()
+      | pid ->
+          Shm.close b;
+          let n = 60 in
+          let acked = Atomic.make 0 in
+          let w = Proc_window.create ~depth:4 ~frame_bytes:slot ~slots:8 in
+          let rec perform = function
+            | Proc_window.Send items -> Shm.send a (Wire.Batch items)
+            | Proc_window.Ack _ -> Atomic.incr acked
+            | Proc_window.Fail m -> failwith m
+            | Proc_window.Resend _ | Proc_window.Reroute _ -> failwith "no crash here"
+          and step ev = List.iter perform (Proc_window.step w ev)
+          and settle () =
+            if Proc_window.awaiting w <> None then begin
+              (match Shm.recv a with
+              | Some (Wire.Reply (r, None)) -> step (Proc_window.Response r)
+              | _ -> failwith "worker answered out of protocol");
+              settle ()
+            end
+          in
+          let drive () =
+            for i = 0 to n - 1 do
+              let size = ((if i mod 10 = 9 then 10 else 3) * slot) - 64 in
+              step (Proc_window.Submit [ Engine.Data (buffer ~packet:i (String.make size 'r')) ]);
+              settle ()
+            done;
+            step Proc_window.Drain;
+            settle ()
+          in
+          let driver = Thread.create drive () in
+          let deadline = Unix.gettimeofday () +. 10.0 in
+          while Atomic.get acked < n && Unix.gettimeofday () < deadline do
+            Unix.sleepf 0.01
+          done;
+          let done_ = Atomic.get acked in
+          if done_ < n then begin
+            Unix.kill pid Sys.sigkill;
+            ignore (Unix.waitpid [] pid);
+            Alcotest.failf "deadlocked after %d of %d answers" done_ n
+          end;
+          Thread.join driver;
+          Shm.close a;
+          ignore (Unix.waitpid [] pid))
+
 (* --- QCheck: arbitrary frames round-trip vs the Wire codec ------------ *)
 
-(* Payload sizes straddle the 512-byte slot boundary on purpose: both
-   the in-ring and the overflow path must deliver Wire-equal frames. *)
+(* Payload sizes straddle the 512-byte slot boundary on purpose, and a
+   batch may outgrow the ring: frames in one slot and frames spanning
+   slots must both arrive Wire-equal. *)
 let qcheck_roundtrip =
   QCheck.Test.make ~name:"shm delivers Wire-equal frames" ~count:150
     QCheck.(
@@ -258,13 +438,8 @@ let qcheck_roundtrip =
           reply [ Some (buffer s) ];
         ]
       in
-      let ok =
-        List.for_all
-          (fun m ->
-            Shm.send a m;
-            match Shm.recv b with Some got -> msg_equal m got | None -> false)
-          sent
-      in
+      let got = through a b sent in
+      let ok = List.length got = 3 && List.for_all2 msg_equal sent got in
       Shm.close a;
       Shm.close b;
       ok)
@@ -316,8 +491,7 @@ let () =
           Alcotest.test_case "wrap-around" `Quick test_wraparound;
           Alcotest.test_case "full/empty boundary" `Quick
             test_full_empty_boundary;
-          Alcotest.test_case "overflow frames stay in order" `Quick
-            test_overflow_in_order;
+          QCheck_alcotest.to_alcotest qcheck_spanning;
         ] );
       ( "geometry",
         [
@@ -326,7 +500,12 @@ let () =
           QCheck_alcotest.to_alcotest qcheck_plan_slots;
         ] );
       ( "death",
-        [ Alcotest.test_case "SIGKILLed peer" `Quick test_sigkill_peer ] );
+        [
+          Alcotest.test_case "SIGKILLed peer" `Quick test_sigkill_peer;
+          Alcotest.test_case "peer killed mid-frame" `Quick test_kill_mid_frame;
+          Alcotest.test_case "window over rings cannot deadlock" `Quick
+            test_window_no_deadlock;
+        ] );
       ( "codec",
         [
           QCheck_alcotest.to_alcotest qcheck_roundtrip;

@@ -1,7 +1,7 @@
-(* Unit tests for the process backend's wire protocol: frame round-trips
-   for every message kind, rejection of truncated and oversized frames,
-   and blocking reads and writes over a pipe — the paths a dying child
-   process exercises for real. *)
+(* Unit tests for the process backend's frame codec: round-trips for
+   every message kind through both encodings, and rejection of
+   truncated, oversized and malformed frames.  A frame cut off by a
+   dying peer is the ring's case: test_shm "peer killed mid-frame". *)
 
 module Wire = Datacutter.Wire
 module Engine = Datacutter.Engine
@@ -195,25 +195,6 @@ let test_reply_codecs () =
       reply ~error:"boom" ~telem:telemetry [ Some (buffer "partial") ];
     ]
 
-(* Frames written with write_msg arrive intact through an OS pipe,
-   split across however many reads the kernel chooses; EOF at a frame
-   boundary is a clean [None]. *)
-let test_fd_roundtrip () =
-  let rd, wr = Unix.pipe () in
-  List.iter (fun m -> Wire.write_msg wr m) samples;
-  Unix.close wr;
-  List.iter
-    (fun want ->
-      match Wire.read_msg rd with
-      | Some got ->
-          Alcotest.(check bool)
-            (msg_name want ^ " crosses an fd")
-            true (msg_equal want got)
-      | None -> Alcotest.failf "%s: premature EOF" (msg_name want))
-    samples;
-  Alcotest.(check bool) "clean EOF" true (Wire.read_msg rd = None);
-  Unix.close rd
-
 (* Property: any batched frame sequence survives encode → concatenation
    → decode at successive offsets, and the stream cut at any of the
    generator's chunk boundaries decodes to exactly the frames it holds
@@ -296,76 +277,6 @@ let prop_batch_roundtrip =
              && partial = (p > 0 && not (List.mem p ends)))
            cut_points)
 
-(* A frame much larger than the pipe buffer forces [write_all] through
-   many short writes, and a repeating interval timer delivers real
-   signals while the writer thread sits in a blocked (and repeatedly
-   interrupted) write on a pre-filled pipe — the old retry loop
-   conflated EINTR with "wrote 0" here.  The frame must still arrive
-   intact.  The draining side deliberately avoids timed waits (a
-   [Thread.delay] would itself be restarted by every tick and never
-   complete); it spins on the handler counter instead, so the test
-   cannot livelock under the signal storm. *)
-let test_fd_short_writes_and_eintr () =
-  let rd, wr = Unix.pipe () in
-  let big = error_reply (String.make (1024 * 1024) 'x') in
-  (* fill the pipe so the writer thread parks in a blocked write *)
-  Unix.set_nonblock wr;
-  let junk = Bytes.make 4096 'j' in
-  let junk_len = ref 0 in
-  (try
-     while true do
-       junk_len := !junk_len + Unix.write wr junk 0 (Bytes.length junk)
-     done
-   with Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ());
-  Unix.clear_nonblock wr;
-  let fired = Atomic.make 0 in
-  let prev =
-    Sys.signal Sys.sigalrm (Sys.Signal_handle (fun _ -> Atomic.incr fired))
-  in
-  let old_timer =
-    Unix.setitimer Unix.ITIMER_REAL
-      { Unix.it_interval = 0.002; it_value = 0.002 }
-  in
-  let writer = Thread.create (fun () -> Wire.write_msg wr big) () in
-  (* several ticks must land while the write is still blocked *)
-  while Atomic.get fired < 5 do
-    Thread.yield ()
-  done;
-  let scratch = Bytes.create 4096 in
-  let rec drain n =
-    if n > 0 then
-      match Unix.read rd scratch 0 (min n (Bytes.length scratch)) with
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> drain n
-      | got -> drain (n - got)
-  in
-  drain !junk_len;
-  let got = Wire.read_msg rd in
-  ignore (Unix.setitimer Unix.ITIMER_REAL old_timer);
-  Sys.set_signal Sys.sigalrm prev;
-  Thread.join writer;
-  Unix.close wr;
-  Unix.close rd;
-  match got with
-  | Some m ->
-      Alcotest.(check bool) "big frame survives short writes + EINTR" true
-        (msg_equal big m)
-  | None -> Alcotest.fail "reader saw EOF instead of the frame"
-
-let test_fd_midframe_eof () =
-  let rd, wr = Unix.pipe () in
-  let frame = Wire.encode (error_reply "interrupted") in
-  let half = Bytes.length frame / 2 in
-  let rec write_all off len =
-    if len > 0 then begin
-      let n = Unix.write wr frame off len in
-      write_all (off + n) (len - n)
-    end
-  in
-  write_all 0 half;
-  Unix.close wr;
-  check_protocol_error "EOF mid-frame" (fun () -> Wire.read_msg rd);
-  Unix.close rd
-
 let () =
   Alcotest.run "wire"
     [
@@ -386,12 +297,4 @@ let () =
           Alcotest.test_case "replies through both codecs" `Quick test_reply_codecs;
         ] );
       ("decoder", [ QCheck_alcotest.to_alcotest prop_batch_roundtrip ]);
-      ( "fds",
-        [
-          Alcotest.test_case "write_msg/read_msg over a pipe" `Quick
-            test_fd_roundtrip;
-          Alcotest.test_case "short writes + EINTR" `Quick
-            test_fd_short_writes_and_eintr;
-          Alcotest.test_case "EOF mid-frame" `Quick test_fd_midframe_eof;
-        ] );
     ]
