@@ -1,7 +1,8 @@
 (* Tests for the shared-memory proc transport (Shm): ring wrap-around
    and full/empty boundaries through the nonblocking endpoints, a
    QCheck property that frames up to three rings long span slots in
-   order, a SIGKILLed peer surfacing as EOF/EPIPE instead of a wedge,
+   order, the largest frame [Wire] allows going through whole, a
+   SIGKILLed peer surfacing as EOF/EPIPE instead of a wedge,
    also in the middle of a spanning frame, the credit window over real
    rings answered by frames longer than the ring without deadlock, lazy
    faulting of freshly mapped rings, a QCheck property that rings sized
@@ -193,6 +194,37 @@ let qcheck_spanning =
       Shm.close a;
       Shm.close b;
       ok)
+
+(* The largest frame [Wire] allows, eight rings long at the default
+   geometry, goes through a pair whole; one byte more is refused by
+   [send] before anything is published, so the pair still carries the
+   next frame. *)
+let test_max_frame () =
+  match ring_pair () with
+  | None -> ()
+  | Some (a, b) ->
+      let with_payload n =
+        let over = ring_bytes (error_reply "") - 1 in
+        error_reply (String.make (n - over) 'm')
+      in
+      let biggest = with_payload Wire.max_frame in
+      Alcotest.(check int) "a max_frame payload" (Wire.max_frame + 1) (ring_bytes biggest);
+      (match through a b [ biggest ] with
+      | [ got ] -> Alcotest.(check bool) "arrives Wire-equal" true (msg_equal biggest got)
+      | _ -> Alcotest.fail "max_frame: lost");
+      (* no reader: a send that went ahead would block on the full
+         ring, and the alarm ends the test process *)
+      ignore (Unix.alarm 10);
+      (match Shm.send a (with_payload (Wire.max_frame + 1)) with
+      | () -> Alcotest.fail "a frame over max_frame was sent"
+      | exception Wire.Protocol_error _ -> ());
+      ignore (Unix.alarm 0);
+      Alcotest.(check bool) "the pair still carries the next frame" true
+        (match through a b [ crashed 1 ] with
+        | [ got ] -> msg_equal (crashed 1) got
+        | _ -> false);
+      Shm.close a;
+      Shm.close b
 
 (* --- geometry ------------------------------------------------------- *)
 
@@ -492,6 +524,7 @@ let () =
           Alcotest.test_case "full/empty boundary" `Quick
             test_full_empty_boundary;
           QCheck_alcotest.to_alcotest qcheck_spanning;
+          Alcotest.test_case "frames up to max_frame" `Quick test_max_frame;
         ] );
       ( "geometry",
         [
